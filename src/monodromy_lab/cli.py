@@ -1,6 +1,6 @@
-"""Batch driver.
+"""Batch driver: a view over the stages of :mod:`monodromy_lab.pipeline`.
 
-Subcommands compute individual pipeline stages or run the full verification:
+Subcommands format individual pipeline stages or run the full verification:
 
     monodromy-lab qcoh                 ring tables and the operators mu, R, U
     monodromy-lab period               quantum period coefficients
@@ -16,7 +16,8 @@ Reports are single JSON documents (complex numbers as [re, im] pairs,
 matrices row-major, rationals as {"num", "den"}); --pretty adds an aligned
 text rendering of the matrices on stderr-free stdout.  Exit status: 0 when
 all residuals are within tolerance, 1 on a tolerance failure (the failing
-check is named in "failed_checks"), 2 on a configuration error.
+check is named in "failed_checks"), 2 on a configuration error.  Every
+subcommand reads its options through one RunConfig, which validates them.
 """
 
 from __future__ import annotations
@@ -26,22 +27,15 @@ import math
 import sys
 from fractions import Fraction
 
-from monodromy_lab import braid, ktheory, reference, report as report_mod
-from monodromy_lab.engine import get_engine
-from monodromy_lab.monodromy import (
-    connection_matrix,
-    eval_Ytop,
-    phi_top,
-    stokes_matrix,
-    verify_constraints,
-)
+from monodromy_lab import ktheory, report as report_mod
+from monodromy_lab.monodromy import phi_top
 from monodromy_lab.pipeline import (
-    DEFAULT_TOLERANCES,
     RunConfig,
-    config_dict,
-    connection_points,
+    characteristic_stage,
+    connection_stage,
+    gate,
     run_verify,
-    stokes_points,
+    stokes_stage,
 )
 from monodromy_lab.ring import operator_matrices, ring_tables
 from monodromy_lab.solutions import (
@@ -56,16 +50,12 @@ from monodromy_lab.solutions import (
 )
 
 
-class ConfigError(ValueError):
-    pass
-
-
 def _parse_ucpoint(text):
     try:
         mod_s, arg_s = text.split(",")
         return UCComplex.polar(float(mod_s), float(arg_s))
-    except Exception as exc:
-        raise ConfigError(f"bad point spec {text!r}, expected MOD,ARG") from exc
+    except ValueError as exc:
+        raise ValueError(f"bad point spec {text!r}, expected MOD,ARG") from exc
 
 
 def _parse_tols(pairs):
@@ -74,20 +64,15 @@ def _parse_tols(pairs):
         try:
             name, val = p.split("=")
             out[name] = float(val)
-        except Exception as exc:
-            raise ConfigError(f"bad tolerance {p!r}, expected NAME=VALUE") from exc
-        if out[name] <= 0:
-            raise ConfigError(f"tolerance {name} must be positive")
+        except ValueError as exc:
+            raise ValueError(f"bad tolerance {p!r}, expected NAME=VALUE") from exc
     return out
 
 
 def build_parser():
     ap = argparse.ArgumentParser(prog="monodromy-lab", description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("command", choices=[
-        "qcoh", "period", "phitop", "solutions", "stokes", "connection",
-        "gamma", "euler-matrix", "verify",
-    ])
+    ap.add_argument("command", choices=list(COMMANDS))
     ap.add_argument("--order", type=int, default=40,
                     help="series truncation order (default 40)")
     ap.add_argument("--z0-stokes", default=None, metavar="MOD,ARG",
@@ -97,7 +82,7 @@ def build_parser():
     ap.add_argument("--tol", action="append", metavar="NAME=VALUE",
                     help="override a named tolerance")
     ap.add_argument("--engine", choices=["double", "mp"], default=None,
-                    help="scalar backend (default: mp for stokes/connection/verify, double otherwise)")
+                    help="scalar backend (default: double for solutions, mp otherwise)")
     ap.add_argument("--dps", type=int, default=40, help="mp engine digits (default 40)")
     ap.add_argument("--check-identities", action="store_true",
                     help="solutions: evaluate Euler/rotation identity residuals")
@@ -107,27 +92,24 @@ def build_parser():
     return ap
 
 
-def _engine_for(args, heavy):
-    name = args.engine or ("mp" if heavy else "double")
-    return get_engine(name, dps=args.dps), name
-
-
-def _config_from(args):
-    cfg = RunConfig(truncation_order=args.order)
+def config_from_args(args):
+    """The one RunConfig of a command line; the engine defaults to double
+    for ``solutions`` and to mp for every other subcommand."""
+    points = {}
     if args.z0_stokes:
-        cfg.z0_stokes = _parse_ucpoint(args.z0_stokes)
+        points["z0_stokes"] = _parse_ucpoint(args.z0_stokes)
     if args.z0_connection:
-        cfg.z0_connection = _parse_ucpoint(args.z0_connection)
-    cfg.tolerances.update(_parse_tols(args.tol))
-    if args.engine:
-        cfg.engine_name = args.engine
-    cfg.dps = args.dps
-    if cfg.truncation_order < 10:
-        raise ConfigError("truncation order must be >= 10")
-    return cfg
+        points["z0_connection"] = _parse_ucpoint(args.z0_connection)
+    return RunConfig(
+        truncation_order=args.order,
+        tolerances=_parse_tols(args.tol),
+        engine_name=args.engine or ("double" if args.command == "solutions" else "mp"),
+        dps=args.dps,
+        **points,
+    )
 
 
-def cmd_qcoh(args):
+def cmd_qcoh(args, cfg):
     tables = ring_tables()
     mu, R, U = operator_matrices(q=Fraction(1))
     quantum = {}
@@ -143,27 +125,27 @@ def cmd_qcoh(args):
     }
 
 
-def cmd_period(args):
-    series = quantum_period(max(args.order, 6))
+def cmd_period(args, cfg):
+    series = quantum_period(cfg.truncation_order)
     return {
         "command": "period",
         "coefficients": [blk[0] for blk in series.blocks],
     }
 
 
-def cmd_phitop(args):
-    series = phi_top(args.order)
+def cmd_phitop(args, cfg):
+    series = phi_top(cfg.truncation_order)
     return {
         "command": "phitop",
-        "order": args.order,
+        "order": cfg.truncation_order,
         "coefficients": [
             [[x for x in row] for row in mat] for mat in series.coeffs
         ],
     }
 
 
-def cmd_solutions(args):
-    engine, name = _engine_for(args, heavy=False)
+def cmd_solutions(args, cfg):
+    engine, order = cfg.engine(), cfg.truncation_order
     pts = [
         UCComplex.polar(1.3, math.pi / 6),
         UCComplex.polar(0.8, math.pi),
@@ -171,10 +153,10 @@ def cmd_solutions(args):
         UCComplex.polar(0.9, -0.7 * math.pi),
         UCComplex.polar(1.6, 1.55 * math.pi),
     ]
-    out = {"command": "solutions", "engine": name, "points": [], }
+    out = {"command": "solutions", "engine": cfg.engine_name, "points": [], }
     if args.check_identities:
         for z in pts:
-            e_res, r_res = identity_residuals(z, order=args.order, engine=engine)
+            e_res, r_res = identity_residuals(z, order=order, engine=engine)
             out["points"].append({
                 "z": [float(z.modulus), z.arg],
                 "euler_residual": float(e_res),
@@ -184,7 +166,7 @@ def cmd_solutions(args):
     checks = []
     for kind, mod, arg in [(PHI1, 1.0, 0.0), (PHI1, 2.0, math.pi / 4), (PHI2, 0.7, -math.pi / 3)]:
         z = UCComplex.polar(mod, arg)
-        series_val = eval_series(phi_series(kind, args.order, engine), z, engine=engine)
+        series_val = eval_series(phi_series(kind, order, engine), z, engine=engine)
         contour_val = contour_eval(kind, z, engine)
         checks.append({
             "kind": kind.value,
@@ -197,51 +179,40 @@ def cmd_solutions(args):
     return out
 
 
-def cmd_stokes(args):
-    cfg = _config_from(args)
-    engine, name = _engine_for(args, heavy=True)
-    sd = stokes_matrix(engine, z0s=stokes_points(cfg), order=cfg.truncation_order,
-                       snap_tol=cfg.tolerances["stokes_snap"])
+def _z0s(data):
+    return [[float(z.modulus), z.arg] for z in data.z0s]
+
+
+def cmd_stokes(args, cfg):
+    sd, residuals = stokes_stage(cfg)
     return {
         "command": "stokes",
-        "engine": name,
-        "z0s": [[float(z.modulus), z.arg] for z in sd.z0s],
+        "engine": cfg.engine_name,
+        "z0s": _z0s(sd),
         "S_prime": [list(r) for r in sd.s_prime],
         "P": [list(r) for r in sd.P],
         "S": [list(r) for r in sd.S],
-        "residuals": {k: float(v) for k, v in sd.residuals.items()},
-    }, sd
-
-
-def cmd_connection(args):
-    cfg = _config_from(args)
-    engine, name = _engine_for(args, heavy=True)
-    sd = stokes_matrix(engine, z0s=stokes_points(cfg), order=cfg.truncation_order)
-    cd = connection_matrix(engine, z0s=connection_points(cfg), order=cfg.truncation_order,
-                           P=sd.P)
-    C_num = report_mod.complex_matrix(cd.C)
-    C_ref = reference.numeric(reference.C_REF, dps=40)
-    dev = max(abs(C_num[i][j] - C_ref[i][j]) for i in range(4) for j in range(4))
-    residuals = {k: float(v) for k, v in cd.residuals.items()}
-    residuals["c_vs_closed_form"] = dev
-    constraints = verify_constraints(sd.S, cd.C, engine)
-    residuals.update({k: float(v) for k, v in constraints.items()})
-    return {
-        "command": "connection",
-        "engine": name,
-        "z0s": [[float(z.modulus), z.arg] for z in cd.z0s],
-        "C_prime": report_mod.complex_matrix(cd.c_prime),
-        "C": C_num,
         "residuals": residuals,
+        **gate(residuals, cfg.tolerances),
     }
 
 
-def cmd_gamma(args):
-    gm = ktheory.gamma_class(-1)
-    cg = ktheory.c_gamma_matrix()
-    cg_num = ktheory.numeric_matrix(cg, dps=40)
-    cg_ref = reference.numeric(reference.C_GAMMA_REF, dps=40)
-    dev = max(abs(cg_num[i][j] - cg_ref[i][j]) for i in range(4) for j in range(4))
+def cmd_connection(args, cfg):
+    sd, _ = stokes_stage(cfg)
+    cd, residuals = connection_stage(cfg, sd)
+    return {
+        "command": "connection",
+        "engine": cfg.engine_name,
+        "z0s": _z0s(cd),
+        "C_prime": report_mod.complex_matrix(cd.c_prime),
+        "C": report_mod.complex_matrix(cd.C),
+        "residuals": residuals,
+        **gate(residuals, cfg.tolerances),
+    }
+
+
+def cmd_gamma(args, cfg):
+    characteristic, residuals = characteristic_stage()
     chs = {}
     for name in ("O", "O1", "SIGMA21", "O2", "WEDGE2", "E1", "E2", "E3", "E4"):
         obj = ktheory.k_object(name)
@@ -251,14 +222,15 @@ def cmd_gamma(args):
         }
     return {
         "command": "gamma",
-        "gamma_minus": [str(c) for c in gm.coeffs],
+        "gamma_minus": [str(c) for c in ktheory.gamma_class(-1).coeffs],
         "chern_characters": chs,
-        "C_gamma": cg_num,
-        "residuals": {"c_gamma_vs_closed_form": dev},
+        "C_gamma": characteristic.c_gamma,
+        "residuals": dict(residuals),
+        **gate(residuals, cfg.tolerances),
     }
 
 
-def cmd_euler(args):
+def cmd_euler(args, cfg):
     em = ktheory.euler_matrix()
     return {
         "command": "euler-matrix",
@@ -267,44 +239,29 @@ def cmd_euler(args):
     }
 
 
+def cmd_verify(args, cfg):
+    return run_verify(cfg)
+
+
+COMMANDS = {
+    "qcoh": cmd_qcoh,
+    "period": cmd_period,
+    "phitop": cmd_phitop,
+    "solutions": cmd_solutions,
+    "stokes": cmd_stokes,
+    "connection": cmd_connection,
+    "gamma": cmd_gamma,
+    "euler-matrix": cmd_euler,
+    "verify": cmd_verify,
+}
+
+
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        failed = []
-        tol = dict(DEFAULT_TOLERANCES)
-        tol.update(_parse_tols(args.tol))
-        if args.command == "qcoh":
-            doc = cmd_qcoh(args)
-        elif args.command == "period":
-            doc = cmd_period(args)
-        elif args.command == "phitop":
-            doc = cmd_phitop(args)
-        elif args.command == "solutions":
-            doc = cmd_solutions(args)
-        elif args.command == "stokes":
-            doc, _ = cmd_stokes(args)
-        elif args.command == "connection":
-            doc = cmd_connection(args)
-        elif args.command == "gamma":
-            doc = cmd_gamma(args)
-        elif args.command == "euler-matrix":
-            doc = cmd_euler(args)
-        else:
-            cfg = _config_from(args)
-            if args.engine is None:
-                cfg.engine_name = "mp"
-            doc = run_verify(cfg)
-            failed = doc["failed_checks"]
-        if "residuals" in doc and args.command != "verify":
-            failed = sorted(name for name, v in doc["residuals"].items()
-                            if name in tol and v > tol[name])
-            doc["failed_checks"] = failed
-            doc["status"] = "ok" if not failed else "fail"
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
+        doc = COMMANDS[args.command](args, config_from_args(args))
     except ArithmeticError as exc:
-        # snap/constancy/tail failures: a named numerical check failed
+        # snap/tail failures: a named numerical check failed
         print(f"failed check: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:
@@ -324,8 +281,9 @@ def main(argv=None):
     else:
         print(text)
 
+    failed = doc.get("failed_checks")
     if failed:
-        print("failed checks: " + ", ".join(str(f) for f in failed), file=sys.stderr)
+        print("failed checks: " + ", ".join(failed), file=sys.stderr)
         return 1
     return 0
 

@@ -62,10 +62,6 @@ class SnapError(ArithmeticError):
     """A Stokes entry failed to snap to an integer."""
 
 
-class ConstancyError(ArithmeticError):
-    """Extraction varies across base points beyond tolerance."""
-
-
 # -- topological solution ---------------------------------------------------
 
 @dataclass(frozen=True)
@@ -205,9 +201,10 @@ _YL_SPECS = (
 #: alternative expression for the third left column.  Solving for the
 #: combination in Frobenius coordinates gives
 #:     y^L_43 = F(z eps) + 4 G(z eps^-1) + 5 F(z),
-#: identical (as a solution germ) to the primary expression above; the
-#: commonly displayed variant carries -4 on the first-column term, which
-#: fails the overlap comparison by ~2% and is recorded as a sign typo.
+#: identical (as a solution germ) to the primary expression above (the tests
+#: compare the two on the overlap); the commonly displayed variant carries -4
+#: on the first-column term, which fails that comparison by ~2% and is
+#: recorded as a sign typo.
 _YL_COL3_ALT = ((1, PHI1, 1), (4, PHI2, -1), (5, PHI1, 0))
 
 
@@ -263,23 +260,16 @@ def _assemble(specs, z, order, engine, sector, sector_name, tol=None):
     return engine.matrix([[cols[j][i] for j in range(4)] for i in range(4)])
 
 
-def assemble_YR(z, order=40, engine=None, config=None, tol=None):
+def assemble_YR(z, order=40, engine=None, tol=None):
     """The right sectorial solution at a universal-cover point of Pi_right."""
     engine = engine or get_engine("double")
-    cfg = config or sector_config()
-    return _assemble(_YR_SPECS, z, order, engine, cfg.pi_right, "Pi_right", tol=tol)
+    return _assemble(_YR_SPECS, z, order, engine, sector_config().pi_right, "Pi_right", tol=tol)
 
 
-def assemble_YL(z, order=40, engine=None, config=None, alt_col3=False, tol=None):
-    """The left sectorial solution at a universal-cover point of Pi_left.
-
-    ``alt_col3`` switches the third column to its alternative expression
-    (equal as a solution germ, exposed for cross-checks).
-    """
+def assemble_YL(z, order=40, engine=None, tol=None):
+    """The left sectorial solution at a universal-cover point of Pi_left."""
     engine = engine or get_engine("double")
-    cfg = config or sector_config()
-    specs = _YL_SPECS if not alt_col3 else _YL_SPECS[:2] + (_YL_COL3_ALT,) + _YL_SPECS[3:]
-    return _assemble(specs, z, order, engine, cfg.pi_left, "Pi_left", tol=tol)
+    return _assemble(_YL_SPECS, z, order, engine, sector_config().pi_left, "Pi_left", tol=tol)
 
 
 # -- extraction -------------------------------------------------------------
@@ -307,44 +297,54 @@ class StokesData:
     residuals: dict = field(default_factory=dict)
 
 
-def default_stokes_points():
-    base = math.pi / 4
+#: default base points of the two extractions, on the admissible line
+DEFAULT_Z0_STOKES = UCComplex.polar(2.0, math.pi / 4)
+DEFAULT_Z0_CONNECTION = UCComplex.polar(0.1, math.pi / 4)
+
+
+def stokes_points(z0):
+    """The Stokes base points: z0 and z0 rotated by -0.05 and +0.05 rad."""
     return [
-        UCComplex.polar(2.0, base - 0.05),
-        UCComplex.polar(2.0, base),
-        UCComplex.polar(2.0, base + 0.05),
+        UCComplex(z0.modulus, z0.arg_over_pi - 0.05 / math.pi),
+        z0,
+        UCComplex(z0.modulus, z0.arg_over_pi + 0.05 / math.pi),
     ]
 
 
-def stokes_matrix(engine=None, z0s=None, order=40, snap_tol=1e-6, config=None,
-                  constancy_tol=None):
+def connection_points(z0):
+    """The connection base points: z0 with half and twice its modulus."""
+    m = float(z0.modulus)
+    return [
+        UCComplex(m / 2, z0.arg_over_pi),
+        z0,
+        UCComplex(m * 2, z0.arg_over_pi),
+    ]
+
+
+def stokes_matrix(engine=None, z0s=None, order=40, snap_tol=1e-6):
     """S' from Y_R(z0)^(-1) Y_L(z0) at several z0 in Pi_+, snapped to
     integers; P S' P^(-1) is the upper-triangular Stokes matrix S.
 
     Returns StokesData with residuals ``stokes_constancy`` (max spread
     across base points) and ``stokes_snap`` (max distance to integers).
-    When ``constancy_tol`` is given, a spread above it raises
-    ConstancyError instead of merely being reported.
     """
     engine = engine or get_engine("double")
-    cfg = config or sector_config()
-    z0s = list(z0s) if z0s is not None else default_stokes_points()
+    z0s = list(z0s) if z0s is not None else stokes_points(DEFAULT_Z0_STOKES)
+    pi_plus = sector_config().pi_plus
     for z0 in z0s:
-        if not in_interval(z0.arg, cfg.pi_plus):
+        if not in_interval(z0.arg, pi_plus):
             raise SectorError(f"Stokes base point arg {z0.arg} outside Pi_+")
 
     raws = []
     for z0 in z0s:
-        A = assemble_YR(z0, order, engine, cfg)
-        B = assemble_YL(z0, order, engine, cfg)
+        A = assemble_YR(z0, order, engine)
+        B = assemble_YL(z0, order, engine)
         raws.append(engine.solve(A, B))
 
     spread = 0.0
     for a in range(len(raws)):
         for b in range(a + 1, len(raws)):
             spread = max(spread, engine.max_abs(raws[a] - raws[b]))
-    if constancy_tol is not None and spread > constancy_tol:
-        raise ConstancyError(f"Stokes extraction spread {spread} above {constancy_tol}")
 
     mid = raws[len(raws) // 2]
     snapped = []
@@ -362,7 +362,7 @@ def stokes_matrix(engine=None, z0s=None, order=40, snap_tol=1e-6, config=None,
         snapped.append(tuple(row))
     s_prime = tuple(snapped)
 
-    P = dominance_permutation(cfg.ell_angle, engine)
+    P = dominance_permutation(engine=engine)
     S = _permute(s_prime, P)
     data = StokesData(s_prime=s_prime, s_prime_raw=raws, P=P, S=S, z0s=z0s)
     data.residuals["stokes_constancy"] = spread
@@ -390,46 +390,33 @@ class ConnectionData:
     residuals: dict = field(default_factory=dict)
 
 
-def default_connection_points():
-    return [
-        UCComplex.polar(0.05, math.pi / 4),
-        UCComplex.polar(0.1, math.pi / 4),
-        UCComplex.polar(0.2, math.pi / 4),
-    ]
-
-
-def connection_matrix(engine=None, z0s=None, order=40, P=None, config=None,
-                      stability_tol=None):
+def connection_matrix(engine=None, z0s=None, order=40, P=None):
     """C' from Y_top(z0)^(-1) Y_R(z0) at small z0 in Pi_+; C = C' P^(-1).
 
-    Residuals: ``connection_stability`` (spread across radii) and
-    ``connection_heldout`` (defect of Y_R - Y_top C' at a point not used in
-    the fit).  When ``stability_tol`` is given, a spread above it raises
-    ConstancyError (instability signals a branch or truncation error).
+    Residuals: ``connection_stability`` (spread across radii; instability
+    signals a branch or truncation error) and ``connection_heldout`` (defect
+    of Y_R - Y_top C' at a point not used in the fit).
     """
     engine = engine or get_engine("double")
-    cfg = config or sector_config()
-    z0s = list(z0s) if z0s is not None else default_connection_points()
+    z0s = list(z0s) if z0s is not None else connection_points(DEFAULT_Z0_CONNECTION)
     mats = []
     for z0 in z0s:
         T = eval_Ytop(z0, order, engine)
-        Yr = assemble_YR(z0, order, engine, cfg)
+        Yr = assemble_YR(z0, order, engine)
         mats.append(engine.solve(T, Yr))
     spread = 0.0
     for a in range(len(mats)):
         for b in range(a + 1, len(mats)):
             spread = max(spread, engine.max_abs(mats[a] - mats[b]))
-    if stability_tol is not None and spread > stability_tol:
-        raise ConstancyError(f"connection extraction spread {spread} above {stability_tol}")
     c_prime = mats[len(mats) // 2]
 
     zh = UCComplex.polar(0.08, math.pi / 4 + 0.1)
     held = engine.max_abs(
-        assemble_YR(zh, order, engine, cfg) - eval_Ytop(zh, order, engine) * c_prime
+        assemble_YR(zh, order, engine) - eval_Ytop(zh, order, engine) * c_prime
     )
 
     if P is None:
-        P = dominance_permutation(cfg.ell_angle, engine)
+        P = dominance_permutation(engine=engine)
     C = apply_inverse_permutation(c_prime, P, engine)
     data = ConnectionData(c_prime=c_prime, C=C, z0s=z0s)
     data.residuals["connection_stability"] = spread

@@ -1,23 +1,35 @@
-"""End-to-end verification pipeline.
+"""End-to-end verification pipeline, as a few named stages.
 
-Runs the analytic side (Stokes and central connection matrices from the
-ODE), the characteristic-class side (Euler matrix and Gamma-basis matrix),
-checks the two monodromy constraints, compares against the known
-closed-form data, and searches for the braid/sign transformation carrying
-the analytic pair (S, C) to the derived-category pair (Euler^-1, C_Gamma).
+* ``stokes_stage``: the Stokes matrices S', P, S from the ODE;
+* ``connection_stage``: the central connection matrix C, its closed-form
+  comparison and the two monodromy constraints;
+* ``characteristic_stage``: the Euler matrix, its inverse and the
+  Gamma-basis matrix C_Gamma of the derived-category side;
+* ``braid_stage``: the braid/sign transformation carrying the analytic pair
+  (S, C) to the derived-category pair (Euler^-1, C_Gamma);
+* ``gate``: residuals plus tolerances to ``failed_checks`` and ``status``.
+
+Each stage returns its data and a dict of named residuals; ``run_verify``
+composes them, and the CLI subcommands call the same stages.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import types
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from monodromy_lab import braid, ktheory, reference
 from monodromy_lab.engine import get_engine
 from monodromy_lab.monodromy import (
+    DEFAULT_Z0_CONNECTION,
+    DEFAULT_Z0_STOKES,
     connection_matrix,
+    connection_points,
     stokes_matrix,
+    stokes_points,
     verify_constraints,
 )
 from monodromy_lab.report import complex_matrix
@@ -39,41 +51,107 @@ DEFAULT_TOLERANCES = {
 
 @dataclass
 class RunConfig:
+    """One run's configuration.  Construction validates every field and
+    raises ValueError on a bad one; ``tolerances`` may name a subset of
+    DEFAULT_TOLERANCES and is completed from it."""
+
     truncation_order: int = 40
-    z0_stokes: UCComplex = field(default_factory=lambda: UCComplex.polar(2.0, math.pi / 4))
-    z0_connection: UCComplex = field(default_factory=lambda: UCComplex.polar(0.1, math.pi / 4))
-    tolerances: dict = field(default_factory=lambda: dict(DEFAULT_TOLERANCES))
+    z0_stokes: UCComplex = DEFAULT_Z0_STOKES
+    z0_connection: UCComplex = DEFAULT_Z0_CONNECTION
+    tolerances: dict = field(default_factory=dict)
     engine_name: str = "mp"
     dps: int = 40
 
     def __post_init__(self):
         if self.truncation_order < 10:
             raise ValueError("truncation_order must be >= 10")
+        if self.engine_name not in ("double", "mp"):
+            raise ValueError(f"unknown engine {self.engine_name!r}")
+        if self.dps < 1:
+            raise ValueError("dps must be >= 1")
+        for name, z0 in (("z0_stokes", self.z0_stokes), ("z0_connection", self.z0_connection)):
+            if not (math.isfinite(z0.modulus) and math.isfinite(z0.arg_over_pi)):
+                raise ValueError(f"{name} must be finite")
         for name, value in self.tolerances.items():
-            if value <= 0:
-                raise ValueError(f"tolerance {name} must be positive")
+            if name not in DEFAULT_TOLERANCES:
+                raise ValueError(f"unknown tolerance {name!r}")
+            if not 0 < value < math.inf:
+                raise ValueError(f"tolerance {name} must be positive and finite")
+        self.tolerances = {**DEFAULT_TOLERANCES, **self.tolerances}
 
     def engine(self):
         return get_engine(self.engine_name, dps=self.dps)
 
 
-def stokes_points(config):
-    z0 = config.z0_stokes
-    return [
-        UCComplex(z0.modulus, z0.arg_over_pi - 0.05 / math.pi),
-        z0,
-        UCComplex(z0.modulus, z0.arg_over_pi + 0.05 / math.pi),
-    ]
+def stokes_stage(config):
+    """S', P and S at the config's Stokes base points."""
+    sd = stokes_matrix(config.engine(), z0s=stokes_points(config.z0_stokes),
+                       order=config.truncation_order,
+                       snap_tol=config.tolerances["stokes_snap"])
+    return sd, {k: float(v) for k, v in sd.residuals.items()}
 
 
-def connection_points(config):
-    z0 = config.z0_connection
-    m = float(z0.modulus)
-    return [
-        UCComplex(m / 2, z0.arg_over_pi),
-        z0,
-        UCComplex(m * 2, z0.arg_over_pi),
-    ]
+def connection_stage(config, sd):
+    """C' and C at the config's connection base points, the closed-form
+    comparison of C and the two monodromy constraints on (S, C)."""
+    engine = config.engine()
+    cd = connection_matrix(engine, z0s=connection_points(config.z0_connection),
+                           order=config.truncation_order, P=sd.P)
+    residuals = {k: float(v) for k, v in cd.residuals.items()}
+    residuals["c_vs_closed_form"] = braid.max_deviation(
+        complex_matrix(cd.C), reference.numeric(reference.C_REF, dps=40))
+    constraints = verify_constraints(sd.S, cd.C, engine)
+    residuals.update({k: float(v) for k, v in constraints.items()})
+    return cd, residuals
+
+
+@dataclass(frozen=True)
+class CharacteristicData:
+    euler: tuple            # exact integer Euler matrix
+    euler_inverse: tuple    # its exact inverse
+    c_gamma: tuple          # C_Gamma as hardware complex, row-major
+
+
+@functools.lru_cache(maxsize=None)
+def characteristic_stage():
+    """The derived-category side; it does not depend on the configuration,
+    so it is computed once per process and returned immutable."""
+    euler = ktheory.euler_matrix()
+    c_gamma = ktheory.numeric_matrix(ktheory.c_gamma_matrix(), dps=40)
+    data = CharacteristicData(
+        euler=euler,
+        euler_inverse=_unipotent_inverse(euler),
+        c_gamma=tuple(tuple(row) for row in c_gamma),
+    )
+    residuals = {"c_gamma_vs_closed_form": braid.max_deviation(
+        c_gamma, reference.numeric(reference.C_GAMMA_REF, dps=40))}
+    return data, types.MappingProxyType(residuals)
+
+
+def braid_stage(S, C, characteristic, tol):
+    """Search for the braid/sign transformation carrying (S, C) to
+    (Euler^-1, C_Gamma); C is a hardware-complex matrix."""
+    S = [[complex(x) for x in row] for row in S]
+    target_S = [[complex(x) for x in row] for row in characteristic.euler_inverse]
+    target_C = characteristic.c_gamma
+    found = braid.search_equivalence(S, C, target_S, target_C, max_len=2, tol=tol)
+    if found is None:
+        return {"found": False, "word": [], "signs": [], "max_deviation": None}, {}
+    word, signs = found
+    Ss, Cs = braid.sign_act(signs, *braid.braid_act(word, S, C))
+    dev = max(braid.max_deviation(Ss, target_S), braid.max_deviation(Cs, target_C))
+    report = {"found": True, "word": word.labels(), "signs": list(signs.signs),
+              "max_deviation": dev}
+    return report, {"braid_match": dev}
+
+
+def gate(residuals, tolerances, missing=()):
+    """``failed_checks`` (every residual above its tolerance, sorted, then
+    every check in ``missing`` that produced no residual) and ``status``."""
+    failed = sorted(name for name, value in residuals.items()
+                    if value > tolerances[name])
+    failed.extend(missing)
+    return {"failed_checks": failed, "status": "ok" if not failed else "fail"}
 
 
 def run_verify(config=None):
@@ -81,72 +159,23 @@ def run_verify(config=None):
     config = config or RunConfig()
     engine = config.engine()
     order = config.truncation_order
-    tol = dict(DEFAULT_TOLERANCES)
-    tol.update(config.tolerances)
+    tol = config.tolerances
 
     mu, R, U = operator_matrices(q=Fraction(1))
-
-    sd = stokes_matrix(engine, z0s=stokes_points(config), order=order,
-                       snap_tol=tol["stokes_snap"])
-    cd = connection_matrix(engine, z0s=connection_points(config), order=order, P=sd.P)
-
-    residuals = {}
-    residuals.update({k: float(v) for k, v in sd.residuals.items()})
-    residuals.update({k: float(v) for k, v in cd.residuals.items()})
-
+    sd, residuals = stokes_stage(config)
+    cd, connection_residuals = connection_stage(config, sd)
+    residuals.update(connection_residuals)
     C_num = complex_matrix(cd.C)
-    C_ref = reference.numeric(reference.C_REF, dps=40)
-    residuals["c_vs_closed_form"] = max(
-        abs(C_num[i][j] - C_ref[i][j]) for i in range(4) for j in range(4)
-    )
-
-    constraints = verify_constraints(sd.S, cd.C, engine)
-    residuals.update({k: float(v) for k, v in constraints.items()})
-
-    euler = ktheory.euler_matrix()
-    euler_inv = _unipotent_inverse(euler)
-    cg = ktheory.c_gamma_matrix()
-    cg_num = ktheory.numeric_matrix(cg, dps=40)
-    cg_ref = reference.numeric(reference.C_GAMMA_REF, dps=40)
-    residuals["c_gamma_vs_closed_form"] = max(
-        abs(cg_num[i][j] - cg_ref[i][j]) for i in range(4) for j in range(4)
-    )
-
-    found = braid.search_equivalence(
-        [[complex(x) for x in row] for row in sd.S],
-        C_num,
-        [[complex(x) for x in row] for row in euler_inv],
-        cg_num,
-        max_len=2,
-        tol=tol["braid_match"],
-    )
-    if found is not None:
-        word, signs = found
-        Sw, Cw = braid.braid_act(word, [[complex(x) for x in row] for row in sd.S], C_num)
-        Ss, Cs = braid.sign_act(signs, Sw, Cw)
-        braid_dev = max(
-            braid.max_deviation(Ss, [[complex(x) for x in row] for row in euler_inv]),
-            braid.max_deviation(Cs, cg_num),
-        )
-        braid_report = {
-            "found": True,
-            "word": word.labels(),
-            "signs": list(signs.signs),
-            "max_deviation": braid_dev,
-        }
-        residuals["braid_match"] = braid_dev
-    else:
-        braid_report = {"found": False, "word": [], "signs": [], "max_deviation": None}
-
-    failed = sorted(name for name, value in residuals.items()
-                    if name in tol and value > tol[name])
-    if found is None:
-        failed.append("braid_search_not_found")
+    characteristic, characteristic_residuals = characteristic_stage()
+    residuals.update(characteristic_residuals)
+    braid_report, braid_residuals = braid_stage(sd.S, C_num, characteristic, tol["braid_match"])
+    residuals.update(braid_residuals)
+    missing = () if braid_report["found"] else ("braid_search_not_found",)
 
     s1 = phi_series(PHI1, order, engine)
     s2 = phi_series(PHI2, order, engine)
 
-    report = {
+    return {
         "command": "verify",
         "config": config_dict(config),
         "mu": [[x for x in row] for row in mu],
@@ -157,9 +186,9 @@ def run_verify(config=None):
         "S": [list(r) for r in sd.S],
         "C_prime": complex_matrix(cd.c_prime),
         "C": C_num,
-        "euler_matrix": [list(r) for r in euler],
-        "euler_matrix_inverse": [list(r) for r in euler_inv],
-        "C_gamma": cg_num,
+        "euler_matrix": [list(r) for r in characteristic.euler],
+        "euler_matrix_inverse": [list(r) for r in characteristic.euler_inverse],
+        "C_gamma": [list(r) for r in characteristic.c_gamma],
         "braid": braid_report,
         # Frobenius coordinates (a0, b0, c0, d0) of the two Mellin-Barnes
         # solutions: the change of basis between the log-series frame at z=0
@@ -178,10 +207,8 @@ def run_verify(config=None):
         },
         "residuals": residuals,
         "tolerances": {k: tol[k] for k in sorted(tol)},
-        "failed_checks": failed,
-        "status": "ok" if not failed else "fail",
+        **gate(residuals, tol, missing),
     }
-    return report
 
 
 def _unipotent_inverse(M):

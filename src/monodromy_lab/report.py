@@ -65,7 +65,7 @@ def dumps(report):
     return "".join(out)
 
 
-def complex_matrix(M, engine=None):
+def complex_matrix(M):
     """Engine matrix -> nested lists of hardware complex."""
     if hasattr(M, "rows"):
         return [[complex(M[i, j]) for j in range(M.cols)] for i in range(M.rows)]

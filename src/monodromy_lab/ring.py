@@ -78,14 +78,18 @@ SIGMA_2 = CohClass.basis(2)
 SIGMA_21 = CohClass.basis(3)
 
 
+def _table_row(a, b):
+    """{c: (n0, n1, n2)}: the nonzero coefficients of e_a*e_b; s0 is the unit."""
+    if a == 0:
+        return {b: (1, 0, 0)}
+    if b == 0:
+        return {a: (1, 0, 0)}
+    return _QTABLE[min(a, b), max(a, b)]
+
+
 def structure_constant(a, b, c):
     """(n0, n1, n2): coefficient of e_c in e_a*e_b as n0 + n1 q + n2 q^2."""
-    if a == 0:
-        return (1, 0, 0) if b == c else (0, 0, 0)
-    if b == 0:
-        return (1, 0, 0) if a == c else (0, 0, 0)
-    key = (a, b) if a <= b else (b, a)
-    return _QTABLE.get(key, {}).get(c, (0, 0, 0))
+    return _table_row(a, b).get(c, (0, 0, 0))
 
 
 def quantum_product(x, y, q=Fraction(1)):
@@ -106,15 +110,6 @@ def quantum_product(x, y, q=Fraction(1)):
                     term = term + n2 * (qq * prod)
                 out[c] = out[c] + term
     return CohClass(tuple(out))
-
-
-def _table_row(a, b):
-    if a == 0:
-        return {b: (1, 0, 0)}
-    if b == 0:
-        return {a: (1, 0, 0)}
-    key = (a, b) if a <= b else (b, a)
-    return _QTABLE[key]
 
 
 def classical_product(x, y):

@@ -272,9 +272,9 @@ def eval_series(series, z, m=0, engine=None, tol=None):
 
     The derivative is taken term by term (exact), then the blocks are summed
     in ascending n.  A tail certificate checks that the last three block
-    contributions are below tolerance and decreasing; otherwise the
-    truncation order is insufficient for this |z| and TailBoundError is
-    raised.
+    contributions (all blocks, for a shorter series) are below tolerance;
+    otherwise the truncation order is insufficient for this |z| and
+    TailBoundError is raised.
     """
     if engine is None:
         engine = get_engine("double")
@@ -296,7 +296,7 @@ def eval_series(series, z, m=0, engine=None, tol=None):
         total += contrib
         tail.append(engine.fabs(contrib))
 
-    if len(tail) >= 4 and max(tail[-3:]) > tol * max(1.0, engine.fabs(total)):
+    if max(tail[-3:]) > tol * max(1.0, engine.fabs(total)):
         raise TailBoundError(
             f"truncation order {series.order} too small at |z|={float(z.modulus)} "
             f"for tolerance {tol}"

@@ -123,6 +123,9 @@ def test_exit_code_config_errors(capsys):
     assert run_cli(capsys, "stokes", "--z0-stokes", "nonsense")[0] == 2
     assert run_cli(capsys, "verify", "--tol", "braid_match=-1")[0] == 2
     assert run_cli(capsys, "verify", "--order", "5")[0] == 2
+    assert run_cli(capsys, "verify", "--tol", "braid_macth=1e-3")[0] == 2
+    assert run_cli(capsys, "stokes", "--dps", "0")[0] == 2
+    assert run_cli(capsys, "stokes", "--z0-stokes", "inf,0.78")[0] == 2
 
 
 def test_exit_code_tolerance_failure(capsys):
@@ -131,6 +134,22 @@ def test_exit_code_tolerance_failure(capsys):
     doc = json.loads(out)
     assert "c_vs_closed_form" in doc["failed_checks"]
     assert doc["status"] == "fail"
+
+
+def test_stages_have_one_definition(capsys):
+    from monodromy_lab.pipeline import RunConfig, run_verify
+
+    report = run_verify(RunConfig(engine_name="double"))
+    for command in ("stokes", "connection"):
+        _, out = run_cli(capsys, command, "--engine", "double")
+        residuals = json.loads(out)["residuals"]
+        assert residuals == {k: report["residuals"][k] for k in residuals}
+    # every subcommand gates on the same tolerances
+    assert run_cli(capsys, "connection", "--engine", "double", "--tol", "stokes_snap=1e-40")[0] == 1
+    for command, name in (("stokes", "stokes_constancy"), ("connection", "connection_stability")):
+        code, out = run_cli(capsys, command, "--engine", "double", "--tol", f"{name}=1e-60")
+        assert code == 1
+        assert name in json.loads(out)["failed_checks"]
 
 
 def test_pretty_and_output_file(tmp_path, capsys):

@@ -96,6 +96,9 @@ def test_eval_quantum_period_single_valued():
 def test_eval_tail_bound_error():
     with pytest.raises(TailBoundError):
         eval_series(quantum_period(5), UCComplex.polar(3.0, 0.0), engine=E)
+    # too few blocks to certify: the partial sum 3.75 is far from 3.848
+    with pytest.raises(TailBoundError):
+        eval_series(quantum_period(3), UCComplex.polar(1.0, 0.0), engine=E)
 
 
 def test_eval_derivative_orders():
