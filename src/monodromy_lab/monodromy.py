@@ -184,6 +184,23 @@ def eval_Ytop(z, order=40, engine=None):
 
 # -- sectorial solutions ----------------------------------------------------
 
+#: the sector of the admissible line (a ``SectorConfig`` field) that every
+#: base point of an extraction lies in: a Stokes point needs both Y_L and
+#: Y_R, i.e. their overlap Pi_+; a connection point needs Y_R
+STOKES_SECTOR = "pi_plus"
+CONNECTION_SECTOR = "pi_right"
+
+
+def check_sector(points, sector, label="z"):
+    """Raise SectorError unless arg z lies in the named sector (a field of
+    ``sector_config()``) for every point z; ``label`` names the points in
+    the message."""
+    interval = getattr(sector_config(), sector)
+    for z in points:
+        if not in_interval(z.arg, interval):
+            raise SectorError(f"arg {label} = {z.arg} outside {sector} = {interval}")
+
+
 #: scalar building blocks: a column is sum of coef * PREF[kind] * (-1)^m *
 #: phi_kind(z eps^m); the (-1)^m is the half-integer power of the rotation.
 _YR_SPECS = (
@@ -250,9 +267,8 @@ def vector_from_scalar(derivs, z, engine=None):
     return (y1, y2, y3, y4)
 
 
-def _assemble(specs, z, order, engine, sector, sector_name, tol=None):
-    if not in_interval(z.arg, sector):
-        raise SectorError(f"arg z = {z.arg} outside {sector_name} = {sector}")
+def _assemble(specs, z, order, engine, sector, tol=None):
+    check_sector([z], sector)
     cols = []
     for spec in specs:
         derivs = scalar_column_derivatives(spec, z, order, engine, tol=tol)
@@ -263,13 +279,13 @@ def _assemble(specs, z, order, engine, sector, sector_name, tol=None):
 def assemble_YR(z, order=40, engine=None, tol=None):
     """The right sectorial solution at a universal-cover point of Pi_right."""
     engine = engine or get_engine("double")
-    return _assemble(_YR_SPECS, z, order, engine, sector_config().pi_right, "Pi_right", tol=tol)
+    return _assemble(_YR_SPECS, z, order, engine, "pi_right", tol=tol)
 
 
 def assemble_YL(z, order=40, engine=None, tol=None):
     """The left sectorial solution at a universal-cover point of Pi_left."""
     engine = engine or get_engine("double")
-    return _assemble(_YL_SPECS, z, order, engine, sector_config().pi_left, "Pi_left", tol=tol)
+    return _assemble(_YL_SPECS, z, order, engine, "pi_left", tol=tol)
 
 
 # -- extraction -------------------------------------------------------------
@@ -330,10 +346,7 @@ def stokes_matrix(engine=None, z0s=None, order=40, snap_tol=1e-6):
     """
     engine = engine or get_engine("double")
     z0s = list(z0s) if z0s is not None else stokes_points(DEFAULT_Z0_STOKES)
-    pi_plus = sector_config().pi_plus
-    for z0 in z0s:
-        if not in_interval(z0.arg, pi_plus):
-            raise SectorError(f"Stokes base point arg {z0.arg} outside Pi_+")
+    check_sector(z0s, STOKES_SECTOR, "Stokes base point")
 
     raws = []
     for z0 in z0s:

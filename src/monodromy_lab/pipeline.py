@@ -18,14 +18,18 @@ from __future__ import annotations
 import functools
 import math
 import types
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from monodromy_lab import braid, ktheory, reference
 from monodromy_lab.engine import get_engine
 from monodromy_lab.monodromy import (
+    CONNECTION_SECTOR,
     DEFAULT_Z0_CONNECTION,
     DEFAULT_Z0_STOKES,
+    STOKES_SECTOR,
+    check_sector,
     connection_matrix,
     connection_points,
     stokes_matrix,
@@ -49,16 +53,17 @@ DEFAULT_TOLERANCES = {
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
-    """One run's configuration.  Construction validates every field and
-    raises ValueError on a bad one; ``tolerances`` may name a subset of
-    DEFAULT_TOLERANCES and is completed from it."""
+    """One run's configuration, immutable.  Construction validates every
+    field and raises ValueError on a bad one (SectorError for a base point
+    outside its sector); ``tolerances`` may name a subset of
+    DEFAULT_TOLERANCES and is completed from it into a read-only mapping."""
 
     truncation_order: int = 40
     z0_stokes: UCComplex = DEFAULT_Z0_STOKES
     z0_connection: UCComplex = DEFAULT_Z0_CONNECTION
-    tolerances: dict = field(default_factory=dict)
+    tolerances: Mapping = field(default_factory=dict)
     engine_name: str = "mp"
     dps: int = 40
 
@@ -72,12 +77,16 @@ class RunConfig:
         for name, z0 in (("z0_stokes", self.z0_stokes), ("z0_connection", self.z0_connection)):
             if not (math.isfinite(z0.modulus) and math.isfinite(z0.arg_over_pi)):
                 raise ValueError(f"{name} must be finite")
+        check_sector(stokes_points(self.z0_stokes), STOKES_SECTOR, "z0_stokes point")
+        check_sector(connection_points(self.z0_connection), CONNECTION_SECTOR,
+                     "z0_connection point")
         for name, value in self.tolerances.items():
             if name not in DEFAULT_TOLERANCES:
                 raise ValueError(f"unknown tolerance {name!r}")
             if not 0 < value < math.inf:
                 raise ValueError(f"tolerance {name} must be positive and finite")
-        self.tolerances = {**DEFAULT_TOLERANCES, **self.tolerances}
+        object.__setattr__(self, "tolerances", types.MappingProxyType(
+            {**DEFAULT_TOLERANCES, **self.tolerances}))
 
     def engine(self):
         return get_engine(self.engine_name, dps=self.dps)

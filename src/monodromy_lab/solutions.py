@@ -224,39 +224,45 @@ def _engine_key(engine):
     return (engine.name, engine.dps)
 
 
+def laurent_nodes(engine):
+    """Trapezoid node count for the Laurent quadrature at the engine's
+    precision: the error on the circle decays like 3^(-nodes) (radius 1/4
+    vs pole distance 3/4)."""
+    if engine.name != "mp":
+        return 256
+    nodes = 128
+    while nodes * math.log(3) < (engine.dps + 6) * math.log(10):
+        nodes *= 2
+    return nodes
+
+
+def residue_block(L, engine):
+    """Block of 2 pi i Res g(s) z^(-3s) at the pole of the Laurent data L:
+    the (log z)^k coefficient is 2 pi i * L[3-k] * (-3)^k / k!."""
+    two_pi_i = 2 * engine.i * engine.pi
+    return tuple(
+        two_pi_i * L.coeffs[3 - k] * engine.real(Fraction((-3) ** k, math.factorial(k)))
+        for k in range(4)
+    )
+
+
 @functools.lru_cache(maxsize=None)
 def _phi_series_cached(kind, order, engine_key):
     engine = get_engine(engine_key[0], dps=engine_key[1] or 50)
-    # trapezoid error on the circle decays like 3^(-nodes) (radius 1/4 vs
-    # pole distance 3/4); pick the node count from the target precision
-    if engine.name == "mp":
-        nodes = 128
-        while nodes * math.log(3) < (engine.dps + 6) * math.log(10):
-            nodes *= 2
-    else:
-        nodes = 256
-    two_pi_i = 2 * engine.i * engine.pi
-    blocks = []
-    for n in range(order):
-        L = laurent_coefficients(kind, n, nodes=nodes, engine=engine)
-        row = []
-        fact = 1
-        for k in range(4):
-            if k:
-                fact *= k
-            row.append(two_pi_i * L.coeffs[3 - k] * engine.real(Fraction((-3) ** k, fact)))
-        blocks.append(tuple(row))
-    return LogSeries(rho=Fraction(0), blocks=tuple(blocks))
+    L = laurent_coefficients(kind, 0, nodes=laurent_nodes(engine), engine=engine)
+    return _series_from_initial_block(residue_block(L, engine), order)
 
 
 def phi_series(kind, order=40, engine=None):
     """Residue log-series of the chosen Mellin-Barnes solution.
 
-    Block n carries 2 pi i times the residue of g(s) z^(-3s) at s = -n:
-    with Laurent data L, the (log z)^k coefficient is
-    2 pi i * L[3-k] * (-3)^k / k!.  The result is entire in z^3 up to log
-    weights and converges superexponentially, so it serves as the global
-    evaluation path on the whole universal cover.
+    Block n carries 2 pi i times the residue of g(s) z^(-3s) at s = -n.
+    Only block 0 is computed from the integrand, by Laurent quadrature at
+    s = 0 (see ``residue_block``); phi1 and phi2 solve the scalar ODE, so
+    every later block follows from it by the exact recursion, as for the
+    Frobenius basis.  The result is entire in z^3 up to log weights and
+    converges superexponentially, so it serves as the global evaluation path
+    on the whole universal cover.
     """
     if order < 1:
         raise ValueError("order must be >= 1")

@@ -11,9 +11,12 @@ quantum differential equation of LG(2,4),
 order 4 at s = 0, -1, -2, ...; PHI2 additionally has simple poles at
 s = 1/2, 3/2, ... lying right of every admissible contour.  The residue
 expansions that turn the integrals into globally convergent log-series need
-the four singular Laurent coefficients at each pole s = -n; we extract them
+the four singular Laurent coefficients at the pole s = -n; we extract them
 by trapezoid quadrature on a small circle, which is spectrally accurate for
-the analytic integrand g(s) * (s+n)^k.
+the analytic integrand g(s) * (s+n)^k.  The residue series
+(``solutions.phi_series``) takes only the pole at s = 0 from here and
+builds every later block by the exact recursion of the scalar ODE; the
+quadrature at n >= 1 is kept as an independent oracle for those blocks.
 """
 
 from __future__ import annotations

@@ -1,5 +1,6 @@
 """Batch driver: subcommands, JSON determinism, exit codes, schema."""
 
+import dataclasses
 import json
 import pathlib
 import subprocess
@@ -126,6 +127,9 @@ def test_exit_code_config_errors(capsys):
     assert run_cli(capsys, "verify", "--tol", "braid_macth=1e-3")[0] == 2
     assert run_cli(capsys, "stokes", "--dps", "0")[0] == 2
     assert run_cli(capsys, "stokes", "--z0-stokes", "inf,0.78")[0] == 2
+    # base points outside their sectors (Pi_right, Pi_+) are refused up front
+    assert run_cli(capsys, "connection", "--z0-connection", "0.1,2.5")[0] == 2
+    assert run_cli(capsys, "stokes", "--z0-stokes", "2.0,1.3")[0] == 2
 
 
 def test_exit_code_tolerance_failure(capsys):
@@ -134,6 +138,17 @@ def test_exit_code_tolerance_failure(capsys):
     doc = json.loads(out)
     assert "c_vs_closed_form" in doc["failed_checks"]
     assert doc["status"] == "fail"
+
+
+def test_run_config_is_frozen():
+    from monodromy_lab.pipeline import RunConfig
+
+    config = RunConfig()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        config.dps = 10
+    with pytest.raises(TypeError):
+        config.tolerances["braid_match"] = float("nan")
+    assert config.tolerances["braid_match"] == 1e-6
 
 
 def test_stages_have_one_definition(capsys):

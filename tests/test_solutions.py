@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from monodromy_lab import solutions
 from monodromy_lab.engine import get_engine
 from monodromy_lab.solutions import (
     PHI1,
@@ -18,12 +19,15 @@ from monodromy_lab.solutions import (
     eval_series,
     frobenius_basis,
     identity_residuals,
+    laurent_nodes,
     ode_residual_blocks,
     phi_series,
     quantum_period,
+    residue_block,
     rotation_operator_matrix,
     series_from_coordinates,
 )
+from monodromy_lab.special import laurent_coefficients
 
 E = get_engine("double")
 
@@ -137,6 +141,34 @@ def test_phi_series_solves_ode():
         scale = max(abs(complex(x)) for blk in series.blocks for x in blk)
         for blk in ode_residual_blocks(series)[1:]:
             assert all(abs(complex(x)) < 1e-11 * scale for x in blk)
+
+
+@pytest.mark.parametrize("engine", [E, get_engine("mp", dps=40)], ids=["double", "mp"])
+def test_phi_series_recursion_vs_laurent_oracle(engine):
+    # blocks after block 0 come from the recursion; the per-pole Laurent
+    # quadrature at the same node count is an independent oracle for them
+    bound = 1e-12 if engine.name == "double" else 1e-36
+    for kind in (PHI1, PHI2):
+        series = phi_series(kind, 40, engine)
+        for n in (1, 2, 5, 10, 20, 39):
+            L = laurent_coefficients(kind, n, nodes=laurent_nodes(engine), engine=engine)
+            oracle = residue_block(L, engine)
+            scale = max(engine.fabs(x) for x in oracle)
+            dev = max(engine.fabs(a - b) for a, b in zip(series.blocks[n], oracle))
+            assert dev <= bound * scale, (kind, n, dev / scale)
+
+
+def test_phi_series_one_quadrature(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return laurent_coefficients(*args, **kwargs)
+
+    monkeypatch.setattr(solutions, "laurent_coefficients", counted)
+    solutions._phi_series_cached.cache_clear()
+    phi_series(PHI1, 40, get_engine("mp", dps=40))
+    assert len(calls) == 1
 
 
 def test_phi_series_change_of_basis():
