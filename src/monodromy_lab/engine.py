@@ -47,8 +47,6 @@ class Engine:
         where the input is exact."""
         if isinstance(x, Fraction):
             return self.ctx.mpf(x.numerator) / x.denominator
-        if isinstance(x, str):
-            return self.ctx.mpf(x)
         return self.ctx.mpf(x)
 
     def complex(self, x, y=0):

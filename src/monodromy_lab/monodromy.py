@@ -35,6 +35,7 @@ numerical-error diagnostic.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -173,13 +174,19 @@ def eval_Ytop(z, order=40, engine=None):
                 if mat[i][j]:
                     Phi[i, j] += engine.real(mat[i][j]) * zk
         zk *= zc
-    zmu = engine.ctx.matrix(4, 4)
-    for i in range(4):
-        zmu[i, i] = engine.exp(engine.real(MU_DIAG[i]) * l)
+    return Phi * exp_mu(l, engine) * exp_R(l, engine)
+
+
+def exp_mu(t, engine):
+    """e^(t mu) = diag e^(t mu_i); z^mu is e^(t mu) at t = log z."""
+    return engine.ctx.diag([engine.exp(engine.real(mu) * t) for mu in MU_DIAG])
+
+
+def exp_R(t, engine):
+    """e^(t R), cubic in t as R is nilpotent; z^R is e^(t R) at t = log z."""
     _, R, _ = operator_matrices()
     Rm = engine.matrix(R)
-    zR = engine.eye(4) + Rm * l + (Rm * Rm) * (l ** 2 / 2) + (Rm * Rm * Rm) * (l ** 3 / 6)
-    return Phi * zmu * zR
+    return engine.eye(4) + Rm * t + (Rm * Rm) * (t ** 2 / 2) + (Rm * Rm * Rm) * (t ** 3 / 6)
 
 
 # -- sectorial solutions ----------------------------------------------------
@@ -337,6 +344,11 @@ def connection_points(z0):
     ]
 
 
+def heldout_point(z0):
+    """The connection check point, none of ``connection_points(z0)``."""
+    return UCComplex.polar(float(z0.modulus) * 4 / 5, z0.arg + 0.1)
+
+
 def stokes_matrix(engine=None, z0s=None, order=40, snap_tol=1e-6):
     """S' from Y_R(z0)^(-1) Y_L(z0) at several z0 in Pi_+, snapped to
     integers; P S' P^(-1) is the upper-triangular Stokes matrix S.
@@ -354,10 +366,7 @@ def stokes_matrix(engine=None, z0s=None, order=40, snap_tol=1e-6):
         B = assemble_YL(z0, order, engine)
         raws.append(engine.solve(A, B))
 
-    spread = 0.0
-    for a in range(len(raws)):
-        for b in range(a + 1, len(raws)):
-            spread = max(spread, engine.max_abs(raws[a] - raws[b]))
+    spread = _max_spread(raws, engine)
 
     mid = raws[len(raws) // 2]
     snapped = []
@@ -383,16 +392,21 @@ def stokes_matrix(engine=None, z0s=None, order=40, snap_tol=1e-6):
     return data
 
 
+def _max_spread(mats, engine):
+    """Largest entrywise difference between any two of the matrices."""
+    return max((engine.max_abs(a - b) for a, b in itertools.combinations(mats, 2)),
+               default=0.0)
+
+
+def _sigma(P):
+    """sigma with P[i][sigma[i]] = 1: column j of M P^(-1) is column sigma[j] of M."""
+    return [row.index(1) for row in P]
+
+
 def _permute(M, P):
     """P M P^(-1) for integer matrices (P a permutation)."""
-    sigma = [row.index(1) for row in P]
+    sigma = _sigma(P)
     return tuple(tuple(M[sigma[i]][sigma[j]] for j in range(4)) for i in range(4))
-
-
-def apply_inverse_permutation(M_engine, P, engine):
-    """M P^(-1) for an engine matrix and integer permutation P."""
-    Pm = engine.matrix([[Fraction(x) for x in row] for row in P])
-    return M_engine * engine.inverse(Pm)
 
 
 @dataclass
@@ -408,7 +422,8 @@ def connection_matrix(engine=None, z0s=None, order=40, P=None):
 
     Residuals: ``connection_stability`` (spread across radii; instability
     signals a branch or truncation error) and ``connection_heldout`` (defect
-    of Y_R - Y_top C' at a point not used in the fit).
+    of Y_R - Y_top C' at ``heldout_point`` of the middle base point, which
+    is not used in the fit).
     """
     engine = engine or get_engine("double")
     z0s = list(z0s) if z0s is not None else connection_points(DEFAULT_Z0_CONNECTION)
@@ -417,20 +432,18 @@ def connection_matrix(engine=None, z0s=None, order=40, P=None):
         T = eval_Ytop(z0, order, engine)
         Yr = assemble_YR(z0, order, engine)
         mats.append(engine.solve(T, Yr))
-    spread = 0.0
-    for a in range(len(mats)):
-        for b in range(a + 1, len(mats)):
-            spread = max(spread, engine.max_abs(mats[a] - mats[b]))
+    spread = _max_spread(mats, engine)
     c_prime = mats[len(mats) // 2]
 
-    zh = UCComplex.polar(0.08, math.pi / 4 + 0.1)
+    zh = heldout_point(z0s[len(z0s) // 2])
     held = engine.max_abs(
         assemble_YR(zh, order, engine) - eval_Ytop(zh, order, engine) * c_prime
     )
 
     if P is None:
         P = dominance_permutation(engine=engine)
-    C = apply_inverse_permutation(c_prime, P, engine)
+    # unary plus rounds the solve's entries to the working precision
+    C = engine.matrix([[+c_prime[i, s] for s in _sigma(P)] for i in range(4)])
     data = ConnectionData(c_prime=c_prime, C=C, z0s=z0s)
     data.residuals["connection_stability"] = spread
     data.residuals["connection_heldout"] = held
@@ -438,21 +451,6 @@ def connection_matrix(engine=None, z0s=None, order=40, P=None):
 
 
 # -- constraints -------------------------------------------------------------
-
-def exp_pi_i_mu(engine, factor=2):
-    """diag exp(factor * pi i mu)."""
-    m = engine.ctx.matrix(4, 4)
-    for i in range(4):
-        m[i, i] = engine.exp(factor * engine.i * engine.pi * engine.real(MU_DIAG[i]))
-    return m
-
-
-def exp_pi_i_R(engine, factor=2):
-    _, R, _ = operator_matrices()
-    Rm = engine.matrix(R)
-    t = factor * engine.i * engine.pi
-    return engine.eye(4) + Rm * t + (Rm * Rm) * (t ** 2 / 2) + (Rm * Rm * Rm) * (t ** 3 / 6)
-
 
 def verify_constraints(S, C, engine=None):
     """Residuals of the two monodromy constraints:
@@ -462,17 +460,18 @@ def verify_constraints(S, C, engine=None):
     """
     engine = engine or get_engine("double")
     Sm = S if hasattr(S, "rows") else engine.matrix([[Fraction(x) for x in row] for row in S])
-    Cm = C
     eta = engine.matrix([[Fraction(1) if i + j == 3 else Fraction(0) for j in range(4)] for i in range(4)])
-    lhs1 = Cm * Sm.T * engine.inverse(Sm) * engine.inverse(Cm)
-    rhs1 = exp_pi_i_mu(engine, 2) * exp_pi_i_R(engine, 2)
+    lhs1 = C * Sm.T * engine.inverse(Sm) * engine.inverse(C)
+    two_pi_i = 2 * engine.i * engine.pi
+    rhs1 = exp_mu(two_pi_i, engine) * exp_R(two_pi_i, engine)
     res1 = engine.max_abs(lhs1 - rhs1)
+    minus_pi_i = -engine.i * engine.pi
     rhs2 = (
-        engine.inverse(Cm)
-        * exp_pi_i_R(engine, -1)
-        * exp_pi_i_mu(engine, -1)
+        engine.inverse(C)
+        * exp_R(minus_pi_i, engine)
+        * exp_mu(minus_pi_i, engine)
         * engine.inverse(eta)
-        * engine.inverse(Cm.T)
+        * engine.inverse(C.T)
     )
     res2 = engine.max_abs(Sm - rhs2)
     return {"constraint_cyclic": res1, "constraint_pairing": res2}

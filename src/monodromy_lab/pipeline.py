@@ -32,6 +32,7 @@ from monodromy_lab.monodromy import (
     check_sector,
     connection_matrix,
     connection_points,
+    heldout_point,
     stokes_matrix,
     stokes_points,
     verify_constraints,
@@ -78,8 +79,8 @@ class RunConfig:
             if not (math.isfinite(z0.modulus) and math.isfinite(z0.arg_over_pi)):
                 raise ValueError(f"{name} must be finite")
         check_sector(stokes_points(self.z0_stokes), STOKES_SECTOR, "z0_stokes point")
-        check_sector(connection_points(self.z0_connection), CONNECTION_SECTOR,
-                     "z0_connection point")
+        connection = connection_points(self.z0_connection) + [heldout_point(self.z0_connection)]
+        check_sector(connection, CONNECTION_SECTOR, "z0_connection point")
         for name, value in self.tolerances.items():
             if name not in DEFAULT_TOLERANCES:
                 raise ValueError(f"unknown tolerance {name!r}")

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from monodromy_lab.engine import get_engine
-from monodromy_lab.special import MellinIntegrand, integrand_value, laurent_coefficients
+from monodromy_lab.special import MellinIntegrand, integrand_value, laurent_at_zero
 
 PHI1 = MellinIntegrand.PHI1
 PHI2 = MellinIntegrand.PHI2
@@ -78,10 +78,6 @@ class UCComplex:
     def polar(cls, modulus, arg):
         """Construct from a radian argument (kept exact if Fraction*pi-free)."""
         return cls(modulus, arg / math.pi)
-
-    @classmethod
-    def pi_units(cls, modulus, arg_over_pi):
-        return cls(modulus, Fraction(arg_over_pi))
 
     @property
     def arg(self):
@@ -220,22 +216,6 @@ def series_from_coordinates(coords, order):
 
 # -- residue series for phi1 / phi2 --------------------------------------
 
-def _engine_key(engine):
-    return (engine.name, engine.dps)
-
-
-def laurent_nodes(engine):
-    """Trapezoid node count for the Laurent quadrature at the engine's
-    precision: the error on the circle decays like 3^(-nodes) (radius 1/4
-    vs pole distance 3/4)."""
-    if engine.name != "mp":
-        return 256
-    nodes = 128
-    while nodes * math.log(3) < (engine.dps + 6) * math.log(10):
-        nodes *= 2
-    return nodes
-
-
 def residue_block(L, engine):
     """Block of 2 pi i Res g(s) z^(-3s) at the pole of the Laurent data L:
     the (log z)^k coefficient is 2 pi i * L[3-k] * (-3)^k / k!."""
@@ -247,28 +227,27 @@ def residue_block(L, engine):
 
 
 @functools.lru_cache(maxsize=None)
-def _phi_series_cached(kind, order, engine_key):
-    engine = get_engine(engine_key[0], dps=engine_key[1] or 50)
-    L = laurent_coefficients(kind, 0, nodes=laurent_nodes(engine), engine=engine)
-    return _series_from_initial_block(residue_block(L, engine), order)
+def _phi_series_cached(kind, order, engine):
+    return _series_from_initial_block(residue_block(laurent_at_zero(kind, engine), engine), order)
 
 
 def phi_series(kind, order=40, engine=None):
     """Residue log-series of the chosen Mellin-Barnes solution.
 
     Block n carries 2 pi i times the residue of g(s) z^(-3s) at s = -n.
-    Only block 0 is computed from the integrand, by Laurent quadrature at
-    s = 0 (see ``residue_block``); phi1 and phi2 solve the scalar ODE, so
-    every later block follows from it by the exact recursion, as for the
-    Frobenius basis.  The result is entire in z^3 up to log weights and
-    converges superexponentially, so it serves as the global evaluation path
-    on the whole universal cover.
+    Block 0 comes from the closed-form Laurent data at s = 0
+    (``special.laurent_at_zero``, converted by ``residue_block``); phi1 and
+    phi2 solve the scalar ODE, so every later block follows from it by the
+    exact recursion, as for the Frobenius basis.  No Gamma function and no
+    quadrature is evaluated.  The result is entire in z^3 up to log weights
+    and converges superexponentially, so it serves as the global evaluation
+    path on the whole universal cover.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
     if engine is None:
         engine = get_engine("double")
-    return _phi_series_cached(kind, order, _engine_key(engine))
+    return _phi_series_cached(kind, order, engine)
 
 
 # -- evaluation -----------------------------------------------------------

@@ -11,12 +11,12 @@ quantum differential equation of LG(2,4),
 order 4 at s = 0, -1, -2, ...; PHI2 additionally has simple poles at
 s = 1/2, 3/2, ... lying right of every admissible contour.  The residue
 expansions that turn the integrals into globally convergent log-series need
-the four singular Laurent coefficients at the pole s = -n; we extract them
-by trapezoid quadrature on a small circle, which is spectrally accurate for
-the analytic integrand g(s) * (s+n)^k.  The residue series
-(``solutions.phi_series``) takes only the pole at s = 0 from here and
-builds every later block by the exact recursion of the scalar ODE; the
-quadrature at n >= 1 is kept as an independent oracle for those blocks.
+the four singular Laurent coefficients at the pole s = -n.  The residue
+series (``solutions.phi_series``) takes only the pole at s = 0 from here, in
+closed form (``laurent_at_zero``), and builds every later block by the exact
+recursion of the scalar ODE.  Trapezoid quadrature on a small circle around
+any pole (``laurent_coefficients``), spectrally accurate for the analytic
+integrand g(s) * (s+n)^k, is kept as an independent oracle for all blocks.
 """
 
 from __future__ import annotations
@@ -109,6 +109,27 @@ class LaurentBlock:
 
     n: int
     coeffs: tuple
+
+
+def laurent_at_zero(kind, engine):
+    """Singular Laurent coefficients of the integrand at s = 0, in closed form.
+
+    By Legendre duplication s^4 g(s) is pi^(-1/2) e^(i pi s) Ghat(s) for PHI1
+    and pi^(1/2) sec(pi s) Ghat(s) for PHI2, with the quadric's Gamma class
+    Ghat(s) = Gamma(1+s)^5/Gamma(1+2s) = exp(-3 euler_gamma s + zeta(2) s^2/2
+    + zeta(3) s^3 + O(s^4)) and log sec(pi s) = pi^2 s^2/2 + O(s^4).  So
+    ``coeffs`` are the Taylor coefficients h_0..h_3 of exp(P(s)), P cubic.
+    """
+    pi, euler, zeta2, zeta3 = constants(engine)
+    if kind is MellinIntegrand.PHI1:
+        p = (-engine.log(pi) / 2, engine.i * pi - 3 * euler, zeta2 / 2, zeta3)
+    else:
+        p = (engine.log(pi) / 2, -3 * euler, zeta2 / 2 + pi ** 2 / 2, zeta3)
+    # h = exp(P) solves h' = P' h:  k h_k = sum_{j=1..k} j p_j h_(k-j)
+    h = [engine.exp(p[0])]
+    for k in range(1, 4):
+        h.append(sum(j * p[j] * h[k - j] for j in range(1, k + 1)) / k)
+    return LaurentBlock(n=0, coeffs=tuple(h))
 
 
 def laurent_coefficients(kind, n, radius=0.25, nodes=256, engine=None):

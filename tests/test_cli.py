@@ -130,6 +130,8 @@ def test_exit_code_config_errors(capsys):
     # base points outside their sectors (Pi_right, Pi_+) are refused up front
     assert run_cli(capsys, "connection", "--z0-connection", "0.1,2.5")[0] == 2
     assert run_cli(capsys, "stokes", "--z0-stokes", "2.0,1.3")[0] == 2
+    # the fit points at arg 1.0 lie in Pi_right, the held-out point at 1.1 not
+    assert run_cli(capsys, "connection", "--z0-connection", "0.1,1.0")[0] == 2
 
 
 def test_exit_code_tolerance_failure(capsys):

@@ -15,8 +15,8 @@ from monodromy_lab.monodromy import (
     connection_matrix,
     dominance_permutation,
     eval_Ytop,
-    exp_pi_i_R,
-    exp_pi_i_mu,
+    exp_R,
+    exp_mu,
     phi_top,
     phi_top_grading_violations,
     phi_top_orthogonality_residuals,
@@ -160,10 +160,11 @@ def test_Ytop_monodromy_consistency():
     # Y_top(z e^(2 pi i)) = Y_top(z) e^(2 pi i mu) e^(2 pi i R)
     z = UCComplex.polar(0.1, math.pi / 7)
     A = eval_Ytop(z.shifted_by_turns(1), order=35, engine=E)
-    B = eval_Ytop(z, order=35, engine=E) * exp_pi_i_mu(E, 2) * exp_pi_i_R(E, 2)
+    two_pi_i = 2j * math.pi
+    B = eval_Ytop(z, order=35, engine=E) * exp_mu(two_pi_i, E) * exp_R(two_pi_i, E)
     assert E.max_abs(A - B) < 1e-12
     # exp(2 pi i mu) is -I for half-odd-integer weights
-    M = exp_pi_i_mu(E, 2)
+    M = exp_mu(two_pi_i, E)
     for i in range(4):
         for j in range(4):
             assert abs(complex(M[i, j]) - (-1.0 if i == j else 0.0)) < 1e-15
@@ -331,6 +332,26 @@ def test_connection_matrix_closed_forms():
         for j in range(4):
             assert abs(complex(cd.C[i, j]) - C_ref[i][j]) <= 1e-8
     assert cd.residuals["connection_stability"] <= 1e-9
+    assert cd.residuals["connection_heldout"] <= 1e-9
+
+
+def test_connection_heldout_point_follows_base_point(monkeypatch):
+    # a base point whose middle fit point sits where a fixed check point
+    # would be: the held-out point must still be none of the fit points
+    from monodromy_lab import monodromy
+    from monodromy_lab.monodromy import connection_points
+
+    seen = []
+
+    def recorded(z, *args, **kwargs):
+        seen.append(z)
+        return assemble_YR(z, *args, **kwargs)
+
+    monkeypatch.setattr(monodromy, "assemble_YR", recorded)
+    fit = connection_points(UCComplex.polar(0.08, math.pi / 4 + 0.1))
+    cd = connection_matrix(E, z0s=fit)
+    assert seen[:3] == fit
+    assert len(seen) == 4 and seen[3] not in fit
     assert cd.residuals["connection_heldout"] <= 1e-9
 
 

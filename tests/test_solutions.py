@@ -2,6 +2,7 @@
 contour oracle, rotation operator, and the Euler/rotation identities."""
 
 import cmath
+import collections
 import math
 from fractions import Fraction
 
@@ -19,7 +20,6 @@ from monodromy_lab.solutions import (
     eval_series,
     frobenius_basis,
     identity_residuals,
-    laurent_nodes,
     ode_residual_blocks,
     phi_series,
     quantum_period,
@@ -27,6 +27,8 @@ from monodromy_lab.solutions import (
     rotation_operator_matrix,
     series_from_coordinates,
 )
+from monodromy_lab import special
+from monodromy_lab.engine import Engine
 from monodromy_lab.special import laurent_coefficients
 
 E = get_engine("double")
@@ -145,30 +147,38 @@ def test_phi_series_solves_ode():
 
 @pytest.mark.parametrize("engine", [E, get_engine("mp", dps=40)], ids=["double", "mp"])
 def test_phi_series_recursion_vs_laurent_oracle(engine):
-    # blocks after block 0 come from the recursion; the per-pole Laurent
-    # quadrature at the same node count is an independent oracle for them
+    # block 0 is in closed form and later blocks come from the recursion; the
+    # per-pole Laurent quadrature is an independent oracle for all of them
     bound = 1e-12 if engine.name == "double" else 1e-36
+    nodes = 256 if engine.name == "double" else 128
     for kind in (PHI1, PHI2):
         series = phi_series(kind, 40, engine)
-        for n in (1, 2, 5, 10, 20, 39):
-            L = laurent_coefficients(kind, n, nodes=laurent_nodes(engine), engine=engine)
+        for n in (0, 1, 2, 5, 10, 20, 39):
+            L = laurent_coefficients(kind, n, nodes=nodes, engine=engine)
             oracle = residue_block(L, engine)
             scale = max(engine.fabs(x) for x in oracle)
             dev = max(engine.fabs(a - b) for a, b in zip(series.blocks[n], oracle))
             assert dev <= bound * scale, (kind, n, dev / scale)
 
 
-def test_phi_series_one_quadrature(monkeypatch):
-    calls = []
+def test_phi_series_no_quadrature(monkeypatch):
+    # building the residue series evaluates no Laurent quadrature and no
+    # Gamma function, under either engine
+    calls = collections.Counter()
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return laurent_coefficients(*args, **kwargs)
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls[fn.__name__] += 1
+            return fn(*args, **kwargs)
+        return wrapper
 
-    monkeypatch.setattr(solutions, "laurent_coefficients", counted)
+    monkeypatch.setattr(special, "laurent_coefficients", counted(laurent_coefficients))
+    monkeypatch.setattr(Engine, "gamma", counted(Engine.gamma))
     solutions._phi_series_cached.cache_clear()
-    phi_series(PHI1, 40, get_engine("mp", dps=40))
-    assert len(calls) == 1
+    for engine in (E, get_engine("mp", dps=40)):
+        for kind in (PHI1, PHI2):
+            phi_series(kind, 40, engine)
+    assert calls == {}
 
 
 def test_phi_series_change_of_basis():
