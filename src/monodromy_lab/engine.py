@@ -5,13 +5,14 @@ log-series summation, fundamental-matrix assembly) is written against a
 small engine object instead of raw ``complex``, so the working precision is
 a swappable parameter:
 
-* ``double`` -- hardware complex arithmetic via mpmath's ``fp`` context,
-  with the Gamma function supplied by the Lanczos approximation in
-  :mod:`monodromy_lab.special`.
+* ``double`` -- hardware complex arithmetic via mpmath's ``fp`` context.
 * ``mp`` -- arbitrary precision via a private ``MPContext``.  Needed where
   double precision cannot survive the cancellation, e.g. ratios against a
   recessive exponential at |z| ~ 10, where the log-series terms exceed the
   sum by 35+ orders of magnitude.
+
+Both are the same ``Engine`` class over a different context; Gamma, pi,
+the Euler constant and zeta come from the context in either.
 
 Engines are interned: ``get_engine("mp", dps=50)`` returns the same object
 every time, so series caches can key on the engine.
@@ -25,20 +26,13 @@ import mpmath
 
 
 class Engine:
-    """A scalar backend: a name, an mpmath-style context and a Gamma function."""
+    """A scalar backend: a name, an mpmath-style context and its digits."""
 
-    def __init__(self, name, ctx, dps=None):
+    def __init__(self, name, ctx, dps):
         self.name = name
         self.ctx = ctx
         self.dps = dps
-        if name == "double":
-            from monodromy_lab.special import lanczos_gamma
-
-            self._gamma = lanczos_gamma
-            self.eps = 1e-16
-        else:
-            self._gamma = ctx.gamma
-            self.eps = float(mpmath.mpf(10) ** (-dps))
+        self.eps = float(mpmath.mpf(10) ** (-dps))
 
     # -- conversions ---------------------------------------------------
 
@@ -61,10 +55,6 @@ class Engine:
             return self.ctx.mpc(self.real(x), 0)
         return self.ctx.mpc(x)
 
-    def to_complex(self, x):
-        """Downcast to hardware complex (for reports and tolerance checks)."""
-        return complex(x)
-
     # -- constants and elementary functions -----------------------------
 
     @property
@@ -83,7 +73,7 @@ class Engine:
         return self.ctx.mpc(0, 1)
 
     def gamma(self, z):
-        return self._gamma(z)
+        return self.ctx.gamma(z)
 
     def exp(self, z):
         return self.ctx.exp(z)
@@ -93,9 +83,6 @@ class Engine:
 
     def sqrt(self, z):
         return self.ctx.sqrt(z)
-
-    def power(self, z, a):
-        return self.ctx.exp(self.ctx.log(z) * a)
 
     def fabs(self, z):
         return float(abs(z))
@@ -143,7 +130,8 @@ def get_engine(name="double", dps=50):
     key = (name, dps if name == "mp" else None)
     if key not in _ENGINES:
         if name == "double":
-            _ENGINES[key] = Engine("double", mpmath.fp)
+            # a double carries 15.95 significant digits: eps = 1e-16
+            _ENGINES[key] = Engine("double", mpmath.fp, dps=16)
         elif name == "mp":
             ctx = mpmath.ctx_mp.MPContext()
             ctx.dps = dps

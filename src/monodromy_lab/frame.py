@@ -109,7 +109,7 @@ def stokes_ray_angles(engine=None):
     """Oriented ray angles: rays[(i, j)] = arg(-i (conj u_i - conj u_j)) in
     [0, 2 pi).  All twelve are multiples of pi/6."""
     engine = engine or get_engine("double")
-    u = [engine.to_complex(x) for x in canonical_coordinates(engine)]
+    u = [complex(x) for x in canonical_coordinates(engine)]
     rays = {}
     for i in range(4):
         for j in range(4):

@@ -301,7 +301,7 @@ def dominance_permutation(ell_angle=math.pi / 4, engine=None):
     """Permutation matrix P reordering canonical coordinates by growing
     Re(u e^(i ell_angle)), which upper-triangularizes S'."""
     engine = engine or get_engine("double")
-    u = [engine.to_complex(x) for x in canonical_coordinates(engine)]
+    u = [complex(x) for x in canonical_coordinates(engine)]
     w = complex(math.cos(ell_angle), math.sin(ell_angle))
     sigma = sorted(range(4), key=lambda k: (u[k] * w).real)
     P = [[0] * 4 for _ in range(4)]
@@ -374,7 +374,7 @@ def stokes_matrix(engine=None, z0s=None, order=40, snap_tol=1e-6):
     for i in range(4):
         row = []
         for j in range(4):
-            v = engine.to_complex(mid[i, j])
+            v = complex(mid[i, j])
             n = round(v.real)
             err = abs(v - n)
             snap_err = max(snap_err, err)
@@ -457,6 +457,8 @@ def verify_constraints(S, C, engine=None):
 
     (i)   C S^T S^(-1) C^(-1) = e^(2 pi i mu) e^(2 pi i R)
     (ii)  S = C^(-1) e^(-pi i R) e^(-pi i mu) eta^(-1) (C^T)^(-1)
+
+    The anti-diagonal 0/1 eta is its own inverse.
     """
     engine = engine or get_engine("double")
     Sm = S if hasattr(S, "rows") else engine.matrix([[Fraction(x) for x in row] for row in S])
@@ -470,7 +472,7 @@ def verify_constraints(S, C, engine=None):
         engine.inverse(C)
         * exp_R(minus_pi_i, engine)
         * exp_mu(minus_pi_i, engine)
-        * engine.inverse(eta)
+        * eta
         * engine.inverse(C.T)
     )
     res2 = engine.max_abs(Sm - rhs2)

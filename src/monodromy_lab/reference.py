@@ -138,18 +138,6 @@ EXPECTED_BRAID_LABELS = ["b23_inverse"]
 EXPECTED_SIGNS = (1, -1, -1, 1)
 
 
-def c_prime_column4():
-    """Closed-form last column of C' (the z -> 0 comparison column)."""
-    return [
-        I / _D,
-        (pi + 3 * I * g) / _D,
-        (54 * I * g ** 2 + 36 * g * pi - 5 * I * pi ** 2) / (6 * _D),
-        -(12 * I * z3 - 54 * I * g ** 3 - 54 * g ** 2 * pi + 15 * I * g * pi ** 2 + pi ** 3) / (6 * _D),
-    ]
-
-
 def numeric(M, dps=30):
-    """sympy matrix/vector -> nested lists of hardware complex."""
-    if hasattr(M, "rows"):
-        return [[complex(sp.N(M[i, j], dps)) for j in range(M.cols)] for i in range(M.rows)]
-    return [complex(sp.N(x, dps)) for x in M]
+    """sympy matrix -> nested lists of hardware complex."""
+    return [[complex(sp.N(M[i, j], dps)) for j in range(M.cols)] for i in range(M.rows)]

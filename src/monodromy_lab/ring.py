@@ -55,10 +55,6 @@ class CohClass:
     def basis(cls, index, one=Fraction(1)):
         return cls(tuple(one if j == index else one * 0 for j in range(4)))
 
-    @classmethod
-    def zero(cls):
-        return cls((Fraction(0),) * 4)
-
     def __add__(self, other):
         return CohClass(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
 

@@ -108,21 +108,17 @@ class UCComplex:
         """z^alpha on the cover."""
         return engine.exp(engine.convert(alpha) * self.log(engine))
 
-    def to_complex(self, engine=None):
-        engine = engine or get_engine("double")
-        return engine.exp(self.log(engine))
-
 
 @dataclass(frozen=True)
 class LogSeries:
     """Truncated series  sum_n z^(rho+3n) * sum_k a[n][k] (log z)^k,  k <= 3.
 
     ``blocks[n][k]`` are exact Fractions for the Frobenius-type solutions and
-    engine complex numbers for the residue series.  ``rho`` is 0 for scalar
-    ODE solutions; derivative series carry shifted exponents.
+    engine complex numbers for the residue series.  ``rho`` is the integer
+    0 for scalar ODE solutions; the m-th derivative series has rho = -m.
     """
 
-    rho: Fraction
+    rho: int
     blocks: tuple
 
     @property
@@ -182,7 +178,7 @@ def _series_from_initial_block(block0, order):
     blocks = [tuple(block0)]
     for n in range(1, order):
         blocks.append(_recursion_step(blocks[-1], n))
-    return LogSeries(rho=Fraction(0), blocks=tuple(blocks))
+    return LogSeries(rho=0, blocks=tuple(blocks))
 
 
 @functools.lru_cache(maxsize=None)
@@ -194,7 +190,7 @@ def quantum_period(order):
     for d in range(order):
         a = Fraction(math.factorial(2 * d), math.factorial(d) ** 5)
         blocks.append((a, Fraction(0), Fraction(0), Fraction(0)))
-    return LogSeries(rho=Fraction(0), blocks=tuple(blocks))
+    return LogSeries(rho=0, blocks=tuple(blocks))
 
 
 @functools.lru_cache(maxsize=None)
@@ -275,8 +271,8 @@ def eval_series(series, z, m=0, engine=None, tol=None):
     total = engine.complex(0)
     tail = []
     for n, blk in enumerate(cur.blocks):
-        zp = engine.exp((engine.real(cur.rho) + 3 * n) * l)
-        a0, a1, a2, a3 = (engine.convert(c) for c in blk)
+        zp = engine.exp((cur.rho + 3 * n) * l)
+        a0, a1, a2, a3 = blk
         contrib = zp * (a0 + l * (a1 + l * (a2 + l * a3)))
         total += contrib
         tail.append(engine.fabs(contrib))

@@ -1,5 +1,4 @@
-"""Complex Gamma function, constants, and Laurent data of the two
-Mellin-Barnes integrands.
+"""Laurent data of the two Mellin-Barnes integrands.
 
 The integrands are the kernels of the two contour-integral solutions of the
 quantum differential equation of LG(2,4),
@@ -17,64 +16,14 @@ closed form (``laurent_at_zero``), and builds every later block by the exact
 recursion of the scalar ODE.  Trapezoid quadrature on a small circle around
 any pole (``laurent_coefficients``), spectrally accurate for the analytic
 integrand g(s) * (s+n)^k, is kept as an independent oracle for all blocks.
+Every transcendental value here (Gamma, pi, the Euler constant, zeta(3))
+comes from the engine, so both engines share one implementation of each.
 """
 
 from __future__ import annotations
 
-import cmath
 import enum
-import math
 from dataclasses import dataclass
-
-# Lanczos approximation, g = 7, n = 9.  Relative error below ~1e-13 on the
-# half-plane Re z >= 1/2; reflection handles the rest.
-_LANCZOS_G = 7
-_LANCZOS_P = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-_SQRT_2PI = 2.5066282746310002
-_EULER_GAMMA = 0.5772156649015329
-_ZETA3 = 1.2020569031595943
-
-
-class GammaPoleError(ZeroDivisionError):
-    """Gamma evaluated at a nonpositive integer."""
-
-
-def lanczos_gamma(z):
-    """Gamma(z) for complex z in double precision.
-
-    Uses the 9-term Lanczos series with g = 7 and the reflection formula for
-    Re z < 1/2.  Raises :class:`GammaPoleError` at nonpositive integers.
-    """
-    z = complex(z)
-    if z.real < 0.5:
-        if z.imag == 0.0 and z.real == int(z.real):
-            raise GammaPoleError(f"gamma pole at {z}")
-        # Gamma(z) Gamma(1-z) = pi / sin(pi z)
-        return math.pi / (cmath.sin(math.pi * z) * lanczos_gamma(1.0 - z))
-    w = z - 1.0
-    acc = _LANCZOS_P[0]
-    for k in range(1, len(_LANCZOS_P)):
-        acc += _LANCZOS_P[k] / (w + k)
-    t = w + _LANCZOS_G + 0.5
-    return _SQRT_2PI * t ** (w + 0.5) * cmath.exp(-t) * acc
-
-
-def constants(engine=None):
-    """(pi, euler_gamma, zeta(2), zeta(3)) at the engine's working precision."""
-    if engine is None or engine.name == "double":
-        return (math.pi, _EULER_GAMMA, math.pi ** 2 / 6, _ZETA3)
-    return (engine.pi, engine.euler, engine.pi ** 2 / 6, engine.zeta(3))
 
 
 class MellinIntegrand(enum.Enum):
@@ -120,7 +69,8 @@ def laurent_at_zero(kind, engine):
     + zeta(3) s^3 + O(s^4)) and log sec(pi s) = pi^2 s^2/2 + O(s^4).  So
     ``coeffs`` are the Taylor coefficients h_0..h_3 of exp(P(s)), P cubic.
     """
-    pi, euler, zeta2, zeta3 = constants(engine)
+    pi, euler, zeta3 = engine.pi, engine.euler, engine.zeta(3)
+    zeta2 = pi ** 2 / 6
     if kind is MellinIntegrand.PHI1:
         p = (-engine.log(pi) / 2, engine.i * pi - 3 * euler, zeta2 / 2, zeta3)
     else:

@@ -45,6 +45,16 @@ def test_quantum_period_published_coefficients():
     assert series.rho == 0
 
 
+def test_series_exponents_are_integers():
+    # every exponent rho + 3n is an integer, so rho is an int, also on the
+    # derivative series that eval_series sums
+    for engine in (E, get_engine("mp", dps=40)):
+        for series in (quantum_period(8), phi_series(PHI1, 20, engine)):
+            for m in range(4):
+                assert type(series.rho) is int and series.rho == -m, (engine, m)
+                series = series.derivative()
+
+
 def test_quantum_period_matches_ode_recursion():
     # closed form (2d)!/(d!)^5 against the Frobenius recursion, exactly
     closed = quantum_period(9)
