@@ -99,11 +99,9 @@ def sign_act(diag, S, C):
 
 
 def max_deviation(A, B):
-    return max(
-        abs(complex(A[i][j]) - complex(B[i][j]))
-        for i in range(len(A))
-        for j in range(len(A))
-    )
+    """Largest entrywise |A - B| as a float, computed in the entries' own
+    arithmetic: exact for integers, at working precision for engine numbers."""
+    return float(max(abs(a - b) for row_a, row_b in zip(A, B) for a, b in zip(row_a, row_b)))
 
 
 def search_equivalence(S, C, S_target, C_target, max_len=4, tol=1e-6):

@@ -211,6 +211,13 @@ def cmd_connection(args, cfg):
     }
 
 
+def _exact_strings(cls):
+    """sympy's text of each exact coefficient of a class (imports sympy)."""
+    import sympy as sp
+
+    return [str(sp.sympify(c)) for c in cls.coeffs]
+
+
 def cmd_gamma(args, cfg):
     characteristic, residuals = characteristic_stage()
     chs = {}
@@ -218,11 +225,11 @@ def cmd_gamma(args, cfg):
         obj = ktheory.k_object(name)
         chs[name] = {
             "plain": [x for x in obj.ch_plain.coeffs],
-            "graded": [str(c) for c in obj.ch_graded().coeffs],
+            "graded": _exact_strings(obj.ch_graded()),
         }
     return {
         "command": "gamma",
-        "gamma_minus": [str(c) for c in ktheory.gamma_class(-1).coeffs],
+        "gamma_minus": _exact_strings(ktheory.gamma_class(-1)),
         "chern_characters": chs,
         "C_gamma": characteristic.c_gamma,
         "residuals": dict(residuals),

@@ -1,0 +1,151 @@
+"""Exact closed forms: polynomials in the Euler constant, pi and zeta(3)
+with Gaussian-rational coefficients.
+
+The Gamma class, the graded Chern characters, the central connection
+matrix C and the Gamma-basis matrix C_Gamma of LG(2,4) are all of this
+kind, the two matrices over the common denominator D = 2 sqrt(2) pi^(3/2)
+= (2 pi)^(3/2).  ``ClosedForm`` is exact ring arithmetic with ints,
+Fractions and other ClosedForms, so ``ring.CohClass`` arithmetic runs over
+it unchanged.  ``evaluate`` turns one into an engine number at the engine's
+precision; every rational coefficient enters through ``Engine.complex``
+(and so ``Engine.real``), never as a raw Fraction or float operand.
+
+sympy sees a ClosedForm through ``_sympy_`` and is imported only then, so
+the verification path never loads it.
+"""
+
+from __future__ import annotations
+
+import functools
+from fractions import Fraction
+
+
+class ClosedForm:
+    """sum of c * gamma^a pi^b zeta(3)^c over ``terms``, which maps the
+    exponents (a, b, c) to the (real, imaginary) Fractions of c; no stored
+    coefficient is zero.  Treat as immutable."""
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms=None):
+        self.terms = {k: v for k, v in (terms or {}).items() if v[0] or v[1]}
+
+    @classmethod
+    def constant(cls, re, im=0):
+        return cls({(0, 0, 0): (Fraction(re), Fraction(im))})
+
+    def __add__(self, other):
+        other = _lift(other)
+        if other is None:
+            return NotImplemented
+        terms = dict(self.terms)
+        for k, (re, im) in other.terms.items():
+            re0, im0 = terms.get(k, (0, 0))
+            terms[k] = (re0 + re, im0 + im)
+        return ClosedForm(terms)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return ClosedForm({k: (-re, -im) for k, (re, im) in self.terms.items()})
+
+    def __sub__(self, other):
+        other = _lift(other)
+        return NotImplemented if other is None else self + -other
+
+    def __rsub__(self, other):
+        other = _lift(other)
+        return NotImplemented if other is None else other + -self
+
+    def __mul__(self, other):
+        other = _lift(other)
+        if other is None:
+            return NotImplemented
+        terms = {}
+        for (a, b, c), (re1, im1) in self.terms.items():
+            for (d, e, f), (re2, im2) in other.terms.items():
+                k = (a + d, b + e, c + f)
+                re0, im0 = terms.get(k, (0, 0))
+                terms[k] = (re0 + re1 * re2 - im1 * im2, im0 + re1 * im2 + im1 * re2)
+        return ClosedForm(terms)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
+        return self * (1 / Fraction(other))
+
+    def __pow__(self, n):
+        if not isinstance(n, int) or n < 0:
+            return NotImplemented
+        out = ClosedForm.constant(1)
+        for _ in range(n):
+            out = out * self
+        return out
+
+    def __eq__(self, other):
+        other = _lift(other)
+        return NotImplemented if other is None else self.terms == other.terms
+
+    def __repr__(self):
+        return f"ClosedForm({self.terms!r})"
+
+    def _sympy_(self):
+        """The same polynomial as an expanded sympy expression."""
+        import sympy as sp
+
+        bases = (sp.EulerGamma, sp.pi, sp.zeta(3))
+        out = []
+        for exponents, (re, im) in self.terms.items():
+            monomial = sp.Mul(*(base ** k for base, k in zip(bases, exponents)))
+            out.append(sp.Rational(re.numerator, re.denominator) * monomial)
+            out.append(sp.I * sp.Rational(im.numerator, im.denominator) * monomial)
+        return sp.Add(*out)
+
+
+def _lift(x):
+    if isinstance(x, ClosedForm):
+        return x
+    if isinstance(x, (int, Fraction)):
+        return ClosedForm.constant(x)
+    return None
+
+
+EULER_GAMMA = ClosedForm({(1, 0, 0): (Fraction(1), Fraction(0))})
+PI = ClosedForm({(0, 1, 0): (Fraction(1), Fraction(0))})
+ZETA3 = ClosedForm({(0, 0, 1): (Fraction(1), Fraction(0))})
+I = ClosedForm.constant(0, 1)
+
+
+@functools.lru_cache(maxsize=None)
+def _bases(engine):
+    return engine.euler, engine.pi, engine.zeta(3)
+
+
+def evaluate(x, engine):
+    """A ClosedForm as an engine number, at the engine's precision."""
+    bases = _bases(engine)
+    total = engine.complex(0)
+    for exponents, (re, im) in x.terms.items():
+        term = engine.complex(re, im)
+        for base, k in zip(bases, exponents):
+            if k:
+                term *= base ** k
+        total += term
+    return total
+
+
+def evaluate_over_d(rows, engine):
+    """The matrix rows[i][j] / D in the engine, as nested tuples."""
+    pi = engine.pi
+    d = 2 * engine.sqrt(engine.real(2)) * pi * engine.sqrt(pi)
+    return tuple(tuple(evaluate(x, engine) / d for x in row) for row in rows)
+
+
+def sympy_over_d(rows):
+    """The matrix rows[i][j] / D as an expanded sympy matrix."""
+    import sympy as sp
+
+    d = 2 * sp.sqrt(2) * sp.pi ** sp.Rational(3, 2)
+    return sp.Matrix([[sp.expand(sp.sympify(x) / d) for x in row] for row in rows])

@@ -13,17 +13,20 @@ Two Chern-character normalizations coexist and are kept in separate fields:
 the plain one (ch = sum e^tau) feeding Hirzebruch-Riemann-Roch, and the
 2 pi i scaled one (Ch = sum e^(2 pi i tau)) entering C_Gamma; mixing them is
 the classic implementation bug.  Euler pairings are computed exactly over
-the rationals; the Gamma class and C_Gamma are exact sympy expressions in
-EulerGamma, pi and zeta(3), made numeric only for final comparisons.
+the rationals; the Gamma class, the graded characters and C_Gamma are exact
+``closedform.ClosedForm`` polynomials in EulerGamma, pi and zeta(3), made
+numeric only for final comparisons.  sympy is imported only by the test
+oracles ``c_gamma_matrix`` and ``numeric_matrix``.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
-import sympy as sp
-
+from monodromy_lab import closedform
+from monodromy_lab.closedform import EULER_GAMMA, I, PI, ZETA3
 from monodromy_lab.ring import (
     CohClass,
     DEGREES,
@@ -55,6 +58,7 @@ class ChernData:
     p3: CohClass
 
 
+@functools.cache
 def chern_data():
     """Chern classes of the tangent bundle from c(T) = (1+h)^5 (1+2h)^(-1),
     truncated at degree 3, plus the Newton power sums."""
@@ -83,6 +87,7 @@ def chern_data():
     return ChernData(c1=c1, c2=c2, c3=c3, p1=p1, p2=p2, p3=p3)
 
 
+@functools.cache
 def todd_class():
     """Td = 1 + c1/2 + (c1^2 + c2)/12 + c1 c2/24, exact."""
     cd = chern_data()
@@ -109,13 +114,9 @@ class KObject:
     ch_plain: CohClass
 
     def ch_graded(self):
-        """2 pi i scaled Chern character, exact in sympy."""
-        two_pi_i = 2 * sp.pi * sp.I
-        coeffs = []
-        for j in range(4):
-            c = self.ch_plain[j]
-            coeffs.append(sp.Rational(c.numerator, c.denominator) * two_pi_i ** DEGREES[j])
-        return CohClass(tuple(coeffs))
+        """2 pi i scaled Chern character, exact (ClosedForm coefficients)."""
+        two_pi_i = 2 * PI * I
+        return CohClass(tuple(c * two_pi_i ** d for c, d in zip(self.ch_plain.coeffs, DEGREES)))
 
 
 def _line_bundle_ch(k):
@@ -151,7 +152,7 @@ def collection():
 
 
 def graded_chern_character(obj):
-    """Ch(V) = sum e^(2 pi i tau_j) as an exact sympy-coefficient class."""
+    """Ch(V) = sum e^(2 pi i tau_j) as an exact ClosedForm-coefficient class."""
     if isinstance(obj, str):
         obj = k_object(obj)
     return obj.ch_graded()
@@ -181,48 +182,49 @@ def euler_matrix():
 
 # -- Gamma class and C_Gamma ---------------------------------------------------
 
-def _to_sympy(cls):
-    return CohClass(tuple(sp.Rational(c.numerator, c.denominator) for c in cls.coeffs))
-
-
 def gamma_class(sign=-1):
     """The Gamma class written through power sums:
 
     GammaHat^- = exp(+EulerGamma p1 + zeta(2) p2/2 + zeta(3) p3/3),
     GammaHat^+ = exp(-EulerGamma p1 + zeta(2) p2/2 - zeta(3) p3/3),
 
-    truncated at degree 3; coefficients are exact sympy expressions."""
+    truncated at degree 3, with zeta(2) = pi^2/6; coefficients are exact
+    ClosedForms."""
     cd = chern_data()
-    p1, p2, p3 = (_to_sympy(p) for p in (cd.p1, cd.p2, cd.p3))
     s = -1 if sign in (-1, "-") else 1
     expo = (
-        p1.scaled(-s * sp.EulerGamma)
-        + p2.scaled(sp.zeta(2) / 2)
-        + p3.scaled(-s * sp.zeta(3) / 3)
+        cd.p1.scaled(-s * EULER_GAMMA)
+        + cd.p2.scaled(PI ** 2 / 12)
+        + cd.p3.scaled(-s * ZETA3 / 3)
     )
     return _exp_nilpotent(expo)
 
 
-def c_gamma_matrix():
-    """The Gamma-basis matrix: column k holds the coordinates of
+def c_gamma_numerators():
+    """The Gamma-basis matrix times D = (2 pi)^(3/2): column k holds the
+    coordinates of
 
-        i / (2 pi)^(3/2) * GammaHat^- cup exp(-i pi c1) cup Ch(E_k)
+        i GammaHat^- cup exp(-i pi c1) cup Ch(E_k)
 
-    over (s0, s1, s2, s21), as exact sympy expressions."""
+    over (s0, s1, s2, s21), as exact ClosedForms (C_Gamma carries the
+    prefactor i / (2 pi)^(3/2))."""
     gm = gamma_class(-1)
-    c1 = _to_sympy(chern_data().c1)
-    twist = _exp_nilpotent(c1.scaled(-sp.I * sp.pi))
-    pref = sp.I / (2 * sp.pi) ** sp.Rational(3, 2)
-    cols = []
-    for E in collection():
-        v = classical_product(classical_product(gm, twist), E.ch_graded())
-        cols.append([sp.expand(pref * v[j]) for j in range(4)])
-    return sp.Matrix(4, 4, lambda i, j: cols[j][i])
+    twist = _exp_nilpotent(chern_data().c1.scaled(-I * PI))
+    cols = [classical_product(classical_product(gm, twist), E.ch_graded()).scaled(I)
+            for E in collection()]
+    return tuple(tuple(cols[j][i] for j in range(4)) for i in range(4))
+
+
+def c_gamma_matrix():
+    """C_Gamma as an exact sympy matrix (a test oracle; imports sympy)."""
+    return closedform.sympy_over_d(c_gamma_numerators())
 
 
 def numeric_matrix(M, dps=30):
     """Evaluate a sympy matrix to hardware complex numbers via high-precision
     evalf."""
+    import sympy as sp
+
     out = []
     for i in range(M.rows):
         row = []

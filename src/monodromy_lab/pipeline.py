@@ -2,7 +2,7 @@
 
 * ``stokes_stage``: the Stokes matrices S', P, S from the ODE;
 * ``connection_stage``: the central connection matrix C, its closed-form
-  comparison and the two monodromy constraints;
+  comparison (in the run's engine) and the two monodromy constraints;
 * ``characteristic_stage``: the Euler matrix, its inverse and the
   Gamma-basis matrix C_Gamma of the derived-category side;
 * ``braid_stage``: the braid/sign transformation carrying the analytic pair
@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from monodromy_lab import braid, ktheory, reference
+from monodromy_lab.closedform import evaluate_over_d
 from monodromy_lab.engine import get_engine
 from monodromy_lab.monodromy import (
     CONNECTION_SECTOR,
@@ -109,40 +110,51 @@ def connection_stage(config, sd):
                            order=config.truncation_order, P=sd.P)
     residuals = {k: float(v) for k, v in cd.residuals.items()}
     residuals["c_vs_closed_form"] = braid.max_deviation(
-        complex_matrix(cd.C), reference.numeric(reference.C_REF, dps=40))
+        cd.C.tolist(), evaluate_over_d(reference.C_REF_NUMERATORS, engine))
     constraints = verify_constraints(sd.S, cd.C, engine)
     residuals.update({k: float(v) for k, v in constraints.items()})
     return cd, residuals
+
+
+#: C_Gamma is evaluated once per process, at this many digits
+C_GAMMA_DPS = 40
 
 
 @dataclass(frozen=True)
 class CharacteristicData:
     euler: tuple            # exact integer Euler matrix
     euler_inverse: tuple    # its exact inverse
-    c_gamma: tuple          # C_Gamma as hardware complex, row-major
+    c_gamma: tuple          # C_Gamma at C_GAMMA_DPS digits (mp), row-major
 
 
 @functools.lru_cache(maxsize=None)
 def characteristic_stage():
     """The derived-category side; it does not depend on the configuration,
-    so it is computed once per process and returned immutable."""
+    so it is computed once per process and returned immutable.  C_Gamma is
+    exact (``ktheory.c_gamma_numerators``) and compared exactly with its
+    closed form: the residual is the evaluated difference of the two exact
+    matrices, 0 when they agree."""
     euler = ktheory.euler_matrix()
-    c_gamma = ktheory.numeric_matrix(ktheory.c_gamma_matrix(), dps=40)
+    numerators = ktheory.c_gamma_numerators()
+    engine = get_engine("mp", dps=C_GAMMA_DPS)
+    difference = [[a - b for a, b in zip(row, ref)]
+                   for row, ref in zip(numerators, reference.C_GAMMA_REF_NUMERATORS)]
     data = CharacteristicData(
         euler=euler,
         euler_inverse=_unipotent_inverse(euler),
-        c_gamma=tuple(tuple(row) for row in c_gamma),
+        c_gamma=evaluate_over_d(numerators, engine),
     )
-    residuals = {"c_gamma_vs_closed_form": braid.max_deviation(
-        c_gamma, reference.numeric(reference.C_GAMMA_REF, dps=40))}
+    residuals = {"c_gamma_vs_closed_form": max(
+        engine.fabs(x) for row in evaluate_over_d(difference, engine) for x in row)}
     return data, types.MappingProxyType(residuals)
 
 
 def braid_stage(S, C, characteristic, tol):
     """Search for the braid/sign transformation carrying (S, C) to
-    (Euler^-1, C_Gamma); C is a hardware-complex matrix."""
-    S = [[complex(x) for x in row] for row in S]
-    target_S = [[complex(x) for x in row] for row in characteristic.euler_inverse]
+    (Euler^-1, C_Gamma).  S and Euler^-1 are exact integers and C holds the
+    run's engine numbers, so ``braid_match`` is measured at working
+    precision (against C_Gamma at C_GAMMA_DPS digits)."""
+    target_S = characteristic.euler_inverse
     target_C = characteristic.c_gamma
     found = braid.search_equivalence(S, C, target_S, target_C, max_len=2, tol=tol)
     if found is None:
@@ -175,10 +187,10 @@ def run_verify(config=None):
     sd, residuals = stokes_stage(config)
     cd, connection_residuals = connection_stage(config, sd)
     residuals.update(connection_residuals)
-    C_num = complex_matrix(cd.C)
     characteristic, characteristic_residuals = characteristic_stage()
     residuals.update(characteristic_residuals)
-    braid_report, braid_residuals = braid_stage(sd.S, C_num, characteristic, tol["braid_match"])
+    braid_report, braid_residuals = braid_stage(sd.S, cd.C.tolist(), characteristic,
+                                                tol["braid_match"])
     residuals.update(braid_residuals)
     missing = () if braid_report["found"] else ("braid_search_not_found",)
 
@@ -195,7 +207,7 @@ def run_verify(config=None):
         "P": [list(r) for r in sd.P],
         "S": [list(r) for r in sd.S],
         "C_prime": complex_matrix(cd.c_prime),
-        "C": C_num,
+        "C": complex_matrix(cd.C),
         "euler_matrix": [list(r) for r in characteristic.euler],
         "euler_matrix_inverse": [list(r) for r in characteristic.euler_inverse],
         "C_gamma": [list(r) for r in characteristic.c_gamma],

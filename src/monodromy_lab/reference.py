@@ -5,19 +5,20 @@ reproduce: the Stokes matrix before and after triangularization, the
 permutation of canonical coordinates, the Euler matrix of the twisted
 exceptional collection, and the central connection / Gamma-basis matrices
 whose entries are exact expressions in EulerGamma, pi and zeta(3).
+
+The closed forms are written once, in ``_published``, over any exact scalar
+type.  The pipeline reads them as ``closedform.ClosedForm`` numerators over
+D = 2 sqrt(2) pi^(3/2) (``C_REF_NUMERATORS``, ``C_GAMMA_REF_NUMERATORS``);
+the sympy forms ``GAMMA_MINUS_REF``, ``C_REF`` and ``C_GAMMA_REF`` are test
+oracles, built on first access, and only they import sympy.
 """
 
 from __future__ import annotations
 
-import sympy as sp
+import functools
+from fractions import Fraction as _F
 
-g = sp.EulerGamma
-pi = sp.pi
-z3 = sp.zeta(3)
-I = sp.I
-
-#: common denominator of all transcendental entries
-_D = 2 * sp.sqrt(2) * pi ** sp.Rational(3, 2)
+from monodromy_lab import closedform
 
 S_PRIME_REF = (
     (1, 4, 4, 0),
@@ -47,79 +48,77 @@ EULER_MATRIX_REF = (
     (0, 0, 0, 1),
 )
 
-#: Gamma class coefficients over (s0, s1, s2, s21)
-GAMMA_MINUS_REF = (
-    sp.Integer(1),
-    3 * g,
-    sp.Rational(1, 6) * (54 * g ** 2 + pi ** 2),
-    sp.Rational(1, 2) * (-4 * z3 + 18 * g ** 3 + g * pi ** 2),
-)
 
-#: central connection matrix C = C' P^(-1), exact entries
-C_REF = sp.Matrix(
-    [
-        [
-            I / _D,
-            2 * I / _D,
-            -I / _D,
-            I / _D,
-        ],
-        [
-            (pi + 3 * I * g) / _D,
-            6 * I * g / _D,
-            (pi - 3 * I * g) / _D,
-            -3 * (pi - I * g) / _D,
-        ],
-        [
-            (54 * I * g ** 2 + 36 * g * pi - 5 * I * pi ** 2) / (6 * _D),
-            2 * I * (54 * g ** 2 + 7 * pi ** 2) / (6 * _D),
-            (-54 * I * g ** 2 + 36 * g * pi + 5 * I * pi ** 2) / (6 * _D),
-            I * (54 * g ** 2 + 108 * I * g * pi - 53 * pi ** 2) / (6 * _D),
-        ],
-        [
-            -(12 * I * z3 - 54 * I * g ** 3 - 54 * g ** 2 * pi + 15 * I * g * pi ** 2 + pi ** 3) / (6 * _D),
-            6 * I * (-4 * z3 + 18 * g ** 3 + 7 * g * pi ** 2) / (6 * _D),
-            (12 * I * z3 + (pi - 3 * I * g) * (18 * g ** 2 + 12 * I * g * pi - pi ** 2)) / (6 * _D),
-            (-4 * I * z3 + 18 * I * g ** 3 - 54 * g ** 2 * pi - 53 * I * g * pi ** 2 + 17 * pi ** 3) * 3 / (6 * _D),
-        ],
-    ]
-)
+def _published(g, pi, z3, I):
+    """(GammaHat^- over (s0, s1, s2, s21), the numerators of C = C' P^(-1)
+    over D, the numerators of C_Gamma over D) for the Euler constant g, pi,
+    zeta(3) and the imaginary unit I of one exact scalar type."""
+    gamma_minus = (
+        1,
+        3 * g,
+        (54 * g ** 2 + pi ** 2) / 6,
+        (-4 * z3 + 18 * g ** 3 + g * pi ** 2) / 2,
+    )
+    c = (
+        (I, 2 * I, -I, I),
+        (pi + 3 * I * g, 6 * I * g, pi - 3 * I * g, -3 * (pi - I * g)),
+        (
+            (54 * I * g ** 2 + 36 * g * pi - 5 * I * pi ** 2) / 6,
+            2 * I * (54 * g ** 2 + 7 * pi ** 2) / 6,
+            (-54 * I * g ** 2 + 36 * g * pi + 5 * I * pi ** 2) / 6,
+            I * (54 * g ** 2 + 108 * I * g * pi - 53 * pi ** 2) / 6,
+        ),
+        (
+            -(12 * I * z3 - 54 * I * g ** 3 - 54 * g ** 2 * pi + 15 * I * g * pi ** 2 + pi ** 3) / 6,
+            6 * I * (-4 * z3 + 18 * g ** 3 + 7 * g * pi ** 2) / 6,
+            (12 * I * z3 + (pi - 3 * I * g) * (18 * g ** 2 + 12 * I * g * pi - pi ** 2)) / 6,
+            (-4 * I * z3 + 18 * I * g ** 3 - 54 * g ** 2 * pi - 53 * I * g * pi ** 2 + 17 * pi ** 3) * 3 / 6,
+        ),
+    )
+    c_gamma = (
+        (I, I, 2 * I, I),
+        (pi + 3 * I * g, -(pi - 3 * I * g), 2 * (-2 * pi + 3 * I * g), -3 * (pi - I * g)),
+        (
+            (54 * I * g ** 2 + 36 * g * pi - 5 * I * pi ** 2) / 6,
+            I * (54 * g ** 2 + 36 * I * g * pi - 5 * pi ** 2) / 6,
+            2 * I * (54 * g ** 2 + 72 * I * g * pi - 17 * pi ** 2) / 6,
+            I * (54 * g ** 2 + 108 * I * g * pi - 53 * pi ** 2) / 6,
+        ),
+        (
+            -(12 * I * z3 - 54 * I * g ** 3 - 54 * g ** 2 * pi + 15 * I * g * pi ** 2 + pi ** 3) / 6,
+            (-12 * I * z3 + 54 * I * g ** 3 - 54 * g ** 2 * pi - 15 * I * g * pi ** 2 + pi ** 3) / 6,
+            (2 * (pi ** 3 - 6 * I * z3) + 54 * I * g ** 3 - 108 * g ** 2 * pi - 51 * I * g * pi ** 2) * 2 / 6,
+            (-4 * I * z3 + 18 * I * g ** 3 - 54 * g ** 2 * pi - 53 * I * g * pi ** 2 + 17 * pi ** 3) * 3 / 6,
+        ),
+    )
+    return gamma_minus, c, c_gamma
 
-#: Gamma-basis matrix C_Gamma, exact entries
-C_GAMMA_REF = sp.Matrix(
-    [
-        [
-            I / _D,
-            I / _D,
-            2 * I / _D,
-            I / _D,
-        ],
-        [
-            (pi + 3 * I * g) / _D,
-            -(pi - 3 * I * g) / _D,
-            2 * (-2 * pi + 3 * I * g) / _D,
-            -3 * (pi - I * g) / _D,
-        ],
-        [
-            (54 * I * g ** 2 + 36 * g * pi - 5 * I * pi ** 2) / (6 * _D),
-            I * (54 * g ** 2 + 36 * I * g * pi - 5 * pi ** 2) / (6 * _D),
-            2 * I * (54 * g ** 2 + 72 * I * g * pi - 17 * pi ** 2) / (6 * _D),
-            I * (54 * g ** 2 + 108 * I * g * pi - 53 * pi ** 2) / (6 * _D),
-        ],
-        [
-            -(12 * I * z3 - 54 * I * g ** 3 - 54 * g ** 2 * pi + 15 * I * g * pi ** 2 + pi ** 3) / (6 * _D),
-            (-12 * I * z3 + 54 * I * g ** 3 - 54 * g ** 2 * pi - 15 * I * g * pi ** 2 + pi ** 3) / (6 * _D),
-            (2 * (pi ** 3 - 6 * I * z3) + 54 * I * g ** 3 - 108 * g ** 2 * pi - 51 * I * g * pi ** 2) * 2 / (6 * _D),
-            (-4 * I * z3 + 18 * I * g ** 3 - 54 * g ** 2 * pi - 53 * I * g * pi ** 2 + 17 * pi ** 3) * 3 / (6 * _D),
-        ],
-    ]
-)
+
+_, C_REF_NUMERATORS, C_GAMMA_REF_NUMERATORS = _published(
+    closedform.EULER_GAMMA, closedform.PI, closedform.ZETA3, closedform.I)
+
+
+@functools.lru_cache(maxsize=None)
+def _sympy_references():
+    import sympy as sp
+
+    gamma_minus, c, c_gamma = _published(sp.EulerGamma, sp.pi, sp.zeta(3), sp.I)
+    return {
+        "GAMMA_MINUS_REF": gamma_minus,
+        "C_REF": closedform.sympy_over_d(c),
+        "C_GAMMA_REF": closedform.sympy_over_d(c_gamma),
+    }
+
+
+def __getattr__(name):
+    """GAMMA_MINUS_REF, C_REF and C_GAMMA_REF: the sympy forms."""
+    if name in ("GAMMA_MINUS_REF", "C_REF", "C_GAMMA_REF"):
+        return _sympy_references()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 #: printed matrix coefficients of the z=0 calibration, z^1 through z^7
 #: (sparse: omitted entries are zero)
-from fractions import Fraction as _F
-
 PHI_TOP_REF = {
     1: {(0, 2): _F(1), (1, 3): _F(1)},
     2: {(0, 1): _F(-2), (2, 3): _F(2)},
@@ -140,4 +139,6 @@ EXPECTED_SIGNS = (1, -1, -1, 1)
 
 def numeric(M, dps=30):
     """sympy matrix -> nested lists of hardware complex."""
+    import sympy as sp
+
     return [[complex(sp.N(M[i, j], dps)) for j in range(M.cols)] for i in range(M.rows)]

@@ -55,7 +55,7 @@ def _encode(obj, out):
             _encode(v, out)
         out.append("}")
     else:
-        # engine scalars and sympy numbers funnel through complex()
+        # engine scalars (mpmath numbers of either context) funnel through complex()
         _encode(complex(obj), out)
 
 

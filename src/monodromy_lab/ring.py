@@ -9,9 +9,9 @@ s21 the point class.  The quantum products are
 
 and the Poincare pairing is the anti-diagonal unit matrix.  Structure
 constants are stored as exact integer polynomials in q; any scalar type
-(Fraction, complex, mpmath, sympy) can be substituted, so the same product
-code serves the exact recursions downstream and the symbolic Gamma-class
-arithmetic.
+(Fraction, complex, mpmath, ``closedform.ClosedForm``) can be substituted, so
+the same product code serves the exact recursions downstream and the exact
+Gamma-class arithmetic.
 """
 
 from __future__ import annotations
