@@ -23,6 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 import mpmath
+from mpmath.libmp import from_int, mpf_div, round_nearest
 
 
 class Engine:
@@ -38,9 +39,13 @@ class Engine:
 
     def real(self, x):
         """Convert int/float/Fraction/str to the context's real type, exactly
-        where the input is exact."""
+        where the input is exact.  A Fraction is rounded once, to nearest,
+        however wide its numerator and denominator."""
         if isinstance(x, Fraction):
-            return self.ctx.mpf(x.numerator) / x.denominator
+            if self.ctx is mpmath.fp:
+                return float(x)
+            p, q = from_int(x.numerator), from_int(x.denominator)
+            return self.ctx.make_mpf(mpf_div(p, q, self.ctx.prec, round_nearest))
         return self.ctx.mpf(x)
 
     def complex(self, x, y=0):

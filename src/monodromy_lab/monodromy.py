@@ -159,20 +159,26 @@ def phi_top_orthogonality_residuals(series):
     return out
 
 
+@functools.lru_cache(maxsize=None)
+def _phi_top_entries(order, engine):
+    """The nonzero entries (i, j, value) of each Phi_k, converted to the
+    engine once."""
+    return tuple(
+        tuple((i, j, engine.real(v)) for i, row in enumerate(mat) for j, v in enumerate(row) if v)
+        for mat in phi_top(order).coeffs
+    )
+
+
 def eval_Ytop(z, order=40, engine=None):
     """Y_top(z) = Phi_top(z) z^mu z^R on the universal cover."""
     engine = engine or get_engine("double")
-    series = phi_top(order)
     l = z.log(engine)
     zc = engine.exp(l)
     Phi = engine.ctx.matrix(4, 4)
     zk = engine.complex(1)
-    for k in range(order + 1):
-        mat = series.coeffs[k]
-        for i in range(4):
-            for j in range(4):
-                if mat[i][j]:
-                    Phi[i, j] += engine.real(mat[i][j]) * zk
+    for entries in _phi_top_entries(order, engine):
+        for i, j, v in entries:
+            Phi[i, j] += v * zk
         zk *= zc
     return Phi * exp_mu(l, engine) * exp_R(l, engine)
 

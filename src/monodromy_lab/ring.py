@@ -16,6 +16,7 @@ Gamma-class arithmetic.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -160,9 +161,11 @@ def multiplication_matrix(x, q=Fraction(1)):
     return tuple(tuple(cols[b][a] for b in range(4)) for a in range(4))
 
 
+@functools.lru_cache(maxsize=None, typed=True)
 def operator_matrices(q=Fraction(1)):
     """(mu, R, U): the grading operator, the classical c1-cup matrix, and the
-    quantum multiplication by c1 = 3 s1 at the given q.
+    quantum multiplication by c1 = 3 s1 at the given q (immutable nested
+    tuples, built once per q).
 
     mu = diag(-3/2, -1/2, 1/2, 3/2); R is nilpotent with subdiagonal
     (3, 6, 3); U is R's quantum deformation (Euler-field multiplication).

@@ -126,7 +126,15 @@ class LogSeries:
         return len(self.blocks)
 
     def derivative(self):
-        """Term-by-term d/dz (exact; lowers every exponent by one)."""
+        """Term-by-term d/dz (exact; lowers every exponent by one).
+
+        Built once per series and kept on it, so the cached residue series
+        carry their derivative series from one evaluation to the next.
+        """
+        return self._derivative
+
+    @functools.cached_property
+    def _derivative(self):
         out = []
         for n, blk in enumerate(self.blocks):
             c = self.rho + 3 * n
@@ -251,9 +259,16 @@ def phi_series(kind, order=40, engine=None):
 def eval_series(series, z, m=0, engine=None, tol=None):
     """m-th derivative of a LogSeries at a universal-cover point.
 
-    The derivative is taken term by term (exact), then the blocks are summed
-    in ascending n.  A tail certificate checks that the last three block
-    contributions (all blocks, for a shorter series) are below tolerance;
+    The derivative series is taken term by term (exact, and kept on the
+    series by ``LogSeries.derivative``), then the blocks are summed in
+    ascending n.  With l = log z, block n contributes
+    z^(rho+3n) * (a0 + l (a1 + l (a2 + l a3))); the power comes from one
+    chain, z^rho = exp(rho l) times w = exp(3 l) per block, so a call takes
+    two exponentials whatever the order.  Exact (Fraction) coefficients
+    enter through ``Engine.real``, the one rounding path for exact data.
+
+    A tail certificate checks that the last three block contributions (all
+    blocks, for a shorter series) are below ``tol`` times max(1, |sum|);
     otherwise the truncation order is insufficient for this |z| and
     TailBoundError is raised.
     """
@@ -267,17 +282,21 @@ def eval_series(series, z, m=0, engine=None, tol=None):
     if tol is None:
         tol = 1e-10 if engine.name == "double" else 10.0 ** (2 - engine.dps)
 
+    blocks = cur.blocks
+    if isinstance(blocks[0][0], Fraction):
+        blocks = [[engine.real(a) for a in blk] for blk in blocks]
     l = z.log(engine)
+    zp = engine.exp(cur.rho * l)
+    w = engine.exp(3 * l)
     total = engine.complex(0)
-    tail = []
-    for n, blk in enumerate(cur.blocks):
-        zp = engine.exp((cur.rho + 3 * n) * l)
-        a0, a1, a2, a3 = blk
+    contribs = []
+    for a0, a1, a2, a3 in blocks:
         contrib = zp * (a0 + l * (a1 + l * (a2 + l * a3)))
         total += contrib
-        tail.append(engine.fabs(contrib))
+        contribs.append(contrib)
+        zp *= w
 
-    if max(tail[-3:]) > tol * max(1.0, engine.fabs(total)):
+    if max(engine.fabs(c) for c in contribs[-3:]) > tol * max(1.0, engine.fabs(total)):
         raise TailBoundError(
             f"truncation order {series.order} too small at |z|={float(z.modulus)} "
             f"for tolerance {tol}"

@@ -1,0 +1,29 @@
+"""Engine conversions: exact data is rounded once, to nearest."""
+
+from fractions import Fraction
+
+from mpmath.libmp import from_int, mpf_div, round_nearest
+
+from monodromy_lab.engine import get_engine
+from monodromy_lab.solutions import quantum_period
+
+
+def test_double_real_is_correctly_rounded():
+    # the denominators of (2d)!/(d!)^5 pass 2^53, so dividing by the
+    # denominator rounded to a double would miss float(a) by an ulp
+    e = get_engine("double")
+    coefficients = [blk[0] for blk in quantum_period(40).blocks]
+    assert max(a.denominator for a in coefficients) > 2 ** 53
+    assert all(e.real(a) == float(a) for a in coefficients)
+
+
+def test_mp_real_rounds_wide_numerators_once():
+    e = get_engine("mp", dps=40)
+    # the numerators are wider than the working precision (136 bits); the
+    # first one rounded to 136 bits before the division lands an ulp off
+    wide = (Fraction(5 ** 90, 3 ** 40), Fraction(-(5 ** 90), 3 ** 40),
+            Fraction(3 ** 200 + 1, 7 ** 30))
+    for x in wide:
+        assert abs(x.numerator) > 2 ** 200
+        p, q = from_int(x.numerator), from_int(x.denominator)
+        assert e.real(x) == e.ctx.make_mpf(mpf_div(p, q, e.ctx.prec, round_nearest))

@@ -276,3 +276,99 @@ def test_rotation_operator_consistent_with_series():
     a = eval_series(rebuilt, z, engine=e)
     b = eval_series(s2, z.rotated(1), engine=e)
     assert abs(a - b) < 1e-11 * max(1.0, abs(b))
+
+
+ENGINES = [E, get_engine("mp", dps=40)]
+
+
+def reference_derivative(series):
+    """d/dz monomial by monomial: c z^e l^k -> c e z^(e-1) l^k
+    + c k z^(e-1) l^(k-1), collected back into blocks."""
+    terms = collections.defaultdict(list)
+    for n, blk in enumerate(series.blocks):
+        e = series.rho + 3 * n
+        for k, c in enumerate(blk):
+            terms[n, k].append(e * c)
+            if k:
+                terms[n, k - 1].append(k * c)
+    blocks = tuple(
+        tuple(sum(terms[n, k][1:], terms[n, k][0]) for k in range(4))
+        for n in range(series.order)
+    )
+    return solutions.LogSeries(rho=series.rho - 1, blocks=blocks)
+
+
+@pytest.mark.parametrize("engine", ENGINES, ids=["double", "mp"])
+def test_derivative_is_kept_and_term_by_term(engine):
+    for kind in (PHI1, PHI2):
+        series = phi_series(kind, 40, engine)
+        ref = series
+        for m in range(1, 4):
+            assert series.derivative() is series.derivative()
+            series = series.derivative()
+            ref = reference_derivative(ref)
+            assert series.rho == ref.rho == -m
+            assert series.blocks == ref.blocks, (kind, m)
+
+
+def per_block_exp_oracle(series, z, m, engine):
+    """The m-th derivative summed with one exp((rho + 3n) l) per block, and
+    the sum of the contributions' magnitudes (the scale of their rounding)."""
+    for _ in range(m):
+        series = series.derivative()
+    l = z.log(engine)
+    total, scale = engine.complex(0), 0.0
+    for n, (a0, a1, a2, a3) in enumerate(series.blocks):
+        contrib = engine.exp((series.rho + 3 * n) * l) * (a0 + l * (a1 + l * (a2 + l * a3)))
+        total += contrib
+        scale += engine.fabs(contrib)
+    return total, scale
+
+
+@pytest.mark.parametrize("engine", ENGINES, ids=["double", "mp"])
+def test_eval_series_power_chain_matches_per_block_exp(engine):
+    # relative to the sum of |contributions|: at |z| = 6 the terms cancel by
+    # orders of magnitude, so the sum itself is no scale for rounding error
+    bound = 1e-13 if engine.name == "double" else 1e-37
+    for kind in (PHI1, PHI2):
+        series = phi_series(kind, 60, engine)
+        for modulus in (0.05, 0.1, 2, 6):
+            base = UCComplex.polar(modulus, 0.3)
+            for rotation in (-2, -1, 0, 1, 2):
+                z = base.rotated(rotation)
+                for m in range(4):
+                    ref, scale = per_block_exp_oracle(series, z, m, engine)
+                    got = eval_series(series, z, m=m, engine=engine)
+                    dev = engine.fabs(got - ref) / scale
+                    assert dev <= bound, (kind, modulus, rotation, m, dev)
+
+
+def test_eval_series_takes_two_exponentials(monkeypatch):
+    calls = collections.Counter()
+    original = Engine.exp
+
+    def counted(self, x):
+        calls[self.name] += 1
+        return original(self, x)
+
+    monkeypatch.setattr(Engine, "exp", counted)
+    for engine in ENGINES:
+        series = phi_series(PHI1, 40, engine)
+        for m in range(4):
+            calls.clear()
+            eval_series(series, UCComplex.polar(2, math.pi / 4), m=m, engine=engine)
+            assert calls == {engine.name: 2}, (engine, m)
+
+
+def test_fraction_blocks_round_through_engine_real():
+    # an exact series evaluated as is and after converting its coefficients
+    # with Engine.real gives the same number: one rounding path for a Fraction
+    e = get_engine("mp", dps=40)
+    z = UCComplex.polar(1, 0.3)
+    exact = quantum_period(40)
+    for m in range(4):
+        converted = solutions.LogSeries(
+            rho=exact.rho, blocks=tuple(tuple(e.real(a) for a in blk) for blk in exact.blocks)
+        )
+        assert eval_series(exact, z, engine=e) == eval_series(converted, z, engine=e), m
+        exact = exact.derivative()
