@@ -105,13 +105,23 @@ class Engine:
         return self.ctx.eye(n)
 
     def solve(self, A, B):
-        """Solve A X = B for matrix B (columnwise LU solve)."""
+        """Solve A X = B for matrix B: one LU factorization of A, then a
+        triangular solve per column, all 10 bits above the working
+        precision.  These are the steps of the context's ``lu_solve``, which
+        would copy A and factor it again for every column."""
+        ctx = self.ctx
         n = A.rows
-        X = self.ctx.matrix(n, B.cols)
-        for j in range(B.cols):
-            col = self.ctx.lu_solve(A, B[:, j])
-            for i in range(n):
-                X[i, j] = col[i]
+        X = ctx.matrix(n, B.cols)
+        prec = ctx.prec
+        try:
+            ctx.prec += 10
+            LU, p = ctx.LU_decomp(A.copy(), overwrite=True)
+            for j in range(B.cols):
+                col = ctx.U_solve(LU, ctx.L_solve(LU, B[:, j], p))
+                for i in range(n):
+                    X[i, j] = col[i]
+        finally:
+            ctx.prec = prec
         return X
 
     def inverse(self, A):

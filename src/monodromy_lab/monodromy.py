@@ -469,13 +469,14 @@ def verify_constraints(S, C, engine=None):
     engine = engine or get_engine("double")
     Sm = S if hasattr(S, "rows") else engine.matrix([[Fraction(x) for x in row] for row in S])
     eta = engine.matrix([[Fraction(1) if i + j == 3 else Fraction(0) for j in range(4)] for i in range(4)])
-    lhs1 = C * Sm.T * engine.inverse(Sm) * engine.inverse(C)
+    C_inv = engine.inverse(C)
+    lhs1 = C * Sm.T * engine.inverse(Sm) * C_inv
     two_pi_i = 2 * engine.i * engine.pi
     rhs1 = exp_mu(two_pi_i, engine) * exp_R(two_pi_i, engine)
     res1 = engine.max_abs(lhs1 - rhs1)
     minus_pi_i = -engine.i * engine.pi
     rhs2 = (
-        engine.inverse(C)
+        C_inv
         * exp_R(minus_pi_i, engine)
         * exp_mu(minus_pi_i, engine)
         * eta

@@ -27,6 +27,7 @@ sector bookkeeping stay exact.
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
 from dataclasses import dataclass
@@ -256,21 +257,92 @@ def phi_series(kind, order=40, engine=None):
 
 # -- evaluation -----------------------------------------------------------
 
+#: how many (series, engine, point class) block sums ``eval_series`` keeps,
+#: the least recently used dropped first; one base point of an extraction
+#: needs eight (phi1 and phi2, each with its derivatives 1-3)
+BLOCK_SUMS_SIZE = 32
+_BLOCK_SUMS = collections.OrderedDict()
+
+
+@dataclass(frozen=True, eq=False)
+class _BlockSums:
+    """One block pass of a series at a point class.
+
+    ``sums[k]`` is T_k(w) = sum_n w^n a_k[n] with w = z^3, so the series at
+    any point z of the class is z^rho (T0 + l (T1 + l (T2 + l T3))),
+    l = log z.  ``tail`` holds (w^n, block n) for the last three blocks
+    (all blocks, for a shorter series): the data of the tail certificate.
+    ``series`` keeps the summed series alive, so its id, the cache key, is
+    not reused while the entry lives.
+    """
+
+    series: LogSeries
+    sums: tuple
+    tail: tuple
+
+
+def _block_pass(series, modulus, arg_over_pi, engine):
+    """Sum every block once, by Horner in w, at the point (modulus,
+    arg_over_pi)."""
+    blocks = series.blocks
+    if isinstance(blocks[0][0], Fraction):
+        blocks = [[engine.real(a) for a in blk] for blk in blocks]
+    w = engine.exp(3 * UCComplex(modulus, arg_over_pi).log(engine))
+    t0 = t1 = t2 = t3 = engine.complex(0)
+    for a0, a1, a2, a3 in reversed(blocks):
+        t0 = t0 * w + a0
+        t1 = t1 * w + a1
+        t2 = t2 * w + a2
+        t3 = t3 * w + a3
+    first = max(0, len(blocks) - 3)
+    wn = w ** first
+    tail = []
+    for blk in blocks[first:]:
+        tail.append((wn, tuple(blk)))
+        wn *= w
+    return _BlockSums(series, (t0, t1, t2, t3), tuple(tail))
+
+
+def _block_sums(series, z, engine):
+    """The block sums of ``series`` at the point class of z, from the cache
+    or from one new pass at the class representative.
+
+    The class is (modulus, arg/pi mod 2/3): the rotations z eps^m share it.
+    The key holds the series' identity, as hashing its coefficients would
+    cost more than a pass.
+    """
+    modulus, arg_over_pi = z.modulus, Fraction(z.arg_over_pi) % Fraction(2, 3)
+    key = (id(series), engine, modulus, arg_over_pi)
+    entry = _BLOCK_SUMS.get(key)
+    if entry is not None:
+        _BLOCK_SUMS.move_to_end(key)
+        return entry
+    entry = _block_pass(series, modulus, arg_over_pi, engine)
+    _BLOCK_SUMS[key] = entry
+    if len(_BLOCK_SUMS) > BLOCK_SUMS_SIZE:
+        _BLOCK_SUMS.popitem(last=False)
+    return entry
+
+
 def eval_series(series, z, m=0, engine=None, tol=None):
     """m-th derivative of a LogSeries at a universal-cover point.
 
     The derivative series is taken term by term (exact, and kept on the
-    series by ``LogSeries.derivative``), then the blocks are summed in
-    ascending n.  With l = log z, block n contributes
-    z^(rho+3n) * (a0 + l (a1 + l (a2 + l a3))); the power comes from one
-    chain, z^rho = exp(rho l) times w = exp(3 l) per block, so a call takes
-    two exponentials whatever the order.  Exact (Fraction) coefficients
-    enter through ``Engine.real``, the one rounding path for exact data.
+    series by ``LogSeries.derivative``).  Rotating z by eps^m fixes w = z^3
+    and shifts only l = log z, so the blocks are summed once per point
+    class (modulus, arg mod 2 pi/3) into T_k(w) = sum_n w^n a_k[n]: one
+    Horner pass in w at the class representative, kept in a small LRU
+    cache.  Each call returns z^rho (T0 + l (T1 + l (T2 + l T3))) with its
+    own l, and so the same value whether its sums were cached or not.  A
+    pass takes one exponential (w) and a call one more (z^rho).  Exact
+    (Fraction) coefficients enter through ``Engine.real``, the one rounding
+    path for exact data.
 
-    A tail certificate checks that the last three block contributions (all
-    blocks, for a shorter series) are below ``tol`` times max(1, |sum|);
+    A tail certificate checks that the last three block contributions
+    z^(rho+3n) (a0 + l (a1 + l (a2 + l a3))) (all blocks, for a shorter
+    series), at this call's l, are below ``tol`` times max(1, |sum|);
     otherwise the truncation order is insufficient for this |z| and
-    TailBoundError is raised.
+    TailBoundError is raised, on a cache hit as on a miss.
     """
     if engine is None:
         engine = get_engine("double")
@@ -282,21 +354,15 @@ def eval_series(series, z, m=0, engine=None, tol=None):
     if tol is None:
         tol = 1e-10 if engine.name == "double" else 10.0 ** (2 - engine.dps)
 
-    blocks = cur.blocks
-    if isinstance(blocks[0][0], Fraction):
-        blocks = [[engine.real(a) for a in blk] for blk in blocks]
+    sums = _block_sums(cur, z, engine)
+    t0, t1, t2, t3 = sums.sums
     l = z.log(engine)
-    zp = engine.exp(cur.rho * l)
-    w = engine.exp(3 * l)
-    total = engine.complex(0)
-    contribs = []
-    for a0, a1, a2, a3 in blocks:
-        contrib = zp * (a0 + l * (a1 + l * (a2 + l * a3)))
-        total += contrib
-        contribs.append(contrib)
-        zp *= w
+    zrho = engine.exp(cur.rho * l)
+    total = zrho * (t0 + l * (t1 + l * (t2 + l * t3)))
 
-    if max(engine.fabs(c) for c in contribs[-3:]) > tol * max(1.0, engine.fabs(total)):
+    tail = max(engine.fabs(zrho * wn * (a0 + l * (a1 + l * (a2 + l * a3))))
+               for wn, (a0, a1, a2, a3) in sums.tail)
+    if tail > tol * max(1.0, engine.fabs(total)):
         raise TailBoundError(
             f"truncation order {series.order} too small at |z|={float(z.modulus)} "
             f"for tolerance {tol}"

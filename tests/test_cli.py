@@ -8,7 +8,11 @@ import sys
 
 import pytest
 
+from monodromy_lab import solutions
 from monodromy_lab.cli import main
+from monodromy_lab.pipeline import RunConfig, run_verify
+from monodromy_lab.report import dumps
+from monodromy_lab.solutions import UCComplex
 
 
 def run_cli(capsys, *argv):
@@ -118,6 +122,28 @@ def test_verify_deterministic(verify_output, capsys):
     code, second = run_cli(capsys, "verify")
     assert code == 0
     assert first == second
+
+
+@pytest.mark.parametrize("config", [
+    RunConfig(),
+    RunConfig(engine_name="double"),
+    RunConfig(z0_stokes=UCComplex.polar(1.3, 0.72), z0_connection=UCComplex.polar(0.17, 0.83)),
+    RunConfig(engine_name="double", z0_stokes=UCComplex.polar(1.8, 0.85),
+              z0_connection=UCComplex.polar(0.06, 0.7)),
+], ids=["mp-default", "double-default", "mp-off-default", "double-off-default"])
+def test_verify_bytes_do_not_depend_on_block_sum_cache(monkeypatch, config):
+    # a run from an empty cache, then a rerun that finds every block sum
+    # cached, give identical report bytes
+    monkeypatch.setattr(solutions, "BLOCK_SUMS_SIZE", 1000)
+    solutions._BLOCK_SUMS.clear()
+    cold = dumps(run_verify(config))
+    assert len(solutions._BLOCK_SUMS) == 56
+
+    def no_pass(*args):
+        raise AssertionError("block pass on a warm cache")
+
+    monkeypatch.setattr(solutions, "_block_pass", no_pass)
+    assert dumps(run_verify(config)) == cold
 
 
 def test_exit_code_config_errors(capsys):

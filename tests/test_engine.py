@@ -1,7 +1,8 @@
-"""Engine conversions: exact data is rounded once, to nearest."""
+"""Engine conversions (exact data is rounded once, to nearest) and solves."""
 
 from fractions import Fraction
 
+import pytest
 from mpmath.libmp import from_int, mpf_div, round_nearest
 
 from monodromy_lab.engine import get_engine
@@ -27,3 +28,26 @@ def test_mp_real_rounds_wide_numerators_once():
         assert abs(x.numerator) > 2 ** 200
         p, q = from_int(x.numerator), from_int(x.denominator)
         assert e.real(x) == e.ctx.make_mpf(mpf_div(p, q, e.ctx.prec, round_nearest))
+
+
+@pytest.mark.parametrize("name", ["double", "mp"])
+def test_solve_factors_once_and_matches_lu_solve(monkeypatch, name):
+    e = get_engine(name, dps=40)
+    ctx = e.ctx
+    # a complex system whose pivoting swaps rows
+    A = ctx.matrix([[ctx.mpc(k % 3 - 1, (j * k) % 5) / (j + k + 1) for k in range(4)]
+                    for j in range(4)])
+    B = ctx.matrix([[ctx.mpc(j - k, 1) / 7 for k in range(4)] for j in range(4)])
+    expected = [ctx.lu_solve(A, B[:, k]) for k in range(4)]
+
+    calls = []
+    original = ctx.LU_decomp
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(ctx, "LU_decomp", counted)
+    X = e.solve(A, B)
+    assert len(calls) == 1
+    assert all(X[j, k] == expected[k][j] for j in range(4) for k in range(4))

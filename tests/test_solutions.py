@@ -372,3 +372,109 @@ def test_fraction_blocks_round_through_engine_real():
         )
         assert eval_series(exact, z, engine=e) == eval_series(converted, z, engine=e), m
         exact = exact.derivative()
+
+
+def count_block_passes(monkeypatch):
+    """Count the Horner passes behind eval_series."""
+    calls = collections.Counter()
+    original = solutions._block_pass
+
+    def counted(*args):
+        calls["passes"] += 1
+        return original(*args)
+
+    monkeypatch.setattr(solutions, "_block_pass", counted)
+    return calls
+
+
+@pytest.mark.parametrize("engine", ENGINES, ids=["double", "mp"])
+def test_stokes_point_takes_eight_block_passes(monkeypatch, engine):
+    # Y_R and Y_L at one point read phi1 and phi2 with derivatives 0..3 at
+    # rotations of that point only: one pass per series
+    from monodromy_lab.monodromy import DEFAULT_Z0_STOKES, assemble_YL, assemble_YR
+
+    calls = count_block_passes(monkeypatch)
+    assemble_YR(DEFAULT_Z0_STOKES, 40, engine)
+    assemble_YL(DEFAULT_Z0_STOKES, 40, engine)
+    assert calls["passes"] == 8
+
+
+def test_rotations_share_a_block_pass(monkeypatch):
+    calls = count_block_passes(monkeypatch)
+    series = phi_series(PHI1, 40, E)
+    z = UCComplex.polar(2.0, math.pi / 4)
+    eval_series(series, z, engine=E)
+    for thirds in (1, -1, 2, -2):
+        eval_series(series, z.rotated(thirds), engine=E)
+    assert calls["passes"] == 1
+    # a point 0.05 rad away is another class
+    eval_series(series, UCComplex.polar(2.0, math.pi / 4 + 0.05), engine=E)
+    assert calls["passes"] == 2
+    # a float argument and the equal Fraction share a class
+    eval_series(series, UCComplex(2.0, 0.375), engine=E)
+    eval_series(series, UCComplex(2.0, Fraction(3, 8)), engine=E)
+    eval_series(series, UCComplex(Fraction(2), Fraction(3, 8)).rotated(-1), engine=E)
+    assert calls["passes"] == 3
+
+
+@pytest.mark.parametrize("engine", ENGINES, ids=["double", "mp"])
+def test_block_sum_cache_does_not_change_values(engine):
+    # each value equals the one from an empty cache, whichever point of its
+    # class filled the cache and in whatever order the points come
+    series = phi_series(PHI2, 40, engine)
+    base = UCComplex.polar(1.7, 0.3)
+    points = [base.rotated(k) for k in (0, 1, -1, 2, -2)] + [base.shifted_by_turns(1)]
+    cold = {}
+    for i, z in enumerate(points):
+        for m in range(4):
+            solutions._BLOCK_SUMS.clear()
+            cold[i, m] = eval_series(series, z, m=m, engine=engine)
+    for order in (range(len(points)), reversed(range(len(points))), (3, 0, 5, 1, 4, 2)):
+        solutions._BLOCK_SUMS.clear()
+        for i in order:
+            for m in (3, 0, 2, 1):
+                assert eval_series(series, points[i], m=m, engine=engine) == cold[i, m], (i, m)
+
+
+def test_cache_hit_still_checks_the_tail(monkeypatch):
+    calls = count_block_passes(monkeypatch)
+    z = UCComplex.polar(3.0, 0.0)
+    for point in (z, z, z.rotated(1), z.rotated(-2)):
+        with pytest.raises(TailBoundError):
+            eval_series(quantum_period(5), point, engine=E)
+    assert calls["passes"] == 1
+
+
+def test_block_sum_cache_stays_bounded():
+    # 32 verifications over distinct base points, as in a sweep
+    from monodromy_lab.pipeline import RunConfig, run_verify
+
+    for k in range(32):
+        offset = 0.1 * (2 * k / 31 - 1)
+        run_verify(RunConfig(
+            engine_name="double",
+            z0_stokes=UCComplex.polar(1 + k / 31, math.pi / 4 + offset),
+            z0_connection=UCComplex.polar(0.05 + 0.15 * k / 31, math.pi / 4 - offset),
+        ))
+        assert len(solutions._BLOCK_SUMS) <= solutions.BLOCK_SUMS_SIZE
+    assert len(solutions._BLOCK_SUMS) == solutions.BLOCK_SUMS_SIZE
+
+
+def test_rotated_hit_takes_one_exponential(monkeypatch):
+    calls = collections.Counter()
+    original = Engine.exp
+
+    def counted(self, x):
+        calls[self.name] += 1
+        return original(self, x)
+
+    monkeypatch.setattr(Engine, "exp", counted)
+    z = UCComplex.polar(2, math.pi / 4)
+    for engine in ENGINES:
+        series = phi_series(PHI1, 40, engine)
+        for m in range(4):
+            eval_series(series, z, m=m, engine=engine)
+            for thirds in (1, -2):
+                calls.clear()
+                eval_series(series, z.rotated(thirds), m=m, engine=engine)
+                assert calls == {engine.name: 1}, (engine, m, thirds)
