@@ -104,7 +104,7 @@ def max_deviation(A, B):
     return float(max(abs(a - b) for row_a, row_b in zip(A, B) for a, b in zip(row_a, row_b)))
 
 
-def search_equivalence(S, C, S_target, C_target, max_len=4, tol=1e-6):
+def search_equivalence(S, C, S_target, C_target, max_len, tol):
     """Breadth-first search for (word, signs) with J*w(S)*J = S_target and
     w(C)*J = C_target, both to max-entry deviation <= tol.
 

@@ -58,6 +58,10 @@ def _parse_ucpoint(text):
         raise ValueError(f"bad point spec {text!r}, expected MOD,ARG") from exc
 
 
+def _point_text(z):
+    return f"{float(z.modulus):g},{z.arg:.6g}"
+
+
 def _parse_tols(pairs):
     out = {}
     for p in pairs or ():
@@ -73,17 +77,21 @@ def build_parser():
     ap = argparse.ArgumentParser(prog="monodromy-lab", description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("command", choices=list(COMMANDS))
-    ap.add_argument("--order", type=int, default=40,
-                    help="series truncation order (default 40)")
+    ap.add_argument("--order", type=int, default=None,
+                    help=f"series truncation order (default {RunConfig.truncation_order})")
     ap.add_argument("--z0-stokes", default=None, metavar="MOD,ARG",
-                    help="base point for the Stokes extraction (default 2,pi/4)")
+                    help="base point for the Stokes extraction "
+                         f"(default {_point_text(RunConfig.z0_stokes)})")
     ap.add_argument("--z0-connection", default=None, metavar="MOD,ARG",
-                    help="base point for the connection extraction (default 0.1,pi/4)")
+                    help="base point for the connection extraction "
+                         f"(default {_point_text(RunConfig.z0_connection)})")
     ap.add_argument("--tol", action="append", metavar="NAME=VALUE",
                     help="override a named tolerance")
     ap.add_argument("--engine", choices=["double", "mp"], default=None,
-                    help="scalar backend (default: double for solutions, mp otherwise)")
-    ap.add_argument("--dps", type=int, default=40, help="mp engine digits (default 40)")
+                    help="scalar backend (default: double for solutions, "
+                         f"{RunConfig.engine_name} otherwise)")
+    ap.add_argument("--dps", type=int, default=None,
+                    help=f"mp engine digits (default {RunConfig.dps})")
     ap.add_argument("--check-identities", action="store_true",
                     help="solutions: evaluate Euler/rotation identity residuals")
     ap.add_argument("--pretty", action="store_true",
@@ -93,20 +101,18 @@ def build_parser():
 
 
 def config_from_args(args):
-    """The one RunConfig of a command line; the engine defaults to double
-    for ``solutions`` and to mp for every other subcommand."""
-    points = {}
-    if args.z0_stokes:
-        points["z0_stokes"] = _parse_ucpoint(args.z0_stokes)
-    if args.z0_connection:
-        points["z0_connection"] = _parse_ucpoint(args.z0_connection)
-    return RunConfig(
-        truncation_order=args.order,
-        tolerances=_parse_tols(args.tol),
-        engine_name=args.engine or ("double" if args.command == "solutions" else "mp"),
-        dps=args.dps,
-        **points,
-    )
+    """The one RunConfig of a command line.  Only the options given reach
+    it, so every other field keeps its default; ``solutions`` runs under
+    double unless --engine says otherwise."""
+    given = {
+        "truncation_order": args.order,
+        "dps": args.dps,
+        "engine_name": args.engine or ("double" if args.command == "solutions" else None),
+        "z0_stokes": _parse_ucpoint(args.z0_stokes) if args.z0_stokes else None,
+        "z0_connection": _parse_ucpoint(args.z0_connection) if args.z0_connection else None,
+    }
+    return RunConfig(tolerances=_parse_tols(args.tol),
+                     **{k: v for k, v in given.items() if v is not None})
 
 
 def cmd_qcoh(args, cfg):

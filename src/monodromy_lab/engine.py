@@ -14,8 +14,8 @@ a swappable parameter:
 Both are the same ``Engine`` class over a different context; Gamma, pi,
 the Euler constant and zeta come from the context in either.
 
-Engines are interned: ``get_engine("mp", dps=50)`` returns the same object
-every time, so series caches can key on the engine.
+Engines are interned, so series caches can key on them; every computation
+takes its engine from its caller, and a run's from ``pipeline.RunConfig``.
 """
 
 from __future__ import annotations
@@ -52,13 +52,6 @@ class Engine:
         if isinstance(x, Fraction) or isinstance(y, Fraction):
             return self.ctx.mpc(self.real(x), self.real(y))
         return self.ctx.mpc(x, y)
-
-    def convert(self, x):
-        """Convert any scalar (Fraction, int, float, complex, mp types) to a
-        context complex number."""
-        if isinstance(x, Fraction):
-            return self.ctx.mpc(self.real(x), 0)
-        return self.ctx.mpc(x)
 
     # -- constants and elementary functions -----------------------------
 
@@ -98,7 +91,7 @@ class Engine:
         m = self.ctx.matrix(len(rows), len(rows[0]))
         for i, row in enumerate(rows):
             for j, v in enumerate(row):
-                m[i, j] = self.convert(v) if isinstance(v, Fraction) else v
+                m[i, j] = self.complex(v) if isinstance(v, Fraction) else v
         return m
 
     def eye(self, n):
@@ -140,14 +133,17 @@ class Engine:
 _ENGINES = {}
 
 
-def get_engine(name="double", dps=50):
-    """Interned engine factory.  ``name`` is ``"double"`` or ``"mp"``."""
+def get_engine(name, dps=None):
+    """Interned engine factory.  ``name`` is ``"double"`` or ``"mp"``; only
+    mp reads ``dps``, and needs it."""
     key = (name, dps if name == "mp" else None)
     if key not in _ENGINES:
         if name == "double":
             # a double carries 15.95 significant digits: eps = 1e-16
             _ENGINES[key] = Engine("double", mpmath.fp, dps=16)
         elif name == "mp":
+            if dps is None:
+                raise ValueError("the mp engine needs dps, its number of digits")
             ctx = mpmath.ctx_mp.MPContext()
             ctx.dps = dps
             _ENGINES[key] = Engine("mp", ctx, dps=dps)

@@ -22,12 +22,18 @@ Pi_+ = (pi/6, pi/3) and Pi_- = (-5 pi/6, -2 pi/3)).
 
 from __future__ import annotations
 
+import functools
 import math
+import types
 from dataclasses import dataclass
 from fractions import Fraction
 
 from monodromy_lab.engine import get_engine
 from monodromy_lab.ring import operator_matrices
+
+
+#: the angle of the admissible line every sector and base point refers to
+ADMISSIBLE_ANGLE = math.pi / 4
 
 
 class AdmissibilityError(ValueError):
@@ -43,10 +49,9 @@ class Frame:
     V: object
 
 
-def canonical_coordinates(engine=None):
+def canonical_coordinates(engine):
     """Eigenvalues of the Euler multiplication at q=1, in the fixed order
     (0, r, r eps^2, r eps) with r = 3*2^(2/3)."""
-    engine = engine or get_engine("double")
     r = 3 * engine.exp(engine.real(Fraction(2, 3)) * engine.log(engine.real(2)))
     eps = engine.exp(2 * engine.i * engine.pi / 3)
     return (engine.complex(0), engine.complex(r), r * eps ** 2, r * eps)
@@ -58,9 +63,8 @@ def _eigenvector(u, engine):
     return [u * u / 36, u / 6, engine.complex(1), u * u / 36]
 
 
-def frame(engine=None):
+def frame(engine):
     """Eta-orthonormal eigenframe, Psi, and the diagonalized data (U, V)."""
-    engine = engine or get_engine("double")
     u = canonical_coordinates(engine)
     vecs = []
     for k, uk in enumerate(u):
@@ -105,11 +109,16 @@ class SectorConfig:
     pi_minus_printed: tuple = (-math.pi / 6, math.pi / 3)
 
 
-def stokes_ray_angles(engine=None):
+def complex_canonical_coordinates():
+    """The canonical coordinates in hardware complex, for the geometry that
+    does not depend on the run's engine."""
+    return tuple(complex(x) for x in canonical_coordinates(get_engine("double")))
+
+
+def stokes_ray_angles():
     """Oriented ray angles: rays[(i, j)] = arg(-i (conj u_i - conj u_j)) in
     [0, 2 pi).  All twelve are multiples of pi/6."""
-    engine = engine or get_engine("double")
-    u = [complex(x) for x in canonical_coordinates(engine)]
+    u = complex_canonical_coordinates()
     rays = {}
     for i in range(4):
         for j in range(4):
@@ -142,15 +151,16 @@ def _nearest_ray_above(angles, x):
     return best
 
 
-def sector_config(ell_angle=math.pi / 4, engine=None):
-    """Sector geometry for the admissible line at the given angle.
+@functools.lru_cache(maxsize=None)
+def sector_config(ell_angle=ADMISSIBLE_ANGLE):
+    """Sector geometry for the admissible line at the given angle (cached).
 
     Raises AdmissibilityError when the line (in either direction) hits a
     Stokes ray.  The extended sectors run between the nearest rays:
     Pi_left from below phi to above phi + pi, Pi_right from below phi - pi
     to above phi, and the narrow sectors are the two overlap components.
     """
-    rays = stokes_ray_angles(engine)
+    rays = stokes_ray_angles()
     angles = sorted(set(rays.values()))
     guard = 1e-12
     for a in angles:
@@ -167,7 +177,7 @@ def sector_config(ell_angle=math.pi / 4, engine=None):
     minus = (max(left[0] - 2 * math.pi, right[0]), min(left[1] - 2 * math.pi, right[1]))
     return SectorConfig(
         ell_angle=ell_angle,
-        rays=rays,
+        rays=types.MappingProxyType(rays),
         pi_left=left,
         pi_right=right,
         pi_plus=plus,

@@ -40,8 +40,12 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from monodromy_lab.engine import get_engine
-from monodromy_lab.frame import canonical_coordinates, in_interval, sector_config
+from monodromy_lab.frame import (
+    ADMISSIBLE_ANGLE,
+    complex_canonical_coordinates,
+    in_interval,
+    sector_config,
+)
 from monodromy_lab.ring import operator_matrices
 from monodromy_lab.solutions import (
     PHI1,
@@ -169,9 +173,8 @@ def _phi_top_entries(order, engine):
     )
 
 
-def eval_Ytop(z, order=40, engine=None):
+def eval_Ytop(z, order, engine):
     """Y_top(z) = Phi_top(z) z^mu z^R on the universal cover."""
-    engine = engine or get_engine("double")
     l = z.log(engine)
     zc = engine.exp(l)
     Phi = engine.ctx.matrix(4, 4)
@@ -244,6 +247,19 @@ def _prefactor(kind, engine):
     return engine.complex(-1) / (engine.sqrt(engine.real(2)) * engine.pi ** 3)
 
 
+#: the report's text of the prefactors F and G of the module docstring and
+#: of the two expressions of the third left column; the second prefactor
+#: differs from the commonly displayed sqrt(2) i/pi^2 form by exactly 2 pi i
+#: (recorded, not forced)
+PREFACTORS = {
+    "phi1_column": "-z^(3/2)/(2*sqrt(2)*pi^2)",
+    "phi2_column": "-z^(3/2)/(sqrt(2)*pi^3)",
+    "phi2_vs_alternate_display_ratio": complex(0, -1 / (2 * math.pi)),
+    "left_column3": "F(z*eps^-2) + 5*F(z*eps^-1)",
+    "left_column3_alternate": "F(z*eps) + 4*G(z*eps^-1) + 5*F(z)",
+}
+
+
 def scalar_column_derivatives(spec, z, order, engine, tol=None):
     """phi-hat and its first three derivatives at z for a column spec.
 
@@ -263,12 +279,11 @@ def scalar_column_derivatives(spec, z, order, engine, tol=None):
     return derivs
 
 
-def vector_from_scalar(derivs, z, engine=None):
+def vector_from_scalar(derivs, z, engine):
     """Lift a scalar solution (given with derivatives 0..3 at z) to the 4x4
     system: y4 = z^(3/2) phi, y3 = z^(3/2) phi'/3,
     y2 = (z^(3/2) phi'' + z^(1/2) phi')/18,
     y1 = (z^2 phi''' + phi' + 3 z phi'' - 54 z^2 phi)/(54 sqrt z)."""
-    engine = engine or get_engine("double")
     p0, p1, p2, p3 = derivs
     sz = z.power(Fraction(1, 2), engine)
     zc = sz * sz
@@ -289,25 +304,22 @@ def _assemble(specs, z, order, engine, sector, tol=None):
     return engine.matrix([[cols[j][i] for j in range(4)] for i in range(4)])
 
 
-def assemble_YR(z, order=40, engine=None, tol=None):
+def assemble_YR(z, order, engine, tol=None):
     """The right sectorial solution at a universal-cover point of Pi_right."""
-    engine = engine or get_engine("double")
     return _assemble(_YR_SPECS, z, order, engine, "pi_right", tol=tol)
 
 
-def assemble_YL(z, order=40, engine=None, tol=None):
+def assemble_YL(z, order, engine, tol=None):
     """The left sectorial solution at a universal-cover point of Pi_left."""
-    engine = engine or get_engine("double")
     return _assemble(_YL_SPECS, z, order, engine, "pi_left", tol=tol)
 
 
 # -- extraction -------------------------------------------------------------
 
-def dominance_permutation(ell_angle=math.pi / 4, engine=None):
+def dominance_permutation(ell_angle=ADMISSIBLE_ANGLE):
     """Permutation matrix P reordering canonical coordinates by growing
     Re(u e^(i ell_angle)), which upper-triangularizes S'."""
-    engine = engine or get_engine("double")
-    u = [complex(x) for x in canonical_coordinates(engine)]
+    u = complex_canonical_coordinates()
     w = complex(math.cos(ell_angle), math.sin(ell_angle))
     sigma = sorted(range(4), key=lambda k: (u[k] * w).real)
     P = [[0] * 4 for _ in range(4)]
@@ -324,11 +336,6 @@ class StokesData:
     S: tuple
     z0s: list
     residuals: dict = field(default_factory=dict)
-
-
-#: default base points of the two extractions, on the admissible line
-DEFAULT_Z0_STOKES = UCComplex.polar(2.0, math.pi / 4)
-DEFAULT_Z0_CONNECTION = UCComplex.polar(0.1, math.pi / 4)
 
 
 def stokes_points(z0):
@@ -355,15 +362,14 @@ def heldout_point(z0):
     return UCComplex.polar(float(z0.modulus) * 4 / 5, z0.arg + 0.1)
 
 
-def stokes_matrix(engine=None, z0s=None, order=40, snap_tol=1e-6):
+def stokes_matrix(engine, z0s, order, snap_tol):
     """S' from Y_R(z0)^(-1) Y_L(z0) at several z0 in Pi_+, snapped to
     integers; P S' P^(-1) is the upper-triangular Stokes matrix S.
 
     Returns StokesData with residuals ``stokes_constancy`` (max spread
     across base points) and ``stokes_snap`` (max distance to integers).
     """
-    engine = engine or get_engine("double")
-    z0s = list(z0s) if z0s is not None else stokes_points(DEFAULT_Z0_STOKES)
+    z0s = list(z0s)
     check_sector(z0s, STOKES_SECTOR, "Stokes base point")
 
     raws = []
@@ -390,7 +396,7 @@ def stokes_matrix(engine=None, z0s=None, order=40, snap_tol=1e-6):
         snapped.append(tuple(row))
     s_prime = tuple(snapped)
 
-    P = dominance_permutation(engine=engine)
+    P = dominance_permutation()
     S = _permute(s_prime, P)
     data = StokesData(s_prime=s_prime, s_prime_raw=raws, P=P, S=S, z0s=z0s)
     data.residuals["stokes_constancy"] = spread
@@ -423,16 +429,16 @@ class ConnectionData:
     residuals: dict = field(default_factory=dict)
 
 
-def connection_matrix(engine=None, z0s=None, order=40, P=None):
-    """C' from Y_top(z0)^(-1) Y_R(z0) at small z0 in Pi_+; C = C' P^(-1).
+def connection_matrix(engine, z0s, order, P):
+    """C' from Y_top(z0)^(-1) Y_R(z0) at small z0 in Pi_+; C = C' P^(-1),
+    with P the dominance permutation of the Stokes extraction.
 
     Residuals: ``connection_stability`` (spread across radii; instability
     signals a branch or truncation error) and ``connection_heldout`` (defect
     of Y_R - Y_top C' at ``heldout_point`` of the middle base point, which
     is not used in the fit).
     """
-    engine = engine or get_engine("double")
-    z0s = list(z0s) if z0s is not None else connection_points(DEFAULT_Z0_CONNECTION)
+    z0s = list(z0s)
     mats = []
     for z0 in z0s:
         T = eval_Ytop(z0, order, engine)
@@ -446,8 +452,6 @@ def connection_matrix(engine=None, z0s=None, order=40, P=None):
         assemble_YR(zh, order, engine) - eval_Ytop(zh, order, engine) * c_prime
     )
 
-    if P is None:
-        P = dominance_permutation(engine=engine)
     # unary plus rounds the solve's entries to the working precision
     C = engine.matrix([[+c_prime[i, s] for s in _sigma(P)] for i in range(4)])
     data = ConnectionData(c_prime=c_prime, C=C, z0s=z0s)
@@ -458,7 +462,7 @@ def connection_matrix(engine=None, z0s=None, order=40, P=None):
 
 # -- constraints -------------------------------------------------------------
 
-def verify_constraints(S, C, engine=None):
+def verify_constraints(S, C, engine):
     """Residuals of the two monodromy constraints:
 
     (i)   C S^T S^(-1) C^(-1) = e^(2 pi i mu) e^(2 pi i R)
@@ -466,7 +470,6 @@ def verify_constraints(S, C, engine=None):
 
     The anti-diagonal 0/1 eta is its own inverse.
     """
-    engine = engine or get_engine("double")
     Sm = S if hasattr(S, "rows") else engine.matrix([[Fraction(x) for x in row] for row in S])
     eta = engine.matrix([[Fraction(1) if i + j == 3 else Fraction(0) for j in range(4)] for i in range(4)])
     C_inv = engine.inverse(C)

@@ -25,10 +25,10 @@ from fractions import Fraction
 from monodromy_lab import braid, ktheory, reference
 from monodromy_lab.closedform import evaluate_over_d
 from monodromy_lab.engine import get_engine
+from monodromy_lab.frame import ADMISSIBLE_ANGLE
 from monodromy_lab.monodromy import (
     CONNECTION_SECTOR,
-    DEFAULT_Z0_CONNECTION,
-    DEFAULT_Z0_STOKES,
+    PREFACTORS,
     STOKES_SECTOR,
     check_sector,
     connection_matrix,
@@ -63,8 +63,8 @@ class RunConfig:
     DEFAULT_TOLERANCES and is completed from it into a read-only mapping."""
 
     truncation_order: int = 40
-    z0_stokes: UCComplex = DEFAULT_Z0_STOKES
-    z0_connection: UCComplex = DEFAULT_Z0_CONNECTION
+    z0_stokes: UCComplex = UCComplex.polar(2.0, ADMISSIBLE_ANGLE)
+    z0_connection: UCComplex = UCComplex.polar(0.1, ADMISSIBLE_ANGLE)
     tolerances: Mapping = field(default_factory=dict)
     engine_name: str = "mp"
     dps: int = 40
@@ -96,9 +96,8 @@ class RunConfig:
 
 def stokes_stage(config):
     """S', P and S at the config's Stokes base points."""
-    sd = stokes_matrix(config.engine(), z0s=stokes_points(config.z0_stokes),
-                       order=config.truncation_order,
-                       snap_tol=config.tolerances["stokes_snap"])
+    sd = stokes_matrix(config.engine(), stokes_points(config.z0_stokes),
+                       config.truncation_order, config.tolerances["stokes_snap"])
     return sd, {k: float(v) for k, v in sd.residuals.items()}
 
 
@@ -106,8 +105,8 @@ def connection_stage(config, sd):
     """C' and C at the config's connection base points, the closed-form
     comparison of C and the two monodromy constraints on (S, C)."""
     engine = config.engine()
-    cd = connection_matrix(engine, z0s=connection_points(config.z0_connection),
-                           order=config.truncation_order, P=sd.P)
+    cd = connection_matrix(engine, connection_points(config.z0_connection),
+                           config.truncation_order, sd.P)
     residuals = {k: float(v) for k, v in cd.residuals.items()}
     residuals["c_vs_closed_form"] = braid.max_deviation(
         cd.C.tolist(), evaluate_over_d(reference.C_REF_NUMERATORS, engine))
@@ -176,9 +175,8 @@ def gate(residuals, tolerances, missing=()):
     return {"failed_checks": failed, "status": "ok" if not failed else "fail"}
 
 
-def run_verify(config=None):
+def run_verify(config):
     """Full pipeline; returns an ordered report dict (see docs/report_schema.json)."""
-    config = config or RunConfig()
     engine = config.engine()
     order = config.truncation_order
     tol = config.tolerances
@@ -217,16 +215,7 @@ def run_verify(config=None):
         # and the integral solutions, recorded rather than assumed.
         "phi1_frobenius_coordinates": [complex(x) for x in s1.initial_block()],
         "phi2_frobenius_coordinates": [complex(x) for x in s2.initial_block()],
-        # The asymptotically normalized scalar prefactors behind the
-        # sectorial columns; the second differs from the commonly displayed
-        # sqrt(2) i/pi^2 form by exactly 2 pi i (recorded, not forced).
-        "prefactors": {
-            "phi1_column": "-z^(3/2)/(2*sqrt(2)*pi^2)",
-            "phi2_column": "-z^(3/2)/(sqrt(2)*pi^3)",
-            "phi2_vs_alternate_display_ratio": complex(0, -1 / (2 * math.pi)),
-            "left_column3": "F(z*eps^-2) + 5*F(z*eps^-1)",
-            "left_column3_alternate": "F(z*eps) + 4*G(z*eps^-1) + 5*F(z)",
-        },
+        "prefactors": dict(PREFACTORS),
         "residuals": residuals,
         "tolerances": {k: tol[k] for k in sorted(tol)},
         **gate(residuals, tol, missing),

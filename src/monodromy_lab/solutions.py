@@ -33,7 +33,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from monodromy_lab.engine import get_engine
 from monodromy_lab.special import MellinIntegrand, integrand_value, laurent_at_zero
 
 PHI1 = MellinIntegrand.PHI1
@@ -107,7 +106,7 @@ class UCComplex:
 
     def power(self, alpha, engine):
         """z^alpha on the cover."""
-        return engine.exp(engine.convert(alpha) * self.log(engine))
+        return engine.exp(engine.complex(alpha) * self.log(engine))
 
 
 @dataclass(frozen=True)
@@ -236,7 +235,7 @@ def _phi_series_cached(kind, order, engine):
     return _series_from_initial_block(residue_block(laurent_at_zero(kind, engine), engine), order)
 
 
-def phi_series(kind, order=40, engine=None):
+def phi_series(kind, order, engine):
     """Residue log-series of the chosen Mellin-Barnes solution.
 
     Block n carries 2 pi i times the residue of g(s) z^(-3s) at s = -n.
@@ -250,8 +249,6 @@ def phi_series(kind, order=40, engine=None):
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    if engine is None:
-        engine = get_engine("double")
     return _phi_series_cached(kind, order, engine)
 
 
@@ -270,8 +267,8 @@ class _BlockSums:
 
     ``sums[k]`` is T_k(w) = sum_n w^n a_k[n] with w = z^3, so the series at
     any point z of the class is z^rho (T0 + l (T1 + l (T2 + l T3))),
-    l = log z.  ``tail`` holds (w^n, block n) for the last three blocks
-    (all blocks, for a shorter series): the data of the tail certificate.
+    l = log z.  ``tail`` holds (w^n, block n) for the last three nonzero
+    blocks (all, for a shorter series): the tail certificate's data.
     ``series`` keeps the summed series alive, so its id, the cache key, is
     not reused while the entry lives.
     """
@@ -283,10 +280,13 @@ class _BlockSums:
 
 def _block_pass(series, modulus, arg_over_pi, engine):
     """Sum every block once, by Horner in w, at the point (modulus,
-    arg_over_pi)."""
+    arg_over_pi).  Trailing zero blocks (under double, those past n = 83)
+    add nothing and are dropped."""
     blocks = series.blocks
     if isinstance(blocks[0][0], Fraction):
         blocks = [[engine.real(a) for a in blk] for blk in blocks]
+    last = max((n for n, blk in enumerate(blocks) if any(blk)), default=0)
+    blocks = blocks[:last + 1]
     w = engine.exp(3 * UCComplex(modulus, arg_over_pi).log(engine))
     t0 = t1 = t2 = t3 = engine.complex(0)
     for a0, a1, a2, a3 in reversed(blocks):
@@ -317,14 +317,18 @@ def _block_sums(series, z, engine):
     if entry is not None:
         _BLOCK_SUMS.move_to_end(key)
         return entry
-    entry = _block_pass(series, modulus, arg_over_pi, engine)
+    try:
+        entry = _block_pass(series, modulus, arg_over_pi, engine)
+    except OverflowError as exc:
+        raise TailBoundError(f"the series at |z|={float(z.modulus)} leaves the range "
+                             f"of the {engine.name} engine") from exc
     _BLOCK_SUMS[key] = entry
     if len(_BLOCK_SUMS) > BLOCK_SUMS_SIZE:
         _BLOCK_SUMS.popitem(last=False)
     return entry
 
 
-def eval_series(series, z, m=0, engine=None, tol=None):
+def eval_series(series, z, engine, m=0, tol=None):
     """m-th derivative of a LogSeries at a universal-cover point.
 
     The derivative series is taken term by term (exact, and kept on the
@@ -338,14 +342,12 @@ def eval_series(series, z, m=0, engine=None, tol=None):
     (Fraction) coefficients enter through ``Engine.real``, the one rounding
     path for exact data.
 
-    A tail certificate checks that the last three block contributions
-    z^(rho+3n) (a0 + l (a1 + l (a2 + l a3))) (all blocks, for a shorter
-    series), at this call's l, are below ``tol`` times max(1, |sum|);
-    otherwise the truncation order is insufficient for this |z| and
-    TailBoundError is raised, on a cache hit as on a miss.
+    A tail certificate checks that the last three nonzero blocks (all, for
+    a shorter series) contribute z^(rho+3n) (a0 + l (a1 + l (a2 + l a3)))
+    below ``tol`` times max(1, |sum|) at this call's l; otherwise (a NaN
+    included) TailBoundError is raised, on a cache hit as on a miss, as it
+    is when the series leaves the engine's range.
     """
-    if engine is None:
-        engine = get_engine("double")
     if m not in (0, 1, 2, 3):
         raise ValueError("derivative order must be 0..3")
     cur = series
@@ -362,7 +364,7 @@ def eval_series(series, z, m=0, engine=None, tol=None):
 
     tail = max(engine.fabs(zrho * wn * (a0 + l * (a1 + l * (a2 + l * a3))))
                for wn, (a0, a1, a2, a3) in sums.tail)
-    if tail > tol * max(1.0, engine.fabs(total)):
+    if not tail <= tol * max(1.0, engine.fabs(total)):
         raise TailBoundError(
             f"truncation order {series.order} too small at |z|={float(z.modulus)} "
             f"for tolerance {tol}"
@@ -372,7 +374,7 @@ def eval_series(series, z, m=0, engine=None, tol=None):
 
 # -- contour-integral oracle ----------------------------------------------
 
-def contour_eval(kind, z, engine=None, kappa=None, T=None):
+def contour_eval(kind, z, engine, kappa=None, T=None):
     """Evaluate phi1/phi2 by quadrature along the vertical line Re s = kappa.
 
     Only valid strictly inside the representation's sector (see
@@ -381,8 +383,6 @@ def contour_eval(kind, z, engine=None, kappa=None, T=None):
     an independent cross-check of the residue series; the pipeline itself
     never calls this.
     """
-    if engine is None:
-        engine = get_engine("double")
     lo, hi = CONTOUR_SECTORS[kind]
     theta = float(z.arg_over_pi)
     if not (float(lo) < theta < float(hi)):
@@ -427,7 +427,7 @@ def contour_eval(kind, z, engine=None, kappa=None, T=None):
 
 # -- identities ------------------------------------------------------------
 
-def identity_residuals(z, order=40, engine=None):
+def identity_residuals(z, order, engine):
     """Relative residuals of the Euler and rotation identities at z.
 
     Euler:     phi2(z eps^-1) - (2 pi phi1(z) - phi2(z)) = 0,
@@ -437,7 +437,6 @@ def identity_residuals(z, order=40, engine=None):
     both evaluated through the globally convergent residue series, so no
     sector restriction applies on the universal cover.
     """
-    engine = engine or get_engine("double")
     s1 = phi_series(PHI1, order, engine)
     s2 = phi_series(PHI2, order, engine)
 
@@ -454,14 +453,13 @@ def identity_residuals(z, order=40, engine=None):
     return euler_res, rot_num / rot_den
 
 
-def rotation_operator_matrix(engine=None):
+def rotation_operator_matrix(engine):
     """Matrix of (A phi)(z) = phi(z eps) in the Frobenius basis.
 
     Rotation leaves every z^(3n) fixed and shifts log z by 2 pi i / 3, so in
     the basis indexed by the initial block (1, l, l^2, l^3) the matrix is the
     unipotent shift  A[k][j] = C(j, k) (2 pi i/3)^(j-k).
     """
-    engine = engine or get_engine("double")
     h = 2 * engine.i * engine.pi / 3
     A = engine.ctx.matrix(4, 4)
     for j in range(4):

@@ -82,7 +82,7 @@ def laurent_at_zero(kind, engine):
     return LaurentBlock(n=0, coeffs=tuple(h))
 
 
-def laurent_coefficients(kind, n, radius=0.25, nodes=256, engine=None):
+def laurent_coefficients(kind, n, engine, radius=0.25, nodes=256):
     """Singular Laurent coefficients of the integrand at s = -n.
 
     ``coeffs[j] = (1/2 pi i) * contour integral of g(s) (s+n)^(3-j) ds`` over
@@ -91,10 +91,6 @@ def laurent_coefficients(kind, n, radius=0.25, nodes=256, engine=None):
     pole at -n from its neighbours (and from the right-hand pole family of
     PHI2).
     """
-    from monodromy_lab.engine import get_engine
-
-    if engine is None:
-        engine = get_engine("double")
     if not 0 < radius < 0.5:
         raise ValueError(f"radius {radius} outside (0, 1/2)")
     if nodes < 128 or nodes & (nodes - 1):

@@ -89,7 +89,7 @@ def test_criterion_03_scalar_identities():
             1.55 * math.pi]
     worst = 0.0
     for arg in args:
-        e_res, r_res = identity_residuals(UCComplex.polar(1.2, arg), engine=D)
+        e_res, r_res = identity_residuals(UCComplex.polar(1.2, arg), order=40, engine=D)
         worst = max(worst, float(e_res), float(r_res))
     ok = worst <= 1e-9
     assert _line(3, ok, f"Euler/rotation identities at 6 points, worst {worst:.2e} <= 1e-9")

@@ -96,7 +96,7 @@ def test_braid_action_preserves_constraints():
 def test_search_finds_identity():
     rng = random.Random(17)
     S, C = _random_unipotent(rng), _random_C(rng)
-    found = search_equivalence(S, C, S, C, max_len=1)
+    found = search_equivalence(S, C, S, C, max_len=1, tol=1e-6)
     assert found is not None
     word, signs = found
     assert word.letters == ()
@@ -111,7 +111,7 @@ def test_search_published_transformation():
     C = reference.numeric(reference.C_REF, dps=30)
     S_target = [[complex(x) for x in row] for row in _unipotent_inverse(euler_matrix())]
     C_target = numeric_matrix(c_gamma_matrix(), dps=30)
-    found = search_equivalence(S, C, S_target, C_target, max_len=2)
+    found = search_equivalence(S, C, S_target, C_target, max_len=2, tol=1e-6)
     assert found is not None
     word, signs = found
     assert word.labels() == reference.EXPECTED_BRAID_LABELS
@@ -131,7 +131,7 @@ def test_search_rejects_perturbed_target():
     S_target = [[complex(x) for x in row] for row in _unipotent_inverse(euler_matrix())]
     C_target = numeric_matrix(c_gamma_matrix(), dps=30)
     C_target[1][1] += 1e-3
-    assert search_equivalence(S, C, S_target, C_target, max_len=2) is None
+    assert search_equivalence(S, C, S_target, C_target, max_len=2, tol=1e-6) is None
 
 
 def test_word_validation():
@@ -142,6 +142,6 @@ def test_word_validation():
     with pytest.raises(ValueError):
         SignDiagonal(signs=(1, 0, 1, 1))
     with pytest.raises(ValueError):
-        search_equivalence([[1]], [[1]], [[1]], [[1]], max_len=0)
+        search_equivalence([[1]], [[1]], [[1]], [[1]], max_len=0, tol=1e-6)
     with pytest.raises(ValueError):
         braid_act(BraidWord(letters=((5, 1),)), [[1, 0], [0, 1]], [[1, 0], [0, 1]])

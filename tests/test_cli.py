@@ -10,7 +10,7 @@ import pytest
 
 from monodromy_lab import solutions
 from monodromy_lab.cli import main
-from monodromy_lab.pipeline import RunConfig, run_verify
+from monodromy_lab.pipeline import RunConfig, config_dict, run_verify
 from monodromy_lab.report import dumps
 from monodromy_lab.solutions import UCComplex
 
@@ -108,6 +108,11 @@ def test_verify_passes_and_reports_braid(verify_output):
     assert doc["S"] == [[1, -4, -11, -5], [0, 1, 4, 4], [0, 0, 1, 5], [0, 0, 0, 1]]
 
 
+def test_verify_defaults_are_the_run_config_defaults(verify_output):
+    _, out = verify_output
+    assert json.loads(out)["config"] == config_dict(RunConfig())
+
+
 def test_verify_schema(verify_output):
     jsonschema = pytest.importorskip("jsonschema")
     _, out = verify_output
@@ -168,6 +173,21 @@ def test_exit_code_tolerance_failure(capsys):
     assert doc["status"] == "fail"
 
 
+def test_double_engine_at_high_orders(capsys):
+    # every double residue block past n = 83 is 0: a high order reports the
+    # order-40 S' and residuals, and at |z| = 6, where double runs out of
+    # digits, the run stops at a named check, not at an overflow
+    _, default = run_cli(capsys, "stokes", "--engine", "double")
+    code, high = run_cli(capsys, "stokes", "--engine", "double", "--order", "345")
+    assert code == 1 and high == default
+    assert json.loads(high)["failed_checks"] == ["stokes_constancy"]
+    code = main(["stokes", "--engine", "double", "--z0-stokes", "6,0.785", "--order", "150"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "not within" in err or "too small" in err or "overflows" in err
+    assert "complex exponentiation" not in err
+
+
 def test_run_config_is_frozen():
     from monodromy_lab.pipeline import RunConfig
 
@@ -180,7 +200,7 @@ def test_run_config_is_frozen():
 
 
 def test_stages_have_one_definition(capsys):
-    from monodromy_lab.pipeline import RunConfig, run_verify
+    from monodromy_lab.pipeline import RunConfig, config_dict, run_verify
 
     report = run_verify(RunConfig(engine_name="double"))
     for command in ("stokes", "connection"):

@@ -1,11 +1,15 @@
-"""Engine conversions (exact data is rounded once, to nearest) and solves."""
+"""Engine conversions (exact data is rounded once, to nearest), solves, and
+the rule that every computation takes its engine from its caller."""
 
+import inspect
 from fractions import Fraction
 
 import pytest
 from mpmath.libmp import from_int, mpf_div, round_nearest
 
+from monodromy_lab import monodromy, solutions, special
 from monodromy_lab.engine import get_engine
+from monodromy_lab.frame import canonical_coordinates, frame, sector_config, stokes_ray_angles
 from monodromy_lab.solutions import quantum_period
 
 
@@ -51,3 +55,22 @@ def test_solve_factors_once_and_matches_lu_solve(monkeypatch, name):
     X = e.solve(A, B)
     assert len(calls) == 1
     assert all(X[j, k] == expected[k][j] for j in range(4) for k in range(4))
+
+
+def test_every_computation_takes_its_engine_explicitly():
+    computations = [
+        canonical_coordinates, frame,
+        monodromy.eval_Ytop, monodromy.vector_from_scalar, monodromy.assemble_YR,
+        monodromy.assemble_YL, monodromy.stokes_matrix, monodromy.connection_matrix,
+        monodromy.verify_constraints,
+        solutions.phi_series, solutions.eval_series, solutions.contour_eval,
+        solutions.identity_residuals, solutions.rotation_operator_matrix,
+        special.laurent_coefficients,
+    ]
+    for fn in computations:
+        assert inspect.signature(fn).parameters["engine"].default is inspect.Parameter.empty, fn
+    # the sector geometry and the dominance order do not depend on an engine
+    for fn in (stokes_ray_angles, sector_config, monodromy.dominance_permutation):
+        assert "engine" not in inspect.signature(fn).parameters, fn
+    with pytest.raises(ValueError, match="dps"):
+        get_engine("mp")

@@ -128,7 +128,7 @@ def test_frame_vectors_are_orthogonal_quasi_idempotents():
 
 
 def test_stokes_rays_printed_angles():
-    rays = stokes_ray_angles(E)
+    rays = stokes_ray_angles()
     deg = math.pi / 6
     expected = {
         (1, 2): 3 * deg, (1, 3): 7 * deg, (1, 4): 11 * deg,

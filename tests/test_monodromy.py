@@ -13,6 +13,7 @@ from monodromy_lab.monodromy import (
     assemble_YL,
     assemble_YR,
     connection_matrix,
+    connection_points,
     dominance_permutation,
     eval_Ytop,
     exp_R,
@@ -23,6 +24,7 @@ from monodromy_lab.monodromy import (
     phi_top_recursion_residuals,
     scalar_column_derivatives,
     stokes_matrix,
+    stokes_points,
     vector_from_scalar,
     _YL_COL3_ALT,
     _YL_SPECS,
@@ -41,6 +43,11 @@ from monodromy_lab.solutions import (
 
 E = get_engine("double")
 MP = get_engine("mp", dps=40)
+#: the extraction settings of a default run
+ORDER = 40
+SNAP_TOL = 1e-6
+STOKES_Z0S = stokes_points(UCComplex.polar(2.0, math.pi / 4))
+CONNECTION_Z0S = connection_points(UCComplex.polar(0.1, math.pi / 4))
 
 
 
@@ -231,7 +238,7 @@ def test_sector_enforcement():
     with pytest.raises(SectorError):
         assemble_YL(UCComplex.polar(2.0, -math.pi / 2), 40, E)  # below Pi_left
     with pytest.raises(SectorError):
-        stokes_matrix(E, z0s=[UCComplex.polar(2.0, math.pi / 2)])
+        stokes_matrix(E, [UCComplex.polar(2.0, math.pi / 2)], ORDER, SNAP_TOL)
 
 
 def test_left_column3_expressions_agree_on_overlap():
@@ -247,7 +254,7 @@ def test_left_column3_expressions_agree_on_overlap():
 
 
 def test_stokes_matrix_published_values():
-    sd = stokes_matrix(MP)
+    sd = stokes_matrix(MP, STOKES_Z0S, ORDER, SNAP_TOL)
     assert sd.s_prime == reference.S_PRIME_REF
     assert sd.P == reference.P_REF
     assert sd.S == reference.S_REF
@@ -259,14 +266,14 @@ def test_stokes_matrix_published_values():
 def test_stokes_dominance_pattern_emerges():
     # entries forced to vanish by exponential dominance come out below the
     # snap tolerance without being imposed
-    sd = stokes_matrix(MP)
+    sd = stokes_matrix(MP, STOKES_Z0S, ORDER, SNAP_TOL)
     raw = sd.s_prime_raw[1]
     for (i, j) in [(0, 3), (1, 0), (1, 2), (1, 3), (2, 0), (2, 3)]:
         assert abs(complex(raw[i, j])) < 1e-6
 
 
 def test_stokes_in_double_engine_snaps_to_same_matrix():
-    sd = stokes_matrix(E)
+    sd = stokes_matrix(E, STOKES_Z0S, ORDER, SNAP_TOL)
     assert sd.s_prime == reference.S_PRIME_REF
     assert sd.residuals["stokes_snap"] <= 1e-6
 
@@ -286,7 +293,7 @@ def test_stokes_transpose_relation_on_negative_sector():
 
 def test_stokes_error_paths():
     with pytest.raises(SnapError):
-        stokes_matrix(MP, snap_tol=1e-40)
+        stokes_matrix(MP, STOKES_Z0S, ORDER, 1e-40)
 
 
 def test_stokes_coordinate_route_oracle():
@@ -297,8 +304,8 @@ def test_stokes_coordinate_route_oracle():
     A = rotation_operator_matrix(e)
     Ainv = e.inverse(A)
     v = {
-        PHI1: [e.convert(x) for x in phi_series(PHI1, 40, e).initial_block()],
-        PHI2: [e.convert(x) for x in phi_series(PHI2, 40, e).initial_block()],
+        PHI1: [e.complex(x) for x in phi_series(PHI1, 40, e).initial_block()],
+        PHI2: [e.complex(x) for x in phi_series(PHI2, 40, e).initial_block()],
     }
     from monodromy_lab.monodromy import _prefactor
 
@@ -322,8 +329,8 @@ def test_stokes_coordinate_route_oracle():
 
 
 def test_connection_matrix_closed_forms():
-    sd = stokes_matrix(MP)
-    cd = connection_matrix(MP, P=sd.P)
+    sd = stokes_matrix(MP, STOKES_Z0S, ORDER, SNAP_TOL)
+    cd = connection_matrix(MP, CONNECTION_Z0S, ORDER, sd.P)
     # the last column of C' is the first column of C = C' P^(-1)
     C_ref = reference.numeric(reference.C_REF, dps=30)
     for i in range(4):
@@ -339,7 +346,6 @@ def test_connection_heldout_point_follows_base_point(monkeypatch):
     # a base point whose middle fit point sits where a fixed check point
     # would be: the held-out point must still be none of the fit points
     from monodromy_lab import monodromy
-    from monodromy_lab.monodromy import connection_points
 
     seen = []
 
@@ -349,7 +355,7 @@ def test_connection_heldout_point_follows_base_point(monkeypatch):
 
     monkeypatch.setattr(monodromy, "assemble_YR", recorded)
     fit = connection_points(UCComplex.polar(0.08, math.pi / 4 + 0.1))
-    cd = connection_matrix(E, z0s=fit)
+    cd = connection_matrix(E, fit, ORDER, dominance_permutation())
     assert seen[:3] == fit
     assert len(seen) == 4 and seen[3] not in fit
     assert cd.residuals["connection_heldout"] <= 1e-9
@@ -358,8 +364,8 @@ def test_connection_heldout_point_follows_base_point(monkeypatch):
 def test_verify_constraints_reference_and_sensitivity():
     from monodromy_lab.monodromy import verify_constraints
 
-    sd = stokes_matrix(MP)
-    cd = connection_matrix(MP, P=sd.P)
+    sd = stokes_matrix(MP, STOKES_Z0S, ORDER, SNAP_TOL)
+    cd = connection_matrix(MP, CONNECTION_Z0S, ORDER, sd.P)
     res = verify_constraints(sd.S, cd.C, MP)
     assert float(res["constraint_cyclic"]) <= 1e-8
     assert float(res["constraint_pairing"]) <= 1e-8
@@ -409,5 +415,5 @@ def test_YR_leading_entry_matches_frame_pattern():
 
 
 def test_dominance_permutation_orders_by_growth():
-    P = dominance_permutation(math.pi / 4, E)
+    P = dominance_permutation(math.pi / 4)
     assert P == reference.P_REF

@@ -117,6 +117,27 @@ def test_eval_tail_bound_error():
         eval_series(quantum_period(3), UCComplex.polar(1.0, 0.0), engine=E)
 
 
+def test_double_range_overflow_is_a_tail_bound_error():
+    # far out, the double range ends: w = z^3 overflows at |z| = 1e110, its
+    # tail powers at |z| = 1e3, and at |z| = 1e40 the sum turns NaN; each is
+    # a named certificate failure, never an OverflowError or a NaN value
+    series = phi_series(PHI1, 40, E)
+    for modulus in (1e3, 1e40, 1e110):
+        with pytest.raises(TailBoundError):
+            eval_series(series, UCComplex.polar(modulus, 0.3), engine=E)
+
+
+def test_trailing_zero_blocks_add_nothing():
+    # under double every residue block past n = 83 underflows to 0; a longer
+    # series gives the same value, with no overflow in its tail powers
+    z = UCComplex.polar(2.0, math.pi / 4)
+    for kind in (PHI1, PHI2):
+        long, short = phi_series(kind, 400, E), phi_series(kind, 90, E)
+        assert not any(long.blocks[84]) and any(long.blocks[83])
+        for m in range(4):
+            assert eval_series(long, z, E, m=m) == eval_series(short, z, E, m=m)
+
+
 def test_eval_derivative_orders():
     with pytest.raises(ValueError):
         eval_series(quantum_period(5), UCComplex.polar(0.1, 0.0), m=4, engine=E)
@@ -231,13 +252,13 @@ def test_contour_sector_violation():
 
 def test_identity_residuals_examples():
     # euler identity at z = 1.3 e^(i pi/6)
-    e_res, _ = identity_residuals(UCComplex.polar(1.3, math.pi / 6), engine=E)
+    e_res, _ = identity_residuals(UCComplex.polar(1.3, math.pi / 6), order=40, engine=E)
     assert e_res <= 1e-9
     # rotation identity applied at z = 0.8 e^(i pi)
-    _, r_res = identity_residuals(UCComplex.polar(0.8, math.pi), engine=E)
+    _, r_res = identity_residuals(UCComplex.polar(0.8, math.pi), order=40, engine=E)
     assert r_res <= 1e-9
     # inside the extended sector
-    e_res, _ = identity_residuals(UCComplex.polar(1.1, 1.4 * math.pi), engine=E)
+    e_res, _ = identity_residuals(UCComplex.polar(1.1, 1.4 * math.pi), order=40, engine=E)
     assert e_res <= 1e-9
 
 
@@ -247,7 +268,7 @@ def test_identities_across_extended_sector():
             1.55 * math.pi]
     for arg in args:
         z = UCComplex.polar(1.2, arg)
-        e_res, r_res = identity_residuals(z, engine=E)
+        e_res, r_res = identity_residuals(z, order=40, engine=E)
         assert e_res <= 1e-9, arg
         assert r_res <= 1e-9, arg
 
@@ -269,7 +290,7 @@ def test_rotation_operator_consistent_with_series():
     e = E
     s2 = phi_series(PHI2, 30, e)
     A = rotation_operator_matrix(e)
-    coords = [e.convert(x) for x in s2.initial_block()]
+    coords = [e.complex(x) for x in s2.initial_block()]
     rotated_coords = [sum(A[k, j] * coords[j] for j in range(4)) for k in range(4)]
     rebuilt = series_from_coordinates(tuple(rotated_coords), 30)
     z = UCComplex.polar(0.4, math.pi / 7)
@@ -391,11 +412,12 @@ def count_block_passes(monkeypatch):
 def test_stokes_point_takes_eight_block_passes(monkeypatch, engine):
     # Y_R and Y_L at one point read phi1 and phi2 with derivatives 0..3 at
     # rotations of that point only: one pass per series
-    from monodromy_lab.monodromy import DEFAULT_Z0_STOKES, assemble_YL, assemble_YR
+    from monodromy_lab.monodromy import assemble_YL, assemble_YR
 
+    z0 = UCComplex.polar(2.0, math.pi / 4)
     calls = count_block_passes(monkeypatch)
-    assemble_YR(DEFAULT_Z0_STOKES, 40, engine)
-    assemble_YL(DEFAULT_Z0_STOKES, 40, engine)
+    assemble_YR(z0, 40, engine)
+    assemble_YL(z0, 40, engine)
     assert calls["passes"] == 8
 
 

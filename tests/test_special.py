@@ -16,7 +16,8 @@ from monodromy_lab.special import (
 )
 
 PHI1, PHI2 = MellinIntegrand.PHI1, MellinIntegrand.PHI2
-gamma = get_engine("double").gamma
+D = get_engine("double")
+gamma = D.gamma
 
 
 def stirling_gamma(z, terms=20, shift_to=25.0):
@@ -106,25 +107,25 @@ def test_constants_mp():
 
 def test_laurent_phi2_leading_is_sqrt_pi():
     # Gamma(s)^4 ~ s^-4 and Gamma(1/2) 2^0 = sqrt(pi)
-    L = laurent_coefficients(PHI2, 0)
+    L = laurent_coefficients(PHI2, 0, D)
     assert abs(L.coeffs[0] - math.sqrt(math.pi)) < 1e-13
     assert L.n == 0
 
 
 def test_laurent_radius_consistency():
-    a = laurent_coefficients(PHI1, 0, radius=0.2)
-    b = laurent_coefficients(PHI1, 0, radius=0.3)
+    a = laurent_coefficients(PHI1, 0, D, radius=0.2)
+    b = laurent_coefficients(PHI1, 0, D, radius=0.3)
     for x, y in zip(a.coeffs, b.coeffs):
         assert abs(x - y) < 1e-12
 
 
 def test_laurent_validation():
     with pytest.raises(ValueError):
-        laurent_coefficients(PHI1, 0, radius=0.6)
+        laurent_coefficients(PHI1, 0, D, radius=0.6)
     with pytest.raises(ValueError):
-        laurent_coefficients(PHI1, 0, nodes=100)
+        laurent_coefficients(PHI1, 0, D, nodes=100)
     with pytest.raises(ValueError):
-        laurent_coefficients(PHI1, -2)
+        laurent_coefficients(PHI1, -2, D)
 
 
 def test_laurent_phi2_n1_vs_symbolic_oracle():
@@ -153,7 +154,7 @@ def test_laurent_phi2_n1_vs_symbolic_oracle():
     # 1/(t-1)^4 = sum C(k+3,3) t^k ; overall 4 * Gamma(3/2) = 2 sqrt(pi)
     geom = sum(sp.binomial(k + 3, 3) * t ** k for k in range(6))
     ser = sp.expand(2 * sp.sqrt(sp.pi) * analytic * geom)
-    L = laurent_coefficients(PHI2, 1)
+    L = laurent_coefficients(PHI2, 1, D)
     for j in range(4):
         coeff = complex(sp.N(ser.coeff(t, j), 25))
         assert abs(complex(L.coeffs[j]) - coeff) < 1e-12 * max(1.0, abs(coeff))
@@ -181,7 +182,7 @@ def test_residue_rectangle_invariant():
 
     res_sum = 0j
     for n in (0, 1):
-        L = laurent_coefficients(PHI1, n)
+        L = laurent_coefficients(PHI1, n, D)
         zp = cmath.exp(3 * n * lz)
         blk = 0j
         fact = 1
