@@ -225,7 +225,7 @@ def _exact_strings(cls):
 
 
 def cmd_gamma(args, cfg):
-    characteristic, residuals = characteristic_stage()
+    characteristic, residuals = characteristic_stage(cfg)
     chs = {}
     for name in ("O", "O1", "SIGMA21", "O2", "WEDGE2", "E1", "E2", "E3", "E4"):
         obj = ktheory.k_object(name)

@@ -23,7 +23,11 @@ from __future__ import annotations
 from fractions import Fraction
 
 import mpmath
-from mpmath.libmp import from_int, mpf_div, round_nearest
+from mpmath.libmp import from_int, from_man_exp, fzero, mpf_div, round_nearest
+
+#: bits the exact-integer Horner pass of the mp engine carries above the
+#: working precision; each T_k is rounded to the working precision once
+GUARD_BITS = 20
 
 
 class Engine:
@@ -52,6 +56,65 @@ class Engine:
         if isinstance(x, Fraction) or isinstance(y, Fraction):
             return self.ctx.mpc(self.real(x), self.real(y))
         return self.ctx.mpc(x, y)
+
+    # -- block sums of a power series in w ------------------------------
+
+    def horner_columns(self, blocks):
+        """The four coefficient columns of ``blocks`` (engine complex
+        numbers), highest block first, in the form ``horner`` sums.  Under mp
+        each coefficient is read once as exact integers (re, im, exp), the
+        value (re + i im) 2^exp."""
+        columns = zip(*reversed(blocks))
+        if self.ctx is mpmath.fp:
+            return tuple(tuple(col) for col in columns)
+        return tuple(tuple(_exact_parts(a) for a in col) for col in columns)
+
+    def horner(self, columns, w):
+        """T_k = sum_n w^n a_k[n] for each column of ``horner_columns``.
+
+        Under double this is a hardware-complex Horner loop.  Under mp it
+        runs in exact integers: each step's product and sum are exact, then
+        T is cut to ``ctx.prec + GUARD_BITS`` bits, and each T_k is rounded
+        once, to nearest, at ``ctx.prec``.  So T_k is off by at most half an
+        ulp plus 4 * 2^-(prec + GUARD_BITS) per block times
+        sum_n |w^n a_k[n]|.
+        """
+        if self.ctx is mpmath.fp:
+            out = []
+            for col in columns:
+                t = self.complex(0)
+                for a in col:
+                    t = t * w + a
+                out.append(t)
+            return tuple(out)
+        prec = self.ctx.prec
+        wr, wi, we = _exact_parts(w)
+        bits = prec + GUARD_BITS
+        out = []
+        for col in columns:
+            tr = ti = te = 0
+            for ar, ai, ae in col:
+                if not (tr or ti):
+                    tr, ti, te = ar, ai, ae
+                    continue
+                pr = tr * wr - ti * wi
+                pi = tr * wi + ti * wr
+                te += we
+                d = te - ae
+                if not (ar or ai):
+                    tr, ti = pr, pi
+                elif d >= 0:
+                    tr, ti, te = (pr << d) + ar, (pi << d) + ai, ae
+                else:
+                    tr, ti = pr + (ar << -d), pi + (ai << -d)
+                excess = max(tr.bit_length(), ti.bit_length()) - bits
+                if excess > 0:
+                    tr >>= excess
+                    ti >>= excess
+                    te += excess
+            out.append(self.ctx.make_mpc((from_man_exp(tr, te, prec, round_nearest),
+                                          from_man_exp(ti, te, prec, round_nearest))))
+        return tuple(out)
 
     # -- constants and elementary functions -----------------------------
 
@@ -128,6 +191,26 @@ class Engine:
 
     def __repr__(self):
         return f"Engine({self.name!r}, dps={self.dps})"
+
+
+def _exact_parts(x):
+    """An mpc or mpf as exact integers (re, im, exp) with
+    x = (re + i im) 2^exp: mpmath's raw mantissas and exponents, brought to
+    the smaller exponent.  A non-finite value raises OverflowError."""
+    raw = getattr(x, "_mpc_", None) or (x._mpf_, fzero)
+    (rsign, rman, rexp, rbc), (isign, iman, iexp, ibc) = raw
+    if (not rman and rbc) or (not iman and ibc):
+        raise OverflowError("non-finite value in an exact block pass")
+    if not rman:
+        if not iman:
+            return 0, 0, 0
+        rexp = iexp
+    elif not iman:
+        iexp = rexp
+    exp = min(rexp, iexp)
+    re = (-rman if rsign else rman) << (rexp - exp)
+    im = (-iman if isign else iman) << (iexp - exp)
+    return re, im, exp
 
 
 _ENGINES = {}

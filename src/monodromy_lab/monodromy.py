@@ -191,11 +191,18 @@ def exp_mu(t, engine):
     return engine.ctx.diag([engine.exp(engine.real(mu) * t) for mu in MU_DIAG])
 
 
-def exp_R(t, engine):
-    """e^(t R), cubic in t as R is nilpotent; z^R is e^(t R) at t = log z."""
+@functools.lru_cache(maxsize=None)
+def _R_powers(engine):
+    """R, R^2 and R^3 in the engine, built once per engine."""
     _, R, _ = operator_matrices()
     Rm = engine.matrix(R)
-    return engine.eye(4) + Rm * t + (Rm * Rm) * (t ** 2 / 2) + (Rm * Rm * Rm) * (t ** 3 / 6)
+    return Rm, Rm * Rm, Rm * Rm * Rm
+
+
+def exp_R(t, engine):
+    """e^(t R), cubic in t as R is nilpotent; z^R is e^(t R) at t = log z."""
+    R1, R2, R3 = _R_powers(engine)
+    return engine.eye(4) + R1 * t + R2 * (t ** 2 / 2) + R3 * (t ** 3 / 6)
 
 
 # -- sectorial solutions ----------------------------------------------------
@@ -241,6 +248,7 @@ _YL_SPECS = (
 _YL_COL3_ALT = ((1, PHI1, 1), (4, PHI2, -1), (5, PHI1, 0))
 
 
+@functools.lru_cache(maxsize=None)
 def _prefactor(kind, engine):
     if kind is PHI1:
         return engine.complex(-1) / (2 * engine.sqrt(engine.real(2)) * engine.pi ** 2)
@@ -272,11 +280,17 @@ def scalar_column_derivatives(spec, z, order, engine, tol=None):
     for coef, kind, m in spec:
         series = phi_series(kind, order, engine)
         c = coef * _prefactor(kind, engine) * (-1) ** (m % 2)
-        epsm = engine.exp(2 * engine.i * engine.pi * m / 3)
         w = z.rotated(m)
-        for d in range(4):
-            derivs[d] += c * epsm ** d * eval_series(series, w, m=d, engine=engine, tol=tol)
+        for d, epsmd in enumerate(_rotation_powers(m, engine)):
+            derivs[d] += c * epsmd * eval_series(series, w, m=d, engine=engine, tol=tol)
     return derivs
+
+
+@functools.lru_cache(maxsize=None)
+def _rotation_powers(m, engine):
+    """(eps^m)^d for d = 0..3, eps = e^(2 pi i/3), once per engine."""
+    epsm = engine.exp(2 * engine.i * engine.pi * m / 3)
+    return tuple(epsm ** d for d in range(4))
 
 
 def vector_from_scalar(derivs, z, engine):

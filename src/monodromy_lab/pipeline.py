@@ -115,7 +115,8 @@ def connection_stage(config, sd):
     return cd, residuals
 
 
-#: C_Gamma is evaluated once per process, at this many digits
+#: C_Gamma is evaluated at this many digits, or at the run's own when it
+#: asks for more
 C_GAMMA_DPS = 40
 
 
@@ -123,36 +124,47 @@ C_GAMMA_DPS = 40
 class CharacteristicData:
     euler: tuple            # exact integer Euler matrix
     euler_inverse: tuple    # its exact inverse
-    c_gamma: tuple          # C_Gamma at C_GAMMA_DPS digits (mp), row-major
+    c_gamma: tuple          # C_Gamma at max(C_GAMMA_DPS, dps) digits (mp), row-major
+
+
+def characteristic_stage(config):
+    """The derived-category side.  Its exact part does not depend on the
+    configuration and is computed once per process; C_Gamma is evaluated
+    once per precision, at max(C_GAMMA_DPS, config.dps) digits, so the
+    braid comparison is not limited by it.  Returned immutable."""
+    euler, euler_inverse, _, residuals = _exact_characteristic()
+    data = CharacteristicData(euler=euler, euler_inverse=euler_inverse,
+                              c_gamma=_c_gamma(max(C_GAMMA_DPS, config.dps)))
+    return data, residuals
 
 
 @functools.lru_cache(maxsize=None)
-def characteristic_stage():
-    """The derived-category side; it does not depend on the configuration,
-    so it is computed once per process and returned immutable.  C_Gamma is
-    exact (``ktheory.c_gamma_numerators``) and compared exactly with its
-    closed form: the residual is the evaluated difference of the two exact
-    matrices, 0 when they agree."""
+def _exact_characteristic():
+    """The exact Euler matrix, its inverse, the exact numerators of C_Gamma
+    (``ktheory.c_gamma_numerators``) and the C_Gamma identity: the numerators
+    are compared exactly with the closed form, and the residual is the
+    evaluated difference of the two exact matrices, 0 when they agree."""
     euler = ktheory.euler_matrix()
     numerators = ktheory.c_gamma_numerators()
     engine = get_engine("mp", dps=C_GAMMA_DPS)
     difference = [[a - b for a, b in zip(row, ref)]
-                   for row, ref in zip(numerators, reference.C_GAMMA_REF_NUMERATORS)]
-    data = CharacteristicData(
-        euler=euler,
-        euler_inverse=_unipotent_inverse(euler),
-        c_gamma=evaluate_over_d(numerators, engine),
-    )
+                  for row, ref in zip(numerators, reference.C_GAMMA_REF_NUMERATORS)]
     residuals = {"c_gamma_vs_closed_form": max(
         engine.fabs(x) for row in evaluate_over_d(difference, engine) for x in row)}
-    return data, types.MappingProxyType(residuals)
+    return euler, _unipotent_inverse(euler), numerators, types.MappingProxyType(residuals)
+
+
+@functools.lru_cache(maxsize=None)
+def _c_gamma(dps):
+    """C_Gamma evaluated at dps digits."""
+    return evaluate_over_d(_exact_characteristic()[2], get_engine("mp", dps=dps))
 
 
 def braid_stage(S, C, characteristic, tol):
     """Search for the braid/sign transformation carrying (S, C) to
     (Euler^-1, C_Gamma).  S and Euler^-1 are exact integers and C holds the
     run's engine numbers, so ``braid_match`` is measured at working
-    precision (against C_Gamma at C_GAMMA_DPS digits)."""
+    precision (against C_Gamma at max(C_GAMMA_DPS, dps) digits)."""
     target_S = characteristic.euler_inverse
     target_C = characteristic.c_gamma
     found = braid.search_equivalence(S, C, target_S, target_C, max_len=2, tol=tol)
@@ -185,7 +197,7 @@ def run_verify(config):
     sd, residuals = stokes_stage(config)
     cd, connection_residuals = connection_stage(config, sd)
     residuals.update(connection_residuals)
-    characteristic, characteristic_residuals = characteristic_stage()
+    characteristic, characteristic_residuals = characteristic_stage(config)
     residuals.update(characteristic_residuals)
     braid_report, braid_residuals = braid_stage(sd.S, cd.C.tolist(), characteristic,
                                                 tol["braid_match"])

@@ -58,6 +58,18 @@ class TailBoundError(ArithmeticError):
     """Series truncation order too small for the requested point."""
 
 
+@functools.lru_cache(maxsize=128)
+def _log_modulus(modulus, engine):
+    """ln |z| in the engine, taken once: all points of a point class share
+    the modulus."""
+    return engine.log(engine.real(modulus))
+
+
+@functools.lru_cache(maxsize=None)
+def _i_pi(engine):
+    return engine.i * engine.pi
+
+
 @dataclass(frozen=True)
 class UCComplex:
     """A nonzero point on the universal cover of C*.
@@ -100,9 +112,8 @@ class UCComplex:
 
     def log(self, engine):
         """log z in the engine: ln(modulus) + i*pi*arg_over_pi."""
-        return engine.complex(engine.log(engine.real(self.modulus)), 0) + (
-            engine.i * engine.pi * engine.real(self.arg_over_pi)
-        )
+        return (engine.complex(_log_modulus(self.modulus, engine), 0)
+                + _i_pi(engine) * engine.real(self.arg_over_pi))
 
     def power(self, alpha, engine):
         """z^alpha on the cover."""
@@ -146,6 +157,12 @@ class LogSeries:
                 row.append(val)
             out.append(tuple(row))
         return LogSeries(rho=self.rho - 1, blocks=tuple(out))
+
+    @functools.cached_property
+    def _pass_cache(self):
+        """This series' ``_PassData`` per engine, filled by ``_pass_data``
+        on first use."""
+        return {}
 
     def initial_block(self):
         """Leading block (a_0, b_0, c_0, d_0): coordinates in the Frobenius basis."""
@@ -261,14 +278,51 @@ BLOCK_SUMS_SIZE = 32
 _BLOCK_SUMS = collections.OrderedDict()
 
 
+@dataclass(frozen=True)
+class _PassData:
+    """What every block pass of one series in one engine reads.
+
+    ``columns`` are the coefficient columns in the form of
+    ``Engine.horner``, without trailing zero blocks (under double, those
+    past n = 83).  ``tail`` holds (n, (|a0|, |a1|, |a2|, |a3|)) in engine
+    reals for the last three nonzero blocks (all, for a shorter series).
+    """
+
+    columns: tuple
+    tail: tuple
+
+
+def _prepare(series, engine):
+    """Convert a series' blocks for the block pass: exact (Fraction)
+    coefficients through ``Engine.real``, the one rounding path for exact
+    data, then into ``Engine.horner_columns``."""
+    blocks = series.blocks
+    if isinstance(blocks[0][0], Fraction):
+        blocks = [[engine.real(a) for a in blk] for blk in blocks]
+    last = max((n for n, blk in enumerate(blocks) if any(blk)), default=0)
+    blocks = blocks[:last + 1]
+    first = max(0, len(blocks) - 3)
+    tail = tuple((n, tuple(abs(a) for a in blocks[n])) for n in range(first, len(blocks)))
+    return _PassData(engine.horner_columns(blocks), tail)
+
+
+def _pass_data(series, engine):
+    """The series' ``_PassData`` in the engine, converted once and kept on
+    the series, like its derivative series."""
+    data = series._pass_cache.get(engine)
+    if data is None:
+        data = series._pass_cache[engine] = _prepare(series, engine)
+    return data
+
+
 @dataclass(frozen=True, eq=False)
 class _BlockSums:
     """One block pass of a series at a point class.
 
     ``sums[k]`` is T_k(w) = sum_n w^n a_k[n] with w = z^3, so the series at
     any point z of the class is z^rho (T0 + l (T1 + l (T2 + l T3))),
-    l = log z.  ``tail`` holds (w^n, block n) for the last three nonzero
-    blocks (all, for a shorter series): the tail certificate's data.
+    l = log z.  ``tail`` holds, for each block of the certificate, the
+    magnitudes |z|^(rho+3n) |a_k[n]|, k = 0..3, in engine reals.
     ``series`` keeps the summed series alive, so its id, the cache key, is
     not reused while the entry lives.
     """
@@ -279,28 +333,17 @@ class _BlockSums:
 
 
 def _block_pass(series, modulus, arg_over_pi, engine):
-    """Sum every block once, by Horner in w, at the point (modulus,
-    arg_over_pi).  Trailing zero blocks (under double, those past n = 83)
-    add nothing and are dropped."""
-    blocks = series.blocks
-    if isinstance(blocks[0][0], Fraction):
-        blocks = [[engine.real(a) for a in blk] for blk in blocks]
-    last = max((n for n, blk in enumerate(blocks) if any(blk)), default=0)
-    blocks = blocks[:last + 1]
+    """Sum every block once, by Horner in w (``Engine.horner``), at the
+    point (modulus, arg_over_pi), and scale the certificate's magnitudes to
+    this modulus."""
+    data = _pass_data(series, engine)
     w = engine.exp(3 * UCComplex(modulus, arg_over_pi).log(engine))
-    t0 = t1 = t2 = t3 = engine.complex(0)
-    for a0, a1, a2, a3 in reversed(blocks):
-        t0 = t0 * w + a0
-        t1 = t1 * w + a1
-        t2 = t2 * w + a2
-        t3 = t3 * w + a3
-    first = max(0, len(blocks) - 3)
-    wn = w ** first
+    r = engine.real(modulus)
     tail = []
-    for blk in blocks[first:]:
-        tail.append((wn, tuple(blk)))
-        wn *= w
-    return _BlockSums(series, (t0, t1, t2, t3), tuple(tail))
+    for n, mags in data.tail:
+        rn = r ** (series.rho + 3 * n)
+        tail.append(tuple(rn * a for a in mags))
+    return _BlockSums(series, engine.horner(data.columns, w), tuple(tail))
 
 
 def _block_sums(series, z, engine):
@@ -328,6 +371,14 @@ def _block_sums(series, z, engine):
     return entry
 
 
+def _tail_bound(sums, l):
+    """The certificate's bound on the truncated tail at a call with
+    l = log z: the largest of |z|^(rho+3n) sum_k |a_k[n]| |l|^k over the
+    stored blocks, an upper bound on |z^(rho+3n) (a0 + l (a1 + ...))|."""
+    labs = abs(l)
+    return max(((m3 * labs + m2) * labs + m1) * labs + m0 for m0, m1, m2, m3 in sums.tail)
+
+
 def eval_series(series, z, engine, m=0, tol=None):
     """m-th derivative of a LogSeries at a universal-cover point.
 
@@ -338,15 +389,22 @@ def eval_series(series, z, engine, m=0, tol=None):
     Horner pass in w at the class representative, kept in a small LRU
     cache.  Each call returns z^rho (T0 + l (T1 + l (T2 + l T3))) with its
     own l, and so the same value whether its sums were cached or not.  A
-    pass takes one exponential (w) and a call one more (z^rho).  Exact
-    (Fraction) coefficients enter through ``Engine.real``, the one rounding
-    path for exact data.
+    pass takes one exponential (w) and a call one more (z^rho).
 
-    A tail certificate checks that the last three nonzero blocks (all, for
-    a shorter series) contribute z^(rho+3n) (a0 + l (a1 + l (a2 + l a3)))
-    below ``tol`` times max(1, |sum|) at this call's l; otherwise (a NaN
-    included) TailBoundError is raised, on a cache hit as on a miss, as it
-    is when the series leaves the engine's range.
+    The pass reads coefficient columns converted once per series and
+    engine.  Exact (Fraction) coefficients enter through ``Engine.real``,
+    the one rounding path for exact data.  Under mp the pass runs in exact
+    integers, cut to ``engine.GUARD_BITS`` bits above the working precision
+    after each block, and rounds each T_k once, to nearest; under double
+    it is a hardware-complex Horner loop (``Engine.horner``).
+
+    A tail certificate bounds the last three nonzero blocks (all, for a
+    shorter series) by stored magnitudes: |z|^(rho+3n) sum_k |a_k[n]| |l|^k,
+    at least |z^(rho+3n) (a0 + l (a1 + l (a2 + l a3)))|, must lie below
+    ``tol`` times max(1, |sum|) at this call's l, compared in engine reals
+    (the default tol is 10^(2-dps) under mp, 1e-10 under double).  Otherwise
+    (a NaN included) TailBoundError is raised, on a cache hit as on a miss,
+    as it is when the series leaves the engine's range.
     """
     if m not in (0, 1, 2, 3):
         raise ValueError("derivative order must be 0..3")
@@ -354,7 +412,7 @@ def eval_series(series, z, engine, m=0, tol=None):
     for _ in range(m):
         cur = cur.derivative()
     if tol is None:
-        tol = 1e-10 if engine.name == "double" else 10.0 ** (2 - engine.dps)
+        tol = 1e-10 if engine.name == "double" else engine.real(10) ** (2 - engine.dps)
 
     sums = _block_sums(cur, z, engine)
     t0, t1, t2, t3 = sums.sums
@@ -362,9 +420,8 @@ def eval_series(series, z, engine, m=0, tol=None):
     zrho = engine.exp(cur.rho * l)
     total = zrho * (t0 + l * (t1 + l * (t2 + l * t3)))
 
-    tail = max(engine.fabs(zrho * wn * (a0 + l * (a1 + l * (a2 + l * a3))))
-               for wn, (a0, a1, a2, a3) in sums.tail)
-    if not tail <= tol * max(1.0, engine.fabs(total)):
+    # max(|total|, 1) is NaN for a NaN total, so the comparison fails
+    if not _tail_bound(sums, l) <= tol * max(abs(total), 1):
         raise TailBoundError(
             f"truncation order {series.order} too small at |z|={float(z.modulus)} "
             f"for tolerance {tol}"

@@ -67,7 +67,7 @@ def test_c_gamma_is_exactly_its_closed_form():
     numerators = ktheory.c_gamma_numerators()
     for row, ref in zip(numerators, reference.C_GAMMA_REF_NUMERATORS):
         assert all(a == b for a, b in zip(row, ref))
-    _, residuals = pipeline.characteristic_stage()
+    _, residuals = pipeline.characteristic_stage(pipeline.RunConfig())
     assert residuals["c_gamma_vs_closed_form"] == 0.0
 
 
@@ -97,3 +97,12 @@ def test_verify_does_not_import_sympy():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           timeout=120)
     assert proc.stdout.strip() == "False", proc.stderr
+
+
+def test_braid_match_follows_the_working_precision():
+    # C_Gamma is evaluated at the run's digits when they pass C_GAMMA_DPS,
+    # so braid_match falls with the other residuals instead of stopping at
+    # the 1e-40 of a 40-digit C_Gamma
+    doc = pipeline.run_verify(pipeline.RunConfig(dps=60))
+    assert doc["status"] == "ok"
+    assert doc["residuals"]["braid_match"] < 1e-50

@@ -500,3 +500,111 @@ def test_rotated_hit_takes_one_exponential(monkeypatch):
                 calls.clear()
                 eval_series(series, z.rotated(thirds), m=m, engine=engine)
                 assert calls == {engine.name: 1}, (engine, m, thirds)
+
+
+def horner_oracle(column, w, ctx):
+    """sum_n w^n a[n] by mpc Horner at twice the working precision, on the
+    same coefficients (lowest block first), and sum_n |w^n a[n]|."""
+    with ctx.workprec(2 * ctx.prec):
+        t = ctx.mpc(0)
+        for a in reversed(column):
+            t = t * w + a
+        scale = sum(abs(w) ** n * abs(a) for n, a in enumerate(column))
+    return t, scale
+
+
+@pytest.mark.parametrize("kind", (PHI1, PHI2))
+def test_exact_block_pass_matches_a_double_precision_oracle(kind):
+    # the integer kernel against mpc Horner at 2 prec: each T_k within
+    # 2^-prec of the sum of its terms' magnitudes, w taken at every rotation
+    e = get_engine("mp", dps=40)
+    bound = e.ctx.mpf(2) ** -e.ctx.prec
+    series = phi_series(kind, 60, e)
+    for m in range(4):
+        columns = e.horner_columns(series.blocks)
+        for modulus in (0.05, 0.1, 2, 6):
+            base = UCComplex.polar(modulus, 0.3)
+            for rotation in (-2, -1, 0, 1, 2):
+                w = e.exp(3 * base.rotated(rotation).log(e))
+                sums = e.horner(columns, w)
+                for k, t in enumerate(sums):
+                    ref, scale = horner_oracle([blk[k] for blk in series.blocks], w, e.ctx)
+                    assert abs(t - ref) <= bound * scale, (kind, m, modulus, rotation, k)
+        series = series.derivative()
+
+
+def tail_quantity(series, l, engine):
+    """The largest |z^(rho+3n) (a0 + l (a1 + l (a2 + l a3)))| over the last
+    three nonzero blocks: the contribution the certificate bounds."""
+    nonzero = [n for n, blk in enumerate(series.blocks) if any(blk)]
+    return max(abs(engine.exp((series.rho + 3 * n) * l) * (a0 + l * (a1 + l * (a2 + l * a3))))
+               for n in nonzero[-3:] for a0, a1, a2, a3 in [series.blocks[n]])
+
+
+@pytest.mark.parametrize("engine_name", ("mp", "double"))
+def test_tail_bound_is_at_least_the_tail(monkeypatch, engine_name):
+    from monodromy_lab.pipeline import RunConfig, run_verify
+
+    calls = []
+    original = solutions._tail_bound
+
+    def recorded(sums, l):
+        bound = original(sums, l)
+        calls.append((sums.series, l, bound))
+        return bound
+
+    monkeypatch.setattr(solutions, "_tail_bound", recorded)
+    config = RunConfig(engine_name=engine_name)
+    run_verify(config)
+    assert len(calls) == 172
+    engine = config.engine()
+    for series, l, bound in calls:
+        assert bound >= tail_quantity(series, l, engine), (series.rho, l)
+
+
+def test_coefficient_columns_are_converted_once_per_series(monkeypatch):
+    # two verifies at an order no other test builds: the first converts
+    # phi1 and phi2 with their three derivative series, the second none,
+    # although it runs every block pass again
+    from monodromy_lab.pipeline import RunConfig, run_verify
+
+    conversions, passes = collections.Counter(), count_block_passes(monkeypatch)
+    original = solutions._prepare
+
+    def counted(series, engine):
+        conversions[id(series)] += 1
+        return original(series, engine)
+
+    monkeypatch.setattr(solutions, "_prepare", counted)
+    config = RunConfig(truncation_order=41)
+    for _ in range(2):
+        solutions._BLOCK_SUMS.clear()
+        run_verify(config)
+    assert passes["passes"] == 2 * 56
+    assert len(conversions) == 8 and set(conversions.values()) == {1}
+
+
+def test_tail_certificate_compares_in_engine_reals():
+    # at 330 digits the tolerance 1e-328 and the tails lie below the double
+    # range: order 104 leaves a tail of 5.1e-327 relative, order 106 4.6e-336
+    e = get_engine("mp", dps=330)
+    z = UCComplex.polar(2, math.pi / 4)
+    with pytest.raises(TailBoundError):
+        eval_series(phi_series(PHI1, 104, e), z, e)
+    eval_series(phi_series(PHI1, 106, e), z, e)
+
+
+def test_log_of_a_modulus_is_taken_once(monkeypatch):
+    calls = collections.Counter()
+    original = Engine.log
+
+    def counted(self, x):
+        calls[self.name] += 1
+        return original(self, x)
+
+    monkeypatch.setattr(Engine, "log", counted)
+    e = get_engine("mp", dps=40)
+    z = UCComplex.polar(1.2345, 0.3)
+    values = [z.rotated(k).log(e) for k in range(-2, 3)]
+    assert calls == {"mp": 1}
+    assert values[2] == e.complex(e.log(e.real(1.2345)), 0) + e.i * e.pi * e.real(z.arg_over_pi)
