@@ -12,7 +12,12 @@ a swappable parameter:
   sum by 35+ orders of magnitude.
 
 Both are the same ``Engine`` class over a different context; Gamma, pi,
-the Euler constant and zeta come from the context in either.
+the Euler constant and zeta come from the context in either.  The class
+branches on its context only where the arithmetic itself differs:
+``Engine.real`` rounds a Fraction by the context's rule, and the block
+pass of the log-series (``Engine.horner_columns``/``Engine.horner``) is a
+hardware-complex loop under double and runs in exact integers on
+mpmath's raw mantissas under mp.
 
 Engines are interned, so series caches can key on them; every computation
 takes its engine from its caller, and a run's from ``pipeline.RunConfig``.

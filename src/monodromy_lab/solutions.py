@@ -67,6 +67,7 @@ def _log_modulus(modulus, engine):
 
 @functools.lru_cache(maxsize=None)
 def _i_pi(engine):
+    """i pi in the engine, built once per engine."""
     return engine.i * engine.pi
 
 

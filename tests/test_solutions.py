@@ -537,8 +537,12 @@ def tail_quantity(series, l, engine):
     """The largest |z^(rho+3n) (a0 + l (a1 + l (a2 + l a3)))| over the last
     three nonzero blocks: the contribution the certificate bounds."""
     nonzero = [n for n, blk in enumerate(series.blocks) if any(blk)]
-    return max(abs(engine.exp((series.rho + 3 * n) * l) * (a0 + l * (a1 + l * (a2 + l * a3))))
-               for n in nonzero[-3:] for a0, a1, a2, a3 in [series.blocks[n]])
+    contributions = []
+    for n in nonzero[-3:]:
+        a0, a1, a2, a3 = series.blocks[n]
+        zpow = engine.exp((series.rho + 3 * n) * l)
+        contributions.append(abs(zpow * (a0 + l * (a1 + l * (a2 + l * a3)))))
+    return max(contributions)
 
 
 @pytest.mark.parametrize("engine_name", ("mp", "double"))
