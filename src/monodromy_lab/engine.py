@@ -17,7 +17,8 @@ branches on its context only where the arithmetic itself differs:
 ``Engine.real`` rounds a Fraction by the context's rule, and the block
 pass of the log-series (``Engine.horner_columns``/``Engine.horner``) is a
 hardware-complex loop under double and runs in exact integers on
-mpmath's raw mantissas under mp.
+mpmath's raw mantissas under mp, and ``Engine.guarded`` adds guard bits
+under mp only.
 
 Engines are interned, so series caches can key on them; every computation
 takes its engine from its caller, and a run's from ``pipeline.RunConfig``.
@@ -25,6 +26,7 @@ takes its engine from its caller, and a run's from ``pipeline.RunConfig``.
 
 from __future__ import annotations
 
+import contextlib
 from fractions import Fraction
 
 import mpmath
@@ -120,6 +122,14 @@ class Engine:
             out.append(self.ctx.make_mpc((from_man_exp(tr, te, prec, round_nearest),
                                           from_man_exp(ti, te, prec, round_nearest))))
         return tuple(out)
+
+    def guarded(self):
+        """A context in which mp arithmetic carries ``GUARD_BITS`` above the
+        working precision, so that a chain of operations inside it can be
+        rounded once, with unary plus, after it; a no-op under double."""
+        if self.ctx is mpmath.fp:
+            return contextlib.nullcontext()
+        return self.ctx.extraprec(GUARD_BITS)
 
     # -- constants and elementary functions -----------------------------
 

@@ -54,6 +54,7 @@ from monodromy_lab.solutions import (
     UCComplex,
     eval_series,
     phi_series,
+    point_data,
 )
 
 MU_DIAG = (Fraction(-3, 2), Fraction(-1, 2), Fraction(1, 2), Fraction(3, 2))
@@ -164,26 +165,74 @@ def phi_top_orthogonality_residuals(series):
 
 
 @functools.lru_cache(maxsize=None)
-def _phi_top_entries(order, engine):
-    """The nonzero entries (i, j, value) of each Phi_k, converted to the
-    engine once."""
-    return tuple(
-        tuple((i, j, engine.real(v)) for i, row in enumerate(mat) for j, v in enumerate(row) if v)
-        for mat in phi_top(order).coeffs
-    )
+def _phi_top_columns(order, engine):
+    """Phi_top's 16 entry series in the form ``Engine.horner`` sums, with
+    the offset of each.
+
+    Entry (a, b) of Phi_k vanishes unless k = (a - b) mod 3, as the
+    recursion's U_cal and R only have entries with a - b = 1 mod 3 (each
+    coefficient is checked), so the entry is z^c sum_n (Phi_(c+3n))_ab w^n
+    with c = (a - b) mod 3 and w = z^3.  Returns (columns, offsets), both
+    row-major in (a, b); converted once per order and engine, at
+    ``GUARD_BITS`` above the working precision under mp.
+    """
+    coeffs = phi_top(order).coeffs
+    offsets = tuple((a - b) % 3 for a in range(4) for b in range(4))
+    for k, mat in enumerate(coeffs):
+        for a in range(4):
+            for b in range(4):
+                if mat[a][b] and (k - offsets[4 * a + b]) % 3:
+                    raise ArithmeticError(f"Phi_{k} entry ({a},{b}) breaks the z^3 grading")
+    blocks = [[coeffs[c + 3 * n][a][b] if c + 3 * n <= order else Fraction(0)
+               for (a, b), c in zip(itertools.product(range(4), repeat=2), offsets)]
+              for n in range(order // 3 + 1)]
+    with engine.guarded():
+        columns = engine.horner_columns([[engine.real(v) for v in row] for row in blocks])
+    return columns, offsets
+
+
+@functools.lru_cache(maxsize=None)
+def _exp_R_terms():
+    """The nonzero terms of e^(tR) = sum_p R^p t^p/p! as (k, j, p, c), a
+    term c t^p of entry (k, j); R is subdiagonal (3, 6, 3), so each of the
+    ten nonzero entries has one."""
+    _, R, _ = operator_matrices()
+    terms, power = [], [[Fraction(int(i == j)) for j in range(4)] for i in range(4)]
+    for p in range(4):
+        terms.extend((k, j, p, power[k][j] / math.factorial(p))
+                     for k in range(4) for j in range(4) if power[k][j])
+        power = [[sum(power[i][t] * R[t][j] for t in range(4)) for j in range(4)]
+                 for i in range(4)]
+    return tuple(terms)
 
 
 def eval_Ytop(z, order, engine):
-    """Y_top(z) = Phi_top(z) z^mu z^R on the universal cover."""
-    l = z.log(engine)
-    zc = engine.exp(l)
-    Phi = engine.ctx.matrix(4, 4)
-    zk = engine.complex(1)
-    for entries in _phi_top_entries(order, engine):
-        for i, j, v in entries:
-            Phi[i, j] += v * zk
-        zk *= zc
-    return Phi * exp_mu(l, engine) * exp_R(l, engine)
+    """Y_top(z) = Phi_top(z) z^mu z^R on the universal cover.
+
+    Phi_top's entries are summed in one ``Engine.horner`` pass in w = z^3
+    (exact integers under mp).  Entry (a, b) of Phi_top z^mu is the sum
+    times z^(c + mu_b), a half-integer power of the point's z^(1/2) (its
+    ``PointData``); e^(lR) multiplies entry by entry.  Under mp every step
+    after the point's z^(1/2) and l runs ``GUARD_BITS`` above the working
+    precision, and each entry is rounded once.
+    """
+    point = point_data(z, engine)
+    h, l = point.half_powers[0], point.l
+    columns, offsets = _phi_top_columns(order, engine)
+    with engine.guarded():
+        zc = h * h
+        odd = {1: h, -1: 1 / h}
+        for e in (3, 5, 7):
+            odd[e] = odd[e - 2] * zc
+        odd[-3] = odd[-1] / zc
+        sums = engine.horner(columns, zc * zc * zc)
+        E = exp_R(l, engine)
+        Y = [[0] * 4 for _ in range(4)]
+        for a in range(4):
+            for k, j, _, _ in _exp_R_terms():
+                e = 2 * offsets[4 * a + k] + int(2 * MU_DIAG[k])
+                Y[a][j] += sums[4 * a + k] * odd[e] * E[k, j]
+    return engine.matrix([[+y for y in row] for row in Y])
 
 
 def exp_mu(t, engine):
@@ -191,18 +240,12 @@ def exp_mu(t, engine):
     return engine.ctx.diag([engine.exp(engine.real(mu) * t) for mu in MU_DIAG])
 
 
-@functools.lru_cache(maxsize=None)
-def _R_powers(engine):
-    """R, R^2 and R^3 in the engine, built once per engine."""
-    _, R, _ = operator_matrices()
-    Rm = engine.matrix(R)
-    return Rm, Rm * Rm, Rm * Rm * Rm
-
-
 def exp_R(t, engine):
     """e^(t R), cubic in t as R is nilpotent; z^R is e^(t R) at t = log z."""
-    R1, R2, R3 = _R_powers(engine)
-    return engine.eye(4) + R1 * t + R2 * (t ** 2 / 2) + R3 * (t ** 3 / 6)
+    M = engine.ctx.matrix(4, 4)
+    for k, j, p, c in _exp_R_terms():
+        M[k, j] = engine.real(c) * t ** p
+    return M
 
 
 # -- sectorial solutions ----------------------------------------------------
@@ -299,9 +342,7 @@ def vector_from_scalar(derivs, z, engine):
     y2 = (z^(3/2) phi'' + z^(1/2) phi')/18,
     y1 = (z^2 phi''' + phi' + 3 z phi'' - 54 z^2 phi)/(54 sqrt z)."""
     p0, p1, p2, p3 = derivs
-    sz = z.power(Fraction(1, 2), engine)
-    zc = sz * sz
-    z32 = sz * zc
+    sz, zc, z32 = point_data(z, engine).half_powers
     y4 = z32 * p0
     y3 = z32 * p1 / 3
     y2 = (z32 * p2 + sz * p1) / 18
@@ -482,12 +523,19 @@ def verify_constraints(S, C, engine):
     (i)   C S^T S^(-1) C^(-1) = e^(2 pi i mu) e^(2 pi i R)
     (ii)  S = C^(-1) e^(-pi i R) e^(-pi i mu) eta^(-1) (C^T)^(-1)
 
-    The anti-diagonal 0/1 eta is its own inverse.
+    The anti-diagonal 0/1 eta is its own inverse, and (C^T)^(-1) is the
+    transpose of C^(-1).  An S of exact entries (int, Fraction or float) is
+    a Stokes matrix, unipotent upper-triangular, and is inverted exactly;
+    an engine-matrix S is inverted in the engine.
     """
-    Sm = S if hasattr(S, "rows") else engine.matrix([[Fraction(x) for x in row] for row in S])
+    if hasattr(S, "rows"):
+        Sm, S_inv = S, engine.inverse(S)
+    else:
+        exact = [[Fraction(x) for x in row] for row in S]
+        Sm, S_inv = engine.matrix(exact), engine.matrix(_unipotent_inverse(exact))
     eta = engine.matrix([[Fraction(1) if i + j == 3 else Fraction(0) for j in range(4)] for i in range(4)])
     C_inv = engine.inverse(C)
-    lhs1 = C * Sm.T * engine.inverse(Sm) * C_inv
+    lhs1 = C * Sm.T * S_inv * C_inv
     two_pi_i = 2 * engine.i * engine.pi
     rhs1 = exp_mu(two_pi_i, engine) * exp_R(two_pi_i, engine)
     res1 = engine.max_abs(lhs1 - rhs1)
@@ -497,7 +545,25 @@ def verify_constraints(S, C, engine):
         * exp_R(minus_pi_i, engine)
         * exp_mu(minus_pi_i, engine)
         * eta
-        * engine.inverse(C.T)
+        * C_inv.T
     )
     res2 = engine.max_abs(Sm - rhs2)
     return {"constraint_cyclic": res1, "constraint_pairing": res2}
+
+
+def _unipotent_inverse(M):
+    """Exact inverse of a unipotent upper-triangular matrix of exact
+    entries (int or Fraction): I - N + N^2 - ... with N = M - I nilpotent.
+    Raises ValueError for any other matrix."""
+    n = len(M)
+    if any(M[i][j] != (i == j) for i in range(n) for j in range(i + 1)):
+        raise ValueError("not a unipotent upper-triangular matrix")
+    N = [[M[i][j] - (1 if i == j else 0) for j in range(n)] for i in range(n)]
+    out = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    power = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    sign = 1
+    for _ in range(n - 1):
+        power = [[sum(power[i][k] * N[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+        sign = -sign
+        out = [[out[i][j] + sign * power[i][j] for j in range(n)] for i in range(n)]
+    return tuple(tuple(row) for row in out)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 import types
 from collections.abc import Mapping
 from dataclasses import dataclass, field
@@ -30,6 +31,7 @@ from monodromy_lab.monodromy import (
     CONNECTION_SECTOR,
     PREFACTORS,
     STOKES_SECTOR,
+    _unipotent_inverse,
     check_sector,
     connection_matrix,
     connection_points,
@@ -55,6 +57,13 @@ DEFAULT_TOLERANCES = {
 }
 
 
+#: the most digits a run may ask for.  Residuals leave the engine as Python
+#: floats and reach down to about 10^-dps; a float is normal only down to
+#: 2.2e-308, so this keeps 16 digits of margin above that, and no residual
+#: reads as a subnormal or as an exact 0
+MAX_DPS = -sys.float_info.min_10_exp - 16
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """One run's configuration, immutable.  Construction validates every
@@ -74,8 +83,8 @@ class RunConfig:
             raise ValueError("truncation_order must be >= 10")
         if self.engine_name not in ("double", "mp"):
             raise ValueError(f"unknown engine {self.engine_name!r}")
-        if self.dps < 1:
-            raise ValueError("dps must be >= 1")
+        if not 1 <= self.dps <= MAX_DPS:
+            raise ValueError(f"dps must be in 1..{MAX_DPS}")
         for name, z0 in (("z0_stokes", self.z0_stokes), ("z0_connection", self.z0_connection)):
             if not (math.isfinite(z0.modulus) and math.isfinite(z0.arg_over_pi)):
                 raise ValueError(f"{name} must be finite")
@@ -232,20 +241,6 @@ def run_verify(config):
         "tolerances": {k: tol[k] for k in sorted(tol)},
         **gate(residuals, tol, missing),
     }
-
-
-def _unipotent_inverse(M):
-    """Exact inverse of an integer unipotent upper-triangular matrix."""
-    n = len(M)
-    N = [[M[i][j] - (1 if i == j else 0) for j in range(n)] for i in range(n)]
-    out = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    power = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    sign = 1
-    for _ in range(n - 1):
-        power = [[sum(power[i][k] * N[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
-        sign = -sign
-        out = [[out[i][j] + sign * power[i][j] for j in range(n)] for i in range(n)]
-    return tuple(tuple(row) for row in out)
 
 
 def config_dict(config):

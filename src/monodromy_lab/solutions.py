@@ -272,6 +272,57 @@ def phi_series(kind, order, engine):
 
 # -- evaluation -----------------------------------------------------------
 
+#: how many (point, engine) records ``point_data`` keeps, the least recently
+#: used dropped first; a verification visits 27 points (five rotations of
+#: each Stokes base point, three of each connection point)
+POINTS_SIZE = 32
+_POINTS = collections.OrderedDict()
+
+
+class PointData:
+    """What every evaluation at one universal-cover point z reads, each
+    computed once: l = log z and the point-class key (modulus,
+    arg/pi mod 2/3) on construction; z^(1/2) and its powers, z^-1, and
+    e^(3l), on first use."""
+
+    def __init__(self, z, engine):
+        self.engine = engine
+        self.l = z.log(engine)
+        self.key = (z.modulus, Fraction(z.arg_over_pi) % Fraction(2, 3))
+
+    @functools.cached_property
+    def half_powers(self):
+        """(z^(1/2), z, z^(3/2)), from e^(l/2), the point's one exponential."""
+        h = self.engine.exp(self.l / 2)
+        z = h * h
+        return h, z, h * z
+
+    @functools.cached_property
+    def inverse(self):
+        """z^-1, so z^rho is (z^-1)^(-rho)."""
+        return 1 / self.half_powers[1]
+
+    @functools.cached_property
+    def cube(self):
+        """w = z^3 as e^(3l).  A block pass reads it at its class
+        representative only, so every point of a class, and a cache hit as
+        a miss, reads the same w."""
+        return self.engine.exp(3 * self.l)
+
+
+def point_data(z, engine):
+    """The ``PointData`` of z in the engine, from a small LRU cache."""
+    key = (z, engine)
+    point = _POINTS.get(key)
+    if point is not None:
+        _POINTS.move_to_end(key)
+        return point
+    point = _POINTS[key] = PointData(z, engine)
+    if len(_POINTS) > POINTS_SIZE:
+        _POINTS.popitem(last=False)
+    return point
+
+
 #: how many (series, engine, point class) block sums ``eval_series`` keeps,
 #: the least recently used dropped first; one base point of an extraction
 #: needs eight (phi1 and phi2, each with its derivatives 1-3)
@@ -338,7 +389,7 @@ def _block_pass(series, modulus, arg_over_pi, engine):
     point (modulus, arg_over_pi), and scale the certificate's magnitudes to
     this modulus."""
     data = _pass_data(series, engine)
-    w = engine.exp(3 * UCComplex(modulus, arg_over_pi).log(engine))
+    w = point_data(UCComplex(modulus, arg_over_pi), engine).cube
     r = engine.real(modulus)
     tail = []
     for n, mags in data.tail:
@@ -347,15 +398,15 @@ def _block_pass(series, modulus, arg_over_pi, engine):
     return _BlockSums(series, engine.horner(data.columns, w), tuple(tail))
 
 
-def _block_sums(series, z, engine):
-    """The block sums of ``series`` at the point class of z, from the cache
-    or from one new pass at the class representative.
+def _block_sums(series, point, engine):
+    """The block sums of ``series`` at the point class of ``point`` (a
+    ``PointData``), from the cache or from one new pass at the class
+    representative.
 
-    The class is (modulus, arg/pi mod 2/3): the rotations z eps^m share it.
     The key holds the series' identity, as hashing its coefficients would
     cost more than a pass.
     """
-    modulus, arg_over_pi = z.modulus, Fraction(z.arg_over_pi) % Fraction(2, 3)
+    modulus, arg_over_pi = point.key
     key = (id(series), engine, modulus, arg_over_pi)
     entry = _BLOCK_SUMS.get(key)
     if entry is not None:
@@ -364,7 +415,7 @@ def _block_sums(series, z, engine):
     try:
         entry = _block_pass(series, modulus, arg_over_pi, engine)
     except OverflowError as exc:
-        raise TailBoundError(f"the series at |z|={float(z.modulus)} leaves the range "
+        raise TailBoundError(f"the series at |z|={float(modulus)} leaves the range "
                              f"of the {engine.name} engine") from exc
     _BLOCK_SUMS[key] = entry
     if len(_BLOCK_SUMS) > BLOCK_SUMS_SIZE:
@@ -380,6 +431,13 @@ def _tail_bound(sums, l):
     return max(((m3 * labs + m2) * labs + m1) * labs + m0 for m0, m1, m2, m3 in sums.tail)
 
 
+@functools.lru_cache(maxsize=None)
+def _default_tolerance(engine):
+    """The tail certificate's default tolerance: 10^(2-dps) under mp, 1e-10
+    under double."""
+    return 1e-10 if engine.name == "double" else engine.real(10) ** (2 - engine.dps)
+
+
 def eval_series(series, z, engine, m=0, tol=None):
     """m-th derivative of a LogSeries at a universal-cover point.
 
@@ -389,8 +447,11 @@ def eval_series(series, z, engine, m=0, tol=None):
     class (modulus, arg mod 2 pi/3) into T_k(w) = sum_n w^n a_k[n]: one
     Horner pass in w at the class representative, kept in a small LRU
     cache.  Each call returns z^rho (T0 + l (T1 + l (T2 + l T3))) with its
-    own l, and so the same value whether its sums were cached or not.  A
-    pass takes one exponential (w) and a call one more (z^rho).
+    own l, and so the same value whether its sums were cached or not.  The
+    point's l, z^-1 and class key, and the class's w, come from its
+    ``PointData`` (``point_data``): a point takes one exponential, z^(1/2),
+    and only if some call needs z^rho with rho != 0; a class takes one
+    more, w, and only if some call misses the cache.
 
     The pass reads coefficient columns converted once per series and
     engine.  Exact (Fraction) coefficients enter through ``Engine.real``,
@@ -413,13 +474,15 @@ def eval_series(series, z, engine, m=0, tol=None):
     for _ in range(m):
         cur = cur.derivative()
     if tol is None:
-        tol = 1e-10 if engine.name == "double" else engine.real(10) ** (2 - engine.dps)
+        tol = _default_tolerance(engine)
 
-    sums = _block_sums(cur, z, engine)
+    point = point_data(z, engine)
+    sums = _block_sums(cur, point, engine)
     t0, t1, t2, t3 = sums.sums
-    l = z.log(engine)
-    zrho = engine.exp(cur.rho * l)
-    total = zrho * (t0 + l * (t1 + l * (t2 + l * t3)))
+    l = point.l
+    total = t0 + l * (t1 + l * (t2 + l * t3))
+    if cur.rho:
+        total = point.inverse ** -cur.rho * total
 
     # max(|total|, 1) is NaN for a NaN total, so the comparison fails
     if not _tail_bound(sums, l) <= tol * max(abs(total), 1):

@@ -105,7 +105,7 @@ def test_search_finds_identity():
 
 def test_search_published_transformation():
     from monodromy_lab.ktheory import c_gamma_matrix, euler_matrix, numeric_matrix
-    from monodromy_lab.pipeline import _unipotent_inverse
+    from monodromy_lab.monodromy import _unipotent_inverse
 
     S = [[complex(x) for x in row] for row in reference.S_REF]
     C = reference.numeric(reference.C_REF, dps=30)
@@ -124,7 +124,7 @@ def test_search_published_transformation():
 
 def test_search_rejects_perturbed_target():
     from monodromy_lab.ktheory import c_gamma_matrix, euler_matrix, numeric_matrix
-    from monodromy_lab.pipeline import _unipotent_inverse
+    from monodromy_lab.monodromy import _unipotent_inverse
 
     S = [[complex(x) for x in row] for row in reference.S_REF]
     C = reference.numeric(reference.C_REF, dps=30)

@@ -151,6 +151,36 @@ def test_verify_bytes_do_not_depend_on_block_sum_cache(monkeypatch, config):
     assert dumps(run_verify(config)) == cold
 
 
+@pytest.mark.parametrize("config", [RunConfig(), RunConfig(engine_name="double")],
+                         ids=["mp-default", "double-default"])
+def test_verify_bytes_do_not_depend_on_point_cache(monkeypatch, config):
+    # from empty caches; with every block sum cached but no point data, so
+    # l and z^(1/2) are taken again and w not at all; with all point data
+    # cached but no block sums, so every pass reads a kept w; with both full
+    monkeypatch.setattr(solutions, "BLOCK_SUMS_SIZE", 1000)
+    monkeypatch.setattr(solutions, "POINTS_SIZE", 1000)
+    solutions._BLOCK_SUMS.clear()
+    solutions._POINTS.clear()
+    cold = dumps(run_verify(config))
+    solutions._POINTS.clear()
+    assert dumps(run_verify(config)) == cold
+    solutions._BLOCK_SUMS.clear()
+    assert dumps(run_verify(config)) == cold
+    assert dumps(run_verify(config)) == cold
+
+
+def test_digits_that_could_underflow_a_residual_are_refused(capsys):
+    from monodromy_lab.pipeline import MAX_DPS
+
+    assert MAX_DPS == 291
+    assert RunConfig(dps=MAX_DPS).dps == 291
+    with pytest.raises(ValueError, match="dps"):
+        RunConfig(dps=MAX_DPS + 1)
+    code = main(["verify", "--dps", "330", "--order", "120"])
+    assert code == 2
+    assert "dps" in capsys.readouterr().err
+
+
 def test_exit_code_config_errors(capsys):
     assert run_cli(capsys, "stokes", "--z0-stokes", "nonsense")[0] == 2
     assert run_cli(capsys, "verify", "--tol", "braid_match=-1")[0] == 2

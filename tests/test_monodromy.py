@@ -7,8 +7,9 @@ from fractions import Fraction
 
 import pytest
 
-from monodromy_lab.engine import get_engine
+from monodromy_lab.engine import Engine, get_engine
 from monodromy_lab.monodromy import (
+    MU_DIAG,
     SnapError,
     assemble_YL,
     assemble_YR,
@@ -38,6 +39,7 @@ from monodromy_lab.solutions import (
     SectorError,
     UCComplex,
     phi_series,
+    point_data,
     rotation_operator_matrix,
 )
 
@@ -144,6 +146,62 @@ def test_eval_Ytop_column_against_taylor_flow():
     flowed = _taylor_flow(col0, 0.05, 0.1)
     for i in range(4):
         assert abs(flowed[i] - complex(Y1[i, 0])) < 1e-10
+
+
+def ytop_oracle(point, order, ctx):
+    """Y_top by mpc sums in ctx, from the point's z^(1/2) and l taken as
+    exact: sum over n, k of (Phi_n)_ak z^(n + mu_k) (e^(lR))_kj, and the sum
+    of those terms' magnitudes, per entry (a, j)."""
+    h, l = ctx.mpc(point.half_powers[0]), ctx.mpc(point.l)
+    _, R, _ = operator_matrices()
+    E = [[[] for _ in range(4)] for _ in range(4)]
+    power = [[Fraction(int(i == j)) for j in range(4)] for i in range(4)]
+    for p in range(4):
+        for k in range(4):
+            for j in range(4):
+                if power[k][j]:
+                    c = power[k][j] / math.factorial(p)
+                    E[k][j].append(ctx.mpf(c.numerator) / c.denominator * l ** p)
+        power = [[sum(power[i][t] * R[t][j] for t in range(4)) for j in range(4)]
+                 for i in range(4)]
+    out = {}
+    for a in range(4):
+        for j in range(4):
+            terms = [ctx.mpf(v.numerator) / v.denominator * h ** (2 * n + int(2 * MU_DIAG[k])) * e
+                     for k in range(4) for e in E[k][j]
+                     for n, mat in enumerate(phi_top(order).coeffs) if (v := mat[a][k])]
+            out[a, j] = (ctx.fsum(terms), ctx.fsum(abs(t) for t in terms))
+    return out
+
+
+@pytest.mark.parametrize("engine", [E, MP], ids=["double", "mp"])
+def test_eval_Ytop_matches_a_double_precision_oracle(engine):
+    # the kernel-built Y_top against mpc sums at twice the working
+    # precision: under mp every step after z^(1/2) and l carries guard bits
+    # and each entry is rounded once, so it lies within 2^-prec of the sum
+    # of its terms' magnitudes; double has no guard bits, and its Horner
+    # steps and products each round (measured worst 3.1 2^-53)
+    ctx = get_engine("mp", dps=40).ctx.clone()
+    prec = engine.ctx.prec
+    ctx.prec = 2 * prec
+    bound = ctx.mpf(2) ** -prec * (1 if engine is MP else 8)
+    for modulus in (0.05, 0.1, 0.2, 0.4):
+        z = UCComplex.polar(modulus, 0.7)
+        Y = eval_Ytop(z, ORDER, engine)
+        for (a, j), (ref, scale) in ytop_oracle(point_data(z, engine), ORDER, ctx).items():
+            assert abs(ctx.mpc(Y[a, j]) - ref) <= bound * scale, (modulus, a, j)
+
+
+def test_eval_Ytop_agrees_with_its_matrix_form():
+    # Phi_top(z) z^mu z^R as an mpmath matrix product, term by term in z
+    z = UCComplex.polar(0.3, 0.7)
+    l = z.log(MP)
+    zc = MP.exp(l)
+    Phi = MP.ctx.matrix(4, 4)
+    for k, mat in enumerate(phi_top(ORDER).coeffs):
+        Phi += MP.matrix(mat) * zc ** k
+    expected = Phi * exp_mu(l, MP) * exp_R(l, MP)
+    assert MP.max_abs(eval_Ytop(z, ORDER, MP) - expected) < 1e-38
 
 
 def test_phi_top_orthogonality_at_a_point():
@@ -375,6 +433,37 @@ def test_verify_constraints_reference_and_sensitivity():
     S_bad[0][1] += 1e-3
     res_bad = verify_constraints(S_bad, cd.C, MP)
     assert float(res_bad["constraint_pairing"]) > 1e-4
+
+
+def test_verify_constraints_inverts_only_C(monkeypatch):
+    # S of exact entries is inverted exactly and (C^T)^-1 is the transpose
+    # of C^-1; an engine-matrix S takes its own engine inverse
+    from monodromy_lab.closedform import evaluate_over_d
+    from monodromy_lab.monodromy import verify_constraints
+
+    calls = []
+    original = Engine.inverse
+    monkeypatch.setattr(Engine, "inverse", lambda self, A: calls.append(A) or original(self, A))
+    C = MP.matrix(evaluate_over_d(reference.C_REF_NUMERATORS, MP))
+    exact = verify_constraints(reference.S_REF, C, MP)
+    assert len(calls) == 1 and calls[0] is C
+    engine_S = verify_constraints(MP.matrix(reference.S_REF), C, MP)
+    assert len(calls) == 3
+    for name in exact:
+        assert exact[name] <= 1e-36 and engine_S[name] <= 1e-36, name
+
+
+def test_unipotent_inverse_is_exact_and_refuses_other_matrices():
+    from monodromy_lab.monodromy import _unipotent_inverse
+
+    S = [[1, -4, Fraction(1, 3), 0], [0, 1, 6, -4], [0, 0, 1, 4], [0, 0, 0, 1]]
+    inverse = _unipotent_inverse(S)
+    product = [[sum(S[i][t] * inverse[t][j] for t in range(4)) for j in range(4)]
+               for i in range(4)]
+    assert product == [[int(i == j) for j in range(4)] for i in range(4)]
+    for bad in ([[2, 0], [0, 1]], [[1, 0], [1, 1]]):
+        with pytest.raises(ValueError):
+            _unipotent_inverse(bad)
 
 
 def test_asymptotic_normalization_of_columns():

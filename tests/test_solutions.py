@@ -364,7 +364,8 @@ def test_eval_series_power_chain_matches_per_block_exp(engine):
                     assert dev <= bound, (kind, modulus, rotation, m, dev)
 
 
-def test_eval_series_takes_two_exponentials(monkeypatch):
+def count_exponentials(monkeypatch):
+    """Count Engine.exp calls per engine name."""
     calls = collections.Counter()
     original = Engine.exp
 
@@ -373,12 +374,24 @@ def test_eval_series_takes_two_exponentials(monkeypatch):
         return original(self, x)
 
     monkeypatch.setattr(Engine, "exp", counted)
+    return calls
+
+
+def test_eval_series_takes_two_exponentials(monkeypatch):
+    # at a new point of a new class: w for the block pass, and z^(1/2) for
+    # the z^rho of a derivative series; a second call at the point takes none
+    calls = count_exponentials(monkeypatch)
     for engine in ENGINES:
         series = phi_series(PHI1, 40, engine)
         for m in range(4):
+            solutions._BLOCK_SUMS.clear()
+            solutions._POINTS.clear()
             calls.clear()
             eval_series(series, UCComplex.polar(2, math.pi / 4), m=m, engine=engine)
-            assert calls == {engine.name: 2}, (engine, m)
+            assert calls == {engine.name: 1 if m == 0 else 2}, (engine, m)
+            calls.clear()
+            eval_series(series, UCComplex.polar(2, math.pi / 4), m=m, engine=engine)
+            assert calls == {}, (engine, m)
 
 
 def test_fraction_blocks_round_through_engine_real():
@@ -479,27 +492,48 @@ def test_block_sum_cache_stays_bounded():
             z0_connection=UCComplex.polar(0.05 + 0.15 * k / 31, math.pi / 4 - offset),
         ))
         assert len(solutions._BLOCK_SUMS) <= solutions.BLOCK_SUMS_SIZE
+        assert len(solutions._POINTS) <= solutions.POINTS_SIZE
     assert len(solutions._BLOCK_SUMS) == solutions.BLOCK_SUMS_SIZE
+    assert len(solutions._POINTS) == solutions.POINTS_SIZE
 
 
 def test_rotated_hit_takes_one_exponential(monkeypatch):
-    calls = collections.Counter()
-    original = Engine.exp
-
-    def counted(self, x):
-        calls[self.name] += 1
-        return original(self, x)
-
-    monkeypatch.setattr(Engine, "exp", counted)
+    # a new point whose class is summed: z^(1/2) for a derivative series,
+    # nothing for the series itself
+    calls = count_exponentials(monkeypatch)
     z = UCComplex.polar(2, math.pi / 4)
     for engine in ENGINES:
         series = phi_series(PHI1, 40, engine)
         for m in range(4):
             eval_series(series, z, m=m, engine=engine)
             for thirds in (1, -2):
+                solutions._POINTS.clear()
                 calls.clear()
                 eval_series(series, z.rotated(thirds), m=m, engine=engine)
-                assert calls == {engine.name: 1}, (engine, m, thirds)
+                assert calls == ({engine.name: 1} if m else {}), (engine, m, thirds)
+
+
+@pytest.mark.parametrize("engine_name", ("mp", "double"))
+def test_verify_takes_44_exponentials(monkeypatch, engine_name):
+    # from empty point and block-sum caches: z^(1/2) at each of the 27
+    # points (five rotations of 3 Stokes points, three of 4 connection
+    # points), w at each of the 7 point classes, e^(t mu) at t = 2 pi i and
+    # -pi i in verify_constraints (8), and the canonical coordinates of
+    # dominance_permutation (2, always in double); with the caches full only
+    # the last 10
+    from monodromy_lab.pipeline import RunConfig, run_verify
+
+    config = RunConfig(engine_name=engine_name)
+    run_verify(config)
+    solutions._BLOCK_SUMS.clear()
+    solutions._POINTS.clear()
+    calls = count_exponentials(monkeypatch)
+    run_verify(config)
+    assert calls == collections.Counter({engine_name: 42}) + collections.Counter(double=2)
+    assert len(solutions._POINTS) == 27
+    calls.clear()
+    run_verify(config)
+    assert calls == collections.Counter({engine_name: 8}) + collections.Counter(double=2)
 
 
 def horner_oracle(column, w, ctx):
