@@ -23,6 +23,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+from monodromy_lab.engine import max_magnitude
+
 
 @dataclass(frozen=True)
 class BraidWord:
@@ -100,8 +102,9 @@ def sign_act(diag, S, C):
 
 def max_deviation(A, B):
     """Largest entrywise |A - B| as a float, computed in the entries' own
-    arithmetic: exact for integers, at working precision for engine numbers."""
-    return float(max(abs(a - b) for row_a, row_b in zip(A, B) for a, b in zip(row_a, row_b)))
+    arithmetic: exact for integers, at working precision for engine numbers.
+    A NaN entry raises ``engine.NaNResidualError``."""
+    return max_magnitude(abs(a - b) for row_a, row_b in zip(A, B) for a, b in zip(row_a, row_b))
 
 
 def search_equivalence(S, C, S_target, C_target, max_len, tol):

@@ -23,6 +23,7 @@ subcommand reads its options through one RunConfig, which validates them.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import sys
 from fractions import Fraction
@@ -272,27 +273,32 @@ COMMANDS = {
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        doc = COMMANDS[args.command](args, config_from_args(args))
-    except ArithmeticError as exc:
-        # snap/tail failures: a named numerical check failed
-        print(f"failed check: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+        cfg = config_from_args(args)
+        # opened before any stage runs, so an unwritable path costs no run
+        out = open(args.output, "w") if args.output else contextlib.nullcontext(sys.stdout)
+    except (ValueError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
 
-    text = report_mod.dumps(doc)
-    if args.pretty:
-        blocks = [text]
-        for key in ("S_prime", "S", "C_prime", "C", "euler_matrix", "C_gamma"):
-            if key in doc:
-                blocks.append(report_mod.pretty_matrix(doc[key], name=key))
-        text = "\n".join(blocks)
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    with out as fh:
+        try:
+            doc = COMMANDS[args.command](args, cfg)
+        except ArithmeticError as exc:
+            # snap/tail/NaN failures: a named numerical check failed
+            print(f"failed check: {exc}", file=sys.stderr)
+            return 1
+        except ValueError as exc:
+            print(f"configuration error: {exc}", file=sys.stderr)
+            return 2
+
+        text = report_mod.dumps(doc)
+        if args.pretty:
+            blocks = [text]
+            for key in ("S_prime", "S", "C_prime", "C", "euler_matrix", "C_gamma"):
+                if key in doc:
+                    blocks.append(report_mod.pretty_matrix(doc[key], name=key))
+            text = "\n".join(blocks)
+        print(text, file=fh)
 
     failed = doc.get("failed_checks")
     if failed:

@@ -37,6 +37,19 @@ from mpmath.libmp import from_int, from_man_exp, fzero, mpf_div, round_nearest
 GUARD_BITS = 20
 
 
+class NaNResidualError(ArithmeticError):
+    """A NaN reached the maximum behind a residual."""
+
+
+def max_magnitude(values):
+    """float(max(values)), or NaNResidualError for a NaN among them, which
+    Python's ``max`` would keep or drop by its position."""
+    values = list(values)
+    if any(v != v for v in values):
+        raise NaNResidualError("a residual is NaN")
+    return float(max(values))
+
+
 class Engine:
     """A scalar backend: a name, an mpmath-style context and its digits."""
 
@@ -202,7 +215,7 @@ class Engine:
         return self.ctx.quad(f, points)
 
     def max_abs(self, M):
-        return max(float(abs(M[i, j])) for i in range(M.rows) for j in range(M.cols))
+        return max_magnitude(abs(M[i, j]) for i in range(M.rows) for j in range(M.cols))
 
     def __repr__(self):
         return f"Engine({self.name!r}, dps={self.dps})"

@@ -371,9 +371,11 @@ def assemble_YL(z, order, engine, tol=None):
 
 # -- extraction -------------------------------------------------------------
 
+@functools.lru_cache(maxsize=None)
 def dominance_permutation(ell_angle=ADMISSIBLE_ANGLE):
     """Permutation matrix P reordering canonical coordinates by growing
-    Re(u e^(i ell_angle)), which upper-triangularizes S'."""
+    Re(u e^(i ell_angle)), which upper-triangularizes S'; computed once per
+    angle."""
     u = complex_canonical_coordinates()
     w = complex(math.cos(ell_angle), math.sin(ell_angle))
     sigma = sorted(range(4), key=lambda k: (u[k] * w).real)
@@ -524,15 +526,12 @@ def verify_constraints(S, C, engine):
     (ii)  S = C^(-1) e^(-pi i R) e^(-pi i mu) eta^(-1) (C^T)^(-1)
 
     The anti-diagonal 0/1 eta is its own inverse, and (C^T)^(-1) is the
-    transpose of C^(-1).  An S of exact entries (int, Fraction or float) is
-    a Stokes matrix, unipotent upper-triangular, and is inverted exactly;
-    an engine-matrix S is inverted in the engine.
+    transpose of C^(-1).  S holds exact entries (int, Fraction or float):
+    it is a Stokes matrix, unipotent upper-triangular, and is inverted
+    exactly.
     """
-    if hasattr(S, "rows"):
-        Sm, S_inv = S, engine.inverse(S)
-    else:
-        exact = [[Fraction(x) for x in row] for row in S]
-        Sm, S_inv = engine.matrix(exact), engine.matrix(_unipotent_inverse(exact))
+    exact = [[Fraction(x) for x in row] for row in S]
+    Sm, S_inv = engine.matrix(exact), engine.matrix(_unipotent_inverse(exact))
     eta = engine.matrix([[Fraction(1) if i + j == 3 else Fraction(0) for j in range(4)] for i in range(4)])
     C_inv = engine.inverse(C)
     lhs1 = C * Sm.T * S_inv * C_inv

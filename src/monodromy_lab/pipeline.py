@@ -188,10 +188,11 @@ def braid_stage(S, C, characteristic, tol):
 
 
 def gate(residuals, tolerances, missing=()):
-    """``failed_checks`` (every residual above its tolerance, sorted, then
-    every check in ``missing`` that produced no residual) and ``status``."""
+    """``failed_checks`` (every residual not within its tolerance, a NaN
+    included, sorted, then every check in ``missing`` that produced no
+    residual) and ``status``."""
     failed = sorted(name for name, value in residuals.items()
-                    if value > tolerances[name])
+                    if not value <= tolerances[name])
     failed.extend(missing)
     return {"failed_checks": failed, "status": "ok" if not failed else "fail"}
 

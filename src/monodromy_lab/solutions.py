@@ -27,7 +27,6 @@ sector bookkeeping stay exact.
 
 from __future__ import annotations
 
-import collections
 import functools
 import math
 from dataclasses import dataclass
@@ -56,19 +55,6 @@ class SectorError(ValueError):
 
 class TailBoundError(ArithmeticError):
     """Series truncation order too small for the requested point."""
-
-
-@functools.lru_cache(maxsize=128)
-def _log_modulus(modulus, engine):
-    """ln |z| in the engine, taken once: all points of a point class share
-    the modulus."""
-    return engine.log(engine.real(modulus))
-
-
-@functools.lru_cache(maxsize=None)
-def _i_pi(engine):
-    """i pi in the engine, built once per engine."""
-    return engine.i * engine.pi
 
 
 @dataclass(frozen=True)
@@ -113,21 +99,22 @@ class UCComplex:
 
     def log(self, engine):
         """log z in the engine: ln(modulus) + i*pi*arg_over_pi."""
-        return (engine.complex(_log_modulus(self.modulus, engine), 0)
-                + _i_pi(engine) * engine.real(self.arg_over_pi))
+        return (engine.complex(engine.log(engine.real(self.modulus)), 0)
+                + engine.i * engine.pi * engine.real(self.arg_over_pi))
 
     def power(self, alpha, engine):
         """z^alpha on the cover."""
         return engine.exp(engine.complex(alpha) * self.log(engine))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LogSeries:
     """Truncated series  sum_n z^(rho+3n) * sum_k a[n][k] (log z)^k,  k <= 3.
 
     ``blocks[n][k]`` are exact Fractions for the Frobenius-type solutions and
     engine complex numbers for the residue series.  ``rho`` is the integer
     0 for scalar ODE solutions; the m-th derivative series has rho = -m.
+    It hashes by identity, so caches key on it without reading its blocks.
     """
 
     rho: int
@@ -276,14 +263,13 @@ def phi_series(kind, order, engine):
 #: used dropped first; a verification visits 27 points (five rotations of
 #: each Stokes base point, three of each connection point)
 POINTS_SIZE = 32
-_POINTS = collections.OrderedDict()
 
 
 class PointData:
-    """What every evaluation at one universal-cover point z reads, each
-    computed once: l = log z and the point-class key (modulus,
-    arg/pi mod 2/3) on construction; z^(1/2) and its powers, z^-1, and
-    e^(3l), on first use."""
+    """What every evaluation at one point z in one engine reads, each
+    computed once per record (``point_data`` caches the records): l = log z
+    and the point-class key (modulus, arg/pi mod 2/3) on construction;
+    z^(1/2) and its powers, z^-1, and e^(3l), on first use."""
 
     def __init__(self, z, engine):
         self.engine = engine
@@ -310,24 +296,13 @@ class PointData:
         return self.engine.exp(3 * self.l)
 
 
-def point_data(z, engine):
-    """The ``PointData`` of z in the engine, from a small LRU cache."""
-    key = (z, engine)
-    point = _POINTS.get(key)
-    if point is not None:
-        _POINTS.move_to_end(key)
-        return point
-    point = _POINTS[key] = PointData(z, engine)
-    if len(_POINTS) > POINTS_SIZE:
-        _POINTS.popitem(last=False)
-    return point
+point_data = functools.lru_cache(maxsize=POINTS_SIZE)(PointData)
 
 
-#: how many (series, engine, point class) block sums ``eval_series`` keeps,
+#: how many (series, point class, engine) block sums ``_block_sums`` keeps,
 #: the least recently used dropped first; one base point of an extraction
 #: needs eight (phi1 and phi2, each with its derivatives 1-3)
 BLOCK_SUMS_SIZE = 32
-_BLOCK_SUMS = collections.OrderedDict()
 
 
 @dataclass(frozen=True)
@@ -375,11 +350,8 @@ class _BlockSums:
     any point z of the class is z^rho (T0 + l (T1 + l (T2 + l T3))),
     l = log z.  ``tail`` holds, for each block of the certificate, the
     magnitudes |z|^(rho+3n) |a_k[n]|, k = 0..3, in engine reals.
-    ``series`` keeps the summed series alive, so its id, the cache key, is
-    not reused while the entry lives.
     """
 
-    series: LogSeries
     sums: tuple
     tail: tuple
 
@@ -395,32 +367,19 @@ def _block_pass(series, modulus, arg_over_pi, engine):
     for n, mags in data.tail:
         rn = r ** (series.rho + 3 * n)
         tail.append(tuple(rn * a for a in mags))
-    return _BlockSums(series, engine.horner(data.columns, w), tuple(tail))
+    return _BlockSums(engine.horner(data.columns, w), tuple(tail))
 
 
-def _block_sums(series, point, engine):
-    """The block sums of ``series`` at the point class of ``point`` (a
-    ``PointData``), from the cache or from one new pass at the class
-    representative.
-
-    The key holds the series' identity, as hashing its coefficients would
-    cost more than a pass.
-    """
-    modulus, arg_over_pi = point.key
-    key = (id(series), engine, modulus, arg_over_pi)
-    entry = _BLOCK_SUMS.get(key)
-    if entry is not None:
-        _BLOCK_SUMS.move_to_end(key)
-        return entry
+@functools.lru_cache(maxsize=BLOCK_SUMS_SIZE)
+def _block_sums(series, modulus, arg_over_pi, engine):
+    """The block sums of ``series`` at the point class (modulus,
+    arg_over_pi), from one pass at the class representative, kept in an
+    LRU cache keyed on the series' identity (``LogSeries`` hashes by it)."""
     try:
-        entry = _block_pass(series, modulus, arg_over_pi, engine)
+        return _block_pass(series, modulus, arg_over_pi, engine)
     except OverflowError as exc:
         raise TailBoundError(f"the series at |z|={float(modulus)} leaves the range "
                              f"of the {engine.name} engine") from exc
-    _BLOCK_SUMS[key] = entry
-    if len(_BLOCK_SUMS) > BLOCK_SUMS_SIZE:
-        _BLOCK_SUMS.popitem(last=False)
-    return entry
 
 
 def _tail_bound(sums, l):
@@ -431,13 +390,6 @@ def _tail_bound(sums, l):
     return max(((m3 * labs + m2) * labs + m1) * labs + m0 for m0, m1, m2, m3 in sums.tail)
 
 
-@functools.lru_cache(maxsize=None)
-def _default_tolerance(engine):
-    """The tail certificate's default tolerance: 10^(2-dps) under mp, 1e-10
-    under double."""
-    return 1e-10 if engine.name == "double" else engine.real(10) ** (2 - engine.dps)
-
-
 def eval_series(series, z, engine, m=0, tol=None):
     """m-th derivative of a LogSeries at a universal-cover point.
 
@@ -445,13 +397,13 @@ def eval_series(series, z, engine, m=0, tol=None):
     series by ``LogSeries.derivative``).  Rotating z by eps^m fixes w = z^3
     and shifts only l = log z, so the blocks are summed once per point
     class (modulus, arg mod 2 pi/3) into T_k(w) = sum_n w^n a_k[n]: one
-    Horner pass in w at the class representative, kept in a small LRU
-    cache.  Each call returns z^rho (T0 + l (T1 + l (T2 + l T3))) with its
-    own l, and so the same value whether its sums were cached or not.  The
-    point's l, z^-1 and class key, and the class's w, come from its
-    ``PointData`` (``point_data``): a point takes one exponential, z^(1/2),
-    and only if some call needs z^rho with rho != 0; a class takes one
-    more, w, and only if some call misses the cache.
+    Horner pass in w at the class representative, kept in the LRU cache
+    ``_block_sums``.  Each call returns z^rho (T0 + l (T1 + l (T2 + l T3)))
+    with its own l, and so the same value whether its sums were cached or
+    not.  The point's l, z^-1 and class key, and the class's w, come from
+    its ``PointData`` (the LRU cache ``point_data``): a point takes one
+    exponential, z^(1/2), and only if some call needs z^rho with rho != 0;
+    a class takes one more, w, and only if some call misses the cache.
 
     The pass reads coefficient columns converted once per series and
     engine.  Exact (Fraction) coefficients enter through ``Engine.real``,
@@ -474,10 +426,10 @@ def eval_series(series, z, engine, m=0, tol=None):
     for _ in range(m):
         cur = cur.derivative()
     if tol is None:
-        tol = _default_tolerance(engine)
+        tol = 1e-10 if engine.name == "double" else engine.real(10) ** (2 - engine.dps)
 
     point = point_data(z, engine)
-    sums = _block_sums(cur, point, engine)
+    sums = _block_sums(cur, *point.key, engine)
     t0, t1, t2, t3 = sums.sums
     l = point.l
     total = t0 + l * (t1 + l * (t2 + l * t3))

@@ -77,17 +77,15 @@ def test_braid_action_preserves_constraints():
     from monodromy_lab.monodromy import verify_constraints
 
     e = get_engine("mp", dps=40)
-    S = [[complex(x) for x in row] for row in reference.S_REF]
     C = reference.numeric(reference.C_REF, dps=40)
     base = verify_constraints(
-        e.matrix(S), e.matrix([[e.complex(x) for x in row] for row in C]), e
+        reference.S_REF, e.matrix([[e.complex(x) for x in row] for row in C]), e
     )
+    # the integer S_REF braids to an integer Stokes matrix
     w = BraidWord(letters=((2, -1),))
-    S2, C2 = braid_act(w, S, C)
+    S2, C2 = braid_act(w, reference.S_REF, C)
     moved = verify_constraints(
-        e.matrix([[e.complex(x) for x in row] for row in S2]),
-        e.matrix([[e.complex(x) for x in row] for row in C2]),
-        e,
+        S2, e.matrix([[e.complex(x) for x in row] for row in C2]), e
     )
     for key in base:
         assert abs(float(base[key]) - float(moved[key])) <= 1e-9

@@ -1,6 +1,7 @@
 """Batch driver: subcommands, JSON determinism, exit codes, schema."""
 
 import dataclasses
+import functools
 import json
 import pathlib
 import subprocess
@@ -129,6 +130,14 @@ def test_verify_deterministic(verify_output, capsys):
     assert first == second
 
 
+def unbounded_block_sums(monkeypatch):
+    """Replace the block-sum cache by an empty unbounded one, which keeps
+    all 56 block sums of a verify."""
+    cache = functools.lru_cache(maxsize=None)(solutions._block_sums.__wrapped__)
+    monkeypatch.setattr(solutions, "_block_sums", cache)
+    return cache
+
+
 @pytest.mark.parametrize("config", [
     RunConfig(),
     RunConfig(engine_name="double"),
@@ -139,10 +148,9 @@ def test_verify_deterministic(verify_output, capsys):
 def test_verify_bytes_do_not_depend_on_block_sum_cache(monkeypatch, config):
     # a run from an empty cache, then a rerun that finds every block sum
     # cached, give identical report bytes
-    monkeypatch.setattr(solutions, "BLOCK_SUMS_SIZE", 1000)
-    solutions._BLOCK_SUMS.clear()
+    cache = unbounded_block_sums(monkeypatch)
     cold = dumps(run_verify(config))
-    assert len(solutions._BLOCK_SUMS) == 56
+    assert cache.cache_info().currsize == 56
 
     def no_pass(*args):
         raise AssertionError("block pass on a warm cache")
@@ -156,15 +164,13 @@ def test_verify_bytes_do_not_depend_on_block_sum_cache(monkeypatch, config):
 def test_verify_bytes_do_not_depend_on_point_cache(monkeypatch, config):
     # from empty caches; with every block sum cached but no point data, so
     # l and z^(1/2) are taken again and w not at all; with all point data
-    # cached but no block sums, so every pass reads a kept w; with both full
-    monkeypatch.setattr(solutions, "BLOCK_SUMS_SIZE", 1000)
-    monkeypatch.setattr(solutions, "POINTS_SIZE", 1000)
-    solutions._BLOCK_SUMS.clear()
-    solutions._POINTS.clear()
+    # cached but no block sums, so every pass reads a kept w; with both
+    # full.  The 27 points of a verify fit in the point cache
+    sums = unbounded_block_sums(monkeypatch)
     cold = dumps(run_verify(config))
-    solutions._POINTS.clear()
+    solutions.point_data.cache_clear()
     assert dumps(run_verify(config)) == cold
-    solutions._BLOCK_SUMS.clear()
+    sums.cache_clear()
     assert dumps(run_verify(config)) == cold
     assert dumps(run_verify(config)) == cold
 
@@ -181,7 +187,7 @@ def test_digits_that_could_underflow_a_residual_are_refused(capsys):
     assert "dps" in capsys.readouterr().err
 
 
-def test_exit_code_config_errors(capsys):
+def test_exit_code_config_errors(capsys, tmp_path):
     assert run_cli(capsys, "stokes", "--z0-stokes", "nonsense")[0] == 2
     assert run_cli(capsys, "verify", "--tol", "braid_match=-1")[0] == 2
     assert run_cli(capsys, "verify", "--order", "5")[0] == 2
@@ -193,6 +199,8 @@ def test_exit_code_config_errors(capsys):
     assert run_cli(capsys, "stokes", "--z0-stokes", "2.0,1.3")[0] == 2
     # the fit points at arg 1.0 lie in Pi_right, the held-out point at 1.1 not
     assert run_cli(capsys, "connection", "--z0-connection", "0.1,1.0")[0] == 2
+    # an output file that cannot be opened is refused before any stage runs
+    assert run_cli(capsys, "verify", "--output", str(tmp_path / "missing" / "r.json"))[0] == 2
 
 
 def test_exit_code_tolerance_failure(capsys):
@@ -201,6 +209,28 @@ def test_exit_code_tolerance_failure(capsys):
     doc = json.loads(out)
     assert "c_vs_closed_form" in doc["failed_checks"]
     assert doc["status"] == "fail"
+
+
+def test_a_nan_residual_never_passes(monkeypatch, capsys):
+    from monodromy_lab import pipeline
+    from monodromy_lab.pipeline import DEFAULT_TOLERANCES, gate
+
+    nan = float("nan")
+    assert gate({"braid_match": nan, "stokes_snap": 0.0}, DEFAULT_TOLERANCES) == {
+        "failed_checks": ["braid_match"], "status": "fail"}
+    # a NaN entry of C stops verify at a named check, with no report
+    original = pipeline.connection_matrix
+
+    def poisoned(*args):
+        data = original(*args)
+        data.C[0, 1] = nan
+        return data
+
+    monkeypatch.setattr(pipeline, "connection_matrix", poisoned)
+    code = main(["verify"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert "NaN" in captured.err
 
 
 def test_double_engine_at_high_orders(capsys):

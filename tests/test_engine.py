@@ -7,8 +7,8 @@ from fractions import Fraction
 import pytest
 from mpmath.libmp import from_int, mpf_div, round_nearest
 
-from monodromy_lab import monodromy, solutions, special
-from monodromy_lab.engine import get_engine
+from monodromy_lab import braid, monodromy, solutions, special
+from monodromy_lab.engine import NaNResidualError, get_engine
 from monodromy_lab.frame import canonical_coordinates, frame, sector_config, stokes_ray_angles
 from monodromy_lab.solutions import quantum_period
 
@@ -55,6 +55,18 @@ def test_solve_factors_once_and_matches_lu_solve(monkeypatch, name):
     X = e.solve(A, B)
     assert len(calls) == 1
     assert all(X[j, k] == expected[k][j] for j in range(4) for k in range(4))
+
+
+def test_a_nan_in_a_residual_maximum_is_a_named_error():
+    # Python's max keeps whichever of a NaN and a number it meets first
+    nan = float("nan")
+    for rows in ([[1, nan]], [[nan, 1]]):
+        for engine in (get_engine("double"), get_engine("mp", dps=40)):
+            with pytest.raises(NaNResidualError):
+                engine.max_abs(engine.matrix(rows))
+        with pytest.raises(NaNResidualError):
+            braid.max_deviation(rows, [[0, 0]])
+    assert braid.max_deviation([[1, -2]], [[0, 0]]) == 2.0
 
 
 def test_every_computation_takes_its_engine_explicitly():

@@ -384,8 +384,8 @@ def test_eval_series_takes_two_exponentials(monkeypatch):
     for engine in ENGINES:
         series = phi_series(PHI1, 40, engine)
         for m in range(4):
-            solutions._BLOCK_SUMS.clear()
-            solutions._POINTS.clear()
+            solutions._block_sums.cache_clear()
+            solutions.point_data.cache_clear()
             calls.clear()
             eval_series(series, UCComplex.polar(2, math.pi / 4), m=m, engine=engine)
             assert calls == {engine.name: 1 if m == 0 else 2}, (engine, m)
@@ -462,10 +462,10 @@ def test_block_sum_cache_does_not_change_values(engine):
     cold = {}
     for i, z in enumerate(points):
         for m in range(4):
-            solutions._BLOCK_SUMS.clear()
+            solutions._block_sums.cache_clear()
             cold[i, m] = eval_series(series, z, m=m, engine=engine)
     for order in (range(len(points)), reversed(range(len(points))), (3, 0, 5, 1, 4, 2)):
-        solutions._BLOCK_SUMS.clear()
+        solutions._block_sums.cache_clear()
         for i in order:
             for m in (3, 0, 2, 1):
                 assert eval_series(series, points[i], m=m, engine=engine) == cold[i, m], (i, m)
@@ -491,10 +491,10 @@ def test_block_sum_cache_stays_bounded():
             z0_stokes=UCComplex.polar(1 + k / 31, math.pi / 4 + offset),
             z0_connection=UCComplex.polar(0.05 + 0.15 * k / 31, math.pi / 4 - offset),
         ))
-        assert len(solutions._BLOCK_SUMS) <= solutions.BLOCK_SUMS_SIZE
-        assert len(solutions._POINTS) <= solutions.POINTS_SIZE
-    assert len(solutions._BLOCK_SUMS) == solutions.BLOCK_SUMS_SIZE
-    assert len(solutions._POINTS) == solutions.POINTS_SIZE
+        assert solutions._block_sums.cache_info().currsize <= solutions.BLOCK_SUMS_SIZE
+        assert solutions.point_data.cache_info().currsize <= solutions.POINTS_SIZE
+    assert solutions._block_sums.cache_info().currsize == solutions.BLOCK_SUMS_SIZE
+    assert solutions.point_data.cache_info().currsize == solutions.POINTS_SIZE
 
 
 def test_rotated_hit_takes_one_exponential(monkeypatch):
@@ -507,33 +507,32 @@ def test_rotated_hit_takes_one_exponential(monkeypatch):
         for m in range(4):
             eval_series(series, z, m=m, engine=engine)
             for thirds in (1, -2):
-                solutions._POINTS.clear()
+                solutions.point_data.cache_clear()
                 calls.clear()
                 eval_series(series, z.rotated(thirds), m=m, engine=engine)
                 assert calls == ({engine.name: 1} if m else {}), (engine, m, thirds)
 
 
 @pytest.mark.parametrize("engine_name", ("mp", "double"))
-def test_verify_takes_44_exponentials(monkeypatch, engine_name):
+def test_verify_takes_42_exponentials(monkeypatch, engine_name):
     # from empty point and block-sum caches: z^(1/2) at each of the 27
     # points (five rotations of 3 Stokes points, three of 4 connection
-    # points), w at each of the 7 point classes, e^(t mu) at t = 2 pi i and
-    # -pi i in verify_constraints (8), and the canonical coordinates of
-    # dominance_permutation (2, always in double); with the caches full only
-    # the last 10
+    # points), w at each of the 7 point classes, and e^(t mu) at t = 2 pi i
+    # and -pi i in verify_constraints (8); with the caches full only the
+    # last 8.  The dominance order is computed once per process.
     from monodromy_lab.pipeline import RunConfig, run_verify
 
     config = RunConfig(engine_name=engine_name)
     run_verify(config)
-    solutions._BLOCK_SUMS.clear()
-    solutions._POINTS.clear()
+    solutions._block_sums.cache_clear()
+    solutions.point_data.cache_clear()
     calls = count_exponentials(monkeypatch)
     run_verify(config)
-    assert calls == collections.Counter({engine_name: 42}) + collections.Counter(double=2)
-    assert len(solutions._POINTS) == 27
+    assert calls == {engine_name: 42}
+    assert solutions.point_data.cache_info().currsize == 27
     calls.clear()
     run_verify(config)
-    assert calls == collections.Counter({engine_name: 8}) + collections.Counter(double=2)
+    assert calls == {engine_name: 8}
 
 
 def horner_oracle(column, w, ctx):
@@ -583,15 +582,21 @@ def tail_quantity(series, l, engine):
 def test_tail_bound_is_at_least_the_tail(monkeypatch, engine_name):
     from monodromy_lab.pipeline import RunConfig, run_verify
 
-    calls = []
-    original = solutions._tail_bound
+    calls, summed = [], {}
+    block_sums, tail_bound = solutions._block_sums, solutions._tail_bound
 
-    def recorded(sums, l):
-        bound = original(sums, l)
-        calls.append((sums.series, l, bound))
+    def recorded_sums(series, *key):
+        sums = block_sums(series, *key)
+        summed[sums] = series
+        return sums
+
+    def recorded_bound(sums, l):
+        bound = tail_bound(sums, l)
+        calls.append((summed[sums], l, bound))
         return bound
 
-    monkeypatch.setattr(solutions, "_tail_bound", recorded)
+    monkeypatch.setattr(solutions, "_block_sums", recorded_sums)
+    monkeypatch.setattr(solutions, "_tail_bound", recorded_bound)
     config = RunConfig(engine_name=engine_name)
     run_verify(config)
     assert len(calls) == 172
@@ -616,7 +621,7 @@ def test_coefficient_columns_are_converted_once_per_series(monkeypatch):
     monkeypatch.setattr(solutions, "_prepare", counted)
     config = RunConfig(truncation_order=41)
     for _ in range(2):
-        solutions._BLOCK_SUMS.clear()
+        solutions._block_sums.cache_clear()
         run_verify(config)
     assert passes["passes"] == 2 * 56
     assert len(conversions) == 8 and set(conversions.values()) == {1}
@@ -630,19 +635,3 @@ def test_tail_certificate_compares_in_engine_reals():
     with pytest.raises(TailBoundError):
         eval_series(phi_series(PHI1, 104, e), z, e)
     eval_series(phi_series(PHI1, 106, e), z, e)
-
-
-def test_log_of_a_modulus_is_taken_once(monkeypatch):
-    calls = collections.Counter()
-    original = Engine.log
-
-    def counted(self, x):
-        calls[self.name] += 1
-        return original(self, x)
-
-    monkeypatch.setattr(Engine, "log", counted)
-    e = get_engine("mp", dps=40)
-    z = UCComplex.polar(1.2345, 0.3)
-    values = [z.rotated(k).log(e) for k in range(-2, 3)]
-    assert calls == {"mp": 1}
-    assert values[2] == e.complex(e.log(e.real(1.2345)), 0) + e.i * e.pi * e.real(z.arg_over_pi)
