@@ -34,10 +34,11 @@ numerical-error diagnostic.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from monodromy_lab.frame import (
@@ -385,14 +386,13 @@ def dominance_permutation(ell_angle=ADMISSIBLE_ANGLE):
     return tuple(tuple(row) for row in P)
 
 
-@dataclass
+@dataclass(frozen=True)
 class StokesData:
     s_prime: tuple          # snapped integer S'
-    s_prime_raw: list       # raw matrices per base point (engine matrices)
     P: tuple
     S: tuple
     z0s: list
-    residuals: dict = field(default_factory=dict)
+    residuals: dict         # stokes_constancy, stokes_snap
 
 
 def stokes_points(z0):
@@ -419,31 +419,37 @@ def heldout_point(z0):
     return UCComplex.polar(float(z0.modulus) * 4 / 5, z0.arg + 0.1)
 
 
+def _extract(engine, z0s, lhs, rhs):
+    """Solve lhs(z0) X = rhs(z0) at every base point z0.  Returns the
+    middle point's X and the spread, the largest entrywise difference
+    between any two of the solutions (0.0 for a single point)."""
+    mats = [engine.solve(lhs(z0), rhs(z0)) for z0 in z0s]
+    spread = max((engine.max_abs(a - b) for a, b in itertools.combinations(mats, 2)),
+                 default=0.0)
+    return mats[len(mats) // 2], spread
+
+
 def stokes_matrix(engine, z0s, order, snap_tol):
-    """S' from Y_R(z0)^(-1) Y_L(z0) at several z0 in Pi_+, snapped to
-    integers; P S' P^(-1) is the upper-triangular Stokes matrix S.
+    """S' from Y_R(z0)^(-1) Y_L(z0) at several z0 in Pi_+ (the assembly of
+    Y_R and Y_L checks Pi_right and Pi_left, whose intersection it is),
+    snapped to integers; P S' P^(-1) is the upper-triangular Stokes
+    matrix S.
 
     Returns StokesData with residuals ``stokes_constancy`` (max spread
-    across base points) and ``stokes_snap`` (max distance to integers).
+    across base points) and ``stokes_snap`` (max distance to integers).  A
+    non-finite entry, like one too far from an integer, raises SnapError.
     """
     z0s = list(z0s)
-    check_sector(z0s, STOKES_SECTOR, "Stokes base point")
-
-    raws = []
-    for z0 in z0s:
-        A = assemble_YR(z0, order, engine)
-        B = assemble_YL(z0, order, engine)
-        raws.append(engine.solve(A, B))
-
-    spread = _max_spread(raws, engine)
-
-    mid = raws[len(raws) // 2]
+    mid, spread = _extract(engine, z0s, lambda z: assemble_YR(z, order, engine),
+                           lambda z: assemble_YL(z, order, engine))
     snapped = []
     snap_err = 0.0
     for i in range(4):
         row = []
         for j in range(4):
             v = complex(mid[i, j])
+            if not cmath.isfinite(v):
+                raise SnapError(f"entry ({i},{j}) = {v} is not finite")
             n = round(v.real)
             err = abs(v - n)
             snap_err = max(snap_err, err)
@@ -454,17 +460,8 @@ def stokes_matrix(engine, z0s, order, snap_tol):
     s_prime = tuple(snapped)
 
     P = dominance_permutation()
-    S = _permute(s_prime, P)
-    data = StokesData(s_prime=s_prime, s_prime_raw=raws, P=P, S=S, z0s=z0s)
-    data.residuals["stokes_constancy"] = spread
-    data.residuals["stokes_snap"] = snap_err
-    return data
-
-
-def _max_spread(mats, engine):
-    """Largest entrywise difference between any two of the matrices."""
-    return max((engine.max_abs(a - b) for a, b in itertools.combinations(mats, 2)),
-               default=0.0)
+    return StokesData(s_prime=s_prime, P=P, S=_permute(s_prime, P), z0s=z0s,
+                      residuals={"stokes_constancy": spread, "stokes_snap": snap_err})
 
 
 def _sigma(P):
@@ -478,16 +475,17 @@ def _permute(M, P):
     return tuple(tuple(M[sigma[i]][sigma[j]] for j in range(4)) for i in range(4))
 
 
-@dataclass
+@dataclass(frozen=True)
 class ConnectionData:
     c_prime: object
     C: object
     z0s: list
-    residuals: dict = field(default_factory=dict)
+    residuals: dict         # connection_stability, connection_heldout
 
 
 def connection_matrix(engine, z0s, order, P):
-    """C' from Y_top(z0)^(-1) Y_R(z0) at small z0 in Pi_+; C = C' P^(-1),
+    """C' from Y_top(z0)^(-1) Y_R(z0) at small z0 in Pi_right
+    (``CONNECTION_SECTOR``, checked by the assembly of Y_R); C = C' P^(-1),
     with P the dominance permutation of the Stokes extraction.
 
     Residuals: ``connection_stability`` (spread across radii; instability
@@ -496,13 +494,8 @@ def connection_matrix(engine, z0s, order, P):
     is not used in the fit).
     """
     z0s = list(z0s)
-    mats = []
-    for z0 in z0s:
-        T = eval_Ytop(z0, order, engine)
-        Yr = assemble_YR(z0, order, engine)
-        mats.append(engine.solve(T, Yr))
-    spread = _max_spread(mats, engine)
-    c_prime = mats[len(mats) // 2]
+    c_prime, spread = _extract(engine, z0s, lambda z: eval_Ytop(z, order, engine),
+                               lambda z: assemble_YR(z, order, engine))
 
     zh = heldout_point(z0s[len(z0s) // 2])
     held = engine.max_abs(
@@ -511,10 +504,8 @@ def connection_matrix(engine, z0s, order, P):
 
     # unary plus rounds the solve's entries to the working precision
     C = engine.matrix([[+c_prime[i, s] for s in _sigma(P)] for i in range(4)])
-    data = ConnectionData(c_prime=c_prime, C=C, z0s=z0s)
-    data.residuals["connection_stability"] = spread
-    data.residuals["connection_heldout"] = held
-    return data
+    return ConnectionData(c_prime=c_prime, C=C, z0s=z0s,
+                          residuals={"connection_stability": spread, "connection_heldout": held})
 
 
 # -- constraints -------------------------------------------------------------

@@ -107,7 +107,7 @@ def stokes_stage(config):
     """S', P and S at the config's Stokes base points."""
     sd = stokes_matrix(config.engine(), stokes_points(config.z0_stokes),
                        config.truncation_order, config.tolerances["stokes_snap"])
-    return sd, {k: float(v) for k, v in sd.residuals.items()}
+    return sd, dict(sd.residuals)
 
 
 def connection_stage(config, sd):
@@ -116,11 +116,10 @@ def connection_stage(config, sd):
     engine = config.engine()
     cd = connection_matrix(engine, connection_points(config.z0_connection),
                            config.truncation_order, sd.P)
-    residuals = {k: float(v) for k, v in cd.residuals.items()}
+    residuals = dict(cd.residuals)
     residuals["c_vs_closed_form"] = braid.max_deviation(
         cd.C.tolist(), evaluate_over_d(reference.C_REF_NUMERATORS, engine))
-    constraints = verify_constraints(sd.S, cd.C, engine)
-    residuals.update({k: float(v) for k, v in constraints.items()})
+    residuals.update(verify_constraints(sd.S, cd.C, engine))
     return cd, residuals
 
 

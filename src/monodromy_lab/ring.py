@@ -20,7 +20,6 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
-BASIS_LABELS = ("s0", "s1", "s2", "s21")
 DEGREES = (0, 1, 2, 3)
 
 # quantum structure constants: _QTABLE[a][b] = {c: (n0, n1, n2)} meaning the

@@ -146,12 +146,6 @@ class LogSeries:
             out.append(tuple(row))
         return LogSeries(rho=self.rho - 1, blocks=tuple(out))
 
-    @functools.cached_property
-    def _pass_cache(self):
-        """This series' ``_PassData`` per engine, filled by ``_pass_data``
-        on first use."""
-        return {}
-
     def initial_block(self):
         """Leading block (a_0, b_0, c_0, d_0): coordinates in the Frobenius basis."""
         return self.blocks[0]
@@ -170,7 +164,7 @@ def _shift_inverse_pow4(poly, n):
     (c + d)^(-4) = c^(-4) (1 - 4 d/c + 10 d^2/c^2 - 20 d^3/c^3) on cubics,
     with c = 3n and d = d/d(log z).
     """
-    c = Fraction(3 * n) if isinstance(poly[0], Fraction) else 3 * n
+    c = 3 * n
     d1 = _dlog(poly)
     d2 = _dlog(d1)
     d3 = _dlog(d2)
@@ -236,10 +230,6 @@ def residue_block(L, engine):
 
 
 @functools.lru_cache(maxsize=None)
-def _phi_series_cached(kind, order, engine):
-    return _series_from_initial_block(residue_block(laurent_at_zero(kind, engine), engine), order)
-
-
 def phi_series(kind, order, engine):
     """Residue log-series of the chosen Mellin-Barnes solution.
 
@@ -250,11 +240,13 @@ def phi_series(kind, order, engine):
     exact recursion, as for the Frobenius basis.  No Gamma function and no
     quadrature is evaluated.  The result is entire in z^3 up to log weights
     and converges superexponentially, so it serves as the global evaluation
-    path on the whole universal cover.
+    path on the whole universal cover.  Built once per (kind, order,
+    engine): the cached series carry their derivative series, and the
+    block-pass caches key on their identity.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    return _phi_series_cached(kind, order, engine)
+    return _series_from_initial_block(residue_block(laurent_at_zero(kind, engine), engine), order)
 
 
 # -- evaluation -----------------------------------------------------------
@@ -305,24 +297,16 @@ point_data = functools.lru_cache(maxsize=POINTS_SIZE)(PointData)
 BLOCK_SUMS_SIZE = 32
 
 
-@dataclass(frozen=True)
-class _PassData:
-    """What every block pass of one series in one engine reads.
-
-    ``columns`` are the coefficient columns in the form of
-    ``Engine.horner``, without trailing zero blocks (under double, those
-    past n = 83).  ``tail`` holds (n, (|a0|, |a1|, |a2|, |a3|)) in engine
-    reals for the last three nonzero blocks (all, for a shorter series).
-    """
-
-    columns: tuple
-    tail: tuple
-
-
+@functools.lru_cache(maxsize=None)
 def _prepare(series, engine):
-    """Convert a series' blocks for the block pass: exact (Fraction)
-    coefficients through ``Engine.real``, the one rounding path for exact
-    data, then into ``Engine.horner_columns``."""
+    """What every block pass of one series in one engine reads, converted
+    once per series and engine (the cache keys on the series' identity):
+    the coefficient columns in the form of ``Engine.horner``, without
+    trailing zero blocks (under double, those past n = 83), and the tail
+    magnitudes (n, (|a0|, |a1|, |a2|, |a3|)) in engine reals for the last
+    three nonzero blocks (all, for a shorter series).  Exact (Fraction)
+    coefficients enter through ``Engine.real``, the one rounding path for
+    exact data."""
     blocks = series.blocks
     if isinstance(blocks[0][0], Fraction):
         blocks = [[engine.real(a) for a in blk] for blk in blocks]
@@ -330,16 +314,7 @@ def _prepare(series, engine):
     blocks = blocks[:last + 1]
     first = max(0, len(blocks) - 3)
     tail = tuple((n, tuple(abs(a) for a in blocks[n])) for n in range(first, len(blocks)))
-    return _PassData(engine.horner_columns(blocks), tail)
-
-
-def _pass_data(series, engine):
-    """The series' ``_PassData`` in the engine, converted once and kept on
-    the series, like its derivative series."""
-    data = series._pass_cache.get(engine)
-    if data is None:
-        data = series._pass_cache[engine] = _prepare(series, engine)
-    return data
+    return engine.horner_columns(blocks), tail
 
 
 @dataclass(frozen=True, eq=False)
@@ -356,27 +331,23 @@ class _BlockSums:
     tail: tuple
 
 
-def _block_pass(series, modulus, arg_over_pi, engine):
-    """Sum every block once, by Horner in w (``Engine.horner``), at the
-    point (modulus, arg_over_pi), and scale the certificate's magnitudes to
-    this modulus."""
-    data = _pass_data(series, engine)
-    w = point_data(UCComplex(modulus, arg_over_pi), engine).cube
-    r = engine.real(modulus)
-    tail = []
-    for n, mags in data.tail:
-        rn = r ** (series.rho + 3 * n)
-        tail.append(tuple(rn * a for a in mags))
-    return _BlockSums(engine.horner(data.columns, w), tuple(tail))
-
-
 @functools.lru_cache(maxsize=BLOCK_SUMS_SIZE)
 def _block_sums(series, modulus, arg_over_pi, engine):
-    """The block sums of ``series`` at the point class (modulus,
-    arg_over_pi), from one pass at the class representative, kept in an
-    LRU cache keyed on the series' identity (``LogSeries`` hashes by it)."""
+    """One block pass of ``series`` at the point class (modulus,
+    arg_over_pi): every block summed once, by Horner in w
+    (``Engine.horner``) at the class representative, and the certificate's
+    magnitudes scaled to this modulus.  Kept in an LRU cache keyed on the
+    series' identity (``LogSeries`` hashes by it).  Leaving the engine's
+    range anywhere in the pass is a TailBoundError."""
     try:
-        return _block_pass(series, modulus, arg_over_pi, engine)
+        columns, mags = _prepare(series, engine)
+        w = point_data(UCComplex(modulus, arg_over_pi), engine).cube
+        r = engine.real(modulus)
+        tail = []
+        for n, mag in mags:
+            rn = r ** (series.rho + 3 * n)
+            tail.append(tuple(rn * a for a in mag))
+        return _BlockSums(engine.horner(columns, w), tuple(tail))
     except OverflowError as exc:
         raise TailBoundError(f"the series at |z|={float(modulus)} leaves the range "
                              f"of the {engine.name} engine") from exc

@@ -147,16 +147,12 @@ def unbounded_block_sums(monkeypatch):
 ], ids=["mp-default", "double-default", "mp-off-default", "double-off-default"])
 def test_verify_bytes_do_not_depend_on_block_sum_cache(monkeypatch, config):
     # a run from an empty cache, then a rerun that finds every block sum
-    # cached, give identical report bytes
+    # cached, and so runs no block pass, give identical report bytes
     cache = unbounded_block_sums(monkeypatch)
     cold = dumps(run_verify(config))
-    assert cache.cache_info().currsize == 56
-
-    def no_pass(*args):
-        raise AssertionError("block pass on a warm cache")
-
-    monkeypatch.setattr(solutions, "_block_pass", no_pass)
+    assert cache.cache_info().currsize == cache.cache_info().misses == 56
     assert dumps(run_verify(config)) == cold
+    assert cache.cache_info().misses == 56
 
 
 @pytest.mark.parametrize("config", [RunConfig(), RunConfig(engine_name="double")],
@@ -263,6 +259,9 @@ def test_stages_have_one_definition(capsys):
     from monodromy_lab.pipeline import RunConfig, config_dict, run_verify
 
     report = run_verify(RunConfig(engine_name="double"))
+    # every residual leaves its stage as a Python float, under either engine
+    for doc in (report, run_verify(RunConfig())):
+        assert {type(v) for v in doc["residuals"].values()} == {float}
     for command in ("stokes", "connection"):
         _, out = run_cli(capsys, command, "--engine", "double")
         residuals = json.loads(out)["residuals"]

@@ -324,8 +324,8 @@ def test_stokes_matrix_published_values():
 def test_stokes_dominance_pattern_emerges():
     # entries forced to vanish by exponential dominance come out below the
     # snap tolerance without being imposed
-    sd = stokes_matrix(MP, STOKES_Z0S, ORDER, SNAP_TOL)
-    raw = sd.s_prime_raw[1]
+    z0 = STOKES_Z0S[1]
+    raw = MP.solve(assemble_YR(z0, ORDER, MP), assemble_YL(z0, ORDER, MP))
     for (i, j) in [(0, 3), (1, 0), (1, 2), (1, 3), (2, 0), (2, 3)]:
         assert abs(complex(raw[i, j])) < 1e-6
 
@@ -352,6 +352,30 @@ def test_stokes_transpose_relation_on_negative_sector():
 def test_stokes_error_paths():
     with pytest.raises(SnapError):
         stokes_matrix(MP, STOKES_Z0S, ORDER, 1e-40)
+
+
+@pytest.mark.parametrize("part", ["real", "imag"])
+def test_a_non_finite_entry_never_snaps(monkeypatch, capsys, part):
+    # a NaN in one part of a raw S' entry is a SnapError at a single base
+    # point, where no spread sees it first; stokes and verify stop at a
+    # named check, exit 1 with no report, never a configuration error
+    from monodromy_lab.cli import main
+
+    original = Engine.solve
+
+    def poisoned(self, A, B):
+        X = original(self, A, B)
+        v = complex(X[0, 1])
+        X[0, 1] = self.ctx.mpc(*((math.nan, v.imag) if part == "real" else (v.real, math.nan)))
+        return X
+
+    monkeypatch.setattr(Engine, "solve", poisoned)
+    with pytest.raises(SnapError, match="not finite"):
+        stokes_matrix(E, [UCComplex.polar(2, math.pi / 4)], ORDER, SNAP_TOL)
+    for command in ("stokes", "verify"):
+        assert main([command, "--engine", "double"]) == 1, command
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("failed check:"), command
 
 
 def test_stokes_coordinate_route_oracle():

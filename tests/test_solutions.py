@@ -205,7 +205,7 @@ def test_phi_series_no_quadrature(monkeypatch):
 
     monkeypatch.setattr(special, "laurent_coefficients", counted(laurent_coefficients))
     monkeypatch.setattr(Engine, "gamma", counted(Engine.gamma))
-    solutions._phi_series_cached.cache_clear()
+    phi_series.cache_clear()
     for engine in (E, get_engine("mp", dps=40)):
         for kind in (PHI1, PHI2):
             phi_series(kind, 40, engine)
@@ -408,48 +408,39 @@ def test_fraction_blocks_round_through_engine_real():
         exact = exact.derivative()
 
 
-def count_block_passes(monkeypatch):
-    """Count the Horner passes behind eval_series."""
-    calls = collections.Counter()
-    original = solutions._block_pass
-
-    def counted(*args):
-        calls["passes"] += 1
-        return original(*args)
-
-    monkeypatch.setattr(solutions, "_block_pass", counted)
-    return calls
+def block_passes():
+    """The Horner passes behind eval_series since the block-sum cache was
+    last cleared: each is a miss of the cache."""
+    return solutions._block_sums.cache_info().misses
 
 
 @pytest.mark.parametrize("engine", ENGINES, ids=["double", "mp"])
-def test_stokes_point_takes_eight_block_passes(monkeypatch, engine):
+def test_stokes_point_takes_eight_block_passes(engine):
     # Y_R and Y_L at one point read phi1 and phi2 with derivatives 0..3 at
     # rotations of that point only: one pass per series
     from monodromy_lab.monodromy import assemble_YL, assemble_YR
 
     z0 = UCComplex.polar(2.0, math.pi / 4)
-    calls = count_block_passes(monkeypatch)
     assemble_YR(z0, 40, engine)
     assemble_YL(z0, 40, engine)
-    assert calls["passes"] == 8
+    assert block_passes() == 8
 
 
-def test_rotations_share_a_block_pass(monkeypatch):
-    calls = count_block_passes(monkeypatch)
+def test_rotations_share_a_block_pass():
     series = phi_series(PHI1, 40, E)
     z = UCComplex.polar(2.0, math.pi / 4)
     eval_series(series, z, engine=E)
     for thirds in (1, -1, 2, -2):
         eval_series(series, z.rotated(thirds), engine=E)
-    assert calls["passes"] == 1
+    assert block_passes() == 1
     # a point 0.05 rad away is another class
     eval_series(series, UCComplex.polar(2.0, math.pi / 4 + 0.05), engine=E)
-    assert calls["passes"] == 2
+    assert block_passes() == 2
     # a float argument and the equal Fraction share a class
     eval_series(series, UCComplex(2.0, 0.375), engine=E)
     eval_series(series, UCComplex(2.0, Fraction(3, 8)), engine=E)
     eval_series(series, UCComplex(Fraction(2), Fraction(3, 8)).rotated(-1), engine=E)
-    assert calls["passes"] == 3
+    assert block_passes() == 3
 
 
 @pytest.mark.parametrize("engine", ENGINES, ids=["double", "mp"])
@@ -471,13 +462,12 @@ def test_block_sum_cache_does_not_change_values(engine):
                 assert eval_series(series, points[i], m=m, engine=engine) == cold[i, m], (i, m)
 
 
-def test_cache_hit_still_checks_the_tail(monkeypatch):
-    calls = count_block_passes(monkeypatch)
+def test_cache_hit_still_checks_the_tail():
     z = UCComplex.polar(3.0, 0.0)
     for point in (z, z, z.rotated(1), z.rotated(-2)):
         with pytest.raises(TailBoundError):
             eval_series(quantum_period(5), point, engine=E)
-    assert calls["passes"] == 1
+    assert block_passes() == 1
 
 
 def test_block_sum_cache_stays_bounded():
@@ -605,26 +595,19 @@ def test_tail_bound_is_at_least_the_tail(monkeypatch, engine_name):
         assert bound >= tail_quantity(series, l, engine), (series.rho, l)
 
 
-def test_coefficient_columns_are_converted_once_per_series(monkeypatch):
+def test_coefficient_columns_are_converted_once_per_series():
     # two verifies at an order no other test builds: the first converts
     # phi1 and phi2 with their three derivative series, the second none,
     # although it runs every block pass again
     from monodromy_lab.pipeline import RunConfig, run_verify
 
-    conversions, passes = collections.Counter(), count_block_passes(monkeypatch)
-    original = solutions._prepare
-
-    def counted(series, engine):
-        conversions[id(series)] += 1
-        return original(series, engine)
-
-    monkeypatch.setattr(solutions, "_prepare", counted)
     config = RunConfig(truncation_order=41)
-    for _ in range(2):
+    for conversions in (8, 0):
+        before = solutions._prepare.cache_info().misses
         solutions._block_sums.cache_clear()
         run_verify(config)
-    assert passes["passes"] == 2 * 56
-    assert len(conversions) == 8 and set(conversions.values()) == {1}
+        assert block_passes() == 56
+        assert solutions._prepare.cache_info().misses - before == conversions
 
 
 def test_tail_certificate_compares_in_engine_reals():
