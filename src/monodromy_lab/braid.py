@@ -20,6 +20,7 @@ between letters; the letters act literally through these matrices.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -75,29 +76,36 @@ def _letter_matrices(S, i, exp):
     return M, Minv
 
 
+def _act_on_S(word, S):
+    """(w(S), the letters' Minv in order): w(C) is C times their product."""
+    S, inverses = [list(r) for r in S], []
+    for i, exp in word.letters:
+        if i >= len(S):
+            raise ValueError(f"letter index {i} out of range for size {len(S)}")
+        M, Minv = _letter_matrices(S, i, exp)
+        S = _matmul(_matmul(M, S), M)
+        inverses.append(Minv)
+    return S, inverses
+
+
 def braid_act(word, S, C):
     """Apply a braid word (letters left to right) to (S, C).
 
     S, C are square nested sequences over any scalar type; new lists are
     returned.
     """
-    S = [list(r) for r in S]
-    C = [list(r) for r in C]
-    for i, exp in word.letters:
-        if i >= len(S):
-            raise ValueError(f"letter index {i} out of range for size {len(S)}")
-        M, Minv = _letter_matrices(S, i, exp)
-        S = _matmul(_matmul(M, S), M)
-        C = _matmul(C, Minv)
-    return S, C
+    S, inverses = _act_on_S(word, S)
+    return S, functools.reduce(_matmul, inverses, [list(r) for r in C])
+
+
+def _sign_S(J, S):
+    return [[J[a] * J[b] * S[a][b] for b in range(len(S))] for a in range(len(S))]
 
 
 def sign_act(diag, S, C):
     """S -> J S J and C -> C J for J = diag(signs)."""
     J = diag.signs
-    Sn = [[J[a] * J[b] * S[a][b] for b in range(len(S))] for a in range(len(S))]
-    Cn = [[C[a][b] * J[b] for b in range(len(C))] for a in range(len(C))]
-    return Sn, Cn
+    return _sign_S(J, S), [[C[a][b] * J[b] for b in range(len(C))] for a in range(len(C))]
 
 
 def max_deviation(A, B):
@@ -114,7 +122,8 @@ def search_equivalence(S, C, S_target, C_target, max_len, tol):
     Words are enumerated by length then lexicographically over the letters
     (1,+1), (1,-1), (2,+1), ..., and sign diagonals in binary order with +1
     first, so the first (shortest, smallest) match is returned.  Returns
-    (BraidWord, SignDiagonal) or None.
+    (BraidWord, SignDiagonal) or None.  The S side is compared first: a
+    word's C product is formed only once some sign diagonal matches on S.
     """
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
@@ -125,9 +134,13 @@ def search_equivalence(S, C, S_target, C_target, max_len, tol):
     for length in range(max_len + 1):
         for letters in itertools.product(alphabet, repeat=length):
             word = BraidWord(letters=letters)
-            Sw, Cw = braid_act(word, S, C)
+            Sw, inverses = _act_on_S(word, S)
+            Cw = None
             for diag in sign_patterns:
-                Ss, Cs = sign_act(diag, Sw, Cw)
-                if max_deviation(Ss, S_target) <= tol and max_deviation(Cs, C_target) <= tol:
+                if max_deviation(_sign_S(diag.signs, Sw), S_target) > tol:
+                    continue
+                if Cw is None:
+                    Cw = functools.reduce(_matmul, inverses, C)
+                if max_deviation(sign_act(diag, Sw, Cw)[1], C_target) <= tol:
                     return word, diag
     return None

@@ -146,8 +146,10 @@ def k_object(name):
     raise ValueError(f"unknown K object {name!r}")
 
 
+@functools.cache
 def collection():
-    """The twisted full exceptional collection (E1, E2, E3, E4)."""
+    """The twisted full exceptional collection (E1, E2, E3, E4), built once
+    per process (immutable)."""
     return tuple(k_object(f"E{k}") for k in (1, 2, 3, 4))
 
 
@@ -208,10 +210,8 @@ def c_gamma_numerators():
 
     over (s0, s1, s2, s21), as exact ClosedForms (C_Gamma carries the
     prefactor i / (2 pi)^(3/2))."""
-    gm = gamma_class(-1)
-    twist = _exp_nilpotent(chern_data().c1.scaled(-I * PI))
-    cols = [classical_product(classical_product(gm, twist), E.ch_graded()).scaled(I)
-            for E in collection()]
+    twisted = classical_product(gamma_class(-1), _exp_nilpotent(chern_data().c1.scaled(-I * PI)))
+    cols = [classical_product(twisted, E.ch_graded()).scaled(I) for E in collection()]
     return tuple(tuple(cols[j][i] for j in range(4)) for i in range(4))
 
 

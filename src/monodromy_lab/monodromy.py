@@ -84,10 +84,19 @@ class PhiTopSeries:
 
 @functools.lru_cache(maxsize=None)
 def phi_top(order):
-    """Solve the recursion for Phi_top through z^order, exactly."""
+    """Solve the recursion for Phi_top through z^order, exactly.
+
+    The right-hand side sums only the products of a nonzero entry of U_cal
+    or R (six and three of them) with a nonzero entry of Phi_(k-1).  Every
+    entry is still solved for, so a nonzero resonant right-hand side raises
+    ResonanceError and the z^3 grading is left to ``_phi_top_columns`` to
+    check."""
     if order < 1:
         raise ValueError("order must be >= 1")
     _, R, U = operator_matrices(q=Fraction(1))
+    u_rows = [[(t, U[a][t]) for t in range(4) if U[a][t]] for a in range(4)]
+    r_cols = [[(t, R[t][b]) for t in range(4) if R[t][b]] for b in range(4)]
+    shifts = [[int(MU_DIAG[b] - MU_DIAG[a]) for b in range(4)] for a in range(4)]
     mats = [tuple(tuple(Fraction(int(i == j)) for j in range(4)) for i in range(4))]
     for k in range(1, order + 1):
         prev = mats[-1]
@@ -95,25 +104,21 @@ def phi_top(order):
         for a in range(4):
             row = []
             for b in range(4):
-                rhs = sum(U[a][t] * prev[t][b] for t in range(4)) - sum(
-                    prev[a][t] * R[t][b] for t in range(4)
-                )
-                div = k + MU_DIAG[b] - MU_DIAG[a]
-                if div == 0:
-                    if rhs != 0:
-                        raise ResonanceError(
-                            f"inconsistent resonance at k={k}, entry ({a},{b})"
-                        )
-                    row.append(Fraction(0))
-                else:
-                    row.append(rhs / div)
+                rhs = (sum(u * prev[t][b] for t, u in u_rows[a] if prev[t][b])
+                       - sum(prev[a][t] * r for t, r in r_cols[b] if prev[a][t]))
+                div = k + shifts[a][b]
+                if rhs and div == 0:
+                    raise ResonanceError(f"inconsistent resonance at k={k}, entry ({a},{b})")
+                row.append(rhs / div if rhs else Fraction(0))
             cur.append(tuple(row))
         mats.append(tuple(cur))
     return PhiTopSeries(coeffs=tuple(mats))
 
 
 def phi_top_recursion_residuals(series):
-    """Exact residuals of k Phi_k + [Phi_k, mu]-twist = U Phi_{k-1} - Phi_{k-1} R."""
+    """Exact residuals of k Phi_k + [Phi_k, mu]-twist = U Phi_{k-1} - Phi_{k-1} R,
+    summed densely over every entry of U_cal, R and Phi_(k-1): the
+    independent check of ``phi_top``'s sparse recursion."""
     _, R, U = operator_matrices(q=Fraction(1))
     out = []
     for k in range(1, series.order + 1):
@@ -133,7 +138,8 @@ def phi_top_recursion_residuals(series):
 def phi_top_grading_violations(series):
     """Entries (k, a, b) with nonzero Phi_k where k + mu_b - mu_a < 0, plus
     nonzero resonant entries; empty iff z^(-mu) Phi z^mu is holomorphic with
-    H(0) = I."""
+    H(0) = I.  Reads every entry, independently of ``phi_top``'s sparse
+    recursion."""
     bad = []
     for k in range(series.order + 1):
         for a in range(4):
@@ -145,7 +151,8 @@ def phi_top_grading_violations(series):
 
 
 def phi_top_orthogonality_residuals(series):
-    """Exact residuals of sum_{a+b=k} (-1)^a Phi_a^T eta Phi_b = delta_{k0} eta."""
+    """Exact residuals of sum_{a+b=k} (-1)^a Phi_a^T eta Phi_b = delta_{k0} eta,
+    summed densely: an independent check of ``phi_top``'s sparse recursion."""
     eta = ((0, 0, 0, 1), (0, 0, 1, 0), (0, 1, 0, 0), (1, 0, 0, 0))
     out = []
     for k in range(series.order + 1):

@@ -89,22 +89,26 @@ def structure_constant(a, b, c):
 
 
 def quantum_product(x, y, q=Fraction(1)):
-    """Bilinear extension of the quantum multiplication table at parameter q."""
+    """Bilinear extension of the quantum multiplication table at parameter q.
+
+    Only products that can contribute are formed: a zero x_a or y_b is
+    skipped, each structure constant n0 + n1 q + n2 q^2 is evaluated once
+    as one scalar (n0 alone at q = 0), and x_a y_b is formed only when some
+    constant of (a, b) is nonzero."""
     out = [x[0] * 0 for _ in range(4)]
-    qq = q * q
-    for a in range(4):
-        xa = x[a]
-        for b in range(4):
-            prod = xa * y[b]
-            for c, (n0, n1, n2) in _table_row(a, b).items():
-                term = 0
-                if n0:
-                    term = n0 * prod
-                if n1:
-                    term = term + n1 * (q * prod)
-                if n2:
-                    term = term + n2 * (qq * prod)
-                out[c] = out[c] + term
+    powers = (1, q, q * q)
+    for a, xa in enumerate(x.coeffs):
+        if xa == 0:
+            continue
+        for b, yb in enumerate(y.coeffs):
+            if yb == 0:
+                continue
+            consts = [(c, k) for c, n in _table_row(a, b).items()
+                      if (k := sum(m * p for m, p in zip(n, powers) if m)) != 0]
+            if consts:
+                prod = xa * yb
+                for c, k in consts:
+                    out[c] = out[c] + k * prod
     return CohClass(tuple(out))
 
 

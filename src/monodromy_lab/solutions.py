@@ -261,7 +261,7 @@ class PointData:
     """What every evaluation at one point z in one engine reads, each
     computed once per record (``point_data`` caches the records): l = log z
     and the point-class key (modulus, arg/pi mod 2/3) on construction;
-    z^(1/2) and its powers, z^-1, and e^(3l), on first use."""
+    z^(1/2) and its powers, z^-1, |l| and e^(3l), on first use."""
 
     def __init__(self, z, engine):
         self.engine = engine
@@ -274,6 +274,11 @@ class PointData:
         h = self.engine.exp(self.l / 2)
         z = h * h
         return h, z, h * z
+
+    @functools.cached_property
+    def labs(self):
+        """|l|, which every tail certificate at the point reads."""
+        return abs(self.l)
 
     @functools.cached_property
     def inverse(self):
@@ -353,11 +358,11 @@ def _block_sums(series, modulus, arg_over_pi, engine):
                              f"of the {engine.name} engine") from exc
 
 
-def _tail_bound(sums, l):
-    """The certificate's bound on the truncated tail at a call with
-    l = log z: the largest of |z|^(rho+3n) sum_k |a_k[n]| |l|^k over the
-    stored blocks, an upper bound on |z^(rho+3n) (a0 + l (a1 + ...))|."""
-    labs = abs(l)
+def _tail_bound(sums, point):
+    """The certificate's bound on the truncated tail at a call at the point
+    with l = log z: the largest of |z|^(rho+3n) sum_k |a_k[n]| |l|^k over
+    the stored blocks, an upper bound on |z^(rho+3n) (a0 + l (a1 + ...))|."""
+    labs = point.labs
     return max(((m3 * labs + m2) * labs + m1) * labs + m0 for m0, m1, m2, m3 in sums.tail)
 
 
@@ -371,7 +376,7 @@ def eval_series(series, z, engine, m=0, tol=None):
     Horner pass in w at the class representative, kept in the LRU cache
     ``_block_sums``.  Each call returns z^rho (T0 + l (T1 + l (T2 + l T3)))
     with its own l, and so the same value whether its sums were cached or
-    not.  The point's l, z^-1 and class key, and the class's w, come from
+    not.  The point's l, |l|, z^-1 and class key, and the class's w, come from
     its ``PointData`` (the LRU cache ``point_data``): a point takes one
     exponential, z^(1/2), and only if some call needs z^rho with rho != 0;
     a class takes one more, w, and only if some call misses the cache.
@@ -408,7 +413,7 @@ def eval_series(series, z, engine, m=0, tol=None):
         total = point.inverse ** -cur.rho * total
 
     # max(|total|, 1) is NaN for a NaN total, so the comparison fails
-    if not _tail_bound(sums, l) <= tol * max(abs(total), 1):
+    if not _tail_bound(sums, point) <= tol * max(abs(total), 1):
         raise TailBoundError(
             f"truncation order {series.order} too small at |z|={float(z.modulus)} "
             f"for tolerance {tol}"

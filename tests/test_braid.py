@@ -101,6 +101,20 @@ def test_search_finds_identity():
     assert signs.signs == (1, 1, 1, 1)
 
 
+def test_search_goes_past_a_word_that_matches_only_on_S():
+    # with S = I, b12 fixes S and swaps C's first two columns, so the empty
+    # word matches S_target = I under every sign diagonal but never C_target
+    rng = random.Random(19)
+    S, C = [[float(i == j) for j in range(4)] for i in range(4)], _random_C(rng)
+    C_target = [[row[1], row[0], row[2], row[3]] for row in C]
+    for signs in ((1, 1, 1, 1), (1, -1, 1, -1)):
+        Ss, Cs = sign_act(SignDiagonal(signs), S, C)
+        assert max_deviation(Ss, S) == 0 and max_deviation(Cs, C_target) > 0.01
+    word, signs = search_equivalence(S, C, S, C_target, max_len=1, tol=1e-9)
+    assert word.letters == ((1, 1),)
+    assert signs.signs == (1, 1, 1, 1)
+
+
 def test_search_published_transformation():
     from monodromy_lab.ktheory import c_gamma_matrix, euler_matrix, numeric_matrix
     from monodromy_lab.monodromy import _unipotent_inverse

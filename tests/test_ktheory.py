@@ -175,6 +175,10 @@ def test_graded_character_multiplicative():
         assert sp.simplify(prod.coeffs[j] - direct.coeffs[j]) == 0
 
 
+def test_collection_is_built_once_per_process():
+    assert collection() is collection()
+
+
 def test_collection_objects():
     Es = collection()
     assert [E.name for E in Es] == ["E1", "E2", "E3", "E4"]

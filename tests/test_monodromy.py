@@ -74,6 +74,33 @@ def test_phi_top_invariants_exact_through_order_10():
         assert r == 0
 
 
+def _dense_phi_top(order):
+    # the recursion with every right-hand side summed in full, the eight
+    # products of (U_cal Phi_(k-1) - Phi_(k-1) R)_ab, zeros included
+    _, R, U = operator_matrices(q=Fraction(1))
+    mats = [[[Fraction(int(i == j)) for j in range(4)] for i in range(4)]]
+    for k in range(1, order + 1):
+        prev = mats[-1]
+        cur = [[Fraction(0)] * 4 for _ in range(4)]
+        for a in range(4):
+            for b in range(4):
+                rhs = sum(U[a][t] * prev[t][b] - prev[a][t] * R[t][b] for t in range(4))
+                div = k + MU_DIAG[b] - MU_DIAG[a]
+                if div:
+                    cur[a][b] = rhs / div
+                else:
+                    assert rhs == 0, (k, a, b)
+        mats.append(cur)
+    return mats
+
+
+@pytest.mark.parametrize("order", (40, 60))
+def test_phi_top_equals_the_dense_recursion(order):
+    coeffs = phi_top(order).coeffs
+    assert [[list(row) for row in mat] for mat in coeffs] == _dense_phi_top(order)
+    assert all(type(x) is Fraction for mat in coeffs for row in mat for x in row)
+
+
 def test_eval_Ytop_determinant():
     # det Y_top = det Phi_top (z^mu z^R has unit determinant); near 1 for
     # small z

@@ -4,8 +4,10 @@ operator matrices, and the ring presentation."""
 import random
 from fractions import Fraction
 
+import pytest
 import sympy as sp
 
+from monodromy_lab.closedform import EULER_GAMMA, I, PI, ZETA3
 from monodromy_lab.ring import (
     CohClass,
     SIGMA_0,
@@ -18,6 +20,7 @@ from monodromy_lab.ring import (
     pairing,
     quantum_product,
     ring_tables,
+    structure_constant,
 )
 
 BASIS = [SIGMA_0, SIGMA_1, SIGMA_2, SIGMA_21]
@@ -153,3 +156,36 @@ def test_ring_presentation():
             image = sum(sp.nsimplify(c) * images[k] for k, c in enumerate(prod.coeffs))
             direct = images[a] * images[b]
             assert sp.simplify(reduce(direct - image)) == 0
+
+
+def _dense_product(x, y, q):
+    # sum_(a,b,c) x_a y_b n_abc(q) e_c over every triple, zeros included
+    out = [0] * 4
+    for a in range(4):
+        for b in range(4):
+            for c in range(4):
+                n0, n1, n2 = structure_constant(a, b, c)
+                out[c] = out[c] + x[a] * y[b] * (n0 + n1 * q + n2 * q * q)
+    return out
+
+
+def _random_classes(rng, closed_form):
+    # each coefficient is zero with probability 1/3
+    def coefficient():
+        c = Fraction(rng.randint(-4, 4), rng.randint(1, 3)) * (rng.random() > 1 / 3)
+        if not closed_form:
+            return c
+        return c * rng.choice((1, I, PI, EULER_GAMMA * I, ZETA3 + PI * PI))
+    return [CohClass(tuple(coefficient() for _ in range(4))) for _ in range(12)]
+
+
+@pytest.mark.parametrize("closed_form", (False, True), ids=("fraction", "closedform"))
+@pytest.mark.parametrize("q", (0, 1, Fraction(1, 3)), ids=("q0", "q1", "q_third"))
+def test_quantum_product_equals_the_dense_bilinear_sum(q, closed_form):
+    rng = random.Random(29)
+    classes = _random_classes(rng, closed_form) + BASIS + [CohClass((0, 0, 0, 0))]
+    for x in classes:
+        for y in classes:
+            assert list(quantum_product(x, y, q=q).coeffs) == _dense_product(x, y, q)
+            if q == 0:
+                assert list(classical_product(x, y).coeffs) == _dense_product(x, y, q)

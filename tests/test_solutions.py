@@ -580,9 +580,9 @@ def test_tail_bound_is_at_least_the_tail(monkeypatch, engine_name):
         summed[sums] = series
         return sums
 
-    def recorded_bound(sums, l):
-        bound = tail_bound(sums, l)
-        calls.append((summed[sums], l, bound))
+    def recorded_bound(sums, point):
+        bound = tail_bound(sums, point)
+        calls.append((summed[sums], point.l, bound))
         return bound
 
     monkeypatch.setattr(solutions, "_block_sums", recorded_sums)
