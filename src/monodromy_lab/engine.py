@@ -16,9 +16,10 @@ the Euler constant and zeta come from the context in either.  The class
 branches on its context only where the arithmetic itself differs:
 ``Engine.real`` rounds a Fraction by the context's rule, and the block
 pass of the log-series (``Engine.horner_columns``/``Engine.horner``) is a
-hardware-complex loop under double and runs in exact integers on
-mpmath's raw mantissas under mp, and ``Engine.guarded`` adds guard bits
-under mp only.
+hardware-complex loop over every block under double and runs in exact
+integers on mpmath's raw mantissas, over the blocks that can reach the
+working precision, under mp, and ``Engine.guarded`` adds guard bits under
+mp only.
 
 Engines are interned, so series caches can key on them; every computation
 takes its engine from its caller, and a run's from ``pipeline.RunConfig``.
@@ -27,6 +28,7 @@ takes its engine from its caller, and a run's from ``pipeline.RunConfig``.
 from __future__ import annotations
 
 import contextlib
+import math
 from fractions import Fraction
 
 import mpmath
@@ -83,21 +85,35 @@ class Engine:
         """The four coefficient columns of ``blocks`` (engine complex
         numbers), highest block first, in the form ``horner`` sums.  Under mp
         each coefficient is read once as exact integers (re, im, exp), the
-        value (re + i im) 2^exp."""
+        value (re + i im) 2^exp, and each column carries the bounds of its
+        cut: (ns, tops) over its nonzero blocks n, lowest first, with top_n
+        the larger bit length of the two mantissas plus exp, so that
+        2^(top_n - 1) <= |a[n]| < 2^(top_n + 1/2)."""
         columns = zip(*reversed(blocks))
         if self.ctx is mpmath.fp:
             return tuple(tuple(col) for col in columns)
-        return tuple(tuple(_exact_parts(a) for a in col) for col in columns)
+        out = []
+        for col in columns:
+            parts = tuple(_exact_parts(a) for a in col)
+            nonzero = [(n, max(re.bit_length(), im.bit_length()) + exp)
+                        for n, (re, im, exp) in enumerate(reversed(parts)) if re or im]
+            out.append((parts, tuple(zip(*nonzero)) or ((), ())))
+        return tuple(out)
 
     def horner(self, columns, w):
         """T_k = sum_n w^n a_k[n] for each column of ``horner_columns``.
 
-        Under double this is a hardware-complex Horner loop.  Under mp it
-        runs in exact integers: each step's product and sum are exact, then
-        T is cut to ``ctx.prec + GUARD_BITS`` bits, and each T_k is rounded
-        once, to nearest, at ``ctx.prec``.  So T_k is off by at most half an
-        ulp plus 4 * 2^-(prec + GUARD_BITS) per block times
-        sum_n |w^n a_k[n]|.
+        Under double this is a hardware-complex Horner loop over every
+        block.  Under mp it runs in exact integers, and only over the blocks
+        that can reach the working precision: the leading (highest) blocks
+        whose summed magnitude bounds lie below 2^-(prec + GUARD_BITS) of
+        the column's largest term are skipped (``_summed_blocks``, from the
+        bounds of ``horner_columns``), and block 0 is always summed.  Each
+        step's product and sum are exact, then T is cut to
+        ``ctx.prec + GUARD_BITS`` bits, and each T_k is rounded once, to
+        nearest, at ``ctx.prec``.  So T_k is off by at most half an ulp plus
+        (4 per summed block, and 1 for the skipped ones) times
+        2^-(prec + GUARD_BITS) sum_n |w^n a_k[n]|.
         """
         if self.ctx is mpmath.fp:
             out = []
@@ -110,10 +126,11 @@ class Engine:
         prec = self.ctx.prec
         wr, wi, we = _exact_parts(w)
         bits = prec + GUARD_BITS
+        log2w = _log2_abs(wr, wi, we)
         out = []
-        for col in columns:
+        for col, bounds in columns:
             tr = ti = te = 0
-            for ar, ai, ae in col:
+            for ar, ai, ae in col[len(col) - _summed_blocks(bounds, log2w, bits):]:
                 if not (tr or ti):
                     tr, ti, te = ar, ai, ae
                     continue
@@ -239,6 +256,54 @@ def _exact_parts(x):
     re = (-rman if rsign else rman) << (rexp - exp)
     im = (-iman if isign else iman) << (iexp - exp)
     return re, im, exp
+
+
+#: how far ``_log2_abs`` may be from log2 |w|, with room to spare: the
+#: mantissas it reads are cut to 53 bits, a relative error of 2^-52
+LOG2_SLACK = 1e-9
+
+
+def _log2_abs(re, im, exp):
+    """log2 |(re + i im) 2^exp| within ``LOG2_SLACK``, as a float; -inf for 0.
+    Reads at most the top 53 bits of each mantissa, whatever their type."""
+    if not (re or im):
+        return -math.inf
+    shift = max(re.bit_length(), im.bit_length(), 53) - 53
+    re, im = re >> shift, im >> shift
+    return math.log2(re * re + im * im) / 2 + shift + exp
+
+
+def _summed_blocks(bounds, log2w, bits):
+    """How many blocks of a column, from block 0, an exact pass at w sums.
+
+    ``bounds`` are the column's (ns, tops) from ``Engine.horner_columns``
+    and ``log2w`` is log2 |w| within ``LOG2_SLACK``, so that
+    n log2|w| + top_n - 1 <= log2 |w^n a[n]| < n log2|w| + top_n + 1/2.  L is
+    the lower bound at its first local maximum over the nonzero blocks, read
+    upward: the bound of one term, so at most log2 of the largest term, and
+    close to it for the log-concave terms of a residue series.  The leading
+    blocks skipped are those whose upper bounds all lie at or below
+    L - bits - log2 K - 1, K the number of nonzero blocks, so their terms
+    sum to less than 2^-bits of the largest, with a spare bit for the
+    rounding of these float bounds.  Block 0 is always summed, and a column
+    of zeros, like a pass at w = 0, sums block 0 only.
+    """
+    ns, tops = bounds
+    if not ns or log2w == -math.inf:
+        return 1
+    low, high = log2w - LOG2_SLACK, log2w + LOG2_SLACK
+    floor = -math.inf
+    for n, top in zip(ns, tops):
+        term = n * low + top
+        if term < floor:
+            break
+        floor = term
+    # the lower bounds are term - 1, the upper ones n high + top + 1/2
+    floor -= bits + math.log2(len(ns)) + 2.5
+    i = len(ns) - 1
+    while i and ns[i] * high + tops[i] <= floor:
+        i -= 1
+    return ns[i] + 1
 
 
 _ENGINES = {}

@@ -243,9 +243,11 @@ def eval_Ytop(z, order, engine):
     return engine.matrix([[+y for y in row] for row in Y])
 
 
-def exp_mu(t, engine):
-    """e^(t mu) = diag e^(t mu_i); z^mu is e^(t mu) at t = log z."""
-    return engine.ctx.diag([engine.exp(engine.real(mu) * t) for mu in MU_DIAG])
+def exp_mu_units(turns):
+    """e^(pi i turns mu) for an integer number ``turns`` of half turns, as
+    the exact units i^(2 turns mu_i) (mu is half-odd-integer): -I at
+    turns = 2, diag(-i, i, -i, i) at turns = -1."""
+    return tuple((1, 1j, -1, -1j)[int(2 * turns * mu) % 4] for mu in MU_DIAG)
 
 
 def exp_R(t, engine):
@@ -324,37 +326,43 @@ def scalar_column_derivatives(spec, z, order, engine, tol=None):
 
     phi-hat(z) = sum coef * pref(kind) * (-1)^m * phi_kind(z eps^m); the
     chain rule turns each z-derivative into eps^m times the rotated-argument
-    derivative.  ``tol`` is the tail-certificate tolerance for the series
-    evaluations (defaults to the engine's working accuracy).
+    derivative, so derivative d of a term is one factor (``_term_factors``)
+    times the series' d-th derivative at z eps^m.  ``tol`` is the
+    tail-certificate tolerance for the series evaluations (defaults to the
+    engine's working accuracy).
     """
     derivs = [engine.complex(0) for _ in range(4)]
     for coef, kind, m in spec:
         series = phi_series(kind, order, engine)
-        c = coef * _prefactor(kind, engine) * (-1) ** (m % 2)
         w = z.rotated(m)
-        for d, epsmd in enumerate(_rotation_powers(m, engine)):
-            derivs[d] += c * epsmd * eval_series(series, w, m=d, engine=engine, tol=tol)
+        for d, factor in enumerate(_term_factors(coef, kind, m, engine)):
+            derivs[d] += factor * eval_series(series, w, m=d, engine=engine, tol=tol)
     return derivs
 
 
 @functools.lru_cache(maxsize=None)
-def _rotation_powers(m, engine):
-    """(eps^m)^d for d = 0..3, eps = e^(2 pi i/3), once per engine."""
+def _term_factors(coef, kind, m, engine):
+    """coef * pref(kind) * (-1)^m * (eps^m)^d for d = 0..3,
+    eps = e^(2 pi i/3), once per engine."""
+    c = coef * _prefactor(kind, engine) * (-1) ** (m % 2)
     epsm = engine.exp(2 * engine.i * engine.pi * m / 3)
-    return tuple(epsm ** d for d in range(4))
+    return tuple(c * epsm ** d for d in range(4))
 
 
 def vector_from_scalar(derivs, z, engine):
     """Lift a scalar solution (given with derivatives 0..3 at z) to the 4x4
     system: y4 = z^(3/2) phi, y3 = z^(3/2) phi'/3,
     y2 = (z^(3/2) phi'' + z^(1/2) phi')/18,
-    y1 = (z^2 phi''' + phi' + 3 z phi'' - 54 z^2 phi)/(54 sqrt z)."""
+    y1 = (z^2 phi''' + phi' + 3 z phi'' - 54 z^2 phi)/(54 sqrt z)
+       = z^(3/2)/54 phi''' + phi'/(54 sqrt z) + sqrt z/18 phi'' - y4,
+    with the factors read from the point's ``PointData.lift``, so the lift
+    takes no division."""
     p0, p1, p2, p3 = derivs
-    sz, zc, z32 = point_data(z, engine).half_powers
+    z32, z32_3, z32_18, sz_18, z32_54, inv_54sz = point_data(z, engine).lift
     y4 = z32 * p0
-    y3 = z32 * p1 / 3
-    y2 = (z32 * p2 + sz * p1) / 18
-    y1 = (zc * zc * p3 + p1 + 3 * zc * p2 - 54 * zc * zc * p0) / (54 * sz)
+    y3 = z32_3 * p1
+    y2 = z32_18 * p2 + sz_18 * p1
+    y1 = z32_54 * p3 + inv_54sz * p1 + sz_18 * p2 - y4
     return (y1, y2, y3, y4)
 
 
@@ -523,29 +531,45 @@ def verify_constraints(S, C, engine):
     (i)   C S^T S^(-1) C^(-1) = e^(2 pi i mu) e^(2 pi i R)
     (ii)  S = C^(-1) e^(-pi i R) e^(-pi i mu) eta^(-1) (C^T)^(-1)
 
-    The anti-diagonal 0/1 eta is its own inverse, and (C^T)^(-1) is the
-    transpose of C^(-1).  S holds exact entries (int, Fraction or float):
-    it is a Stokes matrix, unipotent upper-triangular, and is inverted
-    exactly.
+    S holds exact entries (int, Fraction or float): it is a Stokes matrix,
+    unipotent upper-triangular, so S^(-1) and S^T S^(-1) are formed
+    exactly, once per S and engine (``_stokes_terms``).  e^(2 pi i mu) = -I
+    and e^(-pi i mu) = diag(-i, i, -i, i) are exact units
+    (``exp_mu_units``) that scale rows or columns without rounding, and the
+    anti-diagonal 0/1 eta is its own inverse and acts as a column reversal:
+    both right-hand factors are built once per engine
+    (``_constraint_targets``).  (C^T)^(-1) is the transpose of C^(-1).  So
+    the residuals take no exponential, one inverse and four engine
+    products.
     """
-    exact = [[Fraction(x) for x in row] for row in S]
-    Sm, S_inv = engine.matrix(exact), engine.matrix(_unipotent_inverse(exact))
-    eta = engine.matrix([[Fraction(1) if i + j == 3 else Fraction(0) for j in range(4)] for i in range(4)])
+    S_m, St_S_inv = _stokes_terms(tuple(tuple(Fraction(x) for x in row) for row in S), engine)
+    cyclic, middle = _constraint_targets(engine)
     C_inv = engine.inverse(C)
-    lhs1 = C * Sm.T * S_inv * C_inv
-    two_pi_i = 2 * engine.i * engine.pi
-    rhs1 = exp_mu(two_pi_i, engine) * exp_R(two_pi_i, engine)
-    res1 = engine.max_abs(lhs1 - rhs1)
-    minus_pi_i = -engine.i * engine.pi
-    rhs2 = (
-        C_inv
-        * exp_R(minus_pi_i, engine)
-        * exp_mu(minus_pi_i, engine)
-        * eta
-        * C_inv.T
-    )
-    res2 = engine.max_abs(Sm - rhs2)
-    return {"constraint_cyclic": res1, "constraint_pairing": res2}
+    return {"constraint_cyclic": engine.max_abs(C * St_S_inv * C_inv - cyclic),
+            "constraint_pairing": engine.max_abs(S_m - C_inv * middle * C_inv.T)}
+
+
+@functools.lru_cache(maxsize=32)
+def _stokes_terms(S, engine):
+    """S and S^T S^(-1) as engine matrices, for S given as rows of exact
+    Fractions; S^(-1) and the product are formed exactly, and each entry
+    is rounded once."""
+    S_inv = _unipotent_inverse(S)
+    St_S_inv = [[sum(S[t][i] * S_inv[t][j] for t in range(4)) for j in range(4)]
+                for i in range(4)]
+    return engine.matrix(S), engine.matrix(St_S_inv)
+
+
+@functools.lru_cache(maxsize=None)
+def _constraint_targets(engine):
+    """e^(2 pi i mu) e^(2 pi i R) and e^(-pi i R) e^(-pi i mu) eta in the
+    engine: e^(tR) scaled by the exact units of ``exp_mu_units`` (rows for
+    the first, columns for the second, whose column j is then column 3 - j
+    for eta)."""
+    E1, unit1 = exp_R(2 * engine.i * engine.pi, engine), exp_mu_units(2)
+    E2, unit2 = exp_R(-engine.i * engine.pi, engine), exp_mu_units(-1)
+    return (engine.matrix([[unit1[i] * E1[i, j] for j in range(4)] for i in range(4)]),
+            engine.matrix([[E2[i, 3 - j] * unit2[3 - j] for j in range(4)] for i in range(4)]))
 
 
 def _unipotent_inverse(M):

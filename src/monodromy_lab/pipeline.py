@@ -117,10 +117,16 @@ def connection_stage(config, sd):
     cd = connection_matrix(engine, connection_points(config.z0_connection),
                            config.truncation_order, sd.P)
     residuals = dict(cd.residuals)
-    residuals["c_vs_closed_form"] = braid.max_deviation(
-        cd.C.tolist(), evaluate_over_d(reference.C_REF_NUMERATORS, engine))
+    residuals["c_vs_closed_form"] = braid.max_deviation(cd.C.tolist(), _c_closed_form(engine))
     residuals.update(verify_constraints(sd.S, cd.C, engine))
     return cd, residuals
+
+
+@functools.lru_cache(maxsize=None)
+def _c_closed_form(engine):
+    """C's closed form (``reference.C_REF_NUMERATORS`` over D) in the
+    engine, evaluated once per engine."""
+    return evaluate_over_d(reference.C_REF_NUMERATORS, engine)
 
 
 #: C_Gamma is evaluated at this many digits, or at the run's own when it

@@ -261,7 +261,8 @@ class PointData:
     """What every evaluation at one point z in one engine reads, each
     computed once per record (``point_data`` caches the records): l = log z
     and the point-class key (modulus, arg/pi mod 2/3) on construction;
-    z^(1/2) and its powers, z^-1, |l| and e^(3l), on first use."""
+    z^(1/2) and its powers, z^-1 to z^-3, |l|, e^(3l) and the lift factors
+    of ``monodromy.vector_from_scalar``, on first use."""
 
     def __init__(self, z, engine):
         self.engine = engine
@@ -281,9 +282,18 @@ class PointData:
         return abs(self.l)
 
     @functools.cached_property
-    def inverse(self):
-        """z^-1, so z^rho is (z^-1)^(-rho)."""
-        return 1 / self.half_powers[1]
+    def inverse_powers(self):
+        """(1, z^-1, z^-2, z^-3): z^rho of a derivative series is entry -rho."""
+        inverse = 1 / self.half_powers[1]
+        return (1,) + tuple(inverse ** k for k in (1, 2, 3))
+
+    @functools.cached_property
+    def lift(self):
+        """(z^(3/2), z^(3/2)/3, z^(3/2)/18, z^(1/2)/18, z^(3/2)/54,
+        1/(54 z^(1/2))): the factors of ``monodromy.vector_from_scalar``,
+        so that its lift takes no division."""
+        h, _, z32 = self.half_powers
+        return z32, z32 / 3, z32 / 18, h / 18, z32 / 54, 1 / (54 * h)
 
     @functools.cached_property
     def cube(self):
@@ -307,11 +317,12 @@ def _prepare(series, engine):
     """What every block pass of one series in one engine reads, converted
     once per series and engine (the cache keys on the series' identity):
     the coefficient columns in the form of ``Engine.horner``, without
-    trailing zero blocks (under double, those past n = 83), and the tail
-    magnitudes (n, (|a0|, |a1|, |a2|, |a3|)) in engine reals for the last
-    three nonzero blocks (all, for a shorter series).  Exact (Fraction)
-    coefficients enter through ``Engine.real``, the one rounding path for
-    exact data."""
+    trailing zero blocks (under double, those past n = 83) and, under mp,
+    with the mantissa bit-length bounds that cut each column's pass; and
+    the tail magnitudes (n, (|a0|, |a1|, |a2|, |a3|)) in engine reals for
+    the last three nonzero blocks (all, for a shorter series).  Exact
+    (Fraction) coefficients enter through ``Engine.real``, the one rounding
+    path for exact data."""
     blocks = series.blocks
     if isinstance(blocks[0][0], Fraction):
         blocks = [[engine.real(a) for a in blk] for blk in blocks]
@@ -328,8 +339,9 @@ class _BlockSums:
 
     ``sums[k]`` is T_k(w) = sum_n w^n a_k[n] with w = z^3, so the series at
     any point z of the class is z^rho (T0 + l (T1 + l (T2 + l T3))),
-    l = log z.  ``tail`` holds, for each block of the certificate, the
-    magnitudes |z|^(rho+3n) |a_k[n]|, k = 0..3, in engine reals.
+    l = log z.  ``tail`` is the certificate's one majorant block: for each
+    k = 0..3, the largest of the magnitudes |z|^(rho+3n) |a_k[n]| over the
+    blocks n of the certificate, in engine reals.
     """
 
     sums: tuple
@@ -339,20 +351,21 @@ class _BlockSums:
 @functools.lru_cache(maxsize=BLOCK_SUMS_SIZE)
 def _block_sums(series, modulus, arg_over_pi, engine):
     """One block pass of ``series`` at the point class (modulus,
-    arg_over_pi): every block summed once, by Horner in w
-    (``Engine.horner``) at the class representative, and the certificate's
-    magnitudes scaled to this modulus.  Kept in an LRU cache keyed on the
-    series' identity (``LogSeries`` hashes by it).  Leaving the engine's
-    range anywhere in the pass is a TailBoundError."""
+    arg_over_pi): the blocks summed by Horner in w (``Engine.horner``, which
+    under mp skips the leading blocks below the working precision) at the
+    class representative, and the certificate's magnitudes scaled to this
+    modulus and reduced to their componentwise maximum.  Kept in an LRU
+    cache keyed on the series' identity (``LogSeries`` hashes by it).
+    Leaving the engine's range anywhere in the pass is a TailBoundError."""
     try:
         columns, mags = _prepare(series, engine)
         w = point_data(UCComplex(modulus, arg_over_pi), engine).cube
         r = engine.real(modulus)
-        tail = []
+        scaled = []
         for n, mag in mags:
             rn = r ** (series.rho + 3 * n)
-            tail.append(tuple(rn * a for a in mag))
-        return _BlockSums(engine.horner(columns, w), tuple(tail))
+            scaled.append([rn * a for a in mag])
+        return _BlockSums(engine.horner(columns, w), tuple(map(max, zip(*scaled))))
     except OverflowError as exc:
         raise TailBoundError(f"the series at |z|={float(modulus)} leaves the range "
                              f"of the {engine.name} engine") from exc
@@ -360,10 +373,20 @@ def _block_sums(series, modulus, arg_over_pi, engine):
 
 def _tail_bound(sums, point):
     """The certificate's bound on the truncated tail at a call at the point
-    with l = log z: the largest of |z|^(rho+3n) sum_k |a_k[n]| |l|^k over
-    the stored blocks, an upper bound on |z^(rho+3n) (a0 + l (a1 + ...))|."""
+    with l = log z: sum_k M_k |l|^k over the majorant block M of ``sums``,
+    at least the largest of |z|^(rho+3n) sum_k |a_k[n]| |l|^k over the
+    certificate's blocks, each an upper bound on
+    |z^(rho+3n) (a0 + l (a1 + ...))|."""
     labs = point.labs
-    return max(((m3 * labs + m2) * labs + m1) * labs + m0 for m0, m1, m2, m3 in sums.tail)
+    m0, m1, m2, m3 = sums.tail
+    return ((m3 * labs + m2) * labs + m1) * labs + m0
+
+
+@functools.cache
+def _default_tol(engine):
+    """The certificate's default tolerance: 10^(2-dps) in engine reals
+    under mp, 1e-10 under double; read once per engine."""
+    return 1e-10 if engine.name == "double" else engine.real(10) ** (2 - engine.dps)
 
 
 def eval_series(series, z, engine, m=0, tol=None):
@@ -376,25 +399,30 @@ def eval_series(series, z, engine, m=0, tol=None):
     Horner pass in w at the class representative, kept in the LRU cache
     ``_block_sums``.  Each call returns z^rho (T0 + l (T1 + l (T2 + l T3)))
     with its own l, and so the same value whether its sums were cached or
-    not.  The point's l, |l|, z^-1 and class key, and the class's w, come from
-    its ``PointData`` (the LRU cache ``point_data``): a point takes one
-    exponential, z^(1/2), and only if some call needs z^rho with rho != 0;
-    a class takes one more, w, and only if some call misses the cache.
+    not.  The point's l, |l|, z^-1 to z^-3 and class key, and the class's
+    w, come from its ``PointData`` (the LRU cache ``point_data``): a point
+    takes one exponential, z^(1/2), and only if some call needs z^rho with
+    rho != 0; a class takes one more, w, and only if some call misses the
+    cache.
 
     The pass reads coefficient columns converted once per series and
     engine.  Exact (Fraction) coefficients enter through ``Engine.real``,
     the one rounding path for exact data.  Under mp the pass runs in exact
-    integers, cut to ``engine.GUARD_BITS`` bits above the working precision
-    after each block, and rounds each T_k once, to nearest; under double
-    it is a hardware-complex Horner loop (``Engine.horner``).
+    integers over the blocks that can reach the working precision, cut to
+    ``engine.GUARD_BITS`` bits above the working precision after each
+    block, and rounds each T_k once, to nearest; under double it is a
+    hardware-complex Horner loop over every block (``Engine.horner``).
 
     A tail certificate bounds the last three nonzero blocks (all, for a
-    shorter series) by stored magnitudes: |z|^(rho+3n) sum_k |a_k[n]| |l|^k,
-    at least |z^(rho+3n) (a0 + l (a1 + l (a2 + l a3)))|, must lie below
-    ``tol`` times max(1, |sum|) at this call's l, compared in engine reals
-    (the default tol is 10^(2-dps) under mp, 1e-10 under double).  Otherwise
-    (a NaN included) TailBoundError is raised, on a cache hit as on a miss,
-    as it is when the series leaves the engine's range.
+    shorter series) by one majorant block of stored magnitudes, the
+    componentwise maximum M_k of |z|^(rho+3n) |a_k[n]| over those blocks:
+    sum_k M_k |l|^k, at least every |z^(rho+3n) (a0 + l (a1 + l (a2 + l a3)))|,
+    must lie below ``tol`` times max(1, |sum|) at this call's l, compared in
+    engine reals (the default tol, read once per engine, is 10^(2-dps)
+    under mp, 1e-10 under double).  |sum| is taken only when the bound
+    exceeds ``tol`` itself.  Otherwise (a NaN sum or bound included)
+    TailBoundError is raised, on a cache hit as on a miss, as it is when
+    the series leaves the engine's range.
     """
     if m not in (0, 1, 2, 3):
         raise ValueError("derivative order must be 0..3")
@@ -402,7 +430,7 @@ def eval_series(series, z, engine, m=0, tol=None):
     for _ in range(m):
         cur = cur.derivative()
     if tol is None:
-        tol = 1e-10 if engine.name == "double" else engine.real(10) ** (2 - engine.dps)
+        tol = _default_tol(engine)
 
     point = point_data(z, engine)
     sums = _block_sums(cur, *point.key, engine)
@@ -410,10 +438,12 @@ def eval_series(series, z, engine, m=0, tol=None):
     l = point.l
     total = t0 + l * (t1 + l * (t2 + l * t3))
     if cur.rho:
-        total = point.inverse ** -cur.rho * total
+        total = point.inverse_powers[-cur.rho] * total
 
-    # max(|total|, 1) is NaN for a NaN total, so the comparison fails
-    if not _tail_bound(sums, point) <= tol * max(abs(total), 1):
+    # a bound within tol passes for any number total; max(|total|, 1) is NaN
+    # for a NaN total, so the second comparison fails
+    bound = _tail_bound(sums, point)
+    if not (bound <= tol and total == total) and not bound <= tol * max(abs(total), 1):
         raise TailBoundError(
             f"truncation order {series.order} too small at |z|={float(z.modulus)} "
             f"for tolerance {tol}"

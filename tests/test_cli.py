@@ -274,6 +274,27 @@ def test_stages_have_one_definition(capsys):
         assert name in json.loads(out)["failed_checks"]
 
 
+def test_closed_form_of_C_is_evaluated_once_per_engine(monkeypatch):
+    # the connection stage compares C with the same closed form on every
+    # run; it is evaluated on the first run in each engine only
+    from monodromy_lab import pipeline, reference
+
+    evaluated = []
+    evaluate = pipeline.evaluate_over_d
+
+    def recorded(rows, engine):
+        if rows is reference.C_REF_NUMERATORS:
+            evaluated.append(engine)
+        return evaluate(rows, engine)
+
+    monkeypatch.setattr(pipeline, "evaluate_over_d", recorded)
+    pipeline._c_closed_form.cache_clear()
+    configs = [RunConfig(), RunConfig(engine_name="double"), RunConfig(dps=60)]
+    reports = [[run_verify(config)["residuals"] for _ in range(2)] for config in configs]
+    assert evaluated == [config.engine() for config in configs]
+    assert all(first == second for first, second in reports)
+
+
 def test_pretty_and_output_file(tmp_path, capsys):
     target = tmp_path / "report.json"
     code, _ = run_cli(capsys, "euler-matrix", "--pretty", "--output", str(target))

@@ -18,7 +18,7 @@ from monodromy_lab.monodromy import (
     dominance_permutation,
     eval_Ytop,
     exp_R,
-    exp_mu,
+    exp_mu_units,
     phi_top,
     phi_top_grading_violations,
     phi_top_orthogonality_residuals,
@@ -52,6 +52,10 @@ STOKES_Z0S = stokes_points(UCComplex.polar(2.0, math.pi / 4))
 CONNECTION_Z0S = connection_points(UCComplex.polar(0.1, math.pi / 4))
 
 
+def exp_mu(t, engine):
+    """e^(t mu) = diag e^(t mu_i) by the engine's exponentials; z^mu is
+    e^(t mu) at t = log z."""
+    return engine.ctx.diag([engine.exp(engine.real(mu) * t) for mu in MU_DIAG])
 
 def test_phi_top_published_blocks():
     series = phi_top(10)
@@ -500,6 +504,76 @@ def test_verify_constraints_inverts_only_C(monkeypatch):
     assert len(calls) == 1 and calls[0] is C
     for name, value in residuals.items():
         assert value <= 1e-36, name
+
+
+def dense_constraint_residuals(S, C, engine):
+    """The two constraint residuals by dense engine products, with
+    e^(t mu) from the engine's exponentials and eta as a matrix: eight
+    products and eight exponentials, the oracle of ``verify_constraints``."""
+    from monodromy_lab.monodromy import _unipotent_inverse
+
+    exact = [[Fraction(x) for x in row] for row in S]
+    Sm, S_inv = engine.matrix(exact), engine.matrix(_unipotent_inverse(exact))
+    eta = engine.matrix([[Fraction(int(i + j == 3)) for j in range(4)] for i in range(4)])
+    C_inv = engine.inverse(C)
+    two_pi_i, minus_pi_i = 2 * engine.i * engine.pi, -engine.i * engine.pi
+    lhs1 = C * Sm.T * S_inv * C_inv
+    rhs1 = exp_mu(two_pi_i, engine) * exp_R(two_pi_i, engine)
+    rhs2 = C_inv * exp_R(minus_pi_i, engine) * exp_mu(minus_pi_i, engine) * eta * C_inv.T
+    return {"constraint_cyclic": engine.max_abs(lhs1 - rhs1),
+            "constraint_pairing": engine.max_abs(Sm - rhs2)}
+
+
+@pytest.mark.parametrize("engine", [E, MP], ids=["double", "mp"])
+def test_verify_constraints_agrees_with_the_dense_products(engine):
+    # the extracted (S, C), the closed-form pair and a perturbed S: each
+    # residual within rounding of the dense oracle's
+    from monodromy_lab.closedform import evaluate_over_d
+    from monodromy_lab.monodromy import verify_constraints
+
+    sd = stokes_matrix(engine, STOKES_Z0S, ORDER, SNAP_TOL)
+    cd = connection_matrix(engine, CONNECTION_Z0S, ORDER, sd.P)
+    C_ref = engine.matrix(evaluate_over_d(reference.C_REF_NUMERATORS, engine))
+    S_bad = [list(row) for row in sd.S]
+    S_bad[0][1] += Fraction(1, 1000)
+    for S, C in ((sd.S, cd.C), (reference.S_REF, C_ref), (S_bad, cd.C)):
+        got, want = verify_constraints(S, C, engine), dense_constraint_residuals(S, C, engine)
+        for name in want:
+            assert abs(got[name] - want[name]) <= 1e4 * engine.eps * max(1, want[name]), name
+
+
+@pytest.mark.parametrize("engine", [E, MP], ids=["double", "mp"])
+def test_exact_mu_units_equal_the_exponentials(engine):
+    for turns in (2, -1):
+        t = turns * engine.i * engine.pi
+        for unit, mu in zip(exp_mu_units(turns), MU_DIAG):
+            assert abs(engine.exp(engine.real(mu) * t) - unit) <= 10 * engine.eps, (turns, mu)
+    assert exp_mu_units(2) == (-1, -1, -1, -1)
+    assert exp_mu_units(-1) == (-1j, 1j, -1j, 1j)
+
+
+def test_verify_constraints_takes_no_exponential_and_four_products(monkeypatch):
+    from monodromy_lab.monodromy import verify_constraints
+
+    sd = stokes_matrix(MP, STOKES_Z0S, ORDER, SNAP_TOL)
+    cd = connection_matrix(MP, CONNECTION_Z0S, ORDER, sd.P)
+    verify_constraints(sd.S, cd.C, MP)
+    # C^(-1), formed before the count starts, is the one inverse
+    C_inv = MP.inverse(cd.C)
+    monkeypatch.setattr(Engine, "inverse", lambda self, A: C_inv)
+    exps, products = [], []
+    monkeypatch.setattr(Engine, "exp", lambda self, x: exps.append(x))
+    matrix = type(cd.C)
+    original = matrix.__mul__
+
+    def counted(self, other):
+        if isinstance(other, matrix):
+            products.append(other)
+        return original(self, other)
+
+    monkeypatch.setattr(matrix, "__mul__", counted)
+    verify_constraints(sd.S, cd.C, MP)
+    assert exps == [] and len(products) == 4
 
 
 def test_unipotent_inverse_is_exact_and_refuses_other_matrices():

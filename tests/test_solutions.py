@@ -3,13 +3,15 @@ contour oracle, rotation operator, and the Euler/rotation identities."""
 
 import cmath
 import collections
+import itertools
 import math
 from fractions import Fraction
 
 import pytest
 
+from monodromy_lab import engine as engine_module
 from monodromy_lab import solutions
-from monodromy_lab.engine import get_engine
+from monodromy_lab.engine import GUARD_BITS, get_engine
 from monodromy_lab.solutions import (
     PHI1,
     PHI2,
@@ -504,12 +506,12 @@ def test_rotated_hit_takes_one_exponential(monkeypatch):
 
 
 @pytest.mark.parametrize("engine_name", ("mp", "double"))
-def test_verify_takes_42_exponentials(monkeypatch, engine_name):
+def test_verify_takes_34_exponentials(monkeypatch, engine_name):
     # from empty point and block-sum caches: z^(1/2) at each of the 27
     # points (five rotations of 3 Stokes points, three of 4 connection
-    # points), w at each of the 7 point classes, and e^(t mu) at t = 2 pi i
-    # and -pi i in verify_constraints (8); with the caches full only the
-    # last 8.  The dominance order is computed once per process.
+    # points) and w at each of the 7 point classes; with the caches full
+    # none, as verify_constraints reads e^(2 pi i mu) and e^(-pi i mu) as
+    # exact units.  The dominance order is computed once per process.
     from monodromy_lab.pipeline import RunConfig, run_verify
 
     config = RunConfig(engine_name=engine_name)
@@ -518,11 +520,11 @@ def test_verify_takes_42_exponentials(monkeypatch, engine_name):
     solutions.point_data.cache_clear()
     calls = count_exponentials(monkeypatch)
     run_verify(config)
-    assert calls == {engine_name: 42}
+    assert calls == {engine_name: 34}
     assert solutions.point_data.cache_info().currsize == 27
     calls.clear()
     run_verify(config)
-    assert calls == {engine_name: 8}
+    assert calls == {}
 
 
 def horner_oracle(column, w, ctx):
@@ -554,6 +556,107 @@ def test_exact_block_pass_matches_a_double_precision_oracle(kind):
                     ref, scale = horner_oracle([blk[k] for blk in series.blocks], w, e.ctx)
                     assert abs(t - ref) <= bound * scale, (kind, m, modulus, rotation, k)
         series = series.derivative()
+
+
+def cut_bound(blocks, prec):
+    """The error bound of ``Engine.horner`` under mp over sum_n |w^n a[n]|:
+    half an ulp, 4 * 2^-(prec + GUARD_BITS) per block and one more for the
+    skipped blocks."""
+    return 2.0 ** -prec * (1 + (4 * blocks + 1) * 2.0 ** -GUARD_BITS)
+
+
+def recorded_cuts(monkeypatch):
+    """How many blocks of each column every mp pass sums."""
+    cuts = []
+    summed_blocks = engine_module._summed_blocks
+
+    def recorded(bounds, log2w, bits):
+        kept = summed_blocks(bounds, log2w, bits)
+        cuts.append(kept)
+        return kept
+
+    monkeypatch.setattr(engine_module, "_summed_blocks", recorded)
+    return cuts
+
+
+@pytest.mark.parametrize("kind", (PHI1, PHI2))
+def test_cut_block_pass_stays_within_its_bound(kind, monkeypatch):
+    # phi and its derivatives 1-3 at order 40: every T_k of the shortened
+    # pass within the docstring's bound of mpc Horner over all blocks at
+    # twice the precision; fewer than all 40 blocks summed at |z| <= 0.4
+    e = get_engine("mp", dps=40)
+    cuts = recorded_cuts(monkeypatch)
+    series = phi_series(kind, 40, e)
+    for m in range(4):
+        columns = e.horner_columns(series.blocks)
+        for modulus in (0.025, 0.1, 0.4, 1, 2):
+            for rotation in (0, 1):
+                w = e.exp(3 * UCComplex.polar(modulus, 0.3).rotated(rotation).log(e))
+                cuts.clear()
+                sums = e.horner(columns, w)
+                for k, t in enumerate(sums):
+                    ref, scale = horner_oracle([blk[k] for blk in series.blocks], w, e.ctx)
+                    assert abs(t - ref) <= cut_bound(40, e.ctx.prec) * scale, (m, modulus, k)
+                assert all(1 <= kept <= 40 for kept in cuts)
+                if modulus <= 0.4:
+                    assert all(kept < 40 for kept in cuts), (m, modulus, cuts)
+        series = series.derivative()
+
+
+def test_cut_phi_top_pass_stays_within_its_bound():
+    # the 16 Phi_top entry series, leading and trailing zero blocks
+    # included, summed as eval_Ytop sums them: GUARD_BITS above the working
+    # precision, against mpc Horner on the exact coefficients
+    from monodromy_lab.monodromy import _phi_top_columns, phi_top
+
+    e = get_engine("mp", dps=40)
+    coeffs = phi_top(40).coeffs
+    columns, offsets = _phi_top_columns(40, e)
+    for modulus in (0.025, 0.1, 0.4, 1, 2):
+        with e.guarded():
+            w = e.exp(3 * UCComplex.polar(modulus, 0.7).log(e))
+            sums = e.horner(columns, w)
+            prec = e.ctx.prec
+        ctx = e.ctx.clone()
+        ctx.prec = 2 * prec
+        for (a, b), c, t in zip(itertools.product(range(4), repeat=2), offsets, sums):
+            exact = [coeffs[c + 3 * n][a][b] if c + 3 * n <= 40 else 0 for n in range(14)]
+            column = [ctx.mpf(v.numerator) / v.denominator for v in map(Fraction, exact)]
+            ref, scale = horner_oracle(column, w, ctx)
+            assert abs(t - ref) <= cut_bound(len(column), prec) * scale, (modulus, a, b)
+
+
+def test_cut_sums_block_zero_always():
+    e = get_engine("mp", dps=40)
+    tiny, big = e.exp(-300), e.exp(300)
+    # an all-zero column sums to 0, at any w
+    zeros = e.horner_columns([[e.complex(0)] * 4 for _ in range(5)])
+    for w in (tiny, big, e.complex(0)):
+        assert e.horner(zeros, w) == (0, 0, 0, 0)
+    # only leading blocks are skipped: block 0, far below the largest term
+    # (block 1), is summed with it, and w = 0 sums block 0 alone
+    column = e.horner_columns([[e.complex(1)] * 4, [e.complex(10) ** 200] * 4])
+    assert engine_module._summed_blocks(column[0][1], 0.0, 156) == 2
+    assert engine_module._summed_blocks(column[0][1], float("-inf"), 156) == 1
+    assert e.horner(column, e.complex(0)) == (1, 1, 1, 1)
+    # past the working precision every block but block 0 is skipped
+    column = e.horner_columns([[e.complex(1)] * 4, [e.complex(1)] * 4])
+    assert engine_module._summed_blocks(column[0][1], -200.0, 156) == 1
+    assert e.horner(column, e.complex(2) ** -200) == (1, 1, 1, 1)
+    assert engine_module._summed_blocks(column[0][1], -100.0, 156) == 2
+
+
+def test_verify_cuts_its_mp_block_passes(monkeypatch):
+    # a default mp verify sums blocks 0..kept-1 of each column: always
+    # block 0, and at most 5600 column steps over its 56 phi passes and 4
+    # Phi_top passes (9856 without the cut)
+    from monodromy_lab.pipeline import RunConfig, run_verify
+
+    cuts = recorded_cuts(monkeypatch)
+    run_verify(RunConfig())
+    assert len(cuts) == 56 * 4 + 4 * 16
+    assert min(cuts) >= 1
+    assert sum(cuts) <= 5600
 
 
 def tail_quantity(series, l, engine):
@@ -593,6 +696,56 @@ def test_tail_bound_is_at_least_the_tail(monkeypatch, engine_name):
     engine = config.engine()
     for series, l, bound in calls:
         assert bound >= tail_quantity(series, l, engine), (series.rho, l)
+
+
+@pytest.mark.parametrize("engine_name", ("mp", "double"))
+def test_tail_majorant_is_at_least_the_per_block_maximum(monkeypatch, engine_name):
+    # the one componentwise-max block of a pass bounds the tail at every
+    # call of a verify no lower than the largest of the certificate's
+    # per-block bounds, formed as they were before that block replaced them
+    from monodromy_lab.pipeline import RunConfig, run_verify
+
+    calls, summed = [], {}
+    block_sums, tail_bound = solutions._block_sums, solutions._tail_bound
+
+    def recorded_sums(series, modulus, arg_over_pi, engine):
+        sums = block_sums(series, modulus, arg_over_pi, engine)
+        summed[sums] = series, modulus, engine
+        return sums
+
+    def recorded_bound(sums, point):
+        bound = tail_bound(sums, point)
+        calls.append((summed[sums], point.labs, bound))
+        return bound
+
+    monkeypatch.setattr(solutions, "_block_sums", recorded_sums)
+    monkeypatch.setattr(solutions, "_tail_bound", recorded_bound)
+    run_verify(RunConfig(engine_name=engine_name))
+    assert len(calls) == 172
+    for (series, modulus, engine), labs, bound in calls:
+        r = engine.real(modulus)
+        per_block = []
+        for n, mags in solutions._prepare(series, engine)[1]:
+            m0, m1, m2, m3 = (r ** (series.rho + 3 * n) * a for a in mags)
+            per_block.append(((m3 * labs + m2) * labs + m1) * labs + m0)
+        assert bound >= max(per_block), (series.rho, modulus)
+
+
+@pytest.mark.parametrize("engine", ENGINES, ids=["double", "mp"])
+def test_a_nan_sum_within_the_tolerance_is_a_tail_bound_error(monkeypatch, engine):
+    # a zero tail bound passes without |sum| being taken, unless the sum is
+    # NaN
+    nan = engine.complex(engine.ctx.nan)
+    zero = engine.real(0)
+    for t0 in (nan, engine.complex(1)):
+        sums = solutions._BlockSums((t0, 0, 0, 0), (zero,) * 4)
+        monkeypatch.setattr(solutions, "_block_sums", lambda *key: sums)
+        z = UCComplex.polar(2, math.pi / 4)
+        if t0 == t0:
+            assert eval_series(phi_series(PHI1, 40, engine), z, engine) == 1
+        else:
+            with pytest.raises(TailBoundError):
+                eval_series(phi_series(PHI1, 40, engine), z, engine)
 
 
 def test_coefficient_columns_are_converted_once_per_series():
