@@ -6,9 +6,18 @@ matrix C and the Gamma-basis matrix C_Gamma of LG(2,4) are all of this
 kind, the two matrices over the common denominator D = 2 sqrt(2) pi^(3/2)
 = (2 pi)^(3/2).  ``ClosedForm`` is exact ring arithmetic with ints,
 Fractions and other ClosedForms, so ``ring.CohClass`` arithmetic runs over
-it unchanged.  ``evaluate`` turns one into an engine number at the engine's
-precision; every rational coefficient enters through ``Engine.complex``
-(and so ``Engine.real``), never as a raw Fraction or float operand.
+it unchanged.
+
+A form is stored as Gaussian integers over one denominator: each monomial
+gamma^a pi^b zeta(3)^c maps to an integer pair (re, im), and one positive
+integer ``den`` divides them all, reduced so that it shares no factor with
+every numerator (the zero form has no monomials and den = 1).  So the
+arithmetic is integer arithmetic, with one gcd per result, and two forms
+are equal exactly when their monomials and denominators are; a sum or
+product lists its monomials in the order they first appear.  ``evaluate``
+turns a form into an engine number at the engine's precision; every
+coefficient enters through ``Engine.complex`` (and so ``Engine.real``) as
+the exact rationals re/den and im/den, never as a raw float operand.
 
 sympy sees a ClosedForm through ``_sympy_`` and is imported only then, so
 the verification path never loads it.
@@ -17,37 +26,55 @@ the verification path never loads it.
 from __future__ import annotations
 
 import functools
+import itertools
+import math
 from fractions import Fraction
 
 
 class ClosedForm:
-    """sum of c * gamma^a pi^b zeta(3)^c over ``terms``, which maps the
-    exponents (a, b, c) to the (real, imaginary) Fractions of c; no stored
-    coefficient is zero.  Treat as immutable."""
+    """sum of (re + i im)/den * gamma^a pi^b zeta(3)^c over ``terms``, which
+    maps the exponents (a, b, c) to the integer pair (re, im); no stored
+    pair is (0, 0), and ``den`` is positive and reduced (see the module
+    docstring).  The constructor takes any nonzero integer ``den`` and
+    normalizes.  Treat as immutable."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "den")
 
-    def __init__(self, terms=None):
-        self.terms = {k: v for k, v in (terms or {}).items() if v[0] or v[1]}
+    def __init__(self, terms=None, den=1):
+        if not den:
+            raise ZeroDivisionError("ClosedForm with denominator 0")
+        terms = {k: v for k, v in (terms or {}).items() if v[0] or v[1]}
+        g = math.gcd(den, *itertools.chain.from_iterable(terms.values()))
+        if den < 0:
+            g = -g  # dividing by it makes den positive
+        if g != 1:
+            den //= g
+            terms = {k: (re // g, im // g) for k, (re, im) in terms.items()}
+        self.terms = terms
+        self.den = den
 
     @classmethod
     def constant(cls, re, im=0):
-        return cls({(0, 0, 0): (Fraction(re), Fraction(im))})
+        re, im = Fraction(re), Fraction(im)
+        return cls({(0, 0, 0): (re.numerator * im.denominator, im.numerator * re.denominator)},
+                   re.denominator * im.denominator)
 
     def __add__(self, other):
         other = _lift(other)
         if other is None:
             return NotImplemented
-        terms = dict(self.terms)
+        g = math.gcd(self.den, other.den)
+        m1, m2 = other.den // g, self.den // g
+        terms = {k: (re * m1, im * m1) for k, (re, im) in self.terms.items()}
         for k, (re, im) in other.terms.items():
             re0, im0 = terms.get(k, (0, 0))
-            terms[k] = (re0 + re, im0 + im)
-        return ClosedForm(terms)
+            terms[k] = (re0 + re * m2, im0 + im * m2)
+        return ClosedForm(terms, self.den * m1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ClosedForm({k: (-re, -im) for k, (re, im) in self.terms.items()})
+        return ClosedForm({k: (-re, -im) for k, (re, im) in self.terms.items()}, self.den)
 
     def __sub__(self, other):
         other = _lift(other)
@@ -67,7 +94,7 @@ class ClosedForm:
                 k = (a + d, b + e, c + f)
                 re0, im0 = terms.get(k, (0, 0))
                 terms[k] = (re0 + re1 * re2 - im1 * im2, im0 + re1 * im2 + im1 * re2)
-        return ClosedForm(terms)
+        return ClosedForm(terms, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -86,10 +113,12 @@ class ClosedForm:
 
     def __eq__(self, other):
         other = _lift(other)
-        return NotImplemented if other is None else self.terms == other.terms
+        if other is None:
+            return NotImplemented
+        return self.den == other.den and self.terms == other.terms
 
     def __repr__(self):
-        return f"ClosedForm({self.terms!r})"
+        return f"ClosedForm({self.terms!r}, den={self.den})"
 
     def _sympy_(self):
         """The same polynomial as an expanded sympy expression."""
@@ -99,22 +128,24 @@ class ClosedForm:
         out = []
         for exponents, (re, im) in self.terms.items():
             monomial = sp.Mul(*(base ** k for base, k in zip(bases, exponents)))
-            out.append(sp.Rational(re.numerator, re.denominator) * monomial)
-            out.append(sp.I * sp.Rational(im.numerator, im.denominator) * monomial)
+            out.append(sp.Rational(re, self.den) * monomial)
+            out.append(sp.I * sp.Rational(im, self.den) * monomial)
         return sp.Add(*out)
 
 
 def _lift(x):
     if isinstance(x, ClosedForm):
         return x
-    if isinstance(x, (int, Fraction)):
-        return ClosedForm.constant(x)
+    if isinstance(x, int):
+        return ClosedForm({(0, 0, 0): (x, 0)})
+    if isinstance(x, Fraction):
+        return ClosedForm({(0, 0, 0): (x.numerator, 0)}, x.denominator)
     return None
 
 
-EULER_GAMMA = ClosedForm({(1, 0, 0): (Fraction(1), Fraction(0))})
-PI = ClosedForm({(0, 1, 0): (Fraction(1), Fraction(0))})
-ZETA3 = ClosedForm({(0, 0, 1): (Fraction(1), Fraction(0))})
+EULER_GAMMA = ClosedForm({(1, 0, 0): (1, 0)})
+PI = ClosedForm({(0, 1, 0): (1, 0)})
+ZETA3 = ClosedForm({(0, 0, 1): (1, 0)})
 I = ClosedForm.constant(0, 1)
 
 
@@ -127,8 +158,9 @@ def evaluate(x, engine):
     """A ClosedForm as an engine number, at the engine's precision."""
     bases = _bases(engine)
     total = engine.complex(0)
+    den = x.den
     for exponents, (re, im) in x.terms.items():
-        term = engine.complex(re, im)
+        term = engine.complex(Fraction(re, den), Fraction(im, den))
         for base, k in zip(bases, exponents):
             if k:
                 term *= base ** k

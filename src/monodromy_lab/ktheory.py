@@ -12,16 +12,18 @@ exponentials.
 Two Chern-character normalizations coexist and are kept in separate fields:
 the plain one (ch = sum e^tau) feeding Hirzebruch-Riemann-Roch, and the
 2 pi i scaled one (Ch = sum e^(2 pi i tau)) entering C_Gamma; mixing them is
-the classic implementation bug.  Euler pairings are computed exactly over
-the rationals; the Gamma class, the graded characters and C_Gamma are exact
-``closedform.ClosedForm`` polynomials in EulerGamma, pi and zeta(3), made
-numeric only for final comparisons.  sympy is imported only by the test
-oracles ``c_gamma_matrix`` and ``numeric_matrix``.
+the classic implementation bug.  Euler pairings are computed exactly, in
+integers, from one integer bilinear form of the Todd class; the Gamma
+class, the graded characters and C_Gamma are exact ``closedform.ClosedForm``
+polynomials in EulerGamma, pi and zeta(3), made numeric only for final
+comparisons.  sympy is imported only by the test oracles ``c_gamma_matrix``
+and ``numeric_matrix``.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -32,7 +34,7 @@ from monodromy_lab.ring import (
     DEGREES,
     SIGMA_1,
     classical_product,
-    integral,
+    structure_constant,
 )
 
 H = SIGMA_1  # hyperplane class
@@ -162,18 +164,38 @@ def graded_chern_character(obj):
 
 # -- Euler pairing -----------------------------------------------------------
 
-def _dual_ch(ch):
-    return CohClass(tuple(c if d % 2 == 0 else -c for c, d in zip(ch.coeffs, DEGREES)))
+def _over_one_denominator(cls):
+    """(n, den): the exact coefficients of a class as integers n over den."""
+    coeffs = [Fraction(c) for c in cls.coeffs]
+    den = math.lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
+@functools.cache
+def _euler_form():
+    """(B, den): integers with B[a][b] / den = integral of s_a^dual s_b td,
+    that is (-1)^deg(a) <s_a s_b, td> by the classical structure constants,
+    so chi(E, F) = sum_ab ch(E)_a ch(F)_b B[a][b] / den; built once per
+    process."""
+    t, den = _over_one_denominator(todd_class())
+    return tuple(tuple((-1) ** DEGREES[a] * sum(structure_constant(a, b, c)[0] * t[3 - c]
+                                                for c in range(4))
+                       for b in range(4)) for a in range(4)), den
 
 
 def euler_pairing(E, F):
-    """chi(E, F) by Hirzebruch-Riemann-Roch, exact over the rationals."""
-    td = todd_class()
-    v = classical_product(classical_product(_dual_ch(E.ch_plain), F.ch_plain), td)
-    chi = integral(v)
-    if chi.denominator != 1:
-        raise ArithmeticError(f"non-integer Euler pairing {chi} for ({E.name}, {F.name})")
-    return int(chi)
+    """chi(E, F) by Hirzebruch-Riemann-Roch, exact: the integer form of
+    ``_euler_form`` between the two plain characters, each over one
+    denominator."""
+    B, den = _euler_form()
+    (e, de), (f, df) = _over_one_denominator(E.ch_plain), _over_one_denominator(F.ch_plain)
+    num = sum(ea * sum(Bab * fb for Bab, fb in zip(row, f)) for ea, row in zip(e, B) if ea)
+    den *= de * df
+    chi, rem = divmod(num, den)
+    if rem:
+        raise ArithmeticError(f"non-integer Euler pairing {Fraction(num, den)} "
+                              f"for ({E.name}, {F.name})")
+    return chi
 
 
 def euler_matrix():
@@ -191,9 +213,15 @@ def gamma_class(sign=-1):
     GammaHat^+ = exp(-EulerGamma p1 + zeta(2) p2/2 - zeta(3) p3/3),
 
     truncated at degree 3, with zeta(2) = pi^2/6; coefficients are exact
-    ClosedForms."""
+    ClosedForms.  ``sign`` is -1 or "-" for GammaHat^-, 1 or "+" for
+    GammaHat^+; anything else raises ValueError."""
+    if sign in (-1, "-"):
+        s = -1
+    elif sign in (1, "+"):
+        s = 1
+    else:
+        raise ValueError(f"unknown Gamma class sign {sign!r}, expected -1, 1, '-' or '+'")
     cd = chern_data()
-    s = -1 if sign in (-1, "-") else 1
     expo = (
         cd.p1.scaled(-s * EULER_GAMMA)
         + cd.p2.scaled(PI ** 2 / 12)

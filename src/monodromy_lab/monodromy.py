@@ -86,33 +86,44 @@ class PhiTopSeries:
 def phi_top(order):
     """Solve the recursion for Phi_top through z^order, exactly.
 
-    The right-hand side sums only the products of a nonzero entry of U_cal
-    or R (six and three of them) with a nonzero entry of Phi_(k-1).  Every
-    entry is still solved for, so a nonzero resonant right-hand side raises
-    ResonanceError and the z^3 grading is left to ``_phi_top_columns`` to
-    check."""
+    Phi_k is carried as 16 integers (row-major) over one positive
+    denominator, reduced once per k, and turned into Fractions only for the
+    result.  Entry (a, b) of the right-hand side sums the products of the
+    nonzero entries of U_cal and R (six and three of them, integers) with
+    the entries of Phi_(k-1) they meet.  Every entry is still solved for, so
+    a nonzero resonant right-hand side raises ResonanceError and the z^3
+    grading is left to ``_phi_top_columns`` to check."""
     if order < 1:
         raise ValueError("order must be >= 1")
     _, R, U = operator_matrices(q=Fraction(1))
-    u_rows = [[(t, U[a][t]) for t in range(4) if U[a][t]] for a in range(4)]
-    r_cols = [[(t, R[t][b]) for t in range(4) if R[t][b]] for b in range(4)]
-    shifts = [[int(MU_DIAG[b] - MU_DIAG[a]) for b in range(4)] for a in range(4)]
-    mats = [tuple(tuple(Fraction(int(i == j)) for j in range(4)) for i in range(4))]
+    # rhs[4a + b] = sum of c * prev[j] over (j, c) in terms[4a + b]
+    terms = [tuple((4 * t + b, int(U[a][t])) for t in range(4) if U[a][t])
+             + tuple((4 * a + t, -int(R[t][b])) for t in range(4) if R[t][b])
+             for a in range(4) for b in range(4)]
+    shifts = [int(MU_DIAG[b] - MU_DIAG[a]) for a in range(4) for b in range(4)]
+    prev, den = [int(a == b) for a in range(4) for b in range(4)], 1
+    mats = [(prev, den)]
     for k in range(1, order + 1):
-        prev = mats[-1]
-        cur = []
-        for a in range(4):
-            row = []
-            for b in range(4):
-                rhs = (sum(u * prev[t][b] for t, u in u_rows[a] if prev[t][b])
-                       - sum(prev[a][t] * r for t, r in r_cols[b] if prev[a][t]))
-                div = k + shifts[a][b]
-                if rhs and div == 0:
-                    raise ResonanceError(f"inconsistent resonance at k={k}, entry ({a},{b})")
-                row.append(rhs / div if rhs else Fraction(0))
-            cur.append(tuple(row))
-        mats.append(tuple(cur))
-    return PhiTopSeries(coeffs=tuple(mats))
+        # entry i of Phi_k is rhs[i] / (den * (k + shifts[i]))
+        rhs = [sum(c * prev[j] for j, c in t) for t in terms]
+        divs = [k + shift for shift in shifts]
+        for i, (r, div) in enumerate(zip(rhs, divs)):
+            if r and div == 0:
+                raise ResonanceError(f"inconsistent resonance at k={k}, entry ({i // 4},{i % 4})")
+        scale = math.lcm(*(div for r, div in zip(rhs, divs) if r))
+        cur = [r * (scale // div) if r else 0 for r, div in zip(rhs, divs)]
+        den *= scale
+        g = math.gcd(den, *cur)
+        if g != 1:
+            den //= g
+            cur = [x // g for x in cur]
+        prev = cur
+        mats.append((cur, den))
+    zero = Fraction(0)
+    return PhiTopSeries(coeffs=tuple(
+        tuple(tuple(Fraction(x, den) if x else zero for x in flat[4 * a:4 * a + 4])
+              for a in range(4))
+        for flat, den in mats))
 
 
 def phi_top_recursion_residuals(series):
@@ -203,11 +214,12 @@ def _phi_top_columns(order, engine):
 def _exp_R_terms():
     """The nonzero terms of e^(tR) = sum_p R^p t^p/p! as (k, j, p, c), a
     term c t^p of entry (k, j); R is subdiagonal (3, 6, 3), so each of the
-    ten nonzero entries has one."""
+    ten nonzero entries has one; the powers of R are formed in integers."""
     _, R, _ = operator_matrices()
-    terms, power = [], [[Fraction(int(i == j)) for j in range(4)] for i in range(4)]
+    R = [[int(x) for x in row] for row in R]
+    terms, power = [], [[int(i == j) for j in range(4)] for i in range(4)]
     for p in range(4):
-        terms.extend((k, j, p, power[k][j] / math.factorial(p))
+        terms.extend((k, j, p, Fraction(power[k][j], math.factorial(p)))
                      for k in range(4) for j in range(4) if power[k][j])
         power = [[sum(power[i][t] * R[t][j] for t in range(4)) for j in range(4)]
                  for i in range(4)]
@@ -574,17 +586,14 @@ def _constraint_targets(engine):
 
 def _unipotent_inverse(M):
     """Exact inverse of a unipotent upper-triangular matrix of exact
-    entries (int or Fraction): I - N + N^2 - ... with N = M - I nilpotent.
-    Raises ValueError for any other matrix."""
+    entries (int or Fraction), by back substitution: row i of M X = I gives
+    X[i][j] = -sum_(i < t <= j) M[i][t] X[t][j].  Raises ValueError for any
+    other matrix."""
     n = len(M)
     if any(M[i][j] != (i == j) for i in range(n) for j in range(i + 1)):
         raise ValueError("not a unipotent upper-triangular matrix")
-    N = [[M[i][j] - (1 if i == j else 0) for j in range(n)] for i in range(n)]
-    out = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    power = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    sign = 1
-    for _ in range(n - 1):
-        power = [[sum(power[i][k] * N[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
-        sign = -sign
-        out = [[out[i][j] + sign * power[i][j] for j in range(n)] for i in range(n)]
+    out = [[int(i == j) for j in range(n)] for i in range(n)]
+    for i in reversed(range(n)):
+        for j in range(i + 1, n):
+            out[i][j] = -sum(M[i][t] * out[t][j] for t in range(i + 1, j + 1))
     return tuple(tuple(row) for row in out)

@@ -8,10 +8,13 @@ s21 the point class.  The quantum products are
     s2*s2 = q s1          s2*s21 = q s2          s21*s21 = q^2
 
 and the Poincare pairing is the anti-diagonal unit matrix.  Structure
-constants are stored as exact integer polynomials in q; any scalar type
-(Fraction, complex, mpmath, ``closedform.ClosedForm``) can be substituted, so
-the same product code serves the exact recursions downstream and the exact
-Gamma-class arithmetic.
+constants are stored as integer polynomials n0 + n1 q + n2 q^2 and
+evaluated once per q into a table of constants, integers at an integer q (a
+Fraction q of denominator 1 counts as one), so an exact product takes no
+rational arithmetic of its own.  The coefficients of a class may be of any
+ring scalar type (int, Fraction, complex, mpmath, ``closedform.ClosedForm``),
+and so may q, so the same product code serves the exact recursions
+downstream, the exact Gamma-class arithmetic and numeric checks.
 """
 
 from __future__ import annotations
@@ -88,23 +91,33 @@ def structure_constant(a, b, c):
     return _table_row(a, b).get(c, (0, 0, 0))
 
 
+@functools.lru_cache(maxsize=None, typed=True)
+def _product_table(q):
+    """The nonzero structure constants at q: entry 4a + b lists (c, k) with
+    k = n0 + n1 q + n2 q^2 != 0 the coefficient of e_c in e_a*e_b; built
+    once per q (an integral Fraction q is read as its int)."""
+    if isinstance(q, Fraction) and q.denominator == 1:
+        q = q.numerator
+    powers = (1, q, q * q)
+    return tuple(tuple((c, k) for c, n in _table_row(a, b).items()
+                       if (k := sum(m * p for m, p in zip(n, powers) if m)) != 0)
+                 for a in range(4) for b in range(4))
+
+
 def quantum_product(x, y, q=Fraction(1)):
     """Bilinear extension of the quantum multiplication table at parameter q.
 
     Only products that can contribute are formed: a zero x_a or y_b is
-    skipped, each structure constant n0 + n1 q + n2 q^2 is evaluated once
-    as one scalar (n0 alone at q = 0), and x_a y_b is formed only when some
-    constant of (a, b) is nonzero."""
+    skipped, the constants come from ``_product_table(q)``, and x_a y_b is
+    formed only when some constant of (a, b) is nonzero."""
     out = [x[0] * 0 for _ in range(4)]
-    powers = (1, q, q * q)
+    table = _product_table(q)
+    ys = [(b, yb) for b, yb in enumerate(y.coeffs) if yb != 0]
     for a, xa in enumerate(x.coeffs):
         if xa == 0:
             continue
-        for b, yb in enumerate(y.coeffs):
-            if yb == 0:
-                continue
-            consts = [(c, k) for c, n in _table_row(a, b).items()
-                      if (k := sum(m * p for m, p in zip(n, powers) if m)) != 0]
+        for b, yb in ys:
+            consts = table[4 * a + b]
             if consts:
                 prod = xa * yb
                 for c, k in consts:

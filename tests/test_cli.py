@@ -2,6 +2,7 @@
 
 import dataclasses
 import functools
+import hashlib
 import json
 import pathlib
 import subprocess
@@ -10,7 +11,7 @@ import sys
 import pytest
 
 from monodromy_lab import solutions
-from monodromy_lab.cli import main
+from monodromy_lab.cli import COMMANDS, build_parser, config_from_args, main
 from monodromy_lab.pipeline import RunConfig, config_dict, run_verify
 from monodromy_lab.report import dumps
 from monodromy_lab.solutions import UCComplex
@@ -65,6 +66,36 @@ def test_euler_matrix(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["euler_matrix"] == [[1, 5, 16, 14], [0, 1, 4, 5], [0, 0, 1, 4], [0, 0, 0, 1]]
+
+
+#: SHA-256 of ``report.dumps`` of the exact-arithmetic reports; any change
+#: to an exact output shows here.  ``gamma`` is left out: its exact strings
+#: are sympy's printing, which may change with the sympy version
+EXACT_REPORT_DIGESTS = {
+    "qcoh": "a6c3fde8400e8892c41a86abf06d1dbf1613209999a1c1a4950464579e321731",
+    "euler-matrix": "77daddb6fb354a653ef78afa06582136d980a292cc79204b91f4605c77847bc7",
+    "phitop --order 60": "96111a3ca3beecedccd5da9f3d55594dd08b036b1e6182ab3c565a7836b9b317",
+}
+
+
+@pytest.mark.parametrize("command", list(EXACT_REPORT_DIGESTS))
+def test_exact_reports_keep_their_bytes(command):
+    args = build_parser().parse_args(command.split())
+    doc = COMMANDS[args.command](args, config_from_args(args))
+    digest = hashlib.sha256(dumps(doc).encode()).hexdigest()
+    assert digest == EXACT_REPORT_DIGESTS[command]
+
+
+def test_exact_commands_do_not_import_sympy():
+    code = ("import contextlib, io, sys\n"
+            "from monodromy_lab import cli\n"
+            "for argv in (['euler-matrix'], ['phitop', '--order', '60'], ['qcoh']):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert cli.main(argv) == 0, argv\n"
+            "print('sympy' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120)
+    assert proc.stdout.strip() == "False", proc.stderr
 
 
 def test_solutions_identities(capsys):

@@ -1,10 +1,13 @@
 """Exact closed forms: ClosedForm arithmetic, the reference encoding against
 sympy, evaluation at working precision, and sympy kept off `verify`."""
 
+import math
+import random
 import subprocess
 import sys
 from fractions import Fraction
 
+import pytest
 import sympy as sp
 
 from monodromy_lab import ktheory, pipeline, reference
@@ -106,3 +109,109 @@ def test_braid_match_follows_the_working_precision():
     doc = pipeline.run_verify(pipeline.RunConfig(dps=60))
     assert doc["status"] == "ok"
     assert doc["residuals"]["braid_match"] < 1e-50
+
+
+# -- the integer representation against sympy ---------------------------------
+
+#: sympy's polynomial ring over Q(i) in stand-ins for gamma, pi and zeta(3)
+_RING, _G, _P, _Z = sp.ring("g p z", sp.QQ_I)
+
+
+def _gaussian(re, im=0):
+    """re + i im as an element of the ring's coefficient field Q(i)."""
+    return _RING.domain.from_sympy(sp.Rational(re.numerator, re.denominator)
+                                   + sp.I * sp.Rational(im.numerator, im.denominator))
+
+
+def _random_data(rng):
+    """[(exponents, re, im)]: up to four monomials with small rational parts."""
+    def rational():
+        return Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 3, 4, 6, 12)))
+
+    return [((rng.randint(0, 2), rng.randint(0, 3), rng.randint(0, 1)), rational(), rational())
+            for _ in range(rng.randint(0, 4))]
+
+
+def _form_of(data):
+    out = ClosedForm()
+    for (a, b, c), re, im in data:
+        out = out + EULER_GAMMA ** a * PI ** b * ZETA3 ** c * ClosedForm.constant(re, im)
+    return out
+
+
+def _poly_of(data):
+    out = _RING.zero
+    for (a, b, c), re, im in data:
+        out += _gaussian(re, im) * _G ** a * _P ** b * _Z ** c
+    return out
+
+
+def _read(x):
+    """The ring element a ClosedForm's stored integers stand for."""
+    out = _RING.zero
+    for (a, b, c), (re, im) in x.terms.items():
+        out += _gaussian(Fraction(re, x.den), Fraction(im, x.den)) * _G ** a * _P ** b * _Z ** c
+    return out
+
+
+def _assert_normalized(x):
+    assert type(x.den) is int and x.den > 0
+    assert all(type(re) is int and type(im) is int and (re or im)
+               for re, im in x.terms.values())
+    assert math.gcd(x.den, *(n for pair in x.terms.values() for n in pair)) == 1
+
+
+def test_closed_form_algebra_matches_sympy():
+    rng = random.Random(16)
+    for _ in range(200):
+        dx, dy = _random_data(rng), _random_data(rng)
+        x, y = _form_of(dx), _form_of(dy)
+        px, py = _poly_of(dx), _poly_of(dy)
+        n = rng.choice((-3, -1, 2, 5))
+        q = Fraction(rng.choice((-7, 1, 5)), rng.choice((2, 3, 9)))
+        pq = _gaussian(q)
+        k = rng.randint(0, 3)
+        # sympy refuses 0**0; a ClosedForm to the power 0 is 1, as for ints
+        pk = px ** k if px or k else _RING.one
+        cases = ((x, px), (x + y, px + py), (x - y, px - py), (x * y, px * py),
+                 (x ** k, pk), (x / n, px / n), (x / q, px / pq),
+                 (n * x - q, n * px - pq), (q * y + n, pq * py + n))
+        for got, want in cases:
+            _assert_normalized(got)
+            assert _read(got) == want, (dx, dy)
+
+
+def test_closed_form_normal_form_and_comparisons():
+    x = 3 * I * EULER_GAMMA * ZETA3 - PI ** 3 / 7 + Fraction(5, 6)
+    zero = ClosedForm()
+    assert zero.terms == {} and zero.den == 1 and zero == 0 and zero == Fraction(0)
+    assert x - x == zero and (x - x).den == 1 and x * 0 == zero
+    assert ClosedForm({(0, 0, 0): (0, 0), (1, 0, 0): (0, 0)}, 7) == zero
+    assert ClosedForm({(0, 0, 0): (0, 0)}, 7).den == 1
+    # equality does not depend on how a form was built
+    assert (x * 6) / 6 == x and x / Fraction(3, 4) * Fraction(3, 4) == x
+    assert ClosedForm({k: (6 * re, 6 * im) for k, (re, im) in x.terms.items()}, 6 * x.den) == x
+    # a negative or unreduced denominator is normalized on construction
+    half = ClosedForm({(0, 0, 0): (-2, 4)}, -4)
+    assert half.terms == {(0, 0, 0): (1, -2)} and half.den == 2
+    assert half == ClosedForm.constant(Fraction(1, 2), -1)
+    for y in (x, half, x / -3, -x * Fraction(-2, 9)):
+        _assert_normalized(y)
+    # comparisons with int and Fraction
+    assert ClosedForm.constant(Fraction(3, 2)) == Fraction(3, 2)
+    assert Fraction(3, 2) == ClosedForm.constant(Fraction(3, 2))
+    assert ClosedForm.constant(4) == 4 and 4 == ClosedForm.constant(4)
+    assert ClosedForm.constant(Fraction(3, 2)) != 1 and ClosedForm.constant(4, 1) != 4
+    assert PI != 0 and not (PI == "pi")
+    with pytest.raises(ZeroDivisionError):
+        x / 0
+    with pytest.raises(ZeroDivisionError):
+        ClosedForm({(0, 0, 0): (1, 0)}, 0)
+
+
+def test_closed_form_keeps_the_monomial_order_of_first_appearance():
+    x = PI + EULER_GAMMA + 2
+    assert list(x.terms) == [(0, 1, 0), (1, 0, 0), (0, 0, 0)]
+    assert list((x + ZETA3 - PI).terms) == [(1, 0, 0), (0, 0, 0), (0, 0, 1)]
+    assert list((x * (ZETA3 + 1)).terms) == [(0, 1, 1), (0, 1, 0), (1, 0, 1), (1, 0, 0),
+                                             (0, 0, 1), (0, 0, 0)]

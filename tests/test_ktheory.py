@@ -186,3 +186,29 @@ def test_collection_objects():
     assert Es[0].ch_plain.coeffs == k_object("O1").ch_plain.coeffs
     assert Es[1].ch_plain.coeffs == k_object("O2").ch_plain.coeffs
     assert Es[3].ch_plain.coeffs[1] == 3
+
+
+def test_gamma_class_refuses_an_unknown_sign():
+    assert gamma_class("-").coeffs == gamma_class(-1).coeffs
+    assert gamma_class("+").coeffs == gamma_class(1).coeffs
+    assert gamma_class(1).coeffs != gamma_class(-1).coeffs
+    for sign in (0, 2, "minus", "", None):
+        with pytest.raises(ValueError, match="sign"):
+            gamma_class(sign)
+
+
+def _hrr_by_class_products(E, F):
+    # chi(E, F) = integral of ch(E)^dual ch(F) td, by two class products
+    dual = CohClass(tuple(c if d % 2 == 0 else -c for d, c in enumerate(E.ch_plain.coeffs)))
+    return integral(classical_product(classical_product(dual, F.ch_plain), todd_class()))
+
+
+def test_euler_pairing_equals_the_class_products():
+    names = ("O", "O1", "O2", "SIGMA21", "WEDGE2", "E1", "E2", "E3", "E4")
+    for E in map(k_object, names):
+        for F in map(k_object, names):
+            assert euler_pairing(E, F) == _hrr_by_class_products(E, F), (E.name, F.name)
+    fake = KObject(name="half", ch_plain=CohClass((Fraction(1), 0, 0, Fraction(1, 2))))
+    assert _hrr_by_class_products(k_object("O"), fake) == Fraction(3, 2)
+    with pytest.raises(ArithmeticError, match="3/2"):
+        euler_pairing(k_object("O"), fake)

@@ -8,8 +8,10 @@ from fractions import Fraction
 import pytest
 
 from monodromy_lab.engine import Engine, get_engine
+from monodromy_lab import monodromy
 from monodromy_lab.monodromy import (
     MU_DIAG,
+    ResonanceError,
     SnapError,
     assemble_YL,
     assemble_YR,
@@ -103,6 +105,21 @@ def test_phi_top_equals_the_dense_recursion(order):
     coeffs = phi_top(order).coeffs
     assert [[list(row) for row in mat] for mat in coeffs] == _dense_phi_top(order)
     assert all(type(x) is Fraction for mat in coeffs for row in mat for x in row)
+
+
+def test_phi_top_refuses_an_inconsistent_resonance(monkeypatch):
+    # entry (1, 0) of Phi_1 is resonant (1 + mu_0 - mu_1 = 0), and there
+    # U_cal - R vanishes; a changed U_cal[1][0] leaves it nonzero
+    _, R, U = operator_matrices(q=Fraction(1))
+    bad_U = tuple(tuple(x + ((a, b) == (1, 0)) for b, x in enumerate(row))
+                  for a, row in enumerate(U))
+    monkeypatch.setattr(monodromy, "operator_matrices", lambda q: (None, R, bad_U))
+    phi_top.cache_clear()
+    try:
+        with pytest.raises(ResonanceError, match=r"k=1, entry \(1,0\)"):
+            phi_top(3)
+    finally:
+        phi_top.cache_clear()
 
 
 def test_eval_Ytop_determinant():

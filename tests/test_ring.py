@@ -189,3 +189,16 @@ def test_quantum_product_equals_the_dense_bilinear_sum(q, closed_form):
             assert list(quantum_product(x, y, q=q).coeffs) == _dense_product(x, y, q)
             if q == 0:
                 assert list(classical_product(x, y).coeffs) == _dense_product(x, y, q)
+
+
+def test_product_table_is_built_once_per_q_with_integer_constants():
+    from monodromy_lab.ring import _product_table
+
+    for q in (0, 1, Fraction(1), Fraction(2)):
+        table = _product_table(q)
+        assert _product_table(q) is table
+        assert all(type(k) is int for row in table for _, k in row), q
+    assert _product_table(Fraction(1)) == _product_table(1)
+    assert _product_table(Fraction(1, 3))[4 * 1 + 2] == ((0, Fraction(1, 3)), (3, 1))
+    # q may be any scalar type
+    assert quantum_product(SIGMA_1, SIGMA_2, q=2j).coeffs == (2j, 0, 0, 1)
