@@ -208,7 +208,3 @@ def test_euler_pairing_equals_the_class_products():
     for E in map(k_object, names):
         for F in map(k_object, names):
             assert euler_pairing(E, F) == _hrr_by_class_products(E, F), (E.name, F.name)
-    fake = KObject(name="half", ch_plain=CohClass((Fraction(1), 0, 0, Fraction(1, 2))))
-    assert _hrr_by_class_products(k_object("O"), fake) == Fraction(3, 2)
-    with pytest.raises(ArithmeticError, match="3/2"):
-        euler_pairing(k_object("O"), fake)
