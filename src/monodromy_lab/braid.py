@@ -22,21 +22,22 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 
 from monodromy_lab.engine import max_magnitude
+from monodromy_lab.record import Record
 
 
-@dataclass(frozen=True)
-class BraidWord:
-    """A word in the generators; letters are (index i in 1..n-1, exponent +-1)."""
+class BraidWord(Record):
+    """A word in the generators; letters are (index i in 1..n-1, exponent +-1).
+    A ``Record``, not a dataclass: see ``monodromy_lab.record``."""
 
-    letters: tuple
+    __slots__ = _fields = ("letters",)
 
-    def __post_init__(self):
-        for i, e in self.letters:
+    def __init__(self, letters):
+        for i, e in letters:
             if i < 1 or e not in (1, -1):
                 raise ValueError(f"bad letter ({i}, {e})")
+        object.__setattr__(self, "letters", letters)
 
     @classmethod
     def empty(cls):
@@ -46,13 +47,15 @@ class BraidWord:
         return [f"b{i}{i+1}" + ("_inverse" if e < 0 else "") for i, e in self.letters]
 
 
-@dataclass(frozen=True)
-class SignDiagonal:
-    signs: tuple
+class SignDiagonal(Record):
+    """A diagonal of signs +-1, as a tuple."""
 
-    def __post_init__(self):
-        if any(s not in (1, -1) for s in self.signs):
+    __slots__ = _fields = ("signs",)
+
+    def __init__(self, signs):
+        if any(s not in (1, -1) for s in signs):
             raise ValueError("signs must be +-1")
+        object.__setattr__(self, "signs", signs)
 
 
 def _matmul(A, B):

@@ -54,9 +54,13 @@ from monodromy_lab.solutions import (
 def _parse_ucpoint(text):
     try:
         mod_s, arg_s = text.split(",")
-        return UCComplex.polar(float(mod_s), float(arg_s))
+        modulus, arg = float(mod_s), float(arg_s)
     except ValueError as exc:
         raise ValueError(f"bad point spec {text!r}, expected MOD,ARG") from exc
+    try:
+        return UCComplex.polar(modulus, arg)
+    except ValueError as exc:
+        raise ValueError(f"bad point {text!r}: {exc}") from exc
 
 
 def _point_text(z):

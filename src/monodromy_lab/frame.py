@@ -25,8 +25,8 @@ from __future__ import annotations
 import functools
 import math
 import types
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from monodromy_lab.engine import get_engine
 from monodromy_lab.ring import operator_matrices
@@ -40,8 +40,10 @@ class AdmissibilityError(ValueError):
     """The requested line contains a Stokes ray."""
 
 
-@dataclass(frozen=True)
-class Frame:
+class Frame(NamedTuple):
+    """The canonical coordinates u, the eigenframe Psi and (U, V) in it.
+    A NamedTuple, not a dataclass: see ``monodromy_lab.record``."""
+
     u: tuple
     Psi: object
     Psi_inv: object
@@ -96,8 +98,10 @@ def frame(engine):
 
 # -- sector geometry -------------------------------------------------------
 
-@dataclass(frozen=True)
-class SectorConfig:
+class SectorConfig(NamedTuple):
+    """The Stokes rays and the sectors of the admissible line at ell_angle.
+    A NamedTuple, not a dataclass: see ``monodromy_lab.record``."""
+
     ell_angle: float
     rays: dict
     pi_left: tuple

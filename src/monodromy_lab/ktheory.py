@@ -24,8 +24,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from monodromy_lab import closedform
 from monodromy_lab.closedform import EULER_GAMMA, I, PI, ZETA3
@@ -50,8 +50,10 @@ def _exp_nilpotent(x):
     return acc
 
 
-@dataclass(frozen=True)
-class ChernData:
+class ChernData(NamedTuple):
+    """The Chern classes c1..c3 of the tangent bundle and the power sums
+    p1..p3.  A NamedTuple, not a dataclass: see ``monodromy_lab.record``."""
+
     c1: CohClass
     c2: CohClass
     c3: CohClass
@@ -108,9 +110,9 @@ def todd_class():
 _CH_U_DUAL = CohClass((Fraction(2), Fraction(1), Fraction(0), Fraction(-1, 6)))
 
 
-@dataclass(frozen=True)
-class KObject:
-    """An object given by its plain Chern character in the Schubert basis."""
+class KObject(NamedTuple):
+    """An object given by its plain Chern character in the Schubert basis.
+    A NamedTuple, not a dataclass: see ``monodromy_lab.record``."""
 
     name: str
     ch_plain: CohClass

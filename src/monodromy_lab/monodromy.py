@@ -38,8 +38,8 @@ import cmath
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from monodromy_lab.frame import (
     ADMISSIBLE_ANGLE,
@@ -71,9 +71,9 @@ class SnapError(ArithmeticError):
 
 # -- topological solution ---------------------------------------------------
 
-@dataclass(frozen=True)
-class PhiTopSeries:
-    """Exact matrix coefficients Phi_0 = I, Phi_1, ..., Phi_N."""
+class PhiTopSeries(NamedTuple):
+    """Exact matrix coefficients Phi_0 = I, Phi_1, ..., Phi_N.  A
+    NamedTuple, not a dataclass: see ``monodromy_lab.record``."""
 
     coeffs: tuple
 
@@ -124,63 +124,6 @@ def phi_top(order):
         tuple(tuple(Fraction(x, den) if x else zero for x in flat[4 * a:4 * a + 4])
               for a in range(4))
         for flat, den in mats))
-
-
-def phi_top_recursion_residuals(series):
-    """Exact residuals of k Phi_k + [Phi_k, mu]-twist = U Phi_{k-1} - Phi_{k-1} R,
-    summed densely over every entry of U_cal, R and Phi_(k-1): the
-    independent check of ``phi_top``'s sparse recursion."""
-    _, R, U = operator_matrices(q=Fraction(1))
-    out = []
-    for k in range(1, series.order + 1):
-        cur, prev = series.coeffs[k], series.coeffs[k - 1]
-        res = []
-        for a in range(4):
-            for b in range(4):
-                lhs = (k + MU_DIAG[b] - MU_DIAG[a]) * cur[a][b]
-                rhs = sum(U[a][t] * prev[t][b] for t in range(4)) - sum(
-                    prev[a][t] * R[t][b] for t in range(4)
-                )
-                res.append(lhs - rhs)
-        out.append(res)
-    return out
-
-
-def phi_top_grading_violations(series):
-    """Entries (k, a, b) with nonzero Phi_k where k + mu_b - mu_a < 0, plus
-    nonzero resonant entries; empty iff z^(-mu) Phi z^mu is holomorphic with
-    H(0) = I.  Reads every entry, independently of ``phi_top``'s sparse
-    recursion."""
-    bad = []
-    for k in range(series.order + 1):
-        for a in range(4):
-            for b in range(4):
-                w = k + MU_DIAG[b] - MU_DIAG[a]
-                if (w < 0 or (w == 0 and k > 0)) and series.coeffs[k][a][b] != 0:
-                    bad.append((k, a, b))
-    return bad
-
-
-def phi_top_orthogonality_residuals(series):
-    """Exact residuals of sum_{a+b=k} (-1)^a Phi_a^T eta Phi_b = delta_{k0} eta,
-    summed densely: an independent check of ``phi_top``'s sparse recursion."""
-    eta = ((0, 0, 0, 1), (0, 0, 1, 0), (0, 1, 0, 0), (1, 0, 0, 0))
-    out = []
-    for k in range(series.order + 1):
-        acc = [[Fraction(0)] * 4 for _ in range(4)]
-        for a in range(k + 1):
-            b = k - a
-            Pa, Pb = series.coeffs[a], series.coeffs[b]
-            sign = -1 if a % 2 else 1
-            for i in range(4):
-                for j in range(4):
-                    v = sum(Pa[t][i] * Pb[3 - t][j] for t in range(4))
-                    acc[i][j] += sign * v
-        if k == 0:
-            for i in range(4):
-                acc[i][3 - i] -= 1
-        out.append(max(abs(x) for row in acc for x in row))
-    return out
 
 
 @functools.lru_cache(maxsize=None)
@@ -413,8 +356,10 @@ def dominance_permutation(ell_angle=ADMISSIBLE_ANGLE):
     return tuple(tuple(row) for row in P)
 
 
-@dataclass(frozen=True)
-class StokesData:
+class StokesData(NamedTuple):
+    """The Stokes stage's matrices and residuals.  A NamedTuple, not a
+    dataclass: see ``monodromy_lab.record``."""
+
     s_prime: tuple          # snapped integer S'
     P: tuple
     S: tuple
@@ -502,8 +447,10 @@ def _permute(M, P):
     return tuple(tuple(M[sigma[i]][sigma[j]] for j in range(4)) for i in range(4))
 
 
-@dataclass(frozen=True)
-class ConnectionData:
+class ConnectionData(NamedTuple):
+    """The connection stage's matrices and residuals.  A NamedTuple, not a
+    dataclass: see ``monodromy_lab.record``."""
+
     c_prime: object
     C: object
     z0s: list

@@ -19,9 +19,8 @@ import functools
 import math
 import sys
 import types
-from collections.abc import Mapping
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from monodromy_lab import braid, ktheory, reference
 from monodromy_lab.closedform import evaluate_over_d
@@ -40,6 +39,7 @@ from monodromy_lab.monodromy import (
     stokes_points,
     verify_constraints,
 )
+from monodromy_lab.record import Record
 from monodromy_lab.report import complex_matrix
 from monodromy_lab.ring import operator_matrices
 from monodromy_lab.solutions import PHI1, PHI2, UCComplex, phi_series
@@ -64,40 +64,49 @@ DEFAULT_TOLERANCES = {
 MAX_DPS = -sys.float_info.min_10_exp - 16
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(Record):
     """One run's configuration, immutable.  Construction validates every
     field and raises ValueError on a bad one (SectorError for a base point
     outside its sector); ``tolerances`` may name a subset of
-    DEFAULT_TOLERANCES and is completed from it into a read-only mapping."""
+    DEFAULT_TOLERANCES and is completed from it into a read-only mapping.
+    The defaults are class attributes.  A ``Record``, not a dataclass:
+    see ``monodromy_lab.record``."""
 
-    truncation_order: int = 40
-    z0_stokes: UCComplex = UCComplex.polar(2.0, ADMISSIBLE_ANGLE)
-    z0_connection: UCComplex = UCComplex.polar(0.1, ADMISSIBLE_ANGLE)
-    tolerances: Mapping = field(default_factory=dict)
-    engine_name: str = "mp"
-    dps: int = 40
+    _fields = ("truncation_order", "z0_stokes", "z0_connection", "tolerances",
+               "engine_name", "dps")
+    truncation_order = 40
+    z0_stokes = UCComplex.polar(2.0, ADMISSIBLE_ANGLE)
+    z0_connection = UCComplex.polar(0.1, ADMISSIBLE_ANGLE)
+    engine_name = "mp"
+    dps = 40
 
-    def __post_init__(self):
-        if self.truncation_order < 10:
+    def __init__(self, truncation_order=truncation_order, z0_stokes=z0_stokes,
+                 z0_connection=z0_connection, tolerances=types.MappingProxyType({}),
+                 engine_name=engine_name, dps=dps):
+        if truncation_order < 10:
             raise ValueError("truncation_order must be >= 10")
-        if self.engine_name not in ("double", "mp"):
-            raise ValueError(f"unknown engine {self.engine_name!r}")
-        if not 1 <= self.dps <= MAX_DPS:
+        if engine_name not in ("double", "mp"):
+            raise ValueError(f"unknown engine {engine_name!r}")
+        if not 1 <= dps <= MAX_DPS:
             raise ValueError(f"dps must be in 1..{MAX_DPS}")
-        for name, z0 in (("z0_stokes", self.z0_stokes), ("z0_connection", self.z0_connection)):
+        for name, z0 in (("z0_stokes", z0_stokes), ("z0_connection", z0_connection)):
             if not (math.isfinite(z0.modulus) and math.isfinite(z0.arg_over_pi)):
                 raise ValueError(f"{name} must be finite")
-        check_sector(stokes_points(self.z0_stokes), STOKES_SECTOR, "z0_stokes point")
-        connection = connection_points(self.z0_connection) + [heldout_point(self.z0_connection)]
+        check_sector(stokes_points(z0_stokes), STOKES_SECTOR, "z0_stokes point")
+        connection = connection_points(z0_connection) + [heldout_point(z0_connection)]
         check_sector(connection, CONNECTION_SECTOR, "z0_connection point")
-        for name, value in self.tolerances.items():
+        for name, value in tolerances.items():
             if name not in DEFAULT_TOLERANCES:
                 raise ValueError(f"unknown tolerance {name!r}")
             if not 0 < value < math.inf:
                 raise ValueError(f"tolerance {name} must be positive and finite")
+        object.__setattr__(self, "truncation_order", truncation_order)
+        object.__setattr__(self, "z0_stokes", z0_stokes)
+        object.__setattr__(self, "z0_connection", z0_connection)
         object.__setattr__(self, "tolerances", types.MappingProxyType(
-            {**DEFAULT_TOLERANCES, **self.tolerances}))
+            {**DEFAULT_TOLERANCES, **tolerances}))
+        object.__setattr__(self, "engine_name", engine_name)
+        object.__setattr__(self, "dps", dps)
 
     def engine(self):
         return get_engine(self.engine_name, dps=self.dps)
@@ -134,8 +143,10 @@ def _c_closed_form(engine):
 C_GAMMA_DPS = 40
 
 
-@dataclass(frozen=True)
-class CharacteristicData:
+class CharacteristicData(NamedTuple):
+    """The characteristic stage's matrices.  A NamedTuple, not a
+    dataclass: see ``monodromy_lab.record``."""
+
     euler: tuple            # exact integer Euler matrix
     euler_inverse: tuple    # its exact inverse
     c_gamma: tuple          # C_Gamma at max(C_GAMMA_DPS, dps) digits (mp), row-major

@@ -20,8 +20,10 @@ downstream, the exact Gamma-class arithmetic and numeric checks.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
+
+from monodromy_lab.record import Record
 
 DEGREES = (0, 1, 2, 3)
 
@@ -44,15 +46,16 @@ ETA = (
 )
 
 
-@dataclass(frozen=True)
-class CohClass:
-    """A cohomology class: coefficients over (s0, s1, s2, s21)."""
+class CohClass(Record):
+    """A cohomology class: coefficients over (s0, s1, s2, s21).  A
+    ``Record``, not a dataclass: see ``monodromy_lab.record``."""
 
-    coeffs: tuple
+    __slots__ = _fields = ("coeffs",)
 
-    def __post_init__(self):
-        if len(self.coeffs) != 4:
+    def __init__(self, coeffs):
+        if len(coeffs) != 4:
             raise ValueError("CohClass needs exactly 4 coefficients")
+        object.__setattr__(self, "coeffs", coeffs)
 
     @classmethod
     def basis(cls, index, one=Fraction(1)):
@@ -143,9 +146,9 @@ def integral(x):
     return x[3]
 
 
-@dataclass(frozen=True)
-class RingTables:
-    """Pairing matrix plus quantum and classical multiplication tables."""
+class RingTables(NamedTuple):
+    """Pairing matrix plus quantum and classical multiplication tables.
+    A NamedTuple, not a dataclass: see ``monodromy_lab.record``."""
 
     eta: tuple
     quantum_table: dict

@@ -29,9 +29,9 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
+from monodromy_lab.record import Record
 from monodromy_lab.special import MellinIntegrand, integrand_value, laurent_at_zero
 
 PHI1 = MellinIntegrand.PHI1
@@ -57,21 +57,23 @@ class TailBoundError(ArithmeticError):
     """Series truncation order too small for the requested point."""
 
 
-@dataclass(frozen=True)
-class UCComplex:
+class UCComplex(Record):
     """A nonzero point on the universal cover of C*.
 
     ``arg_over_pi`` is the (unrestricted) argument divided by pi; it is kept
     as a Fraction whenever it is one, so rotations by eps^k add exactly
-    2k/3 and half-integer powers pick up exact phases.
+    2k/3 and half-integer powers pick up exact phases.  Points compare and
+    hash by (modulus, arg_over_pi).  A ``Record``, not a dataclass:
+    see ``monodromy_lab.record``.
     """
 
-    modulus: float | Fraction
-    arg_over_pi: float | Fraction
+    __slots__ = _fields = ("modulus", "arg_over_pi")
 
-    def __post_init__(self):
-        if self.modulus <= 0:
+    def __init__(self, modulus, arg_over_pi):
+        if modulus <= 0:
             raise ValueError("modulus must be positive")
+        object.__setattr__(self, "modulus", modulus)
+        object.__setattr__(self, "arg_over_pi", arg_over_pi)
 
     @classmethod
     def polar(cls, modulus, arg):
@@ -107,18 +109,24 @@ class UCComplex:
         return engine.exp(engine.complex(alpha) * self.log(engine))
 
 
-@dataclass(frozen=True, eq=False)
-class LogSeries:
+class LogSeries(Record):
     """Truncated series  sum_n z^(rho+3n) * sum_k a[n][k] (log z)^k,  k <= 3.
 
     ``blocks[n][k]`` are exact Fractions for the Frobenius-type solutions and
     engine complex numbers for the residue series.  ``rho`` is the integer
     0 for scalar ODE solutions; the m-th derivative series has rho = -m.
     It hashes by identity, so caches key on it without reading its blocks.
+    A ``Record``, not a dataclass: see ``monodromy_lab.record``.  It keeps a
+    ``__dict__`` for the cached derivative.
     """
 
-    rho: int
-    blocks: tuple
+    _fields = ("rho", "blocks")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(self, rho, blocks):
+        object.__setattr__(self, "rho", rho)
+        object.__setattr__(self, "blocks", blocks)
 
     @property
     def order(self):
@@ -210,11 +218,6 @@ def frobenius_basis(order):
         block0 = tuple(Fraction(1 if j == k else 0) for j in range(4))
         basis.append(_series_from_initial_block(block0, order))
     return tuple(basis)
-
-
-def series_from_coordinates(coords, order):
-    """Solution with the given Frobenius coordinates (initial block)."""
-    return _series_from_initial_block(tuple(coords), order)
 
 
 # -- residue series for phi1 / phi2 --------------------------------------
@@ -333,19 +336,24 @@ def _prepare(series, engine):
     return engine.horner_columns(blocks), tail
 
 
-@dataclass(frozen=True, eq=False)
-class _BlockSums:
+class _BlockSums(Record):
     """One block pass of a series at a point class.
 
     ``sums[k]`` is T_k(w) = sum_n w^n a_k[n] with w = z^3, so the series at
     any point z of the class is z^rho (T0 + l (T1 + l (T2 + l T3))),
     l = log z.  ``tail`` is the certificate's one majorant block: for each
     k = 0..3, the largest of the magnitudes |z|^(rho+3n) |a_k[n]| over the
-    blocks n of the certificate, in engine reals.
+    blocks n of the certificate, in engine reals.  It compares and hashes
+    by identity.  A ``Record``, not a dataclass: see ``monodromy_lab.record``.
     """
 
-    sums: tuple
-    tail: tuple
+    __slots__ = _fields = ("sums", "tail")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(self, sums, tail):
+        object.__setattr__(self, "sums", sums)
+        object.__setattr__(self, "tail", tail)
 
 
 @functools.lru_cache(maxsize=BLOCK_SUMS_SIZE)
@@ -545,35 +553,3 @@ def rotation_operator_matrix(engine):
         for k in range(j + 1):
             A[k, j] = math.comb(j, k) * h ** (j - k)
     return A
-
-
-def ode_residual_blocks(series):
-    """Blocks of D^4 phi - 108 z^3 D phi - 162 z^3 phi applied to a LogSeries.
-
-    Exact for Fraction coefficients; for engine coefficients the caller
-    checks the magnitudes.  Blocks are reported for n = 0 .. order-1 (the
-    last input block only feeds the order-th output block, which truncation
-    drops).
-    """
-    rho = series.rho
-    out = []
-    for n in range(series.order):
-        p = series.blocks[n]
-        c = rho + 3 * n
-        # (c + d)^4 p
-        cur = p
-        for _ in range(4):
-            d = _dlog(cur)
-            cur = tuple(c * cur[k] + d[k] for k in range(4))
-        if n == 0:
-            res = cur
-        else:
-            prev = series.blocks[n - 1]
-            dprev = _dlog(prev)
-            cprev = rho + 3 * (n - 1)
-            res = tuple(
-                cur[k] - 108 * (cprev * prev[k] + dprev[k]) - 162 * prev[k]
-                for k in range(4)
-            )
-        out.append(res)
-    return out

@@ -23,7 +23,7 @@ comes from the engine, so both engines share one implementation of each.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class MellinIntegrand(enum.Enum):
@@ -48,12 +48,12 @@ def integrand_value(kind, s, engine):
     raise ValueError(f"unknown integrand {kind!r}")
 
 
-@dataclass(frozen=True)
-class LaurentBlock:
+class LaurentBlock(NamedTuple):
     """Laurent data of an integrand at the order-4 pole s = -n.
 
     ``coeffs[j]`` is the coefficient of (s+n)^(j-4), i.e. the vector runs
-    from the (s+n)^(-4) coefficient down to the residue.
+    from the (s+n)^(-4) coefficient down to the residue.  A NamedTuple,
+    not a dataclass: see ``monodromy_lab.record``.
     """
 
     n: int

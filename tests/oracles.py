@@ -1,0 +1,109 @@
+"""Oracles and helpers only the tests use: dense checks of ``phi_top``'s
+sparse recursion, the ODE residual of a log-series, and the solution with
+given Frobenius coordinates.  They live here, not in ``monodromy_lab``,
+because no command runs them.
+"""
+
+from fractions import Fraction
+
+from monodromy_lab.monodromy import MU_DIAG
+from monodromy_lab.ring import operator_matrices
+from monodromy_lab.solutions import _dlog, _series_from_initial_block
+
+
+# -- Phi_top -----------------------------------------------------------------
+
+def phi_top_recursion_residuals(series):
+    """Exact residuals of k Phi_k + [Phi_k, mu]-twist = U Phi_{k-1} - Phi_{k-1} R,
+    summed densely over every entry of U_cal, R and Phi_(k-1): the
+    independent check of ``phi_top``'s sparse recursion."""
+    _, R, U = operator_matrices(q=Fraction(1))
+    out = []
+    for k in range(1, series.order + 1):
+        cur, prev = series.coeffs[k], series.coeffs[k - 1]
+        res = []
+        for a in range(4):
+            for b in range(4):
+                lhs = (k + MU_DIAG[b] - MU_DIAG[a]) * cur[a][b]
+                rhs = sum(U[a][t] * prev[t][b] for t in range(4)) - sum(
+                    prev[a][t] * R[t][b] for t in range(4)
+                )
+                res.append(lhs - rhs)
+        out.append(res)
+    return out
+
+
+def phi_top_grading_violations(series):
+    """Entries (k, a, b) with nonzero Phi_k where k + mu_b - mu_a < 0, plus
+    nonzero resonant entries; empty iff z^(-mu) Phi z^mu is holomorphic with
+    H(0) = I.  Reads every entry, independently of ``phi_top``'s sparse
+    recursion."""
+    bad = []
+    for k in range(series.order + 1):
+        for a in range(4):
+            for b in range(4):
+                w = k + MU_DIAG[b] - MU_DIAG[a]
+                if (w < 0 or (w == 0 and k > 0)) and series.coeffs[k][a][b] != 0:
+                    bad.append((k, a, b))
+    return bad
+
+
+def phi_top_orthogonality_residuals(series):
+    """Exact residuals of sum_{a+b=k} (-1)^a Phi_a^T eta Phi_b = delta_{k0} eta,
+    summed densely: an independent check of ``phi_top``'s sparse recursion."""
+    eta = ((0, 0, 0, 1), (0, 0, 1, 0), (0, 1, 0, 0), (1, 0, 0, 0))
+    out = []
+    for k in range(series.order + 1):
+        acc = [[Fraction(0)] * 4 for _ in range(4)]
+        for a in range(k + 1):
+            b = k - a
+            Pa, Pb = series.coeffs[a], series.coeffs[b]
+            sign = -1 if a % 2 else 1
+            for i in range(4):
+                for j in range(4):
+                    v = sum(Pa[t][i] * Pb[3 - t][j] for t in range(4))
+                    acc[i][j] += sign * v
+        if k == 0:
+            for i in range(4):
+                acc[i][3 - i] -= 1
+        out.append(max(abs(x) for row in acc for x in row))
+    return out
+
+
+# -- scalar ODE solutions ----------------------------------------------------
+
+def series_from_coordinates(coords, order):
+    """Solution with the given Frobenius coordinates (initial block)."""
+    return _series_from_initial_block(tuple(coords), order)
+
+
+def ode_residual_blocks(series):
+    """Blocks of D^4 phi - 108 z^3 D phi - 162 z^3 phi applied to a LogSeries.
+
+    Exact for Fraction coefficients; for engine coefficients the caller
+    checks the magnitudes.  Blocks are reported for n = 0 .. order-1 (the
+    last input block only feeds the order-th output block, which truncation
+    drops).
+    """
+    rho = series.rho
+    out = []
+    for n in range(series.order):
+        p = series.blocks[n]
+        c = rho + 3 * n
+        # (c + d)^4 p
+        cur = p
+        for _ in range(4):
+            d = _dlog(cur)
+            cur = tuple(c * cur[k] + d[k] for k in range(4))
+        if n == 0:
+            res = cur
+        else:
+            prev = series.blocks[n - 1]
+            dprev = _dlog(prev)
+            cprev = rho + 3 * (n - 1)
+            res = tuple(
+                cur[k] - 108 * (cprev * prev[k] + dprev[k]) - 162 * prev[k]
+                for k in range(4)
+            )
+        out.append(res)
+    return out

@@ -19,13 +19,7 @@ from monodromy_lab.ktheory import (
     gamma_class,
     numeric_matrix,
 )
-from monodromy_lab.monodromy import (
-    assemble_YR,
-    phi_top,
-    phi_top_grading_violations,
-    phi_top_orthogonality_residuals,
-    phi_top_recursion_residuals,
-)
+from monodromy_lab.monodromy import assemble_YR, phi_top
 from monodromy_lab.pipeline import RunConfig, run_verify
 from monodromy_lab.ring import (
     CohClass,
@@ -42,6 +36,11 @@ from monodromy_lab.solutions import (
     phi_series,
     quantum_period,
     rotation_operator_matrix,
+)
+from oracles import (
+    phi_top_grading_violations,
+    phi_top_orthogonality_residuals,
+    phi_top_recursion_residuals,
 )
 
 D = get_engine("double")

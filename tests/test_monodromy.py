@@ -22,9 +22,6 @@ from monodromy_lab.monodromy import (
     exp_R,
     exp_mu_units,
     phi_top,
-    phi_top_grading_violations,
-    phi_top_orthogonality_residuals,
-    phi_top_recursion_residuals,
     scalar_column_derivatives,
     stokes_matrix,
     stokes_points,
@@ -43,6 +40,11 @@ from monodromy_lab.solutions import (
     phi_series,
     point_data,
     rotation_operator_matrix,
+)
+from oracles import (
+    phi_top_grading_violations,
+    phi_top_orthogonality_residuals,
+    phi_top_recursion_residuals,
 )
 
 E = get_engine("double")

@@ -22,16 +22,15 @@ from monodromy_lab.solutions import (
     eval_series,
     frobenius_basis,
     identity_residuals,
-    ode_residual_blocks,
     phi_series,
     quantum_period,
     residue_block,
     rotation_operator_matrix,
-    series_from_coordinates,
 )
 from monodromy_lab import special
 from monodromy_lab.engine import Engine
 from monodromy_lab.special import laurent_coefficients
+from oracles import ode_residual_blocks, series_from_coordinates
 
 E = get_engine("double")
 
