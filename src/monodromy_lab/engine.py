@@ -19,7 +19,10 @@ pass of the log-series (``Engine.horner_columns``/``Engine.horner``) is a
 hardware-complex loop over every block under double and runs in exact
 integers on mpmath's raw mantissas, over the blocks that can reach the
 working precision, under mp, and ``Engine.guarded`` adds guard bits under
-mp only.
+mp only.  The 4x4 solves and inverses (``Engine.solve``,
+``Engine.inverse``) are one Gaussian elimination on plain rows of engine
+scalars (``Engine._eliminate``), with mpmath's pivot rule and refusal but
+none of its LU code; they return the context's matrix.
 
 Engines are interned, so series caches can key on them; every computation
 takes its engine from its caller, and a run's from ``pipeline.RunConfig``.
@@ -37,6 +40,9 @@ from mpmath.libmp import from_int, from_man_exp, fzero, mpf_div, round_nearest
 #: bits the exact-integer Horner pass of the mp engine carries above the
 #: working precision; each T_k is rounded to the working precision once
 GUARD_BITS = 20
+
+#: bits the mp engine's 4x4 elimination carries above the working precision
+SOLVE_GUARD_BITS = 10
 
 
 class NaNResidualError(ArithmeticError):
@@ -153,13 +159,13 @@ class Engine:
                                           from_man_exp(ti, te, prec, round_nearest))))
         return tuple(out)
 
-    def guarded(self):
-        """A context in which mp arithmetic carries ``GUARD_BITS`` above the
+    def guarded(self, bits=GUARD_BITS):
+        """A context in which mp arithmetic carries ``bits`` above the
         working precision, so that a chain of operations inside it can be
         rounded once, with unary plus, after it; a no-op under double."""
         if self.ctx is mpmath.fp:
             return contextlib.nullcontext()
-        return self.ctx.extraprec(GUARD_BITS)
+        return self.ctx.extraprec(bits)
 
     # -- constants and elementary functions -----------------------------
 
@@ -193,7 +199,7 @@ class Engine:
     def fabs(self, z):
         return float(abs(z))
 
-    # -- linear algebra (4x4 scale, via the context's matrix type) ------
+    # -- linear algebra (4x4 scale) -------------------------------------
 
     def matrix(self, rows):
         m = self.ctx.matrix(len(rows), len(rows[0]))
@@ -202,31 +208,59 @@ class Engine:
                 m[i, j] = self.complex(v) if isinstance(v, Fraction) else v
         return m
 
-    def eye(self, n):
-        return self.ctx.eye(n)
-
     def solve(self, A, B):
-        """Solve A X = B for matrix B: one LU factorization of A, then a
-        triangular solve per column, all 10 bits above the working
-        precision.  These are the steps of the context's ``lu_solve``, which
-        would copy A and factor it again for every column."""
-        ctx = self.ctx
-        n = A.rows
-        X = ctx.matrix(n, B.cols)
-        prec = ctx.prec
-        try:
-            ctx.prec += 10
-            LU, p = ctx.LU_decomp(A.copy(), overwrite=True)
-            for j in range(B.cols):
-                col = ctx.U_solve(LU, ctx.L_solve(LU, B[:, j], p))
-                for i in range(n):
-                    X[i, j] = col[i]
-        finally:
-            ctx.prec = prec
-        return X
+        """X with A X = B, for a square A and a matrix B (``_eliminate``)."""
+        return self._eliminate(A, B.tolist())
 
     def inverse(self, A):
-        return A ** -1
+        """A^(-1): ``_eliminate`` against the identity."""
+        n = A.rows
+        return self._eliminate(A, [[int(i == j) for j in range(n)] for i in range(n)])
+
+    def _eliminate(self, A, B):
+        """X with A X = B, as the context's matrix, for the engine matrix A
+        and B given as rows: Gaussian elimination on the rows of [A | B],
+        then back substitution, in hardware complex under double and
+        ``SOLVE_GUARD_BITS`` above the working precision under mp, where
+        each entry of X is then rounded once.
+
+        The pivot rule and the refusal are those of mpmath's ``LU_decomp``,
+        with the size of an entry measured as |re| + |im|, which takes no
+        square root: at step j the pivot row is the first of the rows k >= j
+        with the largest size of A[k][j] over the row's size sum from column
+        j on.  A row sum or pivot at or below ||A||_1 eps raises
+        ZeroDivisionError ("numerically singular"), an ArithmeticError.
+        """
+        n = A.rows
+        rows = [a + list(b) for a, b in zip(A.tolist(), B)]
+        with self.guarded(SOLVE_GUARD_BITS):
+            for j in range(n):
+                sizes = [[abs(x.real) + abs(x.imag) for x in row[j:n]] for row in rows[j:]]
+                if not j:
+                    # ||A||_1, the largest column sum of the sizes
+                    tol = max(map(sum, zip(*sizes))) * self.ctx.eps
+                best, p = -1, j
+                for k, row_sizes in enumerate(sizes, j):
+                    s = sum(row_sizes)
+                    if s <= tol:
+                        raise ZeroDivisionError("matrix is numerically singular")
+                    if row_sizes[0] / s > best:
+                        best, p = row_sizes[0] / s, k
+                if sizes[p - j][0] <= tol:
+                    raise ZeroDivisionError("matrix is numerically singular")
+                rows[j], rows[p] = rows[p], rows[j]
+                pivot = rows[j]
+                for row in rows[j + 1:]:
+                    f = row[j] / pivot[j]
+                    row[j + 1:] = [a - f * b for a, b in zip(row[j + 1:], pivot[j + 1:])]
+            X = [None] * n
+            for i in reversed(range(n)):
+                row = rows[i]
+                x = row[n:]
+                for k in range(i + 1, n):
+                    x = [a - row[k] * b for a, b in zip(x, X[k])]
+                X[i] = [a / row[i] for a in x]
+        return self.ctx.matrix([[+x for x in row] for row in X])
 
     def quad(self, f, points):
         return self.ctx.quad(f, points)

@@ -89,9 +89,6 @@ class RunConfig(Record):
             raise ValueError(f"unknown engine {engine_name!r}")
         if not 1 <= dps <= MAX_DPS:
             raise ValueError(f"dps must be in 1..{MAX_DPS}")
-        for name, z0 in (("z0_stokes", z0_stokes), ("z0_connection", z0_connection)):
-            if not (math.isfinite(z0.modulus) and math.isfinite(z0.arg_over_pi)):
-                raise ValueError(f"{name} must be finite")
         check_sector(stokes_points(z0_stokes), STOKES_SECTOR, "z0_stokes point")
         connection = connection_points(z0_connection) + [heldout_point(z0_connection)]
         check_sector(connection, CONNECTION_SECTOR, "z0_connection point")

@@ -58,7 +58,7 @@ class TailBoundError(ArithmeticError):
 
 
 class UCComplex(Record):
-    """A nonzero point on the universal cover of C*.
+    """A nonzero point on the universal cover of C*, at finite coordinates.
 
     ``arg_over_pi`` is the (unrestricted) argument divided by pi; it is kept
     as a Fraction whenever it is one, so rotations by eps^k add exactly
@@ -70,8 +70,8 @@ class UCComplex(Record):
     __slots__ = _fields = ("modulus", "arg_over_pi")
 
     def __init__(self, modulus, arg_over_pi):
-        if modulus <= 0:
-            raise ValueError("modulus must be positive")
+        if not (modulus > 0 and math.isfinite(modulus) and math.isfinite(arg_over_pi)):
+            raise ValueError("modulus must be positive and finite, and arg_over_pi finite")
         object.__setattr__(self, "modulus", modulus)
         object.__setattr__(self, "arg_over_pi", arg_over_pi)
 

@@ -269,6 +269,6 @@ def test_criterion_12_property_suite():
         ok = ok and max_deviation(S1, S2) < 1e-12 and max_deviation(C1, C2) < 1e-12
     # unipotency of the rotation operator
     A = rotation_operator_matrix(D)
-    M = A * A * A * A - 4 * A * A * A + 6 * A * A - 4 * A + D.eye(4)
+    M = A * A * A * A - 4 * A * A * A + 6 * A * A - 4 * A + D.ctx.eye(4)
     ok = ok and D.max_abs(M) < 1e-12
     assert _line(12, ok, "ring/Frobenius, Gamma reflection, braid relation, rotation unipotency")

@@ -223,6 +223,8 @@ def test_exit_code_config_errors(capsys, tmp_path):
     assert run_cli(capsys, "verify", "--tol", "braid_macth=1e-3")[0] == 2
     assert run_cli(capsys, "stokes", "--dps", "0")[0] == 2
     assert run_cli(capsys, "stokes", "--z0-stokes", "inf,0.78")[0] == 2
+    assert main(["verify", "--z0-stokes", "inf,0.78"]) == 2
+    assert "modulus must be positive" in capsys.readouterr().err
     # a well-formed point that is no point of the cover names its fault
     assert main(["verify", "--z0-stokes", "0,1"]) == 2
     assert "modulus must be positive" in capsys.readouterr().err

@@ -35,26 +35,85 @@ def test_mp_real_rounds_wide_numerators_once():
 
 
 @pytest.mark.parametrize("name", ["double", "mp"])
-def test_solve_factors_once_and_matches_lu_solve(monkeypatch, name):
+def test_solve_and_inverse_match_lu_solve_at_twice_the_precision(name):
     e = get_engine(name, dps=40)
     ctx = e.ctx
     # a complex system whose pivoting swaps rows
     A = ctx.matrix([[ctx.mpc(k % 3 - 1, (j * k) % 5) / (j + k + 1) for k in range(4)]
                     for j in range(4)])
     B = ctx.matrix([[ctx.mpc(j - k, 1) / 7 for k in range(4)] for j in range(4)])
-    expected = [ctx.lu_solve(A, B[:, k]) for k in range(4)]
-
-    calls = []
-    original = ctx.LU_decomp
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(ctx, "LU_decomp", counted)
+    # the reference: mpmath's LU solve at twice the working precision (30
+    # digits for double), on the same entries
+    ref = get_engine("mp", dps=80 if name == "mp" else 30).ctx
+    Ar, Br = ref.matrix(A.tolist()), ref.matrix(B.tolist())
+    ulps = 4 * ctx.eps
     X = e.solve(A, B)
-    assert len(calls) == 1
-    assert all(X[j, k] == expected[k][j] for j in range(4) for k in range(4))
+    for k in range(4):
+        col = ref.lu_solve(Ar, Br[:, k])
+        for j in range(4):
+            assert abs(ref.convert(X[j, k]) - col[j]) <= ulps * abs(col[j]), (j, k)
+    residual = ref.matrix(e.inverse(A).tolist()) * Ar - ref.eye(4)
+    assert all(abs(residual[i, j]) <= ulps for i in range(4) for j in range(4))
+
+
+@pytest.mark.parametrize("name", ["double", "mp"])
+def test_numerically_singular_matrices_are_refused(monkeypatch, capsys, name):
+    from monodromy_lab.cli import main
+
+    e = get_engine(name, dps=40)
+    B = e.matrix([[Fraction(j - k, 7) for k in range(4)] for j in range(4)])
+    # a zero row, and a lone pivot candidate in column 0 below ||A||_1 eps
+    # while every row sum is at least 1
+    zero_row = [[1, 2, 0, 1], [0, 0, 0, 0], [3, 1, 1, 0], [0, 1, 0, 2]]
+    tiny_pivot = [[Fraction(1, 10 ** 60), 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+    singular = [e.matrix([[Fraction(v) for v in row] for row in rows])
+                for rows in (zero_row, tiny_pivot)]
+    for A in singular:
+        for solve in (lambda: e.solve(A, B), lambda: e.inverse(A)):
+            # an ArithmeticError, which the CLI reports as a failed check
+            with pytest.raises(ArithmeticError, match="numerically singular") as info:
+                solve()
+            assert info.type is ZeroDivisionError
+    monkeypatch.setattr(monodromy, "assemble_YR", lambda z, order, engine: singular[0])
+    assert main(["stokes", "--engine", name]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("failed check:")
+
+
+def _frame_and_verify_runs(tmp_path, label):
+    """repr of frame() under both engines, and the report bytes and exit
+    code of verify under both engines at the defaults and off them."""
+    from monodromy_lab.cli import main
+
+    out = {}
+    off = ["--z0-stokes", "1.5,0.8", "--z0-connection", "0.2,0.785"]
+    for name in ("mp", "double"):
+        out["frame", name] = repr(frame(get_engine(name, dps=40)))
+        for args in ([], off):
+            path = tmp_path / f"{label}-{name}-{len(args)}.json"
+            code = main(["verify", "--engine", name, *args, "--output", str(path)])
+            out["verify", name, len(args)] = code, path.read_bytes()
+    return out
+
+
+def test_no_mpmath_lu_on_the_verify_path(monkeypatch, tmp_path):
+    from mpmath.matrices.linalg import LinearAlgebraMethods
+    from mpmath.matrices.matrices import _matrix
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an mpmath LU solve or matrix power on the verify path")
+
+    with monkeypatch.context() as patched:
+        for owner, attr in ((LinearAlgebraMethods, "LU_decomp"),
+                            (LinearAlgebraMethods, "lu_solve"), (_matrix, "__pow__")):
+            patched.setattr(owner, attr, refuse)
+        with pytest.raises(AssertionError):
+            get_engine("double").ctx.matrix([[1]]) ** -1
+        runs = _frame_and_verify_runs(tmp_path, "patched")
+    assert runs == _frame_and_verify_runs(tmp_path, "plain")
+    assert {key: runs[key][0] for key in runs if key[0] == "verify"} == {
+        ("verify", "mp", 0): 0, ("verify", "mp", 4): 0,
+        ("verify", "double", 0): 1, ("verify", "double", 4): 0}
 
 
 def test_a_nan_in_a_residual_maximum_is_a_named_error():

@@ -91,6 +91,16 @@ def test_uccomplex_bookkeeping():
     assert abs(p - cmath.exp(1.5 * l)) < 1e-14
 
 
+def test_uccomplex_refuses_non_finite_fields():
+    # a NaN or infinite modulus is the caller's error, not a truncation
+    # order too small at |z| = nan
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="modulus must be positive"):
+            UCComplex(bad, 0.25)
+        with pytest.raises(ValueError, match="arg_over_pi finite"):
+            UCComplex(2.0, bad)
+
+
 def test_eval_matches_direct_summation():
     series = quantum_period(12)
     z = UCComplex.polar(0.5, 0.0)
@@ -280,7 +290,7 @@ def test_rotation_operator_unipotent():
         assert abs(A[i, i] - 1) < 1e-15
         for j in range(i):
             assert abs(A[i, j]) == 0
-    I = E.eye(4)
+    I = E.ctx.eye(4)
     M = A * A * A * A - 4 * A * A * A + 6 * A * A - 4 * A + I
     assert E.max_abs(M) < 1e-12
 
