@@ -23,7 +23,7 @@ from __future__ import annotations
 import functools
 import itertools
 
-from monodromy_lab.engine import max_magnitude
+from monodromy_lab.engine import max_deviation
 from monodromy_lab.record import Record
 
 
@@ -109,13 +109,6 @@ def sign_act(diag, S, C):
     """S -> J S J and C -> C J for J = diag(signs)."""
     J = diag.signs
     return _sign_S(J, S), [[C[a][b] * J[b] for b in range(len(C))] for a in range(len(C))]
-
-
-def max_deviation(A, B):
-    """Largest entrywise |A - B| as a float, computed in the entries' own
-    arithmetic: exact for integers, at working precision for engine numbers.
-    A NaN entry raises ``engine.NaNResidualError``."""
-    return max_magnitude(abs(a - b) for row_a, row_b in zip(A, B) for a, b in zip(row_a, row_b))
 
 
 def search_equivalence(S, C, S_target, C_target, max_len, tol):

@@ -20,9 +20,12 @@ hardware-complex loop over every block under double and runs in exact
 integers on mpmath's raw mantissas, over the blocks that can reach the
 working precision, under mp, and ``Engine.guarded`` adds guard bits under
 mp only.  The 4x4 solves and inverses (``Engine.solve``,
-``Engine.inverse``) are one Gaussian elimination on plain rows of engine
-scalars (``Engine._eliminate``), with mpmath's pivot rule and refusal but
-none of its LU code; they return the context's matrix.
+``Engine.inverse``) are one Gaussian elimination (``Engine._eliminate``),
+with mpmath's pivot rule and refusal but none of its LU code.
+
+A matrix is a tuple of rows, the package's one format; ``Engine.matmul``
+multiplies two as mpmath's matrix class would, and ``max_deviation`` is
+the residual of two.
 
 Engines are interned, so series caches can key on them; every computation
 takes its engine from its caller, and a run's from ``pipeline.RunConfig``.
@@ -56,6 +59,13 @@ def max_magnitude(values):
     if any(v != v for v in values):
         raise NaNResidualError("a residual is NaN")
     return float(max(values))
+
+
+def max_deviation(A, B):
+    """Largest entrywise |A - B| of two matrices as a float, computed in the
+    entries' own arithmetic: exact for integers, at working precision for
+    engine numbers.  A NaN entry raises NaNResidualError."""
+    return max_magnitude(abs(a - b) for row_a, row_b in zip(A, B) for a, b in zip(row_a, row_b))
 
 
 class Engine:
@@ -201,25 +211,23 @@ class Engine:
 
     # -- linear algebra (4x4 scale) -------------------------------------
 
-    def matrix(self, rows):
-        m = self.ctx.matrix(len(rows), len(rows[0]))
-        for i, row in enumerate(rows):
-            for j, v in enumerate(row):
-                m[i, j] = self.complex(v) if isinstance(v, Fraction) else v
-        return m
+    def matmul(self, A, B):
+        """A B, each entry one ``ctx.fdot`` of a row of A and a column of B
+        (rounded once under mp), as mpmath's matrix product forms it."""
+        columns = tuple(zip(*B))
+        return tuple(tuple(self.ctx.fdot(row, col) for col in columns) for row in A)
 
     def solve(self, A, B):
-        """X with A X = B, for a square A and a matrix B (``_eliminate``)."""
-        return self._eliminate(A, B.tolist())
+        """X with A X = B, for a square A (``_eliminate``)."""
+        return self._eliminate(A, B)
 
     def inverse(self, A):
         """A^(-1): ``_eliminate`` against the identity."""
-        n = A.rows
+        n = len(A)
         return self._eliminate(A, [[int(i == j) for j in range(n)] for i in range(n)])
 
     def _eliminate(self, A, B):
-        """X with A X = B, as the context's matrix, for the engine matrix A
-        and B given as rows: Gaussian elimination on the rows of [A | B],
+        """X with A X = B: Gaussian elimination on the rows of [A | B],
         then back substitution, in hardware complex under double and
         ``SOLVE_GUARD_BITS`` above the working precision under mp, where
         each entry of X is then rounded once.
@@ -231,8 +239,8 @@ class Engine:
         j on.  A row sum or pivot at or below ||A||_1 eps raises
         ZeroDivisionError ("numerically singular"), an ArithmeticError.
         """
-        n = A.rows
-        rows = [a + list(b) for a, b in zip(A.tolist(), B)]
+        n = len(A)
+        rows = [list(a) + list(b) for a, b in zip(A, B)]
         with self.guarded(SOLVE_GUARD_BITS):
             for j in range(n):
                 sizes = [[abs(x.real) + abs(x.imag) for x in row[j:n]] for row in rows[j:]]
@@ -260,13 +268,10 @@ class Engine:
                 for k in range(i + 1, n):
                     x = [a - row[k] * b for a, b in zip(x, X[k])]
                 X[i] = [a / row[i] for a in x]
-        return self.ctx.matrix([[+x for x in row] for row in X])
+        return tuple(tuple(+x for x in row) for row in X)
 
     def quad(self, f, points):
         return self.ctx.quad(f, points)
-
-    def max_abs(self, M):
-        return max_magnitude(abs(M[i, j]) for i in range(M.rows) for j in range(M.cols))
 
     def __repr__(self):
         return f"Engine({self.name!r}, dps={self.dps})"

@@ -45,10 +45,10 @@ class Frame(NamedTuple):
     A NamedTuple, not a dataclass: see ``monodromy_lab.record``."""
 
     u: tuple
-    Psi: object
-    Psi_inv: object
-    U: object
-    V: object
+    Psi: tuple
+    Psi_inv: tuple
+    U: tuple
+    V: tuple
 
 
 def canonical_coordinates(engine):
@@ -87,13 +87,16 @@ def frame(engine):
             f = [-x for x in f]
         vecs.append(f)
 
-    Psi_inv = engine.matrix([[vecs[j][a] for j in range(4)] for a in range(4)])
+    Psi_inv = tuple(zip(*vecs))
     Psi = engine.inverse(Psi_inv)
-    mu, _, _ = operator_matrices()
-    mu_m = engine.matrix(mu)
-    U = Psi * engine.matrix(operator_matrices()[2]) * Psi_inv
-    V = Psi * mu_m * Psi_inv
-    return Frame(u=u, Psi=Psi, Psi_inv=Psi_inv, U=U, V=V)
+
+    def conjugated(M):
+        """Psi M Psi^(-1) for M of exact entries."""
+        M = [[engine.complex(x) for x in row] for row in M]
+        return engine.matmul(engine.matmul(Psi, M), Psi_inv)
+
+    mu, _, U = operator_matrices()
+    return Frame(u=u, Psi=Psi, Psi_inv=Psi_inv, U=conjugated(U), V=conjugated(mu))
 
 
 # -- sector geometry -------------------------------------------------------

@@ -27,7 +27,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from monodromy_lab import closedform
+from monodromy_lab import closedform, reference
 from monodromy_lab.closedform import EULER_GAMMA, I, PI, ZETA3
 from monodromy_lab.ring import (
     CohClass,
@@ -250,16 +250,6 @@ def c_gamma_matrix():
     return closedform.sympy_over_d(c_gamma_numerators())
 
 
-def numeric_matrix(M, dps=30):
-    """Evaluate a sympy matrix to hardware complex numbers via high-precision
-    evalf."""
-    import sympy as sp
-
-    out = []
-    for i in range(M.rows):
-        row = []
-        for j in range(M.cols):
-            v = sp.N(M[i, j], dps)
-            row.append(complex(v))
-        out.append(row)
-    return out
+#: ``reference.numeric``, a sympy matrix evaluated to hardware complex (a
+#: test oracle), under the second name that ``benchmarks/tracing.py`` traces
+numeric_matrix = reference.numeric

@@ -41,6 +41,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
+from monodromy_lab.engine import max_deviation
 from monodromy_lab.frame import (
     ADMISSIBLE_ANGLE,
     complex_canonical_coordinates,
@@ -59,6 +60,8 @@ from monodromy_lab.solutions import (
 )
 
 MU_DIAG = (Fraction(-3, 2), Fraction(-1, 2), Fraction(1, 2), Fraction(3, 2))
+#: the integers 2 mu_k
+TWICE_MU = tuple(int(2 * mu) for mu in MU_DIAG)
 
 
 class ResonanceError(ArithmeticError):
@@ -175,9 +178,10 @@ def eval_Ytop(z, order, engine):
     Phi_top's entries are summed in one ``Engine.horner`` pass in w = z^3
     (exact integers under mp).  Entry (a, b) of Phi_top z^mu is the sum
     times z^(c + mu_b), a half-integer power of the point's z^(1/2) (its
-    ``PointData``); e^(lR) multiplies entry by entry.  Under mp every step
-    after the point's z^(1/2) and l runs ``GUARD_BITS`` above the working
-    precision, and each entry is rounded once.
+    ``PointData``), formed once per entry; e^(lR) multiplies entry by
+    entry.  Under mp every step after the point's z^(1/2) and l runs
+    ``GUARD_BITS`` above the working precision, and each entry is rounded
+    once.
     """
     point = point_data(z, engine)
     h, l = point.half_powers[0], point.l
@@ -192,10 +196,11 @@ def eval_Ytop(z, order, engine):
         E = exp_R(l, engine)
         Y = [[0] * 4 for _ in range(4)]
         for a in range(4):
+            # row a of Phi_top z^mu
+            P = [sums[4 * a + k] * odd[2 * offsets[4 * a + k] + TWICE_MU[k]] for k in range(4)]
             for k, j, _, _ in _exp_R_terms():
-                e = 2 * offsets[4 * a + k] + int(2 * MU_DIAG[k])
-                Y[a][j] += sums[4 * a + k] * odd[e] * E[k, j]
-    return engine.matrix([[+y for y in row] for row in Y])
+                Y[a][j] += P[k] * E[k][j]
+    return tuple(tuple(+y for y in row) for row in Y)
 
 
 def exp_mu_units(turns):
@@ -207,10 +212,10 @@ def exp_mu_units(turns):
 
 def exp_R(t, engine):
     """e^(t R), cubic in t as R is nilpotent; z^R is e^(t R) at t = log z."""
-    M = engine.ctx.matrix(4, 4)
+    M = [[engine.real(0)] * 4 for _ in range(4)]
     for k, j, p, c in _exp_R_terms():
-        M[k, j] = engine.real(c) * t ** p
-    return M
+        M[k][j] = engine.real(c) * t ** p
+    return tuple(map(tuple, M))
 
 
 # -- sectorial solutions ----------------------------------------------------
@@ -327,7 +332,7 @@ def _assemble(specs, z, order, engine, sector, tol=None):
     for spec in specs:
         derivs = scalar_column_derivatives(spec, z, order, engine, tol=tol)
         cols.append(vector_from_scalar(derivs, z, engine))
-    return engine.matrix([[cols[j][i] for j in range(4)] for i in range(4)])
+    return tuple(zip(*cols))
 
 
 def assemble_YR(z, order, engine, tol=None):
@@ -396,7 +401,7 @@ def _extract(engine, z0s, lhs, rhs):
     middle point's X and the spread, the largest entrywise difference
     between any two of the solutions (0.0 for a single point)."""
     mats = [engine.solve(lhs(z0), rhs(z0)) for z0 in z0s]
-    spread = max((engine.max_abs(a - b) for a, b in itertools.combinations(mats, 2)),
+    spread = max((max_deviation(a, b) for a, b in itertools.combinations(mats, 2)),
                  default=0.0)
     return mats[len(mats) // 2], spread
 
@@ -419,7 +424,7 @@ def stokes_matrix(engine, z0s, order, snap_tol):
     for i in range(4):
         row = []
         for j in range(4):
-            v = complex(mid[i, j])
+            v = complex(mid[i][j])
             if not cmath.isfinite(v):
                 raise SnapError(f"entry ({i},{j}) = {v} is not finite")
             n = round(v.real)
@@ -451,8 +456,8 @@ class ConnectionData(NamedTuple):
     """The connection stage's matrices and residuals.  A NamedTuple, not a
     dataclass: see ``monodromy_lab.record``."""
 
-    c_prime: object
-    C: object
+    c_prime: tuple
+    C: tuple
     z0s: list
     residuals: dict         # connection_stability, connection_heldout
 
@@ -472,12 +477,10 @@ def connection_matrix(engine, z0s, order, P):
                                lambda z: assemble_YR(z, order, engine))
 
     zh = heldout_point(z0s[len(z0s) // 2])
-    held = engine.max_abs(
-        assemble_YR(zh, order, engine) - eval_Ytop(zh, order, engine) * c_prime
-    )
+    held = max_deviation(assemble_YR(zh, order, engine),
+                         engine.matmul(eval_Ytop(zh, order, engine), c_prime))
 
-    # unary plus rounds the solve's entries to the working precision
-    C = engine.matrix([[+c_prime[i, s] for s in _sigma(P)] for i in range(4)])
+    C = tuple(tuple(row[s] for s in _sigma(P)) for row in c_prime)
     return ConnectionData(c_prime=c_prime, C=C, z0s=z0s,
                           residuals={"connection_stability": spread, "connection_heldout": held})
 
@@ -504,8 +507,10 @@ def verify_constraints(S, C, engine):
     S_m, St_S_inv = _stokes_terms(tuple(tuple(Fraction(x) for x in row) for row in S), engine)
     cyclic, middle = _constraint_targets(engine)
     C_inv = engine.inverse(C)
-    return {"constraint_cyclic": engine.max_abs(C * St_S_inv * C_inv - cyclic),
-            "constraint_pairing": engine.max_abs(S_m - C_inv * middle * C_inv.T)}
+    C_inv_T = tuple(zip(*C_inv))
+    mul = engine.matmul
+    return {"constraint_cyclic": max_deviation(mul(mul(C, St_S_inv), C_inv), cyclic),
+            "constraint_pairing": max_deviation(S_m, mul(mul(C_inv, middle), C_inv_T))}
 
 
 @functools.lru_cache(maxsize=32)
@@ -516,7 +521,7 @@ def _stokes_terms(S, engine):
     S_inv = _unipotent_inverse(S)
     St_S_inv = [[sum(S[t][i] * S_inv[t][j] for t in range(4)) for j in range(4)]
                 for i in range(4)]
-    return engine.matrix(S), engine.matrix(St_S_inv)
+    return tuple(tuple(tuple(map(engine.complex, row)) for row in M) for M in (S, St_S_inv))
 
 
 @functools.lru_cache(maxsize=None)
@@ -527,8 +532,8 @@ def _constraint_targets(engine):
     for eta)."""
     E1, unit1 = exp_R(2 * engine.i * engine.pi, engine), exp_mu_units(2)
     E2, unit2 = exp_R(-engine.i * engine.pi, engine), exp_mu_units(-1)
-    return (engine.matrix([[unit1[i] * E1[i, j] for j in range(4)] for i in range(4)]),
-            engine.matrix([[E2[i, 3 - j] * unit2[3 - j] for j in range(4)] for i in range(4)]))
+    return (tuple(tuple(unit1[i] * x for x in row) for i, row in enumerate(E1)),
+            tuple(tuple(row[3 - j] * unit2[3 - j] for j in range(4)) for row in E2))
 
 
 def _unipotent_inverse(M):

@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 from monodromy_lab import braid, ktheory, reference
 from monodromy_lab.closedform import evaluate_over_d
-from monodromy_lab.engine import get_engine
+from monodromy_lab.engine import get_engine, max_deviation
 from monodromy_lab.frame import ADMISSIBLE_ANGLE
 from monodromy_lab.monodromy import (
     CONNECTION_SECTOR,
@@ -123,7 +123,7 @@ def connection_stage(config, sd):
     cd = connection_matrix(engine, connection_points(config.z0_connection),
                            config.truncation_order, sd.P)
     residuals = dict(cd.residuals)
-    residuals["c_vs_closed_form"] = braid.max_deviation(cd.C.tolist(), _c_closed_form(engine))
+    residuals["c_vs_closed_form"] = max_deviation(cd.C, _c_closed_form(engine))
     residuals.update(verify_constraints(sd.S, cd.C, engine))
     return cd, residuals
 
@@ -194,7 +194,7 @@ def braid_stage(S, C, characteristic, tol):
         return {"found": False, "word": [], "signs": [], "max_deviation": None}, {}
     word, signs = found
     Ss, Cs = braid.sign_act(signs, *braid.braid_act(word, S, C))
-    dev = max(braid.max_deviation(Ss, target_S), braid.max_deviation(Cs, target_C))
+    dev = max(max_deviation(Ss, target_S), max_deviation(Cs, target_C))
     report = {"found": True, "word": word.labels(), "signs": list(signs.signs),
               "max_deviation": dev}
     return report, {"braid_match": dev}
@@ -222,8 +222,7 @@ def run_verify(config):
     residuals.update(connection_residuals)
     characteristic, characteristic_residuals = characteristic_stage(config)
     residuals.update(characteristic_residuals)
-    braid_report, braid_residuals = braid_stage(sd.S, cd.C.tolist(), characteristic,
-                                                tol["braid_match"])
+    braid_report, braid_residuals = braid_stage(sd.S, cd.C, characteristic, tol["braid_match"])
     residuals.update(braid_residuals)
     missing = () if braid_report["found"] else ("braid_search_not_found",)
 

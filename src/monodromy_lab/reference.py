@@ -138,7 +138,8 @@ EXPECTED_SIGNS = (1, -1, -1, 1)
 
 
 def numeric(M, dps=30):
-    """sympy matrix -> nested lists of hardware complex."""
+    """sympy matrix -> nested lists of hardware complex, each entry
+    evaluated by sympy at ``dps`` digits (imports sympy)."""
     import sympy as sp
 
     return [[complex(sp.N(M[i, j], dps)) for j in range(M.cols)] for i in range(M.rows)]

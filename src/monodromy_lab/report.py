@@ -66,16 +66,12 @@ def dumps(report):
 
 
 def complex_matrix(M):
-    """Engine matrix -> nested lists of hardware complex."""
-    if hasattr(M, "rows"):
-        return [[complex(M[i, j]) for j in range(M.cols)] for i in range(M.rows)]
+    """Rows of engine scalars or exact numbers -> nested lists of complex."""
     return [[complex(x) for x in row] for row in M]
 
 
 def pretty_matrix(rows, name="", digits=6):
-    """Aligned text rendering of a complex/real matrix for --pretty output."""
-    if hasattr(rows, "rows"):
-        rows = complex_matrix(rows)
+    """Aligned text rendering of the rows of a matrix for --pretty output."""
     cells = []
     for row in rows:
         line = []

@@ -548,8 +548,8 @@ def rotation_operator_matrix(engine):
     unipotent shift  A[k][j] = C(j, k) (2 pi i/3)^(j-k).
     """
     h = 2 * engine.i * engine.pi / 3
-    A = engine.ctx.matrix(4, 4)
+    A = [[engine.real(0)] * 4 for _ in range(4)]
     for j in range(4):
         for k in range(j + 1):
-            A[k, j] = math.comb(j, k) * h ** (j - k)
-    return A
+            A[k][j] = math.comb(j, k) * h ** (j - k)
+    return tuple(map(tuple, A))

@@ -1,7 +1,7 @@
 """Oracles and helpers only the tests use: dense checks of ``phi_top``'s
-sparse recursion, the ODE residual of a log-series, and the solution with
-given Frobenius coordinates.  They live here, not in ``monodromy_lab``,
-because no command runs them.
+sparse recursion, the ODE residual of a log-series, the solution with
+given Frobenius coordinates, and mpmath's matrices for oracle products.
+They live here, not in ``monodromy_lab``, because no command runs them.
 """
 
 from fractions import Fraction
@@ -68,6 +68,16 @@ def phi_top_orthogonality_residuals(series):
                 acc[i][3 - i] -= 1
         out.append(max(abs(x) for row in acc for x in row))
     return out
+
+
+# -- matrices ----------------------------------------------------------------
+
+def context_matrix(engine, rows):
+    """A matrix given as rows as mpmath's matrix of the engine's context,
+    each Fraction rounded once by ``Engine.complex``: products and
+    differences for the oracles, independent of ``Engine.matmul``."""
+    return engine.ctx.matrix([[engine.complex(v) if isinstance(v, Fraction) else v
+                               for v in row] for row in rows])
 
 
 # -- scalar ODE solutions ----------------------------------------------------

@@ -9,10 +9,10 @@ from monodromy_lab.braid import (
     BraidWord,
     SignDiagonal,
     braid_act,
-    max_deviation,
     search_equivalence,
     sign_act,
 )
+from monodromy_lab.engine import max_deviation
 
 
 def _random_unipotent(rng, n=4):
@@ -79,13 +79,13 @@ def test_braid_action_preserves_constraints():
     e = get_engine("mp", dps=40)
     C = reference.numeric(reference.C_REF, dps=40)
     base = verify_constraints(
-        reference.S_REF, e.matrix([[e.complex(x) for x in row] for row in C]), e
+        reference.S_REF, [[e.complex(x) for x in row] for row in C], e
     )
     # the integer S_REF braids to an integer Stokes matrix
     w = BraidWord(letters=((2, -1),))
     S2, C2 = braid_act(w, reference.S_REF, C)
     moved = verify_constraints(
-        S2, e.matrix([[e.complex(x) for x in row] for row in C2]), e
+        S2, [[e.complex(x) for x in row] for row in C2], e
     )
     for key in base:
         assert abs(float(base[key]) - float(moved[key])) <= 1e-9

@@ -85,6 +85,25 @@ def test_exact_reports_keep_their_bytes(command):
     assert digest == EXACT_REPORT_DIGESTS[command]
 
 
+#: SHA-256 of ``report.dumps`` of the mp engine's reports at the defaults:
+#: any change to a matrix, a residual or their rounding shows here.  The mp
+#: engine rounds exactly, in integers, on every platform; the double reports
+#: are left out, as their elementary functions come from the platform's libm
+MP_REPORT_DIGESTS = {
+    "verify": "94f5305497ab645fbdd39ac6f4eb71800b5b0780802a29a5c1b6174ff290ab55",
+    "stokes": "1ac9bf95c772b071faa9ce751c55b4246af31bf9de4fa949dca832d4d8c3c73a",
+    "connection": "bf6de03610a830bbfc1c8aad760f259706cd696cab3377648b85963a29de5330",
+}
+
+
+@pytest.mark.parametrize("command", list(MP_REPORT_DIGESTS))
+def test_mp_reports_keep_their_bytes(command):
+    args = build_parser().parse_args(command.split())
+    doc = COMMANDS[args.command](args, config_from_args(args))
+    digest = hashlib.sha256(dumps(doc).encode()).hexdigest()
+    assert digest == MP_REPORT_DIGESTS[command]
+
+
 def test_exact_commands_do_not_import_sympy():
     # nor does importing the CLI load dataclasses or inspect, which cost a
     # cold start milliseconds of import and code generation
@@ -257,8 +276,9 @@ def test_a_nan_residual_never_passes(monkeypatch, capsys):
 
     def poisoned(*args):
         data = original(*args)
-        data.C[0, 1] = nan
-        return data
+        C = [list(row) for row in data.C]
+        C[0][1] = nan
+        return data._replace(C=C)
 
     monkeypatch.setattr(pipeline, "connection_matrix", poisoned)
     code = main(["verify"])

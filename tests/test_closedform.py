@@ -81,8 +81,9 @@ def test_closed_form_comparisons_at_working_precision(monkeypatch):
 
     def perturbed(*args, **kwargs):
         cd = original(*args, **kwargs)
-        cd.C[1, 0] += 1e-30
-        return cd
+        C = [list(row) for row in cd.C]
+        C[1][0] += 1e-30
+        return cd._replace(C=C)
 
     monkeypatch.setattr(pipeline, "connection_matrix", perturbed)
     residuals = pipeline.run_verify(pipeline.RunConfig())["residuals"]

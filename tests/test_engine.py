@@ -7,8 +7,8 @@ from fractions import Fraction
 import pytest
 from mpmath.libmp import from_int, mpf_div, round_nearest
 
-from monodromy_lab import braid, monodromy, solutions, special
-from monodromy_lab.engine import NaNResidualError, get_engine
+from monodromy_lab import monodromy, solutions, special
+from monodromy_lab.engine import NaNResidualError, get_engine, max_deviation
 from monodromy_lab.frame import canonical_coordinates, frame, sector_config, stokes_ray_angles
 from monodromy_lab.solutions import quantum_period
 
@@ -39,20 +39,19 @@ def test_solve_and_inverse_match_lu_solve_at_twice_the_precision(name):
     e = get_engine(name, dps=40)
     ctx = e.ctx
     # a complex system whose pivoting swaps rows
-    A = ctx.matrix([[ctx.mpc(k % 3 - 1, (j * k) % 5) / (j + k + 1) for k in range(4)]
-                    for j in range(4)])
-    B = ctx.matrix([[ctx.mpc(j - k, 1) / 7 for k in range(4)] for j in range(4)])
+    A = [[ctx.mpc(k % 3 - 1, (j * k) % 5) / (j + k + 1) for k in range(4)] for j in range(4)]
+    B = [[ctx.mpc(j - k, 1) / 7 for k in range(4)] for j in range(4)]
     # the reference: mpmath's LU solve at twice the working precision (30
     # digits for double), on the same entries
     ref = get_engine("mp", dps=80 if name == "mp" else 30).ctx
-    Ar, Br = ref.matrix(A.tolist()), ref.matrix(B.tolist())
+    Ar, Br = ref.matrix(A), ref.matrix(B)
     ulps = 4 * ctx.eps
     X = e.solve(A, B)
     for k in range(4):
         col = ref.lu_solve(Ar, Br[:, k])
         for j in range(4):
-            assert abs(ref.convert(X[j, k]) - col[j]) <= ulps * abs(col[j]), (j, k)
-    residual = ref.matrix(e.inverse(A).tolist()) * Ar - ref.eye(4)
+            assert abs(ref.convert(X[j][k]) - col[j]) <= ulps * abs(col[j]), (j, k)
+    residual = ref.matrix(e.inverse(A)) * Ar - ref.eye(4)
     assert all(abs(residual[i, j]) <= ulps for i in range(4) for j in range(4))
 
 
@@ -61,12 +60,12 @@ def test_numerically_singular_matrices_are_refused(monkeypatch, capsys, name):
     from monodromy_lab.cli import main
 
     e = get_engine(name, dps=40)
-    B = e.matrix([[Fraction(j - k, 7) for k in range(4)] for j in range(4)])
+    B = [[e.complex(Fraction(j - k, 7)) for k in range(4)] for j in range(4)]
     # a zero row, and a lone pivot candidate in column 0 below ||A||_1 eps
     # while every row sum is at least 1
     zero_row = [[1, 2, 0, 1], [0, 0, 0, 0], [3, 1, 1, 0], [0, 1, 0, 2]]
     tiny_pivot = [[Fraction(1, 10 ** 60), 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
-    singular = [e.matrix([[Fraction(v) for v in row] for row in rows])
+    singular = [[[e.complex(Fraction(v)) for v in row] for row in rows]
                 for rows in (zero_row, tiny_pivot)]
     for A in singular:
         for solve in (lambda: e.solve(A, B), lambda: e.inverse(A)):
@@ -97,18 +96,23 @@ def _frame_and_verify_runs(tmp_path, label):
 
 
 def test_no_mpmath_lu_on_the_verify_path(monkeypatch, tmp_path):
+    # nor any mpmath matrix at all: every matrix of the package is rows
     from mpmath.matrices.linalg import LinearAlgebraMethods
     from mpmath.matrices.matrices import _matrix
 
     def refuse(*args, **kwargs):
-        raise AssertionError("an mpmath LU solve or matrix power on the verify path")
+        raise AssertionError("an mpmath LU solve, matrix or matrix power on the verify path")
 
+    one = get_engine("double").ctx.matrix([[1]])
     with monkeypatch.context() as patched:
         for owner, attr in ((LinearAlgebraMethods, "LU_decomp"),
-                            (LinearAlgebraMethods, "lu_solve"), (_matrix, "__pow__")):
+                            (LinearAlgebraMethods, "lu_solve"), (_matrix, "__pow__"),
+                            (_matrix, "__init__")):
             patched.setattr(owner, attr, refuse)
         with pytest.raises(AssertionError):
-            get_engine("double").ctx.matrix([[1]]) ** -1
+            one ** -1
+        with pytest.raises(AssertionError):
+            get_engine("mp", dps=40).ctx.matrix(4, 4)
         runs = _frame_and_verify_runs(tmp_path, "patched")
     assert runs == _frame_and_verify_runs(tmp_path, "plain")
     assert {key: runs[key][0] for key in runs if key[0] == "verify"} == {
@@ -122,10 +126,10 @@ def test_a_nan_in_a_residual_maximum_is_a_named_error():
     for rows in ([[1, nan]], [[nan, 1]]):
         for engine in (get_engine("double"), get_engine("mp", dps=40)):
             with pytest.raises(NaNResidualError):
-                engine.max_abs(engine.matrix(rows))
+                max_deviation([[engine.real(x) for x in row] for row in rows], [[0, 0]])
         with pytest.raises(NaNResidualError):
-            braid.max_deviation(rows, [[0, 0]])
-    assert braid.max_deviation([[1, -2]], [[0, 0]]) == 2.0
+            max_deviation(rows, [[0, 0]])
+    assert max_deviation([[1, -2]], [[0, 0]]) == 2.0
 
 
 def test_every_computation_takes_its_engine_explicitly():

@@ -75,7 +75,7 @@ def test_frame_matches_printed_matrix():
     ]
     for i in range(4):
         for j in range(4):
-            assert abs(complex(f.Psi[i, j]) - expected_Psi[i][j]) < 1e-12, (i, j)
+            assert abs(complex(f.Psi[i][j]) - expected_Psi[i][j]) < 1e-12, (i, j)
 
 
 def test_frame_diagonalizes_and_V_printed():
@@ -83,22 +83,22 @@ def test_frame_diagonalizes_and_V_printed():
     for i in range(4):
         for j in range(4):
             target = complex(f.u[i]) if i == j else 0.0
-            assert abs(complex(f.U[i, j]) - target) < 1e-12
+            assert abs(complex(f.U[i][j]) - target) < 1e-12
     # V is antisymmetric with the printed first row (sqrt3/2) i pattern
     s3 = math.sqrt(3)
     expected_V0 = [0, 0.5j * s3, 0.5j * s3, 0.5j * s3]
     for j in range(4):
-        assert abs(complex(f.V[0, j]) - expected_V0[j]) < 1e-12
-    assert abs(complex(f.V[1, 2]) - (-1j * s3 / 6)) < 1e-12
+        assert abs(complex(f.V[0][j]) - expected_V0[j]) < 1e-12
+    assert abs(complex(f.V[1][2]) - (-1j * s3 / 6)) < 1e-12
     for i in range(4):
         for j in range(4):
-            assert abs(complex(f.V[i, j]) + complex(f.V[j, i])) < 1e-12
+            assert abs(complex(f.V[i][j]) + complex(f.V[j][i])) < 1e-12
 
 
 def test_frame_eta_orthogonality():
     # Psi^T Psi = eta
     f = frame(E)
-    M = f.Psi.T * f.Psi
+    M = E.ctx.matrix(f.Psi).T * E.ctx.matrix(f.Psi)
     for i in range(4):
         for j in range(4):
             target = 1.0 if i + j == 3 else 0.0
@@ -110,7 +110,7 @@ def test_frame_vectors_are_orthogonal_quasi_idempotents():
     f = frame(E)
     vecs = []
     for j in range(4):
-        vecs.append(CohClass(tuple(complex(f.Psi_inv[i, j]) for i in range(4))))
+        vecs.append(CohClass(tuple(complex(f.Psi_inv[i][j]) for i in range(4))))
     for a in range(4):
         for b in range(4):
             prod = quantum_product(vecs[a], vecs[b], q=1)

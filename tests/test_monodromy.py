@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from monodromy_lab.engine import Engine, get_engine
+from monodromy_lab.engine import Engine, get_engine, max_deviation
 from monodromy_lab import monodromy
 from monodromy_lab.monodromy import (
     MU_DIAG,
@@ -42,6 +42,7 @@ from monodromy_lab.solutions import (
     rotation_operator_matrix,
 )
 from oracles import (
+    context_matrix,
     phi_top_grading_violations,
     phi_top_orthogonality_residuals,
     phi_top_recursion_residuals,
@@ -141,8 +142,7 @@ def test_eval_Ytop_determinant():
 
 
 def _det4(M):
-    rows = [[complex(M[i, j]) for j in range(4)] for i in range(4)]
-    return _det4_list(rows)
+    return _det4_list([[complex(x) for x in row] for row in M])
 
 
 def _det4_list(rows):
@@ -192,10 +192,10 @@ def test_eval_Ytop_column_against_taylor_flow():
     z_to = UCComplex.polar(0.1, 0.0)
     Y0 = eval_Ytop(z_from, order=35, engine=E)
     Y1 = eval_Ytop(z_to, order=35, engine=E)
-    col0 = [complex(Y0[i, 0]) for i in range(4)]
+    col0 = [complex(Y0[i][0]) for i in range(4)]
     flowed = _taylor_flow(col0, 0.05, 0.1)
     for i in range(4):
-        assert abs(flowed[i] - complex(Y1[i, 0])) < 1e-10
+        assert abs(flowed[i] - complex(Y1[i][0])) < 1e-10
 
 
 def ytop_oracle(point, order, ctx):
@@ -239,7 +239,7 @@ def test_eval_Ytop_matches_a_double_precision_oracle(engine):
         z = UCComplex.polar(modulus, 0.7)
         Y = eval_Ytop(z, ORDER, engine)
         for (a, j), (ref, scale) in ytop_oracle(point_data(z, engine), ORDER, ctx).items():
-            assert abs(ctx.mpc(Y[a, j]) - ref) <= bound * scale, (modulus, a, j)
+            assert abs(ctx.mpc(Y[a][j]) - ref) <= bound * scale, (modulus, a, j)
 
 
 def test_eval_Ytop_agrees_with_its_matrix_form():
@@ -249,9 +249,9 @@ def test_eval_Ytop_agrees_with_its_matrix_form():
     zc = MP.exp(l)
     Phi = MP.ctx.matrix(4, 4)
     for k, mat in enumerate(phi_top(ORDER).coeffs):
-        Phi += MP.matrix(mat) * zc ** k
-    expected = Phi * exp_mu(l, MP) * exp_R(l, MP)
-    assert MP.max_abs(eval_Ytop(z, ORDER, MP) - expected) < 1e-38
+        Phi += context_matrix(MP, mat) * zc ** k
+    expected = Phi * exp_mu(l, MP) * context_matrix(MP, exp_R(l, MP))
+    assert max_deviation(eval_Ytop(z, ORDER, MP), expected.tolist()) < 1e-38
 
 
 def test_phi_top_orthogonality_at_a_point():
@@ -276,8 +276,9 @@ def test_Ytop_monodromy_consistency():
     z = UCComplex.polar(0.1, math.pi / 7)
     A = eval_Ytop(z.shifted_by_turns(1), order=35, engine=E)
     two_pi_i = 2j * math.pi
-    B = eval_Ytop(z, order=35, engine=E) * exp_mu(two_pi_i, E) * exp_R(two_pi_i, E)
-    assert E.max_abs(A - B) < 1e-12
+    B = (context_matrix(E, eval_Ytop(z, order=35, engine=E)) * exp_mu(two_pi_i, E)
+         * context_matrix(E, exp_R(two_pi_i, E)))
+    assert max_deviation(A, B.tolist()) < 1e-12
     # exp(2 pi i mu) is -I for half-odd-integer weights
     M = exp_mu(two_pi_i, E)
     for i in range(4):
@@ -356,8 +357,8 @@ def test_left_column3_expressions_agree_on_overlap():
         z = UCComplex.polar(1.5, arg)
         A = assemble_YL(z, 40, E)
         B = vector_from_scalar(scalar_column_derivatives(_YL_COL3_ALT, z, 40, E), z, E)
-        dev = max(abs(complex(A[i, 2]) - complex(B[i])) for i in range(4))
-        scale = max(abs(complex(A[i, 2])) for i in range(4))
+        dev = max(abs(complex(A[i][2]) - complex(B[i])) for i in range(4))
+        scale = max(abs(complex(A[i][2])) for i in range(4))
         assert dev <= 1e-9 * max(1.0, scale)
 
 
@@ -377,7 +378,7 @@ def test_stokes_dominance_pattern_emerges():
     z0 = STOKES_Z0S[1]
     raw = MP.solve(assemble_YR(z0, ORDER, MP), assemble_YL(z0, ORDER, MP))
     for (i, j) in [(0, 3), (1, 0), (1, 2), (1, 3), (2, 0), (2, 3)]:
-        assert abs(complex(raw[i, j])) < 1e-6
+        assert abs(complex(raw[i][j])) < 1e-6
 
 
 def test_stokes_in_double_engine_snaps_to_same_matrix():
@@ -395,7 +396,7 @@ def test_stokes_transpose_relation_on_negative_sector():
         YR = assemble_YR(z, 40, MP)
         YL = assemble_YL(z.shifted_by_turns(1), 40, MP)
         got = MP.solve(YR, YL)
-        dev = max(abs(complex(got[i, j]) - St[i][j]) for i in range(4) for j in range(4))
+        dev = max(abs(complex(got[i][j]) - St[i][j]) for i in range(4) for j in range(4))
         assert dev <= 1e-8, arg_pi
 
 
@@ -414,10 +415,10 @@ def test_a_non_finite_entry_never_snaps(monkeypatch, capsys, part):
     original = Engine.solve
 
     def poisoned(self, A, B):
-        X = original(self, A, B)
-        v = complex(X[0, 1])
-        X[0, 1] = self.ctx.mpc(*((math.nan, v.imag) if part == "real" else (v.real, math.nan)))
-        return X
+        X = [list(row) for row in original(self, A, B)]
+        v = complex(X[0][1])
+        X[0][1] = self.ctx.mpc(*((math.nan, v.imag) if part == "real" else (v.real, math.nan)))
+        return tuple(map(tuple, X))
 
     monkeypatch.setattr(Engine, "solve", poisoned)
     with pytest.raises(SnapError, match="not finite"):
@@ -447,17 +448,17 @@ def test_stokes_coordinate_route_oracle():
             vec = v[kind]
             M = A if m >= 0 else Ainv
             for _ in range(abs(m)):
-                vec = [sum(M[i, j] * vec[j] for j in range(4)) for i in range(4)]
+                vec = [sum(M[i][j] * vec[j] for j in range(4)) for i in range(4)]
             c = coef * _prefactor(kind, e) * (-1) ** (m % 2)
             out = [out[i] + c * vec[i] for i in range(4)]
         return out
 
-    MR = e.matrix([[coords(s)[i] for s in _YR_SPECS] for i in range(4)])
-    ML = e.matrix([[coords(s)[i] for s in _YL_SPECS] for i in range(4)])
+    MR = [[coords(s)[i] for s in _YR_SPECS] for i in range(4)]
+    ML = [[coords(s)[i] for s in _YL_SPECS] for i in range(4)]
     got = e.solve(MR, ML)
     for i in range(4):
         for j in range(4):
-            assert abs(complex(got[i, j]) - reference.S_PRIME_REF[i][j]) < 1e-10
+            assert abs(complex(got[i][j]) - reference.S_PRIME_REF[i][j]) < 1e-10
 
 
 def test_connection_matrix_closed_forms():
@@ -466,10 +467,10 @@ def test_connection_matrix_closed_forms():
     # the last column of C' is the first column of C = C' P^(-1)
     C_ref = reference.numeric(reference.C_REF, dps=30)
     for i in range(4):
-        assert abs(complex(cd.c_prime[i, 3]) - C_ref[i][0]) < 1e-10
+        assert abs(complex(cd.c_prime[i][3]) - C_ref[i][0]) < 1e-10
     for i in range(4):
         for j in range(4):
-            assert abs(complex(cd.C[i, j]) - C_ref[i][j]) <= 1e-8
+            assert abs(complex(cd.C[i][j]) - C_ref[i][j]) <= 1e-8
     assert cd.residuals["connection_stability"] <= 1e-9
     assert cd.residuals["connection_heldout"] <= 1e-9
 
@@ -518,7 +519,7 @@ def test_verify_constraints_inverts_only_C(monkeypatch):
     calls = []
     original = Engine.inverse
     monkeypatch.setattr(Engine, "inverse", lambda self, A: calls.append(A) or original(self, A))
-    C = MP.matrix(evaluate_over_d(reference.C_REF_NUMERATORS, MP))
+    C = evaluate_over_d(reference.C_REF_NUMERATORS, MP)
     residuals = verify_constraints(reference.S_REF, C, MP)
     assert len(calls) == 1 and calls[0] is C
     for name, value in residuals.items():
@@ -532,15 +533,18 @@ def dense_constraint_residuals(S, C, engine):
     from monodromy_lab.monodromy import _unipotent_inverse
 
     exact = [[Fraction(x) for x in row] for row in S]
-    Sm, S_inv = engine.matrix(exact), engine.matrix(_unipotent_inverse(exact))
-    eta = engine.matrix([[Fraction(int(i + j == 3)) for j in range(4)] for i in range(4)])
-    C_inv = engine.inverse(C)
+    Sm, S_inv = context_matrix(engine, exact), context_matrix(engine, _unipotent_inverse(exact))
+    eta = context_matrix(engine, [[Fraction(int(i + j == 3)) for j in range(4)]
+                                  for i in range(4)])
+    C_inv = context_matrix(engine, engine.inverse(C))
+    C = context_matrix(engine, C)
     two_pi_i, minus_pi_i = 2 * engine.i * engine.pi, -engine.i * engine.pi
     lhs1 = C * Sm.T * S_inv * C_inv
-    rhs1 = exp_mu(two_pi_i, engine) * exp_R(two_pi_i, engine)
-    rhs2 = C_inv * exp_R(minus_pi_i, engine) * exp_mu(minus_pi_i, engine) * eta * C_inv.T
-    return {"constraint_cyclic": engine.max_abs(lhs1 - rhs1),
-            "constraint_pairing": engine.max_abs(Sm - rhs2)}
+    rhs1 = exp_mu(two_pi_i, engine) * context_matrix(engine, exp_R(two_pi_i, engine))
+    rhs2 = (C_inv * context_matrix(engine, exp_R(minus_pi_i, engine))
+            * exp_mu(minus_pi_i, engine) * eta * C_inv.T)
+    return {"constraint_cyclic": max_deviation(lhs1.tolist(), rhs1.tolist()),
+            "constraint_pairing": max_deviation(Sm.tolist(), rhs2.tolist())}
 
 
 @pytest.mark.parametrize("engine", [E, MP], ids=["double", "mp"])
@@ -552,7 +556,7 @@ def test_verify_constraints_agrees_with_the_dense_products(engine):
 
     sd = stokes_matrix(engine, STOKES_Z0S, ORDER, SNAP_TOL)
     cd = connection_matrix(engine, CONNECTION_Z0S, ORDER, sd.P)
-    C_ref = engine.matrix(evaluate_over_d(reference.C_REF_NUMERATORS, engine))
+    C_ref = evaluate_over_d(reference.C_REF_NUMERATORS, engine)
     S_bad = [list(row) for row in sd.S]
     S_bad[0][1] += Fraction(1, 1000)
     for S, C in ((sd.S, cd.C), (reference.S_REF, C_ref), (S_bad, cd.C)):
@@ -582,15 +586,9 @@ def test_verify_constraints_takes_no_exponential_and_four_products(monkeypatch):
     monkeypatch.setattr(Engine, "inverse", lambda self, A: C_inv)
     exps, products = [], []
     monkeypatch.setattr(Engine, "exp", lambda self, x: exps.append(x))
-    matrix = type(cd.C)
-    original = matrix.__mul__
-
-    def counted(self, other):
-        if isinstance(other, matrix):
-            products.append(other)
-        return original(self, other)
-
-    monkeypatch.setattr(matrix, "__mul__", counted)
+    original = Engine.matmul
+    monkeypatch.setattr(Engine, "matmul",
+                        lambda self, A, B: products.append(B) or original(self, A, B))
     verify_constraints(sd.S, cd.C, MP)
     assert exps == [] and len(products) == 4
 
@@ -627,7 +625,7 @@ def test_asymptotic_normalization_of_columns():
         zc = eng.exp(z.log(eng))
         row = []
         for k in range(4):
-            ratio = Y[3, k] * eng.exp(-u[k] * zc) / c[k]
+            ratio = Y[3][k] * eng.exp(-u[k] * zc) / c[k]
             row.append(abs(complex(ratio) - 1))
         devs.append(row)
     for k in range(4):
@@ -642,7 +640,7 @@ def test_YR_leading_entry_matches_frame_pattern():
     z = UCComplex.polar(9.0, math.pi / 12)
     Y = assemble_YR(z, 76, eng, tol=1e-21)
     target = complex(0, 1 / math.sqrt(2))
-    assert abs(complex(Y[0, 0]) - target) < 0.12 * abs(target)
+    assert abs(complex(Y[0][0]) - target) < 0.12 * abs(target)
 
 
 def test_dominance_permutation_orders_by_growth():
