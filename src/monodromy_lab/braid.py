@@ -25,6 +25,7 @@ import itertools
 
 from monodromy_lab.engine import max_deviation
 from monodromy_lab.record import Record
+from monodromy_lab.ring import matmul
 
 
 class BraidWord(Record):
@@ -58,11 +59,6 @@ class SignDiagonal(Record):
         object.__setattr__(self, "signs", signs)
 
 
-def _matmul(A, B):
-    n = len(A)
-    return [[sum(A[i][k] * B[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
-
-
 def _letter_matrices(S, i, exp):
     """(M, Minv) with b^exp(S) = M S M and b^exp(C) = C Minv."""
     n = len(S)
@@ -81,12 +77,12 @@ def _letter_matrices(S, i, exp):
 
 def _act_on_S(word, S):
     """(w(S), the letters' Minv in order): w(C) is C times their product."""
-    S, inverses = [list(r) for r in S], []
+    S, inverses = tuple(map(tuple, S)), []
     for i, exp in word.letters:
         if i >= len(S):
             raise ValueError(f"letter index {i} out of range for size {len(S)}")
         M, Minv = _letter_matrices(S, i, exp)
-        S = _matmul(_matmul(M, S), M)
+        S = matmul(matmul(M, S), M)
         inverses.append(Minv)
     return S, inverses
 
@@ -94,11 +90,11 @@ def _act_on_S(word, S):
 def braid_act(word, S, C):
     """Apply a braid word (letters left to right) to (S, C).
 
-    S, C are square nested sequences over any scalar type; new lists are
-    returned.
+    S, C are square nested sequences over any scalar type; new tuples of
+    rows are returned.
     """
     S, inverses = _act_on_S(word, S)
-    return S, functools.reduce(_matmul, inverses, [list(r) for r in C])
+    return S, functools.reduce(matmul, inverses, tuple(map(tuple, C)))
 
 
 def _sign_S(J, S):
@@ -136,7 +132,7 @@ def search_equivalence(S, C, S_target, C_target, max_len, tol):
                 if max_deviation(_sign_S(diag.signs, Sw), S_target) > tol:
                     continue
                 if Cw is None:
-                    Cw = functools.reduce(_matmul, inverses, C)
+                    Cw = functools.reduce(matmul, inverses, C)
                 if max_deviation(sign_act(diag, Sw, Cw)[1], C_target) <= tol:
                     return word, diag
     return None

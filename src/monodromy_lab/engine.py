@@ -27,6 +27,14 @@ A matrix is a tuple of rows, the package's one format; ``Engine.matmul``
 multiplies two as mpmath's matrix class would, and ``max_deviation`` is
 the residual of two.
 
+Bounds and comparisons whose values never reach a report are made on log2
+magnitudes (``log2_magnitude``): a float within ``LOG2_SLACK`` of log2 |x|,
+read from an mp number's exact parts without mp arithmetic, and from
+``math`` for any other number.  The tail certificate of
+``solutions.eval_series`` and the choice of the entries whose mp ``abs``
+``max_deviation`` takes rest on it, as the cut of the mp block pass rests
+on the same reads (``_log2_abs``).
+
 Engines are interned, so series caches can key on them; every computation
 takes its engine from its caller, and a run's from ``pipeline.RunConfig``.
 """
@@ -38,6 +46,7 @@ import math
 from fractions import Fraction
 
 import mpmath
+from mpmath.ctx_mp_python import _mpc, _mpf
 from mpmath.libmp import from_int, from_man_exp, fzero, mpf_div, round_nearest
 
 #: bits the exact-integer Horner pass of the mp engine carries above the
@@ -46,6 +55,10 @@ GUARD_BITS = 20
 
 #: bits the mp engine's 4x4 elimination carries above the working precision
 SOLVE_GUARD_BITS = 10
+
+#: the number types of every mp context; a double engine's numbers are
+#: Python floats and complex numbers
+_MP_TYPES = (_mpf, _mpc)
 
 
 class NaNResidualError(ArithmeticError):
@@ -64,8 +77,22 @@ def max_magnitude(values):
 def max_deviation(A, B):
     """Largest entrywise |A - B| of two matrices as a float, computed in the
     entries' own arithmetic: exact for integers, at working precision for
-    engine numbers.  A NaN entry raises NaNResidualError."""
-    return max_magnitude(abs(a - b) for row_a, row_b in zip(A, B) for a, b in zip(row_a, row_b))
+    engine numbers.  An mp entry takes its mp ``abs`` only if its log2
+    upper bound (``log2_magnitude`` + ``LOG2_SLACK``) reaches the largest
+    log2 lower bound, with room for the rounding of that float: the largest
+    entry always does, and mp ``abs`` is monotone, so the maximum is the
+    same number.  A NaN entry raises NaNResidualError."""
+    deviations = [a - b for row_a, row_b in zip(A, B) for a, b in zip(row_a, row_b)]
+    sizes = [abs(d) for d in deviations if not isinstance(d, _MP_TYPES)]
+    mp = [d for d in deviations if isinstance(d, _MP_TYPES)]
+    if mp:
+        logs = [log2_magnitude(d) for d in mp]
+        if any(g != g for g in logs):
+            raise NaNResidualError("a residual is NaN")
+        top = max(logs)
+        floor = top - 2 * LOG2_SLACK * (1 + abs(top)) if top < math.inf else top
+        sizes += [abs(d) for d, g in zip(mp, logs) if g >= floor]
+    return max_magnitude(sizes)
 
 
 class Engine:
@@ -310,6 +337,20 @@ def _log2_abs(re, im, exp):
     shift = max(re.bit_length(), im.bit_length(), 53) - 53
     re, im = re >> shift, im >> shift
     return math.log2(re * re + im * im) / 2 + shift + exp
+
+
+def log2_magnitude(x):
+    """log2 |x| as a float: within ``LOG2_SLACK`` of it for an mp number,
+    read from its exact parts (``_exact_parts``, ``_log2_abs``), which takes
+    no mp arithmetic, and from ``math`` for any other number; -inf for 0,
+    inf for an infinite x and NaN for a NaN, as |x| reads."""
+    if not isinstance(x, _MP_TYPES):
+        size = abs(x)
+        return math.log2(size) if size else -math.inf
+    try:
+        return _log2_abs(*_exact_parts(x))
+    except OverflowError:
+        return math.log2(float(abs(x)))
 
 
 def _summed_blocks(bounds, log2w, bits):

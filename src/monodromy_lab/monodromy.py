@@ -48,7 +48,7 @@ from monodromy_lab.frame import (
     in_interval,
     sector_config,
 )
-from monodromy_lab.ring import operator_matrices
+from monodromy_lab.ring import matmul, operator_matrices
 from monodromy_lab.solutions import (
     PHI1,
     PHI2,
@@ -167,8 +167,7 @@ def _exp_R_terms():
     for p in range(4):
         terms.extend((k, j, p, Fraction(power[k][j], math.factorial(p)))
                      for k in range(4) for j in range(4) if power[k][j])
-        power = [[sum(power[i][t] * R[t][j] for t in range(4)) for j in range(4)]
-                 for i in range(4)]
+        power = matmul(power, R)
     return tuple(terms)
 
 
@@ -519,8 +518,7 @@ def _stokes_terms(S, engine):
     Fractions; S^(-1) and the product are formed exactly, and each entry
     is rounded once."""
     S_inv = _unipotent_inverse(S)
-    St_S_inv = [[sum(S[t][i] * S_inv[t][j] for t in range(4)) for j in range(4)]
-                for i in range(4)]
+    St_S_inv = matmul(tuple(zip(*S)), S_inv)
     return tuple(tuple(tuple(map(engine.complex, row)) for row in M) for M in (S, St_S_inv))
 
 

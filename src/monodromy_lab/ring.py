@@ -173,6 +173,14 @@ def ring_tables():
     return RingTables(eta=ETA, quantum_table=quantum, classical_table=classical)
 
 
+def matmul(A, B):
+    """The product A B of two square matrices given as rows, each entry a
+    sum of products in order over the entries' own scalar type: exact over
+    ints and Fractions, the package's one exact matrix product."""
+    columns = tuple(zip(*B))
+    return tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in columns) for row in A)
+
+
 def multiplication_matrix(x, q=Fraction(1)):
     """Matrix of quantum multiplication by x in the Schubert basis (columns
     are x * e_b)."""

@@ -31,6 +31,7 @@ import functools
 import math
 from fractions import Fraction
 
+from monodromy_lab.engine import LOG2_SLACK, log2_magnitude
 from monodromy_lab.record import Record
 from monodromy_lab.special import MellinIntegrand, integrand_value, laurent_at_zero
 
@@ -264,8 +265,8 @@ class PointData:
     """What every evaluation at one point z in one engine reads, each
     computed once per record (``point_data`` caches the records): l = log z
     and the point-class key (modulus, arg/pi mod 2/3) on construction;
-    z^(1/2) and its powers, z^-1 to z^-3, |l|, e^(3l) and the lift factors
-    of ``monodromy.vector_from_scalar``, on first use."""
+    z^(1/2) and its powers, z^-1 to z^-3, log2 |l|, e^(3l) and the lift
+    factors of ``monodromy.vector_from_scalar``, on first use."""
 
     def __init__(self, z, engine):
         self.engine = engine
@@ -280,9 +281,10 @@ class PointData:
         return h, z, h * z
 
     @functools.cached_property
-    def labs(self):
-        """|l|, which every tail certificate at the point reads."""
-        return abs(self.l)
+    def log2_labs(self):
+        """log2 |l| within ``LOG2_SLACK`` (-inf at l = 0), which every tail
+        certificate at the point reads; it takes no mp arithmetic."""
+        return log2_magnitude(self.l)
 
     @functools.cached_property
     def inverse_powers(self):
@@ -309,6 +311,12 @@ class PointData:
 point_data = functools.lru_cache(maxsize=POINTS_SIZE)(PointData)
 
 
+#: how far a float log2 bound of the tail certificate may be off, relative
+#: to the size of the log2 values it is formed from, by the rounding of the
+#: few float operations that form it, with room to spare: each operation is
+#: off by at most 2^-53 of its result, and ``math.log2`` by about as much
+ROUNDING = 2.0 ** -45
+
 #: how many (series, point class, engine) block sums ``_block_sums`` keeps,
 #: the least recently used dropped first; one base point of an extraction
 #: needs eight (phi1 and phi2, each with its derivatives 1-3)
@@ -322,17 +330,22 @@ def _prepare(series, engine):
     the coefficient columns in the form of ``Engine.horner``, without
     trailing zero blocks (under double, those past n = 83) and, under mp,
     with the mantissa bit-length bounds that cut each column's pass; and
-    the tail magnitudes (n, (|a0|, |a1|, |a2|, |a3|)) in engine reals for
+    the tail's log2 magnitudes (rho + 3n, (log2|a0|, ..., log2|a3|)), each
+    within ``LOG2_SLACK`` (``engine.log2_magnitude``, no mp arithmetic), for
     the last three nonzero blocks (all, for a shorter series).  Exact
     (Fraction) coefficients enter through ``Engine.real``, the one rounding
-    path for exact data."""
+    path for exact data.  A non-finite tail coefficient raises
+    OverflowError."""
     blocks = series.blocks
     if isinstance(blocks[0][0], Fraction):
         blocks = [[engine.real(a) for a in blk] for blk in blocks]
     last = max((n for n, blk in enumerate(blocks) if any(blk)), default=0)
     blocks = blocks[:last + 1]
     first = max(0, len(blocks) - 3)
-    tail = tuple((n, tuple(abs(a) for a in blocks[n])) for n in range(first, len(blocks)))
+    tail = tuple((series.rho + 3 * n, tuple(map(log2_magnitude, blocks[n])))
+                 for n in range(first, len(blocks)))
+    if not all(g < math.inf for _, logs in tail for g in logs):
+        raise OverflowError("a non-finite coefficient in the tail")
     return engine.horner_columns(blocks), tail
 
 
@@ -341,10 +354,11 @@ class _BlockSums(Record):
 
     ``sums[k]`` is T_k(w) = sum_n w^n a_k[n] with w = z^3, so the series at
     any point z of the class is z^rho (T0 + l (T1 + l (T2 + l T3))),
-    l = log z.  ``tail`` is the certificate's one majorant block: for each
-    k = 0..3, the largest of the magnitudes |z|^(rho+3n) |a_k[n]| over the
-    blocks n of the certificate, in engine reals.  It compares and hashes
-    by identity.  A ``Record``, not a dataclass: see ``monodromy_lab.record``.
+    l = log z.  ``tail`` is the certificate's one majorant block, four
+    floats: for each k = 0..3, an upper bound M_k on the log2 of the largest
+    magnitude |z|^(rho+3n) |a_k[n]| over the blocks n of the certificate
+    (-inf if all are 0).  It compares and hashes by identity.  A
+    ``Record``, not a dataclass: see ``monodromy_lab.record``.
     """
 
     __slots__ = _fields = ("sums", "tail")
@@ -361,19 +375,23 @@ def _block_sums(series, modulus, arg_over_pi, engine):
     """One block pass of ``series`` at the point class (modulus,
     arg_over_pi): the blocks summed by Horner in w (``Engine.horner``, which
     under mp skips the leading blocks below the working precision) at the
-    class representative, and the certificate's magnitudes scaled to this
-    modulus and reduced to their componentwise maximum.  Kept in an LRU
-    cache keyed on the series' identity (``LogSeries`` hashes by it).
-    Leaving the engine's range anywhere in the pass is a TailBoundError."""
+    class representative, and the certificate's majorant block in floats,
+    M_k = max_n ((rho+3n) log2|z| + log2|a_k[n]|) raised by the slack of
+    its log2 magnitudes (``LOG2_SLACK``) and the rounding of log2|z|, of the
+    product and of the sum (``ROUNDING``); it takes no mp arithmetic.  Kept
+    in an LRU cache keyed on the series' identity (``LogSeries`` hashes by
+    it).  Leaving the engine's range anywhere in the pass is a
+    TailBoundError."""
     try:
-        columns, mags = _prepare(series, engine)
+        columns, tail = _prepare(series, engine)
         w = point_data(UCComplex(modulus, arg_over_pi), engine).cube
-        r = engine.real(modulus)
-        scaled = []
-        for n, mag in mags:
-            rn = r ** (series.rho + 3 * n)
-            scaled.append([rn * a for a in mag])
-        return _BlockSums(engine.horner(columns, w), tuple(map(max, zip(*scaled))))
+        log2r = math.log2(modulus)
+        exponents = [[c * log2r + g for g in logs] for c, logs in tail]
+        size = max((abs(c) * (abs(log2r) + 1) + abs(g)
+                    for c, logs in tail for g in logs if g > -math.inf), default=0)
+        slack = LOG2_SLACK + ROUNDING * size
+        majorant = tuple(max(column) + slack for column in zip(*exponents))
+        return _BlockSums(engine.horner(columns, w), majorant)
     except OverflowError as exc:
         raise TailBoundError(f"the series at |z|={float(modulus)} leaves the range "
                              f"of the {engine.name} engine") from exc
@@ -381,20 +399,40 @@ def _block_sums(series, modulus, arg_over_pi, engine):
 
 def _tail_bound(sums, point):
     """The certificate's bound on the truncated tail at a call at the point
-    with l = log z: sum_k M_k |l|^k over the majorant block M of ``sums``,
-    at least the largest of |z|^(rho+3n) sum_k |a_k[n]| |l|^k over the
-    certificate's blocks, each an upper bound on
-    |z^(rho+3n) (a0 + l (a1 + ...))|."""
-    labs = point.labs
+    with l = log z, in log2: an upper bound on log2 sum_k 2^(M_k) |l|^k over
+    the majorant block M of ``sums``, so at least log2 of the largest of
+    |z|^(rho+3n) sum_k |a_k[n]| |l|^k over the certificate's blocks, each
+    an upper bound on |z^(rho+3n) (a0 + l (a1 + ...))|.  It reads the
+    point's log2 |l| (within ``LOG2_SLACK``) and adds the rounding of its
+    few float operations (``ROUNDING``); at l = 0 only the k = 0 term is
+    left, without forming 0 (-inf).  -inf if every term is 0."""
     m0, m1, m2, m3 = sums.tail
-    return ((m3 * labs + m2) * labs + m1) * labs + m0
+    terms, size = [m0], 4
+    if point.log2_labs > -math.inf:
+        up = point.log2_labs + LOG2_SLACK
+        terms += [m1 + up, m2 + 2 * up, m3 + 3 * up]
+        size += 3 * abs(up)
+    top = max(terms)
+    if top == -math.inf:
+        return top
+    size += max(abs(t) for t in terms if t > -math.inf)
+    return top + math.log2(sum(2.0 ** (t - top) for t in terms)) + ROUNDING * size
+
+
+def _log2_floor(x):
+    """A lower bound on log2 |x|: ``log2_magnitude`` less its slack and its
+    rounding."""
+    g = log2_magnitude(x)
+    return g - LOG2_SLACK - ROUNDING * abs(g)
 
 
 @functools.cache
 def _default_tol(engine):
-    """The certificate's default tolerance: 10^(2-dps) in engine reals
-    under mp, 1e-10 under double; read once per engine."""
-    return 1e-10 if engine.name == "double" else engine.real(10) ** (2 - engine.dps)
+    """The certificate's default tolerance, 10^(2-dps) in engine reals under
+    mp and 1e-10 under double, with the lower bound on its log2 that the
+    certificate compares (``_log2_floor``); read once per engine."""
+    tol = 1e-10 if engine.name == "double" else engine.real(10) ** (2 - engine.dps)
+    return tol, _log2_floor(tol)
 
 
 def eval_series(series, z, engine, m=0, tol=None):
@@ -422,15 +460,17 @@ def eval_series(series, z, engine, m=0, tol=None):
     hardware-complex Horner loop over every block (``Engine.horner``).
 
     A tail certificate bounds the last three nonzero blocks (all, for a
-    shorter series) by one majorant block of stored magnitudes, the
+    shorter series) by one majorant block that the pass stores, the
     componentwise maximum M_k of |z|^(rho+3n) |a_k[n]| over those blocks:
     sum_k M_k |l|^k, at least every |z^(rho+3n) (a0 + l (a1 + l (a2 + l a3)))|,
-    must lie below ``tol`` times max(1, |sum|) at this call's l, compared in
-    engine reals (the default tol, read once per engine, is 10^(2-dps)
-    under mp, 1e-10 under double).  |sum| is taken only when the bound
-    exceeds ``tol`` itself.  Otherwise (a NaN sum or bound included)
-    TailBoundError is raised, on a cache hit as on a miss, as it is when
-    the series leaves the engine's range.
+    must lie below ``tol`` times max(1, |sum|) at this call's l (the default
+    tol, read once per engine, is 10^(2-dps) under mp, 1e-10 under double).
+    The comparison is made in log2 floats, which cover any number of
+    digits and take no mp arithmetic: an upper bound on the log2 of the
+    tail bound (``_tail_bound``) against lower bounds on log2 tol and
+    log2 |sum|.  Otherwise, and for any non-finite sum, TailBoundError is
+    raised, on a cache hit as on a miss, as it is when the series leaves
+    the engine's range.
     """
     if m not in (0, 1, 2, 3):
         raise ValueError("derivative order must be 0..3")
@@ -438,7 +478,9 @@ def eval_series(series, z, engine, m=0, tol=None):
     for _ in range(m):
         cur = cur.derivative()
     if tol is None:
-        tol = _default_tol(engine)
+        tol, log2_tol = _default_tol(engine)
+    else:
+        log2_tol = _log2_floor(tol)
 
     point = point_data(z, engine)
     sums = _block_sums(cur, *point.key, engine)
@@ -448,10 +490,12 @@ def eval_series(series, z, engine, m=0, tol=None):
     if cur.rho:
         total = point.inverse_powers[-cur.rho] * total
 
-    # a bound within tol passes for any number total; max(|total|, 1) is NaN
-    # for a NaN total, so the second comparison fails
-    bound = _tail_bound(sums, point)
-    if not (bound <= tol and total == total) and not bound <= tol * max(abs(total), 1):
+    # log2 of tol max(|total|, 1) from below, less the rounding of its sum;
+    # log2 |total| is inf or NaN for a non-finite total, which fails
+    log2_total = log2_magnitude(total)
+    floor = max(log2_total - LOG2_SLACK, 0)
+    if not (log2_total < math.inf and _tail_bound(sums, point)
+            <= log2_tol + floor - ROUNDING * (abs(log2_tol) + floor)):
         raise TailBoundError(
             f"truncation order {series.order} too small at |z|={float(z.modulus)} "
             f"for tolerance {tol}"

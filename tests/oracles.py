@@ -1,6 +1,7 @@
 """Oracles and helpers only the tests use: dense checks of ``phi_top``'s
 sparse recursion, the ODE residual of a log-series, the solution with
-given Frobenius coordinates, and mpmath's matrices for oracle products.
+given Frobenius coordinates, mpmath's matrices for oracle products, and
+the tail certificate of ``eval_series`` formed in engine reals.
 They live here, not in ``monodromy_lab``, because no command runs them.
 """
 
@@ -78,6 +79,30 @@ def context_matrix(engine, rows):
     differences for the oracles, independent of ``Engine.matmul``."""
     return engine.ctx.matrix([[engine.complex(v) if isinstance(v, Fraction) else v
                                for v in row] for row in rows])
+
+
+# -- the tail certificate in engine reals ------------------------------------
+
+def engine_real_certificate(series, z, engine, tol, total):
+    """The tail certificate of ``solutions.eval_series`` at a call on
+    ``series`` (the summed derivative series) at z, formed in engine reals
+    as it was before its log2 form: (bound, accepted).  The bound is
+    sum_k M_k |l|^k, l = log z, with M_k the componentwise maximum over the
+    last three nonzero blocks (all, for a shorter series) of
+    |z|^(rho+3n) |a_k[n]|; a number ``total`` is accepted if the bound lies
+    within tol max(|total|, 1), and a NaN total never is."""
+    blocks = series.blocks
+    if isinstance(blocks[0][0], Fraction):
+        blocks = [[engine.real(a) for a in blk] for blk in blocks]
+    last = max((n for n, blk in enumerate(blocks) if any(blk)), default=0)
+    r = engine.real(z.modulus)
+    scaled = [[r ** (series.rho + 3 * n) * abs(a) for a in blocks[n]]
+              for n in range(max(0, last - 2), last + 1)]
+    m0, m1, m2, m3 = map(max, zip(*scaled))
+    labs = abs(z.log(engine))
+    bound = ((m3 * labs + m2) * labs + m1) * labs + m0
+    accepted = (bound <= tol and total == total) or bound <= tol * max(abs(total), 1)
+    return bound, accepted
 
 
 # -- scalar ODE solutions ----------------------------------------------------

@@ -235,6 +235,18 @@ def test_digits_that_could_underflow_a_residual_are_refused(capsys):
     assert "dps" in capsys.readouterr().err
 
 
+def test_tail_certificate_at_the_bottom_of_the_double_range(capsys):
+    # at MAX_DPS the tolerance, 1e-289, and the tail bounds lie near the
+    # bottom of the double range: order 40 is refused at the Stokes base
+    # point, and order 120 passes every gate
+    code = main(["verify", "--dps", "291"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == ("failed check: truncation order 40 too small at |z|=2.0 "
+                            "for tolerance 1.0e-289\n")
+    assert run_cli(capsys, "verify", "--dps", "291", "--order", "120")[0] == 0
+
+
 def test_exit_code_config_errors(capsys, tmp_path):
     assert run_cli(capsys, "stokes", "--z0-stokes", "nonsense")[0] == 2
     assert run_cli(capsys, "verify", "--tol", "braid_match=-1")[0] == 2

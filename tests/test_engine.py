@@ -2,13 +2,14 @@
 the rule that every computation takes its engine from its caller."""
 
 import inspect
+import random
 from fractions import Fraction
 
 import pytest
 from mpmath.libmp import from_int, mpf_div, round_nearest
 
 from monodromy_lab import monodromy, solutions, special
-from monodromy_lab.engine import NaNResidualError, get_engine, max_deviation
+from monodromy_lab.engine import NaNResidualError, get_engine, max_deviation, max_magnitude
 from monodromy_lab.frame import canonical_coordinates, frame, sector_config, stokes_ray_angles
 from monodromy_lab.solutions import quantum_period
 
@@ -130,6 +131,53 @@ def test_a_nan_in_a_residual_maximum_is_a_named_error():
         with pytest.raises(NaNResidualError):
             max_deviation(rows, [[0, 0]])
     assert max_deviation([[1, -2]], [[0, 0]]) == 2.0
+
+
+def unfiltered_max_deviation(A, B):
+    """The largest entrywise |A - B| with the ``abs`` of every entry taken."""
+    return max_magnitude(abs(a - b) for row_a, row_b in zip(A, B) for a, b in zip(row_a, row_b))
+
+
+def test_max_deviation_keeps_the_largest_entry_bit_for_bit():
+    # the log2 filter before the mp abs never drops the largest entry: on
+    # random matrices, exact ties, entries one ulp apart, zeros and an
+    # all-zero matrix, the maximum is the unfiltered one to the last bit
+    e = get_engine("mp", dps=40)
+    rng = random.Random(20)
+    ulp = e.real(2) ** (1 - e.ctx.prec)
+
+    def entry():
+        scale = e.real(2) ** rng.randint(-140, -60)
+        return e.complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) * scale
+
+    zero = [[e.complex(0)] * 4 for _ in range(4)]
+    cases = [(zero, zero), (zero, [[0] * 4] * 4)]
+    for _ in range(200):
+        A = [[entry() for _ in range(4)] for _ in range(4)]
+        B = [[entry() if rng.random() < 0.7 else A[i][j] for j in range(4)] for i in range(4)]
+        cases.append((A, B))
+        x = entry()
+        # x with up to three exact ties of |x| and an entry a unit or two in
+        # the last place of Re x above it, and three copies of x turned and
+        # shrunk by less than the resolution of a float log2 near -100, so
+        # that their log2 magnitudes need not order as their moduli do;
+        # among zeros and smaller entries
+        ties = [-x, e.ctx.conj(x), e.i * x, e.complex(x.real + ulp * abs(x.real), x.imag)]
+        turned = [x * e.exp(e.i * rng.uniform(0, 6.3)) * e.real(1 - rng.uniform(0, 3e-14))
+                  for _ in range(3)]
+        rest = [e.complex(0)] * 2 + [x * e.real(rng.uniform(0, 1)) for _ in range(6)]
+        flat = [x] + turned + ties[:rng.randint(0, 4)] + rest
+        rng.shuffle(flat)
+        cases.append(([flat[4 * i:4 * i + 4] for i in range(4)], [[0] * 4] * 4))
+    # mp entries beside exact ones
+    cases.append(([[e.complex(1, 1), 2], [3, e.real(-4)]], [[0, 0], [-2, 0]]))
+    for A, B in cases:
+        assert max_deviation(A, B).hex() == unfiltered_max_deviation(A, B).hex()
+    for position in range(16):
+        A = [[entry() for _ in range(4)] for _ in range(4)]
+        A[position // 4][position % 4] = e.complex(e.ctx.nan, 0)
+        with pytest.raises(NaNResidualError):
+            max_deviation(A, zero)
 
 
 def test_every_computation_takes_its_engine_explicitly():

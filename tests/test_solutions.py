@@ -3,10 +3,13 @@ contour oracle, rotation operator, and the Euler/rotation identities."""
 
 import cmath
 import collections
+import importlib
 import itertools
 import math
+import pathlib
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from monodromy_lab import engine as engine_module
@@ -30,7 +33,8 @@ from monodromy_lab.solutions import (
 from monodromy_lab import special
 from monodromy_lab.engine import Engine
 from monodromy_lab.special import laurent_coefficients
-from oracles import ode_residual_blocks, series_from_coordinates
+from monodromy_lab.pipeline import RunConfig, run_verify
+from oracles import engine_real_certificate, ode_residual_blocks, series_from_coordinates
 
 E = get_engine("double")
 
@@ -681,10 +685,18 @@ def tail_quantity(series, l, engine):
     return max(contributions)
 
 
+def log2_of(x):
+    """log2 of an engine real x >= 0 as a float, -inf for 0: its value read
+    at 30 digits, so within a few units in the last place."""
+    if not x:
+        return -math.inf
+    with mpmath.workdps(30):
+        return float(mpmath.log(mpmath.mpf(x), 2))
+
+
 @pytest.mark.parametrize("engine_name", ("mp", "double"))
 def test_tail_bound_is_at_least_the_tail(monkeypatch, engine_name):
-    from monodromy_lab.pipeline import RunConfig, run_verify
-
+    # the certificate's log2 bound is at least log2 of the tail it bounds
     calls, summed = [], {}
     block_sums, tail_bound = solutions._block_sums, solutions._tail_bound
 
@@ -705,16 +717,15 @@ def test_tail_bound_is_at_least_the_tail(monkeypatch, engine_name):
     assert len(calls) == 172
     engine = config.engine()
     for series, l, bound in calls:
-        assert bound >= tail_quantity(series, l, engine), (series.rho, l)
+        assert bound >= log2_of(tail_quantity(series, l, engine)), (series.rho, l)
 
 
 @pytest.mark.parametrize("engine_name", ("mp", "double"))
 def test_tail_majorant_is_at_least_the_per_block_maximum(monkeypatch, engine_name):
     # the one componentwise-max block of a pass bounds the tail at every
     # call of a verify no lower than the largest of the certificate's
-    # per-block bounds, formed as they were before that block replaced them
-    from monodromy_lab.pipeline import RunConfig, run_verify
-
+    # per-block bounds, formed in engine reals as they were before that
+    # block replaced them
     calls, summed = [], {}
     block_sums, tail_bound = solutions._block_sums, solutions._tail_bound
 
@@ -725,37 +736,137 @@ def test_tail_majorant_is_at_least_the_per_block_maximum(monkeypatch, engine_nam
 
     def recorded_bound(sums, point):
         bound = tail_bound(sums, point)
-        calls.append((summed[sums], point.labs, bound))
+        calls.append((summed[sums], point.l, bound))
         return bound
 
     monkeypatch.setattr(solutions, "_block_sums", recorded_sums)
     monkeypatch.setattr(solutions, "_tail_bound", recorded_bound)
     run_verify(RunConfig(engine_name=engine_name))
     assert len(calls) == 172
-    for (series, modulus, engine), labs, bound in calls:
-        r = engine.real(modulus)
+    for (series, modulus, engine), l, bound in calls:
+        r, labs = engine.real(modulus), abs(l)
+        last = max(n for n, blk in enumerate(series.blocks) if any(blk))
         per_block = []
-        for n, mags in solutions._prepare(series, engine)[1]:
-            m0, m1, m2, m3 = (r ** (series.rho + 3 * n) * a for a in mags)
+        for n in range(max(0, last - 2), last + 1):
+            m0, m1, m2, m3 = (r ** (series.rho + 3 * n) * abs(a) for a in series.blocks[n])
             per_block.append(((m3 * labs + m2) * labs + m1) * labs + m0)
-        assert bound >= max(per_block), (series.rho, modulus)
+        assert bound >= log2_of(max(per_block)), (series.rho, modulus)
+
+
+def eval_with_a_zero_tail_bound(monkeypatch, engine, t0):
+    """eval_series where every block pass returns the sums (t0, 0, 0, 0) and
+    the majorant block of a zero tail, log2 -inf."""
+    sums = solutions._BlockSums((t0, 0, 0, 0), (-math.inf,) * 4)
+    monkeypatch.setattr(solutions, "_block_sums", lambda *key: sums)
+    return eval_series(phi_series(PHI1, 40, engine), UCComplex.polar(2, math.pi / 4), engine)
 
 
 @pytest.mark.parametrize("engine", ENGINES, ids=["double", "mp"])
 def test_a_nan_sum_within_the_tolerance_is_a_tail_bound_error(monkeypatch, engine):
-    # a zero tail bound passes without |sum| being taken, unless the sum is
-    # NaN
-    nan = engine.complex(engine.ctx.nan)
-    zero = engine.real(0)
-    for t0 in (nan, engine.complex(1)):
-        sums = solutions._BlockSums((t0, 0, 0, 0), (zero,) * 4)
-        monkeypatch.setattr(solutions, "_block_sums", lambda *key: sums)
-        z = UCComplex.polar(2, math.pi / 4)
-        if t0 == t0:
-            assert eval_series(phi_series(PHI1, 40, engine), z, engine) == 1
-        else:
+    # a zero tail bound passes, unless the sum is NaN
+    assert eval_with_a_zero_tail_bound(monkeypatch, engine, engine.complex(1)) == 1
+    with pytest.raises(TailBoundError):
+        eval_with_a_zero_tail_bound(monkeypatch, engine, engine.complex(engine.ctx.nan))
+
+
+@pytest.mark.parametrize("engine", ENGINES, ids=["double", "mp"])
+def test_an_infinite_sum_within_the_tolerance_is_a_tail_bound_error(monkeypatch, engine):
+    # tol max(|sum|, 1) is infinite for an infinite sum, so no bound could
+    # fail it; any non-finite sum is refused by its value
+    inf = engine.ctx.inf
+    for t0 in ((inf, 0), (-inf, 0), (0, inf), (0, -inf), (inf, inf)):
+        with pytest.raises(TailBoundError):
+            eval_with_a_zero_tail_bound(monkeypatch, engine, engine.complex(*t0))
+
+
+def certified_calls(monkeypatch):
+    """Record the tail certificate of every eval_series call from here on:
+    (summed series, z, engine, tol, sum, log2 bound, accepted), with the sum
+    formed from the call's block sums as eval_series forms it, so that a
+    refused call has one too."""
+    from monodromy_lab import monodromy
+
+    calls, summed, bounds = [], {}, []
+    block_sums, tail_bound, evaluate = (solutions._block_sums, solutions._tail_bound,
+                                        solutions.eval_series)
+
+    def recorded_sums(series, *key):
+        sums = block_sums(series, *key)
+        summed[sums] = series
+        return sums
+
+    def recorded_bound(sums, point):
+        bounds.append((sums, point, tail_bound(sums, point)))
+        return bounds[-1][2]
+
+    def recorded_eval(series, z, engine, m=0, tol=None):
+        bounds.clear()
+        accepted = False
+        try:
+            value = evaluate(series, z, engine, m, tol)
+            accepted = True
+            return value
+        finally:
+            (sums, point, bound), = bounds
+            cur, l = summed[sums], point.l
+            t0, t1, t2, t3 = sums.sums
+            total = t0 + l * (t1 + l * (t2 + l * t3))
+            if cur.rho:
+                total = point.inverse_powers[-cur.rho] * total
+            if tol is None:
+                tol = solutions._default_tol(engine)[0]
+            calls.append((cur, z, engine, tol, total, bound, accepted))
+
+    monkeypatch.setattr(solutions, "_block_sums", recorded_sums)
+    monkeypatch.setattr(solutions, "_tail_bound", recorded_bound)
+    for module in (solutions, monodromy):
+        monkeypatch.setattr(module, "eval_series", recorded_eval)
+    return calls
+
+
+def sweep_configs(monkeypatch, seed):
+    """The warm benchmark's 32 base-point configurations for a seed."""
+    monkeypatch.syspath_prepend(str(pathlib.Path(__file__).resolve().parents[1] / "benchmarks"))
+    return importlib.import_module("run").sweep_configs(seed)
+
+
+#: the configurations the log2 certificate is checked at against the engine
+#: real one: the defaults, more digits and blocks, the bottom of the double
+#: range (where order 40 is refused) and the warm benchmark's sweeps
+CERTIFICATE_GRID = {
+    "mp": lambda monkeypatch: [RunConfig()],
+    "double": lambda monkeypatch: [RunConfig(engine_name="double")],
+    "dps60": lambda monkeypatch: [RunConfig(dps=60)],
+    "order60": lambda monkeypatch: [RunConfig(truncation_order=60)],
+    "dps291": lambda monkeypatch: [RunConfig(dps=291)],
+    "dps291-order120": lambda monkeypatch: [RunConfig(dps=291, truncation_order=120)],
+    "sweep1": lambda monkeypatch: sweep_configs(monkeypatch, 1),
+    "sweep2": lambda monkeypatch: sweep_configs(monkeypatch, 2),
+}
+
+
+@pytest.mark.parametrize("grid", CERTIFICATE_GRID)
+def test_log2_certificate_decides_as_the_engine_real_one(monkeypatch, grid):
+    # at every eval_series call the log2 certificate accepts or refuses as
+    # the engine-real one did, and its bound lies above that one's, by less
+    # than 1e-8 bits; at 291 digits order 40 is refused at the first call
+    configs = CERTIFICATE_GRID[grid](monkeypatch)
+    calls = certified_calls(monkeypatch)
+    for config in configs:
+        if grid == "dps291":
             with pytest.raises(TailBoundError):
-                eval_series(phi_series(PHI1, 40, engine), z, engine)
+                run_verify(config)
+        else:
+            run_verify(config)
+    refusals = int(grid == "dps291")
+    assert refusals or len(calls) == 172 * len(configs)
+    for series, z, engine, tol, total, bound, accepted in calls:
+        old_bound, old_accepted = engine_real_certificate(series, z, engine, tol, total)
+        assert accepted == old_accepted, (series.rho, z)
+        old = log2_of(old_bound)
+        assert bound >= old, (series.rho, z)
+        assert bound == old or bound - old < 1e-8, (series.rho, z)
+    assert [accepted for *_, accepted in calls].count(False) == refusals
 
 
 def test_coefficient_columns_are_converted_once_per_series():
@@ -773,9 +884,10 @@ def test_coefficient_columns_are_converted_once_per_series():
         assert solutions._prepare.cache_info().misses - before == conversions
 
 
-def test_tail_certificate_compares_in_engine_reals():
+def test_tail_certificate_holds_below_the_double_range():
     # at 330 digits the tolerance 1e-328 and the tails lie below the double
-    # range: order 104 leaves a tail of 5.1e-327 relative, order 106 4.6e-336
+    # range, which the certificate's log2 floats cover: order 104 leaves a
+    # tail of 5.1e-327 relative, order 106 4.6e-336
     e = get_engine("mp", dps=330)
     z = UCComplex.polar(2, math.pi / 4)
     with pytest.raises(TailBoundError):
