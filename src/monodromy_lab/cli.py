@@ -16,7 +16,8 @@ Reports are single JSON documents (complex numbers as [re, im] pairs,
 matrices row-major, rationals as {"num", "den"}); --pretty adds an aligned
 text rendering of the matrices on stderr-free stdout.  Exit status: 0 when
 all residuals are within tolerance, 1 on a tolerance failure (the failing
-check is named in "failed_checks"), 2 on a configuration error.  Every
+check is named in "failed_checks"), 2 on a configuration error, 141
+(128 + SIGPIPE), with no traceback, when stdout's reader is gone.  Every
 subcommand reads its options through one RunConfig, which validates them.
 """
 
@@ -25,6 +26,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import math
+import os
 import sys
 from fractions import Fraction
 
@@ -302,7 +304,14 @@ def main(argv=None):
                 if key in doc:
                     blocks.append(report_mod.pretty_matrix(doc[key], name=key))
             text = "\n".join(blocks)
-        print(text, file=fh)
+        try:
+            print(text, file=fh)
+            fh.flush()
+        except BrokenPipeError:
+            # no check failed; stdout goes to devnull, so its flush at exit
+            # prints nothing
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return 141
 
     failed = doc.get("failed_checks")
     if failed:

@@ -66,12 +66,14 @@ class NaNResidualError(ArithmeticError):
 
 
 def max_magnitude(values):
-    """float(max(values)), or NaNResidualError for a NaN among them, which
-    Python's ``max`` would keep or drop by its position."""
+    """The largest of the values as a float, or NaNResidualError for a NaN
+    among them, which Python's ``max`` would keep or drop by its position.
+    The floats are compared, so mp numbers and Fractions may mix; ``float``
+    is monotone, so this is float(max(values))."""
     values = list(values)
     if any(v != v for v in values):
         raise NaNResidualError("a residual is NaN")
-    return float(max(values))
+    return max(map(float, values))
 
 
 def max_deviation(A, B):

@@ -15,9 +15,10 @@ the plain one (ch = sum e^tau) feeding Hirzebruch-Riemann-Roch, and the
 the classic implementation bug.  Euler pairings are computed exactly, in
 integers, from one integer bilinear form of the Todd class; the Gamma
 class, the graded characters and C_Gamma are exact ``closedform.ClosedForm``
-polynomials in EulerGamma, pi and zeta(3), made numeric only for final
-comparisons.  sympy is imported only by the test oracles ``c_gamma_matrix``
-and ``numeric_matrix``.
+polynomials in EulerGamma, pi and zeta(3), made numeric only at the end.
+GammaHat^- enters C_Gamma; GammaHat^+ is also block 0 of the residue
+series (``solutions.gamma_coordinates``).  sympy is imported only by the
+test oracles ``c_gamma_matrix`` and ``numeric_matrix``.
 """
 
 from __future__ import annotations

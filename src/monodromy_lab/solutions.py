@@ -15,7 +15,7 @@ obtained from the ODE.  This module builds:
 * the quantum period (the unique log-free solution with a_0 = 1),
 * the Frobenius basis (initial blocks = unit vectors),
 * the two Mellin-Barnes solutions phi1, phi2 as globally convergent
-  log-series assembled from residue data, together with their
+  log-series from the Gamma class (``ktheory.gamma_class``), with their
   contour-integral representations (kept as an independent oracle),
 * the Euler and rotation identities tying phi1, phi2 and the rotation
   z -> z*eps, eps = e^(2 pi i/3).
@@ -27,16 +27,24 @@ sector bookkeeping stay exact.
 
 from __future__ import annotations
 
+import enum
 import functools
 import math
 from fractions import Fraction
 
+from monodromy_lab.closedform import I, PI, evaluate
 from monodromy_lab.engine import LOG2_SLACK, log2_magnitude
+from monodromy_lab.ktheory import H, _exp_nilpotent, gamma_class
 from monodromy_lab.record import Record
-from monodromy_lab.special import MellinIntegrand, integrand_value, laurent_at_zero
+from monodromy_lab.ring import CohClass, classical_product
 
-PHI1 = MellinIntegrand.PHI1
-PHI2 = MellinIntegrand.PHI2
+
+class MellinIntegrand(enum.Enum):
+    PHI1 = "phi1"
+    PHI2 = "phi2"
+
+
+PHI1, PHI2 = MellinIntegrand.PHI1, MellinIntegrand.PHI2
 
 #: validity sectors (in units of pi) of the two contour-integral
 #: representations along a vertical line Re s = kappa; outside them the
@@ -223,14 +231,19 @@ def frobenius_basis(order):
 
 # -- residue series for phi1 / phi2 --------------------------------------
 
-def residue_block(L, engine):
-    """Block of 2 pi i Res g(s) z^(-3s) at the pole of the Laurent data L:
-    the (log z)^k coefficient is 2 pi i * L[3-k] * (-3)^k / k!."""
-    two_pi_i = 2 * engine.i * engine.pi
-    return tuple(
-        two_pi_i * L.coeffs[3 - k] * engine.real(Fraction((-3) ** k, math.factorial(k)))
-        for k in range(4)
-    )
+@functools.cache
+def gamma_coordinates(kind):
+    """Frobenius coordinates of phi1 times pi^(1/2), or of phi2 times
+    pi^(-1/2), exact: block 0, 2 pi i Res_(s=0) g(s) z^(-3s).  By Legendre
+    duplication s^4 g(s) is pi^(-1/2) e^(i pi s) Ghat(s) for PHI1 and
+    pi^(1/2) sec(pi s) Ghat(s) for PHI2; Ghat(s) = Gamma(1+s)^5/Gamma(1+2s)
+    is GammaHat^+ (``ktheory.gamma_class(+1)``) in powers of s = H.  With h_j
+    the H^j coefficient of twist(H) GammaHat^+ (H^2 = 2 s2, H^3 = 2 s21), the
+    (log z)^k coordinate is 2 pi i h_(3-k) (-3)^k / k!.  Built once per kind."""
+    twist = _exp_nilpotent(H.scaled(I * PI)) if kind is PHI1 else CohClass((1, 0, PI ** 2, 0))
+    c = classical_product(twist, gamma_class(+1)).coeffs
+    h = (c[0], c[1], c[2] / 2, c[3] / 2)
+    return tuple(2 * PI * I * h[3 - k] * Fraction((-3) ** k, math.factorial(k)) for k in range(4))
 
 
 @functools.lru_cache(maxsize=None)
@@ -238,19 +251,20 @@ def phi_series(kind, order, engine):
     """Residue log-series of the chosen Mellin-Barnes solution.
 
     Block n carries 2 pi i times the residue of g(s) z^(-3s) at s = -n.
-    Block 0 comes from the closed-form Laurent data at s = 0
-    (``special.laurent_at_zero``, converted by ``residue_block``); phi1 and
-    phi2 solve the scalar ODE, so every later block follows from it by the
-    exact recursion, as for the Frobenius basis.  No Gamma function and no
-    quadrature is evaluated.  The result is entire in z^3 up to log weights
-    and converges superexponentially, so it serves as the global evaluation
-    path on the whole universal cover.  Built once per (kind, order,
-    engine): the cached series carry their derivative series, and the
-    block-pass caches key on their identity.
+    Block 0 is ``gamma_coordinates`` (``closedform.evaluate``) times
+    pi^(-1/2) (phi1) or pi^(1/2) (phi2); every later block follows by the
+    exact recursion of the scalar ODE, as for the Frobenius basis.  No
+    Gamma function and no quadrature is evaluated.  The result is entire in
+    z^3 up to log weights and converges superexponentially, so it serves as
+    the global evaluation path on the whole universal cover.  Built once
+    per (kind, order, engine): the cached series carry their derivative
+    series, and the block-pass caches key on their identity.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    return _series_from_initial_block(residue_block(laurent_at_zero(kind, engine), engine), order)
+    scale = engine.sqrt(engine.pi) ** (-1 if kind is PHI1 else 1)
+    block0 = tuple(evaluate(x, engine) * scale for x in gamma_coordinates(kind))
+    return _series_from_initial_block(block0, order)
 
 
 # -- evaluation -----------------------------------------------------------
@@ -514,6 +528,7 @@ def contour_eval(kind, z, engine, kappa=None, T=None):
     an independent cross-check of the residue series; the pipeline itself
     never calls this.
     """
+    from monodromy_lab.special import integrand_value  # here, so verify skips special
     lo, hi = CONTOUR_SECTORS[kind]
     theta = float(z.arg_over_pi)
     if not (float(lo) < theta < float(hi)):

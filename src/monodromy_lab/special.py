@@ -1,4 +1,4 @@
-"""Laurent data of the two Mellin-Barnes integrands.
+"""Contour and quadrature oracles of the two Mellin-Barnes integrands.
 
 The integrands are the kernels of the two contour-integral solutions of the
 quantum differential equation of LG(2,4),
@@ -9,26 +9,19 @@ quantum differential equation of LG(2,4),
 (the z-dependence z^(-3s) is handled by the caller).  Both have poles of
 order 4 at s = 0, -1, -2, ...; PHI2 additionally has simple poles at
 s = 1/2, 3/2, ... lying right of every admissible contour.  The residue
-expansions that turn the integrals into globally convergent log-series need
-the four singular Laurent coefficients at the pole s = -n.  The residue
-series (``solutions.phi_series``) takes only the pole at s = 0 from here, in
-closed form (``laurent_at_zero``), and builds every later block by the exact
-recursion of the scalar ODE.  Trapezoid quadrature on a small circle around
-any pole (``laurent_coefficients``), spectrally accurate for the analytic
-integrand g(s) * (s+n)^k, is kept as an independent oracle for all blocks.
-Every transcendental value here (Gamma, pi, the Euler constant, zeta(3))
-comes from the engine, so both engines share one implementation of each.
+series (``solutions.phi_series``) take block 0 from the Gamma class and
+later blocks from the ODE's recursion, so ``verify`` never imports this
+module of oracles: ``integrand_value`` for the contour quadrature
+``solutions.contour_eval``, and trapezoid quadrature on a small circle
+around any pole (``laurent_coefficients``), spectrally accurate for the
+analytic integrand g(s) * (s+n)^k, for the Laurent data of every block.
 """
 
 from __future__ import annotations
 
-import enum
 from typing import NamedTuple
 
-
-class MellinIntegrand(enum.Enum):
-    PHI1 = "phi1"
-    PHI2 = "phi2"
+from monodromy_lab.solutions import MellinIntegrand
 
 
 def integrand_value(kind, s, engine):
@@ -58,28 +51,6 @@ class LaurentBlock(NamedTuple):
 
     n: int
     coeffs: tuple
-
-
-def laurent_at_zero(kind, engine):
-    """Singular Laurent coefficients of the integrand at s = 0, in closed form.
-
-    By Legendre duplication s^4 g(s) is pi^(-1/2) e^(i pi s) Ghat(s) for PHI1
-    and pi^(1/2) sec(pi s) Ghat(s) for PHI2, with the quadric's Gamma class
-    Ghat(s) = Gamma(1+s)^5/Gamma(1+2s) = exp(-3 euler_gamma s + zeta(2) s^2/2
-    + zeta(3) s^3 + O(s^4)) and log sec(pi s) = pi^2 s^2/2 + O(s^4).  So
-    ``coeffs`` are the Taylor coefficients h_0..h_3 of exp(P(s)), P cubic.
-    """
-    pi, euler, zeta3 = engine.pi, engine.euler, engine.zeta(3)
-    zeta2 = pi ** 2 / 6
-    if kind is MellinIntegrand.PHI1:
-        p = (-engine.log(pi) / 2, engine.i * pi - 3 * euler, zeta2 / 2, zeta3)
-    else:
-        p = (engine.log(pi) / 2, -3 * euler, zeta2 / 2 + pi ** 2 / 2, zeta3)
-    # h = exp(P) solves h' = P' h:  k h_k = sum_{j=1..k} j p_j h_(k-j)
-    h = [engine.exp(p[0])]
-    for k in range(1, 4):
-        h.append(sum(j * p[j] * h[k - j] for j in range(1, k + 1)) / k)
-    return LaurentBlock(n=0, coeffs=tuple(h))
 
 
 def laurent_coefficients(kind, n, engine, radius=0.25, nodes=256):

@@ -1,10 +1,12 @@
 """Oracles and helpers only the tests use: dense checks of ``phi_top``'s
 sparse recursion, the ODE residual of a log-series, the solution with
-given Frobenius coordinates, mpmath's matrices for oracle products, and
-the tail certificate of ``eval_series`` formed in engine reals.
+given Frobenius coordinates, the residue block of Laurent data, mpmath's
+matrices for oracle products, and the tail certificate of ``eval_series``
+formed in engine reals.
 They live here, not in ``monodromy_lab``, because no command runs them.
 """
 
+import math
 from fractions import Fraction
 
 from monodromy_lab.monodromy import MU_DIAG
@@ -110,6 +112,17 @@ def engine_real_certificate(series, z, engine, tol, total):
 def series_from_coordinates(coords, order):
     """Solution with the given Frobenius coordinates (initial block)."""
     return _series_from_initial_block(tuple(coords), order)
+
+
+def residue_block(L, engine):
+    """Block of 2 pi i Res g(s) z^(-3s) at the pole of the Laurent data L
+    (``special.LaurentBlock``): the (log z)^k coefficient is
+    2 pi i * L[3-k] * (-3)^k / k!, in the engine."""
+    two_pi_i = 2 * engine.i * engine.pi
+    return tuple(
+        two_pi_i * L.coeffs[3 - k] * engine.real(Fraction((-3) ** k, math.factorial(k)))
+        for k in range(4)
+    )
 
 
 def ode_residual_blocks(series):

@@ -3,6 +3,7 @@
 import functools
 import hashlib
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -90,9 +91,9 @@ def test_exact_reports_keep_their_bytes(command):
 #: engine rounds exactly, in integers, on every platform; the double reports
 #: are left out, as their elementary functions come from the platform's libm
 MP_REPORT_DIGESTS = {
-    "verify": "94f5305497ab645fbdd39ac6f4eb71800b5b0780802a29a5c1b6174ff290ab55",
-    "stokes": "1ac9bf95c772b071faa9ce751c55b4246af31bf9de4fa949dca832d4d8c3c73a",
-    "connection": "bf6de03610a830bbfc1c8aad760f259706cd696cab3377648b85963a29de5330",
+    "verify": "5f2d973f9431ba49935994caa2bcaa43578b038d968ac6f93052f08279a7b9f2",
+    "stokes": "c3f7b8d23fe8b8c608680eaa124591b34cf496fa3818fbbce3fe23076616ed37",
+    "connection": "4d6dc258420d57a0dbdddd7b19372e2a10e335041be0cf95ffaa3908a6040c5e",
 }
 
 
@@ -117,6 +118,34 @@ def test_exact_commands_do_not_import_sympy():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           timeout=120)
     assert proc.stdout.split() == ["[]", "False"], proc.stderr
+
+
+def test_verify_does_not_import_special():
+    # the Mellin-Barnes integrands serve only the contour and quadrature
+    # oracles, which the solutions command runs and verify does not
+    code = ("import contextlib, io, sys\n"
+            "from monodromy_lab import cli\n"
+            "for argv in (['verify', '--engine', 'double'], ['solutions', '--order', '20']):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        cli.main(argv)\n"
+            "    print('monodromy_lab.special' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120)
+    assert proc.stdout.split() == ["False", "True"], proc.stderr
+
+
+def test_closed_stdout_exits_141_without_a_traceback():
+    # a reader that closes the report early (``| head``) is no failed check
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "monodromy_lab.cli", "euler-matrix"],
+                              stdout=write_end, stderr=subprocess.PIPE, text=True,
+                              timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert proc.stderr == ""
 
 
 def test_solutions_identities(capsys):

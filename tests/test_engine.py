@@ -5,6 +5,7 @@ import inspect
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 from mpmath.libmp import from_int, mpf_div, round_nearest
 
@@ -131,6 +132,12 @@ def test_a_nan_in_a_residual_maximum_is_a_named_error():
         with pytest.raises(NaNResidualError):
             max_deviation(rows, [[0, 0]])
     assert max_deviation([[1, -2]], [[0, 0]]) == 2.0
+
+
+def test_max_deviation_of_mp_entries_beside_fractions():
+    # mpmath's numbers do not order against a Fraction; their floats do
+    A = [[mpmath.mpc(1, 1), 2], [3, mpmath.mpf(-4)]]
+    assert max_deviation(A, [[0, 0], [Fraction(1, 2), 0]]) == 4.0
 
 
 def unfiltered_max_deviation(A, B):

@@ -35,7 +35,7 @@ RECORDS = {
     "LogSeries": lambda: solutions.quantum_period(3),
     "_BlockSums": lambda: solutions._block_sums(solutions.quantum_period(10), 1.0,
                                                 Fraction(1, 4), DOUBLE),
-    "LaurentBlock": lambda: special.laurent_at_zero(special.MellinIntegrand.PHI1, DOUBLE),
+    "LaurentBlock": lambda: special.laurent_coefficients(solutions.PHI1, 0, DOUBLE),
 }
 
 

@@ -27,14 +27,18 @@ from monodromy_lab.solutions import (
     identity_residuals,
     phi_series,
     quantum_period,
-    residue_block,
     rotation_operator_matrix,
 )
-from monodromy_lab import special
+from monodromy_lab import ktheory, special
 from monodromy_lab.engine import Engine
 from monodromy_lab.special import laurent_coefficients
 from monodromy_lab.pipeline import RunConfig, run_verify
-from oracles import engine_real_certificate, ode_residual_blocks, series_from_coordinates
+from oracles import (
+    engine_real_certificate,
+    ode_residual_blocks,
+    residue_block,
+    series_from_coordinates,
+)
 
 E = get_engine("double")
 
@@ -191,20 +195,69 @@ def test_phi_series_solves_ode():
             assert all(abs(complex(x)) < 1e-11 * scale for x in blk)
 
 
+#: how far a block of the residue series may lie from the per-pole Laurent
+#: quadrature, relative to the block's size, and the quadrature's node count
+LAURENT_ORACLE = {"double": (1e-12, 256), "mp": (1e-36, 128)}
+
+
+def _laurent_oracle_deviation(kind, n, series, engine):
+    """|block n - its quadrature oracle| relative to the oracle's size."""
+    bound, nodes = LAURENT_ORACLE[engine.name]
+    oracle = residue_block(laurent_coefficients(kind, n, nodes=nodes, engine=engine), engine)
+    scale = max(engine.fabs(x) for x in oracle)
+    return max(engine.fabs(a - b) for a, b in zip(series.blocks[n], oracle)) / scale
+
+
 @pytest.mark.parametrize("engine", [E, get_engine("mp", dps=40)], ids=["double", "mp"])
 def test_phi_series_recursion_vs_laurent_oracle(engine):
-    # block 0 is in closed form and later blocks come from the recursion; the
-    # per-pole Laurent quadrature is an independent oracle for all of them
-    bound = 1e-12 if engine.name == "double" else 1e-36
-    nodes = 256 if engine.name == "double" else 128
+    # block 0 is read from the Gamma class and later blocks come from the
+    # recursion; the per-pole Laurent quadrature is an independent oracle
+    # for all of them
+    bound, _ = LAURENT_ORACLE[engine.name]
     for kind in (PHI1, PHI2):
         series = phi_series(kind, 40, engine)
         for n in (0, 1, 2, 5, 10, 20, 39):
-            L = laurent_coefficients(kind, n, nodes=nodes, engine=engine)
-            oracle = residue_block(L, engine)
-            scale = max(engine.fabs(x) for x in oracle)
-            dev = max(engine.fabs(a - b) for a, b in zip(series.blocks[n], oracle))
-            assert dev <= bound * scale, (kind, n, dev / scale)
+            dev = _laurent_oracle_deviation(kind, n, series, engine)
+            assert dev <= bound, (kind, n, dev)
+
+
+def test_gamma_coordinates_match_sympy_series():
+    # block 0 over pi^(-p/2) is the residue of the Taylor series of
+    # twist(s) Gamma(1+s)^5/Gamma(1+2s), expanded by sympy: exactly
+    import sympy as sp
+
+    s = sp.Symbol("s")
+    ghat = sp.gamma(1 + s) ** 5 / sp.gamma(1 + 2 * s)
+    for kind, twist in ((PHI1, sp.exp(sp.I * sp.pi * s)), (PHI2, 1 / sp.cos(sp.pi * s))):
+        taylor = sp.series(twist * ghat, s, 0, 4).removeO()
+        for k, x in enumerate(solutions.gamma_coordinates(kind)):
+            want = (2 * sp.pi * sp.I * taylor.coeff(s, 3 - k)
+                    * sp.Rational((-3) ** k, math.factorial(k)))
+            assert sp.expand(sp.sympify(x) - want) == 0, (kind, k)
+
+
+@pytest.fixture
+def fresh_block0():
+    """Empty block-0 and series caches before and after the test, so a
+    mutated block 0 is neither read from nor left in them."""
+    solutions.gamma_coordinates.cache_clear()
+    phi_series.cache_clear()
+    yield
+    solutions.gamma_coordinates.cache_clear()
+    phi_series.cache_clear()
+
+
+@pytest.mark.parametrize("mutation", ["gamma_minus", "no_twist"])
+def test_mutated_block0_fails_the_laurent_oracle(mutation, monkeypatch, fresh_block0):
+    # GammaHat^- in place of GammaHat^+, or block 0 without its twist
+    # e^(i pi H) or sec(pi H), lies far from the quadrature at the pole s = 0
+    if mutation == "gamma_minus":
+        monkeypatch.setattr(solutions, "gamma_class", lambda sign: ktheory.gamma_class(-sign))
+    else:
+        monkeypatch.setattr(solutions, "classical_product", lambda twist, gamma: gamma)
+    bound, _ = LAURENT_ORACLE[E.name]
+    for kind in (PHI1, PHI2):
+        assert _laurent_oracle_deviation(kind, 0, phi_series(kind, 1, E), E) > 1e3 * bound
 
 
 def test_phi_series_no_quadrature(monkeypatch):
