@@ -9,47 +9,4 @@ and sign change carry (S, C) to the inverse Euler matrix and the
 Gamma-basis matrix of a full exceptional collection on the derived side.
 """
 
-from monodromy_lab.engine import get_engine
-from monodromy_lab.ring import (
-    CohClass,
-    classical_product,
-    operator_matrices,
-    pairing,
-    quantum_product,
-    ring_tables,
-)
-from monodromy_lab.solutions import (
-    PHI1,
-    PHI2,
-    LogSeries,
-    UCComplex,
-    contour_eval,
-    eval_series,
-    frobenius_basis,
-    identity_residuals,
-    phi_series,
-    quantum_period,
-)
-from monodromy_lab.frame import canonical_coordinates, frame, sector_config
-from monodromy_lab.monodromy import (
-    assemble_YL,
-    assemble_YR,
-    connection_matrix,
-    eval_Ytop,
-    phi_top,
-    stokes_matrix,
-    vector_from_scalar,
-    verify_constraints,
-)
-from monodromy_lab.ktheory import (
-    chern_data,
-    c_gamma_matrix,
-    euler_matrix,
-    gamma_class,
-    graded_chern_character,
-    k_object,
-)
-from monodromy_lab.braid import BraidWord, SignDiagonal, braid_act, search_equivalence
-from monodromy_lab.pipeline import RunConfig, run_verify
-
 __version__ = "0.1.0"

@@ -224,13 +224,6 @@ def cmd_connection(args, cfg):
     }
 
 
-def _exact_strings(cls):
-    """sympy's text of each exact coefficient of a class (imports sympy)."""
-    import sympy as sp
-
-    return [str(sp.sympify(c)) for c in cls.coeffs]
-
-
 def cmd_gamma(args, cfg):
     characteristic, residuals = characteristic_stage(cfg)
     chs = {}
@@ -238,11 +231,11 @@ def cmd_gamma(args, cfg):
         obj = ktheory.k_object(name)
         chs[name] = {
             "plain": [x for x in obj.ch_plain.coeffs],
-            "graded": _exact_strings(obj.ch_graded()),
+            "graded": [str(x) for x in obj.ch_graded().coeffs],
         }
     return {
         "command": "gamma",
-        "gamma_minus": _exact_strings(ktheory.gamma_class(-1)),
+        "gamma_minus": [str(x) for x in ktheory.gamma_class(-1).coeffs],
         "chern_characters": chs,
         "C_gamma": characteristic.c_gamma,
         "residuals": dict(residuals),

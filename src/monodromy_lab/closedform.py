@@ -19,8 +19,10 @@ turns a form into an engine number at the engine's precision; every
 coefficient enters through ``Engine.complex`` (and so ``Engine.real``) as
 the exact rationals re/den and im/den, never as a raw float operand.
 
-sympy sees a ClosedForm through ``_sympy_`` and is imported only then, so
-the verification path never loads it.
+``str`` writes a form in sympy's syntax, which is the text of the
+``gamma`` report.  sympy is a test-only dependency: it sees a ClosedForm
+through ``_sympy_``, and ``sympy_over_d`` builds the test oracles'
+matrices; each imports sympy only when called.
 """
 
 from __future__ import annotations
@@ -120,6 +122,27 @@ class ClosedForm:
     def __repr__(self):
         return f"ClosedForm({self.terms!r}, den={self.den})"
 
+    def __str__(self):
+        """sympy's syntax for the polynomial: monomials by (degree, exponents)
+        ascending, each real part before its I part, so the text depends
+        only on the value."""
+        terms = []
+        for exponents in sorted(self.terms, key=lambda k: (sum(k), k)):
+            monomial = [f"{name}**{k}" if k > 1 else name
+                        for name, k in zip(_NAMES, exponents) if k]
+            for unit, n in zip(([], ["I"]), self.terms[exponents]):
+                if n:
+                    q = Fraction(n, self.den)
+                    factors = unit + monomial
+                    if abs(q.numerator) != 1 or not factors:
+                        factors = [str(abs(q.numerator)), *factors]
+                    text = "*".join(factors)
+                    if q.denominator != 1:
+                        text += f"/{q.denominator}"
+                    terms.append(("- " if q < 0 else "+ ") + text)
+        text = " ".join(terms) or "+ 0"
+        return text[2:] if text[0] == "+" else "-" + text[2:]
+
     def _sympy_(self):
         """The same polynomial as an expanded sympy expression."""
         import sympy as sp
@@ -131,6 +154,10 @@ class ClosedForm:
             out.append(sp.Rational(re, self.den) * monomial)
             out.append(sp.I * sp.Rational(im, self.den) * monomial)
         return sp.Add(*out)
+
+
+#: the names sympy reads for gamma, pi and zeta(3)
+_NAMES = ("EulerGamma", "pi", "zeta(3)")
 
 
 def _lift(x):

@@ -17,8 +17,10 @@ integers, from one integer bilinear form of the Todd class; the Gamma
 class, the graded characters and C_Gamma are exact ``closedform.ClosedForm``
 polynomials in EulerGamma, pi and zeta(3), made numeric only at the end.
 GammaHat^- enters C_Gamma; GammaHat^+ is also block 0 of the residue
-series (``solutions.gamma_coordinates``).  sympy is imported only by the
-test oracles ``c_gamma_matrix`` and ``numeric_matrix``.
+series (``solutions.gamma_coordinates``).  ``c_gamma_matrix`` and
+``numeric_matrix`` are sympy test oracles, kept here under the names that
+``benchmarks/tracing.py`` traces; each imports sympy only when called, and
+no subcommand calls them.
 """
 
 from __future__ import annotations

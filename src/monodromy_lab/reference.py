@@ -9,13 +9,13 @@ whose entries are exact expressions in EulerGamma, pi and zeta(3).
 The closed forms are written once, in ``_published``, over any exact scalar
 type.  The pipeline reads them as ``closedform.ClosedForm`` numerators over
 D = 2 sqrt(2) pi^(3/2) (``C_REF_NUMERATORS``, ``C_GAMMA_REF_NUMERATORS``);
-the sympy forms ``GAMMA_MINUS_REF``, ``C_REF`` and ``C_GAMMA_REF`` are test
-oracles, built on first access, and only they import sympy.
+the tests build their sympy forms from ``_published`` too
+(``tests/oracles.py``).  ``numeric``, a test oracle, is the one function
+here that imports sympy, and only when called.
 """
 
 from __future__ import annotations
 
-import functools
 from fractions import Fraction as _F
 
 from monodromy_lab import closedform
@@ -96,25 +96,6 @@ def _published(g, pi, z3, I):
 
 _, C_REF_NUMERATORS, C_GAMMA_REF_NUMERATORS = _published(
     closedform.EULER_GAMMA, closedform.PI, closedform.ZETA3, closedform.I)
-
-
-@functools.lru_cache(maxsize=None)
-def _sympy_references():
-    import sympy as sp
-
-    gamma_minus, c, c_gamma = _published(sp.EulerGamma, sp.pi, sp.zeta(3), sp.I)
-    return {
-        "GAMMA_MINUS_REF": gamma_minus,
-        "C_REF": closedform.sympy_over_d(c),
-        "C_GAMMA_REF": closedform.sympy_over_d(c_gamma),
-    }
-
-
-def __getattr__(name):
-    """GAMMA_MINUS_REF, C_REF and C_GAMMA_REF: the sympy forms."""
-    if name in ("GAMMA_MINUS_REF", "C_REF", "C_GAMMA_REF"):
-        return _sympy_references()[name]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 #: printed matrix coefficients of the z=0 calibration, z^1 through z^7

@@ -71,9 +71,8 @@ class UCComplex(Record):
 
     ``arg_over_pi`` is the (unrestricted) argument divided by pi; it is kept
     as a Fraction whenever it is one, so rotations by eps^k add exactly
-    2k/3 and half-integer powers pick up exact phases.  Points compare and
-    hash by (modulus, arg_over_pi).  A ``Record``, not a dataclass:
-    see ``monodromy_lab.record``.
+    2k/3.  Points compare and hash by (modulus, arg_over_pi).  A
+    ``Record``, not a dataclass: see ``monodromy_lab.record``.
     """
 
     __slots__ = _fields = ("modulus", "arg_over_pi")
@@ -112,10 +111,6 @@ class UCComplex(Record):
         """log z in the engine: ln(modulus) + i*pi*arg_over_pi."""
         return (engine.complex(engine.log(engine.real(self.modulus)), 0)
                 + engine.i * engine.pi * engine.real(self.arg_over_pi))
-
-    def power(self, alpha, engine):
-        """z^alpha on the cover."""
-        return engine.exp(engine.complex(alpha) * self.log(engine))
 
 
 class LogSeries(Record):

@@ -1,17 +1,43 @@
 """Oracles and helpers only the tests use: dense checks of ``phi_top``'s
 sparse recursion, the ODE residual of a log-series, the solution with
 given Frobenius coordinates, the residue block of Laurent data, mpmath's
-matrices for oracle products, and the tail certificate of ``eval_series``
-formed in engine reals.
+matrices for oracle products, the tail certificate of ``eval_series``
+formed in engine reals, and the sympy forms of the published closed forms
+(``GAMMA_MINUS_REF``, ``C_REF`` and ``C_GAMMA_REF``, built on first access;
+only they import sympy).
 They live here, not in ``monodromy_lab``, because no command runs them.
 """
 
+import functools
 import math
 from fractions import Fraction
 
+from monodromy_lab import closedform, reference
 from monodromy_lab.monodromy import MU_DIAG
 from monodromy_lab.ring import operator_matrices
 from monodromy_lab.solutions import _dlog, _series_from_initial_block
+
+
+# -- the published closed forms in sympy -------------------------------------
+
+@functools.lru_cache(maxsize=None)
+def _sympy_references():
+    import sympy as sp
+
+    gamma_minus, c, c_gamma = reference._published(sp.EulerGamma, sp.pi, sp.zeta(3), sp.I)
+    return {
+        "GAMMA_MINUS_REF": gamma_minus,
+        "C_REF": closedform.sympy_over_d(c),
+        "C_GAMMA_REF": closedform.sympy_over_d(c_gamma),
+    }
+
+
+def __getattr__(name):
+    """GAMMA_MINUS_REF, C_REF and C_GAMMA_REF: the sympy forms of
+    ``reference._published``."""
+    if name in ("GAMMA_MINUS_REF", "C_REF", "C_GAMMA_REF"):
+        return _sympy_references()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # -- Phi_top -----------------------------------------------------------------

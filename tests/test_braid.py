@@ -14,6 +14,8 @@ from monodromy_lab.braid import (
 )
 from monodromy_lab.engine import max_deviation
 
+import oracles
+
 
 def _random_unipotent(rng, n=4):
     S = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
@@ -77,7 +79,7 @@ def test_braid_action_preserves_constraints():
     from monodromy_lab.monodromy import verify_constraints
 
     e = get_engine("mp", dps=40)
-    C = reference.numeric(reference.C_REF, dps=40)
+    C = reference.numeric(oracles.C_REF, dps=40)
     base = verify_constraints(
         reference.S_REF, [[e.complex(x) for x in row] for row in C], e
     )
@@ -120,7 +122,7 @@ def test_search_published_transformation():
     from monodromy_lab.monodromy import _unipotent_inverse
 
     S = [[complex(x) for x in row] for row in reference.S_REF]
-    C = reference.numeric(reference.C_REF, dps=30)
+    C = reference.numeric(oracles.C_REF, dps=30)
     S_target = [[complex(x) for x in row] for row in _unipotent_inverse(euler_matrix())]
     C_target = numeric_matrix(c_gamma_matrix(), dps=30)
     found = search_equivalence(S, C, S_target, C_target, max_len=2, tol=1e-6)
@@ -139,7 +141,7 @@ def test_search_rejects_perturbed_target():
     from monodromy_lab.monodromy import _unipotent_inverse
 
     S = [[complex(x) for x in row] for row in reference.S_REF]
-    C = reference.numeric(reference.C_REF, dps=30)
+    C = reference.numeric(oracles.C_REF, dps=30)
     S_target = [[complex(x) for x in row] for row in _unipotent_inverse(euler_matrix())]
     C_target = numeric_matrix(c_gamma_matrix(), dps=30)
     C_target[1][1] += 1e-3

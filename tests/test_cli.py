@@ -69,12 +69,12 @@ def test_euler_matrix(capsys):
 
 
 #: SHA-256 of ``report.dumps`` of the exact-arithmetic reports; any change
-#: to an exact output shows here.  ``gamma`` is left out: its exact strings
-#: are sympy's printing, which may change with the sympy version
+#: to an exact output shows here
 EXACT_REPORT_DIGESTS = {
     "qcoh": "a6c3fde8400e8892c41a86abf06d1dbf1613209999a1c1a4950464579e321731",
     "euler-matrix": "77daddb6fb354a653ef78afa06582136d980a292cc79204b91f4605c77847bc7",
     "phitop --order 60": "96111a3ca3beecedccd5da9f3d55594dd08b036b1e6182ab3c565a7836b9b317",
+    "gamma": "23a88ef7f1cc1a40ba557696aac34777b0930fef5dfd2bf611db3ba4d4e72757",
 }
 
 
@@ -111,13 +111,47 @@ def test_exact_commands_do_not_import_sympy():
     code = ("import contextlib, io, sys\n"
             "from monodromy_lab import cli\n"
             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
-            "for argv in (['euler-matrix'], ['phitop', '--order', '60'], ['qcoh']):\n"
+            "for argv in (['euler-matrix'], ['phitop', '--order', '60'], ['qcoh'], ['gamma']):\n"
             "    with contextlib.redirect_stdout(io.StringIO()):\n"
             "        assert cli.main(argv) == 0, argv\n"
             "print('sympy' in sys.modules)\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           timeout=120)
     assert proc.stdout.split() == ["[]", "False"], proc.stderr
+
+
+def test_every_command_runs_without_sympy():
+    # sympy serves only the tests: with its import blocked, each subcommand
+    # exits as it does with sympy installed
+    code = ("import contextlib, io, sys\n"
+            "sys.modules['sympy'] = None\n"
+            "from monodromy_lab import cli\n"
+            "for argv in [[c] for c in cli.COMMANDS] + [['verify', '--engine', 'double']]:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        code = cli.main(argv)\n"
+            "    print(code, *argv)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120)
+    expected = [f"0 {command}" for command in COMMANDS] + ["1 verify --engine double"]
+    assert len(COMMANDS) == 9
+    assert proc.stdout.splitlines() == expected, proc.stderr
+
+
+def test_gamma_strings_are_sympy_text_of_the_exact_classes():
+    import sympy as sp
+
+    from monodromy_lab import ktheory
+
+    args = build_parser().parse_args(["gamma"])
+    doc = COMMANDS["gamma"](args, config_from_args(args))
+    printed = {"gamma_minus": (doc["gamma_minus"], ktheory.gamma_class(-1))}
+    for name, chs in doc["chern_characters"].items():
+        printed[name] = (chs["graded"], ktheory.k_object(name).ch_graded())
+    assert len(printed) == 10
+    for name, (texts, cls) in printed.items():
+        assert len(texts) == 4
+        for text, x in zip(texts, cls.coeffs):
+            assert sp.sympify(text) == sp.expand(x._sympy_()), (name, text)
 
 
 def test_verify_does_not_import_special():

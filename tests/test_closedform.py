@@ -1,5 +1,6 @@
 """Exact closed forms: ClosedForm arithmetic, the reference encoding against
-sympy, evaluation at working precision, and sympy kept off `verify`."""
+sympy, evaluation at working precision, the printed text against sympy, and
+sympy kept off `verify`."""
 
 import math
 import random
@@ -22,6 +23,8 @@ from monodromy_lab.closedform import (
 )
 from monodromy_lab.engine import get_engine
 
+import oracles
+
 D = 2 * sp.sqrt(2) * sp.pi ** sp.Rational(3, 2)
 ENCODINGS = {
     "C_REF": reference.C_REF_NUMERATORS,
@@ -41,7 +44,7 @@ def test_closed_form_ring_arithmetic():
 
 def test_encoding_matches_sympy_references():
     for name, numerators in ENCODINGS.items():
-        ref = getattr(reference, name)
+        ref = getattr(oracles, name)
         for i in range(4):
             for j in range(4):
                 encoded = sp.sympify(numerators[i][j]) / D
@@ -53,7 +56,7 @@ def test_evaluated_entries_round_like_sympy():
     # 32 entries round to the same doubles as a 60-digit sympy evaluation
     e = get_engine("mp", dps=40)
     for name, numerators in ENCODINGS.items():
-        ref = getattr(reference, name)
+        ref = getattr(oracles, name)
         values = evaluate_over_d(numerators, e)
         for i in range(4):
             for j in range(4):
@@ -216,3 +219,43 @@ def test_closed_form_keeps_the_monomial_order_of_first_appearance():
     assert list((x + ZETA3 - PI).terms) == [(1, 0, 0), (0, 0, 0), (0, 0, 1)]
     assert list((x * (ZETA3 + 1)).terms) == [(0, 1, 1), (0, 1, 0), (1, 0, 1), (1, 0, 0),
                                              (0, 0, 1), (0, 0, 0)]
+
+
+# -- the printed text ---------------------------------------------------------
+
+def test_str_round_trips_through_sympy():
+    # zero, a negative denominator, pure imaginary terms and zeta(3), then
+    # random forms: sympy reads each text back as the expanded polynomial
+    rng = random.Random(23)
+    forms = [ClosedForm(), I, -I, ClosedForm.constant(Fraction(-3, 2), Fraction(1, 2)),
+             -I * ZETA3 / 3, ClosedForm({(2, 1, 1): (0, -5), (0, 0, 1): (4, 0)}, -6)]
+    forms += [_form_of(_random_data(rng)) for _ in range(300)]
+    forms += [ClosedForm({(rng.randint(0, 4), rng.randint(0, 4), rng.randint(0, 2)):
+                          (rng.choice((0, 1, -1, rng.randint(-30, 30))),
+                           rng.choice((0, 1, -1, rng.randint(-30, 30))))
+                          for _ in range(rng.randint(0, 5))},
+                         rng.choice((1, -1, 2, -3, 6, rng.randint(1, 60))))
+              for _ in range(300)]
+    for x in forms:
+        assert sp.sympify(str(x)) == sp.expand(x._sympy_()), (x, str(x))
+
+
+def test_str_writes_sympy_syntax_in_degree_order():
+    assert str(ClosedForm()) == "0"
+    assert str(ClosedForm.constant(1)) == "1" and str(ClosedForm.constant(-1)) == "-1"
+    assert str(-I) == "-I" and str(I / 2) == "I/2"
+    assert str(ClosedForm.constant(Fraction(-3, 2), Fraction(1, 2))) == "-3/2 + I/2"
+    x = 3 * I * EULER_GAMMA * ZETA3 - PI ** 3 / 7 + Fraction(5, 6) - EULER_GAMMA
+    assert str(x) == "5/6 - EulerGamma + 3*I*EulerGamma*zeta(3) - pi**3/7"
+    assert str((1 - 2 * I) * PI ** 2 * EULER_GAMMA / 4) == "EulerGamma*pi**2/4 - I*EulerGamma*pi**2/2"
+
+
+def test_str_does_not_depend_on_the_monomial_order():
+    x, y = PI + EULER_GAMMA + 2 * I, 2 * I + EULER_GAMMA + PI
+    assert list(x.terms) != list(y.terms) and x == y and str(x) == str(y)
+    rng = random.Random(7)
+    for _ in range(100):
+        data = _random_data(rng)
+        shuffled = rng.sample(data, len(data))
+        assert _form_of(data) == _form_of(shuffled)
+        assert str(_form_of(data)) == str(_form_of(shuffled))

@@ -41,6 +41,7 @@ from monodromy_lab.solutions import (
     point_data,
     rotation_operator_matrix,
 )
+import oracles
 from oracles import (
     context_matrix,
     phi_top_grading_violations,
@@ -465,7 +466,7 @@ def test_connection_matrix_closed_forms():
     sd = stokes_matrix(MP, STOKES_Z0S, ORDER, SNAP_TOL)
     cd = connection_matrix(MP, CONNECTION_Z0S, ORDER, sd.P)
     # the last column of C' is the first column of C = C' P^(-1)
-    C_ref = reference.numeric(reference.C_REF, dps=30)
+    C_ref = reference.numeric(oracles.C_REF, dps=30)
     for i in range(4):
         assert abs(complex(cd.c_prime[i][3]) - C_ref[i][0]) < 1e-10
     for i in range(4):

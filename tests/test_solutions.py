@@ -90,13 +90,14 @@ def test_uccomplex_bookkeeping():
     w = z.rotated(1)
     assert w.arg_over_pi == Fraction(z.arg_over_pi) + Fraction(2, 3)
     assert abs(w.arg - z.arg - 2 * math.pi / 3) < 1e-15
-    # z^(3/2) and log z are single-valued in (modulus, arg)
+    # log z, and so z^(3/2) = exp(3/2 log z), is single-valued in (modulus, arg)
     l = z.log(E)
     assert abs(l - complex(math.log(2), math.pi / 4)) < 1e-15
     full_turn = z.shifted_by_turns(1)
     assert abs(full_turn.log(E) - (l + 2j * math.pi)) < 1e-14
-    p = z.power(Fraction(3, 2), E)
+    p = E.exp(E.complex(Fraction(3, 2)) * l)
     assert abs(p - cmath.exp(1.5 * l)) < 1e-14
+    assert abs(p - 2 ** 1.5 * cmath.exp(1.5j * math.pi / 4)) < 1e-14
 
 
 def test_uccomplex_refuses_non_finite_fields():
