@@ -15,7 +15,8 @@ The inverse letter solves b(X) = S in closed form: with s = S[i][i+1],
 
 where Kt^(-1) has block [[0, 1], [1, s]].  A sign diagonal J acts by
 S -> J S J, C -> C J.  No re-triangularization or reordering is performed
-between letters; the letters act literally through these matrices.
+between letters; the letters act literally through these matrices, so
+they carry an integer S to integers and the search compares S exactly.
 """
 
 from __future__ import annotations
@@ -98,28 +99,33 @@ def braid_act(word, S, C):
 
 
 def _sign_S(J, S):
-    return [[J[a] * J[b] * S[a][b] for b in range(len(S))] for a in range(len(S))]
+    n = len(S)
+    return tuple(tuple(J[a] * J[b] * S[a][b] for b in range(n)) for a in range(n))
 
 
 def sign_act(diag, S, C):
-    """S -> J S J and C -> C J for J = diag(signs)."""
+    """S -> J S J and C -> C J for J = diag(signs), as tuples of rows."""
     J = diag.signs
-    return _sign_S(J, S), [[C[a][b] * J[b] for b in range(len(C))] for a in range(len(C))]
+    return _sign_S(J, S), tuple(tuple(x * j for x, j in zip(row, J)) for row in C)
 
 
 def search_equivalence(S, C, S_target, C_target, max_len, tol):
-    """Breadth-first search for (word, signs) with J*w(S)*J = S_target and
-    w(C)*J = C_target, both to max-entry deviation <= tol.
+    """Breadth-first search for (word, signs) with J*w(S)*J == S_target
+    exactly and w(C)*J = C_target to max-entry deviation <= tol.
 
-    Words are enumerated by length then lexicographically over the letters
-    (1,+1), (1,-1), (2,+1), ..., and sign diagonals in binary order with +1
-    first, so the first (shortest, smallest) match is returned.  Returns
+    S and S_target are compared with ``==`` on tuples of rows: the braid
+    letters and signs carry an integer S to integers, so the S side takes
+    no tolerance, and ``tol`` bounds the numeric C side only.  Words are
+    enumerated by length then lexicographically over the letters (1,+1),
+    (1,-1), (2,+1), ..., and sign diagonals in binary order with +1 first,
+    so the first (shortest, smallest) match is returned.  Returns
     (BraidWord, SignDiagonal) or None.  The S side is compared first: a
     word's C product is formed only once some sign diagonal matches on S.
     """
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
     n = len(S)
+    S_target = tuple(map(tuple, S_target))
     alphabet = [(i, e) for i in range(1, n) for e in (1, -1)]
     sign_patterns = [SignDiagonal(p) for p in itertools.product((1, -1), repeat=n)]
 
@@ -129,7 +135,7 @@ def search_equivalence(S, C, S_target, C_target, max_len, tol):
             Sw, inverses = _act_on_S(word, S)
             Cw = None
             for diag in sign_patterns:
-                if max_deviation(_sign_S(diag.signs, Sw), S_target) > tol:
+                if _sign_S(diag.signs, Sw) != S_target:
                     continue
                 if Cw is None:
                     Cw = functools.reduce(matmul, inverses, C)

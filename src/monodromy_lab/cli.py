@@ -186,7 +186,7 @@ def cmd_solutions(args, cfg):
             "z": [mod, arg],
             "series": complex(series_val),
             "contour": complex(contour_val),
-            "deviation": float(abs(complex(series_val) - complex(contour_val))),
+            "deviation": engine.fabs(series_val - contour_val),
         })
     out["contour_checks"] = checks
     return out

@@ -160,13 +160,6 @@ def collection():
     return tuple(k_object(f"E{k}") for k in (1, 2, 3, 4))
 
 
-def graded_chern_character(obj):
-    """Ch(V) = sum e^(2 pi i tau_j) as an exact ClosedForm-coefficient class."""
-    if isinstance(obj, str):
-        obj = k_object(obj)
-    return obj.ch_graded()
-
-
 # -- Euler pairing -----------------------------------------------------------
 
 def _over_one_denominator(cls):
@@ -218,19 +211,15 @@ def gamma_class(sign=-1):
     GammaHat^+ = exp(-EulerGamma p1 + zeta(2) p2/2 - zeta(3) p3/3),
 
     truncated at degree 3, with zeta(2) = pi^2/6; coefficients are exact
-    ClosedForms.  ``sign`` is -1 or "-" for GammaHat^-, 1 or "+" for
-    GammaHat^+; anything else raises ValueError."""
-    if sign in (-1, "-"):
-        s = -1
-    elif sign in (1, "+"):
-        s = 1
-    else:
-        raise ValueError(f"unknown Gamma class sign {sign!r}, expected -1, 1, '-' or '+'")
+    ClosedForms.  ``sign`` is -1 for GammaHat^-, 1 for GammaHat^+; anything
+    else raises ValueError."""
+    if sign not in (-1, 1):
+        raise ValueError(f"unknown Gamma class sign {sign!r}, expected -1 or 1")
     cd = chern_data()
     expo = (
-        cd.p1.scaled(-s * EULER_GAMMA)
+        cd.p1.scaled(-sign * EULER_GAMMA)
         + cd.p2.scaled(PI ** 2 / 12)
-        + cd.p3.scaled(-s * ZETA3 / 3)
+        + cd.p3.scaled(-sign * ZETA3 / 3)
     )
     return _exp_nilpotent(expo)
 

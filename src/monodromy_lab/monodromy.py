@@ -34,21 +34,20 @@ numerical-error diagnostic.
 
 from __future__ import annotations
 
-import cmath
 import functools
 import itertools
 import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from monodromy_lab.engine import max_deviation
+from monodromy_lab.engine import log2_magnitude, max_deviation
 from monodromy_lab.frame import (
     ADMISSIBLE_ANGLE,
     complex_canonical_coordinates,
     in_interval,
     sector_config,
 )
-from monodromy_lab.ring import matmul, operator_matrices
+from monodromy_lab.ring import matmul, operator_matrices, unipotent_inverse
 from monodromy_lab.solutions import (
     PHI1,
     PHI2,
@@ -347,17 +346,20 @@ def assemble_YL(z, order, engine, tol=None):
 # -- extraction -------------------------------------------------------------
 
 @functools.lru_cache(maxsize=None)
-def dominance_permutation(ell_angle=ADMISSIBLE_ANGLE):
-    """Permutation matrix P reordering canonical coordinates by growing
-    Re(u e^(i ell_angle)), which upper-triangularizes S'; computed once per
-    angle."""
+def dominance_order():
+    """sigma: the indices of the canonical coordinates ordered by growing
+    Re(u e^(i pi/4)) on the admissible line, read once.  The dominance
+    permutation P has P[i][sigma[i]] = 1, so entry (i, j) of P M P^(-1) is
+    M[sigma[i]][sigma[j]] and column j of M P^(-1) is column sigma[j] of M."""
     u = complex_canonical_coordinates()
-    w = complex(math.cos(ell_angle), math.sin(ell_angle))
-    sigma = sorted(range(4), key=lambda k: (u[k] * w).real)
-    P = [[0] * 4 for _ in range(4)]
-    for i, s in enumerate(sigma):
-        P[i][s] = 1
-    return tuple(tuple(row) for row in P)
+    w = complex(math.cos(ADMISSIBLE_ANGLE), math.sin(ADMISSIBLE_ANGLE))
+    return tuple(sorted(range(4), key=lambda k: (u[k] * w).real))
+
+
+def dominance_permutation():
+    """The permutation matrix P of ``dominance_order``, which
+    upper-triangularizes S'."""
+    return tuple(tuple(int(j == s) for j in range(4)) for s in dominance_order())
 
 
 class StokesData(NamedTuple):
@@ -407,48 +409,31 @@ def _extract(engine, z0s, lhs, rhs):
 
 def stokes_matrix(engine, z0s, order, snap_tol):
     """S' from Y_R(z0)^(-1) Y_L(z0) at several z0 in Pi_+ (the assembly of
-    Y_R and Y_L checks Pi_right and Pi_left, whose intersection it is),
-    snapped to integers; P S' P^(-1) is the upper-triangular Stokes
-    matrix S.
+    Y_R and Y_L checks Pi_right and Pi_left, whose intersection it is), as
+    the nearest integers of the middle solve; S = P S' P^(-1) is the
+    upper-triangular Stokes matrix, read through ``dominance_order``.
 
     Returns StokesData with residuals ``stokes_constancy`` (max spread
-    across base points) and ``stokes_snap`` (max distance to integers).  A
-    non-finite entry, like one too far from an integer, raises SnapError.
+    across base points) and ``stokes_snap``, the ``max_deviation`` of the
+    middle solve from S' in the engine's own arithmetic.  A non-finite
+    entry, like a distance above ``snap_tol``, raises SnapError.
     """
     z0s = list(z0s)
     mid, spread = _extract(engine, z0s, lambda z: assemble_YR(z, order, engine),
                            lambda z: assemble_YL(z, order, engine))
-    snapped = []
-    snap_err = 0.0
-    for i in range(4):
-        row = []
-        for j in range(4):
-            v = complex(mid[i][j])
-            if not cmath.isfinite(v):
-                raise SnapError(f"entry ({i},{j}) = {v} is not finite")
-            n = round(v.real)
-            err = abs(v - n)
-            snap_err = max(snap_err, err)
-            if err > snap_tol:
-                raise SnapError(f"entry ({i},{j}) = {v} not within {snap_tol} of an integer")
-            row.append(int(n))
-        snapped.append(tuple(row))
-    s_prime = tuple(snapped)
-
-    P = dominance_permutation()
-    return StokesData(s_prime=s_prime, P=P, S=_permute(s_prime, P), z0s=z0s,
-                      residuals={"stokes_constancy": spread, "stokes_snap": snap_err})
-
-
-def _sigma(P):
-    """sigma with P[i][sigma[i]] = 1: column j of M P^(-1) is column sigma[j] of M."""
-    return [row.index(1) for row in P]
-
-
-def _permute(M, P):
-    """P M P^(-1) for integer matrices (P a permutation)."""
-    sigma = _sigma(P)
-    return tuple(tuple(M[sigma[i]][sigma[j]] for j in range(4)) for i in range(4))
+    for i, j in itertools.product(range(4), repeat=2):
+        # log2 |x| is inf or NaN for a non-finite x, which fails
+        if not log2_magnitude(mid[i][j]) < math.inf:
+            raise SnapError(f"entry ({i},{j}) = {mid[i][j]} is not finite")
+    s_prime = tuple(tuple(round(x.real) for x in row) for row in mid)
+    snap = max_deviation(mid, s_prime)
+    if snap > snap_tol:
+        raise SnapError(f"S' is not within {snap_tol} of an integer matrix: "
+                        f"an entry is {snap} from the nearest integer")
+    sigma = dominance_order()
+    return StokesData(s_prime=s_prime, P=dominance_permutation(),
+                      S=tuple(tuple(s_prime[a][b] for b in sigma) for a in sigma), z0s=z0s,
+                      residuals={"stokes_constancy": spread, "stokes_snap": snap})
 
 
 class ConnectionData(NamedTuple):
@@ -461,10 +446,11 @@ class ConnectionData(NamedTuple):
     residuals: dict         # connection_stability, connection_heldout
 
 
-def connection_matrix(engine, z0s, order, P):
+def connection_matrix(engine, z0s, order):
     """C' from Y_top(z0)^(-1) Y_R(z0) at small z0 in Pi_right
     (``CONNECTION_SECTOR``, checked by the assembly of Y_R); C = C' P^(-1),
-    with P the dominance permutation of the Stokes extraction.
+    with P the dominance permutation of the Stokes extraction, whose
+    columns ``dominance_order`` reads.
 
     Residuals: ``connection_stability`` (spread across radii; instability
     signals a branch or truncation error) and ``connection_heldout`` (defect
@@ -479,7 +465,8 @@ def connection_matrix(engine, z0s, order, P):
     held = max_deviation(assemble_YR(zh, order, engine),
                          engine.matmul(eval_Ytop(zh, order, engine), c_prime))
 
-    C = tuple(tuple(row[s] for s in _sigma(P)) for row in c_prime)
+    sigma = dominance_order()
+    C = tuple(tuple(row[s] for s in sigma) for row in c_prime)
     return ConnectionData(c_prime=c_prime, C=C, z0s=z0s,
                           residuals={"connection_stability": spread, "connection_heldout": held})
 
@@ -492,9 +479,9 @@ def verify_constraints(S, C, engine):
     (i)   C S^T S^(-1) C^(-1) = e^(2 pi i mu) e^(2 pi i R)
     (ii)  S = C^(-1) e^(-pi i R) e^(-pi i mu) eta^(-1) (C^T)^(-1)
 
-    S holds exact entries (int, Fraction or float): it is a Stokes matrix,
-    unipotent upper-triangular, so S^(-1) and S^T S^(-1) are formed
-    exactly, once per S and engine (``_stokes_terms``).  e^(2 pi i mu) = -I
+    S holds exact entries (int or Fraction; a float is taken as it is): it
+    is a Stokes matrix, unipotent upper-triangular, so S^(-1) and S^T S^(-1)
+    are formed exactly, once per S and engine (``_stokes_terms``).  e^(2 pi i mu) = -I
     and e^(-pi i mu) = diag(-i, i, -i, i) are exact units
     (``exp_mu_units``) that scale rows or columns without rounding, and the
     anti-diagonal 0/1 eta is its own inverse and acts as a column reversal:
@@ -503,7 +490,7 @@ def verify_constraints(S, C, engine):
     the residuals take no exponential, one inverse and four engine
     products.
     """
-    S_m, St_S_inv = _stokes_terms(tuple(tuple(Fraction(x) for x in row) for row in S), engine)
+    S_m, St_S_inv = _stokes_terms(tuple(map(tuple, S)), engine)
     cyclic, middle = _constraint_targets(engine)
     C_inv = engine.inverse(C)
     C_inv_T = tuple(zip(*C_inv))
@@ -515,9 +502,9 @@ def verify_constraints(S, C, engine):
 @functools.lru_cache(maxsize=32)
 def _stokes_terms(S, engine):
     """S and S^T S^(-1) as engine matrices, for S given as rows of exact
-    Fractions; S^(-1) and the product are formed exactly, and each entry
-    is rounded once."""
-    S_inv = _unipotent_inverse(S)
+    entries; S^(-1) (``ring.unipotent_inverse``) and the product are formed
+    exactly, and each entry is rounded once."""
+    S_inv = unipotent_inverse(S)
     St_S_inv = matmul(tuple(zip(*S)), S_inv)
     return tuple(tuple(tuple(map(engine.complex, row)) for row in M) for M in (S, St_S_inv))
 
@@ -532,18 +519,3 @@ def _constraint_targets(engine):
     E2, unit2 = exp_R(-engine.i * engine.pi, engine), exp_mu_units(-1)
     return (tuple(tuple(unit1[i] * x for x in row) for i, row in enumerate(E1)),
             tuple(tuple(row[3 - j] * unit2[3 - j] for j in range(4)) for row in E2))
-
-
-def _unipotent_inverse(M):
-    """Exact inverse of a unipotent upper-triangular matrix of exact
-    entries (int or Fraction), by back substitution: row i of M X = I gives
-    X[i][j] = -sum_(i < t <= j) M[i][t] X[t][j].  Raises ValueError for any
-    other matrix."""
-    n = len(M)
-    if any(M[i][j] != (i == j) for i in range(n) for j in range(i + 1)):
-        raise ValueError("not a unipotent upper-triangular matrix")
-    out = [[int(i == j) for j in range(n)] for i in range(n)]
-    for i in reversed(range(n)):
-        for j in range(i + 1, n):
-            out[i][j] = -sum(M[i][t] * out[t][j] for t in range(i + 1, j + 1))
-    return tuple(tuple(row) for row in out)

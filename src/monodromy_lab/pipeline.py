@@ -30,7 +30,6 @@ from monodromy_lab.monodromy import (
     CONNECTION_SECTOR,
     PREFACTORS,
     STOKES_SECTOR,
-    _unipotent_inverse,
     check_sector,
     connection_matrix,
     connection_points,
@@ -41,7 +40,7 @@ from monodromy_lab.monodromy import (
 )
 from monodromy_lab.record import Record
 from monodromy_lab.report import complex_matrix
-from monodromy_lab.ring import operator_matrices
+from monodromy_lab.ring import operator_matrices, unipotent_inverse
 from monodromy_lab.solutions import PHI1, PHI2, UCComplex, phi_series
 
 DEFAULT_TOLERANCES = {
@@ -121,7 +120,7 @@ def connection_stage(config, sd):
     comparison of C and the two monodromy constraints on (S, C)."""
     engine = config.engine()
     cd = connection_matrix(engine, connection_points(config.z0_connection),
-                           config.truncation_order, sd.P)
+                           config.truncation_order)
     residuals = dict(cd.residuals)
     residuals["c_vs_closed_form"] = max_deviation(cd.C, _c_closed_form(engine))
     residuals.update(verify_constraints(sd.S, cd.C, engine))
@@ -173,7 +172,7 @@ def _exact_characteristic():
                   for row, ref in zip(numerators, reference.C_GAMMA_REF_NUMERATORS)]
     residuals = {"c_gamma_vs_closed_form": max(
         engine.fabs(x) for row in evaluate_over_d(difference, engine) for x in row)}
-    return euler, _unipotent_inverse(euler), numerators, types.MappingProxyType(residuals)
+    return euler, unipotent_inverse(euler), numerators, types.MappingProxyType(residuals)
 
 
 @functools.lru_cache(maxsize=None)
@@ -184,17 +183,17 @@ def _c_gamma(dps):
 
 def braid_stage(S, C, characteristic, tol):
     """Search for the braid/sign transformation carrying (S, C) to
-    (Euler^-1, C_Gamma).  S and Euler^-1 are exact integers and C holds the
-    run's engine numbers, so ``braid_match`` is measured at working
+    (Euler^-1, C_Gamma).  S and Euler^-1 are exact integers, which the
+    search compares with ``==``, and C holds the run's engine numbers, so
+    ``braid_match`` is the C side's deviation alone, measured at working
     precision (against C_Gamma at max(C_GAMMA_DPS, dps) digits)."""
-    target_S = characteristic.euler_inverse
     target_C = characteristic.c_gamma
-    found = braid.search_equivalence(S, C, target_S, target_C, max_len=2, tol=tol)
+    found = braid.search_equivalence(S, C, characteristic.euler_inverse, target_C,
+                                     max_len=2, tol=tol)
     if found is None:
         return {"found": False, "word": [], "signs": [], "max_deviation": None}, {}
     word, signs = found
-    Ss, Cs = braid.sign_act(signs, *braid.braid_act(word, S, C))
-    dev = max(max_deviation(Ss, target_S), max_deviation(Cs, target_C))
+    dev = max_deviation(braid.sign_act(signs, *braid.braid_act(word, S, C))[1], target_C)
     report = {"found": True, "word": word.labels(), "signs": list(signs.signs),
               "max_deviation": dev}
     return report, {"braid_match": dev}

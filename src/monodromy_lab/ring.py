@@ -181,6 +181,21 @@ def matmul(A, B):
     return tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in columns) for row in A)
 
 
+def unipotent_inverse(M):
+    """Exact inverse of a unipotent upper-triangular matrix of exact
+    entries (int or Fraction), by back substitution: row i of M X = I gives
+    X[i][j] = -sum_(i < t <= j) M[i][t] X[t][j].  Raises ValueError for any
+    other matrix."""
+    n = len(M)
+    if any(M[i][j] != (i == j) for i in range(n) for j in range(i + 1)):
+        raise ValueError("not a unipotent upper-triangular matrix")
+    out = [[int(i == j) for j in range(n)] for i in range(n)]
+    for i in reversed(range(n)):
+        for j in range(i + 1, n):
+            out[i][j] = -sum(M[i][t] * out[t][j] for t in range(i + 1, j + 1))
+    return tuple(tuple(row) for row in out)
+
+
 def multiplication_matrix(x, q=Fraction(1)):
     """Matrix of quantum multiplication by x in the Schubert basis (columns
     are x * e_b)."""

@@ -514,8 +514,10 @@ def eval_series(series, z, engine, m=0, tol=None):
 
 # -- contour-integral oracle ----------------------------------------------
 
-def contour_eval(kind, z, engine, kappa=None, T=None):
-    """Evaluate phi1/phi2 by quadrature along the vertical line Re s = kappa.
+def contour_eval(kind, z, engine):
+    """Evaluate phi1/phi2 by quadrature along the vertical line Re s = kappa,
+    with kappa = 1/2 for phi1 and 1/4 for phi2 (the first needs kappa > 0,
+    the second 0 < kappa < 1/2).
 
     Only valid strictly inside the representation's sector (see
     CONTOUR_SECTORS).  The truncation height T is chosen from the
@@ -530,30 +532,23 @@ def contour_eval(kind, z, engine, kappa=None, T=None):
         raise SectorError(
             f"arg z = {theta} pi outside validity sector ({lo} pi, {hi} pi) of {kind.value}"
         )
-    if kappa is None:
-        kappa = 0.5 if kind is PHI1 else 0.25
-    if kind is PHI1 and kappa <= 0:
-        raise ValueError("PHI1 contour needs kappa > 0")
-    if kind is PHI2 and not 0 < kappa < 0.5:
-        raise ValueError("PHI2 contour needs 0 < kappa < 1/2")
 
     th = theta * math.pi
     if kind is PHI1:
         rate_up, rate_down = 2.5 * math.pi - 3 * th, 0.5 * math.pi + 3 * th
     else:
         rate_up, rate_down = 2.5 * math.pi - 3 * th, 2.5 * math.pi + 3 * th
-    if T is None:
-        digits = 17 if engine.name == "double" else engine.dps + 3
-        target = digits * math.log(10) + 12 + 3 * abs(math.log(float(z.modulus)))
-        T = max(target / rate_up, target / rate_down, 4.0)
-        if engine.name == "double":
-            # keep every factor of the integrand inside double range: the
-            # z-power alone reaches e^(3T|arg z|), the e^(i pi s) factor
-            # e^(pi T); truncation error stays ~e^(-rate*T), far below 1e-9
-            T = min(T, 650.0 / (3 * abs(th) + 1e-9), 200.0)
+    digits = 17 if engine.name == "double" else engine.dps + 3
+    target = digits * math.log(10) + 12 + 3 * abs(math.log(float(z.modulus)))
+    T = max(target / rate_up, target / rate_down, 4.0)
+    if engine.name == "double":
+        # keep every factor of the integrand inside double range: the
+        # z-power alone reaches e^(3T|arg z|), the e^(i pi s) factor
+        # e^(pi T); truncation error stays ~e^(-rate*T), far below 1e-9
+        T = min(T, 650.0 / (3 * abs(th) + 1e-9), 200.0)
 
     lz = z.log(engine)
-    kap = engine.real(kappa)
+    kap = engine.real(0.5 if kind is PHI1 else 0.25)
 
     def f(t):
         s = kap + engine.i * t

@@ -117,35 +117,44 @@ def test_search_goes_past_a_word_that_matches_only_on_S():
     assert signs.signs == (1, 1, 1, 1)
 
 
-def test_search_published_transformation():
+def _published_pair_and_targets():
+    """The published (S, C) and the derived-category targets
+    (Euler^-1, C_Gamma), S and Euler^-1 as exact integers."""
     from monodromy_lab.ktheory import c_gamma_matrix, euler_matrix, numeric_matrix
-    from monodromy_lab.monodromy import _unipotent_inverse
+    from monodromy_lab.ring import unipotent_inverse
 
-    S = [[complex(x) for x in row] for row in reference.S_REF]
     C = reference.numeric(oracles.C_REF, dps=30)
-    S_target = [[complex(x) for x in row] for row in _unipotent_inverse(euler_matrix())]
     C_target = numeric_matrix(c_gamma_matrix(), dps=30)
-    found = search_equivalence(S, C, S_target, C_target, max_len=2, tol=1e-6)
-    assert found is not None
-    word, signs = found
-    assert word.labels() == reference.EXPECTED_BRAID_LABELS
-    assert signs.signs == reference.EXPECTED_SIGNS
+    return reference.S_REF, C, unipotent_inverse(euler_matrix()), C_target
+
+
+def test_search_published_transformation():
+    S, C, S_target, C_target = _published_pair_and_targets()
+    for S_side in (S, [[complex(x) for x in row] for row in S]):
+        found = search_equivalence(S_side, C, S_target, C_target, max_len=2, tol=1e-6)
+        assert found is not None
+        word, signs = found
+        assert word.labels() == reference.EXPECTED_BRAID_LABELS
+        assert signs.signs == reference.EXPECTED_SIGNS
     Sw, Cw = braid_act(word, S, C)
     Ss, Cs = sign_act(signs, Sw, Cw)
-    assert max_deviation(Ss, S_target) <= 1e-6
+    assert Ss == S_target
     assert max_deviation(Cs, C_target) <= 1e-6
 
 
 def test_search_rejects_perturbed_target():
-    from monodromy_lab.ktheory import c_gamma_matrix, euler_matrix, numeric_matrix
-    from monodromy_lab.monodromy import _unipotent_inverse
-
-    S = [[complex(x) for x in row] for row in reference.S_REF]
-    C = reference.numeric(oracles.C_REF, dps=30)
-    S_target = [[complex(x) for x in row] for row in _unipotent_inverse(euler_matrix())]
-    C_target = numeric_matrix(c_gamma_matrix(), dps=30)
+    S, C, S_target, C_target = _published_pair_and_targets()
     C_target[1][1] += 1e-3
     assert search_equivalence(S, C, S_target, C_target, max_len=2, tol=1e-6) is None
+
+
+def test_search_compares_S_exactly():
+    # the S side takes no tolerance: an S_target off by 1e-12 in one entry,
+    # far inside tol, matches no word
+    S, C, S_target, C_target = _published_pair_and_targets()
+    off = [list(row) for row in S_target]
+    off[0][1] += 1e-12
+    assert search_equivalence(S, C, off, C_target, max_len=2, tol=1e-6) is None
 
 
 def test_word_validation():

@@ -91,8 +91,8 @@ def test_exact_reports_keep_their_bytes(command):
 #: engine rounds exactly, in integers, on every platform; the double reports
 #: are left out, as their elementary functions come from the platform's libm
 MP_REPORT_DIGESTS = {
-    "verify": "5f2d973f9431ba49935994caa2bcaa43578b038d968ac6f93052f08279a7b9f2",
-    "stokes": "c3f7b8d23fe8b8c608680eaa124591b34cf496fa3818fbbce3fe23076616ed37",
+    "verify": "cb4ed25e4f274ff0512809dafaafa40b9e1b453d3c83308edb84284d7ee4e008",
+    "stokes": "4d3c3c81b351776e9ef7436ae4eaccda1a50d73b17173ae473c5ba97a7942c17",
     "connection": "4d6dc258420d57a0dbdddd7b19372e2a10e335041be0cf95ffaa3908a6040c5e",
 }
 
@@ -192,6 +192,16 @@ def test_solutions_identities(capsys):
         assert entry["rotation_residual"] <= 1e-9
     for chk in doc["contour_checks"]:
         assert chk["deviation"] <= 1e-8
+
+
+def test_solutions_contour_deviation_is_measured_in_the_engine(capsys):
+    # series - contour is formed at working precision before it becomes a
+    # float: rounding both to complex first would read exactly 0 under mp
+    code, out = run_cli(capsys, "solutions", "--engine", "mp")
+    assert code == 0
+    deviations = [chk["deviation"] for chk in json.loads(out)["contour_checks"]]
+    assert len(deviations) == 3
+    assert all(0 < d < 1e-30 for d in deviations), deviations
 
 
 def test_gamma(capsys):

@@ -373,6 +373,21 @@ def test_stokes_matrix_published_values():
     assert sd.residuals["stokes_snap"] <= 1e-6
 
 
+def test_stokes_snap_is_measured_at_working_precision():
+    # stokes_snap is the engine's max_deviation of the raw middle solve from
+    # S', not a distance of entries rounded to Python complex first, which
+    # drops the error of every nonzero entry under mp
+    sd = stokes_matrix(MP, STOKES_Z0S, ORDER, SNAP_TOL)
+    z0 = STOKES_Z0S[1]
+    raw = MP.solve(assemble_YR(z0, ORDER, MP), assemble_YL(z0, ORDER, MP))
+    snap = sd.residuals["stokes_snap"]
+    assert snap == max_deviation(raw, sd.s_prime)
+    rounded = max(abs(complex(x) - n) for row, ints in zip(raw, sd.s_prime)
+                  for x, n in zip(row, ints))
+    assert snap > rounded
+    assert 0 < snap <= 1e-30
+
+
 def test_stokes_dominance_pattern_emerges():
     # entries forced to vanish by exponential dominance come out below the
     # snap tolerance without being imposed
@@ -463,8 +478,7 @@ def test_stokes_coordinate_route_oracle():
 
 
 def test_connection_matrix_closed_forms():
-    sd = stokes_matrix(MP, STOKES_Z0S, ORDER, SNAP_TOL)
-    cd = connection_matrix(MP, CONNECTION_Z0S, ORDER, sd.P)
+    cd = connection_matrix(MP, CONNECTION_Z0S, ORDER)
     # the last column of C' is the first column of C = C' P^(-1)
     C_ref = reference.numeric(oracles.C_REF, dps=30)
     for i in range(4):
@@ -489,7 +503,7 @@ def test_connection_heldout_point_follows_base_point(monkeypatch):
 
     monkeypatch.setattr(monodromy, "assemble_YR", recorded)
     fit = connection_points(UCComplex.polar(0.08, math.pi / 4 + 0.1))
-    cd = connection_matrix(E, fit, ORDER, dominance_permutation())
+    cd = connection_matrix(E, fit, ORDER)
     assert seen[:3] == fit
     assert len(seen) == 4 and seen[3] not in fit
     assert cd.residuals["connection_heldout"] <= 1e-9
@@ -499,7 +513,7 @@ def test_verify_constraints_reference_and_sensitivity():
     from monodromy_lab.monodromy import verify_constraints
 
     sd = stokes_matrix(MP, STOKES_Z0S, ORDER, SNAP_TOL)
-    cd = connection_matrix(MP, CONNECTION_Z0S, ORDER, sd.P)
+    cd = connection_matrix(MP, CONNECTION_Z0S, ORDER)
     res = verify_constraints(sd.S, cd.C, MP)
     assert float(res["constraint_cyclic"]) <= 1e-8
     assert float(res["constraint_pairing"]) <= 1e-8
@@ -531,10 +545,10 @@ def dense_constraint_residuals(S, C, engine):
     """The two constraint residuals by dense engine products, with
     e^(t mu) from the engine's exponentials and eta as a matrix: eight
     products and eight exponentials, the oracle of ``verify_constraints``."""
-    from monodromy_lab.monodromy import _unipotent_inverse
+    from monodromy_lab.ring import unipotent_inverse
 
     exact = [[Fraction(x) for x in row] for row in S]
-    Sm, S_inv = context_matrix(engine, exact), context_matrix(engine, _unipotent_inverse(exact))
+    Sm, S_inv = context_matrix(engine, exact), context_matrix(engine, unipotent_inverse(exact))
     eta = context_matrix(engine, [[Fraction(int(i + j == 3)) for j in range(4)]
                                   for i in range(4)])
     C_inv = context_matrix(engine, engine.inverse(C))
@@ -556,7 +570,7 @@ def test_verify_constraints_agrees_with_the_dense_products(engine):
     from monodromy_lab.monodromy import verify_constraints
 
     sd = stokes_matrix(engine, STOKES_Z0S, ORDER, SNAP_TOL)
-    cd = connection_matrix(engine, CONNECTION_Z0S, ORDER, sd.P)
+    cd = connection_matrix(engine, CONNECTION_Z0S, ORDER)
     C_ref = evaluate_over_d(reference.C_REF_NUMERATORS, engine)
     S_bad = [list(row) for row in sd.S]
     S_bad[0][1] += Fraction(1, 1000)
@@ -580,7 +594,7 @@ def test_verify_constraints_takes_no_exponential_and_four_products(monkeypatch):
     from monodromy_lab.monodromy import verify_constraints
 
     sd = stokes_matrix(MP, STOKES_Z0S, ORDER, SNAP_TOL)
-    cd = connection_matrix(MP, CONNECTION_Z0S, ORDER, sd.P)
+    cd = connection_matrix(MP, CONNECTION_Z0S, ORDER)
     verify_constraints(sd.S, cd.C, MP)
     # C^(-1), formed before the count starts, is the one inverse
     C_inv = MP.inverse(cd.C)
@@ -595,16 +609,16 @@ def test_verify_constraints_takes_no_exponential_and_four_products(monkeypatch):
 
 
 def test_unipotent_inverse_is_exact_and_refuses_other_matrices():
-    from monodromy_lab.monodromy import _unipotent_inverse
+    from monodromy_lab.ring import unipotent_inverse
 
     S = [[1, -4, Fraction(1, 3), 0], [0, 1, 6, -4], [0, 0, 1, 4], [0, 0, 0, 1]]
-    inverse = _unipotent_inverse(S)
+    inverse = unipotent_inverse(S)
     product = [[sum(S[i][t] * inverse[t][j] for t in range(4)) for j in range(4)]
                for i in range(4)]
     assert product == [[int(i == j) for j in range(4)] for i in range(4)]
     for bad in ([[2, 0], [0, 1]], [[1, 0], [1, 1]]):
         with pytest.raises(ValueError):
-            _unipotent_inverse(bad)
+            unipotent_inverse(bad)
 
 
 def test_asymptotic_normalization_of_columns():
@@ -645,5 +659,5 @@ def test_YR_leading_entry_matches_frame_pattern():
 
 
 def test_dominance_permutation_orders_by_growth():
-    P = dominance_permutation(math.pi / 4)
+    P = dominance_permutation()
     assert P == reference.P_REF

@@ -313,10 +313,6 @@ def test_contour_sector_violation():
         contour_eval(PHI1, UCComplex.polar(1.0, 3 * math.pi / 4), E)
     with pytest.raises(SectorError):
         contour_eval(PHI2, UCComplex.polar(1.0, 0.9 * math.pi), E)
-    with pytest.raises(ValueError):
-        contour_eval(PHI1, UCComplex.polar(1.0, 0.0), E, kappa=-1.0)
-    with pytest.raises(ValueError):
-        contour_eval(PHI2, UCComplex.polar(1.0, 0.0), E, kappa=0.75)
 
 
 def test_identity_residuals_examples():
