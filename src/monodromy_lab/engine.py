@@ -19,9 +19,15 @@ pass of the log-series (``Engine.horner_columns``/``Engine.horner``) is a
 hardware-complex loop over every block under double and runs in exact
 integers on mpmath's raw mantissas, over the blocks that can reach the
 working precision, under mp, and ``Engine.guarded`` adds guard bits under
-mp only.  The 4x4 solves and inverses (``Engine.solve``,
-``Engine.inverse``) are one Gaussian elimination (``Engine._eliminate``),
-with mpmath's pivot rule and refusal but none of its LU code.
+mp only.  Beside that pass, ``matrix_steps`` applies integer matrices to a
+cubic block (the recursion that builds the residue series, and their
+derivative map) and picks its arithmetic from the coefficients' type, as
+``log2_magnitude`` does: their own operators for Fractions and Python
+complex numbers, exact integers on mpmath's raw mantissas for mp numbers,
+with one rounding per coefficient.  The 4x4 solves and inverses
+(``Engine.solve``, ``Engine.inverse``) are one Gaussian elimination
+(``Engine._eliminate``), with mpmath's pivot rule and refusal but none of
+its LU code.
 
 A matrix is a tuple of rows, the package's one format; ``Engine.matmul``
 multiplies two as mpmath's matrix class would, and ``max_deviation`` is
@@ -43,6 +49,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+import operator
 from fractions import Fraction
 
 import mpmath
@@ -50,7 +57,8 @@ from mpmath.ctx_mp_python import _mpc, _mpf
 from mpmath.libmp import from_int, from_man_exp, fzero, mpf_div, round_nearest
 
 #: bits the exact-integer Horner pass of the mp engine carries above the
-#: working precision; each T_k is rounded to the working precision once
+#: working precision, and ``matrix_steps`` from block to block; each T_k,
+#: and each coefficient of a step, is rounded to the working precision once
 GUARD_BITS = 20
 
 #: bits the mp engine's 4x4 elimination carries above the working precision
@@ -386,6 +394,59 @@ def _summed_blocks(bounds, log2w, bits):
     while i and ns[i] * high + tops[i] <= floor:
         i -= 1
     return ns[i] + 1
+
+
+def matrix_steps(block, steps):
+    """The blocks b_1, ..., b_m of b_j = Q_j b_(j-1) / den_j from
+    b_0 = ``block``, for ``steps`` (Q_j, den_j): square integer matrices as
+    tuples of rows, and positive integers.  The arithmetic follows the
+    coefficients' type, as ``log2_magnitude`` does, with no engine fork.
+
+    Fractions, Python complex numbers and floats use their own operators,
+    so Fractions stay exact.  mp numbers run in exact integers on their raw
+    mantissas (``_exact_parts``), brought to one exponent per block; each
+    step's product is exact, and a step with den_j > 1 divides (floor) to
+    ``GUARD_BITS`` bits above the working precision of the block's largest
+    part, so it adds less than 2^(1 - prec - GUARD_BITS) of that part to
+    each coefficient, which the later steps carry forward by their
+    matrices.  Each coefficient is rounded once, to nearest, at ``ctx.prec``,
+    into the block's context's complex numbers.  So a coefficient of b_j is
+    off from the exact image of b_0 by at most half an ulp plus
+    sum_(i <= j) |Q_j ... Q_(i+1)| / (den_j ... den_(i+1)) applied to that
+    cut of step i; a step with den_j = 1 is exact, and a single one leaves
+    each coefficient its exact image rounded once.  A non-finite mp
+    coefficient raises OverflowError.
+    """
+    out = []
+    if not isinstance(block[0], _MP_TYPES):
+        for Q, den in steps:
+            block = tuple([sum(map(operator.mul, row, block)) for row in Q])
+            if den != 1:
+                block = tuple([x / den for x in block])
+            out.append(block)
+        return out
+    ctx = block[0].context
+    prec = ctx.prec
+    bits = prec + GUARD_BITS
+    parts = list(map(_exact_parts, block))
+    exp = min([e for re, im, e in parts if re or im], default=0)
+    re = [r << (e - exp) if r else 0 for r, _, e in parts]
+    im = [i << (e - exp) if i else 0 for _, i, e in parts]
+    for Q, den in steps:
+        re = [sum(map(operator.mul, row, re)) for row in Q]
+        im = [sum(map(operator.mul, row, im)) for row in Q]
+        if den != 1 and any(re + im):
+            # the quotient's largest part gets at least ``bits`` bits
+            shift = bits + den.bit_length() - max(x.bit_length() for x in re + im)
+            up, den = max(shift, 0), den << max(-shift, 0)
+            re = [(x << up) // den for x in re]
+            im = [(x << up) // den for x in im]
+            exp -= shift
+        out.append(tuple([
+            ctx.make_mpc((from_man_exp(r, exp, prec, round_nearest) if r else fzero,
+                          from_man_exp(i, exp, prec, round_nearest) if i else fzero))
+            for r, i in zip(re, im)]))
+    return out
 
 
 _ENGINES = {}

@@ -33,7 +33,7 @@ import math
 from fractions import Fraction
 
 from monodromy_lab.closedform import I, PI, evaluate
-from monodromy_lab.engine import LOG2_SLACK, log2_magnitude
+from monodromy_lab.engine import LOG2_SLACK, log2_magnitude, matrix_steps
 from monodromy_lab.ktheory import H, _exp_nilpotent, gamma_class
 from monodromy_lab.record import Record
 from monodromy_lab.ring import CohClass, classical_product
@@ -137,7 +137,12 @@ class LogSeries(Record):
         return len(self.blocks)
 
     def derivative(self):
-        """Term-by-term d/dz (exact; lowers every exponent by one).
+        """Term-by-term d/dz (lowers every exponent by one): block n maps by
+        rho + 3n + d/d(log z), the bidiagonal integer matrix with rho + 3n
+        on the diagonal and k + 1 at (k, k+1), through
+        ``engine.matrix_steps``.  Exact for Fractions; under mp each
+        coefficient is the exact derivative of this series' coefficients
+        rounded once, to nearest.
 
         Built once per series and kept on it, so the cached residue series
         carry their derivative series from one evaluation to the next.
@@ -146,17 +151,12 @@ class LogSeries(Record):
 
     @functools.cached_property
     def _derivative(self):
-        out = []
+        blocks = []
         for n, blk in enumerate(self.blocks):
             c = self.rho + 3 * n
-            row = []
-            for k in range(4):
-                val = c * blk[k]
-                if k < 3:
-                    val = val + (k + 1) * blk[k + 1]
-                row.append(val)
-            out.append(tuple(row))
-        return LogSeries(rho=self.rho - 1, blocks=tuple(out))
+            d = ((c, 1, 0, 0), (0, c, 2, 0), (0, 0, c, 3), (0, 0, 0, c))
+            blocks.append(matrix_steps(blk, [(d, 1)])[0])
+        return LogSeries(rho=self.rho - 1, blocks=tuple(blocks))
 
     def initial_block(self):
         """Leading block (a_0, b_0, c_0, d_0): coordinates in the Frobenius basis."""
@@ -165,39 +165,33 @@ class LogSeries(Record):
 
 # -- recursion ----------------------------------------------------------
 
-def _dlog(poly):
-    """d/d(log z) on a cubic block (tuple of 4 coefficients)."""
-    return (poly[1], 2 * poly[2], 3 * poly[3], 0 * poly[0])
-
-
-def _shift_inverse_pow4(poly, n):
-    """Apply (3n + d/dl)^(-4) to a cubic block, exactly.
-
-    (c + d)^(-4) = c^(-4) (1 - 4 d/c + 10 d^2/c^2 - 20 d^3/c^3) on cubics,
-    with c = 3n and d = d/d(log z).
-    """
+@functools.cache
+def _recursion_matrix(n):
+    """(Q_n, (3n)^7) with block_n = Q_n block_(n-1) / (3n)^7, the ODE's
+    recursion (3n + d)^4 p_n = (324n - 162) p_(n-1) + 108 d p_(n-1) on cubic
+    blocks, d = d/d(log z).  On cubics (3n)^7 (3n + d)^-4 is
+    c^3 - 4 c^2 d + 10 c d^2 - 20 d^3 (binomials of -4, c = 3n), and d^m
+    has the entries (k+m)!/k! at (k, k+m), so Q_n is upper-triangular with
+    integer entries.  Built once per n."""
     c = 3 * n
-    d1 = _dlog(poly)
-    d2 = _dlog(d1)
-    d3 = _dlog(d2)
-    out = []
-    for k in range(4):
-        v = poly[k] - 4 * d1[k] / c + 10 * d2[k] / (c * c) - 20 * d3[k] / (c * c * c)
-        out.append(v / c ** 4)
-    return tuple(out)
-
-
-def _recursion_step(prev, n):
-    """Block n from block n-1:  (3n+d)^4 p_n = (324n - 162) p_{n-1} + 108 p'_{n-1}."""
-    rhs = tuple((324 * n - 162) * prev[k] + 108 * _dlog(prev)[k] for k in range(4))
-    return _shift_inverse_pow4(rhs, n)
+    inverse = (c ** 3, -4 * c ** 2, 10 * c, -20)
+    rhs = (324 * n - 162, 108)
+    r = [inverse[m] * rhs[0] + (inverse[m - 1] * rhs[1] if m else 0) for m in range(4)]
+    Q = tuple(tuple(r[j - k] * math.perm(j, j - k) if j >= k else 0 for j in range(4))
+              for k in range(4))
+    return Q, c ** 7
 
 
 def _series_from_initial_block(block0, order):
-    blocks = [tuple(block0)]
-    for n in range(1, order):
-        blocks.append(_recursion_step(blocks[-1], n))
-    return LogSeries(rho=0, blocks=tuple(blocks))
+    """The scalar ODE's solution with block 0 ``block0``, to ``order``
+    blocks: blocks 1..order-1 by ``engine.matrix_steps`` with the matrices
+    of ``_recursion_matrix``: exact for Fractions, in hardware complex
+    arithmetic under double, and under mp each coefficient the exact
+    recursion from block0 rounded once to nearest, up to the cuts of its
+    divisions, ``engine.GUARD_BITS`` below the working precision."""
+    block0 = tuple(block0)
+    steps = [_recursion_matrix(n) for n in range(1, order)]
+    return LogSeries(rho=0, blocks=(block0, *matrix_steps(block0, steps)))
 
 
 @functools.lru_cache(maxsize=None)
@@ -248,8 +242,12 @@ def phi_series(kind, order, engine):
     Block n carries 2 pi i times the residue of g(s) z^(-3s) at s = -n.
     Block 0 is ``gamma_coordinates`` (``closedform.evaluate``) times
     pi^(-1/2) (phi1) or pi^(1/2) (phi2); every later block follows by the
-    exact recursion of the scalar ODE, as for the Frobenius basis.  No
-    Gamma function and no quadrature is evaluated.  The result is entire in
+    recursion of the scalar ODE written as integer matrices, as for the
+    Frobenius basis (``_series_from_initial_block``): under mp it runs in
+    exact integers with guard bits carried from block to block, so each
+    coefficient is the exact recursion from block 0 rounded once, within
+    one ulp of its block's largest entry.  No Gamma function and no
+    quadrature is evaluated.  The result is entire in
     z^3 up to log weights and converges superexponentially, so it serves as
     the global evaluation path on the whole universal cover.  Built once
     per (kind, order, engine): the cached series carry their derivative

@@ -1,8 +1,9 @@
 """Oracles and helpers only the tests use: dense checks of ``phi_top``'s
-sparse recursion, the ODE residual of a log-series, the solution with
-given Frobenius coordinates, the residue block of Laurent data, mpmath's
-matrices for oracle products, the tail certificate of ``eval_series``
-formed in engine reals, and the sympy forms of the published closed forms
+sparse recursion, the ODE residual of a log-series, the ODE's recursion
+in its ``_dlog`` form and the solution it gives from Frobenius
+coordinates, the residue block of Laurent data, mpmath's matrices for
+oracle products, the tail certificate of ``eval_series`` formed in engine
+reals, and the sympy forms of the published closed forms
 (``GAMMA_MINUS_REF``, ``C_REF`` and ``C_GAMMA_REF``, built on first access;
 only they import sympy).
 They live here, not in ``monodromy_lab``, because no command runs them.
@@ -15,7 +16,7 @@ from fractions import Fraction
 from monodromy_lab import closedform, reference
 from monodromy_lab.monodromy import MU_DIAG
 from monodromy_lab.ring import operator_matrices
-from monodromy_lab.solutions import _dlog, _series_from_initial_block
+from monodromy_lab.solutions import LogSeries
 
 
 # -- the published closed forms in sympy -------------------------------------
@@ -135,9 +136,41 @@ def engine_real_certificate(series, z, engine, tol, total):
 
 # -- scalar ODE solutions ----------------------------------------------------
 
+def _dlog(poly):
+    """d/d(log z) on a cubic block (tuple of 4 coefficients)."""
+    return (poly[1], 2 * poly[2], 3 * poly[3], 0 * poly[0])
+
+
+def _shift_inverse_pow4(poly, n):
+    """Apply (3n + d/dl)^(-4) to a cubic block, in the blocks' own
+    arithmetic: (c + d)^(-4) = c^(-4) (1 - 4 d/c + 10 d^2/c^2 - 20 d^3/c^3)
+    on cubics, with c = 3n and d = d/d(log z) applied as ``_dlog``, apart
+    from ``solutions._recursion_matrix``'s integer matrices."""
+    c = 3 * n
+    d1 = _dlog(poly)
+    d2 = _dlog(d1)
+    d3 = _dlog(d2)
+    out = []
+    for k in range(4):
+        v = poly[k] - 4 * d1[k] / c + 10 * d2[k] / (c * c) - 20 * d3[k] / (c * c * c)
+        out.append(v / c ** 4)
+    return tuple(out)
+
+
+def recursion_step(prev, n):
+    """Block n from block n-1:  (3n+d)^4 p_n = (324n - 162) p_{n-1} + 108 p'_{n-1}."""
+    dprev = _dlog(prev)
+    rhs = tuple((324 * n - 162) * prev[k] + 108 * dprev[k] for k in range(4))
+    return _shift_inverse_pow4(rhs, n)
+
+
 def series_from_coordinates(coords, order):
-    """Solution with the given Frobenius coordinates (initial block)."""
-    return _series_from_initial_block(tuple(coords), order)
+    """Solution with the given Frobenius coordinates (initial block), built
+    by ``recursion_step``, independently of ``solutions``' recursion."""
+    blocks = [tuple(coords)]
+    for n in range(1, order):
+        blocks.append(recursion_step(blocks[-1], n))
+    return LogSeries(rho=0, blocks=tuple(blocks))
 
 
 def residue_block(L, engine):

@@ -91,9 +91,9 @@ def test_exact_reports_keep_their_bytes(command):
 #: engine rounds exactly, in integers, on every platform; the double reports
 #: are left out, as their elementary functions come from the platform's libm
 MP_REPORT_DIGESTS = {
-    "verify": "cb4ed25e4f274ff0512809dafaafa40b9e1b453d3c83308edb84284d7ee4e008",
-    "stokes": "4d3c3c81b351776e9ef7436ae4eaccda1a50d73b17173ae473c5ba97a7942c17",
-    "connection": "4d6dc258420d57a0dbdddd7b19372e2a10e335041be0cf95ffaa3908a6040c5e",
+    "verify": "f033a1bb4f4ed9066d115c8ab2386b7a7dc62b0a2778acdf4cc8e6e4b05d00dc",
+    "stokes": "2bda620025993c4c6b1a78cd0ec1a789e74a889510d92aa37b9e89456f84dada",
+    "connection": "5ebd2add113fe37d54a2ee55c116c6f59fc7161eabb59789a417a8b017a96e16",
 }
 
 

@@ -36,6 +36,7 @@ from monodromy_lab.pipeline import RunConfig, run_verify
 from oracles import (
     engine_real_certificate,
     ode_residual_blocks,
+    recursion_step,
     residue_block,
     series_from_coordinates,
 )
@@ -80,6 +81,41 @@ def test_frobenius_basis_solves_ode_exactly():
         )
         for blk in ode_residual_blocks(series):
             assert all(x == 0 for x in blk)
+
+
+def test_recursion_matrices_match_the_dlog_oracle():
+    # Q_n / (3n)^7 against (3n + d)^-4 ((324n - 162) + 108 d) applied to the
+    # unit blocks in the _dlog form, exactly
+    units = [tuple(Fraction(int(j == k)) for j in range(4)) for k in range(4)]
+    for n in range(1, 121):
+        Q, den = solutions._recursion_matrix(n)
+        columns = [recursion_step(unit, n) for unit in units]
+        assert [[Fraction(q, den) for q in row] for row in Q] == [
+            [columns[j][k] for j in range(4)] for k in range(4)], n
+
+
+def test_frobenius_basis_matches_the_dlog_oracle():
+    basis = frobenius_basis(60)
+    for k, series in enumerate(basis):
+        unit = tuple(Fraction(int(j == k)) for j in range(4))
+        assert series.blocks == series_from_coordinates(unit, 60).blocks, k
+
+
+@pytest.mark.parametrize("dps, order", [(40, 40), (60, 40), (40, 120)])
+def test_phi_series_blocks_are_rounded_once(dps, order):
+    # every block within 1 ulp, 2^(1 - prec) of the block's largest entry,
+    # of the recursion run in the _dlog form at three times the digits from
+    # the same block 0: the integer recursion carries guard bits from block
+    # to block and rounds each coefficient once
+    engine, fine = get_engine("mp", dps=dps), get_engine("mp", dps=3 * dps)
+    ulp = fine.ctx.mpf(2) ** (1 - engine.ctx.prec)
+    for kind in (PHI1, PHI2):
+        series = phi_series(kind, order, engine)
+        ref = tuple(fine.ctx.mpc(x) for x in series.blocks[0])
+        for n in range(1, order):
+            ref = recursion_step(ref, n)
+            err = max(abs(fine.ctx.mpc(a) - b) for a, b in zip(series.blocks[n], ref))
+            assert err <= ulp * max(abs(b) for b in ref), (kind, n)
 
 
 def test_uccomplex_bookkeeping():
@@ -385,15 +421,38 @@ def reference_derivative(series):
     return solutions.LogSeries(rho=series.rho - 1, blocks=blocks)
 
 
+def once_rounded_derivative(series, engine):
+    """The derivative of an mp series with each coefficient the exact
+    derivative of the series' coefficients, taken in Fractions, rounded once
+    to nearest (``Engine.complex``)."""
+    parts = [[], []]
+    for blk in series.blocks:
+        exact = []
+        for a in blk:
+            re, im, exp = engine_module._exact_parts(a)
+            exact.append((re * Fraction(2) ** exp, im * Fraction(2) ** exp))
+        for p, part in zip(parts, zip(*exact)):
+            p.append(part)
+    re, im = (reference_derivative(solutions.LogSeries(rho=series.rho, blocks=tuple(p)))
+              for p in parts)
+    return solutions.LogSeries(rho=re.rho, blocks=tuple(
+        tuple(engine.complex(x, y) for x, y in zip(a, b)) for a, b in zip(re.blocks, im.blocks)))
+
+
 @pytest.mark.parametrize("engine", ENGINES, ids=["double", "mp"])
 def test_derivative_is_kept_and_term_by_term(engine):
+    # under mp against the once-rounded exact derivative of each level's
+    # parent, the mp coefficients it is built from
     for kind in (PHI1, PHI2):
         series = phi_series(kind, 40, engine)
         ref = series
         for m in range(1, 4):
             assert series.derivative() is series.derivative()
+            if engine.name == "double":
+                ref = reference_derivative(ref)
+            else:
+                ref = once_rounded_derivative(series, engine)
             series = series.derivative()
-            ref = reference_derivative(ref)
             assert series.rho == ref.rho == -m
             assert series.blocks == ref.blocks, (kind, m)
 
