@@ -178,7 +178,7 @@ I = ClosedForm.constant(0, 1)
 
 @functools.lru_cache(maxsize=None)
 def _bases(engine):
-    return engine.euler, engine.pi, engine.zeta(3)
+    return engine.euler, engine.pi, engine.zeta3
 
 
 def evaluate(x, engine):

@@ -1,33 +1,38 @@
 """Scalar arithmetic backends.
 
-Everything analytic in this package (Gamma evaluation, contour quadrature,
-log-series summation, fundamental-matrix assembly) is written against a
-small engine object instead of raw ``complex``, so the working precision is
-a swappable parameter:
+Everything analytic in this package (log-series summation,
+fundamental-matrix assembly, the 4x4 solves, the contour oracle) is written
+against a small engine object instead of raw ``complex``, so the working
+precision is a swappable parameter:
 
-* ``double`` -- hardware complex arithmetic via mpmath's ``fp`` context.
-* ``mp`` -- arbitrary precision via a private ``MPContext``.  Needed where
-  double precision cannot survive the cancellation, e.g. ratios against a
-  recessive exponential at |z| ~ 10, where the log-series terms exceed the
-  sum by 35+ orders of magnitude.
+* ``double`` (``DoubleEngine``) -- Python floats and complex numbers, with
+  ``math`` and ``cmath`` for the elementary functions and the correctly
+  rounded doubles of pi, the Euler constant and zeta(3).
+* ``mp`` (``MPEngine``) -- arbitrary precision via a private mpmath
+  ``MPContext``.  Needed where double precision cannot survive the
+  cancellation, e.g. ratios against a recessive exponential at |z| ~ 10,
+  where the log-series terms exceed the sum by 35+ orders of magnitude.
 
-Both are the same ``Engine`` class over a different context; Gamma, pi,
-the Euler constant and zeta come from the context in either.  The class
-branches on its context only where the arithmetic itself differs:
-``Engine.real`` rounds a Fraction by the context's rule, and the block
-pass of the log-series (``Engine.horner_columns``/``Engine.horner``) is a
-hardware-complex loop over every block under double and runs in exact
-integers on mpmath's raw mantissas, over the blocks that can reach the
-working precision, under mp, and ``Engine.guarded`` adds guard bits under
-mp only.  Beside that pass, ``matrix_steps`` applies integer matrices to a
-cubic block (the recursion that builds the residue series, and their
-derivative map) and picks its arithmetic from the coefficients' type, as
-``log2_magnitude`` does: their own operators for Fractions and Python
-complex numbers, exact integers on mpmath's raw mantissas for mp numbers,
-with one rounding per coefficient.  The 4x4 solves and inverses
-(``Engine.solve``, ``Engine.inverse``) are one Gaussian elimination
-(``Engine._eliminate``), with mpmath's pivot rule and refusal but none of
-its LU code.
+Only the mp engine loads mpmath, when ``get_engine`` builds one; a double
+run never imports it.  The one exception is the contour oracle of
+``solutions``: ``Engine.gamma`` and ``Engine.quad`` take mpmath's ``fp``
+context when the double engine calls them.
+
+What both engines share is written once on ``Engine``: the conversion of a
+complex number, the elementary functions by name, ``Engine.matmul`` and the
+4x4 solves and inverses (``Engine.solve``, ``Engine.inverse``), which are
+one Gaussian elimination (``Engine._eliminate``), with mpmath's pivot rule
+and refusal but none of its LU code.  Each engine has its own ``real`` (a
+Fraction rounded once, to nearest), ``guarded`` (guard bits, mp only) and
+block pass of the log-series (``horner_columns``/``horner``): a
+hardware-complex loop over every block under double, and under mp a pass
+in exact integers on mpmath's raw mantissas over the blocks that can reach
+the working precision.  Beside that pass, ``matrix_steps`` applies integer
+matrices to a cubic block (the recursion that builds the residue series,
+and their derivative map) and picks its arithmetic from the coefficients'
+type, as ``log2_magnitude`` does: their own operators for Fractions and
+Python complex numbers, exact integers on mpmath's raw mantissas for mp
+numbers, with one rounding per coefficient.
 
 A matrix is a tuple of rows, the package's one format; ``Engine.matmul``
 multiplies two as mpmath's matrix class would, and ``max_deviation`` is
@@ -47,14 +52,12 @@ takes its engine from its caller, and a run's from ``pipeline.RunConfig``.
 
 from __future__ import annotations
 
+import cmath
 import contextlib
 import math
 import operator
+import sys
 from fractions import Fraction
-
-import mpmath
-from mpmath.ctx_mp_python import _mpc, _mpf
-from mpmath.libmp import from_int, from_man_exp, fzero, mpf_div, round_nearest
 
 #: bits the exact-integer Horner pass of the mp engine carries above the
 #: working precision, and ``matrix_steps`` from block to block; each T_k,
@@ -64,9 +67,27 @@ GUARD_BITS = 20
 #: bits the mp engine's 4x4 elimination carries above the working precision
 SOLVE_GUARD_BITS = 10
 
-#: the number types of every mp context; a double engine's numbers are
-#: Python floats and complex numbers
-_MP_TYPES = (_mpf, _mpc)
+#: the number types of every mp context, empty until ``_load_mpmath``; a
+#: double engine's numbers are Python floats and complex numbers
+_MP_TYPES = ()
+
+
+def _load_mpmath():
+    """Import mpmath and bind the module names the mp arithmetic reads:
+    ``_MP_TYPES`` and the raw-number functions of ``mpmath.libmp``."""
+    global mpmath, _MP_TYPES, from_int, from_man_exp, fzero, mpf_div, round_nearest
+    import mpmath
+    from mpmath.ctx_mp_python import _mpc, _mpf
+    from mpmath.libmp import from_int, from_man_exp, fzero, mpf_div, round_nearest
+    _MP_TYPES = (_mpf, _mpc)
+
+
+def _mp_types():
+    """``_MP_TYPES``, looked up once mpmath is loaded.  No mp number exists
+    before that, so until then the empty tuple is the right answer."""
+    if not _MP_TYPES and "mpmath" in sys.modules:
+        _load_mpmath()
+    return _MP_TYPES
 
 
 class NaNResidualError(ArithmeticError):
@@ -93,8 +114,9 @@ def max_deviation(A, B):
     entry always does, and mp ``abs`` is monotone, so the maximum is the
     same number.  A NaN entry raises NaNResidualError."""
     deviations = [a - b for row_a, row_b in zip(A, B) for a, b in zip(row_a, row_b)]
-    sizes = [abs(d) for d in deviations if not isinstance(d, _MP_TYPES)]
-    mp = [d for d in deviations if isinstance(d, _MP_TYPES)]
+    mp_types = _mp_types()
+    sizes = [abs(d) for d in deviations if not isinstance(d, mp_types)]
+    mp = [d for d in deviations if isinstance(d, mp_types)]
     if mp:
         logs = [log2_magnitude(d) for d in mp]
         if any(g != g for g in logs):
@@ -106,47 +128,257 @@ def max_deviation(A, B):
 
 
 class Engine:
-    """A scalar backend: a name, an mpmath-style context and its digits."""
+    """A scalar backend: a name, its digits and what ``DoubleEngine`` and
+    ``MPEngine`` share.  Each engine supplies ``real``, ``guarded``,
+    ``horner_columns`` and ``horner``, the constants ``pi``, ``euler`` and
+    ``zeta3``, and the functions behind ``complex``, ``exp``, ``log``,
+    ``sqrt``, ``matmul`` and ``gamma``/``quad``."""
 
-    def __init__(self, name, ctx, dps):
+    def __init__(self, name, dps, eps):
         self.name = name
-        self.ctx = ctx
         self.dps = dps
-        self.eps = float(mpmath.mpf(10) ** (-dps))
+        self.eps = eps
 
     # -- conversions ---------------------------------------------------
+
+    def complex(self, x, y=0):
+        if isinstance(x, Fraction) or isinstance(y, Fraction):
+            return self._complex(self.real(x), self.real(y))
+        return self._complex(x, y)
+
+    # -- constants and elementary functions -----------------------------
+
+    @property
+    def i(self):
+        return self._complex(0, 1)
+
+    def gamma(self, z):
+        """Gamma(z), for the contour oracle; loads mpmath under double."""
+        return self._mpmath_context().gamma(z)
+
+    def exp(self, z):
+        return self._exp(z)
+
+    def log(self, z):
+        return self._log(z)
+
+    def sqrt(self, z):
+        return self._sqrt(z)
+
+    def fabs(self, z):
+        return float(abs(z))
+
+    # -- linear algebra (4x4 scale) -------------------------------------
+
+    def matmul(self, A, B):
+        """A B, each entry one ``fdot`` of a row of A and a column of B
+        (rounded once under mp), as mpmath's matrix product forms it."""
+        columns = tuple(zip(*B))
+        fdot = self._fdot
+        return tuple(tuple(fdot(row, col) for col in columns) for row in A)
+
+    def solve(self, A, B):
+        """X with A X = B, for a square A (``_eliminate``)."""
+        return self._eliminate(A, B)
+
+    def inverse(self, A):
+        """A^(-1): ``_eliminate`` against the identity."""
+        n = len(A)
+        return self._eliminate(A, [[int(i == j) for j in range(n)] for i in range(n)])
+
+    def _eliminate(self, A, B):
+        """X with A X = B: Gaussian elimination on the rows of [A | B],
+        then back substitution, in hardware complex under double and
+        ``SOLVE_GUARD_BITS`` above the working precision under mp, where
+        each entry of X is then rounded once.
+
+        The pivot rule and the refusal are those of mpmath's ``LU_decomp``,
+        with the size of an entry measured as |re| + |im|, which takes no
+        square root: at step j the pivot row is the first of the rows k >= j
+        with the largest size of A[k][j] over the row's size sum from column
+        j on.  A row sum or pivot at or below ||A||_1 eps, eps the machine
+        epsilon of the elimination's precision (``machine_eps``), raises
+        ZeroDivisionError ("numerically singular"), an ArithmeticError.
+        """
+        n = len(A)
+        rows = [list(a) + list(b) for a, b in zip(A, B)]
+        with self.guarded(SOLVE_GUARD_BITS):
+            for j in range(n):
+                sizes = [[abs(x.real) + abs(x.imag) for x in row[j:n]] for row in rows[j:]]
+                if not j:
+                    # ||A||_1, the largest column sum of the sizes
+                    tol = max(map(sum, zip(*sizes))) * self.machine_eps
+                best, p = -1, j
+                for k, row_sizes in enumerate(sizes, j):
+                    s = sum(row_sizes)
+                    if s <= tol:
+                        raise ZeroDivisionError("matrix is numerically singular")
+                    if row_sizes[0] / s > best:
+                        best, p = row_sizes[0] / s, k
+                if sizes[p - j][0] <= tol:
+                    raise ZeroDivisionError("matrix is numerically singular")
+                rows[j], rows[p] = rows[p], rows[j]
+                pivot = rows[j]
+                for row in rows[j + 1:]:
+                    f = row[j] / pivot[j]
+                    row[j + 1:] = [a - f * b for a, b in zip(row[j + 1:], pivot[j + 1:])]
+            X = [None] * n
+            for i in reversed(range(n)):
+                row = rows[i]
+                x = row[n:]
+                for k in range(i + 1, n):
+                    x = [a - row[k] * b for a, b in zip(x, X[k])]
+                X[i] = [a / row[i] for a in x]
+        return tuple(tuple(+x for x in row) for row in X)
+
+    def quad(self, f, points):
+        """mpmath's quadrature of f over the points, for the contour oracle;
+        loads mpmath under double."""
+        return self._mpmath_context().quad(f, points)
+
+    def __repr__(self):
+        return f"Engine({self.name!r}, dps={self.dps})"
+
+
+# the elementary functions of mpmath's fp context, which picks ``math`` or
+# ``cmath`` by the argument: the same choices give the same doubles
+
+def _fp_exp(x):
+    # math for a real argument, cmath for a complex one
+    return cmath.exp(x) if type(x) is complex else math.exp(x)
+
+
+def _fp_log(x):
+    # math for a positive real, rounded to a double first; cmath for zero
+    # (which raises ValueError), a negative real or a complex number
+    if type(x) is complex or x <= 0:
+        return cmath.log(x)
+    return math.log(float(x))
+
+
+def _fp_sqrt(x):
+    # math for a real x >= 0, cmath otherwise
+    if type(x) is complex or x < 0:
+        return cmath.sqrt(x)
+    return math.sqrt(x)
+
+
+def _fp_fdot(xs, ys):
+    # the products summed in order from 0.0
+    return sum(map(operator.mul, xs, ys), 0.0)
+
+
+class DoubleEngine(Engine):
+    """Hardware arithmetic: Python floats and complex numbers, with the
+    elementary functions of ``math`` and ``cmath`` as mpmath's ``fp``
+    context picks them, so that every value is the one ``fp`` gives."""
+
+    _complex = complex
+    _exp = staticmethod(_fp_exp)
+    _log = staticmethod(_fp_log)
+    _sqrt = staticmethod(_fp_sqrt)
+    _fdot = staticmethod(_fp_fdot)
+
+    # the correctly rounded doubles; tests check them against mpmath
+    pi = math.pi
+    euler = 0.5772156649015329
+    zeta3 = 1.2020569031595942
+
+    #: the machine epsilon of a double, 2^-52, behind the elimination's refusal
+    machine_eps = 2.0 ** -52
+
+    def __init__(self):
+        # a double carries 15.95 significant digits: eps = 1e-16
+        super().__init__("double", dps=16, eps=1e-16)
+
+    def real(self, x):
+        """A float; a Fraction is rounded once, to nearest."""
+        return float(x)
+
+    def guarded(self, bits=GUARD_BITS):
+        """A no-op: double arithmetic has no guard bits."""
+        return contextlib.nullcontext()
+
+    def horner_columns(self, blocks):
+        """The four coefficient columns of ``blocks``, highest block first."""
+        return tuple(zip(*reversed(blocks)))
+
+    def horner(self, columns, w):
+        """T_k = sum_n w^n a_k[n] for each column of ``horner_columns``: a
+        hardware-complex Horner loop over every block."""
+        out = []
+        for col in columns:
+            t = 0j
+            for a in col:
+                t = t * w + a
+            out.append(t)
+        return tuple(out)
+
+    def _mpmath_context(self):
+        """mpmath's ``fp`` context, for the contour oracle alone."""
+        from mpmath import fp
+
+        return fp
+
+
+class MPEngine(Engine):
+    """Arbitrary precision: a private mpmath ``MPContext`` at ``dps``
+    digits."""
+
+    def __init__(self, dps):
+        _load_mpmath()
+        ctx = mpmath.ctx_mp.MPContext()
+        ctx.dps = dps
+        super().__init__("mp", dps=dps, eps=float(mpmath.mpf(10) ** (-dps)))
+        self.ctx = ctx
+        self._complex = ctx.mpc
+        self._exp, self._log, self._sqrt, self._fdot = ctx.exp, ctx.log, ctx.sqrt, ctx.fdot
 
     def real(self, x):
         """Convert int/float/Fraction/str to the context's real type, exactly
         where the input is exact.  A Fraction is rounded once, to nearest,
         however wide its numerator and denominator."""
         if isinstance(x, Fraction):
-            if self.ctx is mpmath.fp:
-                return float(x)
             p, q = from_int(x.numerator), from_int(x.denominator)
             return self.ctx.make_mpf(mpf_div(p, q, self.ctx.prec, round_nearest))
         return self.ctx.mpf(x)
 
-    def complex(self, x, y=0):
-        if isinstance(x, Fraction) or isinstance(y, Fraction):
-            return self.ctx.mpc(self.real(x), self.real(y))
-        return self.ctx.mpc(x, y)
+    @property
+    def pi(self):
+        return +self.ctx.pi
+
+    @property
+    def euler(self):
+        return +self.ctx.euler
+
+    @property
+    def zeta3(self):
+        return self.ctx.zeta(3)
+
+    @property
+    def machine_eps(self):
+        """The context's epsilon at its current precision, guard bits
+        included."""
+        return self.ctx.eps
+
+    def guarded(self, bits=GUARD_BITS):
+        """A context in which mp arithmetic carries ``bits`` above the
+        working precision, so that a chain of operations inside it can be
+        rounded once, with unary plus, after it."""
+        return self.ctx.extraprec(bits)
 
     # -- block sums of a power series in w ------------------------------
 
     def horner_columns(self, blocks):
         """The four coefficient columns of ``blocks`` (engine complex
-        numbers), highest block first, in the form ``horner`` sums.  Under mp
-        each coefficient is read once as exact integers (re, im, exp), the
-        value (re + i im) 2^exp, and each column carries the bounds of its
-        cut: (ns, tops) over its nonzero blocks n, lowest first, with top_n
-        the larger bit length of the two mantissas plus exp, so that
+        numbers), highest block first, in the form ``horner`` sums: each
+        coefficient read once as exact integers (re, im, exp), the value
+        (re + i im) 2^exp, and each column with the bounds of its cut:
+        (ns, tops) over its nonzero blocks n, lowest first, with top_n the
+        larger bit length of the two mantissas plus exp, so that
         2^(top_n - 1) <= |a[n]| < 2^(top_n + 1/2)."""
-        columns = zip(*reversed(blocks))
-        if self.ctx is mpmath.fp:
-            return tuple(tuple(col) for col in columns)
         out = []
-        for col in columns:
+        for col in zip(*reversed(blocks)):
             parts = tuple(_exact_parts(a) for a in col)
             nonzero = [(n, max(re.bit_length(), im.bit_length()) + exp)
                         for n, (re, im, exp) in enumerate(reversed(parts)) if re or im]
@@ -156,11 +388,10 @@ class Engine:
     def horner(self, columns, w):
         """T_k = sum_n w^n a_k[n] for each column of ``horner_columns``.
 
-        Under double this is a hardware-complex Horner loop over every
-        block.  Under mp it runs in exact integers, and only over the blocks
-        that can reach the working precision: the leading (highest) blocks
-        whose summed magnitude bounds lie below 2^-(prec + GUARD_BITS) of
-        the column's largest term are skipped (``_summed_blocks``, from the
+        The pass runs in exact integers, and only over the blocks that can
+        reach the working precision: the leading (highest) blocks whose
+        summed magnitude bounds lie below 2^-(prec + GUARD_BITS) of the
+        column's largest term are skipped (``_summed_blocks``, from the
         bounds of ``horner_columns``), and block 0 is always summed.  Each
         step's product and sum are exact, then T is cut to
         ``ctx.prec + GUARD_BITS`` bits, and each T_k is rounded once, to
@@ -168,14 +399,6 @@ class Engine:
         (4 per summed block, and 1 for the skipped ones) times
         2^-(prec + GUARD_BITS) sum_n |w^n a_k[n]|.
         """
-        if self.ctx is mpmath.fp:
-            out = []
-            for col in columns:
-                t = self.complex(0)
-                for a in col:
-                    t = t * w + a
-                out.append(t)
-            return tuple(out)
         prec = self.ctx.prec
         wr, wi, we = _exact_parts(w)
         bits = prec + GUARD_BITS
@@ -206,112 +429,8 @@ class Engine:
                                           from_man_exp(ti, te, prec, round_nearest))))
         return tuple(out)
 
-    def guarded(self, bits=GUARD_BITS):
-        """A context in which mp arithmetic carries ``bits`` above the
-        working precision, so that a chain of operations inside it can be
-        rounded once, with unary plus, after it; a no-op under double."""
-        if self.ctx is mpmath.fp:
-            return contextlib.nullcontext()
-        return self.ctx.extraprec(bits)
-
-    # -- constants and elementary functions -----------------------------
-
-    @property
-    def pi(self):
-        return +self.ctx.pi
-
-    @property
-    def euler(self):
-        return +self.ctx.euler
-
-    def zeta(self, n):
-        return self.ctx.zeta(n)
-
-    @property
-    def i(self):
-        return self.ctx.mpc(0, 1)
-
-    def gamma(self, z):
-        return self.ctx.gamma(z)
-
-    def exp(self, z):
-        return self.ctx.exp(z)
-
-    def log(self, z):
-        return self.ctx.log(z)
-
-    def sqrt(self, z):
-        return self.ctx.sqrt(z)
-
-    def fabs(self, z):
-        return float(abs(z))
-
-    # -- linear algebra (4x4 scale) -------------------------------------
-
-    def matmul(self, A, B):
-        """A B, each entry one ``ctx.fdot`` of a row of A and a column of B
-        (rounded once under mp), as mpmath's matrix product forms it."""
-        columns = tuple(zip(*B))
-        return tuple(tuple(self.ctx.fdot(row, col) for col in columns) for row in A)
-
-    def solve(self, A, B):
-        """X with A X = B, for a square A (``_eliminate``)."""
-        return self._eliminate(A, B)
-
-    def inverse(self, A):
-        """A^(-1): ``_eliminate`` against the identity."""
-        n = len(A)
-        return self._eliminate(A, [[int(i == j) for j in range(n)] for i in range(n)])
-
-    def _eliminate(self, A, B):
-        """X with A X = B: Gaussian elimination on the rows of [A | B],
-        then back substitution, in hardware complex under double and
-        ``SOLVE_GUARD_BITS`` above the working precision under mp, where
-        each entry of X is then rounded once.
-
-        The pivot rule and the refusal are those of mpmath's ``LU_decomp``,
-        with the size of an entry measured as |re| + |im|, which takes no
-        square root: at step j the pivot row is the first of the rows k >= j
-        with the largest size of A[k][j] over the row's size sum from column
-        j on.  A row sum or pivot at or below ||A||_1 eps raises
-        ZeroDivisionError ("numerically singular"), an ArithmeticError.
-        """
-        n = len(A)
-        rows = [list(a) + list(b) for a, b in zip(A, B)]
-        with self.guarded(SOLVE_GUARD_BITS):
-            for j in range(n):
-                sizes = [[abs(x.real) + abs(x.imag) for x in row[j:n]] for row in rows[j:]]
-                if not j:
-                    # ||A||_1, the largest column sum of the sizes
-                    tol = max(map(sum, zip(*sizes))) * self.ctx.eps
-                best, p = -1, j
-                for k, row_sizes in enumerate(sizes, j):
-                    s = sum(row_sizes)
-                    if s <= tol:
-                        raise ZeroDivisionError("matrix is numerically singular")
-                    if row_sizes[0] / s > best:
-                        best, p = row_sizes[0] / s, k
-                if sizes[p - j][0] <= tol:
-                    raise ZeroDivisionError("matrix is numerically singular")
-                rows[j], rows[p] = rows[p], rows[j]
-                pivot = rows[j]
-                for row in rows[j + 1:]:
-                    f = row[j] / pivot[j]
-                    row[j + 1:] = [a - f * b for a, b in zip(row[j + 1:], pivot[j + 1:])]
-            X = [None] * n
-            for i in reversed(range(n)):
-                row = rows[i]
-                x = row[n:]
-                for k in range(i + 1, n):
-                    x = [a - row[k] * b for a, b in zip(x, X[k])]
-                X[i] = [a / row[i] for a in x]
-        return tuple(tuple(+x for x in row) for row in X)
-
-    def quad(self, f, points):
-        return self.ctx.quad(f, points)
-
-    def __repr__(self):
-        return f"Engine({self.name!r}, dps={self.dps})"
+    def _mpmath_context(self):
+        return self.ctx
 
 
 def _exact_parts(x):
@@ -354,7 +473,7 @@ def log2_magnitude(x):
     read from its exact parts (``_exact_parts``, ``_log2_abs``), which takes
     no mp arithmetic, and from ``math`` for any other number; -inf for 0,
     inf for an infinite x and NaN for a NaN, as |x| reads."""
-    if not isinstance(x, _MP_TYPES):
+    if not isinstance(x, _mp_types()):
         size = abs(x)
         return math.log2(size) if size else -math.inf
     try:
@@ -418,7 +537,7 @@ def matrix_steps(block, steps):
     coefficient raises OverflowError.
     """
     out = []
-    if not isinstance(block[0], _MP_TYPES):
+    if not isinstance(block[0], _mp_types()):
         for Q, den in steps:
             block = tuple([sum(map(operator.mul, row, block)) for row in Q])
             if den != 1:
@@ -458,14 +577,11 @@ def get_engine(name, dps=None):
     key = (name, dps if name == "mp" else None)
     if key not in _ENGINES:
         if name == "double":
-            # a double carries 15.95 significant digits: eps = 1e-16
-            _ENGINES[key] = Engine("double", mpmath.fp, dps=16)
+            _ENGINES[key] = DoubleEngine()
         elif name == "mp":
             if dps is None:
                 raise ValueError("the mp engine needs dps, its number of digits")
-            ctx = mpmath.ctx_mp.MPContext()
-            ctx.dps = dps
-            _ENGINES[key] = Engine("mp", ctx, dps=dps)
+            _ENGINES[key] = MPEngine(dps)
         else:
             raise ValueError(f"unknown engine {name!r}")
     return _ENGINES[key]

@@ -10,7 +10,9 @@
 * ``gate``: residuals plus tolerances to ``failed_checks`` and ``status``.
 
 Each stage returns its data and a dict of named residuals; ``run_verify``
-composes them, and the CLI subcommands call the same stages.
+composes them, and the CLI subcommands call the same stages.  An
+ArithmeticError that leaves a stage keeps its type and names the stage
+first in its message ("connection stage: matrix is numerically singular").
 """
 
 from __future__ import annotations
@@ -108,6 +110,23 @@ class RunConfig(Record):
         return get_engine(self.engine_name, dps=self.dps)
 
 
+def _named_stage(stage):
+    """The stage, with its name put before the message of an
+    ArithmeticError that leaves it."""
+    name = stage.__name__.replace("_", " ")
+
+    @functools.wraps(stage)
+    def run(*args, **kwargs):
+        try:
+            return stage(*args, **kwargs)
+        except ArithmeticError as exc:
+            exc.args = (f"{name}: {exc}",)
+            raise
+
+    return run
+
+
+@_named_stage
 def stokes_stage(config):
     """S', P and S at the config's Stokes base points."""
     sd = stokes_matrix(config.engine(), stokes_points(config.z0_stokes),
@@ -115,6 +134,7 @@ def stokes_stage(config):
     return sd, dict(sd.residuals)
 
 
+@_named_stage
 def connection_stage(config, sd):
     """C' and C at the config's connection base points, the closed-form
     comparison of C and the two monodromy constraints on (S, C)."""
@@ -134,8 +154,8 @@ def _c_closed_form(engine):
     return evaluate_over_d(reference.C_REF_NUMERATORS, engine)
 
 
-#: C_Gamma is evaluated at this many digits, or at the run's own when it
-#: asks for more
+#: under mp, C_Gamma is evaluated at this many digits, or at the run's own
+#: when it asks for more
 C_GAMMA_DPS = 40
 
 
@@ -145,17 +165,22 @@ class CharacteristicData(NamedTuple):
 
     euler: tuple            # exact integer Euler matrix
     euler_inverse: tuple    # its exact inverse
-    c_gamma: tuple          # C_Gamma at max(C_GAMMA_DPS, dps) digits (mp), row-major
+    c_gamma: tuple          # C_Gamma (see characteristic_stage), row-major
 
 
+@_named_stage
 def characteristic_stage(config):
     """The derived-category side.  Its exact part does not depend on the
     configuration and is computed once per process; C_Gamma is evaluated
-    once per precision, at max(C_GAMMA_DPS, config.dps) digits, so the
-    braid comparison is not limited by it.  Returned immutable."""
+    once per engine: the run's own under double, and under mp one at
+    max(C_GAMMA_DPS, config.dps) digits, so that the braid comparison is not
+    limited by it.  Returned immutable."""
     euler, euler_inverse, _, residuals = _exact_characteristic()
+    engine = config.engine()
+    if engine.name == "mp":
+        engine = get_engine("mp", dps=max(C_GAMMA_DPS, config.dps))
     data = CharacteristicData(euler=euler, euler_inverse=euler_inverse,
-                              c_gamma=_c_gamma(max(C_GAMMA_DPS, config.dps)))
+                              c_gamma=_c_gamma(engine))
     return data, residuals
 
 
@@ -164,10 +189,11 @@ def _exact_characteristic():
     """The exact Euler matrix, its inverse, the exact numerators of C_Gamma
     (``ktheory.c_gamma_numerators``) and the C_Gamma identity: the numerators
     are compared exactly with the closed form, and the residual is the
-    evaluated difference of the two exact matrices, 0 when they agree."""
+    evaluated difference of the two exact matrices, 0 when they agree; an
+    exact 0 needs no digits, so it is evaluated in double."""
     euler = ktheory.euler_matrix()
     numerators = ktheory.c_gamma_numerators()
-    engine = get_engine("mp", dps=C_GAMMA_DPS)
+    engine = get_engine("double")
     difference = [[a - b for a, b in zip(row, ref)]
                   for row, ref in zip(numerators, reference.C_GAMMA_REF_NUMERATORS)]
     residuals = {"c_gamma_vs_closed_form": max(
@@ -176,17 +202,18 @@ def _exact_characteristic():
 
 
 @functools.lru_cache(maxsize=None)
-def _c_gamma(dps):
-    """C_Gamma evaluated at dps digits."""
-    return evaluate_over_d(_exact_characteristic()[2], get_engine("mp", dps=dps))
+def _c_gamma(engine):
+    """C_Gamma evaluated in the engine."""
+    return evaluate_over_d(_exact_characteristic()[2], engine)
 
 
+@_named_stage
 def braid_stage(S, C, characteristic, tol):
     """Search for the braid/sign transformation carrying (S, C) to
     (Euler^-1, C_Gamma).  S and Euler^-1 are exact integers, which the
     search compares with ``==``, and C holds the run's engine numbers, so
     ``braid_match`` is the C side's deviation alone, measured at working
-    precision (against C_Gamma at max(C_GAMMA_DPS, dps) digits)."""
+    precision (against C_Gamma, at max(C_GAMMA_DPS, dps) digits under mp)."""
     target_C = characteristic.c_gamma
     found = braid.search_equivalence(S, C, characteristic.euler_inverse, target_C,
                                      max_len=2, tol=tol)

@@ -55,7 +55,8 @@ def _encode(obj, out):
             _encode(v, out)
         out.append("}")
     else:
-        # engine scalars (mpmath numbers of either context) funnel through complex()
+        # mp engine scalars (mpmath numbers) funnel through complex(); the
+        # double engine's are the Python floats and complex numbers above
         _encode(complex(obj), out)
 
 

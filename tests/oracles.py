@@ -13,6 +13,8 @@ import functools
 import math
 from fractions import Fraction
 
+import mpmath
+
 from monodromy_lab import closedform, reference
 from monodromy_lab.monodromy import MU_DIAG
 from monodromy_lab.ring import operator_matrices
@@ -102,11 +104,19 @@ def phi_top_orthogonality_residuals(series):
 
 # -- matrices ----------------------------------------------------------------
 
+def mpmath_context(engine):
+    """The mpmath context of the engine's numbers: ``mpmath.fp`` for the
+    double engine, whose numbers are Python floats and complex numbers, and
+    the mp engine's own."""
+    return mpmath.fp if engine.name == "double" else engine.ctx
+
+
 def context_matrix(engine, rows):
-    """A matrix given as rows as mpmath's matrix of the engine's context,
-    each Fraction rounded once by ``Engine.complex``: products and
-    differences for the oracles, independent of ``Engine.matmul``."""
-    return engine.ctx.matrix([[engine.complex(v) if isinstance(v, Fraction) else v
+    """A matrix given as rows as mpmath's matrix of the engine's context
+    (``mpmath_context``), each Fraction rounded once by ``Engine.complex``:
+    products and differences for the oracles, independent of
+    ``Engine.matmul``."""
+    return mpmath_context(engine).matrix([[engine.complex(v) if isinstance(v, Fraction) else v
                                for v in row] for row in rows])
 
 

@@ -8,6 +8,7 @@ import functools
 import math
 from fractions import Fraction
 
+import mpmath
 import sympy as sp
 
 from monodromy_lab import reference
@@ -270,7 +271,7 @@ def test_criterion_12_property_suite():
         S2, C2 = braid_act(BraidWord(letters=((2, 1), (1, 1), (2, 1))), S, C)
         ok = ok and max_deviation(S1, S2) < 1e-12 and max_deviation(C1, C2) < 1e-12
     # unipotency of the rotation operator
-    A = D.ctx.matrix(rotation_operator_matrix(D))
-    M = A * A * A * A - 4 * A * A * A + 6 * A * A - 4 * A + D.ctx.eye(4)
+    A = mpmath.fp.matrix(rotation_operator_matrix(D))
+    M = A * A * A * A - 4 * A * A * A + 6 * A * A - 4 * A + mpmath.fp.eye(4)
     ok = ok and max_deviation(M.tolist(), [[0] * 4] * 4) < 1e-12
     assert _line(12, ok, "ring/Frobenius, Gamma reflection, braid relation, rotation unipotency")

@@ -315,9 +315,27 @@ def test_tail_certificate_at_the_bottom_of_the_double_range(capsys):
     code = main(["verify", "--dps", "291"])
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
-    assert captured.err == ("failed check: truncation order 40 too small at |z|=2.0 "
-                            "for tolerance 1.0e-289\n")
+    assert captured.err == ("failed check: stokes stage: truncation order 40 too small "
+                            "at |z|=2.0 for tolerance 1.0e-289\n")
     assert run_cli(capsys, "verify", "--dps", "291", "--order", "120")[0] == 0
+
+
+def test_an_arithmetic_failure_names_its_stage(capsys):
+    # a connection base point where Y_top is numerically singular under mp and
+    # the series need more than 40 blocks under double: each error keeps its
+    # type and exit code 1, and its message starts with the stage's name
+    z0 = UCComplex.polar(1e-300, 0.785)
+    with pytest.raises(ZeroDivisionError, match="^connection stage: matrix is numerically"):
+        run_verify(RunConfig(z0_connection=z0))
+    with pytest.raises(solutions.TailBoundError, match="^connection stage: truncation order"):
+        run_verify(RunConfig(z0_connection=z0, engine_name="double"))
+    for engine, message in (("mp", "matrix is numerically singular"),
+                            ("double", "truncation order 40 too small at |z|=5e-301 "
+                                       "for tolerance 1e-10")):
+        code = main(["verify", "--engine", engine, "--z0-connection", "1e-300,0.785"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == f"failed check: connection stage: {message}\n"
 
 
 def test_exit_code_config_errors(capsys, tmp_path):

@@ -1,8 +1,12 @@
-"""Engine conversions (exact data is rounded once, to nearest), solves, and
-the rule that every computation takes its engine from its caller."""
+"""Engine conversions (exact data is rounded once, to nearest), solves, the
+double engine's agreement with mpmath's fp context without loading mpmath,
+and the rule that every computation takes its engine from its caller."""
 
 import inspect
+import math
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -39,7 +43,7 @@ def test_mp_real_rounds_wide_numerators_once():
 @pytest.mark.parametrize("name", ["double", "mp"])
 def test_solve_and_inverse_match_lu_solve_at_twice_the_precision(name):
     e = get_engine(name, dps=40)
-    ctx = e.ctx
+    ctx = mpmath.fp if name == "double" else e.ctx
     # a complex system whose pivoting swaps rows
     A = [[ctx.mpc(k % 3 - 1, (j * k) % 5) / (j + k + 1) for k in range(4)] for j in range(4)]
     B = [[ctx.mpc(j - k, 1) / 7 for k in range(4)] for j in range(4)]
@@ -105,7 +109,7 @@ def test_no_mpmath_lu_on_the_verify_path(monkeypatch, tmp_path):
     def refuse(*args, **kwargs):
         raise AssertionError("an mpmath LU solve, matrix or matrix power on the verify path")
 
-    one = get_engine("double").ctx.matrix([[1]])
+    one = mpmath.fp.matrix([[1]])
     with monkeypatch.context() as patched:
         for owner, attr in ((LinearAlgebraMethods, "LU_decomp"),
                             (LinearAlgebraMethods, "lu_solve"), (_matrix, "__pow__"),
@@ -204,3 +208,84 @@ def test_every_computation_takes_its_engine_explicitly():
         assert "engine" not in inspect.signature(fn).parameters, fn
     with pytest.raises(ValueError, match="dps"):
         get_engine("mp")
+
+
+# -- the double engine on the standard library -------------------------------
+
+def test_double_constants_are_correctly_rounded():
+    ctx = mpmath.mp.clone()
+    ctx.dps = 50
+    e = get_engine("double")
+    assert (e.pi, e.euler, e.zeta3) == (float(ctx.pi), float(ctx.euler), float(ctx.zeta(3)))
+    assert e.eps == 1e-16 and e.machine_eps == mpmath.fp.eps == 2.0 ** -52
+
+
+def bits(x):
+    """A number's type and the hex of its parts, or the type of the error
+    computing it raised: equal only for the same double, sign of zero
+    included."""
+    if isinstance(x, BaseException):
+        return type(x)
+    parts = (x.real, x.imag) if isinstance(x, complex) else (x,)
+    return type(x), tuple(float(v).hex() for v in parts)
+
+
+def outcome(f, *args):
+    try:
+        return bits(f(*args))
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        return bits(exc)
+
+
+def test_double_arithmetic_is_mpmath_fp_bit_for_bit():
+    e, fp = get_engine("double"), mpmath.fp
+    reals = [0, 0.0, -0.0, 2, -3, 0.75, -2.5, 1e-300, -1e300, 1000.0,
+             math.inf, -math.inf, math.nan,
+             Fraction(1, 3), Fraction(-7, 3), Fraction(3 ** 60 + 1, 7 ** 25)]
+    complexes = [0j, complex(-2.0, 0.0), complex(-2.0, -0.0), 3 + 4j, -1.5 - 0.25j,
+                 complex(0.0, -7.0), complex(1e-200, 1e200)]
+    for x in reals + complexes:
+        for name in ("exp", "log", "sqrt"):
+            assert outcome(getattr(e, name), x) == outcome(getattr(fp, name), x), (name, x)
+    for x in reals:
+        assert bits(e.real(x)) == bits(fp.mpf(x)), x
+        # two reals enter as the context's reals: Python's complex() adds
+        # 0.0 to -0.0 for a Fraction part, which then reads +0.0
+        for y in (0, -0.0, Fraction(-2, 9), 1.25):
+            assert bits(e.complex(x, y)) == bits(fp.mpc(fp.mpf(x), fp.mpf(y))), (x, y)
+    for x in complexes:
+        assert bits(e.complex(x, 0)) == bits(fp.mpc(x, 0)), x
+    A = [[complexes[(i + j) % 7] * (i - j) for j in range(4)] for i in range(4)]
+    B = [[-0.0, 1, 2.5, -3j], [0j, -0.0, Fraction(1, 3), 1e-200],
+         [4 - 1j, -0.0, 0, 7], [1e200j, 0.5, -1, -0.0]]
+    for X, Y in ((A, B), (B, A)):
+        product = (fp.matrix(X) * fp.matrix(Y)).tolist()
+        got = e.matmul(X, Y)
+        assert [[bits(v) for v in row] for row in got] == \
+            [[bits(v) for v in row] for row in product]
+
+
+def test_double_commands_never_load_mpmath():
+    # each command in turn in one fresh process, with its exit code; the
+    # contour oracle of solutions is the only double path that loads mpmath
+    code = ("import contextlib, io, sys\n"
+            "from monodromy_lab import cli\n"
+            "print('mpmath' in sys.modules)\n"
+            "for argv in (['verify', '--engine', 'double'], ['stokes', '--engine', 'double'],\n"
+            "             ['connection', '--engine', 'double'], ['qcoh'], ['period'],\n"
+            "             ['phitop'], ['euler-matrix']):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        code = cli.main(argv)\n"
+            "    print(code, 'mpmath' in sys.modules, *argv)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120)
+    assert proc.stdout.splitlines() == [
+        "False", "1 False verify --engine double", "1 False stokes --engine double",
+        "0 False connection --engine double", "0 False qcoh", "0 False period",
+        "0 False phitop", "0 False euler-matrix"], proc.stderr
+
+
+def test_double_solutions_runs_its_contour_oracle(tmp_path):
+    from monodromy_lab.cli import main
+
+    assert main(["solutions", "--engine", "double", "--output", str(tmp_path / "s.json")]) == 0

@@ -4,6 +4,7 @@ import cmath
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from monodromy_lab.engine import get_engine
@@ -98,7 +99,7 @@ def test_frame_diagonalizes_and_V_printed():
 def test_frame_eta_orthogonality():
     # Psi^T Psi = eta
     f = frame(E)
-    M = E.ctx.matrix(f.Psi).T * E.ctx.matrix(f.Psi)
+    M = mpmath.fp.matrix(f.Psi).T * mpmath.fp.matrix(f.Psi)
     for i in range(4):
         for j in range(4):
             target = 1.0 if i + j == 3 else 0.0

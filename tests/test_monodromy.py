@@ -44,6 +44,7 @@ from monodromy_lab.solutions import (
 import oracles
 from oracles import (
     context_matrix,
+    mpmath_context,
     phi_top_grading_violations,
     phi_top_orthogonality_residuals,
     phi_top_recursion_residuals,
@@ -61,7 +62,7 @@ CONNECTION_Z0S = connection_points(UCComplex.polar(0.1, math.pi / 4))
 def exp_mu(t, engine):
     """e^(t mu) = diag e^(t mu_i) by the engine's exponentials; z^mu is
     e^(t mu) at t = log z."""
-    return engine.ctx.diag([engine.exp(engine.real(mu) * t) for mu in MU_DIAG])
+    return mpmath_context(engine).diag([engine.exp(engine.real(mu) * t) for mu in MU_DIAG])
 
 def test_phi_top_published_blocks():
     series = phi_top(10)
@@ -233,7 +234,7 @@ def test_eval_Ytop_matches_a_double_precision_oracle(engine):
     # of its terms' magnitudes; double has no guard bits, and its Horner
     # steps and products each round (measured worst 3.1 2^-53)
     ctx = get_engine("mp", dps=40).ctx.clone()
-    prec = engine.ctx.prec
+    prec = mpmath_context(engine).prec
     ctx.prec = 2 * prec
     bound = ctx.mpf(2) ** -prec * (1 if engine is MP else 8)
     for modulus in (0.05, 0.1, 0.2, 0.4):
@@ -433,7 +434,8 @@ def test_a_non_finite_entry_never_snaps(monkeypatch, capsys, part):
     def poisoned(self, A, B):
         X = [list(row) for row in original(self, A, B)]
         v = complex(X[0][1])
-        X[0][1] = self.ctx.mpc(*((math.nan, v.imag) if part == "real" else (v.real, math.nan)))
+        parts = (math.nan, v.imag) if part == "real" else (v.real, math.nan)
+        X[0][1] = mpmath_context(self).mpc(*parts)
         return tuple(map(tuple, X))
 
     monkeypatch.setattr(Engine, "solve", poisoned)
