@@ -65,10 +65,6 @@ def _parse_ucpoint(text):
         raise ValueError(f"bad point {text!r}: {exc}") from exc
 
 
-def _point_text(z):
-    return f"{float(z.modulus):g},{z.arg:.6g}"
-
-
 def _parse_tols(pairs):
     out = {}
     for p in pairs or ():
@@ -88,10 +84,10 @@ def build_parser():
                     help=f"series truncation order (default {RunConfig.truncation_order})")
     ap.add_argument("--z0-stokes", default=None, metavar="MOD,ARG",
                     help="base point for the Stokes extraction "
-                         f"(default {_point_text(RunConfig.z0_stokes)})")
+                         f"(default {RunConfig.z0_stokes})")
     ap.add_argument("--z0-connection", default=None, metavar="MOD,ARG",
                     help="base point for the connection extraction "
-                         f"(default {_point_text(RunConfig.z0_connection)})")
+                         f"(default {RunConfig.z0_connection})")
     ap.add_argument("--tol", action="append", metavar="NAME=VALUE",
                     help="override a named tolerance")
     ap.add_argument("--engine", choices=["double", "mp"], default=None,

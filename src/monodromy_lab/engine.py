@@ -19,20 +19,22 @@ run never imports it.  The one exception is the contour oracle of
 context when the double engine calls them.
 
 What both engines share is written once on ``Engine``: the conversion of a
-complex number, the elementary functions by name, ``Engine.matmul`` and the
-4x4 solves and inverses (``Engine.solve``, ``Engine.inverse``), which are
-one Gaussian elimination (``Engine._eliminate``), with mpmath's pivot rule
-and refusal but none of its LU code.  Each engine has its own ``real`` (a
-Fraction rounded once, to nearest), ``guarded`` (guard bits, mp only) and
-block pass of the log-series (``horner_columns``/``horner``): a
-hardware-complex loop over every block under double, and under mp a pass
-in exact integers on mpmath's raw mantissas over the blocks that can reach
-the working precision.  Beside that pass, ``matrix_steps`` applies integer
-matrices to a cubic block (the recursion that builds the residue series,
-and their derivative map) and picks its arithmetic from the coefficients'
-type, as ``log2_magnitude`` does: their own operators for Fractions and
-Python complex numbers, exact integers on mpmath's raw mantissas for mp
-numbers, with one rounding per coefficient.
+complex number, the elementary functions by name, ``Engine.matmul``, and
+the 4x4 solves and inverses (``Engine.solve``, ``Engine.inverse``) with
+mpmath's pivot rule and refusal but none of its LU code.  Each engine has
+its own ``real`` (a Fraction rounded once, to nearest), ``guarded`` (guard
+bits, mp only), Gaussian elimination behind the solves (``_eliminate``)
+and block pass of the log-series (``horner_columns``/``horner``): hardware
+complex arithmetic under double, and under mp exact integers on mpmath's
+raw mantissas, where the elimination holds each row at its own exponent
+and rounds each entry of X once, and the block pass sums only the blocks
+that can reach the working precision.  Beside them, ``matrix_steps``
+applies integer matrices to a cubic block (the recursion that builds the
+residue series, and their derivative map) and picks its arithmetic from
+the coefficients' type, as ``log2_magnitude`` does: their own operators
+for Fractions and Python complex numbers, exact integers on mpmath's raw
+mantissas for mp numbers, with one rounding per coefficient.  So all three
+mp kernels run on raw mantissas, and each states its error bound.
 
 A matrix is a tuple of rows, the package's one format; ``Engine.matmul``
 multiplies two as mpmath's matrix class would, and ``max_deviation`` is
@@ -64,7 +66,11 @@ from fractions import Fraction
 #: and each coefficient of a step, is rounded to the working precision once
 GUARD_BITS = 20
 
-#: bits the mp engine's 4x4 elimination carries above the working precision
+#: bits the mp engine's 4x4 elimination holds above the working precision
+SOLVE_EXTRA_BITS = 64
+
+#: the mp elimination refuses a row sum or pivot at or below ||A||_1 times
+#: 2^(1 - prec - SOLVE_GUARD_BITS), the epsilon of prec + SOLVE_GUARD_BITS bits
 SOLVE_GUARD_BITS = 10
 
 #: the number types of every mp context, empty until ``_load_mpmath``; a
@@ -130,9 +136,9 @@ def max_deviation(A, B):
 class Engine:
     """A scalar backend: a name, its digits and what ``DoubleEngine`` and
     ``MPEngine`` share.  Each engine supplies ``real``, ``guarded``,
-    ``horner_columns`` and ``horner``, the constants ``pi``, ``euler`` and
-    ``zeta3``, and the functions behind ``complex``, ``exp``, ``log``,
-    ``sqrt``, ``matmul`` and ``gamma``/``quad``."""
+    ``horner_columns``, ``horner`` and ``_eliminate``, the constants ``pi``,
+    ``euler`` and ``zeta3``, and the functions behind ``complex``, ``exp``,
+    ``log``, ``sqrt``, ``matmul`` and ``gamma``/``quad``."""
 
     def __init__(self, name, dps, eps):
         self.name = name
@@ -178,58 +184,24 @@ class Engine:
         return tuple(tuple(fdot(row, col) for col in columns) for row in A)
 
     def solve(self, A, B):
-        """X with A X = B, for a square A (``_eliminate``)."""
-        return self._eliminate(A, B)
-
-    def inverse(self, A):
-        """A^(-1): ``_eliminate`` against the identity."""
-        n = len(A)
-        return self._eliminate(A, [[int(i == j) for j in range(n)] for i in range(n)])
-
-    def _eliminate(self, A, B):
-        """X with A X = B: Gaussian elimination on the rows of [A | B],
-        then back substitution, in hardware complex under double and
-        ``SOLVE_GUARD_BITS`` above the working precision under mp, where
-        each entry of X is then rounded once.
+        """X with A X = B, for a square A: the engine's ``_eliminate``, a
+        Gaussian elimination on the rows of [A | B] and a back substitution.
 
         The pivot rule and the refusal are those of mpmath's ``LU_decomp``,
         with the size of an entry measured as |re| + |im|, which takes no
         square root: at step j the pivot row is the first of the rows k >= j
         with the largest size of A[k][j] over the row's size sum from column
         j on.  A row sum or pivot at or below ||A||_1 eps, eps the machine
-        epsilon of the elimination's precision (``machine_eps``), raises
-        ZeroDivisionError ("numerically singular"), an ArithmeticError.
+        epsilon of a double under double and 2^(1 - prec - SOLVE_GUARD_BITS)
+        under mp, raises ZeroDivisionError ("numerically singular"), an
+        ArithmeticError.
         """
+        return self._eliminate(A, B)
+
+    def inverse(self, A):
+        """A^(-1): ``_eliminate`` against the identity."""
         n = len(A)
-        rows = [list(a) + list(b) for a, b in zip(A, B)]
-        with self.guarded(SOLVE_GUARD_BITS):
-            for j in range(n):
-                sizes = [[abs(x.real) + abs(x.imag) for x in row[j:n]] for row in rows[j:]]
-                if not j:
-                    # ||A||_1, the largest column sum of the sizes
-                    tol = max(map(sum, zip(*sizes))) * self.machine_eps
-                best, p = -1, j
-                for k, row_sizes in enumerate(sizes, j):
-                    s = sum(row_sizes)
-                    if s <= tol:
-                        raise ZeroDivisionError("matrix is numerically singular")
-                    if row_sizes[0] / s > best:
-                        best, p = row_sizes[0] / s, k
-                if sizes[p - j][0] <= tol:
-                    raise ZeroDivisionError("matrix is numerically singular")
-                rows[j], rows[p] = rows[p], rows[j]
-                pivot = rows[j]
-                for row in rows[j + 1:]:
-                    f = row[j] / pivot[j]
-                    row[j + 1:] = [a - f * b for a, b in zip(row[j + 1:], pivot[j + 1:])]
-            X = [None] * n
-            for i in reversed(range(n)):
-                row = rows[i]
-                x = row[n:]
-                for k in range(i + 1, n):
-                    x = [a - row[k] * b for a, b in zip(x, X[k])]
-                X[i] = [a / row[i] for a in x]
-        return tuple(tuple(+x for x in row) for row in X)
+        return self._eliminate(A, [[int(i == j) for j in range(n)] for i in range(n)])
 
     def quad(self, f, points):
         """mpmath's quadrature of f over the points, for the contour oracle;
@@ -314,6 +286,38 @@ class DoubleEngine(Engine):
             out.append(t)
         return tuple(out)
 
+    def _eliminate(self, A, B):
+        """``Engine.solve`` in hardware complex arithmetic."""
+        n = len(A)
+        rows = [list(a) + list(b) for a, b in zip(A, B)]
+        for j in range(n):
+            sizes = [[abs(x.real) + abs(x.imag) for x in row[j:n]] for row in rows[j:]]
+            if not j:
+                # ||A||_1, the largest column sum of the sizes
+                tol = max(map(sum, zip(*sizes))) * self.machine_eps
+            best, p = -1, j
+            for k, row_sizes in enumerate(sizes, j):
+                s = sum(row_sizes)
+                if s <= tol:
+                    raise ZeroDivisionError("matrix is numerically singular")
+                if row_sizes[0] / s > best:
+                    best, p = row_sizes[0] / s, k
+            if sizes[p - j][0] <= tol:
+                raise ZeroDivisionError("matrix is numerically singular")
+            rows[j], rows[p] = rows[p], rows[j]
+            pivot = rows[j]
+            for row in rows[j + 1:]:
+                f = row[j] / pivot[j]
+                row[j + 1:] = [a - f * b for a, b in zip(row[j + 1:], pivot[j + 1:])]
+        X = [None] * n
+        for i in reversed(range(n)):
+            row = rows[i]
+            x = row[n:]
+            for k in range(i + 1, n):
+                x = [a - row[k] * b for a, b in zip(x, X[k])]
+            X[i] = [a / row[i] for a in x]
+        return tuple(map(tuple, X))
+
     def _mpmath_context(self):
         """mpmath's ``fp`` context, for the contour oracle alone."""
         from mpmath import fp
@@ -354,12 +358,6 @@ class MPEngine(Engine):
     @property
     def zeta3(self):
         return self.ctx.zeta(3)
-
-    @property
-    def machine_eps(self):
-        """The context's epsilon at its current precision, guard bits
-        included."""
-        return self.ctx.eps
 
     def guarded(self, bits=GUARD_BITS):
         """A context in which mp arithmetic carries ``bits`` above the
@@ -429,8 +427,104 @@ class MPEngine(Engine):
                                           from_man_exp(ti, te, prec, round_nearest))))
         return tuple(out)
 
+    def _eliminate(self, A, B):
+        """``Engine.solve`` in exact integers on mpmath's raw mantissas, for
+        entries that are mp numbers or ints.
+
+        Each entry is read once (``_exact_parts``).  Row k of A is held as
+        Gaussian integers at its own exponent e_k, at which its largest part
+        has prec + SOLVE_EXTRA_BITS bits, and row k of B at e_k + d, with d
+        chosen alike for the rows B_k 2^-e_k together; a part below its
+        exponent is floored.  The pivot rule and the refusal of
+        ``Engine.solve`` are evaluated exactly on these integers.  Each
+        multiplier A[k][j] / A[j][j] is floored to one bit more than the
+        pivot's bit length, and each update a - f b is exact, then floored
+        to the row's exponent.  So P (A + dA) = L U and L C = P (B + dB)
+        hold exactly for the held multipliers L, triangle U and right-hand
+        sides C, P the row swaps, where each part of row k of dA lies below
+        n 2^e_k and of dB below n 2^(e_k + d): one floor for the read, and
+        one for each of the at most n - 1 steps that update the entry or, in
+        the pivot's column, leave it at 0.  The back substitution holds X at
+        the exponent d - g, g one bit above the largest pivot, with one
+        floor per quotient, so U X = C + R with each part of row i of R
+        below 2^(e_i + d).  Each entry of X is then rounded once, to
+        nearest, at ``ctx.prec``: X is (A + dA)^(-1) (B + dB + P^T L R)
+        rounded entry by entry.  A non-finite entry raises OverflowError.
+        """
+        n, prec = len(A), self.ctx.prec
+        bits = prec + SOLVE_EXTRA_BITS
+        A = [[(x, 0, 0) if type(x) is int else _exact_parts(x) for x in row] for row in A]
+        B = [[(x, 0, 0) if type(x) is int else _exact_parts(x) for x in row] for row in B]
+        # a row of zeros in A is refused below, at any exponent
+        exps = [_top_bit(row, bits) - bits for row in A]
+        d = max((top - e for top, e in zip(map(_top_bit, B), exps) if top is not None),
+                default=bits) - bits
+        rows = [_at_exponent(a, e) + _at_exponent(b, e + d) for a, b, e in zip(A, B, exps)]
+        # the refusal: a row sum or pivot s of row k at or below ||A||_1 eps,
+        # that is s 2^(e_k - low + prec + SOLVE_GUARD_BITS - 1) <= ||A||_1 2^-low
+        low = min(exps)
+        norm = max(sum((abs(re) + abs(im)) << (e - low) for (re, im), e in zip(col, exps))
+                   for col in zip(*(row[:n] for row in rows)))
+        shifts = [e - low + prec + SOLVE_GUARD_BITS - 1 for e in exps]
+        for j in range(n):
+            for k in range(j, n):
+                sizes = [abs(re) + abs(im) for re, im in rows[k][j:n]]
+                s = sum(sizes)
+                if s << shifts[k] <= norm:
+                    raise ZeroDivisionError("matrix is numerically singular")
+                # the first of the largest size / s, compared crosswise
+                if k == j or sizes[0] * best_s > best * s:
+                    p, best, best_s = k, sizes[0], s
+            if best << shifts[p] <= norm:
+                raise ZeroDivisionError("matrix is numerically singular")
+            rows[j], rows[p] = rows[p], rows[j]
+            shifts[j], shifts[p] = shifts[p], shifts[j]
+            pivot = rows[j][j + 1:]
+            pr, pi = rows[j][j]
+            q = pr * pr + pi * pi
+            f = max(pr.bit_length(), pi.bit_length()) + 1
+            for row in rows[j + 1:]:
+                ar, ai = row[j]
+                if ar or ai:
+                    fr = ((ar * pr + ai * pi) << f) // q
+                    fi = ((ai * pr - ar * pi) << f) // q
+                    row[j + 1:] = [(re - ((fr * ur - fi * ui) >> f),
+                                    im - ((fr * ui + fi * ur) >> f))
+                                   for (re, im), (ur, ui) in zip(row[j + 1:], pivot)]
+        g = max(max(abs(re), abs(im)).bit_length() for re, im in
+                (rows[i][i] for i in range(n))) + 1
+        X = [None] * n
+        for i in reversed(range(n)):
+            row = rows[i]
+            t = [(cr << g, ci << g) for cr, ci in row[n:]]
+            for k in range(i + 1, n):
+                ur, ui = row[k]
+                t = [(tr - ur * xr + ui * xi, ti - ur * xi - ui * xr)
+                     for (tr, ti), (xr, xi) in zip(t, X[k])]
+            ur, ui = row[i]
+            q = ur * ur + ui * ui
+            X[i] = [((tr * ur + ti * ui) // q, (ti * ur - tr * ui) // q) for tr, ti in t]
+        make_mpc, exp = self.ctx.make_mpc, d - g
+        return tuple(tuple(make_mpc((from_man_exp(xr, exp, prec, round_nearest),
+                                     from_man_exp(xi, exp, prec, round_nearest)))
+                           for xr, xi in row) for row in X)
+
     def _mpmath_context(self):
         return self.ctx
+
+
+def _top_bit(parts, default=None):
+    """The largest of bit_length(part) + exp over the entries (re, im, exp)
+    with a nonzero part, or ``default`` for a row of zeros."""
+    return max((max(re.bit_length(), im.bit_length()) + exp
+                for re, im, exp in parts if re or im), default=default)
+
+
+def _at_exponent(parts, e):
+    """The entries (re, im, exp) as pairs of integers at the exponent e,
+    each part floored."""
+    return [(re << exp - e, im << exp - e) if exp >= e else (re >> e - exp, im >> e - exp)
+            for re, im, exp in parts]
 
 
 def _exact_parts(x):
@@ -440,7 +534,7 @@ def _exact_parts(x):
     raw = getattr(x, "_mpc_", None) or (x._mpf_, fzero)
     (rsign, rman, rexp, rbc), (isign, iman, iexp, ibc) = raw
     if (not rman and rbc) or (not iman and ibc):
-        raise OverflowError("non-finite value in an exact block pass")
+        raise OverflowError("non-finite value in exact integer arithmetic")
     if not rman:
         if not iman:
             return 0, 0, 0

@@ -34,6 +34,7 @@ numerical-error diagnostic.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 import math
@@ -397,11 +398,25 @@ def heldout_point(z0):
     return UCComplex.polar(float(z0.modulus) * 4 / 5, z0.arg + 0.1)
 
 
+@contextlib.contextmanager
+def _at_point(z):
+    """Put the point before the message of an ArithmeticError raised
+    inside, keeping its type: "at z = 5e-301,0.785: ..."."""
+    try:
+        yield
+    except ArithmeticError as exc:
+        exc.args = (f"at z = {z}: {exc}",)
+        raise
+
+
 def _extract(engine, z0s, lhs, rhs):
     """Solve lhs(z0) X = rhs(z0) at every base point z0.  Returns the
     middle point's X and the spread, the largest entrywise difference
     between any two of the solutions (0.0 for a single point)."""
-    mats = [engine.solve(lhs(z0), rhs(z0)) for z0 in z0s]
+    mats = []
+    for z0 in z0s:
+        with _at_point(z0):
+            mats.append(engine.solve(lhs(z0), rhs(z0)))
     spread = max((max_deviation(a, b) for a, b in itertools.combinations(mats, 2)),
                  default=0.0)
     return mats[len(mats) // 2], spread
@@ -462,8 +477,9 @@ def connection_matrix(engine, z0s, order):
                                lambda z: assemble_YR(z, order, engine))
 
     zh = heldout_point(z0s[len(z0s) // 2])
-    held = max_deviation(assemble_YR(zh, order, engine),
-                         engine.matmul(eval_Ytop(zh, order, engine), c_prime))
+    with _at_point(zh):
+        held = max_deviation(assemble_YR(zh, order, engine),
+                             engine.matmul(eval_Ytop(zh, order, engine), c_prime))
 
     sigma = dominance_order()
     C = tuple(tuple(row[s] for s in sigma) for row in c_prime)

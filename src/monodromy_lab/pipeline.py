@@ -12,7 +12,9 @@
 Each stage returns its data and a dict of named residuals; ``run_verify``
 composes them, and the CLI subcommands call the same stages.  An
 ArithmeticError that leaves a stage keeps its type and names the stage
-first in its message ("connection stage: matrix is numerically singular").
+first in its message, then the base point or held-out point where it was
+raised, if any ("connection stage: at z = 5e-301,0.785: matrix is
+numerically singular").
 """
 
 from __future__ import annotations

@@ -83,6 +83,10 @@ class UCComplex(Record):
         object.__setattr__(self, "modulus", modulus)
         object.__setattr__(self, "arg_over_pi", arg_over_pi)
 
+    def __str__(self):
+        """The point as the command line writes it, "MOD,ARG"."""
+        return f"{float(self.modulus):g},{self.arg:.6g}"
+
     @classmethod
     def polar(cls, modulus, arg):
         """Construct from a radian argument (kept exact if Fraction*pi-free)."""

@@ -120,6 +120,106 @@ def context_matrix(engine, rows):
                                for v in row] for row in rows])
 
 
+# -- the mp elimination's bound, from an exact solve ---------------------------
+
+def gaussian(x):
+    """An int or mp number as exact (re, im) Fractions."""
+    if isinstance(x, int):
+        return Fraction(x), Fraction(0)
+    return tuple(Fraction(-int(m) if sign else int(m)) * Fraction(2) ** e
+                 for sign, m, e, _ in (v._mpf_ for v in (x.real, x.imag)))
+
+
+def _gmul(a, b):
+    return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+
+def _gdiv(a, b):
+    q = b[0] * b[0] + b[1] * b[1]
+    return (a[0] * b[0] + a[1] * b[1]) / q, (a[1] * b[0] - a[0] * b[1]) / q
+
+
+def _size(a):
+    return abs(a[0]) + abs(a[1])
+
+
+def _exact_elimination(A, B):
+    """Gaussian elimination of A X = B on Gaussian rationals, with the pivot
+    rule of ``Engine.solve`` evaluated exactly: the pivot rows in order, the
+    rows of the unit lower triangle L (its multipliers, swapped with their
+    rows), and the exact X."""
+    n = len(A)
+    rows = [list(a) + list(b) for a, b in zip(A, B)]
+    order = list(range(n))
+    for j in range(n):
+        ratios = [_size(row[j]) / sum(map(_size, row[j:n])) for row in rows[j:]]
+        p = j + ratios.index(max(ratios))
+        rows[j], rows[p], order[j], order[p] = rows[p], rows[j], order[p], order[j]
+        for row in rows[j + 1:]:
+            f = _gdiv(row[j], rows[j][j])
+            row[j + 1:] = [(a[0] - c[0], a[1] - c[1]) for a, c in
+                           zip(row[j + 1:], (_gmul(f, b) for b in rows[j][j + 1:]))]
+            row[j] = f
+    X = [None] * n
+    for i in reversed(range(n)):
+        x = rows[i][n:]
+        for k in range(i + 1, n):
+            x = [(a[0] - c[0], a[1] - c[1]) for a, c in
+                 zip(x, (_gmul(rows[i][k], b) for b in X[k]))]
+        X[i] = [_gdiv(a, rows[i][i]) for a in x]
+    L = [[rows[i][j] if j < i else (Fraction(int(i == j)), Fraction(0)) for j in range(n)]
+         for i in range(n)]
+    return order, L, X
+
+
+def _top(parts):
+    """The largest floor(log2 |v|) + 1 over the nonzero dyadic parts, the
+    bit length plus exponent of an mp mantissa; None if all are 0."""
+    return max((v.numerator.bit_length() - v.denominator.bit_length() + 1
+                for v in parts if v), default=None)
+
+
+def elimination_bound(engine, A, B):
+    """The exact X of A X = B as rows of (re, im) Fractions, and a bound on
+    each part of the error of the mp engine's ``solve(A, B)``, from the
+    statement of ``MPEngine._eliminate``: X is
+    (A + dA)^(-1) (B + dB + P^T L R) rounded entry by entry.  Before the
+    rounding, its error is (A + dA)^(-1) r with r = dB + P^T L R - dA X;
+    with w = |A^(-1)| |r| from the moduli of the stated part bounds, and
+    the rows of |A^(-1)| |dA| summing to at most 1/2 (asserted), that is at
+    most w plus the largest w of its column.  L is the exact elimination's,
+    which the held multipliers match far below that slack.  The rounding
+    adds at most 2^-prec of each part."""
+    from monodromy_lab.engine import SOLVE_EXTRA_BITS
+
+    n, m, prec = len(A), len(B[0]), engine.ctx.prec
+    bits = prec + SOLVE_EXTRA_BITS
+    A = [[gaussian(x) for x in row] for row in A]
+    B = [[gaussian(x) for x in row] for row in B]
+    exps = [_top(v for x in row for v in x) - bits for row in A]
+    d = max((top - e for top, e in zip((_top(v for x in row for v in x) for row in B), exps)
+             if top is not None), default=bits) - bits
+    # the moduli of the stated bounds: n units per part of dA and dB, one of R
+    dA = [math.sqrt(2) * n * 2.0 ** e for e in exps]
+    dB = [math.sqrt(2) * n * 2.0 ** (e + d) for e in exps]
+    order, L, X = _exact_elimination(A, B)
+    R = [math.sqrt(2) * 2.0 ** (exps[k] + d) for k in order]
+    LR = [0.0] * n
+    for i, k in enumerate(order):
+        LR[k] = sum(abs(complex(*map(float, L[i][j]))) * R[j] for j in range(i + 1))
+    identity = [[(Fraction(int(i == j)), Fraction(0)) for j in range(n)] for i in range(n)]
+    inv = [[abs(complex(*map(float, x))) for x in row]
+           for row in _exact_elimination(A, identity)[2]]
+    assert all(sum(v * n * dA[k] for k, v in enumerate(row)) <= 0.5 for row in inv)
+    cols = [sum(abs(complex(*map(float, X[k][c]))) for k in range(n)) for c in range(m)]
+    w = [[sum(v * (dA[k] * cols[c] + dB[k] + LR[k]) for k, v in enumerate(row))
+          for c in range(m)] for row in inv]
+    top = [max(col) for col in zip(*w)]
+    bound = [[[w[i][c] + top[c] + 2.0 ** -prec * (abs(float(v)) + w[i][c] + top[c])
+               for v in X[i][c]] for c in range(m)] for i in range(n)]
+    return X, bound
+
+
 # -- the tail certificate in engine reals ------------------------------------
 
 def engine_real_certificate(series, z, engine, tol, total):

@@ -91,9 +91,9 @@ def test_exact_reports_keep_their_bytes(command):
 #: engine rounds exactly, in integers, on every platform; the double reports
 #: are left out, as their elementary functions come from the platform's libm
 MP_REPORT_DIGESTS = {
-    "verify": "f033a1bb4f4ed9066d115c8ab2386b7a7dc62b0a2778acdf4cc8e6e4b05d00dc",
-    "stokes": "2bda620025993c4c6b1a78cd0ec1a789e74a889510d92aa37b9e89456f84dada",
-    "connection": "5ebd2add113fe37d54a2ee55c116c6f59fc7161eabb59789a417a8b017a96e16",
+    "verify": "323f09a1ce6d6727ff4e901192c03796cd66f7cc56d1deee41d7680d4bb40200",
+    "stokes": "c50398b291819e179bc86b9e1a831aea95d3035a44dd93d24255bc8bbb31bf43",
+    "connection": "f23ec07e24df530f2f53383e893d97cd777be75d9911981611402cc1fb2636fd",
 }
 
 
@@ -315,19 +315,21 @@ def test_tail_certificate_at_the_bottom_of_the_double_range(capsys):
     code = main(["verify", "--dps", "291"])
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
-    assert captured.err == ("failed check: stokes stage: truncation order 40 too small "
-                            "at |z|=2.0 for tolerance 1.0e-289\n")
+    assert captured.err == ("failed check: stokes stage: at z = 2,0.735398: truncation order "
+                            "40 too small at |z|=2.0 for tolerance 1.0e-289\n")
     assert run_cli(capsys, "verify", "--dps", "291", "--order", "120")[0] == 0
 
 
 def test_an_arithmetic_failure_names_its_stage(capsys):
     # a connection base point where Y_top is numerically singular under mp and
     # the series need more than 40 blocks under double: each error keeps its
-    # type and exit code 1, and its message starts with the stage's name
+    # type and exit code 1, and its message starts with the stage's name and
+    # then the base point, the first of connection_points, at half |z0|
     z0 = UCComplex.polar(1e-300, 0.785)
-    with pytest.raises(ZeroDivisionError, match="^connection stage: matrix is numerically"):
+    at = "connection stage: at z = 5e-301,0.785: "
+    with pytest.raises(ZeroDivisionError, match=f"^{at}matrix is numerically"):
         run_verify(RunConfig(z0_connection=z0))
-    with pytest.raises(solutions.TailBoundError, match="^connection stage: truncation order"):
+    with pytest.raises(solutions.TailBoundError, match=f"^{at}truncation order"):
         run_verify(RunConfig(z0_connection=z0, engine_name="double"))
     for engine, message in (("mp", "matrix is numerically singular"),
                             ("double", "truncation order 40 too small at |z|=5e-301 "
@@ -335,7 +337,27 @@ def test_an_arithmetic_failure_names_its_stage(capsys):
         code = main(["verify", "--engine", engine, "--z0-connection", "1e-300,0.785"])
         captured = capsys.readouterr()
         assert code == 1 and captured.out == ""
-        assert captured.err == f"failed check: connection stage: {message}\n"
+        assert captured.err == f"failed check: {at}{message}\n"
+
+
+def test_an_arithmetic_failure_at_the_held_out_point_names_it(monkeypatch):
+    # the held-out point of the connection stage is none of its base points
+    from monodromy_lab import monodromy
+
+    config = RunConfig()
+    zh = monodromy.heldout_point(config.z0_connection)
+    assemble = monodromy.assemble_YR
+
+    def failing_at_zh(z, order, engine, tol=None):
+        if z == zh:
+            raise solutions.TailBoundError("refused")
+        return assemble(z, order, engine, tol)
+
+    monkeypatch.setattr(monodromy, "assemble_YR", failing_at_zh)
+    with pytest.raises(solutions.TailBoundError,
+                       match=f"^connection stage: at z = {zh}: refused$"):
+        run_verify(config)
+    assert str(zh) == "0.08,0.885398"
 
 
 def test_exit_code_config_errors(capsys, tmp_path):

@@ -16,7 +16,9 @@ from mpmath.libmp import from_int, mpf_div, round_nearest
 from monodromy_lab import monodromy, solutions, special
 from monodromy_lab.engine import NaNResidualError, get_engine, max_deviation, max_magnitude
 from monodromy_lab.frame import canonical_coordinates, frame, sector_config, stokes_ray_angles
+from monodromy_lab.pipeline import RunConfig
 from monodromy_lab.solutions import quantum_period
+from oracles import elimination_bound, gaussian
 
 
 def test_double_real_is_correctly_rounded():
@@ -83,6 +85,67 @@ def test_numerically_singular_matrices_are_refused(monkeypatch, capsys, name):
     assert main(["stokes", "--engine", name]) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("failed check:")
+
+
+def _mp_kernel_case(case, e):
+    """A and B of one mp elimination case: Y_R \\ Y_L at the default Stokes
+    point, Y_top \\ Y_R at the default connection point, the identity and a
+    seeded random complex matrix, the last two against a seeded random B."""
+    rng = random.Random(28)
+
+    def draw():
+        return [[e.complex(Fraction(rng.randint(-10 ** 12, 10 ** 12), 10 ** 12),
+                           Fraction(rng.randint(-10 ** 12, 10 ** 12), 10 ** 12))
+                 for _ in range(4)] for _ in range(4)]
+
+    z_s, z_c = RunConfig.z0_stokes, RunConfig.z0_connection
+    if case == "stokes":
+        return monodromy.assemble_YR(z_s, 40, e), monodromy.assemble_YL(z_s, 40, e)
+    if case == "connection":
+        return monodromy.eval_Ytop(z_c, 40, e), monodromy.assemble_YR(z_c, 40, e)
+    if case == "identity":
+        return [[e.complex(int(i == j)) for j in range(4)] for i in range(4)], draw()
+    return draw(), draw()
+
+
+@pytest.mark.parametrize("case", ["stokes", "connection", "identity", "random"])
+def test_mp_solve_and_inverse_stay_within_their_stated_bound(case):
+    # the bound of MPEngine._eliminate, against an exact solve of its inputs
+    # read as Fractions; at these inputs it is about half an ulp of each part
+    e = get_engine("mp", dps=40)
+    A, B = _mp_kernel_case(case, e)
+    identity = [[int(i == j) for j in range(4)] for i in range(4)]
+    for X, rhs in ((e.solve(A, B), B), (e.inverse(A), identity)):
+        exact, bound = elimination_bound(e, A, rhs)
+        for x_row, exact_row, bound_row in zip(X, exact, bound):
+            for x, parts, limits in zip(x_row, exact_row, bound_row):
+                for got, want, limit in zip(gaussian(x), parts, limits):
+                    assert abs(float(got - want)) <= limit, (case, got, want, limit)
+    if case == "identity":
+        assert e.inverse(A) == tuple(map(tuple, A))
+
+
+def test_mp_pivot_ties_go_to_the_first_of_the_exactly_largest():
+    # rows 0 and 1 tie at column 0 (size over row sum 1/2 each), and in the
+    # second matrix row 0 falls short of row 1 by 2^-171 of its ratio, which
+    # a ratio rounded to prec + 10 bits does not see.  The other pivot leaves
+    # a row of sum 2^-199 ||A||_1, which is refused, so only the rule gives
+    # a solution; its pivots are powers of 2, so the elimination is exact and
+    # X is the exact solution rounded once
+    e = get_engine("mp", dps=40)
+    small, eta = Fraction(1, 2 ** 100), Fraction(1, 2 ** 100)
+    tie = [[small, small, 0, 0], [1, 1 - eta, eta, 0], [0, 1, 1, 1], [0, 0, 0, 1]]
+    near = [[1, 1 - eta, eta, Fraction(1, 2 ** 170)], [small, small, 0, 0],
+            [0, 1, 1, 1], [0, 0, 0, 1]]
+    X0 = [[j - 2 * k + 1 for k in range(4)] for j in range(4)]
+    identity = [[int(i == j) for j in range(4)] for i in range(4)]
+    for rows in (tie, near):
+        A = [[e.complex(Fraction(v)) for v in row] for row in rows]
+        B = [[e.complex(sum(Fraction(a) * X0[c][k] for c, a in enumerate(row)))
+              for k in range(4)] for row in rows]
+        for X, rhs in ((e.solve(A, B), B), (e.inverse(A), identity)):
+            exact, _ = elimination_bound(e, A, rhs)
+            assert X == tuple(tuple(e.complex(*parts) for parts in row) for row in exact)
 
 
 def _frame_and_verify_runs(tmp_path, label):
