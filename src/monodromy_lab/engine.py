@@ -23,22 +23,27 @@ complex number, the elementary functions by name, ``Engine.matmul``, and
 the 4x4 solves and inverses (``Engine.solve``, ``Engine.inverse``) with
 mpmath's pivot rule and refusal but none of its LU code.  Each engine has
 its own ``real`` (a Fraction rounded once, to nearest), ``guarded`` (guard
-bits, mp only), Gaussian elimination behind the solves (``_eliminate``)
-and block pass of the log-series (``horner_columns``/``horner``): hardware
-complex arithmetic under double, and under mp exact integers on mpmath's
-raw mantissas, where the elimination holds each row at its own exponent
-and rounds each entry of X once, and the block pass sums only the blocks
-that can reach the working precision.  Beside them, ``matrix_steps``
-applies integer matrices to a cubic block (the recursion that builds the
-residue series, and their derivative map) and picks its arithmetic from
-the coefficients' type, as ``log2_magnitude`` does: their own operators
-for Fractions and Python complex numbers, exact integers on mpmath's raw
-mantissas for mp numbers, with one rounding per coefficient.  So all three
-mp kernels run on raw mantissas, and each states its error bound.
+bits, mp only), Gaussian elimination behind the solves (``_eliminate``),
+block pass of the log-series (``horner_columns``/``horner``), polynomial
+in log z of the block sums (``log_polynomial``) and dot product
+(``fdot``): hardware complex arithmetic under double, and under mp exact
+integers on mpmath's raw mantissas, where the elimination holds each row
+at its own exponent and rounds each entry of X once, the block pass sums
+only the blocks that can reach the working precision, the polynomial in
+log z cuts to guard bits after each step and rounds once, and the dot
+product sums its exact products exactly and rounds once.  Beside them,
+``matrix_steps`` applies integer matrices to a cubic block (the recursion
+that builds the residue series, and their derivative map) and picks its
+arithmetic from the coefficients' type, as ``log2_magnitude`` does: their
+own operators for Fractions and Python complex numbers, exact integers on
+mpmath's raw mantissas for mp numbers, with one rounding per coefficient.
+So five mp kernels run on raw mantissas (``horner``, ``_eliminate``,
+``matrix_steps``, ``log_polynomial`` and ``fdot``), and each states its
+error bound.
 
 A matrix is a tuple of rows, the package's one format; ``Engine.matmul``
-multiplies two as mpmath's matrix class would, and ``max_deviation`` is
-the residual of two.
+multiplies two, each entry one ``fdot``, and ``max_deviation`` is the
+residual of two.
 
 Bounds and comparisons whose values never reach a report are made on log2
 magnitudes (``log2_magnitude``): a float within ``LOG2_SLACK`` of log2 |x|,
@@ -136,9 +141,10 @@ def max_deviation(A, B):
 class Engine:
     """A scalar backend: a name, its digits and what ``DoubleEngine`` and
     ``MPEngine`` share.  Each engine supplies ``real``, ``guarded``,
-    ``horner_columns``, ``horner`` and ``_eliminate``, the constants ``pi``,
-    ``euler`` and ``zeta3``, and the functions behind ``complex``, ``exp``,
-    ``log``, ``sqrt``, ``matmul`` and ``gamma``/``quad``."""
+    ``horner_columns``, ``horner``, ``log_polynomial``, ``fdot`` and
+    ``_eliminate``, the constants ``pi``, ``euler`` and ``zeta3``, and the
+    functions behind ``complex``, ``exp``, ``log``, ``sqrt`` and
+    ``gamma``/``quad``."""
 
     def __init__(self, name, dps, eps):
         self.name = name
@@ -177,10 +183,11 @@ class Engine:
     # -- linear algebra (4x4 scale) -------------------------------------
 
     def matmul(self, A, B):
-        """A B, each entry one ``fdot`` of a row of A and a column of B
-        (rounded once under mp), as mpmath's matrix product forms it."""
+        """A B, each entry the engine's ``fdot`` of a row of A and a column
+        of B: summed in order under double, as mpmath's ``fp`` matrix
+        product forms it, and rounded once under mp."""
         columns = tuple(zip(*B))
-        fdot = self._fdot
+        fdot = self.fdot
         return tuple(tuple(fdot(row, col) for col in columns) for row in A)
 
     def solve(self, A, B):
@@ -236,7 +243,7 @@ def _fp_sqrt(x):
 
 
 def _fp_fdot(xs, ys):
-    # the products summed in order from 0.0
+    """sum_i xs[i] ys[i]: the hardware products summed in order from 0.0."""
     return sum(map(operator.mul, xs, ys), 0.0)
 
 
@@ -249,7 +256,7 @@ class DoubleEngine(Engine):
     _exp = staticmethod(_fp_exp)
     _log = staticmethod(_fp_log)
     _sqrt = staticmethod(_fp_sqrt)
-    _fdot = staticmethod(_fp_fdot)
+    fdot = staticmethod(_fp_fdot)
 
     # the correctly rounded doubles; tests check them against mpmath
     pi = math.pi
@@ -285,6 +292,14 @@ class DoubleEngine(Engine):
                 t = t * w + a
             out.append(t)
         return tuple(out)
+
+    def log_polynomial(self, sums, l, scale):
+        """scale (T0 + l (T1 + l (T2 + l T3))) for the block sums
+        T = ``sums``, in hardware complex arithmetic; a scale of 1 (z^rho
+        at rho = 0) is not multiplied."""
+        t0, t1, t2, t3 = sums
+        total = t0 + l * (t1 + l * (t2 + l * t3))
+        return total if scale == 1 else scale * total
 
     def _eliminate(self, A, B):
         """``Engine.solve`` in hardware complex arithmetic."""
@@ -336,7 +351,7 @@ class MPEngine(Engine):
         super().__init__("mp", dps=dps, eps=float(mpmath.mpf(10) ** (-dps)))
         self.ctx = ctx
         self._complex = ctx.mpc
-        self._exp, self._log, self._sqrt, self._fdot = ctx.exp, ctx.log, ctx.sqrt, ctx.fdot
+        self._exp, self._log, self._sqrt = ctx.exp, ctx.log, ctx.sqrt
 
     def real(self, x):
         """Convert int/float/Fraction/str to the context's real type, exactly
@@ -426,6 +441,65 @@ class MPEngine(Engine):
             out.append(self.ctx.make_mpc((from_man_exp(tr, te, prec, round_nearest),
                                           from_man_exp(ti, te, prec, round_nearest))))
         return tuple(out)
+
+    # -- the polynomial in log z and the dot product --------------------
+
+    def _parts(self, x):
+        """x as exact integers (re, im, exp), the value (re + i im) 2^exp:
+        an int as it is, an mp number by ``_exact_parts``, anything else
+        through ``Engine.complex``.  A non-finite value raises OverflowError."""
+        if type(x) is int:
+            return x, 0, 0
+        if not isinstance(x, _MP_TYPES):
+            x = self.complex(x)
+        return _exact_parts(x)
+
+    def _rounded(self, re, im, exp):
+        """The mpc (re + i im) 2^exp, each part rounded once, to nearest, at
+        ``ctx.prec``."""
+        prec = self.ctx.prec
+        return self.ctx.make_mpc((from_man_exp(re, exp, prec, round_nearest),
+                                  from_man_exp(im, exp, prec, round_nearest)))
+
+    def log_polynomial(self, sums, l, scale):
+        """scale (T0 + l (T1 + l (T2 + l T3))) for the block sums
+        T = ``sums``, in exact integers on the raw mantissas (``_parts``).
+
+        Each Horner step in l is an exact product and sum, then cut (floor)
+        to ``ctx.prec + GUARD_BITS`` bits; the product with ``scale`` is
+        exact, and each part of the result is rounded once, to nearest, at
+        ``ctx.prec``.  A cut adds less than sqrt(2) 2^(1 - prec - GUARD_BITS)
+        of the step's value, so before its rounding the result is off from
+        the exact value at these inputs by at most
+        2^(4 - prec - GUARD_BITS) |scale| sum_k |l|^k |T_k|, and the
+        rounding adds at most half an ulp to each part.  A non-finite input
+        raises OverflowError.
+        """
+        bits = self.ctx.prec + GUARD_BITS
+        lr, li, le = self._parts(l)
+        tr, ti, te = self._parts(sums[3])
+        for t in sums[2::-1]:
+            ar, ai, ae = self._parts(t)
+            tr, ti, te = _add(tr * lr - ti * li, tr * li + ti * lr, te + le, ar, ai, ae)
+            excess = max(tr.bit_length(), ti.bit_length()) - bits
+            if excess > 0:
+                tr >>= excess
+                ti >>= excess
+                te += excess
+        sr, si, se = self._parts(scale)
+        return self._rounded(tr * sr - ti * si, tr * si + ti * sr, te + se)
+
+    def fdot(self, xs, ys):
+        """sum_i xs[i] ys[i] as an mpc: each entry read as exact integers
+        (``_parts``), the products and their sum exact, and each part
+        rounded once, to nearest, at ``ctx.prec``, so within half an ulp of
+        the exact dot product.  A non-finite entry raises OverflowError."""
+        re = im = exp = 0
+        for x, y in zip(xs, ys):
+            ar, ai, ae = self._parts(x)
+            br, bi, be = self._parts(y)
+            re, im, exp = _add(re, im, exp, ar * br - ai * bi, ar * bi + ai * br, ae + be)
+        return self._rounded(re, im, exp)
 
     def _eliminate(self, A, B):
         """``Engine.solve`` in exact integers on mpmath's raw mantissas, for
@@ -525,6 +599,18 @@ def _at_exponent(parts, e):
     each part floored."""
     return [(re << exp - e, im << exp - e) if exp >= e else (re >> e - exp, im >> e - exp)
             for re, im, exp in parts]
+
+
+def _add(ar, ai, ae, br, bi, be):
+    """The exact sum of (ar + i ai) 2^ae and (br + i bi) 2^be as integers
+    (re, im, exp), at the smaller exponent of the two nonzero terms."""
+    if not (br or bi):
+        return ar, ai, ae
+    if not (ar or ai):
+        return br, bi, be
+    if ae >= be:
+        return (ar << ae - be) + br, (ai << ae - be) + bi, be
+    return ar + (br << be - ae), ai + (bi << be - ae), ae
 
 
 def _exact_parts(x):

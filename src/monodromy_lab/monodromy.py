@@ -286,17 +286,19 @@ def scalar_column_derivatives(spec, z, order, engine, tol=None):
     phi-hat(z) = sum coef * pref(kind) * (-1)^m * phi_kind(z eps^m); the
     chain rule turns each z-derivative into eps^m times the rotated-argument
     derivative, so derivative d of a term is one factor (``_term_factors``)
-    times the series' d-th derivative at z eps^m.  ``tol`` is the
-    tail-certificate tolerance for the series evaluations (defaults to the
-    engine's working accuracy).
+    times the series' d-th derivative at z eps^m.  Derivative d is one
+    ``engine.fdot`` of the terms' factors and values: summed in order under
+    double, rounded once under mp.  ``tol`` is the tail-certificate
+    tolerance for the series evaluations (defaults to the engine's working
+    accuracy).
     """
-    derivs = [engine.complex(0) for _ in range(4)]
+    factors, values = [], []
     for coef, kind, m in spec:
         series = phi_series(kind, order, engine)
         w = z.rotated(m)
-        for d, factor in enumerate(_term_factors(coef, kind, m, engine)):
-            derivs[d] += factor * eval_series(series, w, m=d, engine=engine, tol=tol)
-    return derivs
+        factors.append(_term_factors(coef, kind, m, engine))
+        values.append([eval_series(series, w, m=d, engine=engine, tol=tol) for d in range(4)])
+    return [engine.fdot(f, v) for f, v in zip(zip(*factors), zip(*values))]
 
 
 @functools.lru_cache(maxsize=None)
@@ -315,14 +317,16 @@ def vector_from_scalar(derivs, z, engine):
     y1 = (z^2 phi''' + phi' + 3 z phi'' - 54 z^2 phi)/(54 sqrt z)
        = z^(3/2)/54 phi''' + phi'/(54 sqrt z) + sqrt z/18 phi'' - y4,
     with the factors read from the point's ``PointData.lift``, so the lift
-    takes no division."""
+    takes no division.  Each entry is one ``engine.fdot`` of its factors
+    and derivatives, y1 with -z^(3/2) as the factor of phi: summed in order
+    under double, rounded once under mp."""
     p0, p1, p2, p3 = derivs
     z32, z32_3, z32_18, sz_18, z32_54, inv_54sz = point_data(z, engine).lift
-    y4 = z32 * p0
-    y3 = z32_3 * p1
-    y2 = z32_18 * p2 + sz_18 * p1
-    y1 = z32_54 * p3 + inv_54sz * p1 + sz_18 * p2 - y4
-    return (y1, y2, y3, y4)
+    fdot = engine.fdot
+    return (fdot((z32_54, inv_54sz, sz_18, -z32), (p3, p1, p2, p0)),
+            fdot((z32_18, sz_18), (p2, p1)),
+            fdot((z32_3,), (p1,)),
+            fdot((z32,), (p0,)))
 
 
 def _assemble(specs, z, order, engine, sector, tol=None):

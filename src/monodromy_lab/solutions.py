@@ -404,8 +404,14 @@ def _block_sums(series, modulus, arg_over_pi, engine):
         majorant = tuple(max(column) + slack for column in zip(*exponents))
         return _BlockSums(engine.horner(columns, w), majorant)
     except OverflowError as exc:
-        raise TailBoundError(f"the series at |z|={float(modulus)} leaves the range "
-                             f"of the {engine.name} engine") from exc
+        raise _range_error(modulus, engine) from exc
+
+
+def _range_error(modulus, engine):
+    """The TailBoundError of a series that leaves the engine's range at
+    |z| = modulus."""
+    return TailBoundError(f"the series at |z|={float(modulus)} leaves the range "
+                          f"of the {engine.name} engine")
 
 
 def _tail_bound(sums, point):
@@ -456,11 +462,14 @@ def eval_series(series, z, engine, m=0, tol=None):
     Horner pass in w at the class representative, kept in the LRU cache
     ``_block_sums``.  Each call returns z^rho (T0 + l (T1 + l (T2 + l T3)))
     with its own l, and so the same value whether its sums were cached or
-    not.  The point's l, |l|, z^-1 to z^-3 and class key, and the class's
-    w, come from its ``PointData`` (the LRU cache ``point_data``): a point
-    takes one exponential, z^(1/2), and only if some call needs z^rho with
-    rho != 0; a class takes one more, w, and only if some call misses the
-    cache.
+    not: ``Engine.log_polynomial`` forms it, in hardware complex arithmetic
+    under double and under mp in exact integers, cut to
+    ``engine.GUARD_BITS`` bits above the working precision after each step
+    and rounded once, within the bound its docstring states.  The point's
+    l, |l|, z^-1 to z^-3 and class key, and the class's w, come from its
+    ``PointData`` (the LRU cache ``point_data``): a point takes one
+    exponential, z^(1/2), and only if some call needs z^rho with rho != 0;
+    a class takes one more, w, and only if some call misses the cache.
 
     The pass reads coefficient columns converted once per series and
     engine.  Exact (Fraction) coefficients enter through ``Engine.real``,
@@ -495,11 +504,13 @@ def eval_series(series, z, engine, m=0, tol=None):
 
     point = point_data(z, engine)
     sums = _block_sums(cur, *point.key, engine)
-    t0, t1, t2, t3 = sums.sums
-    l = point.l
-    total = t0 + l * (t1 + l * (t2 + l * t3))
-    if cur.rho:
-        total = point.inverse_powers[-cur.rho] * total
+    # z^rho is read only for a derivative series, so the series itself takes
+    # no exponential at the point
+    scale = point.inverse_powers[-cur.rho] if cur.rho else 1
+    try:
+        total = engine.log_polynomial(sums.sums, point.l, scale)
+    except OverflowError as exc:
+        raise _range_error(z.modulus, engine) from exc
 
     # log2 of tol max(|total|, 1) from below, less the rounding of its sum;
     # log2 |total| is inf or NaN for a non-finite total, which fails

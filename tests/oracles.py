@@ -3,7 +3,9 @@ sparse recursion, the ODE residual of a log-series, the ODE's recursion
 in its ``_dlog`` form and the solution it gives from Frobenius
 coordinates, the residue block of Laurent data, mpmath's matrices for
 oracle products, the tail certificate of ``eval_series`` formed in engine
-reals, and the sympy forms of the published closed forms
+reals, the evaluation's expressions from before its engine kernels, an
+``mpmath.iv`` enclosure of each mp series value, and the sympy forms of
+the published closed forms
 (``GAMMA_MINUS_REF``, ``C_REF`` and ``C_GAMMA_REF``, built on first access;
 only they import sympy).
 They live here, not in ``monodromy_lab``, because no command runs them.
@@ -14,11 +16,13 @@ import math
 from fractions import Fraction
 
 import mpmath
+from mpmath.ctx_iv import MPIntervalContext
 
-from monodromy_lab import closedform, reference
+from monodromy_lab import closedform, monodromy, reference, solutions
+from monodromy_lab.engine import GUARD_BITS
 from monodromy_lab.monodromy import MU_DIAG
 from monodromy_lab.ring import operator_matrices
-from monodromy_lab.solutions import LogSeries
+from monodromy_lab.solutions import LogSeries, UCComplex
 
 
 # -- the published closed forms in sympy -------------------------------------
@@ -122,12 +126,18 @@ def context_matrix(engine, rows):
 
 # -- the mp elimination's bound, from an exact solve ---------------------------
 
+def _fraction(raw):
+    """A finite raw mpf tuple as a Fraction."""
+    sign, man, exp, _ = raw
+    value = Fraction(int(man)) * Fraction(2) ** exp
+    return -value if sign else value
+
+
 def gaussian(x):
     """An int or mp number as exact (re, im) Fractions."""
     if isinstance(x, int):
         return Fraction(x), Fraction(0)
-    return tuple(Fraction(-int(m) if sign else int(m)) * Fraction(2) ** e
-                 for sign, m, e, _ in (v._mpf_ for v in (x.real, x.imag)))
+    return tuple(_fraction(v._mpf_) for v in (x.real, x.imag))
 
 
 def _gmul(a, b):
@@ -242,6 +252,131 @@ def engine_real_certificate(series, z, engine, tol, total):
     bound = ((m3 * labs + m2) * labs + m1) * labs + m0
     accepted = (bound <= tol and total == total) or bound <= tol * max(abs(total), 1)
     return bound, accepted
+
+
+# -- the evaluation's expressions before its engine kernels -------------------
+
+def log_polynomial_expression(sums, l, scale):
+    """scale (T0 + l (T1 + l (T2 + l T3))) in the numbers' own arithmetic,
+    as ``solutions.eval_series`` formed it before ``Engine.log_polynomial``;
+    a scale of 1 (rho = 0) is not multiplied."""
+    t0, t1, t2, t3 = sums
+    total = t0 + l * (t1 + l * (t2 + l * t3))
+    return total if scale == 1 else scale * total
+
+
+def scalar_column_derivatives_expression(spec, z, order, engine):
+    """``monodromy.scalar_column_derivatives`` before ``Engine.fdot``: each
+    term's factor times its value added in turn, from engine zero."""
+    derivs = [engine.complex(0) for _ in range(4)]
+    for coef, kind, m in spec:
+        series = solutions.phi_series(kind, order, engine)
+        w = z.rotated(m)
+        for d, factor in enumerate(monodromy._term_factors(coef, kind, m, engine)):
+            derivs[d] += factor * solutions.eval_series(series, w, m=d, engine=engine)
+    return derivs
+
+
+def vector_from_scalar_expression(derivs, z, engine):
+    """``monodromy.vector_from_scalar`` before ``Engine.fdot``: products
+    and sums in the numbers' own arithmetic, y1 less y4."""
+    p0, p1, p2, p3 = derivs
+    z32, z32_3, z32_18, sz_18, z32_54, inv_54sz = solutions.point_data(z, engine).lift
+    y4 = z32 * p0
+    y3 = z32_3 * p1
+    y2 = z32_18 * p2 + sz_18 * p1
+    y1 = z32_54 * p3 + inv_54sz * p1 + sz_18 * p2 - y4
+    return (y1, y2, y3, y4)
+
+
+# -- an interval enclosure of the mp series values ----------------------------
+
+def _endpoints(x):
+    """The endpoints of an ``mpmath.iv`` real interval as Fractions."""
+    return tuple(map(_fraction, x._mpi_))
+
+
+@functools.lru_cache(maxsize=None)
+def _block_enclosures(series, w, prec):
+    """Intervals of T_k = sum_n w^n a_k[n] and of sum_n |w|^n |a_k[n]|,
+    k = 0..3, over every block of the series, with w and each coefficient
+    read exactly, at ``prec`` bits."""
+    iv = MPIntervalContext()
+    iv.prec = prec
+    W = iv.mpc(iv.mpf(w.real), iv.mpf(w.imag))
+    size = abs(W)
+    sums, magnitudes = [], []
+    for k in range(4):
+        t, s = iv.mpc(0), iv.mpf(0)
+        for blk in reversed(series.blocks):
+            a = iv.mpc(iv.mpf(blk[k].real), iv.mpf(blk[k].imag))
+            t, s = t * W + a, s * size + abs(a)
+        sums.append(t)
+        magnitudes.append(s)
+    return iv, sums, magnitudes
+
+
+def series_value_enclosure(series, z, engine, m=0):
+    """An ``mpmath.iv`` enclosure of ``eval_series(series, z, engine, m)``
+    under mp, and the radius its kernels state: ((re_lo, re_hi),
+    (im_lo, im_hi), radius), Fractions.
+
+    The enclosure is the exact truncated m-th derivative series at the
+    engine's own inputs: the coefficients of the derivative series, w of
+    the point's class representative, and l and z^rho of the point (its
+    ``PointData``), each read exactly and summed over every block in
+    interval arithmetic at 2 prec + 64 bits.  The radius bounds the
+    modulus of the engine value's error before its last rounding: the
+    bound of ``Engine.horner`` on each T_k (half an ulp, and (4 per block
+    plus 1) 2^-(prec + GUARD_BITS) sum_n |w^n a_k[n]|, taking every block
+    as summed) carried through scale (T0 + l (T1 + ...)), plus the bound of
+    ``Engine.log_polynomial`` at the engine's T_k.  The last rounding, half
+    an ulp of each part, is left to ``within_enclosure``."""
+    cur = series
+    for _ in range(m):
+        cur = cur.derivative()
+    point = solutions.point_data(z, engine)
+    w = solutions.point_data(UCComplex(*point.key), engine).cube
+    prec = engine.ctx.prec
+    iv, T, S = _block_enclosures(cur, w, 2 * prec + 64)
+
+    def enclose(x):
+        return iv.mpc(x) if type(x) is int else iv.mpc(iv.mpf(x.real), iv.mpf(x.imag))
+
+    L = enclose(point.l)
+    scale = enclose(point.inverse_powers[-cur.rho] if cur.rho else 1)
+    value = scale * (T[0] + L * (T[1] + L * (T[2] + L * T[3])))
+    blocks = len(cur.blocks)
+    unit, guard = iv.mpf(2) ** -prec, iv.mpf(2) ** -(prec + GUARD_BITS)
+    radius = iv.mpf(0)
+    for k, t in enumerate(solutions._block_sums(cur, *point.key, engine).sums):
+        size = abs(enclose(t))
+        radius += abs(L) ** k * (unit * size + (4 * blocks + 1) * guard * S[k] + 16 * guard * size)
+    radius *= abs(scale)
+    return _endpoints(value.real), _endpoints(value.imag), _endpoints(radius)[1]
+
+
+def _half_ulp(v, prec):
+    """Half an ulp at ``prec`` bits of the binade of a nonzero Fraction v,
+    2^(floor(log2 |v|) - prec), at least the error of rounding to nearest
+    at ``prec`` bits that gives v; 0 for v = 0."""
+    if not v:
+        return Fraction(0)
+    n, d = abs(v.numerator), v.denominator
+    e = n.bit_length() - d.bit_length()
+    if n << max(-e, 0) < d << max(e, 0):
+        e -= 1
+    return Fraction(2) ** (e - prec)
+
+
+def within_enclosure(parts, enclosure, engine):
+    """Whether each of the exact parts (re, im) of a value lies in its
+    interval of ``series_value_enclosure``, widened by the radius and by
+    half an ulp of the part (the last rounding)."""
+    *intervals, radius = enclosure
+    prec = engine.ctx.prec
+    return all(lo - radius - _half_ulp(v, prec) <= v <= hi + radius + _half_ulp(v, prec)
+               for v, (lo, hi) in zip(parts, intervals))
 
 
 # -- scalar ODE solutions ----------------------------------------------------

@@ -91,9 +91,9 @@ def test_exact_reports_keep_their_bytes(command):
 #: engine rounds exactly, in integers, on every platform; the double reports
 #: are left out, as their elementary functions come from the platform's libm
 MP_REPORT_DIGESTS = {
-    "verify": "323f09a1ce6d6727ff4e901192c03796cd66f7cc56d1deee41d7680d4bb40200",
-    "stokes": "c50398b291819e179bc86b9e1a831aea95d3035a44dd93d24255bc8bbb31bf43",
-    "connection": "f23ec07e24df530f2f53383e893d97cd777be75d9911981611402cc1fb2636fd",
+    "verify": "62873c42393fbc1b6c29cf118acb9975ef2980bc8ae6f5dc0031575aa6b6c64f",
+    "stokes": "4297a6a4b52486aca46652968aa8cc155a092f094d79363f859773030eda2d0f",
+    "connection": "3c6f07cf2baac6786d3f545e98615fea75dc1cf7134bd89e22cb17fac7439fc0",
 }
 
 

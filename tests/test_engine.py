@@ -1,6 +1,8 @@
 """Engine conversions (exact data is rounded once, to nearest), solves, the
-double engine's agreement with mpmath's fp context without loading mpmath,
-and the rule that every computation takes its engine from its caller."""
+mp polynomial in log z and dot product against exact values, the double
+engine's agreement with mpmath's fp context and with the expressions its
+kernels replace, without loading mpmath, and the rule that every
+computation takes its engine from its caller."""
 
 import inspect
 import math
@@ -14,11 +16,24 @@ import pytest
 from mpmath.libmp import from_int, mpf_div, round_nearest
 
 from monodromy_lab import monodromy, solutions, special
-from monodromy_lab.engine import NaNResidualError, get_engine, max_deviation, max_magnitude
+from monodromy_lab.engine import (
+    GUARD_BITS,
+    NaNResidualError,
+    get_engine,
+    max_deviation,
+    max_magnitude,
+)
 from monodromy_lab.frame import canonical_coordinates, frame, sector_config, stokes_ray_angles
 from monodromy_lab.pipeline import RunConfig
-from monodromy_lab.solutions import quantum_period
-from oracles import elimination_bound, gaussian
+from monodromy_lab.solutions import UCComplex, quantum_period
+from oracles import (
+    _gmul,
+    elimination_bound,
+    gaussian,
+    log_polynomial_expression,
+    scalar_column_derivatives_expression,
+    vector_from_scalar_expression,
+)
 
 
 def test_double_real_is_correctly_rounded():
@@ -352,3 +367,164 @@ def test_double_solutions_runs_its_contour_oracle(tmp_path):
     from monodromy_lab.cli import main
 
     assert main(["solutions", "--engine", "double", "--output", str(tmp_path / "s.json")]) == 0
+
+
+# -- the mp polynomial in log z and dot product, against exact values --------
+
+def _exact(x, e):
+    """An engine input as exact (re, im) Fractions, read as the mp kernels
+    read it: ints and mp numbers as they are, anything else through
+    ``Engine.complex``."""
+    return gaussian(x if isinstance(x, int) or hasattr(x, "_mpf_") or hasattr(x, "_mpc_")
+                    else e.complex(x))
+
+
+def _gadd(a, b):
+    return a[0] + b[0], a[1] + b[1]
+
+
+def _modulus_above(a):
+    """An upper bound on |re + i im| for exact parts, within 2^-100 of it."""
+    s = a[0] ** 2 + a[1] ** 2
+    if not s:
+        return Fraction(0)
+    k = max(0, (200 - s.numerator.bit_length() + s.denominator.bit_length()) // 2)
+    return Fraction(math.isqrt(s.numerator * 4 ** k // s.denominator) + 1, 2 ** k)
+
+
+def _within_half_ulp_plus(got, exact, prec, bound=0):
+    """Whether each part of ``got`` lies within half an ulp of itself, at
+    most 2^-prec of it, plus ``bound`` of the exact part."""
+    return all(abs(g - x) <= abs(g) / 2 ** prec + bound for g, x in zip(gaussian(got), exact))
+
+
+def _random_mp(e, rng, low=-30, high=30):
+    scale = Fraction(2) ** rng.randint(low, high)
+    return e.complex(Fraction(rng.randint(-10 ** 30, 10 ** 30), 10 ** 30) * scale,
+                     Fraction(rng.randint(-10 ** 30, 10 ** 30), 10 ** 30) * scale)
+
+
+def _log_polynomial_cases(e, rng):
+    """(sums, l, scale): random inputs, zero and int entries, z^rho scales
+    and sums that cancel to 2^-100 of the largest term."""
+    z = UCComplex.polar(2, math.pi / 4)
+    point = solutions.point_data(z, e)
+    scales = [1, *point.inverse_powers[1:], _random_mp(e, rng)]
+    for _ in range(40):
+        yield [_random_mp(e, rng) for _ in range(4)], _random_mp(e, rng, -2, 2), rng.choice(scales)
+    yield [e.complex(0), 0, 3, e.complex(0)], point.l, 1
+    yield [0, 0, 0, 0], point.l, point.inverse_powers[2]
+    yield [_random_mp(e, rng) for _ in range(4)], e.complex(0), point.inverse_powers[3]
+    yield [7, -2, 0, 1], 5, 1
+    for _ in range(20):
+        t1, t2, t3 = (_random_mp(e, rng) for _ in range(3))
+        l = _random_mp(e, rng, -2, 2)
+        rest = _gmul(_exact(l, e), _gadd(_exact(t1, e), _gmul(_exact(l, e), _gadd(
+            _exact(t2, e), _gmul(_exact(l, e), _exact(t3, e))))))
+        largest = max(_modulus_above(x) for x in (rest, _exact(t1, e)))
+        # T0 cancels the rest to within 2^-100 of the largest term
+        tiny = largest / 2 ** 100
+        t0 = e.complex(-rest[0] + tiny, -rest[1] - tiny / 3)
+        yield [t0, t1, t2, t3], l, rng.choice(scales)
+
+
+@pytest.mark.parametrize("dps", (40, 291))
+def test_mp_log_polynomial_stays_within_its_stated_bound(dps):
+    # the exact value of the inputs read as Fractions, against the bound of
+    # MPEngine.log_polynomial: 2^(4 - prec - GUARD_BITS) |scale|
+    # sum_k |l|^k |T_k| before the rounding, half an ulp of each part after
+    e = get_engine("mp", dps=dps)
+    prec = e.ctx.prec
+    rng = random.Random(30 + dps)
+    cancelled = 0
+    for sums, l, scale in _log_polynomial_cases(e, rng):
+        T, L, s = [_exact(t, e) for t in sums], _exact(l, e), _exact(scale, e)
+        exact = T[3]
+        for t in reversed(T[:3]):
+            exact = _gadd(_gmul(exact, L), t)
+        exact = _gmul(s, exact)
+        size = sum(_modulus_above(L) ** k * _modulus_above(t) for k, t in enumerate(T))
+        bound = Fraction(2) ** (4 - prec - GUARD_BITS) * _modulus_above(s) * size
+        got = e.log_polynomial(sums, l, scale)
+        assert _within_half_ulp_plus(got, exact, prec, bound), (sums, l, scale)
+        cancelled += 0 < _modulus_above(exact) < _modulus_above(s) * size / 2 ** 90
+    assert cancelled >= 20
+
+
+@pytest.mark.parametrize("dps", (40, 291))
+def test_mp_fdot_is_the_exact_sum_rounded_once(dps):
+    # within half an ulp of each part of the exact dot product, as
+    # MPEngine.fdot states: equal to it rounded once, to nearest, on random
+    # vectors with zero, int, Fraction, float and Python complex entries,
+    # and on sums that cancel to 2^-100 of the largest product
+    e = get_engine("mp", dps=dps)
+    rng = random.Random(31 + dps)
+    others = [0, e.complex(0), 3, -1, Fraction(1, 3), 0.1, 2.5 - 1j]
+    cases = []
+    for n in range(1, 7):
+        for _ in range(10):
+            xs = [_random_mp(e, rng) if rng.random() < 0.8 else rng.choice(others) for _ in range(n)]
+            ys = [_random_mp(e, rng) if rng.random() < 0.8 else rng.choice(others) for _ in range(n)]
+            cases.append((xs, ys))
+    for n in range(2, 7):
+        for _ in range(5):
+            xs = [_random_mp(e, rng) for _ in range(n)]
+            ys = [_random_mp(e, rng) for _ in range(n - 1)]
+            partial = (Fraction(0), Fraction(0))
+            for x, y in zip(xs, ys):
+                partial = _gadd(partial, _gmul(_exact(x, e), _exact(y, e)))
+            # the last product cancels the others to about 2^-100 of them
+            xr, xi = _exact(xs[-1], e)
+            q = xr * xr + xi * xi
+            last = ((-partial[0] * xr - partial[1] * xi) / q, (partial[0] * xi - partial[1] * xr) / q)
+            cases.append((xs, ys + [e.complex(*last) * (1 + e.real(2) ** -100)]))
+    for xs, ys in cases:
+        exact = (Fraction(0), Fraction(0))
+        for x, y in zip(xs, ys):
+            exact = _gadd(exact, _gmul(_exact(x, e), _exact(y, e)))
+        got = e.fdot(xs, ys)
+        assert _within_half_ulp_plus(got, exact, e.ctx.prec), (xs, ys)
+        assert got == e.complex(*exact), (xs, ys)
+
+
+def test_mp_kernels_refuse_non_finite_inputs():
+    e = get_engine("mp", dps=40)
+    ctx = e.ctx
+    finite = [e.complex(1, 2), e.complex(-3), e.complex(0, 5), e.complex(2, -1)]
+    for bad in (e.complex(ctx.nan), e.complex(0, ctx.inf), e.real(-ctx.inf), ctx.nan):
+        for k in range(4):
+            sums = list(finite)
+            sums[k] = bad
+            with pytest.raises(OverflowError):
+                e.log_polynomial(sums, finite[0], 1)
+        with pytest.raises(OverflowError):
+            e.log_polynomial(finite, bad, 1)
+        with pytest.raises(OverflowError):
+            e.log_polynomial(finite, finite[0], bad)
+        # a non-finite entry raises even against a zero factor
+        for xs, ys in (([bad, 1], [0, 2]), ([1, 0], [2, bad]), ([float("nan")], [1])):
+            with pytest.raises(OverflowError):
+                e.fdot(xs, ys)
+
+
+def test_double_kernels_are_the_expressions_they_replace():
+    # under double, eval_series' polynomial in l, the column derivatives and
+    # the lift give the doubles of the expressions they replace
+    e = get_engine("double")
+    rng = random.Random(32)
+
+    def draw():
+        return complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) * 2.0 ** rng.randint(-20, 20)
+
+    for _ in range(200):
+        sums, l = [draw() for _ in range(4)], draw()
+        for scale in (1, draw()):
+            assert e.log_polynomial(sums, l, scale) == log_polynomial_expression(sums, l, scale)
+    points = ([RunConfig.z0_stokes.rotated(m) for m in (-2, -1, 0, 1, 2)]
+              + [RunConfig.z0_connection.rotated(m) for m in (0, 1, 2)])
+    for z in points:
+        for spec in (*monodromy._YL_SPECS, *monodromy._YR_SPECS, monodromy._YL_COL3_ALT):
+            derivs = monodromy.scalar_column_derivatives(spec, z, 40, e)
+            assert derivs == scalar_column_derivatives_expression(spec, z, 40, e), (z, spec)
+            assert (monodromy.vector_from_scalar(derivs, z, e)
+                    == vector_from_scalar_expression(derivs, z, e)), (z, spec)
