@@ -27,19 +27,22 @@ bits, mp only), Gaussian elimination behind the solves (``_eliminate``),
 block pass of the log-series (``horner_columns``/``horner``), polynomial
 in log z of the block sums (``log_polynomial``) and dot product
 (``fdot``): hardware complex arithmetic under double, and under mp exact
-integers on mpmath's raw mantissas, where the elimination holds each row
-at its own exponent and rounds each entry of X once, the block pass sums
-only the blocks that can reach the working precision, the polynomial in
-log z cuts to guard bits after each step and rounds once, and the dot
-product sums its exact products exactly and rounds once.  Beside them,
-``matrix_steps`` applies integer matrices to a cubic block (the recursion
-that builds the residue series, and their derivative map) and picks its
-arithmetic from the coefficients' type, as ``log2_magnitude`` does: their
-own operators for Fractions and Python complex numbers, exact integers on
-mpmath's raw mantissas for mp numbers, with one rounding per coefficient.
-So five mp kernels run on raw mantissas (``horner``, ``_eliminate``,
-``matrix_steps``, ``log_polynomial`` and ``fdot``), and each states its
-error bound.
+integers on mpmath's raw mantissas.  Beside them, ``matrix_steps`` applies
+integer matrices to a cubic block (the recursion that builds the residue
+series, and their derivative map) in the coefficients' own arithmetic, as
+``log2_magnitude`` reads them: their operators for Fractions and Python
+complex numbers, and for mp numbers that of the mp kernels.
+
+The five mp kernels (``horner``, ``log_polynomial``, ``fdot``,
+``_eliminate``, ``matrix_steps``) share one exact-integer layer: one read
+(``_exact_parts``: an mp number as integers (re, im, exp), the value
+(re + i im) 2^exp, and OverflowError if it is not finite; ``_parts`` also
+takes an int, and anything else through ``Engine.complex``), one Horner
+loop that cuts each step to a number of bits (``_horner``: ``horner`` runs
+it in w, ``log_polynomial`` in log z, both ``GUARD_BITS`` above the working
+precision) and one rounding of each part, to nearest (``_rounded``).  Each
+kernel's own exact steps lie between the read and the rounding, and each
+kernel states its error bound.
 
 A matrix is a tuple of rows, the package's one format; ``Engine.matmul``
 multiplies two, each entry one ``fdot``, and ``max_deviation`` is the
@@ -66,9 +69,9 @@ import operator
 import sys
 from fractions import Fraction
 
-#: bits the exact-integer Horner pass of the mp engine carries above the
-#: working precision, and ``matrix_steps`` from block to block; each T_k,
-#: and each coefficient of a step, is rounded to the working precision once
+#: bits the mp engine's Horner loop (``_horner``) carries above the working
+#: precision, and ``matrix_steps`` from block to block; each T_k, and each
+#: coefficient of a step, is rounded to the working precision once
 GUARD_BITS = 20
 
 #: bits the mp engine's 4x4 elimination holds above the working precision
@@ -385,61 +388,36 @@ class MPEngine(Engine):
     def horner_columns(self, blocks):
         """The four coefficient columns of ``blocks`` (engine complex
         numbers), highest block first, in the form ``horner`` sums: each
-        coefficient read once as exact integers (re, im, exp), the value
-        (re + i im) 2^exp, and each column with the bounds of its cut:
-        (ns, tops) over its nonzero blocks n, lowest first, with top_n the
-        larger bit length of the two mantissas plus exp, so that
+        coefficient read once (``_exact_parts``), and each column with the
+        bounds of its cut: (ns, tops) over its nonzero blocks n, lowest
+        first, with top_n the ``_top_bit`` of a[n], so that
         2^(top_n - 1) <= |a[n]| < 2^(top_n + 1/2)."""
         out = []
         for col in zip(*reversed(blocks)):
-            parts = tuple(_exact_parts(a) for a in col)
-            nonzero = [(n, max(re.bit_length(), im.bit_length()) + exp)
-                        for n, (re, im, exp) in enumerate(reversed(parts)) if re or im]
+            parts = tuple(map(_exact_parts, col))
+            nonzero = [(n, _top_bit(*p)) for n, p in enumerate(reversed(parts)) if p[0] or p[1]]
             out.append((parts, tuple(zip(*nonzero)) or ((), ())))
         return tuple(out)
 
     def horner(self, columns, w):
         """T_k = sum_n w^n a_k[n] for each column of ``horner_columns``.
 
-        The pass runs in exact integers, and only over the blocks that can
-        reach the working precision: the leading (highest) blocks whose
+        The pass is the exact loop ``_horner``, over only the blocks that
+        can reach the working precision: the leading (highest) blocks whose
         summed magnitude bounds lie below 2^-(prec + GUARD_BITS) of the
         column's largest term are skipped (``_summed_blocks``, from the
         bounds of ``horner_columns``), and block 0 is always summed.  Each
-        step's product and sum are exact, then T is cut to
-        ``ctx.prec + GUARD_BITS`` bits, and each T_k is rounded once, to
-        nearest, at ``ctx.prec``.  So T_k is off by at most half an ulp plus
-        (4 per summed block, and 1 for the skipped ones) times
+        T_k is rounded once (``_rounded``).  So T_k is off by at most half an
+        ulp plus (4 per summed block, and 1 for the skipped ones) times
         2^-(prec + GUARD_BITS) sum_n |w^n a_k[n]|.
         """
-        prec = self.ctx.prec
-        wr, wi, we = _exact_parts(w)
-        bits = prec + GUARD_BITS
-        log2w = _log2_abs(wr, wi, we)
+        bits = self.ctx.prec + GUARD_BITS
+        w = self._parts(w)
+        log2w = _log2_abs(*w)
         out = []
         for col, bounds in columns:
-            tr = ti = te = 0
-            for ar, ai, ae in col[len(col) - _summed_blocks(bounds, log2w, bits):]:
-                if not (tr or ti):
-                    tr, ti, te = ar, ai, ae
-                    continue
-                pr = tr * wr - ti * wi
-                pi = tr * wi + ti * wr
-                te += we
-                d = te - ae
-                if not (ar or ai):
-                    tr, ti = pr, pi
-                elif d >= 0:
-                    tr, ti, te = (pr << d) + ar, (pi << d) + ai, ae
-                else:
-                    tr, ti = pr + (ar << -d), pi + (ai << -d)
-                excess = max(tr.bit_length(), ti.bit_length()) - bits
-                if excess > 0:
-                    tr >>= excess
-                    ti >>= excess
-                    te += excess
-            out.append(self.ctx.make_mpc((from_man_exp(tr, te, prec, round_nearest),
-                                          from_man_exp(ti, te, prec, round_nearest))))
+            summed = col[len(col) - _summed_blocks(bounds, log2w, bits):]
+            out.append(_rounded(self.ctx, *_horner(summed, w, bits)))
         return tuple(out)
 
     # -- the polynomial in log z and the dot product --------------------
@@ -454,58 +432,39 @@ class MPEngine(Engine):
             x = self.complex(x)
         return _exact_parts(x)
 
-    def _rounded(self, re, im, exp):
-        """The mpc (re + i im) 2^exp, each part rounded once, to nearest, at
-        ``ctx.prec``."""
-        prec = self.ctx.prec
-        return self.ctx.make_mpc((from_man_exp(re, exp, prec, round_nearest),
-                                  from_man_exp(im, exp, prec, round_nearest)))
-
     def log_polynomial(self, sums, l, scale):
         """scale (T0 + l (T1 + l (T2 + l T3))) for the block sums
-        T = ``sums``, in exact integers on the raw mantissas (``_parts``).
+        T = ``sums``: the exact loop ``_horner`` over (T3, T2, T1, T0) at l,
+        an exact product with ``scale`` and one rounding (``_rounded``).
 
-        Each Horner step in l is an exact product and sum, then cut (floor)
-        to ``ctx.prec + GUARD_BITS`` bits; the product with ``scale`` is
-        exact, and each part of the result is rounded once, to nearest, at
-        ``ctx.prec``.  A cut adds less than sqrt(2) 2^(1 - prec - GUARD_BITS)
-        of the step's value, so before its rounding the result is off from
-        the exact value at these inputs by at most
+        A cut adds less than sqrt(2) 2^(1 - prec - GUARD_BITS) of the
+        step's value, so before its rounding the result is off from the
+        exact value at these inputs by at most
         2^(4 - prec - GUARD_BITS) |scale| sum_k |l|^k |T_k|, and the
         rounding adds at most half an ulp to each part.  A non-finite input
         raises OverflowError.
         """
-        bits = self.ctx.prec + GUARD_BITS
-        lr, li, le = self._parts(l)
-        tr, ti, te = self._parts(sums[3])
-        for t in sums[2::-1]:
-            ar, ai, ae = self._parts(t)
-            tr, ti, te = _add(tr * lr - ti * li, tr * li + ti * lr, te + le, ar, ai, ae)
-            excess = max(tr.bit_length(), ti.bit_length()) - bits
-            if excess > 0:
-                tr >>= excess
-                ti >>= excess
-                te += excess
+        tr, ti, te = _horner(map(self._parts, sums[::-1]), self._parts(l),
+                             self.ctx.prec + GUARD_BITS)
         sr, si, se = self._parts(scale)
-        return self._rounded(tr * sr - ti * si, tr * si + ti * sr, te + se)
+        return _rounded(self.ctx, tr * sr - ti * si, tr * si + ti * sr, te + se)
 
     def fdot(self, xs, ys):
-        """sum_i xs[i] ys[i] as an mpc: each entry read as exact integers
-        (``_parts``), the products and their sum exact, and each part
-        rounded once, to nearest, at ``ctx.prec``, so within half an ulp of
-        the exact dot product.  A non-finite entry raises OverflowError."""
+        """sum_i xs[i] ys[i] as an mpc: each entry read once (``_parts``),
+        the products and their sum exact, and one rounding (``_rounded``),
+        so within half an ulp of each part of the exact dot product.  A
+        non-finite entry raises OverflowError."""
         re = im = exp = 0
         for x, y in zip(xs, ys):
             ar, ai, ae = self._parts(x)
             br, bi, be = self._parts(y)
             re, im, exp = _add(re, im, exp, ar * br - ai * bi, ar * bi + ai * br, ae + be)
-        return self._rounded(re, im, exp)
+        return _rounded(self.ctx, re, im, exp)
 
     def _eliminate(self, A, B):
-        """``Engine.solve`` in exact integers on mpmath's raw mantissas, for
-        entries that are mp numbers or ints.
+        """``Engine.solve`` in exact integers on mpmath's raw mantissas.
 
-        Each entry is read once (``_exact_parts``).  Row k of A is held as
+        Each entry is read once (``_parts``).  Row k of A is held as
         Gaussian integers at its own exponent e_k, at which its largest part
         has prec + SOLVE_EXTRA_BITS bits, and row k of B at e_k + d, with d
         chosen alike for the rows B_k 2^-e_k together; a part below its
@@ -521,17 +480,17 @@ class MPEngine(Engine):
         the pivot's column, leave it at 0.  The back substitution holds X at
         the exponent d - g, g one bit above the largest pivot, with one
         floor per quotient, so U X = C + R with each part of row i of R
-        below 2^(e_i + d).  Each entry of X is then rounded once, to
-        nearest, at ``ctx.prec``: X is (A + dA)^(-1) (B + dB + P^T L R)
+        below 2^(e_i + d).  Each entry of X is then rounded once
+        (``_rounded``): X is (A + dA)^(-1) (B + dB + P^T L R)
         rounded entry by entry.  A non-finite entry raises OverflowError.
         """
         n, prec = len(A), self.ctx.prec
         bits = prec + SOLVE_EXTRA_BITS
-        A = [[(x, 0, 0) if type(x) is int else _exact_parts(x) for x in row] for row in A]
-        B = [[(x, 0, 0) if type(x) is int else _exact_parts(x) for x in row] for row in B]
+        A = [[self._parts(x) for x in row] for row in A]
+        B = [[self._parts(x) for x in row] for row in B]
         # a row of zeros in A is refused below, at any exponent
-        exps = [_top_bit(row, bits) - bits for row in A]
-        d = max((top - e for top, e in zip(map(_top_bit, B), exps) if top is not None),
+        exps = [max([_top_bit(*x) for x in row if x[0] or x[1]], default=bits) - bits for row in A]
+        d = max((_top_bit(*x) - e for row, e in zip(B, exps) for x in row if x[0] or x[1]),
                 default=bits) - bits
         rows = [_at_exponent(a, e) + _at_exponent(b, e + d) for a, b, e in zip(A, B, exps)]
         # the refusal: a row sum or pivot s of row k at or below ||A||_1 eps,
@@ -578,20 +537,16 @@ class MPEngine(Engine):
             ur, ui = row[i]
             q = ur * ur + ui * ui
             X[i] = [((tr * ur + ti * ui) // q, (ti * ur - tr * ui) // q) for tr, ti in t]
-        make_mpc, exp = self.ctx.make_mpc, d - g
-        return tuple(tuple(make_mpc((from_man_exp(xr, exp, prec, round_nearest),
-                                     from_man_exp(xi, exp, prec, round_nearest)))
-                           for xr, xi in row) for row in X)
+        return tuple(tuple(_rounded(self.ctx, xr, xi, d - g) for xr, xi in row) for row in X)
 
     def _mpmath_context(self):
         return self.ctx
 
 
-def _top_bit(parts, default=None):
-    """The largest of bit_length(part) + exp over the entries (re, im, exp)
-    with a nonzero part, or ``default`` for a row of zeros."""
-    return max((max(re.bit_length(), im.bit_length()) + exp
-                for re, im, exp in parts if re or im), default=default)
+def _top_bit(re, im, exp):
+    """The larger bit length of the parts plus exp, so that
+    2^(top - 1) <= |(re + i im) 2^exp| < 2^(top + 1/2) for a nonzero value."""
+    return max(re.bit_length(), im.bit_length()) + exp
 
 
 def _at_exponent(parts, e):
@@ -611,6 +566,47 @@ def _add(ar, ai, ae, br, bi, be):
     if ae >= be:
         return (ar << ae - be) + br, (ai << ae - be) + bi, be
     return ar + (br << be - ae), ai + (bi << be - ae), ae
+
+
+def _horner(terms, w, bits):
+    """sum_n w^n a[n] for the terms a[n], highest n first, and w, each as
+    exact integers (re, im, exp), cut to ``bits`` bits.
+
+    The first nonzero term is taken as it is; each later step is an exact
+    product with w and an exact, aligned sum, then a cut (floor) of both
+    parts to where the larger has ``bits`` bits, which adds less than
+    sqrt(2) 2^(1 - bits) of the step's value.  The result is
+    (re, im, exp), unrounded."""
+    wr, wi, we = w
+    tr = ti = te = 0
+    for ar, ai, ae in terms:
+        if not (tr or ti):
+            tr, ti, te = ar, ai, ae
+            continue
+        pr = tr * wr - ti * wi
+        pi = tr * wi + ti * wr
+        te += we
+        d = te - ae
+        if not (ar or ai):
+            tr, ti = pr, pi
+        elif d >= 0:
+            tr, ti, te = (pr << d) + ar, (pi << d) + ai, ae
+        else:
+            tr, ti = pr + (ar << -d), pi + (ai << -d)
+        excess = max(tr.bit_length(), ti.bit_length()) - bits
+        if excess > 0:
+            tr >>= excess
+            ti >>= excess
+            te += excess
+    return tr, ti, te
+
+
+def _rounded(ctx, re, im, exp):
+    """The mpc (re + i im) 2^exp of the context ``ctx``, each part rounded
+    once, to nearest, at ``ctx.prec``."""
+    prec = ctx.prec
+    return ctx.make_mpc((from_man_exp(re, exp, prec, round_nearest) if re else fzero,
+                         from_man_exp(im, exp, prec, round_nearest) if im else fzero))
 
 
 def _exact_parts(x):
@@ -708,8 +704,8 @@ def matrix_steps(block, steps):
     ``GUARD_BITS`` bits above the working precision of the block's largest
     part, so it adds less than 2^(1 - prec - GUARD_BITS) of that part to
     each coefficient, which the later steps carry forward by their
-    matrices.  Each coefficient is rounded once, to nearest, at ``ctx.prec``,
-    into the block's context's complex numbers.  So a coefficient of b_j is
+    matrices.  Each coefficient is rounded once (``_rounded``), into the
+    block's context's complex numbers.  So a coefficient of b_j is
     off from the exact image of b_0 by at most half an ulp plus
     sum_(i <= j) |Q_j ... Q_(i+1)| / (den_j ... den_(i+1)) applied to that
     cut of step i; a step with den_j = 1 is exact, and a single one leaves
@@ -725,8 +721,7 @@ def matrix_steps(block, steps):
             out.append(block)
         return out
     ctx = block[0].context
-    prec = ctx.prec
-    bits = prec + GUARD_BITS
+    bits = ctx.prec + GUARD_BITS
     parts = list(map(_exact_parts, block))
     exp = min([e for re, im, e in parts if re or im], default=0)
     re = [r << (e - exp) if r else 0 for r, _, e in parts]
@@ -741,10 +736,7 @@ def matrix_steps(block, steps):
             re = [(x << up) // den for x in re]
             im = [(x << up) // den for x in im]
             exp -= shift
-        out.append(tuple([
-            ctx.make_mpc((from_man_exp(r, exp, prec, round_nearest) if r else fzero,
-                          from_man_exp(i, exp, prec, round_nearest) if i else fzero))
-            for r, i in zip(re, im)]))
+        out.append(tuple([_rounded(ctx, r, i, exp) for r, i in zip(re, im)]))
     return out
 
 

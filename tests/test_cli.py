@@ -94,6 +94,12 @@ MP_REPORT_DIGESTS = {
     "verify": "62873c42393fbc1b6c29cf118acb9975ef2980bc8ae6f5dc0031575aa6b6c64f",
     "stokes": "4297a6a4b52486aca46652968aa8cc155a092f094d79363f859773030eda2d0f",
     "connection": "3c6f07cf2baac6786d3f545e98615fea75dc1cf7134bd89e22cb17fac7439fc0",
+    # off the defaults: more digits, a longer series, and base points of
+    # other moduli, where the block passes sum other numbers of blocks
+    "verify --dps 60": "350ca13ebf8deadd92da3199018faf6bbd2dcb212db13926afc10baecc0d4031",
+    "verify --order 60": "8d6dfd2137ae84d2cb4a93870c7d65ef63abb3f46d3f944e79ae8f18860dd7d8",
+    "verify --z0-stokes 1.5,0.8 --z0-connection 0.2,0.785":
+        "00d06ae771dbfd6423727cc501fb2211d3340550d04b6670babeffe195056327",
 }
 
 

@@ -20,6 +20,7 @@ from monodromy_lab.engine import (
     GUARD_BITS,
     NaNResidualError,
     get_engine,
+    matrix_steps,
     max_deviation,
     max_magnitude,
 )
@@ -104,8 +105,9 @@ def test_numerically_singular_matrices_are_refused(monkeypatch, capsys, name):
 
 def _mp_kernel_case(case, e):
     """A and B of one mp elimination case: Y_R \\ Y_L at the default Stokes
-    point, Y_top \\ Y_R at the default connection point, the identity and a
-    seeded random complex matrix, the last two against a seeded random B."""
+    point, Y_top \\ Y_R at the default connection point, the identity, a
+    seeded random complex matrix and the same with its first row scaled by
+    2^-100, the last three against a seeded random B, which is O(1)."""
     rng = random.Random(28)
 
     def draw():
@@ -120,10 +122,16 @@ def _mp_kernel_case(case, e):
         return monodromy.eval_Ytop(z_c, 40, e), monodromy.assemble_YR(z_c, 40, e)
     if case == "identity":
         return [[e.complex(int(i == j)) for j in range(4)] for i in range(4)], draw()
-    return draw(), draw()
+    A, B = draw(), draw()
+    if case == "scaled":
+        # B is held at one offset from A's row exponents, so rows 1 to 3 of
+        # B are floored at 2^-100, 38 to 40 bits above their last bits; the
+        # stated bound carries that read
+        A[0] = [x * e.real(Fraction(1, 2 ** 100)) for x in A[0]]
+    return A, B
 
 
-@pytest.mark.parametrize("case", ["stokes", "connection", "identity", "random"])
+@pytest.mark.parametrize("case", ["stokes", "connection", "identity", "random", "scaled"])
 def test_mp_solve_and_inverse_stay_within_their_stated_bound(case):
     # the bound of MPEngine._eliminate, against an exact solve of its inputs
     # read as Fractions; at these inputs it is about half an ulp of each part
@@ -138,6 +146,11 @@ def test_mp_solve_and_inverse_stay_within_their_stated_bound(case):
                     assert abs(float(got - want)) <= limit, (case, got, want, limit)
     if case == "identity":
         assert e.inverse(A) == tuple(map(tuple, A))
+    # a Python float or complex entry is read as Engine.complex reads it
+    plain = [[[float(x.real) if j % 2 else complex(x) for j, x in enumerate(row)]
+              for row in M] for M in (A, B)]
+    converted = [[[e.complex(x) for x in row] for row in M] for M in plain]
+    assert e.solve(*plain) == e.solve(*converted), case
 
 
 def test_mp_pivot_ties_go_to_the_first_of_the_exactly_largest():
@@ -505,6 +518,21 @@ def test_mp_kernels_refuse_non_finite_inputs():
         for xs, ys in (([bad, 1], [0, 2]), ([1, 0], [2, bad]), ([float("nan")], [1])):
             with pytest.raises(OverflowError):
                 e.fdot(xs, ys)
+        # the block pass, at a coefficient and at w, the elimination, in A
+        # and in B, and the recursion's steps
+        with pytest.raises(OverflowError):
+            e.horner_columns([finite, [finite[0], bad, *finite[2:]]])
+        with pytest.raises(OverflowError):
+            e.horner(e.horner_columns([finite, finite]), bad)
+        A = [[e.complex(4 * int(i == j) + 1) for j in range(4)] for i in range(4)]
+        bad_A, bad_B = [list(row) for row in A], [list(row) for row in A]
+        bad_A[1][2] = bad_B[2][0] = bad
+        for args in ((bad_A, A), (A, bad_B)):
+            with pytest.raises(OverflowError):
+                e.solve(*args)
+        Q = [[int(i <= j) for j in range(4)] for i in range(4)]
+        with pytest.raises(OverflowError):
+            matrix_steps((finite[0], finite[1], bad, finite[3]), [(Q, 3)])
 
 
 def test_double_kernels_are_the_expressions_they_replace():
