@@ -33,13 +33,15 @@ series, and their derivative map) in the coefficients' own arithmetic, as
 ``log2_magnitude`` reads them: their operators for Fractions and Python
 complex numbers, and for mp numbers that of the mp kernels.
 
-The five mp kernels (``horner``, ``log_polynomial``, ``fdot``,
-``_eliminate``, ``matrix_steps``) share one exact-integer layer: one read
-(``_exact_parts``: an mp number as integers (re, im, exp), the value
-(re + i im) 2^exp, and OverflowError if it is not finite; ``_parts`` also
-takes an int, and anything else through ``Engine.complex``), one Horner
-loop that cuts each step to a number of bits (``_horner``: ``horner`` runs
-it in w, ``log_polynomial`` in log z, both ``GUARD_BITS`` above the working
+An operand is a number in the form the kernels read it
+(``Engine.operand``): under double the number itself, under mp exact
+integers (re, im, exp), the value (re + i im) 2^exp, of an mp number's raw
+mantissas (``_exact_parts``).  An operand reads as itself, so the kernels
+take numbers and operands alike, and a cache that holds operands has each
+value read once.  The five mp kernels (``horner``, ``log_polynomial``,
+``fdot``, ``_eliminate``, ``matrix_steps``) share that read, one Horner loop
+that cuts each step to a number of bits (``_horner``: ``horner`` runs it in
+w, ``log_polynomial`` in log z, both ``GUARD_BITS`` above the working
 precision) and one rounding of each part, to nearest (``_rounded``).  Each
 kernel's own exact steps lie between the read and the rounding, and each
 kernel states its error bound.
@@ -143,11 +145,11 @@ def max_deviation(A, B):
 
 class Engine:
     """A scalar backend: a name, its digits and what ``DoubleEngine`` and
-    ``MPEngine`` share.  Each engine supplies ``real``, ``guarded``,
-    ``horner_columns``, ``horner``, ``log_polynomial``, ``fdot`` and
-    ``_eliminate``, the constants ``pi``, ``euler`` and ``zeta3``, and the
-    functions behind ``complex``, ``exp``, ``log``, ``sqrt`` and
-    ``gamma``/``quad``."""
+    ``MPEngine`` share.  Each engine supplies ``real``, ``operand``,
+    ``guarded``, ``horner_columns``, ``horner``, ``log_polynomial``,
+    ``fdot`` and ``_eliminate``, the constants ``pi``, ``euler`` and
+    ``zeta3``, and the functions behind ``complex``, ``exp``, ``log``,
+    ``sqrt`` and ``gamma``/``quad``."""
 
     def __init__(self, name, dps, eps):
         self.name = name
@@ -277,6 +279,10 @@ class DoubleEngine(Engine):
         """A float; a Fraction is rounded once, to nearest."""
         return float(x)
 
+    def operand(self, x):
+        """x itself: the hardware kernels read numbers as they are."""
+        return x
+
     def guarded(self, bits=GUARD_BITS):
         """A no-op: double arithmetic has no guard bits."""
         return contextlib.nullcontext()
@@ -365,6 +371,19 @@ class MPEngine(Engine):
             return self.ctx.make_mpf(mpf_div(p, q, self.ctx.prec, round_nearest))
         return self.ctx.mpf(x)
 
+    def operand(self, x):
+        """x as exact integers (re, im, exp), the value (re + i im) 2^exp:
+        such a tuple as it is, an int as (x, 0, 0), an mp number by
+        ``_exact_parts``, anything else through ``Engine.complex``.  A
+        non-finite value raises OverflowError."""
+        if type(x) is tuple:
+            return x
+        if type(x) is int:
+            return x, 0, 0
+        if not isinstance(x, _MP_TYPES):
+            x = self.complex(x)
+        return _exact_parts(x)
+
     @property
     def pi(self):
         return +self.ctx.pi
@@ -412,7 +431,7 @@ class MPEngine(Engine):
         2^-(prec + GUARD_BITS) sum_n |w^n a_k[n]|.
         """
         bits = self.ctx.prec + GUARD_BITS
-        w = self._parts(w)
+        w = self.operand(w)
         log2w = _log2_abs(*w)
         out = []
         for col, bounds in columns:
@@ -421,16 +440,6 @@ class MPEngine(Engine):
         return tuple(out)
 
     # -- the polynomial in log z and the dot product --------------------
-
-    def _parts(self, x):
-        """x as exact integers (re, im, exp), the value (re + i im) 2^exp:
-        an int as it is, an mp number by ``_exact_parts``, anything else
-        through ``Engine.complex``.  A non-finite value raises OverflowError."""
-        if type(x) is int:
-            return x, 0, 0
-        if not isinstance(x, _MP_TYPES):
-            x = self.complex(x)
-        return _exact_parts(x)
 
     def log_polynomial(self, sums, l, scale):
         """scale (T0 + l (T1 + l (T2 + l T3))) for the block sums
@@ -444,27 +453,37 @@ class MPEngine(Engine):
         rounding adds at most half an ulp to each part.  A non-finite input
         raises OverflowError.
         """
-        tr, ti, te = _horner(map(self._parts, sums[::-1]), self._parts(l),
+        tr, ti, te = _horner(map(self.operand, sums[::-1]), self.operand(l),
                              self.ctx.prec + GUARD_BITS)
-        sr, si, se = self._parts(scale)
+        sr, si, se = self.operand(scale)
         return _rounded(self.ctx, tr * sr - ti * si, tr * si + ti * sr, te + se)
 
     def fdot(self, xs, ys):
-        """sum_i xs[i] ys[i] as an mpc: each entry read once (``_parts``),
-        the products and their sum exact, and one rounding (``_rounded``),
+        """sum_i xs[i] ys[i] as an mpc: each entry read once (``operand``),
+        the products and their sum exact, each product added at the smaller
+        exponent of the two nonzero terms, and one rounding (``_rounded``),
         so within half an ulp of each part of the exact dot product.  A
         non-finite entry raises OverflowError."""
+        operand = self.operand
         re = im = exp = 0
         for x, y in zip(xs, ys):
-            ar, ai, ae = self._parts(x)
-            br, bi, be = self._parts(y)
-            re, im, exp = _add(re, im, exp, ar * br - ai * bi, ar * bi + ai * br, ae + be)
+            ar, ai, ae = operand(x)
+            br, bi, be = operand(y)
+            pr, pi, pe = ar * br - ai * bi, ar * bi + ai * br, ae + be
+            if not (pr or pi):
+                continue
+            if not (re or im):
+                re, im, exp = pr, pi, pe
+            elif exp >= pe:
+                re, im, exp = (re << exp - pe) + pr, (im << exp - pe) + pi, pe
+            else:
+                re, im = re + (pr << pe - exp), im + (pi << pe - exp)
         return _rounded(self.ctx, re, im, exp)
 
     def _eliminate(self, A, B):
         """``Engine.solve`` in exact integers on mpmath's raw mantissas.
 
-        Each entry is read once (``_parts``).  Row k of A is held as
+        Each entry is read once (``operand``).  Row k of A is held as
         Gaussian integers at its own exponent e_k, at which its largest part
         has prec + SOLVE_EXTRA_BITS bits, and row k of B at e_k + d, with d
         chosen alike for the rows B_k 2^-e_k together; a part below its
@@ -486,8 +505,8 @@ class MPEngine(Engine):
         """
         n, prec = len(A), self.ctx.prec
         bits = prec + SOLVE_EXTRA_BITS
-        A = [[self._parts(x) for x in row] for row in A]
-        B = [[self._parts(x) for x in row] for row in B]
+        A = [[self.operand(x) for x in row] for row in A]
+        B = [[self.operand(x) for x in row] for row in B]
         # a row of zeros in A is refused below, at any exponent
         exps = [max([_top_bit(*x) for x in row if x[0] or x[1]], default=bits) - bits for row in A]
         d = max((_top_bit(*x) - e for row, e in zip(B, exps) for x in row if x[0] or x[1]),
@@ -556,18 +575,6 @@ def _at_exponent(parts, e):
             for re, im, exp in parts]
 
 
-def _add(ar, ai, ae, br, bi, be):
-    """The exact sum of (ar + i ai) 2^ae and (br + i bi) 2^be as integers
-    (re, im, exp), at the smaller exponent of the two nonzero terms."""
-    if not (br or bi):
-        return ar, ai, ae
-    if not (ar or ai):
-        return br, bi, be
-    if ae >= be:
-        return (ar << ae - be) + br, (ai << ae - be) + bi, be
-    return ar + (br << be - ae), ai + (bi << be - ae), ae
-
-
 def _horner(terms, w, bits):
     """sum_n w^n a[n] for the terms a[n], highest n first, and w, each as
     exact integers (re, im, exp), cut to ``bits`` bits.
@@ -575,14 +582,16 @@ def _horner(terms, w, bits):
     The first nonzero term is taken as it is; each later step is an exact
     product with w and an exact, aligned sum, then a cut (floor) of both
     parts to where the larger has ``bits`` bits, which adds less than
-    sqrt(2) 2^(1 - bits) of the step's value.  The result is
+    sqrt(2) 2^(1 - bits) of the step's value.  A step that cancels to 0
+    exactly starts the loop again at the next nonzero term.  The result is
     (re, im, exp), unrounded."""
     wr, wi, we = w
     tr = ti = te = 0
+    terms = iter(terms)
+    for tr, ti, te in terms:
+        if tr or ti:
+            break
     for ar, ai, ae in terms:
-        if not (tr or ti):
-            tr, ti, te = ar, ai, ae
-            continue
         pr = tr * wr - ti * wi
         pi = tr * wi + ti * wr
         te += we
@@ -593,11 +602,15 @@ def _horner(terms, w, bits):
             tr, ti, te = (pr << d) + ar, (pi << d) + ai, ae
         else:
             tr, ti = pr + (ar << -d), pi + (ai << -d)
-        excess = max(tr.bit_length(), ti.bit_length()) - bits
+        excess = (abs(tr) | abs(ti)).bit_length() - bits
         if excess > 0:
             tr >>= excess
             ti >>= excess
             te += excess
+        elif not (tr or ti):
+            for tr, ti, te in terms:
+                if tr or ti:
+                    break
     return tr, ti, te
 
 

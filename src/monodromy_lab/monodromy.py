@@ -304,10 +304,10 @@ def scalar_column_derivatives(spec, z, order, engine, tol=None):
 @functools.lru_cache(maxsize=None)
 def _term_factors(coef, kind, m, engine):
     """coef * pref(kind) * (-1)^m * (eps^m)^d for d = 0..3,
-    eps = e^(2 pi i/3), once per engine."""
+    eps = e^(2 pi i/3), once per engine, as engine operands."""
     c = coef * _prefactor(kind, engine) * (-1) ** (m % 2)
     epsm = engine.exp(2 * engine.i * engine.pi * m / 3)
-    return tuple(c * epsm ** d for d in range(4))
+    return tuple(engine.operand(c * epsm ** d) for d in range(4))
 
 
 def vector_from_scalar(derivs, z, engine):
@@ -317,13 +317,14 @@ def vector_from_scalar(derivs, z, engine):
     y1 = (z^2 phi''' + phi' + 3 z phi'' - 54 z^2 phi)/(54 sqrt z)
        = z^(3/2)/54 phi''' + phi'/(54 sqrt z) + sqrt z/18 phi'' - y4,
     with the factors read from the point's ``PointData.lift``, so the lift
-    takes no division.  Each entry is one ``engine.fdot`` of its factors
-    and derivatives, y1 with -z^(3/2) as the factor of phi: summed in order
-    under double, rounded once under mp."""
-    p0, p1, p2, p3 = derivs
-    z32, z32_3, z32_18, sz_18, z32_54, inv_54sz = point_data(z, engine).lift
+    takes no division, and each derivative read once (``Engine.operand``).
+    Each entry is one ``engine.fdot`` of its factors and derivatives, y1
+    with -z^(3/2) as the factor of phi: summed in order under double,
+    rounded once under mp."""
+    p0, p1, p2, p3 = map(engine.operand, derivs)
+    z32, z32_3, z32_18, sz_18, z32_54, inv_54sz, neg_z32 = point_data(z, engine).lift
     fdot = engine.fdot
-    return (fdot((z32_54, inv_54sz, sz_18, -z32), (p3, p1, p2, p0)),
+    return (fdot((z32_54, inv_54sz, sz_18, neg_z32), (p3, p1, p2, p0)),
             fdot((z32_18, sz_18), (p2, p1)),
             fdot((z32_3,), (p1,)),
             fdot((z32,), (p0,)))

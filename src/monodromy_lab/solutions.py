@@ -112,9 +112,10 @@ class UCComplex(Record):
         return UCComplex(self.modulus, Fraction(self.arg_over_pi) + 2 * Fraction(turns))
 
     def log(self, engine):
-        """log z in the engine: ln(modulus) + i*pi*arg_over_pi."""
-        return (engine.complex(engine.log(engine.real(self.modulus)), 0)
-                + engine.i * engine.pi * engine.real(self.arg_over_pi))
+        """log z in the engine: ln(modulus) + i*pi*arg_over_pi, with
+        ln(modulus) and i*pi formed once per modulus and engine
+        (``_log_modulus``, ``_i_pi``)."""
+        return _log_modulus(self.modulus, engine) + _i_pi(engine) * engine.real(self.arg_over_pi)
 
 
 class LogSeries(Record):
@@ -272,16 +273,32 @@ def phi_series(kind, order, engine):
 POINTS_SIZE = 32
 
 
+@functools.lru_cache(maxsize=POINTS_SIZE)
+def _log_modulus(modulus, engine):
+    """ln(modulus) as an engine complex number; the points of a
+    verification share few moduli (its 15 Stokes points one)."""
+    return engine.complex(engine.log(engine.real(modulus)), 0)
+
+
+@functools.cache
+def _i_pi(engine):
+    """i pi in the engine, formed once per engine."""
+    return engine.i * engine.pi
+
+
 class PointData:
     """What every evaluation at one point z in one engine reads, each
-    computed once per record (``point_data`` caches the records): l = log z
-    and the point-class key (modulus, arg/pi mod 2/3) on construction;
-    z^(1/2) and its powers, z^-1 to z^-3, log2 |l|, e^(3l) and the lift
-    factors of ``monodromy.vector_from_scalar``, on first use."""
+    computed once per record (``point_data`` caches the records): l = log z,
+    also as an engine operand (``Engine.operand``), and the point-class key
+    (modulus, arg/pi mod 2/3) on construction; z^(1/2) and its powers,
+    log2 |l|, e^(3l), and as operands z^-1 to z^-3 and the lift factors of
+    ``monodromy.vector_from_scalar``, on first use.  The kernels that take
+    the operands at every call then read none of them again."""
 
     def __init__(self, z, engine):
         self.engine = engine
         self.l = z.log(engine)
+        self.l_operand = engine.operand(self.l)
         self.key = (z.modulus, Fraction(z.arg_over_pi) % Fraction(2, 3))
 
     @functools.cached_property
@@ -299,17 +316,20 @@ class PointData:
 
     @functools.cached_property
     def inverse_powers(self):
-        """(1, z^-1, z^-2, z^-3): z^rho of a derivative series is entry -rho."""
+        """(1, z^-1, z^-2, z^-3) as operands: z^rho of a derivative series
+        is entry -rho."""
         inverse = 1 / self.half_powers[1]
-        return (1,) + tuple(inverse ** k for k in (1, 2, 3))
+        return (1,) + tuple(self.engine.operand(inverse ** k) for k in (1, 2, 3))
 
     @functools.cached_property
     def lift(self):
         """(z^(3/2), z^(3/2)/3, z^(3/2)/18, z^(1/2)/18, z^(3/2)/54,
-        1/(54 z^(1/2))): the factors of ``monodromy.vector_from_scalar``,
-        so that its lift takes no division."""
+        1/(54 z^(1/2)), -z^(3/2)) as operands: the factors of
+        ``monodromy.vector_from_scalar``, so that its lift takes no division;
+        the negation is exact."""
         h, _, z32 = self.half_powers
-        return z32, z32 / 3, z32 / 18, h / 18, z32 / 54, 1 / (54 * h)
+        factors = z32, z32 / 3, z32 / 18, h / 18, z32 / 54, 1 / (54 * h), -z32
+        return tuple(map(self.engine.operand, factors))
 
     @functools.cached_property
     def cube(self):
@@ -363,13 +383,14 @@ def _prepare(series, engine):
 class _BlockSums(Record):
     """One block pass of a series at a point class.
 
-    ``sums[k]`` is T_k(w) = sum_n w^n a_k[n] with w = z^3, so the series at
-    any point z of the class is z^rho (T0 + l (T1 + l (T2 + l T3))),
-    l = log z.  ``tail`` is the certificate's one majorant block, four
-    floats: for each k = 0..3, an upper bound M_k on the log2 of the largest
-    magnitude |z|^(rho+3n) |a_k[n]| over the blocks n of the certificate
-    (-inf if all are 0).  It compares and hashes by identity.  A
-    ``Record``, not a dataclass: see ``monodromy_lab.record``.
+    ``sums[k]`` is T_k(w) = sum_n w^n a_k[n] with w = z^3, as an engine
+    operand (``Engine.operand``), so the series at any point z of the class
+    is z^rho (T0 + l (T1 + l (T2 + l T3))), l = log z.  ``tail`` is the
+    certificate's one majorant block, four floats: for each k = 0..3, an
+    upper bound M_k on the log2 of the largest magnitude |z|^(rho+3n)
+    |a_k[n]| over the blocks n of the certificate (-inf if all are 0).  It
+    compares and hashes by identity.  A ``Record``, not a dataclass: see
+    ``monodromy_lab.record``.
     """
 
     __slots__ = _fields = ("sums", "tail")
@@ -402,7 +423,7 @@ def _block_sums(series, modulus, arg_over_pi, engine):
                     for c, logs in tail for g in logs if g > -math.inf), default=0)
         slack = LOG2_SLACK + ROUNDING * size
         majorant = tuple(max(column) + slack for column in zip(*exponents))
-        return _BlockSums(engine.horner(columns, w), majorant)
+        return _BlockSums(tuple(map(engine.operand, engine.horner(columns, w))), majorant)
     except OverflowError as exc:
         raise _range_error(modulus, engine) from exc
 
@@ -508,7 +529,7 @@ def eval_series(series, z, engine, m=0, tol=None):
     # no exponential at the point
     scale = point.inverse_powers[-cur.rho] if cur.rho else 1
     try:
-        total = engine.log_polynomial(sums.sums, point.l, scale)
+        total = engine.log_polynomial(sums.sums, point.l_operand, scale)
     except OverflowError as exc:
         raise _range_error(z.modulus, engine) from exc
 

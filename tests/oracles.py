@@ -134,9 +134,13 @@ def _fraction(raw):
 
 
 def gaussian(x):
-    """An int or mp number as exact (re, im) Fractions."""
+    """An int, mp number or mp engine operand (re, im, exp) as exact
+    (re, im) Fractions."""
     if isinstance(x, int):
         return Fraction(x), Fraction(0)
+    if type(x) is tuple:
+        re, im, exp = x
+        return Fraction(re) * Fraction(2) ** exp, Fraction(im) * Fraction(2) ** exp
     return tuple(_fraction(v._mpf_) for v in (x.real, x.imag))
 
 
@@ -281,12 +285,40 @@ def vector_from_scalar_expression(derivs, z, engine):
     """``monodromy.vector_from_scalar`` before ``Engine.fdot``: products
     and sums in the numbers' own arithmetic, y1 less y4."""
     p0, p1, p2, p3 = derivs
-    z32, z32_3, z32_18, sz_18, z32_54, inv_54sz = solutions.point_data(z, engine).lift
+    z32, z32_3, z32_18, sz_18, z32_54, inv_54sz, _ = solutions.point_data(z, engine).lift
     y4 = z32 * p0
     y3 = z32_3 * p1
     y2 = z32_18 * p2 + sz_18 * p1
     y1 = z32_54 * p3 + inv_54sz * p1 + sz_18 * p2 - y4
     return (y1, y2, y3, y4)
+
+
+def horner_reference(terms, w, bits):
+    """``engine._horner`` as it was written with a test for a zero sum at
+    every step and the cut from ``max`` of the two bit lengths, kept
+    verbatim as the reference of the loop that replaced it."""
+    wr, wi, we = w
+    tr = ti = te = 0
+    for ar, ai, ae in terms:
+        if not (tr or ti):
+            tr, ti, te = ar, ai, ae
+            continue
+        pr = tr * wr - ti * wi
+        pi = tr * wi + ti * wr
+        te += we
+        d = te - ae
+        if not (ar or ai):
+            tr, ti = pr, pi
+        elif d >= 0:
+            tr, ti, te = (pr << d) + ar, (pi << d) + ai, ae
+        else:
+            tr, ti = pr + (ar << -d), pi + (ai << -d)
+        excess = max(tr.bit_length(), ti.bit_length()) - bits
+        if excess > 0:
+            tr >>= excess
+            ti >>= excess
+            te += excess
+    return tr, ti, te
 
 
 # -- an interval enclosure of the mp series values ----------------------------
@@ -341,7 +373,13 @@ def series_value_enclosure(series, z, engine, m=0):
     iv, T, S = _block_enclosures(cur, w, 2 * prec + 64)
 
     def enclose(x):
-        return iv.mpc(x) if type(x) is int else iv.mpc(iv.mpf(x.real), iv.mpf(x.imag))
+        # an int, an mp number or an mp engine operand (re, im, exp), exactly
+        if type(x) is int:
+            return iv.mpc(x)
+        if type(x) is tuple:
+            re, im, exp = x
+            return iv.mpc(iv.ldexp(iv.mpf(re), exp), iv.ldexp(iv.mpf(im), exp))
+        return iv.mpc(iv.mpf(x.real), iv.mpf(x.imag))
 
     L = enclose(point.l)
     scale = enclose(point.inverse_powers[-cur.rho] if cur.rho else 1)

@@ -2,6 +2,7 @@
 
 import functools
 import hashlib
+import importlib
 import json
 import os
 import pathlib
@@ -109,6 +110,21 @@ def test_mp_reports_keep_their_bytes(command):
     doc = COMMANDS[args.command](args, config_from_args(args))
     digest = hashlib.sha256(dumps(doc).encode()).hexdigest()
     assert digest == MP_REPORT_DIGESTS[command]
+
+
+#: the SHA-256 of the reports of the warm benchmark's 32 verifications of
+#: seed 1 (``run.sweep_configs(1)``), concatenated in order: base points
+#: across the sweep's ranges, verified in one process, so that all but the
+#: first run from warm caches of point data, block sums and column factors
+SWEEP_DIGEST = "c51104b1aff8a017b3d78ef873ea53cdc79c73cd374732dd73be967e82be5487"
+
+
+def test_warm_sweep_reports_keep_their_bytes(monkeypatch):
+    monkeypatch.syspath_prepend(str(pathlib.Path(__file__).resolve().parents[1] / "benchmarks"))
+    digest = hashlib.sha256()
+    for config in importlib.import_module("run").sweep_configs(1):
+        digest.update(dumps(run_verify(config)).encode())
+    assert digest.hexdigest() == SWEEP_DIGEST
 
 
 def test_exact_commands_do_not_import_sympy():

@@ -13,24 +13,29 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from mpmath.libmp import from_int, mpf_div, round_nearest
 
+from monodromy_lab import engine as engine_module
 from monodromy_lab import monodromy, solutions, special
 from monodromy_lab.engine import (
     GUARD_BITS,
     NaNResidualError,
+    _horner,
     get_engine,
     matrix_steps,
     max_deviation,
     max_magnitude,
 )
 from monodromy_lab.frame import canonical_coordinates, frame, sector_config, stokes_ray_angles
-from monodromy_lab.pipeline import RunConfig
+from monodromy_lab.pipeline import RunConfig, run_verify
 from monodromy_lab.solutions import UCComplex, quantum_period
 from oracles import (
     _gmul,
     elimination_bound,
     gaussian,
+    horner_reference,
     log_polynomial_expression,
     scalar_column_derivatives_expression,
     vector_from_scalar_expression,
@@ -386,10 +391,10 @@ def test_double_solutions_runs_its_contour_oracle(tmp_path):
 
 def _exact(x, e):
     """An engine input as exact (re, im) Fractions, read as the mp kernels
-    read it: ints and mp numbers as they are, anything else through
-    ``Engine.complex``."""
-    return gaussian(x if isinstance(x, int) or hasattr(x, "_mpf_") or hasattr(x, "_mpc_")
-                    else e.complex(x))
+    read it: ints, operands and mp numbers as they are, anything else
+    through ``Engine.complex``."""
+    return gaussian(x if isinstance(x, (int, tuple)) or hasattr(x, "_mpf_")
+                    or hasattr(x, "_mpc_") else e.complex(x))
 
 
 def _gadd(a, b):
@@ -498,6 +503,54 @@ def test_mp_fdot_is_the_exact_sum_rounded_once(dps):
         got = e.fdot(xs, ys)
         assert _within_half_ulp_plus(got, exact, e.ctx.prec), (xs, ys)
         assert got == e.complex(*exact), (xs, ys)
+
+
+#: a part of an exact term: often 0, often small (so that sums can cancel
+#: exactly), otherwise up to 90 bits, of either sign
+_PARTS = st.one_of(st.just(0), st.integers(-3, 3), st.integers(-2 ** 90, 2 ** 90))
+#: exponents far apart in both directions
+_TERM = st.tuples(_PARTS, _PARTS, st.integers(-300, 300))
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(leading=st.lists(st.tuples(st.just(0), st.just(0), st.integers(-300, 300)), max_size=3),
+       terms=st.lists(_TERM, max_size=12), w=_TERM, bits=st.integers(1, 160))
+# a sum that cancels to 0 exactly, then a zero term, then terms taken as
+# they are, wider than ``bits`` and at a lower exponent than the sum
+@example(leading=[(0, 0, 4)], terms=[(1, 0, 0), (-1, 0, 0), (0, 0, 7), (-5, 3, -9), (2, 1, 0)],
+         w=(1, 0, 0), bits=2)
+@example(leading=[], terms=[(1, 1, 0), (0, -2, 0), (0, 0, 3)], w=(0, 1, 0), bits=64)
+@example(leading=[], terms=[(3, 0, 0), (0, 0, 0)], w=(0, 0, 0), bits=8)
+def test_horner_loop_gives_the_reference_integers(leading, terms, w, bits):
+    # the loop without per-step calls returns the very (re, im, exp) of the
+    # loop it replaced, kept in the oracles, for leading and mid-column zero
+    # terms, exact cancellations, negative parts, exponent gaps either way,
+    # w with a zero part and cuts at every step (small bits)
+    column = leading + terms
+    assert _horner(column, w, bits) == horner_reference(column, w, bits)
+
+
+def test_operand_passes_an_operand_through():
+    mp, double = get_engine("mp", dps=40), get_engine("double")
+    parts = (3, -5, -7)
+    assert mp.operand(parts) is parts
+    assert mp.operand(mp.complex(1.5, -2)) == (3, -4, -1)
+    assert mp.operand(4) == (4, 0, 0)
+    x = 1.5 - 2j
+    assert double.operand(x) is x
+
+
+def test_a_warm_verify_reads_each_cached_operand_once(monkeypatch):
+    # with warm caches a default verify reads 1860 mp numbers into exact
+    # integers, against 3277 when the caches held mp numbers: each point's
+    # l, z^-k and lift factors, the block sums and the column factors are
+    # read once, as they are cached, and no kernel reads them again
+    run_verify(RunConfig())
+    reads = []
+    exact_parts = engine_module._exact_parts
+    monkeypatch.setattr(engine_module, "_exact_parts", lambda x: reads.append(x) or exact_parts(x))
+    run_verify(RunConfig())
+    assert 0 < len(reads) <= 1860
 
 
 def test_mp_kernels_refuse_non_finite_inputs():
