@@ -588,29 +588,28 @@ def _horner(terms, w, bits):
     wr, wi, we = w
     tr = ti = te = 0
     terms = iter(terms)
+    # the first nonzero term, and after a step that cancels to 0 the next
     for tr, ti, te in terms:
-        if tr or ti:
-            break
-    for ar, ai, ae in terms:
-        pr = tr * wr - ti * wi
-        pi = tr * wi + ti * wr
-        te += we
-        d = te - ae
-        if not (ar or ai):
-            tr, ti = pr, pi
-        elif d >= 0:
-            tr, ti, te = (pr << d) + ar, (pi << d) + ai, ae
-        else:
-            tr, ti = pr + (ar << -d), pi + (ai << -d)
-        excess = (abs(tr) | abs(ti)).bit_length() - bits
-        if excess > 0:
-            tr >>= excess
-            ti >>= excess
-            te += excess
-        elif not (tr or ti):
-            for tr, ti, te in terms:
-                if tr or ti:
-                    break
+        if not (tr or ti):
+            continue
+        for ar, ai, ae in terms:
+            pr = tr * wr - ti * wi
+            pi = tr * wi + ti * wr
+            te += we
+            d = te - ae
+            if not (ar or ai):
+                tr, ti = pr, pi
+            elif d >= 0:
+                tr, ti, te = (pr << d) + ar, (pi << d) + ai, ae
+            else:
+                tr, ti = pr + (ar << -d), pi + (ai << -d)
+            excess = (abs(tr) | abs(ti)).bit_length() - bits
+            if excess > 0:
+                tr >>= excess
+                ti >>= excess
+                te += excess
+            elif not (tr or ti):
+                break
     return tr, ti, te
 
 

@@ -13,8 +13,6 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 from mpmath.libmp import from_int, mpf_div, round_nearest
 
 from monodromy_lab import engine as engine_module
@@ -505,29 +503,43 @@ def test_mp_fdot_is_the_exact_sum_rounded_once(dps):
         assert got == e.complex(*exact), (xs, ys)
 
 
-#: a part of an exact term: often 0, often small (so that sums can cancel
-#: exactly), otherwise up to 90 bits, of either sign
-_PARTS = st.one_of(st.just(0), st.integers(-3, 3), st.integers(-2 ** 90, 2 ** 90))
-#: exponents far apart in both directions
-_TERM = st.tuples(_PARTS, _PARTS, st.integers(-300, 300))
+def _horner_cases():
+    """(terms, w, bits) for the Horner loop: three chosen cases, then seeded
+    random columns with leading and mid-column zero terms, parts that are
+    often small (so that sums cancel exactly) and otherwise up to 90 bits of
+    either sign, exponents far apart in both directions, w with a zero part,
+    and bits from 1, so that every step cuts."""
+    # a sum that cancels to 0 exactly, then a zero term, then terms taken as
+    # they are, wider than ``bits`` and at a lower exponent than the sum
+    yield [(0, 0, 4), (1, 0, 0), (-1, 0, 0), (0, 0, 7), (-5, 3, -9), (2, 1, 0)], (1, 0, 0), 2
+    yield [(1, 1, 0), (0, -2, 0), (0, 0, 3)], (0, 1, 0), 64
+    yield [(3, 0, 0), (0, 0, 0)], (0, 0, 0), 8
+    rng = random.Random(32)
+
+    def part():
+        kind = rng.random()
+        if kind < 0.3:
+            return 0
+        if kind < 0.6:
+            return rng.randint(-3, 3)
+        return rng.randint(-2 ** 90, 2 ** 90)
+
+    def term():
+        return part(), part(), rng.randint(-300, 300)
+
+    for _ in range(400):
+        leading = [(0, 0, rng.randint(-300, 300)) for _ in range(rng.randint(0, 3))]
+        terms = [term() for _ in range(rng.randint(0, 12))]
+        yield leading + terms, term(), rng.choice([1, 2, 3, rng.randint(1, 160)])
 
 
-@settings(max_examples=200, derandomize=True, database=None, deadline=None)
-@given(leading=st.lists(st.tuples(st.just(0), st.just(0), st.integers(-300, 300)), max_size=3),
-       terms=st.lists(_TERM, max_size=12), w=_TERM, bits=st.integers(1, 160))
-# a sum that cancels to 0 exactly, then a zero term, then terms taken as
-# they are, wider than ``bits`` and at a lower exponent than the sum
-@example(leading=[(0, 0, 4)], terms=[(1, 0, 0), (-1, 0, 0), (0, 0, 7), (-5, 3, -9), (2, 1, 0)],
-         w=(1, 0, 0), bits=2)
-@example(leading=[], terms=[(1, 1, 0), (0, -2, 0), (0, 0, 3)], w=(0, 1, 0), bits=64)
-@example(leading=[], terms=[(3, 0, 0), (0, 0, 0)], w=(0, 0, 0), bits=8)
-def test_horner_loop_gives_the_reference_integers(leading, terms, w, bits):
+def test_horner_loop_gives_the_reference_integers():
     # the loop without per-step calls returns the very (re, im, exp) of the
     # loop it replaced, kept in the oracles, for leading and mid-column zero
     # terms, exact cancellations, negative parts, exponent gaps either way,
     # w with a zero part and cuts at every step (small bits)
-    column = leading + terms
-    assert _horner(column, w, bits) == horner_reference(column, w, bits)
+    for column, w, bits in _horner_cases():
+        assert _horner(column, w, bits) == horner_reference(column, w, bits), (column, w, bits)
 
 
 def test_operand_passes_an_operand_through():
