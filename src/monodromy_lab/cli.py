@@ -175,7 +175,7 @@ def cmd_solutions(args, cfg):
     checks = []
     for kind, mod, arg in [(PHI1, 1.0, 0.0), (PHI1, 2.0, math.pi / 4), (PHI2, 0.7, -math.pi / 3)]:
         z = UCComplex.polar(mod, arg)
-        series_val = eval_series(phi_series(kind, order, engine), z, engine=engine)
+        series_val = engine.number(eval_series(phi_series(kind, order, engine), z, engine=engine))
         contour_val = contour_eval(kind, z, engine)
         checks.append({
             "kind": kind.value,

@@ -22,8 +22,9 @@ What both engines share is written once on ``Engine``: the conversion of a
 complex number, the elementary functions by name, ``Engine.matmul``, and
 the 4x4 solves and inverses (``Engine.solve``, ``Engine.inverse``) with
 mpmath's pivot rule and refusal but none of its LU code.  Each engine has
-its own ``real`` (a Fraction rounded once, to nearest), ``guarded`` (guard
-bits, mp only), Gaussian elimination behind the solves (``_eliminate``),
+its own ``real`` (a Fraction rounded once, to nearest), ``operand`` and
+``number`` (below), ``guarded`` (guard bits, mp only), Gaussian
+elimination behind the solves (``_eliminate``),
 block pass of the log-series (``horner_columns``/``horner``), polynomial
 in log z of the block sums (``log_polynomial``) and dot product
 (``fdot``): hardware complex arithmetic under double, and under mp exact
@@ -38,22 +39,29 @@ An operand is a number in the form the kernels read it
 integers (re, im, exp), the value (re + i im) 2^exp, of an mp number's raw
 mantissas (``_exact_parts``).  An operand reads as itself, so the kernels
 take numbers and operands alike, and a cache that holds operands has each
-value read once.  The five mp kernels (``horner``, ``log_polynomial``,
-``fdot``, ``_eliminate``, ``matrix_steps``) share that read, one Horner loop
-that cuts each step to a number of bits (``_horner``: ``horner`` runs it in
-w, ``log_polynomial`` in log z, both ``GUARD_BITS`` above the working
-precision) and one rounding of each part, to nearest (``_rounded``).  Each
-kernel's own exact steps lie between the read and the rounding, and each
-kernel states its error bound.
+value read once.  The mp kernels share that read and one Horner loop that
+cuts each step to a number of bits (``_horner``: ``horner`` runs it in w,
+``log_polynomial`` in log z, both ``GUARD_BITS`` above the working
+precision).  ``horner``, ``log_polynomial`` and ``fdot`` return operands,
+cut (floored) to ``GUARD_BITS`` above the working precision, so the block
+sums, each series value, each column derivative and each entry of Y_R and
+Y_L pass from one kernel to the next as exact integers, neither rounded
+nor read again.  ``Engine.number`` turns an operand into a number, each
+part rounded once, to nearest (``_rounded``; the identity under double),
+only where a value leaves the numeric layer: the entries of a product
+(``Engine.matmul``) or of a residual, the block sums
+``monodromy.eval_Ytop`` multiplies in mpmath, and a caller's own
+arithmetic.  ``_eliminate`` and ``matrix_steps`` round their results
+once themselves.  Each kernel states its error bound.
 
 A matrix is a tuple of rows, the package's one format; ``Engine.matmul``
-multiplies two, each entry one ``fdot``, and ``max_deviation`` is the
-residual of two.
+multiplies two, each entry one ``fdot`` as a number, and
+``max_deviation`` is the residual of two.
 
 Bounds and comparisons whose values never reach a report are made on log2
 magnitudes (``log2_magnitude``): a float within ``LOG2_SLACK`` of log2 |x|,
-read from an mp number's exact parts without mp arithmetic, and from
-``math`` for any other number.  The tail certificate of
+read from an mp number's or operand's exact parts without mp arithmetic,
+and from ``math`` for any other number.  The tail certificate of
 ``solutions.eval_series`` and the choice of the entries whose mp ``abs``
 ``max_deviation`` takes rest on it, as the cut of the mp block pass rests
 on the same reads (``_log2_abs``).
@@ -71,9 +79,10 @@ import operator
 import sys
 from fractions import Fraction
 
-#: bits the mp engine's Horner loop (``_horner``) carries above the working
-#: precision, and ``matrix_steps`` from block to block; each T_k, and each
-#: coefficient of a step, is rounded to the working precision once
+#: bits the mp engine's Horner loop (``_horner``) and the operands that
+#: ``horner``, ``log_polynomial`` and ``fdot`` return carry above the working
+#: precision, and ``matrix_steps`` from block to block, whose coefficients
+#: are each rounded to the working precision once
 GUARD_BITS = 20
 
 #: bits the mp engine's 4x4 elimination holds above the working precision
@@ -146,10 +155,10 @@ def max_deviation(A, B):
 class Engine:
     """A scalar backend: a name, its digits and what ``DoubleEngine`` and
     ``MPEngine`` share.  Each engine supplies ``real``, ``operand``,
-    ``guarded``, ``horner_columns``, ``horner``, ``log_polynomial``,
-    ``fdot`` and ``_eliminate``, the constants ``pi``, ``euler`` and
-    ``zeta3``, and the functions behind ``complex``, ``exp``, ``log``,
-    ``sqrt`` and ``gamma``/``quad``."""
+    ``number``, ``guarded``, ``horner_columns``, ``horner``,
+    ``log_polynomial``, ``fdot`` and ``_eliminate``, the constants ``pi``,
+    ``euler`` and ``zeta3``, and the functions behind ``complex``, ``exp``,
+    ``log``, ``sqrt`` and ``gamma``/``quad``."""
 
     def __init__(self, name, dps, eps):
         self.name = name
@@ -189,11 +198,12 @@ class Engine:
 
     def matmul(self, A, B):
         """A B, each entry the engine's ``fdot`` of a row of A and a column
-        of B: summed in order under double, as mpmath's ``fp`` matrix
-        product forms it, and rounded once under mp."""
+        of B as a number (``number``): summed in order under double, as
+        mpmath's ``fp`` matrix product forms it, and under mp cut, then
+        rounded once."""
         columns = tuple(zip(*B))
-        fdot = self.fdot
-        return tuple(tuple(fdot(row, col) for col in columns) for row in A)
+        fdot, number = self.fdot, self.number
+        return tuple(tuple(number(fdot(row, col)) for col in columns) for row in A)
 
     def solve(self, A, B):
         """X with A X = B, for a square A: the engine's ``_eliminate``, a
@@ -281,6 +291,10 @@ class DoubleEngine(Engine):
 
     def operand(self, x):
         """x itself: the hardware kernels read numbers as they are."""
+        return x
+
+    def number(self, x):
+        """x itself: the hardware kernels return numbers."""
         return x
 
     def guarded(self, bits=GUARD_BITS):
@@ -384,6 +398,14 @@ class MPEngine(Engine):
             x = self.complex(x)
         return _exact_parts(x)
 
+    def number(self, x):
+        """An operand as an mpc of the context, each part rounded once, to
+        nearest, at the context's precision when called (``_rounded``); any
+        other x as it is."""
+        if type(x) is tuple:
+            return _rounded(self.ctx, *x)
+        return x
+
     @property
     def pi(self):
         return +self.ctx.pi
@@ -419,51 +441,51 @@ class MPEngine(Engine):
         return tuple(out)
 
     def horner(self, columns, w):
-        """T_k = sum_n w^n a_k[n] for each column of ``horner_columns``.
+        """T_k = sum_n w^n a_k[n] for each column of ``horner_columns``, as
+        operands.
 
         The pass is the exact loop ``_horner``, over only the blocks that
         can reach the working precision: the leading (highest) blocks whose
         summed magnitude bounds lie below 2^-(prec + GUARD_BITS) of the
         column's largest term are skipped (``_summed_blocks``, from the
-        bounds of ``horner_columns``), and block 0 is always summed.  Each
-        T_k is rounded once (``_rounded``).  So T_k is off by at most half an
-        ulp plus (4 per summed block, and 1 for the skipped ones) times
-        2^-(prec + GUARD_BITS) sum_n |w^n a_k[n]|.
+        bounds of ``horner_columns``), and block 0 is always summed.  T_k is
+        the loop's result, cut to prec + GUARD_BITS bits and not rounded, so
+        it is off by at most (4 per summed block, and 1 for the skipped
+        ones) times 2^-(prec + GUARD_BITS) sum_n |w^n a_k[n]|.
         """
         bits = self.ctx.prec + GUARD_BITS
         w = self.operand(w)
         log2w = _log2_abs(*w)
-        out = []
-        for col, bounds in columns:
-            summed = col[len(col) - _summed_blocks(bounds, log2w, bits):]
-            out.append(_rounded(self.ctx, *_horner(summed, w, bits)))
-        return tuple(out)
+        return tuple(_horner(col[len(col) - _summed_blocks(bounds, log2w, bits):], w, bits)
+                     for col, bounds in columns)
 
     # -- the polynomial in log z and the dot product --------------------
 
     def log_polynomial(self, sums, l, scale):
         """scale (T0 + l (T1 + l (T2 + l T3))) for the block sums
-        T = ``sums``: the exact loop ``_horner`` over (T3, T2, T1, T0) at l,
-        an exact product with ``scale`` and one rounding (``_rounded``).
+        T = ``sums``, as an operand: the exact loop ``_horner`` over
+        (T3, T2, T1, T0) at l, and an exact product with ``scale`` cut to
+        prec + GUARD_BITS bits (``_cut``), not rounded.
 
-        A cut adds less than sqrt(2) 2^(1 - prec - GUARD_BITS) of the
-        step's value, so before its rounding the result is off from the
+        Each of the four cuts adds less than sqrt(2) 2^(1 - prec -
+        GUARD_BITS) of its step's value, so the result is off from the
         exact value at these inputs by at most
-        2^(4 - prec - GUARD_BITS) |scale| sum_k |l|^k |T_k|, and the
-        rounding adds at most half an ulp to each part.  A non-finite input
-        raises OverflowError.
+        2^(4 - prec - GUARD_BITS) |scale| sum_k |l|^k |T_k|.  A non-finite
+        input raises OverflowError.
         """
-        tr, ti, te = _horner(map(self.operand, sums[::-1]), self.operand(l),
-                             self.ctx.prec + GUARD_BITS)
+        bits = self.ctx.prec + GUARD_BITS
+        tr, ti, te = _horner(map(self.operand, sums[::-1]), self.operand(l), bits)
         sr, si, se = self.operand(scale)
-        return _rounded(self.ctx, tr * sr - ti * si, tr * si + ti * sr, te + se)
+        return _cut(tr * sr - ti * si, tr * si + ti * sr, te + se, bits)
 
     def fdot(self, xs, ys):
-        """sum_i xs[i] ys[i] as an mpc: each entry read once (``operand``),
-        the products and their sum exact, each product added at the smaller
-        exponent of the two nonzero terms, and one rounding (``_rounded``),
-        so within half an ulp of each part of the exact dot product.  A
-        non-finite entry raises OverflowError."""
+        """sum_i xs[i] ys[i] as an operand: each entry read once
+        (``operand``), the products and their sum exact, each product added
+        at the smaller exponent of the two nonzero terms, and one cut to
+        prec + GUARD_BITS bits (``_cut``), not rounded, so each part is the
+        exact part floored, off by less than 2^(1 - prec - GUARD_BITS) of
+        the exact dot product's modulus.  A non-finite entry raises
+        OverflowError."""
         operand = self.operand
         re = im = exp = 0
         for x, y in zip(xs, ys):
@@ -478,7 +500,7 @@ class MPEngine(Engine):
                 re, im, exp = (re << exp - pe) + pr, (im << exp - pe) + pi, pe
             else:
                 re, im = re + (pr << pe - exp), im + (pi << pe - exp)
-        return _rounded(self.ctx, re, im, exp)
+        return _cut(re, im, exp, self.ctx.prec + GUARD_BITS)
 
     def _eliminate(self, A, B):
         """``Engine.solve`` in exact integers on mpmath's raw mantissas.
@@ -613,6 +635,17 @@ def _horner(terms, w, bits):
     return tr, ti, te
 
 
+def _cut(re, im, exp, bits):
+    """(re, im, exp) with both parts floored (shifted right) by the bits by
+    which the larger part's bit length passes ``bits``, as ``_horner`` cuts
+    a step: each part is off by less than 2^(1 - bits) of the larger part
+    before the cut, and a value of at most ``bits`` bits is kept as it is."""
+    excess = (abs(re) | abs(im)).bit_length() - bits
+    if excess > 0:
+        return re >> excess, im >> excess, exp + excess
+    return re, im, exp
+
+
 def _rounded(ctx, re, im, exp):
     """The mpc (re + i im) 2^exp of the context ``ctx``, each part rounded
     once, to nearest, at ``ctx.prec``."""
@@ -657,10 +690,13 @@ def _log2_abs(re, im, exp):
 
 
 def log2_magnitude(x):
-    """log2 |x| as a float: within ``LOG2_SLACK`` of it for an mp number,
-    read from its exact parts (``_exact_parts``, ``_log2_abs``), which takes
-    no mp arithmetic, and from ``math`` for any other number; -inf for 0,
-    inf for an infinite x and NaN for a NaN, as |x| reads."""
+    """log2 |x| as a float: within ``LOG2_SLACK`` of it for an mp number or
+    an mp operand, read from the exact parts (``_exact_parts``,
+    ``_log2_abs``), which takes no mp arithmetic, and from ``math`` for any
+    other number; -inf for 0, inf for an infinite x and NaN for a NaN, as
+    |x| reads."""
+    if type(x) is tuple:
+        return _log2_abs(*x)
     if not isinstance(x, _mp_types()):
         size = abs(x)
         return math.log2(size) if size else -math.inf

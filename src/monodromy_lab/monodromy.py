@@ -179,8 +179,8 @@ def eval_Ytop(z, order, engine):
     times z^(c + mu_b), a half-integer power of the point's z^(1/2) (its
     ``PointData``), formed once per entry; e^(lR) multiplies entry by
     entry.  Under mp every step after the point's z^(1/2) and l runs
-    ``GUARD_BITS`` above the working precision, and each entry is rounded
-    once.
+    ``GUARD_BITS`` above the working precision, where the sums enter
+    mpmath (``Engine.number``), and each entry is rounded once.
     """
     point = point_data(z, engine)
     h, l = point.half_powers[0], point.l
@@ -191,7 +191,7 @@ def eval_Ytop(z, order, engine):
         for e in (3, 5, 7):
             odd[e] = odd[e - 2] * zc
         odd[-3] = odd[-1] / zc
-        sums = engine.horner(columns, zc * zc * zc)
+        sums = tuple(map(engine.number, engine.horner(columns, zc * zc * zc)))
         E = exp_R(l, engine)
         Y = [[0] * 4 for _ in range(4)]
         for a in range(4):
@@ -288,9 +288,9 @@ def scalar_column_derivatives(spec, z, order, engine, tol=None):
     derivative, so derivative d of a term is one factor (``_term_factors``)
     times the series' d-th derivative at z eps^m.  Derivative d is one
     ``engine.fdot`` of the terms' factors and values: summed in order under
-    double, rounded once under mp.  ``tol`` is the tail-certificate
-    tolerance for the series evaluations (defaults to the engine's working
-    accuracy).
+    double, and under mp the operand it returns, for the lift to read.
+    ``tol`` is the tail-certificate tolerance for the series evaluations
+    (defaults to the engine's working accuracy).
     """
     factors, values = [], []
     for coef, kind, m in spec:
@@ -317,11 +317,11 @@ def vector_from_scalar(derivs, z, engine):
     y1 = (z^2 phi''' + phi' + 3 z phi'' - 54 z^2 phi)/(54 sqrt z)
        = z^(3/2)/54 phi''' + phi'/(54 sqrt z) + sqrt z/18 phi'' - y4,
     with the factors read from the point's ``PointData.lift``, so the lift
-    takes no division, and each derivative read once (``Engine.operand``).
-    Each entry is one ``engine.fdot`` of its factors and derivatives, y1
-    with -z^(3/2) as the factor of phi: summed in order under double,
-    rounded once under mp."""
-    p0, p1, p2, p3 = map(engine.operand, derivs)
+    takes no division.  Each entry is one ``engine.fdot`` of its factors and
+    derivatives, y1 with -z^(3/2) as the factor of phi: summed in order
+    under double, and under mp the operand it returns, which the solves
+    read as it is."""
+    p0, p1, p2, p3 = derivs
     z32, z32_3, z32_18, sz_18, z32_54, inv_54sz, neg_z32 = point_data(z, engine).lift
     fdot = engine.fdot
     return (fdot((z32_54, inv_54sz, sz_18, neg_z32), (p3, p1, p2, p0)),
@@ -483,8 +483,8 @@ def connection_matrix(engine, z0s, order):
 
     zh = heldout_point(z0s[len(z0s) // 2])
     with _at_point(zh):
-        held = max_deviation(assemble_YR(zh, order, engine),
-                             engine.matmul(eval_Ytop(zh, order, engine), c_prime))
+        YR = tuple(tuple(map(engine.number, row)) for row in assemble_YR(zh, order, engine))
+        held = max_deviation(YR, engine.matmul(eval_Ytop(zh, order, engine), c_prime))
 
     sigma = dominance_order()
     C = tuple(tuple(row[s] for s in sigma) for row in c_prime)

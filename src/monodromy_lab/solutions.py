@@ -383,9 +383,9 @@ def _prepare(series, engine):
 class _BlockSums(Record):
     """One block pass of a series at a point class.
 
-    ``sums[k]`` is T_k(w) = sum_n w^n a_k[n] with w = z^3, as an engine
-    operand (``Engine.operand``), so the series at any point z of the class
-    is z^rho (T0 + l (T1 + l (T2 + l T3))), l = log z.  ``tail`` is the
+    ``sums[k]`` is T_k(w) = sum_n w^n a_k[n] with w = z^3, as the engine
+    operand ``Engine.horner`` returns, so the series at any point z of the
+    class is z^rho (T0 + l (T1 + l (T2 + l T3))), l = log z.  ``tail`` is the
     certificate's one majorant block, four floats: for each k = 0..3, an
     upper bound M_k on the log2 of the largest magnitude |z|^(rho+3n)
     |a_k[n]| over the blocks n of the certificate (-inf if all are 0).  It
@@ -423,7 +423,7 @@ def _block_sums(series, modulus, arg_over_pi, engine):
                     for c, logs in tail for g in logs if g > -math.inf), default=0)
         slack = LOG2_SLACK + ROUNDING * size
         majorant = tuple(max(column) + slack for column in zip(*exponents))
-        return _BlockSums(tuple(map(engine.operand, engine.horner(columns, w))), majorant)
+        return _BlockSums(engine.horner(columns, w), majorant)
     except OverflowError as exc:
         raise _range_error(modulus, engine) from exc
 
@@ -485,19 +485,22 @@ def eval_series(series, z, engine, m=0, tol=None):
     with its own l, and so the same value whether its sums were cached or
     not: ``Engine.log_polynomial`` forms it, in hardware complex arithmetic
     under double and under mp in exact integers, cut to
-    ``engine.GUARD_BITS`` bits above the working precision after each step
-    and rounded once, within the bound its docstring states.  The point's
-    l, |l|, z^-1 to z^-3 and class key, and the class's w, come from its
-    ``PointData`` (the LRU cache ``point_data``): a point takes one
-    exponential, z^(1/2), and only if some call needs z^rho with rho != 0;
-    a class takes one more, w, and only if some call misses the cache.
+    ``engine.GUARD_BITS`` bits above the working precision after each step,
+    within the bound its docstring states.  Under mp the value is that
+    kernel's operand (re, im, exp), not rounded, for the next kernel to
+    read; a caller that computes with it in mpmath rounds it with
+    ``Engine.number``.  The point's l, |l|, z^-1 to z^-3 and class key, and
+    the class's w, come from its ``PointData`` (the LRU cache
+    ``point_data``): a point takes one exponential, z^(1/2), and only if
+    some call needs z^rho with rho != 0; a class takes one more, w, and
+    only if some call misses the cache.
 
     The pass reads coefficient columns converted once per series and
     engine.  Exact (Fraction) coefficients enter through ``Engine.real``,
     the one rounding path for exact data.  Under mp the pass runs in exact
     integers over the blocks that can reach the working precision, cut to
     ``engine.GUARD_BITS`` bits above the working precision after each
-    block, and rounds each T_k once, to nearest; under double it is a
+    block, and keeps each T_k as that operand; under double it is a
     hardware-complex Horner loop over every block (``Engine.horner``).
 
     A tail certificate bounds the last three nonzero blocks (all, for a
@@ -509,9 +512,9 @@ def eval_series(series, z, engine, m=0, tol=None):
     The comparison is made in log2 floats, which cover any number of
     digits and take no mp arithmetic: an upper bound on the log2 of the
     tail bound (``_tail_bound``) against lower bounds on log2 tol and
-    log2 |sum|.  Otherwise, and for any non-finite sum, TailBoundError is
-    raised, on a cache hit as on a miss, as it is when the series leaves
-    the engine's range.
+    log2 |sum|, read from the sum's exact parts under mp.  Otherwise, and
+    for any non-finite sum, TailBoundError is raised, on a cache hit as on
+    a miss, as it is when the series leaves the engine's range.
     """
     if m not in (0, 1, 2, 3):
         raise ValueError("derivative order must be 0..3")
@@ -610,14 +613,17 @@ def identity_residuals(z, order, engine):
     s1 = phi_series(PHI1, order, engine)
     s2 = phi_series(PHI2, order, engine)
 
-    p1 = eval_series(s1, z, engine=engine)
-    p2 = eval_series(s2, z, engine=engine)
-    p2_rot = eval_series(s2, z.rotated(-1), engine=engine)
+    def value(series, w):
+        return engine.number(eval_series(series, w, engine=engine))
+
+    p1 = value(s1, z)
+    p2 = value(s2, z)
+    p2_rot = value(s2, z.rotated(-1))
     euler_num = engine.fabs(p2_rot - (2 * engine.pi * p1 - p2))
     euler_den = max(engine.fabs(2 * engine.pi * p1), engine.fabs(p2), engine.eps)
     euler_res = euler_num / euler_den
 
-    vals = [eval_series(s2, z.rotated(k), engine=engine) for k in range(5)]
+    vals = [value(s2, z.rotated(k)) for k in range(5)]
     rot_num = engine.fabs(vals[4] - 4 * vals[3] + 6 * vals[2] - 4 * vals[1] + vals[0])
     rot_den = max(max(engine.fabs(v) for v in vals), engine.eps)
     return euler_res, rot_num / rot_den

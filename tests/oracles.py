@@ -3,8 +3,9 @@ sparse recursion, the ODE residual of a log-series, the ODE's recursion
 in its ``_dlog`` form and the solution it gives from Frobenius
 coordinates, the residue block of Laurent data, mpmath's matrices for
 oracle products, the tail certificate of ``eval_series`` formed in engine
-reals, the evaluation's expressions from before its engine kernels, an
-``mpmath.iv`` enclosure of each mp series value, and the sympy forms of
+reals, the evaluation's expressions from before its engine kernels, the
+exact value of an mp operand, an ``mpmath.iv`` enclosure of each mp series
+value, and the sympy forms of
 the published closed forms
 (``GAMMA_MINUS_REF``, ``C_REF`` and ``C_GAMMA_REF``, built on first access;
 only they import sympy).
@@ -17,6 +18,7 @@ from fractions import Fraction
 
 import mpmath
 from mpmath.ctx_iv import MPIntervalContext
+from mpmath.libmp import from_man_exp
 
 from monodromy_lab import closedform, monodromy, reference, solutions
 from monodromy_lab.engine import GUARD_BITS
@@ -142,6 +144,13 @@ def gaussian(x):
         re, im, exp = x
         return Fraction(re) * Fraction(2) ** exp, Fraction(im) * Fraction(2) ** exp
     return tuple(_fraction(v._mpf_) for v in (x.real, x.imag))
+
+
+def operand_value(ctx, x):
+    """An mp engine operand (re, im, exp) as an mpc of ``ctx``, exactly,
+    at any precision: its raw parts are made without a rounding."""
+    re, im, exp = x
+    return ctx.make_mpc((from_man_exp(re, exp), from_man_exp(im, exp)))
 
 
 def _gmul(a, b):
@@ -358,12 +367,13 @@ def series_value_enclosure(series, z, engine, m=0):
     the point's class representative, and l and z^rho of the point (its
     ``PointData``), each read exactly and summed over every block in
     interval arithmetic at 2 prec + 64 bits.  The radius bounds the
-    modulus of the engine value's error before its last rounding: the
-    bound of ``Engine.horner`` on each T_k (half an ulp, and (4 per block
-    plus 1) 2^-(prec + GUARD_BITS) sum_n |w^n a_k[n]|, taking every block
-    as summed) carried through scale (T0 + l (T1 + ...)), plus the bound of
-    ``Engine.log_polynomial`` at the engine's T_k.  The last rounding, half
-    an ulp of each part, is left to ``within_enclosure``."""
+    modulus of the engine value's error; the value is the operand
+    ``Engine.log_polynomial`` returns, which no rounding follows: the bound
+    of ``Engine.horner`` on each T_k ((4 per block plus 1)
+    2^-(prec + GUARD_BITS) sum_n |w^n a_k[n]|, taking every block as
+    summed; the T_k are operands, not rounded) carried through
+    scale (T0 + l (T1 + ...)), plus the bound of ``Engine.log_polynomial``
+    at the engine's T_k."""
     cur = series
     for _ in range(m):
         cur = cur.derivative()
@@ -385,36 +395,19 @@ def series_value_enclosure(series, z, engine, m=0):
     scale = enclose(point.inverse_powers[-cur.rho] if cur.rho else 1)
     value = scale * (T[0] + L * (T[1] + L * (T[2] + L * T[3])))
     blocks = len(cur.blocks)
-    unit, guard = iv.mpf(2) ** -prec, iv.mpf(2) ** -(prec + GUARD_BITS)
+    guard = iv.mpf(2) ** -(prec + GUARD_BITS)
     radius = iv.mpf(0)
     for k, t in enumerate(solutions._block_sums(cur, *point.key, engine).sums):
-        size = abs(enclose(t))
-        radius += abs(L) ** k * (unit * size + (4 * blocks + 1) * guard * S[k] + 16 * guard * size)
+        radius += abs(L) ** k * guard * ((4 * blocks + 1) * S[k] + 16 * abs(enclose(t)))
     radius *= abs(scale)
     return _endpoints(value.real), _endpoints(value.imag), _endpoints(radius)[1]
 
 
-def _half_ulp(v, prec):
-    """Half an ulp at ``prec`` bits of the binade of a nonzero Fraction v,
-    2^(floor(log2 |v|) - prec), at least the error of rounding to nearest
-    at ``prec`` bits that gives v; 0 for v = 0."""
-    if not v:
-        return Fraction(0)
-    n, d = abs(v.numerator), v.denominator
-    e = n.bit_length() - d.bit_length()
-    if n << max(-e, 0) < d << max(e, 0):
-        e -= 1
-    return Fraction(2) ** (e - prec)
-
-
-def within_enclosure(parts, enclosure, engine):
+def within_enclosure(parts, enclosure):
     """Whether each of the exact parts (re, im) of a value lies in its
-    interval of ``series_value_enclosure``, widened by the radius and by
-    half an ulp of the part (the last rounding)."""
+    interval of ``series_value_enclosure``, widened by the radius."""
     *intervals, radius = enclosure
-    prec = engine.ctx.prec
-    return all(lo - radius - _half_ulp(v, prec) <= v <= hi + radius + _half_ulp(v, prec)
-               for v, (lo, hi) in zip(parts, intervals))
+    return all(lo - radius <= v <= hi + radius for v, (lo, hi) in zip(parts, intervals))
 
 
 # -- scalar ODE solutions ----------------------------------------------------

@@ -190,7 +190,7 @@ def test_criterion_11_asymptotics():
     for mod in mods:
         z = UCComplex.polar(mod, 0.0)
         z32 = eng.exp(eng.complex(Fraction(3, 2)) * z.log(eng))
-        f = -z32 / (2 * s2 * eng.pi ** 2) * eval_series(s1, z, engine=eng, tol=1e-21)
+        f = -z32 / (2 * s2 * eng.pi ** 2) * eng.number(eval_series(s1, z, engine=eng, tol=1e-21))
         zc = eng.exp(z.log(eng))
         dev0.append(abs(complex(f / ((1 / s6) * eng.exp(u[3] * zc))) - 1))
 
@@ -199,7 +199,7 @@ def test_criterion_11_asymptotics():
         z = UCComplex.polar(mod, math.pi / 12)
         Y = assemble_YR(z, 76, eng, tol=1e-21)
         zc = eng.exp(z.log(eng))
-        cols.append([abs(complex(Y[3][k] * eng.exp(-u[k] * zc) / c[k]) - 1)
+        cols.append([abs(complex(eng.number(Y[3][k]) * eng.exp(-u[k] * zc) / c[k]) - 1)
                      for k in range(4)])
 
     def slope(devs):

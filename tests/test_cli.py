@@ -92,15 +92,15 @@ def test_exact_reports_keep_their_bytes(command):
 #: engine rounds exactly, in integers, on every platform; the double reports
 #: are left out, as their elementary functions come from the platform's libm
 MP_REPORT_DIGESTS = {
-    "verify": "62873c42393fbc1b6c29cf118acb9975ef2980bc8ae6f5dc0031575aa6b6c64f",
-    "stokes": "4297a6a4b52486aca46652968aa8cc155a092f094d79363f859773030eda2d0f",
-    "connection": "3c6f07cf2baac6786d3f545e98615fea75dc1cf7134bd89e22cb17fac7439fc0",
+    "verify": "f58a2aa8063ba6f2cba213ea68f3a5a5b6d05c2de55aa2f7f6a48d5f6d122439",
+    "stokes": "d2b1ceff2c958ac7549392395ffba0ba044d6b0cc457fc6bc05106a5cd6b7d74",
+    "connection": "53d91b66f2f9ed92e962721c06e98be9414923fe543382ae866d886f3efd9a98",
     # off the defaults: more digits, a longer series, and base points of
     # other moduli, where the block passes sum other numbers of blocks
-    "verify --dps 60": "350ca13ebf8deadd92da3199018faf6bbd2dcb212db13926afc10baecc0d4031",
-    "verify --order 60": "8d6dfd2137ae84d2cb4a93870c7d65ef63abb3f46d3f944e79ae8f18860dd7d8",
+    "verify --dps 60": "faf6afe9879f137d340163038a9cc6419bbcc694ae2f7dcf40131645eee3cd7d",
+    "verify --order 60": "2363de6d40ba83f6579902163a8b0a74d8767e367cc286eb0042db13eb191313",
     "verify --z0-stokes 1.5,0.8 --z0-connection 0.2,0.785":
-        "00d06ae771dbfd6423727cc501fb2211d3340550d04b6670babeffe195056327",
+        "cd37167dbfab6390bfc70ba72bb6a433f9aa46bba9cffdbbf8dcabac083b7745",
 }
 
 
@@ -116,7 +116,7 @@ def test_mp_reports_keep_their_bytes(command):
 #: seed 1 (``run.sweep_configs(1)``), concatenated in order: base points
 #: across the sweep's ranges, verified in one process, so that all but the
 #: first run from warm caches of point data, block sums and column factors
-SWEEP_DIGEST = "c51104b1aff8a017b3d78ef873ea53cdc79c73cd374732dd73be967e82be5487"
+SWEEP_DIGEST = "5fa9ca02e66e6677641d1e942408b7adda3c053bcdece82df7c4ff82e125d132"
 
 
 def test_warm_sweep_reports_keep_their_bytes(monkeypatch):

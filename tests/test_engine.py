@@ -149,8 +149,9 @@ def test_mp_solve_and_inverse_stay_within_their_stated_bound(case):
                     assert abs(float(got - want)) <= limit, (case, got, want, limit)
     if case == "identity":
         assert e.inverse(A) == tuple(map(tuple, A))
-    # a Python float or complex entry is read as Engine.complex reads it
-    plain = [[[float(x.real) if j % 2 else complex(x) for j, x in enumerate(row)]
+    # a Python float or complex entry is read as Engine.complex reads it;
+    # an operand of Y_R or Y_L enters Python through Engine.number
+    plain = [[[float(x.real) if j % 2 else complex(x) for j, x in enumerate(map(e.number, row))]
               for row in M] for M in (A, B)]
     converted = [[[e.complex(x) for x in row] for row in M] for M in plain]
     assert e.solve(*plain) == e.solve(*converted), case
@@ -408,10 +409,8 @@ def _modulus_above(a):
     return Fraction(math.isqrt(s.numerator * 4 ** k // s.denominator) + 1, 2 ** k)
 
 
-def _within_half_ulp_plus(got, exact, prec, bound=0):
-    """Whether each part of ``got`` lies within half an ulp of itself, at
-    most 2^-prec of it, plus ``bound`` of the exact part."""
-    return all(abs(g - x) <= abs(g) / 2 ** prec + bound for g, x in zip(gaussian(got), exact))
+def _gsub(a, b):
+    return a[0] - b[0], a[1] - b[1]
 
 
 def _random_mp(e, rng, low=-30, high=30):
@@ -447,8 +446,9 @@ def _log_polynomial_cases(e, rng):
 @pytest.mark.parametrize("dps", (40, 291))
 def test_mp_log_polynomial_stays_within_its_stated_bound(dps):
     # the exact value of the inputs read as Fractions, against the bound of
-    # MPEngine.log_polynomial: 2^(4 - prec - GUARD_BITS) |scale|
-    # sum_k |l|^k |T_k| before the rounding, half an ulp of each part after
+    # MPEngine.log_polynomial on the modulus of the returned operand's
+    # error: 2^(4 - prec - GUARD_BITS) |scale| sum_k |l|^k |T_k|, with no
+    # rounding after it
     e = get_engine("mp", dps=dps)
     prec = e.ctx.prec
     rng = random.Random(30 + dps)
@@ -462,18 +462,22 @@ def test_mp_log_polynomial_stays_within_its_stated_bound(dps):
         size = sum(_modulus_above(L) ** k * _modulus_above(t) for k, t in enumerate(T))
         bound = Fraction(2) ** (4 - prec - GUARD_BITS) * _modulus_above(s) * size
         got = e.log_polynomial(sums, l, scale)
-        assert _within_half_ulp_plus(got, exact, prec, bound), (sums, l, scale)
+        assert type(got) is tuple
+        assert _modulus_above(_gsub(gaussian(got), exact)) <= bound, (sums, l, scale)
         cancelled += 0 < _modulus_above(exact) < _modulus_above(s) * size / 2 ** 90
     assert cancelled >= 20
 
 
 @pytest.mark.parametrize("dps", (40, 291))
-def test_mp_fdot_is_the_exact_sum_rounded_once(dps):
-    # within half an ulp of each part of the exact dot product, as
-    # MPEngine.fdot states: equal to it rounded once, to nearest, on random
-    # vectors with zero, int, Fraction, float and Python complex entries,
-    # and on sums that cancel to 2^-100 of the largest product
+def test_mp_fdot_is_the_exact_sum_floored_once(dps):
+    # as MPEngine.fdot states, each part of the returned operand is the
+    # exact dot product's part floored at the operand's exponent, where the
+    # larger part keeps prec + GUARD_BITS bits, so off by less than
+    # 2^(1 - prec - GUARD_BITS) of the exact modulus, on random vectors with
+    # zero, int, Fraction, float and Python complex entries, and on sums
+    # that cancel to 2^-100 of the largest product
     e = get_engine("mp", dps=dps)
+    bits = e.ctx.prec + GUARD_BITS
     rng = random.Random(31 + dps)
     others = [0, e.complex(0), 3, -1, Fraction(1, 3), 0.1, 2.5 - 1j]
     cases = []
@@ -498,9 +502,12 @@ def test_mp_fdot_is_the_exact_sum_rounded_once(dps):
         exact = (Fraction(0), Fraction(0))
         for x, y in zip(xs, ys):
             exact = _gadd(exact, _gmul(_exact(x, e), _exact(y, e)))
-        got = e.fdot(xs, ys)
-        assert _within_half_ulp_plus(got, exact, e.ctx.prec), (xs, ys)
-        assert got == e.complex(*exact), (xs, ys)
+        re, im, exp = e.fdot(xs, ys)
+        unit = Fraction(2) ** exp
+        assert (re, im) == tuple(math.floor(x / unit) for x in exact), (xs, ys)
+        assert max(abs(re), abs(im)).bit_length() <= bits + 1, (xs, ys)
+        error = Fraction(2) ** (1 - bits) * _modulus_above(exact)
+        assert all(abs(g - x) <= error for g, x in zip(gaussian((re, im, exp)), exact)), (xs, ys)
 
 
 def _horner_cases():
@@ -553,16 +560,45 @@ def test_operand_passes_an_operand_through():
 
 
 def test_a_warm_verify_reads_each_cached_operand_once(monkeypatch):
-    # with warm caches a default verify reads 1860 mp numbers into exact
+    # with warm caches a default verify reads 988 mp numbers into exact
     # integers, against 3277 when the caches held mp numbers: each point's
-    # l, z^-k and lift factors, the block sums and the column factors are
-    # read once, as they are cached, and no kernel reads them again
+    # l, z^-k and lift factors and the column factors are read once, as
+    # they are cached, and the block sums, series values, column
+    # derivatives and entries of Y_R and Y_L reach the next kernel as
+    # operands, which no kernel reads again
     run_verify(RunConfig())
     reads = []
     exact_parts = engine_module._exact_parts
     monkeypatch.setattr(engine_module, "_exact_parts", lambda x: reads.append(x) or exact_parts(x))
     run_verify(RunConfig())
-    assert 0 < len(reads) <= 1860
+    assert 0 < len(reads) <= 1000
+
+
+def test_a_warm_verify_rounds_no_value_it_passes_to_a_kernel(monkeypatch):
+    # with warm caches a default verify rounds 272 values to mp numbers:
+    # the X of its solves and inverse (112), the entries of its products
+    # (80) and of the held-out Y_R (16), and the Phi_top block sums that
+    # eval_Ytop multiplies in mpmath (64); no block sum, series value,
+    # column derivative or entry of Y_R and Y_L is rounded on its way to
+    # the next kernel
+    run_verify(RunConfig())
+    stacks = []
+    rounded = engine_module._rounded
+
+    def recorded(ctx, re, im, exp):
+        frame, names = sys._getframe(1), set()
+        while frame is not None:
+            names.add(frame.f_code.co_name)
+            frame = frame.f_back
+        stacks.append(names)
+        return rounded(ctx, re, im, exp)
+
+    monkeypatch.setattr(engine_module, "_rounded", recorded)
+    run_verify(RunConfig())
+    assert 0 < len(stacks) <= 300
+    kernels = {"horner", "log_polynomial", "fdot", "eval_series", "scalar_column_derivatives",
+               "vector_from_scalar"}
+    assert not any(names & kernels for names in stacks)
 
 
 def test_mp_kernels_refuse_non_finite_inputs():
