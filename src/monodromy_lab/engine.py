@@ -30,29 +30,32 @@ in log z of the block sums (``log_polynomial``) and dot product
 (``fdot``): hardware complex arithmetic under double, and under mp exact
 integers on mpmath's raw mantissas.  Beside them, ``matrix_steps`` applies
 integer matrices to a cubic block (the recursion that builds the residue
-series, and their derivative map) in the coefficients' own arithmetic, as
-``log2_magnitude`` reads them: their operators for Fractions and Python
-complex numbers, and for mp numbers that of the mp kernels.
+series, and their derivative map) in the coefficients' own arithmetic:
+their operators for Fractions and Python complex numbers, and exact
+integers for mp operands.
 
 An operand is a number in the form the kernels read it
 (``Engine.operand``): under double the number itself, under mp exact
 integers (re, im, exp), the value (re + i im) 2^exp, of an mp number's raw
-mantissas (``_exact_parts``).  An operand reads as itself, so the kernels
-take numbers and operands alike, and a cache that holds operands has each
-value read once.  The mp kernels share that read and one Horner loop that
-cuts each step to a number of bits (``_horner``: ``horner`` runs it in w,
-``log_polynomial`` in log z, both ``GUARD_BITS`` above the working
-precision).  ``horner``, ``log_polynomial`` and ``fdot`` return operands,
-cut (floored) to ``GUARD_BITS`` above the working precision, so the block
-sums, each series value, each column derivative and each entry of Y_R and
-Y_L pass from one kernel to the next as exact integers, neither rounded
-nor read again.  ``Engine.number`` turns an operand into a number, each
-part rounded once, to nearest (``_rounded``; the identity under double),
-only where a value leaves the numeric layer: the entries of a product
-(``Engine.matmul``) or of a residual, the block sums
-``monodromy.eval_Ytop`` multiplies in mpmath, and a caller's own
-arithmetic.  ``_eliminate`` and ``matrix_steps`` round their results
-once themselves.  Each kernel states its error bound.
+mantissas (``_exact_parts``) or of a Fraction floored once.  An operand
+reads as itself, so the kernels take numbers and operands alike, and a
+cache that holds operands has each value read once.  The mp kernels share
+that read and one Horner loop that cuts each step to a number of bits
+(``_horner``: ``horner`` runs it in w, ``log_polynomial`` in log z, both
+``GUARD_BITS`` above the working precision).  ``matrix_steps`` returns the
+coefficients of the residue series and of their derivative series as
+operands, and ``horner``, ``log_polynomial`` and ``fdot`` return operands
+cut (floored) to ``GUARD_BITS`` above the working precision, so from the
+recursion to the solves every coefficient, block sum, series value,
+column derivative and entry of Y_R and Y_L passes from one kernel to the
+next as exact integers, neither rounded nor read again.
+``Engine.number`` turns an operand into a number, each part rounded once,
+to nearest (``_rounded``; the identity under double), only where a value
+leaves the numeric layer: the entries of a product (``Engine.matmul``) or
+of a residual, the block sums ``monodromy.eval_Ytop`` multiplies in
+mpmath, the report's Frobenius coordinates and a caller's own arithmetic.
+Only ``_eliminate`` rounds its own results.  Each kernel states its error
+bound.
 
 A matrix is a tuple of rows, the package's one format; ``Engine.matmul``
 multiplies two, each entry one ``fdot`` as a number, and
@@ -79,10 +82,10 @@ import operator
 import sys
 from fractions import Fraction
 
-#: bits the mp engine's Horner loop (``_horner``) and the operands that
-#: ``horner``, ``log_polynomial`` and ``fdot`` return carry above the working
-#: precision, and ``matrix_steps`` from block to block, whose coefficients
-#: are each rounded to the working precision once
+#: bits the mp engine's Horner loop (``_horner``), the operands that
+#: ``horner``, ``log_polynomial`` and ``fdot`` return and the coefficients
+#: of ``matrix_steps`` (and of a Fraction's ``operand``) carry above the
+#: working precision
 GUARD_BITS = 20
 
 #: bits the mp engine's 4x4 elimination holds above the working precision
@@ -153,17 +156,18 @@ def max_deviation(A, B):
 
 
 class Engine:
-    """A scalar backend: a name, its digits and what ``DoubleEngine`` and
-    ``MPEngine`` share.  Each engine supplies ``real``, ``operand``,
-    ``number``, ``guarded``, ``horner_columns``, ``horner``,
-    ``log_polynomial``, ``fdot`` and ``_eliminate``, the constants ``pi``,
-    ``euler`` and ``zeta3``, and the functions behind ``complex``, ``exp``,
-    ``log``, ``sqrt`` and ``gamma``/``quad``."""
+    """A scalar backend: a name, its digits, its working precision in bits
+    and what ``DoubleEngine`` and ``MPEngine`` share.  Each engine supplies
+    ``real``, ``operand``, ``number``, ``guarded``, ``horner_columns``,
+    ``horner``, ``log_polynomial``, ``fdot`` and ``_eliminate``, the
+    constants ``pi``, ``euler`` and ``zeta3``, and the functions behind
+    ``complex``, ``exp``, ``log``, ``sqrt`` and ``gamma``/``quad``."""
 
-    def __init__(self, name, dps, eps):
+    def __init__(self, name, dps, eps, prec):
         self.name = name
         self.dps = dps
         self.eps = eps
+        self.prec = prec
 
     # -- conversions ---------------------------------------------------
 
@@ -283,15 +287,15 @@ class DoubleEngine(Engine):
 
     def __init__(self):
         # a double carries 15.95 significant digits: eps = 1e-16
-        super().__init__("double", dps=16, eps=1e-16)
+        super().__init__("double", dps=16, eps=1e-16, prec=53)
 
     def real(self, x):
         """A float; a Fraction is rounded once, to nearest."""
         return float(x)
 
     def operand(self, x):
-        """x itself: the hardware kernels read numbers as they are."""
-        return x
+        """x itself, a Fraction as its float (``real``)."""
+        return float(x) if type(x) is Fraction else x
 
     def number(self, x):
         """x itself: the hardware kernels return numbers."""
@@ -371,7 +375,7 @@ class MPEngine(Engine):
         _load_mpmath()
         ctx = mpmath.ctx_mp.MPContext()
         ctx.dps = dps
-        super().__init__("mp", dps=dps, eps=float(mpmath.mpf(10) ** (-dps)))
+        super().__init__("mp", dps=dps, eps=float(mpmath.mpf(10) ** (-dps)), prec=ctx.prec)
         self.ctx = ctx
         self._complex = ctx.mpc
         self._exp, self._log, self._sqrt = ctx.exp, ctx.log, ctx.sqrt
@@ -387,16 +391,21 @@ class MPEngine(Engine):
 
     def operand(self, x):
         """x as exact integers (re, im, exp), the value (re + i im) 2^exp:
-        such a tuple as it is, an int as (x, 0, 0), an mp number by
+        such a tuple as it is, an int as (x, 0, 0), a Fraction floored to
+        prec + GUARD_BITS bits by one integer division, an mp number by
         ``_exact_parts``, anything else through ``Engine.complex``.  A
         non-finite value raises OverflowError."""
         if type(x) is tuple:
             return x
         if type(x) is int:
             return x, 0, 0
-        if not isinstance(x, _MP_TYPES):
-            x = self.complex(x)
-        return _exact_parts(x)
+        if isinstance(x, _MP_TYPES):
+            return _exact_parts(x)
+        if type(x) is Fraction:
+            p, q = x.numerator, x.denominator
+            e = p.bit_length() - q.bit_length() - self.ctx.prec - GUARD_BITS
+            return (p << -e) // q if e < 0 else p // (q << e), 0, e
+        return _exact_parts(self.complex(x))
 
     def number(self, x):
         """An operand as an mpc of the context, each part rounded once, to
@@ -427,15 +436,14 @@ class MPEngine(Engine):
     # -- block sums of a power series in w ------------------------------
 
     def horner_columns(self, blocks):
-        """The four coefficient columns of ``blocks`` (engine complex
-        numbers), highest block first, in the form ``horner`` sums: each
-        coefficient read once (``_exact_parts``), and each column with the
-        bounds of its cut: (ns, tops) over its nonzero blocks n, lowest
-        first, with top_n the ``_top_bit`` of a[n], so that
-        2^(top_n - 1) <= |a[n]| < 2^(top_n + 1/2)."""
+        """The four coefficient columns of ``blocks`` (operands, or numbers
+        that ``operand`` reads once), highest block first, in the form
+        ``horner`` sums, each column with the bounds of its cut: (ns, tops)
+        over its nonzero blocks n, lowest first, with top_n the ``_top_bit``
+        of a[n], so that 2^(top_n - 1) <= |a[n]| < 2^(top_n + 1/2)."""
         out = []
         for col in zip(*reversed(blocks)):
-            parts = tuple(map(_exact_parts, col))
+            parts = tuple(map(self.operand, col))
             nonzero = [(n, _top_bit(*p)) for n, p in enumerate(reversed(parts)) if p[0] or p[1]]
             out.append((parts, tuple(zip(*nonzero)) or ((), ())))
         return tuple(out)
@@ -739,52 +747,44 @@ def _summed_blocks(bounds, log2w, bits):
     return ns[i] + 1
 
 
-def matrix_steps(block, steps):
+def matrix_steps(block, steps, prec=None):
     """The blocks b_1, ..., b_m of b_j = Q_j b_(j-1) / den_j from
     b_0 = ``block``, for ``steps`` (Q_j, den_j): square integer matrices as
     tuples of rows, and positive integers.  The arithmetic follows the
     coefficients' type, as ``log2_magnitude`` does, with no engine fork.
 
     Fractions, Python complex numbers and floats use their own operators,
-    so Fractions stay exact.  mp numbers run in exact integers on their raw
-    mantissas (``_exact_parts``), brought to one exponent per block; each
-    step's product is exact, and a step with den_j > 1 divides (floor) to
-    ``GUARD_BITS`` bits above the working precision of the block's largest
-    part, so it adds less than 2^(1 - prec - GUARD_BITS) of that part to
-    each coefficient, which the later steps carry forward by their
-    matrices.  Each coefficient is rounded once (``_rounded``), into the
-    block's context's complex numbers.  So a coefficient of b_j is
-    off from the exact image of b_0 by at most half an ulp plus
-    sum_(i <= j) |Q_j ... Q_(i+1)| / (den_j ... den_(i+1)) applied to that
-    cut of step i; a step with den_j = 1 is exact, and a single one leaves
-    each coefficient its exact image rounded once.  A non-finite mp
-    coefficient raises OverflowError.
-    """
+    so Fractions stay exact.  mp operands (re, im, exp) run in exact
+    integers at one exponent e_j per block, and each coefficient of b_j is
+    returned as the operand (re, im, e_j), not rounded.  Each step's product
+    is exact, and a step with den_j > 1 divides (floor) to ``GUARD_BITS``
+    bits above ``prec`` of the block's largest part, which lowers each part
+    by less than 2^e_j.  The matrices are integer, so each part of b_j is
+    off from the exact image of b_0 by at most c_j, entry by entry, with
+    c_0 = 0 and c_j = |Q_j| c_(j-1) / den_j + 2^e_j (without the 2^e_j for
+    den_j = 1, so a single such step returns the exact image)."""
     out = []
-    if not isinstance(block[0], _mp_types()):
+    if type(block[0]) is not tuple:
         for Q, den in steps:
             block = tuple([sum(map(operator.mul, row, block)) for row in Q])
             if den != 1:
                 block = tuple([x / den for x in block])
             out.append(block)
         return out
-    ctx = block[0].context
-    bits = ctx.prec + GUARD_BITS
-    parts = list(map(_exact_parts, block))
-    exp = min([e for re, im, e in parts if re or im], default=0)
-    re = [r << (e - exp) if r else 0 for r, _, e in parts]
-    im = [i << (e - exp) if i else 0 for _, i, e in parts]
+    exp = min([e for re, im, e in block if re or im], default=0)
+    re = [r << (e - exp) if r else 0 for r, _, e in block]
+    im = [i << (e - exp) if i else 0 for _, i, e in block]
     for Q, den in steps:
         re = [sum(map(operator.mul, row, re)) for row in Q]
         im = [sum(map(operator.mul, row, im)) for row in Q]
         if den != 1 and any(re + im):
-            # the quotient's largest part gets at least ``bits`` bits
-            shift = bits + den.bit_length() - max(x.bit_length() for x in re + im)
+            # the quotient's largest part gets at least prec + GUARD_BITS bits
+            shift = prec + GUARD_BITS + den.bit_length() - max(x.bit_length() for x in re + im)
             up, den = max(shift, 0), den << max(-shift, 0)
             re = [(x << up) // den for x in re]
             im = [(x << up) // den for x in im]
             exp -= shift
-        out.append(tuple([_rounded(ctx, r, i, exp) for r, i in zip(re, im)]))
+        out.append(tuple([(r, i, exp) for r, i in zip(re, im)]))
     return out
 
 

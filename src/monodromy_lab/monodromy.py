@@ -138,8 +138,8 @@ def _phi_top_columns(order, engine):
     recursion's U_cal and R only have entries with a - b = 1 mod 3 (each
     coefficient is checked), so the entry is z^c sum_n (Phi_(c+3n))_ab w^n
     with c = (a - b) mod 3 and w = z^3.  Returns (columns, offsets), both
-    row-major in (a, b); converted once per order and engine, at
-    ``GUARD_BITS`` above the working precision under mp.
+    row-major in (a, b); converted once per order and engine by
+    ``Engine.operand``, under mp floored to ``GUARD_BITS`` above prec.
     """
     coeffs = phi_top(order).coeffs
     offsets = tuple((a - b) % 3 for a in range(4) for b in range(4))
@@ -151,8 +151,7 @@ def _phi_top_columns(order, engine):
     blocks = [[coeffs[c + 3 * n][a][b] if c + 3 * n <= order else Fraction(0)
                for (a, b), c in zip(itertools.product(range(4), repeat=2), offsets)]
               for n in range(order // 3 + 1)]
-    with engine.guarded():
-        columns = engine.horner_columns([[engine.real(v) for v in row] for row in blocks])
+    columns = engine.horner_columns([[engine.operand(v) for v in row] for row in blocks])
     return columns, offsets
 
 

@@ -275,8 +275,8 @@ def run_verify(config):
         # Frobenius coordinates (a0, b0, c0, d0) of the two Mellin-Barnes
         # solutions: the change of basis between the log-series frame at z=0
         # and the integral solutions, recorded rather than assumed.
-        "phi1_frobenius_coordinates": [complex(x) for x in s1.initial_block()],
-        "phi2_frobenius_coordinates": [complex(x) for x in s2.initial_block()],
+        "phi1_frobenius_coordinates": [complex(engine.number(x)) for x in s1.initial_block()],
+        "phi2_frobenius_coordinates": [complex(engine.number(x)) for x in s2.initial_block()],
         "prefactors": dict(PREFACTORS),
         "residuals": residuals,
         "tolerances": {k: tol[k] for k in sorted(tol)},

@@ -121,9 +121,11 @@ class UCComplex(Record):
 class LogSeries(Record):
     """Truncated series  sum_n z^(rho+3n) * sum_k a[n][k] (log z)^k,  k <= 3.
 
-    ``blocks[n][k]`` are exact Fractions for the Frobenius-type solutions and
-    engine complex numbers for the residue series.  ``rho`` is the integer
-    0 for scalar ODE solutions; the m-th derivative series has rho = -m.
+    ``blocks[n][k]`` are exact Fractions for the Frobenius-type solutions
+    and engine operands (``Engine.operand``) for the residue series: under
+    mp (re, im, exp) at the block's exponent, which ``Engine.number``
+    rounds.  ``rho`` is 0 for scalar ODE solutions and -m for the m-th
+    derivative series.
     It hashes by identity, so caches key on it without reading its blocks.
     A ``Record``, not a dataclass: see ``monodromy_lab.record``.  It keeps a
     ``__dict__`` for the cached derivative.
@@ -145,9 +147,8 @@ class LogSeries(Record):
         """Term-by-term d/dz (lowers every exponent by one): block n maps by
         rho + 3n + d/d(log z), the bidiagonal integer matrix with rho + 3n
         on the diagonal and k + 1 at (k, k+1), through
-        ``engine.matrix_steps``.  Exact for Fractions; under mp each
-        coefficient is the exact derivative of this series' coefficients
-        rounded once, to nearest.
+        ``engine.matrix_steps``.  Exact for Fractions and for mp operands,
+        whose derivative is an exact integer map with no rounding.
 
         Built once per series and kept on it, so the cached residue series
         carry their derivative series from one evaluation to the next.
@@ -187,16 +188,16 @@ def _recursion_matrix(n):
     return Q, c ** 7
 
 
-def _series_from_initial_block(block0, order):
+def _series_from_initial_block(block0, order, prec=None):
     """The scalar ODE's solution with block 0 ``block0``, to ``order``
     blocks: blocks 1..order-1 by ``engine.matrix_steps`` with the matrices
     of ``_recursion_matrix``: exact for Fractions, in hardware complex
-    arithmetic under double, and under mp each coefficient the exact
-    recursion from block0 rounded once to nearest, up to the cuts of its
-    divisions, ``engine.GUARD_BITS`` below the working precision."""
+    arithmetic under double, and for mp operands each coefficient an
+    operand within the bound ``matrix_steps`` states of the exact recursion
+    from block0, its divisions cut ``engine.GUARD_BITS`` above ``prec``."""
     block0 = tuple(block0)
     steps = [_recursion_matrix(n) for n in range(1, order)]
-    return LogSeries(rho=0, blocks=(block0, *matrix_steps(block0, steps)))
+    return LogSeries(rho=0, blocks=(block0, *matrix_steps(block0, steps, prec)))
 
 
 @functools.lru_cache(maxsize=None)
@@ -246,13 +247,13 @@ def phi_series(kind, order, engine):
 
     Block n carries 2 pi i times the residue of g(s) z^(-3s) at s = -n.
     Block 0 is ``gamma_coordinates`` (``closedform.evaluate``) times
-    pi^(-1/2) (phi1) or pi^(1/2) (phi2); every later block follows by the
-    recursion of the scalar ODE written as integer matrices, as for the
-    Frobenius basis (``_series_from_initial_block``): under mp it runs in
-    exact integers with guard bits carried from block to block, so each
-    coefficient is the exact recursion from block 0 rounded once, within
-    one ulp of its block's largest entry.  No Gamma function and no
-    quadrature is evaluated.  The result is entire in
+    pi^(-1/2) (phi1) or pi^(1/2) (phi2), as engine operands; every later
+    block follows by the recursion of the scalar ODE written as integer
+    matrices, as for the Frobenius basis (``_series_from_initial_block``):
+    under mp in exact integers with guard bits carried from block to block,
+    each coefficient an operand, never rounded, within the bound of
+    ``engine.matrix_steps`` of the exact recursion from block 0.  No Gamma
+    function and no quadrature is evaluated.  The result is entire in
     z^3 up to log weights and converges superexponentially, so it serves as
     the global evaluation path on the whole universal cover.  Built once
     per (kind, order, engine): the cached series carry their derivative
@@ -261,8 +262,8 @@ def phi_series(kind, order, engine):
     if order < 1:
         raise ValueError("order must be >= 1")
     scale = engine.sqrt(engine.pi) ** (-1 if kind is PHI1 else 1)
-    block0 = tuple(evaluate(x, engine) * scale for x in gamma_coordinates(kind))
-    return _series_from_initial_block(block0, order)
+    block0 = tuple(engine.operand(evaluate(x, engine) * scale) for x in gamma_coordinates(kind))
+    return _series_from_initial_block(block0, order, engine.prec)
 
 
 # -- evaluation -----------------------------------------------------------
@@ -363,14 +364,14 @@ def _prepare(series, engine):
     with the mantissa bit-length bounds that cut each column's pass; and
     the tail's log2 magnitudes (rho + 3n, (log2|a0|, ..., log2|a3|)), each
     within ``LOG2_SLACK`` (``engine.log2_magnitude``, no mp arithmetic), for
-    the last three nonzero blocks (all, for a shorter series).  Exact
-    (Fraction) coefficients enter through ``Engine.real``, the one rounding
-    path for exact data.  A non-finite tail coefficient raises
-    OverflowError."""
+    the last three nonzero blocks (all, for a shorter series).  Operands
+    are read as they are, and exact (Fraction) coefficients enter through
+    ``Engine.real``.  A non-finite tail coefficient raises OverflowError."""
     blocks = series.blocks
     if isinstance(blocks[0][0], Fraction):
         blocks = [[engine.real(a) for a in blk] for blk in blocks]
-    last = max((n for n, blk in enumerate(blocks) if any(blk)), default=0)
+    last = next((n for n in reversed(range(len(blocks)))  # a NaN is nonzero
+                 if any(log2_magnitude(a) != -math.inf for a in blocks[n])), 0)
     blocks = blocks[:last + 1]
     first = max(0, len(blocks) - 3)
     tail = tuple((series.rho + 3 * n, tuple(map(log2_magnitude, blocks[n])))

@@ -153,6 +153,13 @@ def operand_value(ctx, x):
     return ctx.make_mpc((from_man_exp(re, exp), from_man_exp(im, exp)))
 
 
+def block_values(series, engine):
+    """The blocks of a series as numbers of the engine's arithmetic: mp
+    operands read exactly (``operand_value``), anything else as it is."""
+    return tuple(tuple(operand_value(engine.ctx, a) if type(a) is tuple else a for a in blk)
+                 for blk in series.blocks)
+
+
 def _gmul(a, b):
     return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
 
@@ -253,7 +260,7 @@ def engine_real_certificate(series, z, engine, tol, total):
     last three nonzero blocks (all, for a shorter series) of
     |z|^(rho+3n) |a_k[n]|; a number ``total`` is accepted if the bound lies
     within tol max(|total|, 1), and a NaN total never is."""
-    blocks = series.blocks
+    blocks = block_values(series, engine)
     if isinstance(blocks[0][0], Fraction):
         blocks = [[engine.real(a) for a in blk] for blk in blocks]
     last = max((n for n, blk in enumerate(blocks) if any(blk)), default=0)
@@ -337,6 +344,17 @@ def _endpoints(x):
     return tuple(map(_fraction, x._mpi_))
 
 
+def _enclose(iv, x):
+    """An int, an mp number or an mp engine operand (re, im, exp) as an
+    interval of ``iv``, exactly."""
+    if type(x) is int:
+        return iv.mpc(x)
+    if type(x) is tuple:
+        re, im, exp = x
+        return iv.mpc(iv.ldexp(iv.mpf(re), exp), iv.ldexp(iv.mpf(im), exp))
+    return iv.mpc(iv.mpf(x.real), iv.mpf(x.imag))
+
+
 @functools.lru_cache(maxsize=None)
 def _block_enclosures(series, w, prec):
     """Intervals of T_k = sum_n w^n a_k[n] and of sum_n |w|^n |a_k[n]|,
@@ -350,7 +368,7 @@ def _block_enclosures(series, w, prec):
     for k in range(4):
         t, s = iv.mpc(0), iv.mpf(0)
         for blk in reversed(series.blocks):
-            a = iv.mpc(iv.mpf(blk[k].real), iv.mpf(blk[k].imag))
+            a = _enclose(iv, blk[k])
             t, s = t * W + a, s * size + abs(a)
         sums.append(t)
         magnitudes.append(s)
@@ -381,24 +399,14 @@ def series_value_enclosure(series, z, engine, m=0):
     w = solutions.point_data(UCComplex(*point.key), engine).cube
     prec = engine.ctx.prec
     iv, T, S = _block_enclosures(cur, w, 2 * prec + 64)
-
-    def enclose(x):
-        # an int, an mp number or an mp engine operand (re, im, exp), exactly
-        if type(x) is int:
-            return iv.mpc(x)
-        if type(x) is tuple:
-            re, im, exp = x
-            return iv.mpc(iv.ldexp(iv.mpf(re), exp), iv.ldexp(iv.mpf(im), exp))
-        return iv.mpc(iv.mpf(x.real), iv.mpf(x.imag))
-
-    L = enclose(point.l)
-    scale = enclose(point.inverse_powers[-cur.rho] if cur.rho else 1)
+    L = _enclose(iv, point.l)
+    scale = _enclose(iv, point.inverse_powers[-cur.rho] if cur.rho else 1)
     value = scale * (T[0] + L * (T[1] + L * (T[2] + L * T[3])))
     blocks = len(cur.blocks)
     guard = iv.mpf(2) ** -(prec + GUARD_BITS)
     radius = iv.mpf(0)
     for k, t in enumerate(solutions._block_sums(cur, *point.key, engine).sums):
-        radius += abs(L) ** k * guard * ((4 * blocks + 1) * S[k] + 16 * abs(enclose(t)))
+        radius += abs(L) ** k * guard * ((4 * blocks + 1) * S[k] + 16 * abs(_enclose(iv, t)))
     radius *= abs(scale)
     return _endpoints(value.real), _endpoints(value.imag), _endpoints(radius)[1]
 

@@ -6,6 +6,7 @@ import importlib
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -92,15 +93,15 @@ def test_exact_reports_keep_their_bytes(command):
 #: engine rounds exactly, in integers, on every platform; the double reports
 #: are left out, as their elementary functions come from the platform's libm
 MP_REPORT_DIGESTS = {
-    "verify": "f58a2aa8063ba6f2cba213ea68f3a5a5b6d05c2de55aa2f7f6a48d5f6d122439",
-    "stokes": "d2b1ceff2c958ac7549392395ffba0ba044d6b0cc457fc6bc05106a5cd6b7d74",
-    "connection": "53d91b66f2f9ed92e962721c06e98be9414923fe543382ae866d886f3efd9a98",
+    "verify": "bb8e30bca85510504d72b7ccba261b47d6c53e3b1a53d6937254ea2dac5853ba",
+    "stokes": "1821c0968a3612bf758acb8db20c1cd1bf47e011365efbbfcee8e3e7f4947b2a",
+    "connection": "64b7a48b07266238d9201f45e0d6656cd70c0f14df7d996e5e1a327a983b0c94",
     # off the defaults: more digits, a longer series, and base points of
     # other moduli, where the block passes sum other numbers of blocks
-    "verify --dps 60": "faf6afe9879f137d340163038a9cc6419bbcc694ae2f7dcf40131645eee3cd7d",
-    "verify --order 60": "2363de6d40ba83f6579902163a8b0a74d8767e367cc286eb0042db13eb191313",
+    "verify --dps 60": "fb283ce030e0f3a0bca22b206f2404b934c32e072557147d7029e3a1c6e7cf3a",
+    "verify --order 60": "d5ab2318e0dc0d80233b0eea417be8baaf70ffd7b8e9017d002d67d1c9c326cc",
     "verify --z0-stokes 1.5,0.8 --z0-connection 0.2,0.785":
-        "cd37167dbfab6390bfc70ba72bb6a433f9aa46bba9cffdbbf8dcabac083b7745",
+        "e450bc00e223be0f583041c0248bd30cda9c92ef4a7759c12bc818281bf7556f",
 }
 
 
@@ -116,7 +117,7 @@ def test_mp_reports_keep_their_bytes(command):
 #: seed 1 (``run.sweep_configs(1)``), concatenated in order: base points
 #: across the sweep's ranges, verified in one process, so that all but the
 #: first run from warm caches of point data, block sums and column factors
-SWEEP_DIGEST = "5fa9ca02e66e6677641d1e942408b7adda3c053bcdece82df7c4ff82e125d132"
+SWEEP_DIGEST = "c255f0a023bbc72ac441613565e9c6a6195513ddf743f6273d8e71dc75cb9d21"
 
 
 def test_warm_sweep_reports_keep_their_bytes(monkeypatch):
@@ -340,6 +341,30 @@ def test_tail_certificate_at_the_bottom_of_the_double_range(capsys):
     assert captured.err == ("failed check: stokes stage: at z = 2,0.735398: truncation order "
                             "40 too small at |z|=2.0 for tolerance 1.0e-289\n")
     assert run_cli(capsys, "verify", "--dps", "291", "--order", "120")[0] == 0
+
+
+@pytest.mark.parametrize("dps", (8, 12, 14, 16))
+def test_low_digits_pass_with_the_published_data_or_refuse_by_name(capsys, dps):
+    # the exit-code contract below the default digits: exit 0 or 1, with no
+    # traceback; exit 1 names the stage on stderr or lists failed checks,
+    # and exit 0 reports the published S', P, S, Euler matrix and braid
+    from monodromy_lab import reference
+
+    code = main(["verify", "--dps", str(dps)])
+    captured = capsys.readouterr()
+    assert code in (0, 1) and "Traceback" not in captured.err
+    doc = json.loads(captured.out) if captured.out else None
+    if code == 1:
+        named = re.match(r"failed check: \w+ stage: ", captured.err)
+        assert named or (doc and doc["failed_checks"]), captured.err
+    else:
+        assert doc["failed_checks"] == []
+        published = {"S_prime": reference.S_PRIME_REF, "P": reference.P_REF,
+                     "S": reference.S_REF, "euler_matrix": reference.EULER_MATRIX_REF}
+        for key, matrix in published.items():
+            assert doc[key] == [list(row) for row in matrix], key
+        assert doc["braid"]["word"] == reference.EXPECTED_BRAID_LABELS
+        assert doc["braid"]["signs"] == list(reference.EXPECTED_SIGNS)
 
 
 def test_an_arithmetic_failure_names_its_stage(capsys):

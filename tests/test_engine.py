@@ -390,8 +390,12 @@ def test_double_solutions_runs_its_contour_oracle(tmp_path):
 
 def _exact(x, e):
     """An engine input as exact (re, im) Fractions, read as the mp kernels
-    read it: ints, operands and mp numbers as they are, anything else
-    through ``Engine.complex``."""
+    read it: ints, operands and mp numbers as they are, a Fraction floored
+    to prec + GUARD_BITS bits, anything else through ``Engine.complex``."""
+    if isinstance(x, Fraction):
+        unit = Fraction(2) ** (x.numerator.bit_length() - x.denominator.bit_length()
+                               - e.ctx.prec - GUARD_BITS)
+        return math.floor(x / unit) * unit, Fraction(0)
     return gaussian(x if isinstance(x, (int, tuple)) or hasattr(x, "_mpf_")
                     or hasattr(x, "_mpc_") else e.complex(x))
 
@@ -559,6 +563,27 @@ def test_operand_passes_an_operand_through():
     assert double.operand(x) is x
 
 
+@pytest.mark.parametrize("dps", (8, 40, 291))
+def test_operand_floors_a_fraction_once(dps):
+    # a Fraction is floored to prec + GUARD_BITS bits: its larger part has
+    # that many bits or one more, and it lies less than 2^(1 - prec -
+    # GUARD_BITS) |x| below x; under double it is the float of ``real``
+    e, double = get_engine("mp", dps=dps), get_engine("double")
+    bits = e.ctx.prec + GUARD_BITS
+    rng = random.Random(7 + dps)
+    cases = [Fraction(1, 3), Fraction(-1, 3), Fraction(2) ** 900, Fraction(-7, 2 ** 1000)]
+    cases += [Fraction(rng.randrange(-10 ** 80, 10 ** 80),
+                       rng.randrange(1, 10 ** rng.randrange(1, 90)))
+              for _ in range(200)]
+    for x in cases:
+        re, im, exp = e.operand(x)
+        value = Fraction(re) * Fraction(2) ** exp
+        assert im == 0 and bits <= abs(re).bit_length() <= bits + 1, x
+        assert x - Fraction(2) ** (1 - bits) * abs(x) < value <= x, x
+        assert double.operand(x) == double.real(x) == float(x)
+    assert e.operand(Fraction(0))[:2] == (0, 0)
+
+
 def test_a_warm_verify_reads_each_cached_operand_once(monkeypatch):
     # with warm caches a default verify reads 988 mp numbers into exact
     # integers, against 3277 when the caches held mp numbers: each point's
@@ -620,7 +645,7 @@ def test_mp_kernels_refuse_non_finite_inputs():
             with pytest.raises(OverflowError):
                 e.fdot(xs, ys)
         # the block pass, at a coefficient and at w, the elimination, in A
-        # and in B, and the recursion's steps
+        # and in B, and the recursion's block 0, read as operands
         with pytest.raises(OverflowError):
             e.horner_columns([finite, [finite[0], bad, *finite[2:]]])
         with pytest.raises(OverflowError):
@@ -633,7 +658,8 @@ def test_mp_kernels_refuse_non_finite_inputs():
                 e.solve(*args)
         Q = [[int(i <= j) for j in range(4)] for i in range(4)]
         with pytest.raises(OverflowError):
-            matrix_steps((finite[0], finite[1], bad, finite[3]), [(Q, 3)])
+            matrix_steps(tuple(map(e.operand, (finite[0], finite[1], bad, finite[3]))),
+                         [(Q, 3)], e.prec)
 
 
 def test_double_kernels_are_the_expressions_they_replace():

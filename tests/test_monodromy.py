@@ -455,8 +455,8 @@ def test_stokes_coordinate_route_oracle():
     A = rotation_operator_matrix(e)
     Ainv = e.inverse(A)
     v = {
-        PHI1: [e.complex(x) for x in phi_series(PHI1, 40, e).initial_block()],
-        PHI2: [e.complex(x) for x in phi_series(PHI2, 40, e).initial_block()],
+        PHI1: [e.number(x) for x in phi_series(PHI1, 40, e).initial_block()],
+        PHI2: [e.number(x) for x in phi_series(PHI2, 40, e).initial_block()],
     }
     from monodromy_lab.monodromy import _prefactor
 

@@ -13,7 +13,7 @@ import mpmath
 import pytest
 
 from monodromy_lab import engine as engine_module
-from monodromy_lab import solutions
+from monodromy_lab import monodromy, solutions
 from monodromy_lab.engine import GUARD_BITS, get_engine, max_deviation
 from monodromy_lab.solutions import (
     PHI1,
@@ -34,6 +34,7 @@ from monodromy_lab.engine import Engine
 from monodromy_lab.special import laurent_coefficients
 from monodromy_lab.pipeline import RunConfig, run_verify
 from oracles import (
+    block_values,
     engine_real_certificate,
     gaussian,
     mpmath_context,
@@ -106,21 +107,37 @@ def test_frobenius_basis_matches_the_dlog_oracle():
         assert series.blocks == series_from_coordinates(unit, 60).blocks, k
 
 
-@pytest.mark.parametrize("dps, order", [(40, 40), (60, 40), (40, 120)])
-def test_phi_series_blocks_are_rounded_once(dps, order):
-    # every block within 1 ulp, 2^(1 - prec) of the block's largest entry,
-    # of the recursion run in the _dlog form at three times the digits from
-    # the same block 0: the integer recursion carries guard bits from block
-    # to block and rounds each coefficient once
-    engine, fine = get_engine("mp", dps=dps), get_engine("mp", dps=3 * dps)
-    ulp = fine.ctx.mpf(2) ** (1 - engine.ctx.prec)
+@pytest.mark.parametrize("dps, order", [(40, 40), (60, 40), (40, 120), (60, 120)])
+def test_phi_series_blocks_lie_within_their_cut_bound(dps, order):
+    # each part of each coefficient operand against the recursion run in
+    # the _dlog form in exact Fractions from the same block-0 operands:
+    # within the bound engine.matrix_steps states, c_0 = 0 and
+    # c_n = |Q_n| c_(n-1) / (3n)^7 + 2^e_n, e_n the block's one exponent,
+    # with no half ulp; and each block of the derivative series 1-3 the
+    # exact derivative of its parent's operands
+    engine = get_engine("mp", dps=dps)
     for kind in (PHI1, PHI2):
         series = phi_series(kind, order, engine)
-        ref = tuple(fine.ctx.mpc(x) for x in series.blocks[0])
+        exact = list(zip(*map(gaussian, series.blocks[0])))
+        bound = [Fraction(0)] * 4
         for n in range(1, order):
-            ref = recursion_step(ref, n)
-            err = max(abs(fine.ctx.mpc(a) - b) for a, b in zip(series.blocks[n], ref))
-            assert err <= ulp * max(abs(b) for b in ref), (kind, n)
+            exact = [recursion_step(part, n) for part in exact]
+            (e,) = {exp for _, _, exp in series.blocks[n]}
+            Q, den = solutions._recursion_matrix(n)
+            bound = [sum(abs(q) * c for q, c in zip(row, bound)) / den + Fraction(2) ** e
+                     for row in Q]
+            got = zip(*map(gaussian, series.blocks[n]))
+            for part, ref in zip(got, exact):
+                assert all(abs(g - x) <= c for g, x, c in zip(part, ref, bound)), (kind, n)
+        parent = series
+        for m in range(1, 4):
+            child = parent.derivative()
+            for n, (a, b) in enumerate(zip(parent.blocks, child.blocks)):
+                c, a = parent.rho + 3 * n, [*map(gaussian, a), (0, 0)]
+                assert list(map(gaussian, b)) == [
+                    tuple(c * x + (k + 1) * y for x, y in zip(a[k], a[k + 1]))
+                    for k in range(4)], (kind, m, n)
+            parent = child
 
 
 def test_uccomplex_bookkeeping():
@@ -247,7 +264,8 @@ def _laurent_oracle_deviation(kind, n, series, engine):
     bound, nodes = LAURENT_ORACLE[engine.name]
     oracle = residue_block(laurent_coefficients(kind, n, nodes=nodes, engine=engine), engine)
     scale = max(engine.fabs(x) for x in oracle)
-    return max(engine.fabs(a - b) for a, b in zip(series.blocks[n], oracle)) / scale
+    block = block_values(series, engine)[n]
+    return max(engine.fabs(a - b) for a, b in zip(block, oracle)) / scale
 
 
 @pytest.mark.parametrize("engine", [E, get_engine("mp", dps=40)], ids=["double", "mp"])
@@ -426,40 +444,51 @@ def reference_derivative(series):
     return solutions.LogSeries(rho=series.rho - 1, blocks=blocks)
 
 
-def once_rounded_derivative(series, engine):
-    """The derivative of an mp series with each coefficient the exact
-    derivative of the series' coefficients, taken in Fractions, rounded once
-    to nearest (``Engine.complex``)."""
-    parts = [[], []]
-    for blk in series.blocks:
-        exact = []
-        for a in blk:
-            re, im, exp = engine_module._exact_parts(a)
-            exact.append((re * Fraction(2) ** exp, im * Fraction(2) ** exp))
-        for p, part in zip(parts, zip(*exact)):
-            p.append(part)
-    re, im = (reference_derivative(solutions.LogSeries(rho=series.rho, blocks=tuple(p)))
-              for p in parts)
-    return solutions.LogSeries(rho=re.rho, blocks=tuple(
-        tuple(engine.complex(x, y) for x, y in zip(a, b)) for a, b in zip(re.blocks, im.blocks)))
+def test_a_cold_series_build_rounds_no_coefficient(monkeypatch):
+    # phi1 and phi2, their derivative series 1-3, the block-pass columns of
+    # all eight and Phi_top's: the eight numbers of block 0 are read into
+    # exact integers once, and from there the recursion, the derivatives and
+    # the columns pass operands, so no coefficient is rounded or read again
+    e = get_engine("mp", dps=40)
+    calls = collections.Counter()
+    for name in ("_rounded", "_exact_parts"):
+        original = getattr(engine_module, name)
+        monkeypatch.setattr(engine_module, name,
+                            lambda *args, f=original, name=name: calls.update([name]) or f(*args))
+    for kind in (PHI1, PHI2):
+        series = phi_series.__wrapped__(kind, 40, e)  # built afresh, past the cache
+        for _ in range(4):
+            solutions._prepare(series, e)
+            series = series.derivative()
+    monodromy._phi_top_columns(40, e)
+    assert calls == {"_exact_parts": 8}
+
+
+def exact_parts(series):
+    """The real and imaginary parts of an mp series' operands as two series
+    of exact Fractions (``gaussian``)."""
+    re, im = zip(*(tuple(zip(*map(gaussian, blk))) for blk in series.blocks))
+    return tuple(solutions.LogSeries(rho=series.rho, blocks=p) for p in (re, im))
 
 
 @pytest.mark.parametrize("engine", ENGINES, ids=["double", "mp"])
 def test_derivative_is_kept_and_term_by_term(engine):
-    # under mp against the once-rounded exact derivative of each level's
-    # parent, the mp coefficients it is built from
+    # under mp each part against the exact derivative of each level's
+    # parent, the operands it is built from, with no rounding
     for kind in (PHI1, PHI2):
         series = phi_series(kind, 40, engine)
-        ref = series
         for m in range(1, 4):
             assert series.derivative() is series.derivative()
             if engine.name == "double":
-                ref = reference_derivative(ref)
+                ref = reference_derivative(series)
+                series = series.derivative()
+                assert series.blocks == ref.blocks, (kind, m)
             else:
-                ref = once_rounded_derivative(series, engine)
-            series = series.derivative()
-            assert series.rho == ref.rho == -m
-            assert series.blocks == ref.blocks, (kind, m)
+                refs = [reference_derivative(p) for p in exact_parts(series)]
+                series = series.derivative()
+                got = exact_parts(series)
+                assert [p.blocks for p in got] == [p.blocks for p in refs], (kind, m)
+            assert series.rho == -m
 
 
 def per_block_exp_oracle(series, z, m, engine):
@@ -469,7 +498,7 @@ def per_block_exp_oracle(series, z, m, engine):
         series = series.derivative()
     l = z.log(engine)
     total, scale = engine.complex(0), 0.0
-    for n, (a0, a1, a2, a3) in enumerate(series.blocks):
+    for n, (a0, a1, a2, a3) in enumerate(block_values(series, engine)):
         contrib = engine.exp((series.rho + 3 * n) * l) * (a0 + l * (a1 + l * (a2 + l * a3)))
         total += contrib
         scale += engine.fabs(contrib)
@@ -682,7 +711,8 @@ def test_exact_block_pass_matches_a_double_precision_oracle(kind):
                 w = e.exp(3 * base.rotated(rotation).log(e))
                 sums = e.horner(columns, w)
                 for k, t in enumerate(sums):
-                    ref, scale = horner_oracle([blk[k] for blk in series.blocks], w, e.ctx)
+                    ref, scale = horner_oracle([blk[k] for blk in block_values(series, e)],
+                                               w, e.ctx)
                     t = operand_value(e.ctx, t)
                     assert abs(t - ref) <= bound * scale, (kind, m, modulus, rotation, k)
         series = series.derivative()
@@ -725,7 +755,8 @@ def test_cut_block_pass_stays_within_its_bound(kind, monkeypatch):
                 cuts.clear()
                 sums = e.horner(columns, w)
                 for k, t in enumerate(sums):
-                    ref, scale = horner_oracle([blk[k] for blk in series.blocks], w, e.ctx)
+                    ref, scale = horner_oracle([blk[k] for blk in block_values(series, e)],
+                                               w, e.ctx)
                     t = operand_value(e.ctx, t)
                     assert abs(t - ref) <= cut_bound(40, e.ctx.prec) * scale, (m, modulus, k)
                 assert all(1 <= kept <= 40 for kept in cuts)
@@ -831,10 +862,11 @@ def test_verify_cuts_its_mp_block_passes(monkeypatch):
 def tail_quantity(series, l, engine):
     """The largest |z^(rho+3n) (a0 + l (a1 + l (a2 + l a3)))| over the last
     three nonzero blocks: the contribution the certificate bounds."""
-    nonzero = [n for n, blk in enumerate(series.blocks) if any(blk)]
+    blocks = block_values(series, engine)
+    nonzero = [n for n, blk in enumerate(blocks) if any(blk)]
     contributions = []
     for n in nonzero[-3:]:
-        a0, a1, a2, a3 = series.blocks[n]
+        a0, a1, a2, a3 = blocks[n]
         zpow = engine.exp((series.rho + 3 * n) * l)
         contributions.append(abs(zpow * (a0 + l * (a1 + l * (a2 + l * a3)))))
     return max(contributions)
@@ -899,11 +931,11 @@ def test_tail_majorant_is_at_least_the_per_block_maximum(monkeypatch, engine_nam
     run_verify(RunConfig(engine_name=engine_name))
     assert len(calls) == 172
     for (series, modulus, engine), l, bound in calls:
-        r, labs = engine.real(modulus), abs(l)
-        last = max(n for n, blk in enumerate(series.blocks) if any(blk))
+        r, labs, blocks = engine.real(modulus), abs(l), block_values(series, engine)
+        last = max(n for n, blk in enumerate(blocks) if any(blk))
         per_block = []
         for n in range(max(0, last - 2), last + 1):
-            m0, m1, m2, m3 = (r ** (series.rho + 3 * n) * abs(a) for a in series.blocks[n])
+            m0, m1, m2, m3 = (r ** (series.rho + 3 * n) * abs(a) for a in blocks[n])
             per_block.append(((m3 * labs + m2) * labs + m1) * labs + m0)
         assert bound >= log2_of(max(per_block)), (series.rho, modulus)
 
@@ -940,8 +972,6 @@ def certified_calls(monkeypatch):
     (summed series, z, engine, tol, sum, log2 bound, accepted), with the sum
     formed from the call's block sums by ``Engine.log_polynomial``, as
     eval_series forms it, so that a refused call has one too."""
-    from monodromy_lab import monodromy
-
     calls, summed, bounds = [], {}, []
     block_sums, tail_bound, evaluate = (solutions._block_sums, solutions._tail_bound,
                                         solutions.eval_series)
