@@ -23,8 +23,8 @@ complex number, the elementary functions by name, ``Engine.matmul``, and
 the 4x4 solves and inverses (``Engine.solve``, ``Engine.inverse``) with
 mpmath's pivot rule and refusal but none of its LU code.  Each engine has
 its own ``real`` (a Fraction rounded once, to nearest), ``operand`` and
-``number`` (below), ``guarded`` (guard bits, mp only), Gaussian
-elimination behind the solves (``_eliminate``),
+``number`` (below), ``guarded`` (``GUARD_BITS`` more bits, mp only),
+Gaussian elimination behind the solves (``_eliminate``),
 block pass of the log-series (``horner_columns``/``horner``), polynomial
 in log z of the block sums (``log_polynomial``) and dot product
 (``fdot``): hardware complex arithmetic under double, and under mp exact
@@ -85,7 +85,7 @@ from fractions import Fraction
 #: bits the mp engine's Horner loop (``_horner``), the operands that
 #: ``horner``, ``log_polynomial`` and ``fdot`` return and the coefficients
 #: of ``matrix_steps`` (and of a Fraction's ``operand``) carry above the
-#: working precision
+#: working precision, as does mp arithmetic inside ``guarded``
 GUARD_BITS = 20
 
 #: bits the mp engine's 4x4 elimination holds above the working precision
@@ -156,8 +156,9 @@ def max_deviation(A, B):
 
 
 class Engine:
-    """A scalar backend: a name, its digits, its working precision in bits
-    and what ``DoubleEngine`` and ``MPEngine`` share.  Each engine supplies
+    """A scalar backend: a name, its digits, its working precision in bits,
+    its imaginary unit ``i`` (formed once) and what ``DoubleEngine`` and
+    ``MPEngine`` share.  Each engine supplies
     ``real``, ``operand``, ``number``, ``guarded``, ``horner_columns``,
     ``horner``, ``log_polynomial``, ``fdot`` and ``_eliminate``, the
     constants ``pi``, ``euler`` and ``zeta3``, and the functions behind
@@ -168,6 +169,7 @@ class Engine:
         self.dps = dps
         self.eps = eps
         self.prec = prec
+        self.i = self._complex(0, 1)
 
     # -- conversions ---------------------------------------------------
 
@@ -177,10 +179,6 @@ class Engine:
         return self._complex(x, y)
 
     # -- constants and elementary functions -----------------------------
-
-    @property
-    def i(self):
-        return self._complex(0, 1)
 
     def gamma(self, z):
         """Gamma(z), for the contour oracle; loads mpmath under double."""
@@ -261,11 +259,6 @@ def _fp_sqrt(x):
     return math.sqrt(x)
 
 
-def _fp_fdot(xs, ys):
-    """sum_i xs[i] ys[i]: the hardware products summed in order from 0.0."""
-    return sum(map(operator.mul, xs, ys), 0.0)
-
-
 class DoubleEngine(Engine):
     """Hardware arithmetic: Python floats and complex numbers, with the
     elementary functions of ``math`` and ``cmath`` as mpmath's ``fp``
@@ -275,7 +268,6 @@ class DoubleEngine(Engine):
     _exp = staticmethod(_fp_exp)
     _log = staticmethod(_fp_log)
     _sqrt = staticmethod(_fp_sqrt)
-    fdot = staticmethod(_fp_fdot)
 
     # the correctly rounded doubles; tests check them against mpmath
     pi = math.pi
@@ -301,13 +293,17 @@ class DoubleEngine(Engine):
         """x itself: the hardware kernels return numbers."""
         return x
 
-    def guarded(self, bits=GUARD_BITS):
+    def guarded(self):
         """A no-op: double arithmetic has no guard bits."""
         return contextlib.nullcontext()
 
     def horner_columns(self, blocks):
         """The four coefficient columns of ``blocks``, highest block first."""
         return tuple(zip(*reversed(blocks)))
+
+    def fdot(self, xs, ys):
+        """sum_i xs[i] ys[i]: the hardware products summed in order from 0.0."""
+        return sum(map(operator.mul, xs, ys), 0.0)
 
     def horner(self, columns, w):
         """T_k = sum_n w^n a_k[n] for each column of ``horner_columns``: a
@@ -375,10 +371,10 @@ class MPEngine(Engine):
         _load_mpmath()
         ctx = mpmath.ctx_mp.MPContext()
         ctx.dps = dps
-        super().__init__("mp", dps=dps, eps=float(mpmath.mpf(10) ** (-dps)), prec=ctx.prec)
         self.ctx = ctx
         self._complex = ctx.mpc
         self._exp, self._log, self._sqrt = ctx.exp, ctx.log, ctx.sqrt
+        super().__init__("mp", dps=dps, eps=float(mpmath.mpf(10) ** (-dps)), prec=ctx.prec)
 
     def real(self, x):
         """Convert int/float/Fraction/str to the context's real type, exactly
@@ -427,11 +423,11 @@ class MPEngine(Engine):
     def zeta3(self):
         return self.ctx.zeta(3)
 
-    def guarded(self, bits=GUARD_BITS):
-        """A context in which mp arithmetic carries ``bits`` above the
+    def guarded(self):
+        """A context in which mp arithmetic carries ``GUARD_BITS`` above the
         working precision, so that a chain of operations inside it can be
         rounded once, with unary plus, after it."""
-        return self.ctx.extraprec(bits)
+        return self.ctx.extraprec(GUARD_BITS)
 
     # -- block sums of a power series in w ------------------------------
 

@@ -35,6 +35,11 @@ from monodromy_lab.ring import operator_matrices
 #: the angle of the admissible line every sector and base point refers to
 ADMISSIBLE_ANGLE = math.pi / 4
 
+#: the guard band, in radians, around each Stokes ray: a line closer to a
+#: ray contains it (``sector_config``), and an argument closer to a sector's
+#: end lies outside the sector (``in_interval``)
+ANGLE_GUARD = 1e-12
+
 
 class AdmissibilityError(ValueError):
     """The requested line contains a Stokes ray."""
@@ -137,25 +142,13 @@ def stokes_ray_angles():
     return rays
 
 
-def _nearest_ray_below(angles, x):
-    """Largest universal-cover ray angle <= x (rays repeat mod 2 pi)."""
-    best = None
-    for a in angles:
-        k = math.floor((x - a) / (2 * math.pi))
-        cand = a + 2 * math.pi * k
-        if best is None or cand > best:
-            best = cand
-    return best
-
-
-def _nearest_ray_above(angles, x):
-    best = None
-    for a in angles:
-        k = math.ceil((x - a) / (2 * math.pi))
-        cand = a + 2 * math.pi * k
-        if best is None or cand < best:
-            best = cand
-    return best
+def _nearest_ray(angles, x, above):
+    """The universal-cover ray angle nearest x at or above it (``above``)
+    or at or below it (rays repeat mod 2 pi)."""
+    turn = 2 * math.pi
+    if above:
+        return min(a + turn * math.ceil((x - a) / turn) for a in angles)
+    return max(a + turn * math.floor((x - a) / turn) for a in angles)
 
 
 @functools.lru_cache(maxsize=None)
@@ -169,17 +162,16 @@ def sector_config(ell_angle=ADMISSIBLE_ANGLE):
     """
     rays = stokes_ray_angles()
     angles = sorted(set(rays.values()))
-    guard = 1e-12
     for a in angles:
         for direction in (ell_angle, ell_angle + math.pi):
-            if abs((direction - a + math.pi) % (2 * math.pi) - math.pi) <= guard:
+            if abs((direction - a + math.pi) % (2 * math.pi) - math.pi) <= ANGLE_GUARD:
                 raise AdmissibilityError(
                     f"line at angle {ell_angle} contains a Stokes ray"
                 )
 
     phi = ell_angle
-    left = (_nearest_ray_below(angles, phi), _nearest_ray_above(angles, phi + math.pi))
-    right = (_nearest_ray_below(angles, phi - math.pi), _nearest_ray_above(angles, phi))
+    left = (_nearest_ray(angles, phi, False), _nearest_ray(angles, phi + math.pi, True))
+    right = (_nearest_ray(angles, phi - math.pi, False), _nearest_ray(angles, phi, True))
     plus = (max(left[0], right[0]), min(left[1], right[1]))
     minus = (max(left[0] - 2 * math.pi, right[0]), min(left[1] - 2 * math.pi, right[1]))
     return SectorConfig(
@@ -192,7 +184,7 @@ def sector_config(ell_angle=ADMISSIBLE_ANGLE):
     )
 
 
-def in_interval(arg, interval, guard=1e-12):
-    """Open-interval membership with a guard band."""
+def in_interval(arg, interval):
+    """Open-interval membership with the guard band ``ANGLE_GUARD``."""
     lo, hi = interval
-    return lo + guard < arg < hi - guard
+    return lo + ANGLE_GUARD < arg < hi - ANGLE_GUARD

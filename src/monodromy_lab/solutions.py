@@ -364,12 +364,12 @@ def _prepare(series, engine):
     with the mantissa bit-length bounds that cut each column's pass; and
     the tail's log2 magnitudes (rho + 3n, (log2|a0|, ..., log2|a3|)), each
     within ``LOG2_SLACK`` (``engine.log2_magnitude``, no mp arithmetic), for
-    the last three nonzero blocks (all, for a shorter series).  Operands
-    are read as they are, and exact (Fraction) coefficients enter through
-    ``Engine.real``.  A non-finite tail coefficient raises OverflowError."""
-    blocks = series.blocks
-    if isinstance(blocks[0][0], Fraction):
-        blocks = [[engine.real(a) for a in blk] for blk in blocks]
+    the last three nonzero blocks (all, for a shorter series).  Each
+    coefficient is read once, by ``Engine.operand``: an operand as it is,
+    and an exact (Fraction) one, under mp, floored to ``engine.GUARD_BITS``
+    bits above the working precision, as Phi_top's coefficients are read.
+    A non-finite tail coefficient raises OverflowError."""
+    blocks = [tuple(map(engine.operand, blk)) for blk in series.blocks]
     last = next((n for n in reversed(range(len(blocks)))  # a NaN is nonzero
                  if any(log2_magnitude(a) != -math.inf for a in blocks[n])), 0)
     blocks = blocks[:last + 1]
@@ -381,40 +381,23 @@ def _prepare(series, engine):
     return engine.horner_columns(blocks), tail
 
 
-class _BlockSums(Record):
-    """One block pass of a series at a point class.
-
-    ``sums[k]`` is T_k(w) = sum_n w^n a_k[n] with w = z^3, as the engine
-    operand ``Engine.horner`` returns, so the series at any point z of the
-    class is z^rho (T0 + l (T1 + l (T2 + l T3))), l = log z.  ``tail`` is the
-    certificate's one majorant block, four floats: for each k = 0..3, an
-    upper bound M_k on the log2 of the largest magnitude |z|^(rho+3n)
-    |a_k[n]| over the blocks n of the certificate (-inf if all are 0).  It
-    compares and hashes by identity.  A ``Record``, not a dataclass: see
-    ``monodromy_lab.record``.
-    """
-
-    __slots__ = _fields = ("sums", "tail")
-    __eq__ = object.__eq__
-    __hash__ = object.__hash__
-
-    def __init__(self, sums, tail):
-        object.__setattr__(self, "sums", sums)
-        object.__setattr__(self, "tail", tail)
-
-
 @functools.lru_cache(maxsize=BLOCK_SUMS_SIZE)
 def _block_sums(series, modulus, arg_over_pi, engine):
     """One block pass of ``series`` at the point class (modulus,
-    arg_over_pi): the blocks summed by Horner in w (``Engine.horner``, which
-    under mp skips the leading blocks below the working precision) at the
-    class representative, and the certificate's majorant block in floats,
-    M_k = max_n ((rho+3n) log2|z| + log2|a_k[n]|) raised by the slack of
-    its log2 magnitudes (``LOG2_SLACK``) and the rounding of log2|z|, of the
-    product and of the sum (``ROUNDING``); it takes no mp arithmetic.  Kept
-    in an LRU cache keyed on the series' identity (``LogSeries`` hashes by
-    it).  Leaving the engine's range anywhere in the pass is a
-    TailBoundError."""
+    arg_over_pi), as the pair (sums, majorant).  ``sums[k]`` is
+    T_k(w) = sum_n w^n a_k[n], w = z^3 at the class representative, summed
+    by Horner (``Engine.horner``, which under mp skips the leading blocks
+    below the working precision) as the operand it returns, so the series
+    at any point z of the class is z^rho (T0 + l (T1 + l (T2 + l T3))),
+    l = log z.  ``majorant`` is the certificate's one majorant block, four
+    floats: for each k = 0..3 an upper bound M_k on the log2 of the largest
+    |z|^(rho+3n) |a_k[n]| over the blocks n of the certificate (-inf if all
+    are 0), M_k = max_n ((rho+3n) log2|z| + log2|a_k[n]|) raised by the
+    slack of its log2 magnitudes (``LOG2_SLACK``) and the rounding of
+    log2|z|, of the product and of the sum (``ROUNDING``); it takes no mp
+    arithmetic.  Kept in an LRU cache keyed on the series' identity
+    (``LogSeries`` hashes by it).  Leaving the engine's range anywhere in
+    the pass is a TailBoundError."""
     try:
         columns, tail = _prepare(series, engine)
         w = point_data(UCComplex(modulus, arg_over_pi), engine).cube
@@ -423,8 +406,7 @@ def _block_sums(series, modulus, arg_over_pi, engine):
         size = max((abs(c) * (abs(log2r) + 1) + abs(g)
                     for c, logs in tail for g in logs if g > -math.inf), default=0)
         slack = LOG2_SLACK + ROUNDING * size
-        majorant = tuple(max(column) + slack for column in zip(*exponents))
-        return _BlockSums(engine.horner(columns, w), majorant)
+        return engine.horner(columns, w), tuple(max(col) + slack for col in zip(*exponents))
     except OverflowError as exc:
         raise _range_error(modulus, engine) from exc
 
@@ -436,16 +418,17 @@ def _range_error(modulus, engine):
                           f"of the {engine.name} engine")
 
 
-def _tail_bound(sums, point):
+def _tail_bound(block_pass, point):
     """The certificate's bound on the truncated tail at a call at the point
     with l = log z, in log2: an upper bound on log2 sum_k 2^(M_k) |l|^k over
-    the majorant block M of ``sums``, so at least log2 of the largest of
-    |z|^(rho+3n) sum_k |a_k[n]| |l|^k over the certificate's blocks, each
-    an upper bound on |z^(rho+3n) (a0 + l (a1 + ...))|.  It reads the
+    the majorant block M of ``block_pass`` (``_block_sums``), so at least
+    log2 of the largest of |z|^(rho+3n) sum_k |a_k[n]| |l|^k over the
+    certificate's blocks, each an upper bound on
+    |z^(rho+3n) (a0 + l (a1 + ...))|.  It reads the
     point's log2 |l| (within ``LOG2_SLACK``) and adds the rounding of its
     few float operations (``ROUNDING``); at l = 0 only the k = 0 term is
     left, without forming 0 (-inf).  -inf if every term is 0."""
-    m0, m1, m2, m3 = sums.tail
+    m0, m1, m2, m3 = block_pass[1]
     terms, size = [m0], 4
     if point.log2_labs > -math.inf:
         up = point.log2_labs + LOG2_SLACK
@@ -497,8 +480,8 @@ def eval_series(series, z, engine, m=0, tol=None):
     only if some call misses the cache.
 
     The pass reads coefficient columns converted once per series and
-    engine.  Exact (Fraction) coefficients enter through ``Engine.real``,
-    the one rounding path for exact data.  Under mp the pass runs in exact
+    engine, each coefficient read once by ``Engine.operand`` (``_prepare``),
+    exact (Fraction) ones too.  Under mp the pass runs in exact
     integers over the blocks that can reach the working precision, cut to
     ``engine.GUARD_BITS`` bits above the working precision after each
     block, and keeps each T_k as that operand; under double it is a
@@ -513,9 +496,9 @@ def eval_series(series, z, engine, m=0, tol=None):
     The comparison is made in log2 floats, which cover any number of
     digits and take no mp arithmetic: an upper bound on the log2 of the
     tail bound (``_tail_bound``) against lower bounds on log2 tol and
-    log2 |sum|, read from the sum's exact parts under mp.  Otherwise, and
-    for any non-finite sum, TailBoundError is raised, on a cache hit as on
-    a miss, as it is when the series leaves the engine's range.
+    log2 |sum|, read from the sum's exact parts under mp.  Otherwise
+    TailBoundError is raised, on a cache hit as on a miss; a non-finite sum
+    is one too, named as the series leaving the engine's range.
     """
     if m not in (0, 1, 2, 3):
         raise ValueError("derivative order must be 0..3")
@@ -528,21 +511,23 @@ def eval_series(series, z, engine, m=0, tol=None):
         log2_tol = _log2_floor(tol)
 
     point = point_data(z, engine)
-    sums = _block_sums(cur, *point.key, engine)
+    block_pass = _block_sums(cur, *point.key, engine)
     # z^rho is read only for a derivative series, so the series itself takes
     # no exponential at the point
     scale = point.inverse_powers[-cur.rho] if cur.rho else 1
     try:
-        total = engine.log_polynomial(sums.sums, point.l_operand, scale)
+        total = engine.log_polynomial(block_pass[0], point.l_operand, scale)
+        # under double, |total| may overflow; it is inf or NaN for a
+        # non-finite total
+        log2_total = log2_magnitude(total)
     except OverflowError as exc:
         raise _range_error(z.modulus, engine) from exc
+    if not log2_total < math.inf:
+        raise _range_error(z.modulus, engine)
 
-    # log2 of tol max(|total|, 1) from below, less the rounding of its sum;
-    # log2 |total| is inf or NaN for a non-finite total, which fails
-    log2_total = log2_magnitude(total)
+    # log2 of tol max(|total|, 1) from below, less the rounding of its sum
     floor = max(log2_total - LOG2_SLACK, 0)
-    if not (log2_total < math.inf and _tail_bound(sums, point)
-            <= log2_tol + floor - ROUNDING * (abs(log2_tol) + floor)):
+    if not _tail_bound(block_pass, point) <= log2_tol + floor - ROUNDING * (abs(log2_tol) + floor):
         raise TailBoundError(
             f"truncation order {series.order} too small at |z|={float(z.modulus)} "
             f"for tolerance {tol}"

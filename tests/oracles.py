@@ -405,7 +405,7 @@ def series_value_enclosure(series, z, engine, m=0):
     blocks = len(cur.blocks)
     guard = iv.mpf(2) ** -(prec + GUARD_BITS)
     radius = iv.mpf(0)
-    for k, t in enumerate(solutions._block_sums(cur, *point.key, engine).sums):
+    for k, t in enumerate(solutions._block_sums(cur, *point.key, engine)[0]):
         radius += abs(L) ** k * guard * ((4 * blocks + 1) * S[k] + 16 * abs(_enclose(iv, t)))
     radius *= abs(scale)
     return _endpoints(value.real), _endpoints(value.imag), _endpoints(radius)[1]

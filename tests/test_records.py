@@ -33,8 +33,6 @@ RECORDS = {
     "RingTables": ring.ring_tables,
     "UCComplex": lambda: solutions.UCComplex(2.0, Fraction(1, 4)),
     "LogSeries": lambda: solutions.quantum_period(3),
-    "_BlockSums": lambda: solutions._block_sums(solutions.quantum_period(10), 1.0,
-                                                Fraction(1, 4), DOUBLE),
     "LaurentBlock": lambda: special.laurent_coefficients(solutions.PHI1, 0, DOUBLE),
 }
 

@@ -197,12 +197,20 @@ def test_eval_tail_bound_error():
 
 def test_double_range_overflow_is_a_tail_bound_error():
     # far out, the double range ends: w = z^3 overflows at |z| = 1e110, its
-    # tail powers at |z| = 1e3, and at |z| = 1e40 the sum turns NaN; each is
-    # a named certificate failure, never an OverflowError or a NaN value
+    # tail powers at |z| = 1e3, and at |z| = 1e40 the sum turns NaN; near 0,
+    # z^-2 and z^-3 are NaN at |z| = 5e-301 at any order.  Each is a named
+    # certificate failure, never an OverflowError or a NaN value, and a NaN
+    # is named as leaving the range, not as too low an order
     series = phi_series(PHI1, 40, E)
     for modulus in (1e3, 1e40, 1e110):
         with pytest.raises(TailBoundError):
             eval_series(series, UCComplex.polar(modulus, 0.3), engine=E)
+    out_of_range = "leaves the range of the double engine"
+    with pytest.raises(TailBoundError, match=out_of_range):
+        eval_series(series, UCComplex.polar(1e40, 0.3), engine=E)
+    for order, m in itertools.product((40, 200), (2, 3)):
+        with pytest.raises(TailBoundError, match=f"at [|]z[|]=5e-301 {out_of_range}"):
+            eval_series(phi_series(PHI1, order, E), UCComplex.polar(5e-301, 0.785), E, m=m)
 
 
 def test_trailing_zero_blocks_add_nothing():
@@ -553,18 +561,28 @@ def test_eval_series_takes_two_exponentials(monkeypatch):
             assert calls == {}, (engine, m)
 
 
-def test_fraction_blocks_round_through_engine_real():
-    # an exact series evaluated as is and after converting its coefficients
-    # with Engine.real gives the same number: one rounding path for a Fraction
-    e = get_engine("mp", dps=40)
+@pytest.mark.parametrize("engine", ENGINES, ids=["double", "mp"])
+def test_fraction_blocks_are_read_once_by_engine_operand(engine):
+    # an exact series and its derivatives evaluated as they are, and after
+    # reading their coefficients with Engine.operand, give the same value:
+    # the block pass reads an exact coefficient once, by Engine.operand, and
+    # under mp each column entry is the Fraction floored at prec + GUARD_BITS
     z = UCComplex.polar(1, 0.3)
-    exact = quantum_period(40)
-    for m in range(4):
-        converted = solutions.LogSeries(
-            rho=exact.rho, blocks=tuple(tuple(e.real(a) for a in blk) for blk in exact.blocks)
-        )
-        assert eval_series(exact, z, engine=e) == eval_series(converted, z, engine=e), m
-        exact = exact.derivative()
+    for exact in (quantum_period(40), *frobenius_basis(40)):
+        for m in range(4):
+            read = solutions.LogSeries(
+                rho=exact.rho,
+                blocks=tuple(tuple(map(engine.operand, blk)) for blk in exact.blocks))
+            assert eval_series(exact, z, engine=engine) == eval_series(read, z, engine=engine), m
+            if engine.name == "mp":
+                columns, _ = solutions._prepare(exact, engine)
+                for k, (column, _) in enumerate(columns):
+                    # block 0 first; the column has no trailing zero blocks
+                    for a, (re, im, e) in zip([blk[k] for blk in exact.blocks], column[::-1]):
+                        assert im == 0 and re == math.floor(a / Fraction(2) ** e), (m, k)
+                        bits = abs(re).bit_length() - engine.prec - GUARD_BITS
+                        assert not a or bits in (0, 1), (m, k)
+            exact = exact.derivative()
 
 
 def block_passes():
@@ -943,7 +961,7 @@ def test_tail_majorant_is_at_least_the_per_block_maximum(monkeypatch, engine_nam
 def eval_with_a_zero_tail_bound(monkeypatch, engine, t0):
     """eval_series where every block pass returns the sums (t0, 0, 0, 0) and
     the majorant block of a zero tail, log2 -inf."""
-    sums = solutions._BlockSums((t0, 0, 0, 0), (-math.inf,) * 4)
+    sums = (t0, 0, 0, 0), (-math.inf,) * 4
     monkeypatch.setattr(solutions, "_block_sums", lambda *key: sums)
     return eval_series(phi_series(PHI1, 40, engine), UCComplex.polar(2, math.pi / 4), engine)
 
@@ -996,7 +1014,7 @@ def certified_calls(monkeypatch):
             (sums, point, bound), = bounds
             cur = summed[sums]
             scale = point.inverse_powers[-cur.rho] if cur.rho else 1
-            total = engine.number(engine.log_polynomial(sums.sums, point.l, scale))
+            total = engine.number(engine.log_polynomial(sums[0], point.l, scale))
             if tol is None:
                 tol = solutions._default_tol(engine)[0]
             calls.append((cur, z, engine, tol, total, bound, accepted))
