@@ -426,8 +426,10 @@ class MPEngine(Engine):
     def guarded(self):
         """A context in which mp arithmetic carries ``GUARD_BITS`` above the
         working precision, so that a chain of operations inside it can be
-        rounded once, with unary plus, after it."""
-        return self.ctx.extraprec(GUARD_BITS)
+        rounded once, with unary plus, after it.  The precision is set, not
+        raised: a guarded block inside another, like a cached value first
+        formed inside one, runs at the same prec + GUARD_BITS bits."""
+        return self.ctx.workprec(self.prec + GUARD_BITS)
 
     # -- block sums of a power series in w ------------------------------
 
@@ -693,14 +695,34 @@ def _log2_abs(re, im, exp):
     return math.log2(re * re + im * im) / 2 + shift + exp
 
 
+def _log2_hypot(re, im):
+    """log2 sqrt(re^2 + im^2) of two floats, from the larger part's binary
+    exponent and the hypot of the parts scaled by it, so that no step
+    overflows: inf if a part is infinite, else NaN if one is NaN, -inf for
+    0.  Python's ``abs`` of a complex number raises OverflowError where the
+    modulus passes the double range, and where a caught overflow has left
+    errno set, even for NaN parts."""
+    if math.isinf(re) or math.isinf(im):
+        return math.inf
+    if math.isnan(re) or math.isnan(im):
+        return math.nan
+    if not (re or im):
+        return -math.inf
+    e = math.frexp(max(abs(re), abs(im)))[1]
+    return math.log2(math.hypot(math.ldexp(re, -e), math.ldexp(im, -e))) + e
+
+
 def log2_magnitude(x):
     """log2 |x| as a float: within ``LOG2_SLACK`` of it for an mp number or
     an mp operand, read from the exact parts (``_exact_parts``,
-    ``_log2_abs``), which takes no mp arithmetic, and from ``math`` for any
-    other number; -inf for 0, inf for an infinite x and NaN for a NaN, as
-    |x| reads."""
+    ``_log2_abs``), which takes no mp arithmetic, for a Python float or
+    complex number from its parts (``_log2_hypot``), and from ``math`` for
+    an int or a Fraction; -inf for 0, inf for an infinite x and NaN for a
+    NaN, as |x| reads.  It never raises."""
     if type(x) is tuple:
         return _log2_abs(*x)
+    if isinstance(x, (float, complex)):
+        return _log2_hypot(x.real, x.imag)
     if not isinstance(x, _mp_types()):
         size = abs(x)
         return math.log2(size) if size else -math.inf

@@ -177,15 +177,15 @@ def eval_Ytop(z, order, engine):
     (exact integers under mp).  Entry (a, b) of Phi_top z^mu is the sum
     times z^(c + mu_b), a half-integer power of the point's z^(1/2) (its
     ``PointData``), formed once per entry; e^(lR) multiplies entry by
-    entry.  Under mp every step after the point's z^(1/2) and l runs
-    ``GUARD_BITS`` above the working precision, where the sums enter
-    mpmath (``Engine.number``), and each entry is rounded once.
+    entry.  Under mp the point's z^(1/2), z and l are formed ``GUARD_BITS``
+    above the working precision, and every step after them runs there too,
+    where the sums enter mpmath (``Engine.number``); each entry is rounded
+    once.
     """
     point = point_data(z, engine)
-    h, l = point.half_powers[0], point.l
+    (h, zc, _), l = point.half_powers, point.l
     columns, offsets = _phi_top_columns(order, engine)
     with engine.guarded():
-        zc = h * h
         odd = {1: h, -1: 1 / h}
         for e in (3, 5, 7):
             odd[e] = odd[e - 2] * zc
@@ -259,8 +259,9 @@ _YL_SPECS = (
 _YL_COL3_ALT = ((1, PHI1, 1), (4, PHI2, -1), (5, PHI1, 0))
 
 
-@functools.lru_cache(maxsize=None)
 def _prefactor(kind, engine):
+    """pref(kind), the scalar factor of F (PHI1) or G (PHI2) without its
+    power of z, at the precision of the call."""
     if kind is PHI1:
         return engine.complex(-1) / (2 * engine.sqrt(engine.real(2)) * engine.pi ** 2)
     return engine.complex(-1) / (engine.sqrt(engine.real(2)) * engine.pi ** 3)
@@ -303,10 +304,14 @@ def scalar_column_derivatives(spec, z, order, engine, tol=None):
 @functools.lru_cache(maxsize=None)
 def _term_factors(coef, kind, m, engine):
     """coef * pref(kind) * (-1)^m * (eps^m)^d for d = 0..3,
-    eps = e^(2 pi i/3), once per engine, as engine operands."""
-    c = coef * _prefactor(kind, engine) * (-1) ** (m % 2)
-    epsm = engine.exp(2 * engine.i * engine.pi * m / 3)
-    return tuple(engine.operand(c * epsm ** d) for d in range(4))
+    eps = e^(2 pi i/3), once per engine, as engine operands: formed with the
+    prefactor inside ``engine.guarded()``, under mp ``GUARD_BITS`` above the
+    working precision, and not rounded after it, each within
+    2^(6 - prec - GUARD_BITS) of its own modulus of the exact factor."""
+    with engine.guarded():
+        c = coef * _prefactor(kind, engine) * (-1) ** (m % 2)
+        epsm = engine.exp(2 * engine.i * engine.pi * m / 3)
+        return tuple(engine.operand(c * epsm ** d) for d in range(4))
 
 
 def vector_from_scalar(derivs, z, engine):

@@ -107,14 +107,12 @@ class UCComplex(Record):
         """
         return UCComplex(self.modulus, Fraction(self.arg_over_pi) + Fraction(2, 3) * thirds)
 
-    def shifted_by_turns(self, turns):
-        """Multiply by e^(2 pi i * turns), exactly on the cover."""
-        return UCComplex(self.modulus, Fraction(self.arg_over_pi) + 2 * Fraction(turns))
-
     def log(self, engine):
         """log z in the engine: ln(modulus) + i*pi*arg_over_pi, with
-        ln(modulus) and i*pi formed once per modulus and engine
-        (``_log_modulus``, ``_i_pi``)."""
+        ln(modulus) and i*pi formed once per modulus and engine, under mp
+        ``GUARD_BITS`` above the working precision (``_log_modulus``,
+        ``_i_pi``); the sum is formed at the precision of the call, which
+        is the guarded one in ``PointData``."""
         return _log_modulus(self.modulus, engine) + _i_pi(engine) * engine.real(self.arg_over_pi)
 
 
@@ -276,15 +274,19 @@ POINTS_SIZE = 32
 
 @functools.lru_cache(maxsize=POINTS_SIZE)
 def _log_modulus(modulus, engine):
-    """ln(modulus) as an engine complex number; the points of a
-    verification share few moduli (its 15 Stokes points one)."""
-    return engine.complex(engine.log(engine.real(modulus)), 0)
+    """ln(modulus) as an engine complex number, formed inside
+    ``engine.guarded()``; the points of a verification share few moduli
+    (its 15 Stokes points one)."""
+    with engine.guarded():
+        return engine.complex(engine.log(engine.real(modulus)), 0)
 
 
 @functools.cache
 def _i_pi(engine):
-    """i pi in the engine, formed once per engine."""
-    return engine.i * engine.pi
+    """i pi in the engine, formed once per engine inside
+    ``engine.guarded()``."""
+    with engine.guarded():
+        return engine.i * engine.pi
 
 
 class PointData:
@@ -294,20 +296,32 @@ class PointData:
     (modulus, arg/pi mod 2/3) on construction; z^(1/2) and its powers,
     log2 |l|, e^(3l), and as operands z^-1 to z^-3 and the lift factors of
     ``monodromy.vector_from_scalar``, on first use.  The kernels that take
-    the operands at every call then read none of them again."""
+    the operands at every call then read none of them again.
+
+    Each value is formed inside ``engine.guarded()``, under mp
+    ``GUARD_BITS`` above the working precision, from l formed there too,
+    and reaches the kernels unrounded: an operand holds the exact parts of
+    the guarded number.  l lies within B = 2^(6 - prec - GUARD_BITS)
+    (1 + |l|) of log z, and every other value within B times its own
+    modulus of its exact value at z: each of the few roundings is a
+    relative 2^-(prec + GUARD_BITS), and e^(l/2) and e^(3l) carry the error
+    of l into a relative error at most three times as large.  Under double
+    ``guarded`` is a no-op."""
 
     def __init__(self, z, engine):
         self.engine = engine
-        self.l = z.log(engine)
+        with engine.guarded():
+            self.l = z.log(engine)
         self.l_operand = engine.operand(self.l)
         self.key = (z.modulus, Fraction(z.arg_over_pi) % Fraction(2, 3))
 
     @functools.cached_property
     def half_powers(self):
         """(z^(1/2), z, z^(3/2)), from e^(l/2), the point's one exponential."""
-        h = self.engine.exp(self.l / 2)
-        z = h * h
-        return h, z, h * z
+        with self.engine.guarded():
+            h = self.engine.exp(self.l / 2)
+            z = h * h
+            return h, z, h * z
 
     @functools.cached_property
     def log2_labs(self):
@@ -319,8 +333,9 @@ class PointData:
     def inverse_powers(self):
         """(1, z^-1, z^-2, z^-3) as operands: z^rho of a derivative series
         is entry -rho."""
-        inverse = 1 / self.half_powers[1]
-        return (1,) + tuple(self.engine.operand(inverse ** k) for k in (1, 2, 3))
+        with self.engine.guarded():
+            inverse = 1 / self.half_powers[1]
+            return (1,) + tuple(self.engine.operand(inverse ** k) for k in (1, 2, 3))
 
     @functools.cached_property
     def lift(self):
@@ -329,7 +344,8 @@ class PointData:
         ``monodromy.vector_from_scalar``, so that its lift takes no division;
         the negation is exact."""
         h, _, z32 = self.half_powers
-        factors = z32, z32 / 3, z32 / 18, h / 18, z32 / 54, 1 / (54 * h), -z32
+        with self.engine.guarded():
+            factors = z32, z32 / 3, z32 / 18, h / 18, z32 / 54, 1 / (54 * h), -z32
         return tuple(map(self.engine.operand, factors))
 
     @functools.cached_property
@@ -337,7 +353,8 @@ class PointData:
         """w = z^3 as e^(3l).  A block pass reads it at its class
         representative only, so every point of a class, and a cache hit as
         a miss, reads the same w."""
-        return self.engine.exp(3 * self.l)
+        with self.engine.guarded():
+            return self.engine.exp(3 * self.l)
 
 
 point_data = functools.lru_cache(maxsize=POINTS_SIZE)(PointData)
@@ -475,9 +492,10 @@ def eval_series(series, z, engine, m=0, tol=None):
     read; a caller that computes with it in mpmath rounds it with
     ``Engine.number``.  The point's l, |l|, z^-1 to z^-3 and class key, and
     the class's w, come from its ``PointData`` (the LRU cache
-    ``point_data``): a point takes one exponential, z^(1/2), and only if
-    some call needs z^rho with rho != 0; a class takes one more, w, and
-    only if some call misses the cache.
+    ``point_data``), l, z^-1 to z^-3 and w formed under mp ``GUARD_BITS``
+    above the working precision and read unrounded: a point takes one
+    exponential, z^(1/2), and only if some call needs z^rho with rho != 0;
+    a class takes one more, w, and only if some call misses the cache.
 
     The pass reads coefficient columns converted once per series and
     engine, each coefficient read once by ``Engine.operand`` (``_prepare``),
@@ -614,17 +632,3 @@ def identity_residuals(z, order, engine):
     rot_den = max(max(engine.fabs(v) for v in vals), engine.eps)
     return euler_res, rot_num / rot_den
 
-
-def rotation_operator_matrix(engine):
-    """Matrix of (A phi)(z) = phi(z eps) in the Frobenius basis.
-
-    Rotation leaves every z^(3n) fixed and shifts log z by 2 pi i / 3, so in
-    the basis indexed by the initial block (1, l, l^2, l^3) the matrix is the
-    unipotent shift  A[k][j] = C(j, k) (2 pi i/3)^(j-k).
-    """
-    h = 2 * engine.i * engine.pi / 3
-    A = [[engine.real(0)] * 4 for _ in range(4)]
-    for j in range(4):
-        for k in range(j + 1):
-            A[k][j] = math.comb(j, k) * h ** (j - k)
-    return tuple(map(tuple, A))

@@ -5,7 +5,8 @@ coordinates, the residue block of Laurent data, mpmath's matrices for
 oracle products, the tail certificate of ``eval_series`` formed in engine
 reals, the evaluation's expressions from before its engine kernels, the
 exact value of an mp operand, an ``mpmath.iv`` enclosure of each mp series
-value, and the sympy forms of
+value, the attribution of a residual to the classes of its inputs, the
+rotation on the cover and in the Frobenius basis, and the sympy forms of
 the published closed forms
 (``GAMMA_MINUS_REF``, ``C_REF`` and ``C_GAMMA_REF``, built on first access;
 only they import sympy).
@@ -20,8 +21,8 @@ import mpmath
 from mpmath.ctx_iv import MPIntervalContext
 from mpmath.libmp import from_man_exp
 
-from monodromy_lab import closedform, monodromy, reference, solutions
-from monodromy_lab.engine import GUARD_BITS
+from monodromy_lab import closedform, monodromy, pipeline, reference, solutions
+from monodromy_lab.engine import GUARD_BITS, get_engine
 from monodromy_lab.monodromy import MU_DIAG
 from monodromy_lab.ring import operator_matrices
 from monodromy_lab.solutions import LogSeries, UCComplex
@@ -416,6 +417,128 @@ def within_enclosure(parts, enclosure):
     interval of ``series_value_enclosure``, widened by the radius."""
     *intervals, radius = enclosure
     return all(lo - radius <= v <= hi + radius for v, (lo, hi) in zip(parts, intervals))
+
+
+# -- error attribution -------------------------------------------------------
+
+#: the classes of inputs ``attribute_residual`` can take exactly: the residue
+#: series' coefficients past block 0 (the recursion's cuts), block 0, a
+#: point's l, its z^-1 to z^-3, its lift factors and its class's w, the
+#: column terms' factors, and the entries of Y_R and Y_L (the lift's own dot
+#: products)
+ATTRIBUTION_CLASSES = ("coefficients", "block0", "l", "inverse_powers", "lift", "w",
+                       "term_factors", "Y_entries")
+
+
+def attribute_residual(stage, config, classes):
+    """The residuals of ``stage`` ("stokes" or "connection", the pipeline's
+    stage of that name) of an mp ``config``, re-run with each named class
+    of ``ATTRIBUTION_CLASSES`` taken exactly, from an engine at twice the
+    config's digits, as operands the kernels read as they are.  Every other
+    input is the run's own.  A residual that falls by a large factor when a
+    class is exact names that class as the cause of its error.
+
+    "coefficients" runs the recursion from the run's block 0 at the fine
+    precision, and "block0" runs it at the run's precision from the fine
+    block 0.  "Y_entries" dots the run's own lift factors and derivatives at
+    the fine precision.  A point's z^(1/2) and z, which
+    ``monodromy.eval_Ytop`` reads, are no class.
+
+    It patches ``point_data`` (in ``solutions`` and ``monodromy``), and
+    ``_term_factors``, ``phi_series`` and ``vector_from_scalar`` in
+    ``monodromy``, each for the run's engine only, and empties the block
+    sums' cache before and the block-pass caches after, so that no value of
+    the patched run stays cached."""
+    unknown = set(classes) - set(ATTRIBUTION_CLASSES)
+    if unknown:
+        raise ValueError(f"unknown classes {sorted(unknown)}")
+    engine, fine = config.engine(), get_engine("mp", 2 * config.dps)
+    originals = {name: getattr(monodromy, name) for name in
+                 ("point_data", "_term_factors", "phi_series", "vector_from_scalar")}
+    points, series = {}, {}
+
+    def point_data(z, e):
+        if e is not engine:
+            return originals["point_data"](z, e)
+        if z not in points:
+            point, exact = solutions.PointData(z, e), solutions.PointData(z, fine)
+            # the values formed from the run's own l, before l is replaced
+            for name in ("half_powers", "log2_labs", "inverse_powers", "lift", "cube"):
+                getattr(point, name)
+            if "l" in classes:
+                point.l, point.l_operand = exact.l, exact.l_operand
+            if "inverse_powers" in classes:
+                point.inverse_powers = exact.inverse_powers
+            if "lift" in classes:
+                point.lift = exact.lift
+            if "w" in classes:
+                point.cube = e.operand(exact.cube)
+            points[z] = point
+        return points[z]
+
+    def term_factors(coef, kind, m, e):
+        exact = e is engine and "term_factors" in classes
+        return originals["_term_factors"](coef, kind, m, fine if exact else e)
+
+    def phi_series(kind, order, e):
+        own = originals["phi_series"](kind, order, e)
+        if e is not engine or not {"coefficients", "block0"} & set(classes):
+            return own
+        if (kind, order) not in series:
+            block0 = (originals["phi_series"](kind, order, fine).blocks[0]
+                      if "block0" in classes else own.blocks[0])
+            prec = fine.prec if "coefficients" in classes else e.prec
+            series[kind, order] = solutions._series_from_initial_block(block0, order, prec)
+        return series[kind, order]
+
+    def vector_from_scalar(derivs, z, e):
+        if e is not engine or "Y_entries" not in classes:
+            return originals["vector_from_scalar"](derivs, z, e)
+        e.fdot = fine.fdot
+        try:
+            return originals["vector_from_scalar"](derivs, z, e)
+        finally:
+            del e.fdot
+
+    sd = pipeline.stokes_stage(config)[0] if stage == "connection" else None
+    patches = {"point_data": point_data, "_term_factors": term_factors,
+               "phi_series": phi_series, "vector_from_scalar": vector_from_scalar}
+    solutions._block_sums.cache_clear()
+    try:
+        for name, value in patches.items():
+            setattr(monodromy, name, value)
+        solutions.point_data = point_data
+        if stage == "stokes":
+            return pipeline.stokes_stage(config)[1]
+        return pipeline.connection_stage(config, sd)[1]
+    finally:
+        for name, value in originals.items():
+            setattr(monodromy, name, value)
+        solutions.point_data = originals["point_data"]
+        solutions._block_sums.cache_clear()
+        solutions._prepare.cache_clear()
+
+
+# -- the rotation on the cover and in the Frobenius basis -----------------------
+
+def shifted_by_turns(z, turns):
+    """z times e^(2 pi i * turns), exactly on the cover."""
+    return UCComplex(z.modulus, Fraction(z.arg_over_pi) + 2 * Fraction(turns))
+
+
+def rotation_operator_matrix(engine):
+    """Matrix of (A phi)(z) = phi(z eps) in the Frobenius basis.
+
+    Rotation leaves every z^(3n) fixed and shifts log z by 2 pi i / 3, so in
+    the basis indexed by the initial block (1, l, l^2, l^3) the matrix is the
+    unipotent shift  A[k][j] = C(j, k) (2 pi i/3)^(j-k).
+    """
+    h = 2 * engine.i * engine.pi / 3
+    A = [[engine.real(0)] * 4 for _ in range(4)]
+    for j in range(4):
+        for k in range(j + 1):
+            A[k][j] = math.comb(j, k) * h ** (j - k)
+    return tuple(map(tuple, A))
 
 
 # -- scalar ODE solutions ----------------------------------------------------

@@ -36,13 +36,13 @@ from monodromy_lab.solutions import (
     identity_residuals,
     phi_series,
     quantum_period,
-    rotation_operator_matrix,
 )
 import oracles
 from oracles import (
     phi_top_grading_violations,
     phi_top_orthogonality_residuals,
     phi_top_recursion_residuals,
+    rotation_operator_matrix,
 )
 
 D = get_engine("double")

@@ -4,6 +4,7 @@ engine's agreement with mpmath's fp context and with the expressions its
 kernels replace, without loading mpmath, and the rule that every
 computation takes its engine from its caller."""
 
+import cmath
 import inspect
 import math
 import random
@@ -22,6 +23,7 @@ from monodromy_lab.engine import (
     NaNResidualError,
     _horner,
     get_engine,
+    log2_magnitude,
     matrix_steps,
     max_deviation,
     max_magnitude,
@@ -233,6 +235,41 @@ def test_a_nan_in_a_residual_maximum_is_a_named_error():
     assert max_deviation([[1, -2]], [[0, 0]]) == 2.0
 
 
+def exp_overflow():
+    """Raise and catch the OverflowError of cmath.exp past the double
+    range, which leaves errno set."""
+    try:
+        cmath.exp(complex(759.9, 0.9))
+    except OverflowError:
+        return
+    raise AssertionError("cmath.exp did not overflow")
+
+
+def test_log2_magnitude_of_a_python_number_never_raises():
+    # Python's abs of a complex raises OverflowError ("absolute value too
+    # large") where the modulus passes the double range, and for NaN parts
+    # right after a caught overflow, while errno is still set; the log2 is
+    # read from the parts instead
+    exp_overflow()
+    assert math.isnan(log2_magnitude(complex(math.nan, math.nan)))
+    exp_overflow()
+    big = log2_magnitude(complex(1.7e308, -1.7e308))
+    assert abs(big - (math.log2(1.7e308) + 0.5)) < 1e-12
+    exp_overflow()
+    assert log2_magnitude(complex(math.inf, math.nan)) == math.inf
+    assert math.isnan(log2_magnitude(math.nan))
+    assert log2_magnitude(-math.inf) == math.inf
+    assert log2_magnitude(0j) == log2_magnitude(0.0) == -math.inf
+    # within the slack of |x| wherever abs reads it, subnormal parts too
+    rng = random.Random(7)
+    for _ in range(200):
+        x = complex(rng.uniform(-1, 1) * 10.0 ** rng.randint(-320, 307),
+                    rng.uniform(-1, 1) * 10.0 ** rng.randint(-320, 307))
+        if x:
+            assert abs(log2_magnitude(x) - math.log2(abs(x))) < 1e-12, x
+    assert log2_magnitude(Fraction(1, 8)) == -3 and log2_magnitude(2 ** 2000) == 2000
+
+
 def test_max_deviation_of_mp_entries_beside_fractions():
     # mpmath's numbers do not order against a Fraction; their floats do
     A = [[mpmath.mpc(1, 1), 2], [3, mpmath.mpf(-4)]]
@@ -293,7 +330,7 @@ def test_every_computation_takes_its_engine_explicitly():
         monodromy.assemble_YL, monodromy.stokes_matrix, monodromy.connection_matrix,
         monodromy.verify_constraints,
         solutions.phi_series, solutions.eval_series, solutions.contour_eval,
-        solutions.identity_residuals, solutions.rotation_operator_matrix,
+        solutions.identity_residuals,
         special.laurent_coefficients,
     ]
     for fn in computations:

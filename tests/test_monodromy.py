@@ -39,15 +39,18 @@ from monodromy_lab.solutions import (
     UCComplex,
     phi_series,
     point_data,
-    rotation_operator_matrix,
 )
 import oracles
 from oracles import (
+    ATTRIBUTION_CLASSES,
+    attribute_residual,
     context_matrix,
     mpmath_context,
     phi_top_grading_violations,
     phi_top_orthogonality_residuals,
     phi_top_recursion_residuals,
+    rotation_operator_matrix,
+    shifted_by_turns,
 )
 
 E = get_engine("double")
@@ -276,7 +279,7 @@ def test_phi_top_orthogonality_at_a_point():
 def test_Ytop_monodromy_consistency():
     # Y_top(z e^(2 pi i)) = Y_top(z) e^(2 pi i mu) e^(2 pi i R)
     z = UCComplex.polar(0.1, math.pi / 7)
-    A = eval_Ytop(z.shifted_by_turns(1), order=35, engine=E)
+    A = eval_Ytop(shifted_by_turns(z, 1), order=35, engine=E)
     two_pi_i = 2j * math.pi
     B = (context_matrix(E, eval_Ytop(z, order=35, engine=E)) * exp_mu(two_pi_i, E)
          * context_matrix(E, exp_R(two_pi_i, E)))
@@ -389,6 +392,33 @@ def test_stokes_snap_is_measured_at_working_precision():
     assert 0 < snap <= 1e-30
 
 
+#: the groups of inputs that the attribution test takes exactly, one group
+#: at a time.  l, z^-1 to z^-3 and the column terms' factors, which hold
+#: eps^m, are one group: they are images of the same rotated point z eps^m,
+#: so taking one of them exactly leaves the others as far from it as the
+#: rounded point was
+ATTRIBUTION_GROUPS = (("coefficients",), ("block0",), ("l", "inverse_powers", "term_factors"),
+                      ("lift",), ("w",), ("Y_entries",))
+
+
+def test_no_one_class_of_inputs_carries_the_stokes_residual():
+    # at the mp defaults, taking any one group of the evaluation's inputs
+    # exactly, from 80 digits, lowers stokes_constancy by less than a factor
+    # of 10: no one input's rounding sets it.  With l rounded at the working
+    # precision and the term factors formed there, the l/z^-k/term-factor
+    # group carried it: that rounding times the series' cancellation, some
+    # 2^22 at |z0| = 2
+    from monodromy_lab.pipeline import RunConfig, stokes_stage
+
+    assert {c for group in ATTRIBUTION_GROUPS for c in group} == set(ATTRIBUTION_CLASSES)
+    config = RunConfig()
+    base = attribute_residual("stokes", config, ())
+    assert base == stokes_stage(config)[1]
+    for group in ATTRIBUTION_GROUPS:
+        exact = attribute_residual("stokes", config, group)["stokes_constancy"]
+        assert exact > base["stokes_constancy"] / 10, (group, base, exact)
+
+
 def test_stokes_dominance_pattern_emerges():
     # entries forced to vanish by exponential dominance come out below the
     # snap tolerance without being imposed
@@ -411,7 +441,7 @@ def test_stokes_transpose_relation_on_negative_sector():
     for arg_pi in (-0.79, -0.72):
         z = UCComplex.polar(2.0, arg_pi * math.pi)
         YR = assemble_YR(z, 40, MP)
-        YL = assemble_YL(z.shifted_by_turns(1), 40, MP)
+        YL = assemble_YL(shifted_by_turns(z, 1), 40, MP)
         got = MP.solve(YR, YL)
         dev = max(abs(complex(got[i][j]) - St[i][j]) for i in range(4) for j in range(4))
         assert dev <= 1e-8, arg_pi

@@ -27,7 +27,6 @@ from monodromy_lab.solutions import (
     identity_residuals,
     phi_series,
     quantum_period,
-    rotation_operator_matrix,
 )
 from monodromy_lab import ktheory, special
 from monodromy_lab.engine import Engine
@@ -41,9 +40,11 @@ from oracles import (
     ode_residual_blocks,
     recursion_step,
     residue_block,
+    rotation_operator_matrix,
     series_from_coordinates,
     operand_value,
     series_value_enclosure,
+    shifted_by_turns,
     within_enclosure,
 )
 
@@ -151,7 +152,7 @@ def test_uccomplex_bookkeeping():
     # log z, and so z^(3/2) = exp(3/2 log z), is single-valued in (modulus, arg)
     l = z.log(E)
     assert abs(l - complex(math.log(2), math.pi / 4)) < 1e-15
-    full_turn = z.shifted_by_turns(1)
+    full_turn = shifted_by_turns(z, 1)
     assert abs(full_turn.log(E) - (l + 2j * math.pi)) < 1e-14
     p = E.exp(E.complex(Fraction(3, 2)) * l)
     assert abs(p - cmath.exp(1.5 * l)) < 1e-14
@@ -181,7 +182,7 @@ def test_eval_quantum_period_single_valued():
     series = quantum_period(12)
     z = UCComplex.polar(0.7, 0.3)
     v0 = eval_series(series, z, engine=E)
-    v1 = eval_series(series, z.shifted_by_turns(1), engine=E)
+    v1 = eval_series(series, shifted_by_turns(z, 1), engine=E)
     v2 = eval_series(series, z.rotated(1), engine=E)
     assert abs(v0 - v1) < 1e-13
     assert abs(v0 - v2) < 1e-13
@@ -626,7 +627,7 @@ def test_block_sum_cache_does_not_change_values(engine):
     # class filled the cache and in whatever order the points come
     series = phi_series(PHI2, 40, engine)
     base = UCComplex.polar(1.7, 0.3)
-    points = [base.rotated(k) for k in (0, 1, -1, 2, -2)] + [base.shifted_by_turns(1)]
+    points = [base.rotated(k) for k in (0, 1, -1, 2, -2)] + [shifted_by_turns(base, 1)]
     cold = {}
     for i, z in enumerate(points):
         for m in range(4):
@@ -806,6 +807,45 @@ def test_cut_phi_top_pass_stays_within_its_bound():
             ref, scale = horner_oracle(column, w, ctx)
             bound = 2.0 ** -prec + cut_bound(len(column), prec)
             assert abs(operand_value(ctx, t) - ref) <= bound * scale, (modulus, a, b)
+
+
+@pytest.mark.parametrize("dps", (12, 40))
+def test_point_inputs_and_term_factors_lie_within_their_guarded_bound(dps):
+    # every value of a point's PointData at the verification's base points,
+    # their rotations and off-default moduli, against the same value at
+    # twice the digits: l within B = 2^(6 - prec - GUARD_BITS) (1 + |l|),
+    # every other value within B times its modulus; and every column term's
+    # factors within 2^(6 - prec - GUARD_BITS) times their modulus.  A value
+    # formed from l rounded at the working precision is off by about
+    # 2^-prec |l|, some 2^13 times the bound
+    engine, fine = get_engine("mp", dps=dps), get_engine("mp", dps=2 * dps)
+    unit = 2.0 ** (6 - engine.prec - GUARD_BITS)
+
+    def size(x):
+        return math.hypot(*map(float, gaussian(x)))
+
+    def distance(x, y):
+        return math.hypot(*(float(a - b) for a, b in zip(gaussian(x), gaussian(y))))
+
+    config = RunConfig()
+    bases = [*monodromy.stokes_points(config.z0_stokes),
+             *monodromy.connection_points(config.z0_connection),
+             monodromy.heldout_point(config.z0_connection),
+             UCComplex.polar(1.0, 0.8), UCComplex.polar(0.05, 0.7)]
+    for z in (base.rotated(m) for base in bases for m in (-2, -1, 0, 1, 2)):
+        point, exact = solutions.PointData(z, engine), solutions.PointData(z, fine)
+        bound = unit * (1 + size(exact.l))
+        assert distance(point.l, exact.l) <= bound, z
+        assert point.l_operand == engine.operand(point.l)
+        for name in ("half_powers", "inverse_powers", "lift"):
+            for x, y in zip(getattr(point, name), getattr(exact, name)):
+                assert distance(x, y) <= bound * size(y), (z, name)
+        assert distance(point.cube, exact.cube) <= bound * size(exact.cube), z
+    specs = monodromy._YR_SPECS + monodromy._YL_SPECS + (monodromy._YL_COL3_ALT,)
+    for term in {term for spec in specs for term in spec}:
+        got = monodromy._term_factors(*term, engine)
+        for x, y in zip(got, monodromy._term_factors(*term, fine)):
+            assert distance(x, y) <= unit * size(y), term
 
 
 @pytest.mark.parametrize("dps", (40, 60))
