@@ -40,7 +40,7 @@ from monodromy_lab.pipeline import (
     run_verify,
     stokes_stage,
 )
-from monodromy_lab.ring import operator_matrices, ring_tables
+from monodromy_lab.ring import ETA, operator_matrices, structure_constant
 from monodromy_lab.solutions import (
     PHI1,
     PHI2,
@@ -106,11 +106,16 @@ def build_parser():
 def config_from_args(args):
     """The one RunConfig of a command line.  Only the options given reach
     it, so every other field keeps its default; ``solutions`` runs under
-    double unless --engine says otherwise."""
+    double unless --engine says otherwise.  --dps under the double engine
+    is refused, as it would be ignored."""
+    engine_name = args.engine or ("double" if args.command == "solutions" else None)
+    if args.dps is not None and engine_name == "double":
+        raise ValueError(f"--dps sets the mp engine's digits, and {args.command} "
+                         "would run under the double engine")
     given = {
         "truncation_order": args.order,
         "dps": args.dps,
-        "engine_name": args.engine or ("double" if args.command == "solutions" else None),
+        "engine_name": engine_name,
         "z0_stokes": _parse_ucpoint(args.z0_stokes) if args.z0_stokes else None,
         "z0_connection": _parse_ucpoint(args.z0_connection) if args.z0_connection else None,
     }
@@ -119,14 +124,13 @@ def config_from_args(args):
 
 
 def cmd_qcoh(args, cfg):
-    tables = ring_tables()
     mu, R, U = operator_matrices(q=Fraction(1))
-    quantum = {}
-    for (a, b), row in sorted(tables.quantum_table.items()):
-        quantum[f"{a},{b}"] = {str(c): list(poly) for c, poly in sorted(row.items())}
+    quantum = {f"{a},{b}": {str(c): list(n) for c in range(4)
+                            if any(n := structure_constant(a, b, c))}
+               for a in range(4) for b in range(4)}
     return {
         "command": "qcoh",
-        "eta": [list(r) for r in tables.eta],
+        "eta": [list(r) for r in ETA],
         "quantum_table": quantum,
         "mu": [list(r) for r in mu],
         "R": [[int(x) for x in r] for r in R],
@@ -143,13 +147,10 @@ def cmd_period(args, cfg):
 
 
 def cmd_phitop(args, cfg):
-    series = phi_top(cfg.truncation_order)
     return {
         "command": "phitop",
         "order": cfg.truncation_order,
-        "coefficients": [
-            [[x for x in row] for row in mat] for mat in series.coeffs
-        ],
+        "coefficients": [[list(row) for row in mat] for mat in phi_top(cfg.truncation_order)],
     }
 
 

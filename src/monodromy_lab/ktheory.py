@@ -126,11 +126,6 @@ class KObject(NamedTuple):
         return CohClass(tuple(c * two_pi_i ** d for c, d in zip(self.ch_plain.coeffs, DEGREES)))
 
 
-def _line_bundle_ch(k):
-    expo = H.scaled(Fraction(k))
-    return _exp_nilpotent(expo)
-
-
 def k_object(name):
     """Named objects: O, O1, O2, SIGMA21, WEDGE2 and the twisted E1..E4.
 
@@ -138,17 +133,17 @@ def k_object(name):
     WEDGE2 = wedge^2 U* = O(1); E_k are the first four twisted by WEDGE2.
     """
     base = {
-        "O": lambda: _line_bundle_ch(0),
-        "O1": lambda: _line_bundle_ch(1),
-        "O2": lambda: _line_bundle_ch(2),
-        "WEDGE2": lambda: _line_bundle_ch(1),
-        "SIGMA21": lambda: classical_product(_CH_U_DUAL, _line_bundle_ch(1)),
+        "O": lambda: _exp_nilpotent(H.scaled(Fraction(0))),
+        "O1": lambda: _exp_nilpotent(H),
+        "O2": lambda: _exp_nilpotent(H.scaled(Fraction(2))),
+        "WEDGE2": lambda: _exp_nilpotent(H),
+        "SIGMA21": lambda: classical_product(_CH_U_DUAL, _exp_nilpotent(H)),
     }
     if name in base:
         return KObject(name=name, ch_plain=base[name]())
     if name in ("E1", "E2", "E3", "E4"):
         untwisted = ("O", "O1", "SIGMA21", "O2")[int(name[1]) - 1]
-        tw = classical_product(k_object(untwisted).ch_plain, _line_bundle_ch(1))
+        tw = classical_product(k_object(untwisted).ch_plain, _exp_nilpotent(H))
         return KObject(name=name, ch_plain=tw)
     raise ValueError(f"unknown K object {name!r}")
 

@@ -74,20 +74,9 @@ class SnapError(ArithmeticError):
 
 # -- topological solution ---------------------------------------------------
 
-class PhiTopSeries(NamedTuple):
-    """Exact matrix coefficients Phi_0 = I, Phi_1, ..., Phi_N.  A
-    NamedTuple, not a dataclass: see ``monodromy_lab.record``."""
-
-    coeffs: tuple
-
-    @property
-    def order(self):
-        return len(self.coeffs) - 1
-
-
 @functools.lru_cache(maxsize=None)
 def phi_top(order):
-    """Solve the recursion for Phi_top through z^order, exactly.
+    """The tuple (Phi_0 = I, ..., Phi_order) of Phi_top, solved exactly.
 
     Phi_k is carried as 16 integers (row-major) over one positive
     denominator, reduced once per k, and turned into Fractions only for the
@@ -123,10 +112,9 @@ def phi_top(order):
         prev = cur
         mats.append((cur, den))
     zero = Fraction(0)
-    return PhiTopSeries(coeffs=tuple(
-        tuple(tuple(Fraction(x, den) if x else zero for x in flat[4 * a:4 * a + 4])
-              for a in range(4))
-        for flat, den in mats))
+    return tuple(tuple(tuple(Fraction(x, den) if x else zero for x in flat[4 * a:4 * a + 4])
+                       for a in range(4))
+                 for flat, den in mats)
 
 
 @functools.lru_cache(maxsize=None)
@@ -141,7 +129,7 @@ def _phi_top_columns(order, engine):
     row-major in (a, b); converted once per order and engine by
     ``Engine.operand``, under mp floored to ``GUARD_BITS`` above prec.
     """
-    coeffs = phi_top(order).coeffs
+    coeffs = phi_top(order)
     offsets = tuple((a - b) % 3 for a in range(4) for b in range(4))
     for k, mat in enumerate(coeffs):
         for a in range(4):

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from typing import NamedTuple
 
 from monodromy_lab.record import Record
 
@@ -144,33 +143,6 @@ def pairing(x, y):
 def integral(x):
     """Integration over LG(2,4): the s21 coefficient."""
     return x[3]
-
-
-class RingTables(NamedTuple):
-    """Pairing matrix plus quantum and classical multiplication tables.
-    A NamedTuple, not a dataclass: see ``monodromy_lab.record``."""
-
-    eta: tuple
-    quantum_table: dict
-    classical_table: dict
-
-
-def ring_tables():
-    quantum = {}
-    classical = {}
-    for a in range(4):
-        for b in range(4):
-            row = {}
-            row0 = {}
-            for c in range(4):
-                n = structure_constant(a, b, c)
-                if any(n):
-                    row[c] = n
-                if n[0]:
-                    row0[c] = n[0]
-            quantum[(a, b)] = row
-            classical[(a, b)] = row0
-    return RingTables(eta=ETA, quantum_table=quantum, classical_table=classical)
 
 
 def matmul(A, B):

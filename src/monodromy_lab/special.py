@@ -19,8 +19,6 @@ analytic integrand g(s) * (s+n)^k, for the Laurent data of every block.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 from monodromy_lab.solutions import MellinIntegrand
 
 
@@ -41,24 +39,13 @@ def integrand_value(kind, s, engine):
     raise ValueError(f"unknown integrand {kind!r}")
 
 
-class LaurentBlock(NamedTuple):
-    """Laurent data of an integrand at the order-4 pole s = -n.
-
-    ``coeffs[j]`` is the coefficient of (s+n)^(j-4), i.e. the vector runs
-    from the (s+n)^(-4) coefficient down to the residue.  A NamedTuple,
-    not a dataclass: see ``monodromy_lab.record``.
-    """
-
-    n: int
-    coeffs: tuple
-
-
 def laurent_coefficients(kind, n, engine, radius=0.25, nodes=256):
-    """Singular Laurent coefficients of the integrand at s = -n.
+    """The four singular Laurent coefficients of the integrand at s = -n.
 
-    ``coeffs[j] = (1/2 pi i) * contour integral of g(s) (s+n)^(3-j) ds`` over
-    the circle |s+n| = radius, computed by the trapezoid rule with the given
-    node count.  The radius must stay below 1/2 so the circle separates the
+    Entry j of the tuple, the coefficient of (s+n)^(j-4), is
+    ``(1/2 pi i) * contour integral of g(s) (s+n)^(3-j) ds`` over the circle
+    |s+n| = radius, computed by the trapezoid rule with the given node
+    count.  The radius must stay below 1/2 so the circle separates the
     pole at -n from its neighbours (and from the right-hand pole family of
     PHI2).
     """
@@ -82,4 +69,4 @@ def laurent_coefficients(kind, n, engine, radius=0.25, nodes=256):
         for w, gv in values:
             acc += gv * w ** (p + 1)
         coeffs.append(acc / nodes)
-    return LaurentBlock(n=n, coeffs=tuple(coeffs))
+    return tuple(coeffs)

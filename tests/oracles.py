@@ -6,7 +6,8 @@ oracle products, the tail certificate of ``eval_series`` formed in engine
 reals, the evaluation's expressions from before its engine kernels, the
 exact value of an mp operand, an ``mpmath.iv`` enclosure of each mp series
 value, the attribution of a residual to the classes of its inputs, the
-rotation on the cover and in the Frobenius basis, and the sympy forms of
+rotation on the cover and in the Frobenius basis, the sectorial and
+topological solutions' exact Frobenius coordinates, and the sympy forms of
 the published closed forms
 (``GAMMA_MINUS_REF``, ``C_REF`` and ``C_GAMMA_REF``, built on first access;
 only they import sympy).
@@ -24,7 +25,7 @@ from mpmath.libmp import from_man_exp
 from monodromy_lab import closedform, monodromy, pipeline, reference, solutions
 from monodromy_lab.engine import GUARD_BITS, get_engine
 from monodromy_lab.monodromy import MU_DIAG
-from monodromy_lab.ring import operator_matrices
+from monodromy_lab.ring import matmul, operator_matrices
 from monodromy_lab.solutions import LogSeries, UCComplex
 
 
@@ -58,8 +59,8 @@ def phi_top_recursion_residuals(series):
     independent check of ``phi_top``'s sparse recursion."""
     _, R, U = operator_matrices(q=Fraction(1))
     out = []
-    for k in range(1, series.order + 1):
-        cur, prev = series.coeffs[k], series.coeffs[k - 1]
+    for k in range(1, len(series)):
+        cur, prev = series[k], series[k - 1]
         res = []
         for a in range(4):
             for b in range(4):
@@ -78,11 +79,11 @@ def phi_top_grading_violations(series):
     H(0) = I.  Reads every entry, independently of ``phi_top``'s sparse
     recursion."""
     bad = []
-    for k in range(series.order + 1):
+    for k in range(len(series)):
         for a in range(4):
             for b in range(4):
                 w = k + MU_DIAG[b] - MU_DIAG[a]
-                if (w < 0 or (w == 0 and k > 0)) and series.coeffs[k][a][b] != 0:
+                if (w < 0 or (w == 0 and k > 0)) and series[k][a][b] != 0:
                     bad.append((k, a, b))
     return bad
 
@@ -92,11 +93,11 @@ def phi_top_orthogonality_residuals(series):
     summed densely: an independent check of ``phi_top``'s sparse recursion."""
     eta = ((0, 0, 0, 1), (0, 0, 1, 0), (0, 1, 0, 0), (1, 0, 0, 0))
     out = []
-    for k in range(series.order + 1):
+    for k in range(len(series)):
         acc = [[Fraction(0)] * 4 for _ in range(4)]
         for a in range(k + 1):
             b = k - a
-            Pa, Pb = series.coeffs[a], series.coeffs[b]
+            Pa, Pb = series[a], series[b]
             sign = -1 if a % 2 else 1
             for i in range(4):
                 for j in range(4):
@@ -541,6 +542,56 @@ def rotation_operator_matrix(engine):
     return tuple(map(tuple, A))
 
 
+# -- the sectorial solutions in exact Frobenius coordinates -------------------
+
+#: f_kind: pi D times the prefactor of phi1 (F) or phi2 (G) times the
+#: pi^(-1/2) or pi^(1/2) that ``phi_series`` puts on
+#: ``solutions.gamma_coordinates``, with D = 2 sqrt(2) pi^(3/2)
+SPEC_FACTORS = {solutions.PHI1: -1, solutions.PHI2: -2}
+
+
+def exact_rotation(m):
+    """A^m, the rotation phi(z) -> phi(z eps^m) in the Frobenius basis, as
+    ``rotation_operator_matrix`` but exact: (A^m)[k][j] = C(j, k) (m h)^(j-k)
+    with h = 2 pi i/3, in ClosedForms."""
+    h = Fraction(2 * m, 3) * closedform.PI * closedform.I
+    return tuple(tuple(math.comb(j, k) * h ** (j - k) if j >= k else 0 for j in range(4))
+                 for k in range(4))
+
+
+def spec_numerators(specs, factors=SPEC_FACTORS):
+    """pi D times the Frobenius coordinates of the scalar columns that
+    ``specs`` describe (as ``monodromy._YR_SPECS``), exactly: column j is
+    the sum over its terms (coef, kind, m) of
+    coef (-1)^m factors[kind] A^m gamma_coordinates(kind), so no entry
+    divides by pi."""
+    columns = []
+    for spec in specs:
+        column = [0] * 4
+        for coef, kind, m in spec:
+            A, v = exact_rotation(m), solutions.gamma_coordinates(kind)
+            c = coef * (-1) ** (m % 2) * factors[kind]
+            column = [column[k] + c * sum(A[k][j] * v[j] for j in range(4)) for k in range(4)]
+        columns.append(column)
+    return tuple(zip(*columns))
+
+
+def m_top():
+    """M_top, the Frobenius coordinates of the columns of Y_top: entry
+    (k, j) is the (log z)^k coefficient of z^0 in z^(-3/2) times row 3 of
+    Phi_top z^mu z^R, sum_b (Phi_(3/2 - mu_b))[3][b] (R^k)[b][j] / k!, read
+    from ``phi_top(3)`` and R, exactly; 3/2 - mu_b = 3 - b."""
+    _, R, _ = operator_matrices()
+    phi = monodromy.phi_top(3)
+    power = tuple(tuple(int(i == j) for j in range(4)) for i in range(4))
+    rows = []
+    for k in range(4):
+        rows.append(tuple(sum(phi[3 - b][3][b] * power[b][j] for b in range(4))
+                          / math.factorial(k) for j in range(4)))
+        power = matmul(power, R)
+    return tuple(rows)
+
+
 # -- scalar ODE solutions ----------------------------------------------------
 
 def _dlog(poly):
@@ -582,11 +633,12 @@ def series_from_coordinates(coords, order):
 
 def residue_block(L, engine):
     """Block of 2 pi i Res g(s) z^(-3s) at the pole of the Laurent data L
-    (``special.LaurentBlock``): the (log z)^k coefficient is
-    2 pi i * L[3-k] * (-3)^k / k!, in the engine."""
+    (the four coefficients ``special.laurent_coefficients`` returns, from
+    the (s+n)^(-4) coefficient down to the residue): the (log z)^k
+    coefficient is 2 pi i * L[3-k] * (-3)^k / k!, in the engine."""
     two_pi_i = 2 * engine.i * engine.pi
     return tuple(
-        two_pi_i * L.coeffs[3 - k] * engine.real(Fraction((-3) ** k, math.factorial(k)))
+        two_pi_i * L[3 - k] * engine.real(Fraction((-3) ** k, math.factorial(k)))
         for k in range(4)
     )
 

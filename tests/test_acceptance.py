@@ -78,7 +78,7 @@ def test_criterion_02_phi_top():
     for k, entries in reference.PHI_TOP_REF.items():
         for i in range(4):
             for j in range(4):
-                ok = ok and series.coeffs[k][i][j] == entries.get((i, j), Fraction(0))
+                ok = ok and series[k][i][j] == entries.get((i, j), Fraction(0))
     ok = ok and all(all(x == 0 for x in r) for r in phi_top_recursion_residuals(series))
     ok = ok and phi_top_grading_violations(series) == []
     ok = ok and all(r == 0 for r in phi_top_orthogonality_residuals(series))

@@ -73,6 +73,7 @@ def test_euler_matrix(capsys):
 #: to an exact output shows here
 EXACT_REPORT_DIGESTS = {
     "qcoh": "a6c3fde8400e8892c41a86abf06d1dbf1613209999a1c1a4950464579e321731",
+    "period": "91cfdf71fa7d8ac4018bbbd267666ec1648034666a491c748c87969d3e5120dd",
     "euler-matrix": "77daddb6fb354a653ef78afa06582136d980a292cc79204b91f4605c77847bc7",
     "phitop --order 60": "96111a3ca3beecedccd5da9f3d55594dd08b036b1e6182ab3c565a7836b9b317",
     "gamma": "23a88ef7f1cc1a40ba557696aac34777b0930fef5dfd2bf611db3ba4d4e72757",
@@ -342,16 +343,23 @@ def test_tail_certificate_at_the_bottom_of_the_double_range(capsys):
     assert run_cli(capsys, "verify", "--dps", "291", "--order", "120")[0] == 0
 
 
-@pytest.mark.parametrize("dps", (8, 12, 14, 16))
+@pytest.mark.parametrize("dps", (1, 2, 4, 8, 12, 14, 16))
 def test_low_digits_pass_with_the_published_data_or_refuse_by_name(capsys, dps):
     # the exit-code contract below the default digits, with no traceback:
     # from 12 digits verify exits 0, and at 8 it exits 1 on failed gates,
     # listed in failed_checks and on stderr, not on a stage's refusal; both
-    # report the published S', P, S, Euler matrix and braid
+    # report the published S', P, S, Euler matrix and braid.  Below 8 digits
+    # the Stokes stage refuses by name (a numerically singular solve, or an
+    # S' that does not snap) and no report is written
     from monodromy_lab import reference
 
     code = main(["verify", "--dps", str(dps)])
     captured = capsys.readouterr()
+    if dps < 8:
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith("failed check: stokes stage:")
+        assert "Traceback" not in captured.err
+        return
     doc = json.loads(captured.out)
     if dps >= 12:
         assert code == 0 and captured.err == "" and doc["failed_checks"] == []
@@ -413,6 +421,11 @@ def test_exit_code_config_errors(capsys, tmp_path):
     assert run_cli(capsys, "verify", "--order", "5")[0] == 2
     assert run_cli(capsys, "verify", "--tol", "braid_macth=1e-3")[0] == 2
     assert run_cli(capsys, "stokes", "--dps", "0")[0] == 2
+    # --dps sets the mp engine's digits, so it is refused under double,
+    # solutions' default engine included
+    for argv in (("verify", "--engine", "double", "--dps", "5"), ("solutions", "--dps", "20")):
+        assert main(list(argv)) == 2
+        assert "--dps sets the mp engine's digits" in capsys.readouterr().err
     assert run_cli(capsys, "stokes", "--z0-stokes", "inf,0.78")[0] == 2
     assert main(["verify", "--z0-stokes", "inf,0.78"]) == 2
     assert "modulus must be positive" in capsys.readouterr().err

@@ -17,6 +17,7 @@ from monodromy_lab.monodromy import (
     assemble_YR,
     connection_matrix,
     connection_points,
+    dominance_order,
     dominance_permutation,
     eval_Ytop,
     exp_R,
@@ -31,7 +32,8 @@ from monodromy_lab.monodromy import (
     _YR_SPECS,
 )
 from monodromy_lab import reference
-from monodromy_lab.ring import operator_matrices
+from monodromy_lab.closedform import PI
+from monodromy_lab.ring import matmul, operator_matrices
 from monodromy_lab.solutions import (
     PHI1,
     PHI2,
@@ -43,14 +45,17 @@ from monodromy_lab.solutions import (
 import oracles
 from oracles import (
     ATTRIBUTION_CLASSES,
+    SPEC_FACTORS,
     attribute_residual,
     context_matrix,
+    m_top,
     mpmath_context,
     phi_top_grading_violations,
     phi_top_orthogonality_residuals,
     phi_top_recursion_residuals,
     rotation_operator_matrix,
     shifted_by_turns,
+    spec_numerators,
 )
 
 E = get_engine("double")
@@ -69,11 +74,11 @@ def exp_mu(t, engine):
 
 def test_phi_top_published_blocks():
     series = phi_top(10)
-    assert series.coeffs[0] == tuple(
+    assert series[0] == tuple(
         tuple(Fraction(1 if i == j else 0) for j in range(4)) for i in range(4)
     )
     for k, entries in reference.PHI_TOP_REF.items():
-        mat = series.coeffs[k]
+        mat = series[k]
         for i in range(4):
             for j in range(4):
                 assert mat[i][j] == entries.get((i, j), Fraction(0)), (k, i, j)
@@ -110,7 +115,7 @@ def _dense_phi_top(order):
 
 @pytest.mark.parametrize("order", (40, 60))
 def test_phi_top_equals_the_dense_recursion(order):
-    coeffs = phi_top(order).coeffs
+    coeffs = phi_top(order)
     assert [[list(row) for row in mat] for mat in coeffs] == _dense_phi_top(order)
     assert all(type(x) is Fraction for mat in coeffs for row in mat for x in row)
 
@@ -140,7 +145,7 @@ def test_eval_Ytop_determinant():
     # against det Phi_top directly
     series = phi_top(30)
     zc = 0.05 * cmath.exp(1j * math.pi / 5)
-    Phi = [[sum(float(series.coeffs[k][i][j]) * zc ** k for k in range(31))
+    Phi = [[sum(float(series[k][i][j]) * zc ** k for k in range(31))
             for j in range(4)] for i in range(4)]
     det_phi = _det4_list(Phi)
     assert abs(det - det_phi) < 1e-12
@@ -224,7 +229,7 @@ def ytop_oracle(point, order, ctx):
         for j in range(4):
             terms = [ctx.mpf(v.numerator) / v.denominator * h ** (2 * n + int(2 * MU_DIAG[k])) * e
                      for k in range(4) for e in E[k][j]
-                     for n, mat in enumerate(phi_top(order).coeffs) if (v := mat[a][k])]
+                     for n, mat in enumerate(phi_top(order)) if (v := mat[a][k])]
             out[a, j] = (ctx.fsum(terms), ctx.fsum(abs(t) for t in terms))
     return out
 
@@ -253,7 +258,7 @@ def test_eval_Ytop_agrees_with_its_matrix_form():
     l = z.log(MP)
     zc = MP.exp(l)
     Phi = MP.ctx.matrix(4, 4)
-    for k, mat in enumerate(phi_top(ORDER).coeffs):
+    for k, mat in enumerate(phi_top(ORDER)):
         Phi += context_matrix(MP, mat) * zc ** k
     expected = Phi * exp_mu(l, MP) * context_matrix(MP, exp_R(l, MP))
     assert max_deviation(eval_Ytop(z, ORDER, MP), expected.tolist()) < 1e-38
@@ -266,7 +271,7 @@ def test_phi_top_orthogonality_at_a_point():
     zc = 0.3 * cmath.exp(1j * math.pi / 5)
 
     def phi_at(w):
-        return [[sum(float(series.coeffs[k][i][j]) * w ** k for k in range(31))
+        return [[sum(float(series[k][i][j]) * w ** k for k in range(31))
                  for j in range(4)] for i in range(4)]
 
     A, B = phi_at(-zc), phi_at(zc)
@@ -507,6 +512,44 @@ def test_stokes_coordinate_route_oracle():
     for i in range(4):
         for j in range(4):
             assert abs(complex(got[i][j]) - reference.S_PRIME_REF[i][j]) < 1e-10
+
+
+def test_stokes_and_connection_data_are_exact_identities():
+    # pi D times each column's Frobenius coordinates is a polynomial in
+    # gamma, pi and zeta(3) over Q(i), so S' and C' relate the right, left
+    # and topological solutions by identities that hold exactly
+    # (Cotti-Dubrovin-Guzzetti, "Helix structures in quantum cohomology of
+    # Fano varieties", 2018)
+    n_r, n_l = spec_numerators(_YR_SPECS), spec_numerators(_YL_SPECS)
+    assert matmul(n_r, reference.S_PRIME_REF) == n_l
+    top = m_top()
+    assert top == tuple(tuple(v if j == 3 - i else 0 for j in range(4))
+                        for i, v in enumerate((1, 3, 9, 9)))
+    sigma = dominance_order()
+    assert sigma == (3, 0, 2, 1)
+    # C = C' P^(-1), so C'[i][sigma[j]] = C[i][j]
+    c_num = [[row[sigma.index(k)] for k in range(4)] for row in reference.C_REF_NUMERATORS]
+    pi_top = [[PI * x for x in row] for row in top]
+    assert matmul(pi_top, c_num) == n_r
+    alt = spec_numerators((_YL_COL3_ALT,))
+    assert [row[0] for row in alt] == [row[2] for row in n_l]
+
+    # each mutation breaks its identity
+    typo = tuple((-coef if kind is PHI2 else coef, kind, m) for coef, kind, m in _YL_COL3_ALT)
+    assert [row[0] for row in spec_numerators((typo,))] != [row[2] for row in n_l]
+    bumped = [list(row) for row in reference.S_PRIME_REF]
+    bumped[2][1] += 1
+    assert matmul(n_r, bumped) != n_l
+    wrong = {PHI1: -1, PHI2: -1}
+    wrong_r = spec_numerators(_YR_SPECS, wrong)
+    assert matmul(wrong_r, reference.S_PRIME_REF) != spec_numerators(_YL_SPECS, wrong)
+    assert matmul(pi_top, c_num) != wrong_r
+
+    # the factors are the production prefactors: pi D pref(kind) pi^(-/+1/2)
+    d = 2 * MP.sqrt(MP.real(2)) * MP.pi * MP.sqrt(MP.pi)
+    for kind, factor in SPEC_FACTORS.items():
+        half = MP.sqrt(MP.pi) ** (-1 if kind is PHI1 else 1)
+        assert abs(MP.pi * d * monodromy._prefactor(kind, MP) * half - factor) < 1e-37
 
 
 def test_connection_matrix_closed_forms():

@@ -1,5 +1,8 @@
 """The package's records: immutable, validated on construction, and
-compared by value (by identity for the series and their block sums)."""
+compared by value (by identity for the series and their block sums).
+Data that its reader only indexes is a plain tuple, not a record:
+``monodromy.phi_top``'s matrices and ``special.laurent_coefficients``'
+four coefficients; ``qcoh`` reads the ring's structure constants."""
 
 import importlib
 import pkgutil
@@ -8,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 import monodromy_lab
-from monodromy_lab import braid, ktheory, monodromy, pipeline, ring, solutions, special
+from monodromy_lab import braid, ktheory, monodromy, pipeline, ring, solutions
 from monodromy_lab.engine import get_engine
 from monodromy_lab.frame import frame, sector_config
 from monodromy_lab.record import Record
@@ -23,17 +26,14 @@ RECORDS = {
     "SectorConfig": sector_config,
     "ChernData": ktheory.chern_data,
     "KObject": lambda: ktheory.k_object("O1"),
-    "PhiTopSeries": lambda: monodromy.phi_top(3),
     "StokesData": lambda: monodromy.StokesData(s_prime=(), P=(), S=(), z0s=[], residuals={}),
     "ConnectionData": lambda: monodromy.ConnectionData(c_prime=None, C=None, z0s=[],
                                                        residuals={}),
     "RunConfig": pipeline.RunConfig,
     "CharacteristicData": lambda: pipeline.characteristic_stage(pipeline.RunConfig())[0],
     "CohClass": lambda: ring.SIGMA_1,
-    "RingTables": ring.ring_tables,
     "UCComplex": lambda: solutions.UCComplex(2.0, Fraction(1, 4)),
     "LogSeries": lambda: solutions.quantum_period(3),
-    "LaurentBlock": lambda: special.laurent_coefficients(solutions.PHI1, 0, DOUBLE),
 }
 
 

@@ -792,7 +792,7 @@ def test_cut_phi_top_pass_stays_within_its_bound():
     from monodromy_lab.monodromy import _phi_top_columns, phi_top
 
     e = get_engine("mp", dps=40)
-    coeffs = phi_top(40).coeffs
+    coeffs = phi_top(40)
     columns, offsets = _phi_top_columns(40, e)
     for modulus in (0.025, 0.1, 0.4, 1, 2):
         with e.guarded():

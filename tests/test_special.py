@@ -108,14 +108,13 @@ def test_constants_mp():
 def test_laurent_phi2_leading_is_sqrt_pi():
     # Gamma(s)^4 ~ s^-4 and Gamma(1/2) 2^0 = sqrt(pi)
     L = laurent_coefficients(PHI2, 0, D)
-    assert abs(L.coeffs[0] - math.sqrt(math.pi)) < 1e-13
-    assert L.n == 0
+    assert abs(L[0] - math.sqrt(math.pi)) < 1e-13
 
 
 def test_laurent_radius_consistency():
     a = laurent_coefficients(PHI1, 0, D, radius=0.2)
     b = laurent_coefficients(PHI1, 0, D, radius=0.3)
-    for x, y in zip(a.coeffs, b.coeffs):
+    for x, y in zip(a, b):
         assert abs(x - y) < 1e-12
 
 
@@ -157,7 +156,7 @@ def test_laurent_phi2_n1_vs_symbolic_oracle():
     L = laurent_coefficients(PHI2, 1, D)
     for j in range(4):
         coeff = complex(sp.N(ser.coeff(t, j), 25))
-        assert abs(complex(L.coeffs[j]) - coeff) < 1e-12 * max(1.0, abs(coeff))
+        assert abs(complex(L[j]) - coeff) < 1e-12 * max(1.0, abs(coeff))
 
 
 def test_residue_rectangle_invariant():
@@ -189,6 +188,6 @@ def test_residue_rectangle_invariant():
         for k in range(4):
             if k:
                 fact *= k
-            blk += complex(L.coeffs[3 - k]) * (-3 * lz) ** k / fact
+            blk += complex(L[3 - k]) * (-3 * lz) ** k / fact
         res_sum += zp * blk
     assert abs(total - res_sum) < 1e-10
