@@ -119,7 +119,8 @@ def search_equivalence(S, C, S_target, C_target, max_len, tol):
     enumerated by length then lexicographically over the letters (1,+1),
     (1,-1), (2,+1), ..., and sign diagonals in binary order with +1 first,
     so the first (shortest, smallest) match is returned.  Returns
-    (BraidWord, SignDiagonal) or None.  The S side is compared first: a
+    (BraidWord, SignDiagonal, deviation), the deviation being the one
+    compared with ``tol``, or None.  The S side is compared first: a
     word's C product is formed only once some sign diagonal matches on S.
     """
     if max_len < 1:
@@ -139,6 +140,7 @@ def search_equivalence(S, C, S_target, C_target, max_len, tol):
                     continue
                 if Cw is None:
                     Cw = functools.reduce(matmul, inverses, C)
-                if max_deviation(sign_act(diag, Sw, Cw)[1], C_target) <= tol:
-                    return word, diag
+                dev = max_deviation(sign_act(diag, Sw, Cw)[1], C_target)
+                if dev <= tol:
+                    return word, diag, dev
     return None

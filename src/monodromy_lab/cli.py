@@ -107,7 +107,7 @@ def config_from_args(args):
     """The one RunConfig of a command line.  Only the options given reach
     it, so every other field keeps its default; ``solutions`` runs under
     double unless --engine says otherwise.  --dps under the double engine
-    is refused, as it would be ignored."""
+    is refused here, by the option's name, before RunConfig refuses it."""
     engine_name = args.engine or ("double" if args.command == "solutions" else None)
     if args.dps is not None and engine_name == "double":
         raise ValueError(f"--dps sets the mp engine's digits, and {args.command} "

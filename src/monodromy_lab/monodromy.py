@@ -59,7 +59,8 @@ from monodromy_lab.solutions import (
     point_data,
 )
 
-MU_DIAG = (Fraction(-3, 2), Fraction(-1, 2), Fraction(1, 2), Fraction(3, 2))
+#: mu's diagonal (-3/2, -1/2, 1/2, 3/2), read from ``ring.operator_matrices``
+MU_DIAG = tuple(row[k] for k, row in enumerate(operator_matrices()[0]))
 #: the integers 2 mu_k
 TWICE_MU = tuple(int(2 * mu) for mu in MU_DIAG)
 
@@ -494,8 +495,10 @@ def verify_constraints(S, C, engine):
 
     S holds exact entries (int or Fraction; a float is taken as it is): it
     is a Stokes matrix, unipotent upper-triangular, so S^(-1) and S^T S^(-1)
-    are formed exactly, once per S and engine (``_stokes_terms``).  e^(2 pi i mu) = -I
-    and e^(-pi i mu) = diag(-i, i, -i, i) are exact units
+    are formed exactly (``ring.unipotent_inverse``, ``ring.matmul``), and
+    S and S^T S^(-1) go to ``Engine.matmul`` and ``max_deviation`` as they
+    are: both read integers exactly.  e^(2 pi i mu) = -I and
+    e^(-pi i mu) = diag(-i, i, -i, i) are exact units
     (``exp_mu_units``) that scale rows or columns without rounding, and the
     anti-diagonal 0/1 eta is its own inverse and acts as a column reversal:
     both right-hand factors are built once per engine
@@ -503,23 +506,13 @@ def verify_constraints(S, C, engine):
     the residuals take no exponential, one inverse and four engine
     products.
     """
-    S_m, St_S_inv = _stokes_terms(tuple(map(tuple, S)), engine)
+    St_S_inv = matmul(tuple(zip(*S)), unipotent_inverse(S))
     cyclic, middle = _constraint_targets(engine)
     C_inv = engine.inverse(C)
     C_inv_T = tuple(zip(*C_inv))
     mul = engine.matmul
     return {"constraint_cyclic": max_deviation(mul(mul(C, St_S_inv), C_inv), cyclic),
-            "constraint_pairing": max_deviation(S_m, mul(mul(C_inv, middle), C_inv_T))}
-
-
-@functools.lru_cache(maxsize=32)
-def _stokes_terms(S, engine):
-    """S and S^T S^(-1) as engine matrices, for S given as rows of exact
-    entries; S^(-1) (``ring.unipotent_inverse``) and the product are formed
-    exactly, and each entry is rounded once."""
-    S_inv = unipotent_inverse(S)
-    St_S_inv = matmul(tuple(zip(*S)), S_inv)
-    return tuple(tuple(tuple(map(engine.complex, row)) for row in M) for M in (S, St_S_inv))
+            "constraint_pairing": max_deviation(S, mul(mul(C_inv, middle), C_inv_T))}
 
 
 @functools.lru_cache(maxsize=None)

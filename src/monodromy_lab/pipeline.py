@@ -69,11 +69,12 @@ MAX_DPS = -sys.float_info.min_10_exp - 16
 
 class RunConfig(Record):
     """One run's configuration, immutable.  Construction validates every
-    field and raises ValueError on a bad one (SectorError for a base point
-    outside its sector); ``tolerances`` may name a subset of
-    DEFAULT_TOLERANCES and is completed from it into a read-only mapping.
-    The defaults are class attributes.  A ``Record``, not a dataclass:
-    see ``monodromy_lab.record``."""
+    field, its type included (a bool is no int), and raises ValueError on a
+    bad one (SectorError for a base point outside its sector); ``dps``
+    belongs to the mp engine and is None under double; ``tolerances`` may
+    name a subset of DEFAULT_TOLERANCES and is completed from it into a
+    read-only mapping.  The defaults are class attributes.  A ``Record``,
+    not a dataclass: see ``monodromy_lab.record``."""
 
     _fields = ("truncation_order", "z0_stokes", "z0_connection", "tolerances",
                "engine_name", "dps")
@@ -85,21 +86,27 @@ class RunConfig(Record):
 
     def __init__(self, truncation_order=truncation_order, z0_stokes=z0_stokes,
                  z0_connection=z0_connection, tolerances=types.MappingProxyType({}),
-                 engine_name=engine_name, dps=dps):
-        if truncation_order < 10:
-            raise ValueError("truncation_order must be >= 10")
+                 engine_name=engine_name, dps=None):
+        if type(truncation_order) is not int or truncation_order < 10:
+            raise ValueError("truncation_order must be an int >= 10")
         if engine_name not in ("double", "mp"):
             raise ValueError(f"unknown engine {engine_name!r}")
-        if not 1 <= dps <= MAX_DPS:
-            raise ValueError(f"dps must be in 1..{MAX_DPS}")
+        if engine_name == "mp":
+            dps = RunConfig.dps if dps is None else dps
+            if type(dps) is not int or not 1 <= dps <= MAX_DPS:
+                raise ValueError(f"dps must be an int in 1..{MAX_DPS}")
+        elif dps is not None:
+            raise ValueError("dps sets the mp engine's digits, and the run is under double")
+        if not (type(z0_stokes) is type(z0_connection) is UCComplex):
+            raise ValueError("z0_stokes and z0_connection must be UCComplex points")
         check_sector(stokes_points(z0_stokes), STOKES_SECTOR, "z0_stokes point")
         connection = connection_points(z0_connection) + [heldout_point(z0_connection)]
         check_sector(connection, CONNECTION_SECTOR, "z0_connection point")
         for name, value in tolerances.items():
             if name not in DEFAULT_TOLERANCES:
                 raise ValueError(f"unknown tolerance {name!r}")
-            if not 0 < value < math.inf:
-                raise ValueError(f"tolerance {name} must be positive and finite")
+            if type(value) not in (int, float) or not 0 < value < math.inf:
+                raise ValueError(f"tolerance {name} must be a positive finite int or float")
         object.__setattr__(self, "truncation_order", truncation_order)
         object.__setattr__(self, "z0_stokes", z0_stokes)
         object.__setattr__(self, "z0_connection", z0_connection)
@@ -156,11 +163,6 @@ def _c_closed_form(engine):
     return evaluate_over_d(reference.C_REF_NUMERATORS, engine)
 
 
-#: under mp, C_Gamma is evaluated at this many digits, or at the run's own
-#: when it asks for more
-C_GAMMA_DPS = 40
-
-
 class CharacteristicData(NamedTuple):
     """The characteristic stage's matrices.  A NamedTuple, not a
     dataclass: see ``monodromy_lab.record``."""
@@ -173,56 +175,50 @@ class CharacteristicData(NamedTuple):
 @_named_stage
 def characteristic_stage(config):
     """The derived-category side.  Its exact part does not depend on the
-    configuration and is computed once per process; C_Gamma is evaluated
-    once per engine: the run's own under double, and under mp one at
-    max(C_GAMMA_DPS, config.dps) digits, so that the braid comparison is not
-    limited by it.  Returned immutable."""
-    euler, euler_inverse, _, residuals = _exact_characteristic()
-    engine = config.engine()
-    if engine.name == "mp":
-        engine = get_engine("mp", dps=max(C_GAMMA_DPS, config.dps))
-    data = CharacteristicData(euler=euler, euler_inverse=euler_inverse,
-                              c_gamma=_c_gamma(engine))
-    return data, residuals
+    configuration and is computed once per process; C_Gamma and its
+    identity are evaluated once per engine, in the run's own, like C's
+    closed form.  Returned immutable."""
+    euler, euler_inverse, _, _ = _exact_characteristic()
+    c_gamma, residuals = _c_gamma(config.engine())
+    return CharacteristicData(euler, euler_inverse, c_gamma), residuals
 
 
 @functools.lru_cache(maxsize=None)
 def _exact_characteristic():
     """The exact Euler matrix, its inverse, the exact numerators of C_Gamma
-    (``ktheory.c_gamma_numerators``) and the C_Gamma identity: the numerators
-    are compared exactly with the closed form, and the residual is the
-    evaluated difference of the two exact matrices, 0 when they agree; an
-    exact 0 needs no digits, so it is evaluated in double."""
+    (``ktheory.c_gamma_numerators``) and their exact difference from the
+    closed form's (``reference.C_GAMMA_REF_NUMERATORS``), zero when the two
+    agree."""
     euler = ktheory.euler_matrix()
     numerators = ktheory.c_gamma_numerators()
-    engine = get_engine("double")
-    difference = [[a - b for a, b in zip(row, ref)]
-                  for row, ref in zip(numerators, reference.C_GAMMA_REF_NUMERATORS)]
-    residuals = {"c_gamma_vs_closed_form": max(
-        engine.fabs(x) for row in evaluate_over_d(difference, engine) for x in row)}
-    return euler, unipotent_inverse(euler), numerators, types.MappingProxyType(residuals)
+    difference = tuple(tuple(a - b for a, b in zip(row, ref))
+                       for row, ref in zip(numerators, reference.C_GAMMA_REF_NUMERATORS))
+    return euler, unipotent_inverse(euler), numerators, difference
 
 
 @functools.lru_cache(maxsize=None)
 def _c_gamma(engine):
-    """C_Gamma evaluated in the engine."""
-    return evaluate_over_d(_exact_characteristic()[2], engine)
+    """C_Gamma evaluated in the engine, and the C_Gamma identity: the
+    evaluated difference of ``_exact_characteristic``, an exact 0 when the
+    numerators agree with the closed form."""
+    _, _, numerators, difference = _exact_characteristic()
+    residuals = {"c_gamma_vs_closed_form": max(
+        engine.fabs(x) for row in evaluate_over_d(difference, engine) for x in row)}
+    return evaluate_over_d(numerators, engine), types.MappingProxyType(residuals)
 
 
 @_named_stage
 def braid_stage(S, C, characteristic, tol):
     """Search for the braid/sign transformation carrying (S, C) to
     (Euler^-1, C_Gamma).  S and Euler^-1 are exact integers, which the
-    search compares with ``==``, and C holds the run's engine numbers, so
-    ``braid_match`` is the C side's deviation alone, measured at working
-    precision (against C_Gamma, at max(C_GAMMA_DPS, dps) digits under mp)."""
-    target_C = characteristic.c_gamma
-    found = braid.search_equivalence(S, C, characteristic.euler_inverse, target_C,
-                                     max_len=2, tol=tol)
+    search compares with ``==``; C and C_Gamma are both at the run's working
+    precision, and ``braid_match`` is the C side's deviation that the search
+    compared with ``tol``."""
+    found = braid.search_equivalence(S, C, characteristic.euler_inverse,
+                                     characteristic.c_gamma, max_len=2, tol=tol)
     if found is None:
         return {"found": False, "word": [], "signs": [], "max_deviation": None}, {}
-    word, signs = found
-    dev = max_deviation(braid.sign_act(signs, *braid.braid_act(word, S, C))[1], target_C)
+    word, signs, dev = found
     report = {"found": True, "word": word.labels(), "signs": list(signs.signs),
               "max_deviation": dev}
     return report, {"braid_match": dev}
@@ -287,7 +283,7 @@ def run_verify(config):
 def config_dict(config):
     return {
         "engine": config.engine_name,
-        "dps": config.dps if config.engine_name == "mp" else None,
+        "dps": config.dps,
         "truncation_order": config.truncation_order,
         "z0_stokes": [float(config.z0_stokes.modulus), config.z0_stokes.arg],
         "z0_connection": [float(config.z0_connection.modulus), config.z0_connection.arg],

@@ -98,7 +98,7 @@ def test_search_finds_identity():
     S, C = _random_unipotent(rng), _random_C(rng)
     found = search_equivalence(S, C, S, C, max_len=1, tol=1e-6)
     assert found is not None
-    word, signs = found
+    word, signs, _ = found
     assert word.letters == ()
     assert signs.signs == (1, 1, 1, 1)
 
@@ -112,7 +112,7 @@ def test_search_goes_past_a_word_that_matches_only_on_S():
     for signs in ((1, 1, 1, 1), (1, -1, 1, -1)):
         Ss, Cs = sign_act(SignDiagonal(signs), S, C)
         assert max_deviation(Ss, S) == 0 and max_deviation(Cs, C_target) > 0.01
-    word, signs = search_equivalence(S, C, S, C_target, max_len=1, tol=1e-9)
+    word, signs, _ = search_equivalence(S, C, S, C_target, max_len=1, tol=1e-9)
     assert word.letters == ((1, 1),)
     assert signs.signs == (1, 1, 1, 1)
 
@@ -133,7 +133,7 @@ def test_search_published_transformation():
     for S_side in (S, [[complex(x) for x in row] for row in S]):
         found = search_equivalence(S_side, C, S_target, C_target, max_len=2, tol=1e-6)
         assert found is not None
-        word, signs = found
+        word, signs, _ = found
         assert word.labels() == reference.EXPECTED_BRAID_LABELS
         assert signs.signs == reference.EXPECTED_SIGNS
     Sw, Cw = braid_act(word, S, C)

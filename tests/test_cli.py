@@ -6,6 +6,7 @@ import importlib
 import json
 import os
 import pathlib
+import random
 import subprocess
 import sys
 
@@ -439,6 +440,19 @@ def test_exit_code_config_errors(capsys, tmp_path):
     assert run_cli(capsys, "connection", "--z0-connection", "0.1,1.0")[0] == 2
     # an output file that cannot be opened is refused before any stage runs
     assert run_cli(capsys, "verify", "--output", str(tmp_path / "missing" / "r.json"))[0] == 2
+    # RunConfig refuses what the command line cannot give it: digits and an
+    # order that are not ints (a bool included), a tolerance that is not an
+    # int or a float, digits under the double engine, a point that is not
+    # a UCComplex
+    nan = float("nan")
+    for kwargs in ({"dps": 40.5}, {"dps": "40"}, {"dps": True},
+                   {"truncation_order": 40.5}, {"truncation_order": True},
+                   {"truncation_order": "40"}, {"tolerances": {"braid_match": True}},
+                   {"tolerances": {"braid_match": "1e-6"}},
+                   {"tolerances": {"braid_match": nan}}, {"engine_name": "double", "dps": 20},
+                   {"engine_name": "double", "dps": 40}, {"z0_stokes": (2.0, 0.785)}):
+        with pytest.raises(ValueError):
+            RunConfig(**kwargs)
 
 
 def test_exit_code_tolerance_failure(capsys):
@@ -537,6 +551,142 @@ def test_closed_form_of_C_is_evaluated_once_per_engine(monkeypatch):
     reports = [[run_verify(config)["residuals"] for _ in range(2)] for config in configs]
     assert evaluated == [config.engine() for config in configs]
     assert all(first == second for first, second in reports)
+
+
+def test_a_run_builds_only_its_own_engine():
+    # below 40 digits, C_Gamma and its identity are evaluated in the run's
+    # engine like every other closed form, so no second mp engine is built
+    code = ("from monodromy_lab import engine\n"
+            "from monodromy_lab.pipeline import RunConfig, run_verify\n"
+            "run_verify(RunConfig(dps=12))\n"
+            "print(sorted(key for key in engine._ENGINES if key[0] == 'mp'))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120)
+    assert proc.stdout.strip() == "[('mp', 12)]", proc.stderr
+    # the digits belong to the mp engine: refused under double, and None there
+    with pytest.raises(ValueError, match="dps sets the mp engine's digits"):
+        RunConfig(engine_name="double", dps=16)
+    config = RunConfig(engine_name="double")
+    assert config.dps is None and config.engine().dps == 16
+    assert config_dict(config)["dps"] is None
+    assert config_dict(RunConfig(dps=12))["dps"] == 12
+
+
+def _valid_config(config):
+    """Assert that a config RunConfig accepted is what its docstring
+    promises, checked here without ``check_sector``."""
+    from monodromy_lab.frame import in_interval, sector_config
+    from monodromy_lab.monodromy import connection_points, heldout_point, stokes_points
+    from monodromy_lab.pipeline import DEFAULT_TOLERANCES, MAX_DPS
+
+    if config.engine_name == "mp":
+        assert type(config.dps) is int and 1 <= config.dps <= MAX_DPS
+    else:
+        assert config.engine_name == "double" and config.dps is None
+    assert config_dict(config)["dps"] == config.dps
+    assert type(config.truncation_order) is int and config.truncation_order >= 10
+    assert set(config.tolerances) == set(DEFAULT_TOLERANCES)
+    for value in config.tolerances.values():
+        assert type(value) in (int, float) and 0 < value < float("inf")
+    sectors = sector_config()
+    connection = connection_points(config.z0_connection) + [heldout_point(config.z0_connection)]
+    for points, interval in ((stokes_points(config.z0_stokes), sectors.pi_plus),
+                             (connection, sectors.pi_right)):
+        for z in points:
+            assert 0 < z.modulus < float("inf") and in_interval(z.arg, interval), z
+
+
+def _pick(rng, valid, invalid):
+    """One of the valid values, or one of the invalid ones with chance 1/8."""
+    return rng.choice(invalid if rng.random() < 1 / 8 else valid)
+
+
+def _draw_point(rng, as_text, lo, hi):
+    """A base point with its arg drawn from (lo, hi), which reaches past
+    its sector, or a malformed one; None for the default."""
+    malformed = (["nonsense", "2.0", "1,2,3", "inf,0.78", "nan,0.78", "2.0,nan", "2.0,inf",
+                  "0,1", "1e400,0.78", "1e-320,0.78"] if as_text
+                 else [(2.0, 0.785), "2.0,0.785", 2.0])
+    point = _pick(rng, [None, "drawn", "drawn"], malformed)
+    if point != "drawn":
+        return point
+    modulus, arg = rng.choice([0.05, 0.1, 0.3, 1.0, 2.0]), rng.uniform(lo, hi)
+    return f"{modulus!r},{arg!r}" if as_text else UCComplex.polar(modulus, arg)
+
+
+def _draw_config(rng, as_text):
+    """RunConfig keyword arguments, or a command line, drawn from the
+    valid and invalid values of each option; None leaves an option out."""
+    inf, nan = float("inf"), float("nan")
+    drawn = {
+        "engine_name": _pick(rng, [None, "mp", "double"], ["quad"]),
+        "dps": _pick(rng, [None, None, 1, 12, 40, 291], [0, 292, 40.5, True, "40"]),
+        "truncation_order": _pick(rng, [None, 10, 40], [9, 40.5]),
+        "z0_stokes": _draw_point(rng, as_text, 0.45, 1.15),
+        "z0_connection": _draw_point(rng, as_text, 0.4, 1.0),
+    }
+    names = ["braid_match", "stokes_snap", "c_vs_closed_form"]
+    tolerances = {_pick(rng, names, ["braid_macth"]): _pick(rng, [1e-3, 1], [0, -1, nan, inf, True])
+                  for _ in range(rng.randrange(3))}
+    if not as_text:
+        return {"tolerances": tolerances,
+                **{k: v for k, v in drawn.items() if v is not None}}
+    argv = [rng.choice(["verify", "stokes", "connection", "solutions"])]
+    for option, key in (("--engine", "engine_name"), ("--dps", "dps"),
+                        ("--order", "truncation_order"), ("--z0-stokes", "z0_stokes"),
+                        ("--z0-connection", "z0_connection")):
+        if drawn[key] is not None:
+            argv += [option, str(drawn[key])]
+    for name, value in tolerances.items():
+        argv += ["--tol", f"{name}={value}"]
+    return argv
+
+
+def test_every_configuration_is_valid_or_refused(capsys):
+    # the configuration half of the exit-code contract, over seeded draws:
+    # each configuration is refused with a ValueError (exit 2) or is valid
+    rng = random.Random(38)
+    outcomes = {"valid": 0, "refused": 0}
+    for as_text in (False, True) * 200:
+        drawn = _draw_config(rng, as_text)
+        try:
+            if as_text:
+                try:
+                    args = build_parser().parse_args(drawn)
+                except SystemExit as exc:
+                    # the parser's own refusal (--dps 40.5, --engine quad)
+                    assert exc.code == 2
+                    outcomes["refused"] += 1
+                    continue
+                config = config_from_args(args)
+            else:
+                config = RunConfig(**drawn)
+        except ValueError:
+            outcomes["refused"] += 1
+            continue
+        _valid_config(config)
+        outcomes["valid"] += 1
+    capsys.readouterr()
+    assert min(outcomes.values()) >= 40, outcomes
+    # runs inside the documented ranges exit 0 or 1, by name, and a pass
+    # reports the published data
+    from monodromy_lab import reference
+
+    published = {"S_prime": reference.S_PRIME_REF, "P": reference.P_REF,
+                 "S": reference.S_REF, "euler_matrix": reference.EULER_MATRIX_REF}
+    for _ in range(6):
+        argv = ["verify", "--z0-stokes", f"{rng.uniform(1.0, 2.5)!r},{rng.uniform(0.6, 0.95)!r}",
+                "--z0-connection", f"{rng.uniform(0.05, 0.2)!r},{rng.uniform(0.5, 0.9)!r}"]
+        argv += rng.choice([["--engine", "double"], ["--dps", str(rng.choice([12, 16, 40]))]])
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code in (0, 1) and "Traceback" not in captured.err, (argv, captured.err)
+        if code == 0:
+            doc = json.loads(captured.out)
+            for key, matrix in published.items():
+                assert doc[key] == [list(row) for row in matrix], (argv, key)
+            assert doc["braid"]["word"] == reference.EXPECTED_BRAID_LABELS, argv
+            assert doc["braid"]["signs"] == list(reference.EXPECTED_SIGNS), argv
 
 
 def test_pretty_and_output_file(tmp_path, capsys):

@@ -107,8 +107,8 @@ def test_verify_does_not_import_sympy():
 
 
 def test_braid_match_follows_the_working_precision():
-    # C_Gamma is evaluated at the run's digits when they pass C_GAMMA_DPS,
-    # so braid_match falls with the other residuals instead of stopping at
+    # C_Gamma is evaluated in the run's engine, at its digits, so
+    # braid_match falls with the other residuals instead of stopping at
     # the 1e-40 of a 40-digit C_Gamma
     doc = pipeline.run_verify(pipeline.RunConfig(dps=60))
     assert doc["status"] == "ok"
