@@ -20,19 +20,20 @@ context when the double engine calls them.
 
 What both engines share is written once on ``Engine``: the conversion of a
 complex number, the elementary functions by name, ``Engine.matmul``, and
-the 4x4 solves and inverses (``Engine.solve``, ``Engine.inverse``) with
-mpmath's pivot rule and refusal but none of its LU code.  Each engine has
-its own ``real`` (a Fraction rounded once, to nearest), ``operand`` and
-``number`` (below), ``guarded`` (``GUARD_BITS`` more bits, mp only),
-Gaussian elimination behind the solves (``_eliminate``),
-block pass of the log-series (``horner_columns``/``horner``), polynomial
-in log z of the block sums (``log_polynomial``) and dot product
-(``fdot``): hardware complex arithmetic under double, and under mp exact
-integers on mpmath's raw mantissas.  Beside them, ``matrix_steps`` applies
-integer matrices to a cubic block (the recursion that builds the residue
-series, and their derivative map) in the coefficients' own arithmetic:
-their operators for Fractions and Python complex numbers, and exact
-integers for mp operands.
+the 4x4 solves and inverses (``Engine.solve``, ``Engine.inverse``), one
+Gaussian elimination in exact integers (``_eliminate``) with mpmath's pivot
+rule and refusal but none of its LU code, which reads each entry exactly
+(an mp number's raw mantissas, a float's parts) and rounds each entry of X
+once.  Each engine has its own ``real`` (a Fraction rounded once, to
+nearest), ``operand`` and ``number`` (below), ``guarded`` (``GUARD_BITS``
+more bits, mp only), block pass of the log-series (``horner_columns``/
+``horner``), polynomial in log z of the block sums (``log_polynomial``)
+and dot product (``fdot``): hardware complex arithmetic under double, and
+under mp exact integers on mpmath's raw mantissas.  Beside them,
+``matrix_steps`` applies integer matrices to a cubic block (the recursion
+that builds the residue series, and their derivative map) in the
+coefficients' own arithmetic: their operators for Fractions and Python
+complex numbers, and exact integers for mp operands.
 
 An operand is a number in the form the kernels read it
 (``Engine.operand``): under double the number itself, under mp exact
@@ -88,10 +89,10 @@ from fractions import Fraction
 #: working precision, as does mp arithmetic inside ``guarded``
 GUARD_BITS = 20
 
-#: bits the mp engine's 4x4 elimination holds above the working precision
+#: bits the 4x4 elimination holds above the working precision
 SOLVE_EXTRA_BITS = 64
 
-#: the mp elimination refuses a row sum or pivot at or below ||A||_1 times
+#: the 4x4 elimination refuses a row sum or pivot at or below ||A||_1 times
 #: 2^(1 - prec - SOLVE_GUARD_BITS), the epsilon of prec + SOLVE_GUARD_BITS bits
 SOLVE_GUARD_BITS = 10
 
@@ -160,8 +161,8 @@ class Engine:
     its imaginary unit ``i`` (formed once) and what ``DoubleEngine`` and
     ``MPEngine`` share.  Each engine supplies
     ``real``, ``operand``, ``number``, ``guarded``, ``horner_columns``,
-    ``horner``, ``log_polynomial``, ``fdot`` and ``_eliminate``, the
-    constants ``pi``, ``euler`` and ``zeta3``, and the functions behind
+    ``horner``, ``log_polynomial``, ``fdot``, the exact read and the one
+    rounding of ``_eliminate`` (``_parts``, ``_from_parts``), the constants ``pi``, ``euler`` and ``zeta3``, and the functions behind
     ``complex``, ``exp``, ``log``, ``sqrt`` and ``gamma``/``quad``."""
 
     def __init__(self, name, dps, eps, prec):
@@ -208,16 +209,16 @@ class Engine:
         return tuple(tuple(number(fdot(row, col)) for col in columns) for row in A)
 
     def solve(self, A, B):
-        """X with A X = B, for a square A: the engine's ``_eliminate``, a
-        Gaussian elimination on the rows of [A | B] and a back substitution.
+        """X with A X = B, for a square A: ``_eliminate``, one Gaussian
+        elimination and back substitution on [A | B] in exact integers.
 
         The pivot rule and the refusal are those of mpmath's ``LU_decomp``,
         with the size of an entry measured as |re| + |im|, which takes no
         square root: at step j the pivot row is the first of the rows k >= j
         with the largest size of A[k][j] over the row's size sum from column
-        j on.  A row sum or pivot at or below ||A||_1 eps, eps the machine
-        epsilon of a double under double and 2^(1 - prec - SOLVE_GUARD_BITS)
-        under mp, raises ZeroDivisionError ("numerically singular"), an
+        j on.  A row sum or pivot at or below ||A||_1 2^(1 - prec -
+        SOLVE_GUARD_BITS), prec the engine's working precision (53 bits
+        under double), raises ZeroDivisionError ("numerically singular"), an
         ArithmeticError.
         """
         return self._eliminate(A, B)
@@ -226,6 +227,87 @@ class Engine:
         """A^(-1): ``_eliminate`` against the identity."""
         n = len(A)
         return self._eliminate(A, [[int(i == j) for j in range(n)] for i in range(n)])
+
+    def _eliminate(self, A, B):
+        """``Engine.solve`` in exact integers.
+
+        Each entry is read once, exactly, as integers (re, im, exp)
+        (``_parts``: an mp number's raw mantissas, a float's exact parts).
+        Row k of A is held as Gaussian integers at its own exponent e_k, at
+        which its largest part has prec + SOLVE_EXTRA_BITS bits, and row k
+        of B at e_k + d, with d chosen alike for the rows B_k 2^-e_k
+        together; a part below its exponent is floored.  The pivot rule and
+        the refusal of ``Engine.solve`` are evaluated exactly on these
+        integers.  Each multiplier A[k][j] / A[j][j] is floored to one bit
+        more than the pivot's bit length, and each update a - f b is exact,
+        then floored to the row's exponent.  So P (A + dA) = L U and
+        L C = P (B + dB) hold exactly for the held multipliers L, triangle U
+        and right-hand sides C, P the row swaps, where each part of row k of
+        dA lies below n 2^e_k and of dB below n 2^(e_k + d): one floor for
+        the read, and one for each of the at most n - 1 steps that update
+        the entry or, in the pivot's column, leave it at 0.  The back
+        substitution holds X at the exponent d - g, g one bit above the
+        largest pivot, with one floor per quotient, so U X = C + R with each
+        part of row i of R below 2^(e_i + d).  Each entry of X is then
+        rounded once, to nearest (``_from_parts``): X is
+        (A + dA)^(-1) (B + dB + P^T L R) rounded entry by entry.  A
+        non-finite entry raises OverflowError, as does, under double, an
+        entry of X outside the double range.
+        """
+        n, prec = len(A), self.prec
+        bits = prec + SOLVE_EXTRA_BITS
+        A = [[self._parts(x) for x in row] for row in A]
+        B = [[self._parts(x) for x in row] for row in B]
+        # a row of zeros in A is refused below, at any exponent
+        exps = [max([_top_bit(*x) for x in row if x[0] or x[1]], default=bits) - bits for row in A]
+        d = max((_top_bit(*x) - e for row, e in zip(B, exps) for x in row if x[0] or x[1]),
+                default=bits) - bits
+        rows = [_at_exponent(a, e) + _at_exponent(b, e + d) for a, b, e in zip(A, B, exps)]
+        # the refusal: a row sum or pivot s of row k at or below ||A||_1 eps,
+        # that is s 2^(e_k - low + prec + SOLVE_GUARD_BITS - 1) <= ||A||_1 2^-low
+        low = min(exps)
+        norm = max(sum((abs(re) + abs(im)) << (e - low) for (re, im), e in zip(col, exps))
+                   for col in zip(*(row[:n] for row in rows)))
+        shifts = [e - low + prec + SOLVE_GUARD_BITS - 1 for e in exps]
+        for j in range(n):
+            for k in range(j, n):
+                sizes = [abs(re) + abs(im) for re, im in rows[k][j:n]]
+                s = sum(sizes)
+                if s << shifts[k] <= norm:
+                    raise ZeroDivisionError("matrix is numerically singular")
+                # the first of the largest size / s, compared crosswise
+                if k == j or sizes[0] * best_s > best * s:
+                    p, best, best_s = k, sizes[0], s
+            if best << shifts[p] <= norm:
+                raise ZeroDivisionError("matrix is numerically singular")
+            rows[j], rows[p] = rows[p], rows[j]
+            shifts[j], shifts[p] = shifts[p], shifts[j]
+            pivot = rows[j][j + 1:]
+            pr, pi = rows[j][j]
+            q = pr * pr + pi * pi
+            f = max(pr.bit_length(), pi.bit_length()) + 1
+            for row in rows[j + 1:]:
+                ar, ai = row[j]
+                if ar or ai:
+                    fr = ((ar * pr + ai * pi) << f) // q
+                    fi = ((ai * pr - ar * pi) << f) // q
+                    row[j + 1:] = [(re - ((fr * ur - fi * ui) >> f),
+                                    im - ((fr * ui + fi * ur) >> f))
+                                   for (re, im), (ur, ui) in zip(row[j + 1:], pivot)]
+        g = max(max(abs(re), abs(im)).bit_length() for re, im in
+                (rows[i][i] for i in range(n))) + 1
+        X = [None] * n
+        for i in reversed(range(n)):
+            row = rows[i]
+            t = [(cr << g, ci << g) for cr, ci in row[n:]]
+            for k in range(i + 1, n):
+                ur, ui = row[k]
+                t = [(tr - ur * xr + ui * xi, ti - ur * xi - ui * xr)
+                     for (tr, ti), (xr, xi) in zip(t, X[k])]
+            ur, ui = row[i]
+            q = ur * ur + ui * ui
+            X[i] = [((tr * ur + ti * ui) // q, (ti * ur - tr * ui) // q) for tr, ti in t]
+        return tuple(tuple(self._from_parts((xr, xi, d - g)) for xr, xi in row) for row in X)
 
     def quad(self, f, points):
         """mpmath's quadrature of f over the points, for the contour oracle;
@@ -259,6 +341,38 @@ def _fp_sqrt(x):
     return math.sqrt(x)
 
 
+def _float_parts(x):
+    """A Python number as exact integers (re, im, exp), the value
+    (re + i im) 2^exp: an int as (x, 0, 0), anything else by the exact
+    ratios (``float.as_integer_ratio``) of its complex's parts at the
+    smaller exponent.  A non-finite value raises OverflowError."""
+    if type(x) is int:
+        return x, 0, 0
+    x = complex(x)
+    try:
+        (re, p), (im, q) = x.real.as_integer_ratio(), x.imag.as_integer_ratio()
+    except (OverflowError, ValueError):
+        raise OverflowError("non-finite value in exact integer arithmetic") from None
+    # the denominators are powers of 2
+    if p < q:
+        return re * (q // p), im, 1 - q.bit_length()
+    return re, im * (p // q), 1 - p.bit_length()
+
+
+def _double_from_parts(parts):
+    """The Python complex of exact integers (re, im, exp), each part of
+    (re + i im) 2^exp rounded once, to nearest: Python's int-to-float
+    conversion and int true division are correctly rounded.  A part
+    outside the double range raises OverflowError."""
+    re, im, exp = parts
+    try:
+        if exp >= 0:
+            return complex(float(re << exp), float(im << exp))
+        return complex(re / (1 << -exp), im / (1 << -exp))
+    except OverflowError:
+        raise OverflowError("a value leaves the range of the double engine") from None
+
+
 class DoubleEngine(Engine):
     """Hardware arithmetic: Python floats and complex numbers, with the
     elementary functions of ``math`` and ``cmath`` as mpmath's ``fp``
@@ -273,9 +387,6 @@ class DoubleEngine(Engine):
     pi = math.pi
     euler = 0.5772156649015329
     zeta3 = 1.2020569031595942
-
-    #: the machine epsilon of a double, 2^-52, behind the elimination's refusal
-    machine_eps = 2.0 ** -52
 
     def __init__(self):
         # a double carries 15.95 significant digits: eps = 1e-16
@@ -296,6 +407,9 @@ class DoubleEngine(Engine):
     def guarded(self):
         """A no-op: double arithmetic has no guard bits."""
         return contextlib.nullcontext()
+
+    #: the exact read and the one rounding of ``Engine._eliminate``
+    _parts, _from_parts = staticmethod(_float_parts), staticmethod(_double_from_parts)
 
     def horner_columns(self, blocks):
         """The four coefficient columns of ``blocks``, highest block first."""
@@ -323,38 +437,6 @@ class DoubleEngine(Engine):
         t0, t1, t2, t3 = sums
         total = t0 + l * (t1 + l * (t2 + l * t3))
         return total if scale == 1 else scale * total
-
-    def _eliminate(self, A, B):
-        """``Engine.solve`` in hardware complex arithmetic."""
-        n = len(A)
-        rows = [list(a) + list(b) for a, b in zip(A, B)]
-        for j in range(n):
-            sizes = [[abs(x.real) + abs(x.imag) for x in row[j:n]] for row in rows[j:]]
-            if not j:
-                # ||A||_1, the largest column sum of the sizes
-                tol = max(map(sum, zip(*sizes))) * self.machine_eps
-            best, p = -1, j
-            for k, row_sizes in enumerate(sizes, j):
-                s = sum(row_sizes)
-                if s <= tol:
-                    raise ZeroDivisionError("matrix is numerically singular")
-                if row_sizes[0] / s > best:
-                    best, p = row_sizes[0] / s, k
-            if sizes[p - j][0] <= tol:
-                raise ZeroDivisionError("matrix is numerically singular")
-            rows[j], rows[p] = rows[p], rows[j]
-            pivot = rows[j]
-            for row in rows[j + 1:]:
-                f = row[j] / pivot[j]
-                row[j + 1:] = [a - f * b for a, b in zip(row[j + 1:], pivot[j + 1:])]
-        X = [None] * n
-        for i in reversed(range(n)):
-            row = rows[i]
-            x = row[n:]
-            for k in range(i + 1, n):
-                x = [a - row[k] * b for a, b in zip(x, X[k])]
-            X[i] = [a / row[i] for a in x]
-        return tuple(map(tuple, X))
 
     def _mpmath_context(self):
         """mpmath's ``fp`` context, for the contour oracle alone."""
@@ -410,6 +492,9 @@ class MPEngine(Engine):
         if type(x) is tuple:
             return _rounded(self.ctx, *x)
         return x
+
+    #: the exact read and the one rounding of ``Engine._eliminate``
+    _parts, _from_parts = operand, number
 
     @property
     def pi(self):
@@ -507,84 +592,6 @@ class MPEngine(Engine):
             else:
                 re, im = re + (pr << pe - exp), im + (pi << pe - exp)
         return _cut(re, im, exp, self.ctx.prec + GUARD_BITS)
-
-    def _eliminate(self, A, B):
-        """``Engine.solve`` in exact integers on mpmath's raw mantissas.
-
-        Each entry is read once (``operand``).  Row k of A is held as
-        Gaussian integers at its own exponent e_k, at which its largest part
-        has prec + SOLVE_EXTRA_BITS bits, and row k of B at e_k + d, with d
-        chosen alike for the rows B_k 2^-e_k together; a part below its
-        exponent is floored.  The pivot rule and the refusal of
-        ``Engine.solve`` are evaluated exactly on these integers.  Each
-        multiplier A[k][j] / A[j][j] is floored to one bit more than the
-        pivot's bit length, and each update a - f b is exact, then floored
-        to the row's exponent.  So P (A + dA) = L U and L C = P (B + dB)
-        hold exactly for the held multipliers L, triangle U and right-hand
-        sides C, P the row swaps, where each part of row k of dA lies below
-        n 2^e_k and of dB below n 2^(e_k + d): one floor for the read, and
-        one for each of the at most n - 1 steps that update the entry or, in
-        the pivot's column, leave it at 0.  The back substitution holds X at
-        the exponent d - g, g one bit above the largest pivot, with one
-        floor per quotient, so U X = C + R with each part of row i of R
-        below 2^(e_i + d).  Each entry of X is then rounded once
-        (``_rounded``): X is (A + dA)^(-1) (B + dB + P^T L R)
-        rounded entry by entry.  A non-finite entry raises OverflowError.
-        """
-        n, prec = len(A), self.ctx.prec
-        bits = prec + SOLVE_EXTRA_BITS
-        A = [[self.operand(x) for x in row] for row in A]
-        B = [[self.operand(x) for x in row] for row in B]
-        # a row of zeros in A is refused below, at any exponent
-        exps = [max([_top_bit(*x) for x in row if x[0] or x[1]], default=bits) - bits for row in A]
-        d = max((_top_bit(*x) - e for row, e in zip(B, exps) for x in row if x[0] or x[1]),
-                default=bits) - bits
-        rows = [_at_exponent(a, e) + _at_exponent(b, e + d) for a, b, e in zip(A, B, exps)]
-        # the refusal: a row sum or pivot s of row k at or below ||A||_1 eps,
-        # that is s 2^(e_k - low + prec + SOLVE_GUARD_BITS - 1) <= ||A||_1 2^-low
-        low = min(exps)
-        norm = max(sum((abs(re) + abs(im)) << (e - low) for (re, im), e in zip(col, exps))
-                   for col in zip(*(row[:n] for row in rows)))
-        shifts = [e - low + prec + SOLVE_GUARD_BITS - 1 for e in exps]
-        for j in range(n):
-            for k in range(j, n):
-                sizes = [abs(re) + abs(im) for re, im in rows[k][j:n]]
-                s = sum(sizes)
-                if s << shifts[k] <= norm:
-                    raise ZeroDivisionError("matrix is numerically singular")
-                # the first of the largest size / s, compared crosswise
-                if k == j or sizes[0] * best_s > best * s:
-                    p, best, best_s = k, sizes[0], s
-            if best << shifts[p] <= norm:
-                raise ZeroDivisionError("matrix is numerically singular")
-            rows[j], rows[p] = rows[p], rows[j]
-            shifts[j], shifts[p] = shifts[p], shifts[j]
-            pivot = rows[j][j + 1:]
-            pr, pi = rows[j][j]
-            q = pr * pr + pi * pi
-            f = max(pr.bit_length(), pi.bit_length()) + 1
-            for row in rows[j + 1:]:
-                ar, ai = row[j]
-                if ar or ai:
-                    fr = ((ar * pr + ai * pi) << f) // q
-                    fi = ((ai * pr - ar * pi) << f) // q
-                    row[j + 1:] = [(re - ((fr * ur - fi * ui) >> f),
-                                    im - ((fr * ui + fi * ur) >> f))
-                                   for (re, im), (ur, ui) in zip(row[j + 1:], pivot)]
-        g = max(max(abs(re), abs(im)).bit_length() for re, im in
-                (rows[i][i] for i in range(n))) + 1
-        X = [None] * n
-        for i in reversed(range(n)):
-            row = rows[i]
-            t = [(cr << g, ci << g) for cr, ci in row[n:]]
-            for k in range(i + 1, n):
-                ur, ui = row[k]
-                t = [(tr - ur * xr + ui * xi, ti - ur * xi - ui * xr)
-                     for (tr, ti), (xr, xi) in zip(t, X[k])]
-            ur, ui = row[i]
-            q = ur * ur + ui * ui
-            X[i] = [((tr * ur + ti * ui) // q, (ti * ur - tr * ui) // q) for tr, ti in t]
-        return tuple(tuple(_rounded(self.ctx, xr, xi, d - g) for xr, xi in row) for row in X)
 
     def _mpmath_context(self):
         return self.ctx
@@ -695,34 +702,22 @@ def _log2_abs(re, im, exp):
     return math.log2(re * re + im * im) / 2 + shift + exp
 
 
-def _log2_hypot(re, im):
-    """log2 sqrt(re^2 + im^2) of two floats, from the larger part's binary
-    exponent and the hypot of the parts scaled by it, so that no step
-    overflows: inf if a part is infinite, else NaN if one is NaN, -inf for
-    0.  Python's ``abs`` of a complex number raises OverflowError where the
-    modulus passes the double range, and where a caught overflow has left
-    errno set, even for NaN parts."""
-    if math.isinf(re) or math.isinf(im):
-        return math.inf
-    if math.isnan(re) or math.isnan(im):
-        return math.nan
-    if not (re or im):
-        return -math.inf
-    e = math.frexp(max(abs(re), abs(im)))[1]
-    return math.log2(math.hypot(math.ldexp(re, -e), math.ldexp(im, -e))) + e
-
-
 def log2_magnitude(x):
-    """log2 |x| as a float: within ``LOG2_SLACK`` of it for an mp number or
-    an mp operand, read from the exact parts (``_exact_parts``,
-    ``_log2_abs``), which takes no mp arithmetic, for a Python float or
-    complex number from its parts (``_log2_hypot``), and from ``math`` for
-    an int or a Fraction; -inf for 0, inf for an infinite x and NaN for a
-    NaN, as |x| reads.  It never raises."""
+    """log2 |x| as a float: within ``LOG2_SLACK`` of it for an mp number, an
+    mp operand or a Python float or complex number, read from the exact
+    parts (``_exact_parts``, ``_float_parts``) by ``_log2_abs``, which takes
+    no mp arithmetic and no ``abs`` (which raises for a complex modulus past
+    the double range, or after an overflow has left errno set), and from
+    ``math`` for an int or a Fraction; -inf for 0, inf for an infinite x and
+    NaN for a NaN, as |x| reads.  It never raises."""
     if type(x) is tuple:
         return _log2_abs(*x)
     if isinstance(x, (float, complex)):
-        return _log2_hypot(x.real, x.imag)
+        try:
+            return _log2_abs(*_float_parts(x))
+        except OverflowError:
+            # a non-finite part: inf if one is infinite, else NaN
+            return math.inf if math.isinf(x.real) or math.isinf(x.imag) else math.nan
     if not isinstance(x, _mp_types()):
         size = abs(x)
         return math.log2(size) if size else -math.inf

@@ -23,6 +23,7 @@ import functools
 import math
 import sys
 import types
+from collections.abc import Mapping
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -71,10 +72,10 @@ class RunConfig(Record):
     """One run's configuration, immutable.  Construction validates every
     field, its type included (a bool is no int), and raises ValueError on a
     bad one (SectorError for a base point outside its sector); ``dps``
-    belongs to the mp engine and is None under double; ``tolerances`` may
-    name a subset of DEFAULT_TOLERANCES and is completed from it into a
-    read-only mapping.  The defaults are class attributes.  A ``Record``,
-    not a dataclass: see ``monodromy_lab.record``."""
+    belongs to the mp engine and is None under double; ``tolerances``, a
+    mapping, may name a subset of DEFAULT_TOLERANCES and is completed from
+    it into a read-only mapping.  The defaults are class attributes.  A
+    ``Record``, not a dataclass: see ``monodromy_lab.record``."""
 
     _fields = ("truncation_order", "z0_stokes", "z0_connection", "tolerances",
                "engine_name", "dps")
@@ -102,6 +103,8 @@ class RunConfig(Record):
         check_sector(stokes_points(z0_stokes), STOKES_SECTOR, "z0_stokes point")
         connection = connection_points(z0_connection) + [heldout_point(z0_connection)]
         check_sector(connection, CONNECTION_SECTOR, "z0_connection point")
+        if not isinstance(tolerances, Mapping):
+            raise ValueError("tolerances must be a mapping of check names to tolerances")
         for name, value in tolerances.items():
             if name not in DEFAULT_TOLERANCES:
                 raise ValueError(f"unknown tolerance {name!r}")

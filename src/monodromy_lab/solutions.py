@@ -516,7 +516,7 @@ def eval_series(series, z, engine, m=0, tol=None):
     tail bound (``_tail_bound``) against lower bounds on log2 tol and
     log2 |sum|, read from the sum's exact parts under mp.  Otherwise
     TailBoundError is raised, on a cache hit as on a miss; a non-finite sum
-    is one too, named as the series leaving the engine's range.
+    or z^rho is one too, named as the series leaving the engine's range.
     """
     if m not in (0, 1, 2, 3):
         raise ValueError("derivative order must be 0..3")
@@ -530,10 +530,10 @@ def eval_series(series, z, engine, m=0, tol=None):
 
     point = point_data(z, engine)
     block_pass = _block_sums(cur, *point.key, engine)
-    # z^rho is read only for a derivative series, so the series itself takes
-    # no exponential at the point
-    scale = point.inverse_powers[-cur.rho] if cur.rho else 1
     try:
+        # z^rho is read only for a derivative series, so the series itself
+        # takes no exponential at the point; under double, z^-3 may overflow
+        scale = point.inverse_powers[-cur.rho] if cur.rho else 1
         total = engine.log_polynomial(block_pass[0], point.l_operand, scale)
         # under double, |total| may overflow; it is inf or NaN for a
         # non-finite total

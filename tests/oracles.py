@@ -138,10 +138,12 @@ def _fraction(raw):
 
 
 def gaussian(x):
-    """An int, mp number or mp engine operand (re, im, exp) as exact
-    (re, im) Fractions."""
+    """An int, Python float or complex number, mp number or mp engine
+    operand (re, im, exp) as exact (re, im) Fractions."""
     if isinstance(x, int):
         return Fraction(x), Fraction(0)
+    if isinstance(x, (float, complex)):
+        return Fraction(x.real), Fraction(x.imag)
     if type(x) is tuple:
         re, im, exp = x
         return Fraction(re) * Fraction(2) ** exp, Fraction(im) * Fraction(2) ** exp
@@ -213,8 +215,8 @@ def _top(parts):
 
 def elimination_bound(engine, A, B):
     """The exact X of A X = B as rows of (re, im) Fractions, and a bound on
-    each part of the error of the mp engine's ``solve(A, B)``, from the
-    statement of ``MPEngine._eliminate``: X is
+    each part of the error of the engine's ``solve(A, B)``, from the
+    statement of ``Engine._eliminate``: X is
     (A + dA)^(-1) (B + dB + P^T L R) rounded entry by entry.  Before the
     rounding, its error is (A + dA)^(-1) r with r = dB + P^T L R - dA X;
     with w = |A^(-1)| |r| from the moduli of the stated part bounds, and
@@ -224,7 +226,7 @@ def elimination_bound(engine, A, B):
     adds at most 2^-prec of each part."""
     from monodromy_lab.engine import SOLVE_EXTRA_BITS
 
-    n, m, prec = len(A), len(B[0]), engine.ctx.prec
+    n, m, prec = len(A), len(B[0]), engine.prec
     bits = prec + SOLVE_EXTRA_BITS
     A = [[gaussian(x) for x in row] for row in A]
     B = [[gaussian(x) for x in row] for row in B]

@@ -380,20 +380,24 @@ def test_an_arithmetic_failure_names_its_stage(capsys):
     # z^-2 and z^-3 are NaN under double, so the derivative series leave its
     # range: each error keeps its type and exit code 1, and its message starts
     # with the stage's name and then the base point, the first of
-    # connection_points, at half |z0|
+    # connection_points, at half |z0|.  From |z0| = 1e-110 on, z^-3 passes
+    # the double range, which is named the same way
     z0 = UCComplex.polar(1e-300, 0.785)
     at = "connection stage: at z = 5e-301,0.785: "
     with pytest.raises(ZeroDivisionError, match=f"^{at}matrix is numerically"):
         run_verify(RunConfig(z0_connection=z0))
     with pytest.raises(solutions.TailBoundError, match=f"^{at}the series at"):
         run_verify(RunConfig(z0_connection=z0, engine_name="double"))
-    for engine, message in (("mp", "matrix is numerically singular"),
-                            ("double", "the series at |z|=5e-301 leaves the range "
-                                       "of the double engine")):
-        code = main(["verify", "--engine", engine, "--z0-connection", "1e-300,0.785"])
+    runs = [("mp", "1e-300", "matrix is numerically singular")]
+    runs += [("double", modulus, f"the series at |z|={float(modulus) / 2:g} leaves the range "
+                                 "of the double engine")
+             for modulus in ("1e-300", "1e-110", "1e-120", "1e-150")]
+    for engine, modulus, message in runs:
+        code = main(["verify", "--engine", engine, "--z0-connection", f"{modulus},0.785"])
         captured = capsys.readouterr()
+        at = f"connection stage: at z = {float(modulus) / 2:g},0.785: "
         assert code == 1 and captured.out == ""
-        assert captured.err == f"failed check: {at}{message}\n"
+        assert captured.err == f"failed check: {at}{message}\n", modulus
 
 
 def test_an_arithmetic_failure_at_the_held_out_point_names_it(monkeypatch):
@@ -443,14 +447,15 @@ def test_exit_code_config_errors(capsys, tmp_path):
     # RunConfig refuses what the command line cannot give it: digits and an
     # order that are not ints (a bool included), a tolerance that is not an
     # int or a float, digits under the double engine, a point that is not
-    # a UCComplex
+    # a UCComplex, tolerances that are not a mapping
     nan = float("nan")
     for kwargs in ({"dps": 40.5}, {"dps": "40"}, {"dps": True},
                    {"truncation_order": 40.5}, {"truncation_order": True},
                    {"truncation_order": "40"}, {"tolerances": {"braid_match": True}},
                    {"tolerances": {"braid_match": "1e-6"}},
                    {"tolerances": {"braid_match": nan}}, {"engine_name": "double", "dps": 20},
-                   {"engine_name": "double", "dps": 40}, {"z0_stokes": (2.0, 0.785)}):
+                   {"engine_name": "double", "dps": 40}, {"z0_stokes": (2.0, 0.785)},
+                   {"tolerances": [("braid_match", 1e-3)]}, {"tolerances": None}):
         with pytest.raises(ValueError):
             RunConfig(**kwargs)
 
@@ -629,6 +634,8 @@ def _draw_config(rng, as_text):
     tolerances = {_pick(rng, names, ["braid_macth"]): _pick(rng, [1e-3, 1], [0, -1, nan, inf, True])
                   for _ in range(rng.randrange(3))}
     if not as_text:
+        # tolerances that are no mapping: pairs, nothing, a command-line text
+        tolerances = _pick(rng, [tolerances], [list(tolerances.items()), None, "braid_match=1"])
         return {"tolerances": tolerances,
                 **{k: v for k, v in drawn.items() if v is not None}}
     argv = [rng.choice(["verify", "stokes", "connection", "solutions"])]

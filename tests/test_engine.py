@@ -108,11 +108,12 @@ def test_numerically_singular_matrices_are_refused(monkeypatch, capsys, name):
     assert captured.out == "" and captured.err.startswith("failed check:")
 
 
-def _mp_kernel_case(case, e):
-    """A and B of one mp elimination case: Y_R \\ Y_L at the default Stokes
+def _elimination_case(case, e):
+    """A and B of one elimination case: Y_R \\ Y_L at the default Stokes
     point, Y_top \\ Y_R at the default connection point, the identity, a
     seeded random complex matrix and the same with its first row scaled by
-    2^-100, the last three against a seeded random B, which is O(1)."""
+    2^-100 (2^-50 under double, which refuses a row sum below 2^-62
+    ||A||_1), the last three against a seeded random B, which is O(1)."""
     rng = random.Random(28)
 
     def draw():
@@ -129,19 +130,26 @@ def _mp_kernel_case(case, e):
         return [[e.complex(int(i == j)) for j in range(4)] for i in range(4)], draw()
     A, B = draw(), draw()
     if case == "scaled":
-        # B is held at one offset from A's row exponents, so rows 1 to 3 of
-        # B are floored at 2^-100, 38 to 40 bits above their last bits; the
-        # stated bound carries that read
-        A[0] = [x * e.real(Fraction(1, 2 ** 100)) for x in A[0]]
+        # B is held at one offset from A's row exponents, so under mp rows 1
+        # to 3 of B are floored at 2^-100, 38 to 40 bits above their last
+        # bits; the stated bound carries that read
+        scale = Fraction(1, 2 ** (50 if e.name == "double" else 100))
+        A[0] = [x * e.real(scale) for x in A[0]]
     return A, B
 
 
-@pytest.mark.parametrize("case", ["stokes", "connection", "identity", "random", "scaled"])
-def test_mp_solve_and_inverse_stay_within_their_stated_bound(case):
-    # the bound of MPEngine._eliminate, against an exact solve of its inputs
-    # read as Fractions; at these inputs it is about half an ulp of each part
-    e = get_engine("mp", dps=40)
-    A, B = _mp_kernel_case(case, e)
+ELIMINATION_CASES = ["stokes", "connection", "identity", "random", "scaled"]
+
+
+@pytest.mark.parametrize("name, case", [("mp", c) for c in ELIMINATION_CASES]
+                         + [("double", c) for c in ELIMINATION_CASES],
+                         ids=ELIMINATION_CASES + [f"double-{c}" for c in ELIMINATION_CASES])
+def test_mp_solve_and_inverse_stay_within_their_stated_bound(name, case):
+    # the bound of Engine._eliminate, under either engine, against an exact
+    # solve of its inputs read as Fractions; at these inputs it is about half
+    # an ulp of each part
+    e = get_engine(name, dps=40)
+    A, B = _elimination_case(case, e)
     identity = [[int(i == j) for j in range(4)] for i in range(4)]
     for X, rhs in ((e.solve(A, B), B), (e.inverse(A), identity)):
         exact, bound = elimination_bound(e, A, rhs)
@@ -160,26 +168,54 @@ def test_mp_solve_and_inverse_stay_within_their_stated_bound(case):
 
 
 def test_mp_pivot_ties_go_to_the_first_of_the_exactly_largest():
-    # rows 0 and 1 tie at column 0 (size over row sum 1/2 each), and in the
-    # second matrix row 0 falls short of row 1 by 2^-171 of its ratio, which
-    # a ratio rounded to prec + 10 bits does not see.  The other pivot leaves
-    # a row of sum 2^-199 ||A||_1, which is refused, so only the rule gives
-    # a solution; its pivots are powers of 2, so the elimination is exact and
-    # X is the exact solution rounded once
-    e = get_engine("mp", dps=40)
-    small, eta = Fraction(1, 2 ** 100), Fraction(1, 2 ** 100)
-    tie = [[small, small, 0, 0], [1, 1 - eta, eta, 0], [0, 1, 1, 1], [0, 0, 0, 1]]
-    near = [[1, 1 - eta, eta, Fraction(1, 2 ** 170)], [small, small, 0, 0],
-            [0, 1, 1, 1], [0, 0, 0, 1]]
-    X0 = [[j - 2 * k + 1 for k in range(4)] for j in range(4)]
-    identity = [[int(i == j) for j in range(4)] for i in range(4)]
-    for rows in (tie, near):
-        A = [[e.complex(Fraction(v)) for v in row] for row in rows]
-        B = [[e.complex(sum(Fraction(a) * X0[c][k] for c, a in enumerate(row)))
-              for k in range(4)] for row in rows]
-        for X, rhs in ((e.solve(A, B), B), (e.inverse(A), identity)):
-            exact, _ = elimination_bound(e, A, rhs)
-            assert X == tuple(tuple(e.complex(*parts) for parts in row) for row in exact)
+    # with s = eta = 2^-a, rows 0 and 1 tie at column 0 (size over row sum
+    # 1/2 each), and in the second matrix row 0 falls short of row 1 by
+    # 2^-(t + 1) of its ratio, which a ratio rounded to prec + 10 bits does
+    # not see.  The other pivot leaves a row of sum 2^(1 - 2a) ||A||_1,
+    # which is refused, so only the rule gives a solution; its pivots are
+    # powers of 2, so the elimination is exact and X is the exact solution
+    # rounded once.  Each entry of A is exact at the engine's precision
+    for name, (a, t) in (("mp", (100, 170)), ("double", (40, 70))):
+        e = get_engine(name, dps=40)
+        small = eta = Fraction(1, 2 ** a)
+        tie = [[small, small, 0, 0], [1, 1 - eta, eta, 0], [0, 1, 1, 1], [0, 0, 0, 1]]
+        near = [[1, 1 - eta, eta, Fraction(1, 2 ** t)], [small, small, 0, 0],
+                [0, 1, 1, 1], [0, 0, 0, 1]]
+        X0 = [[j - 2 * k + 1 for k in range(4)] for j in range(4)]
+        identity = [[int(i == j) for j in range(4)] for i in range(4)]
+        for rows in (tie, near):
+            A = [[e.complex(Fraction(v)) for v in row] for row in rows]
+            assert [[gaussian(x)[0] for x in row] for row in A] == rows, name
+            B = [[e.complex(sum(Fraction(v) * X0[c][k] for c, v in enumerate(row)))
+                  for k in range(4)] for row in rows]
+            for X, rhs in ((e.solve(A, B), B), (e.inverse(A), identity)):
+                exact, _ = elimination_bound(e, A, rhs)
+                assert X == tuple(tuple(e.complex(*parts) for parts in row) for row in exact), name
+
+
+def test_double_solve_reads_floats_exactly_and_names_its_range():
+    # a non-finite entry of A or B is refused, as under mp, and an X past
+    # the double range is an OverflowError that names it, not inf
+    e = get_engine("double")
+    identity = [[complex(i == j) for j in range(4)] for i in range(4)]
+    for bad in (math.inf, -math.inf, math.nan, complex(0, math.inf), complex(math.nan, 1)):
+        for i, j in ((0, 0), (2, 3)):
+            M = [list(row) for row in identity]
+            M[i][j] = bad
+            for solve in (lambda: e.solve(M, identity), lambda: e.solve(identity, M),
+                          lambda: e.inverse(M)):
+                with pytest.raises(OverflowError, match="non-finite"):
+                    solve()
+    tiny = [[x * 2.0 ** -600 for x in row] for row in identity]
+    huge = [[x * 2.0 ** 600 for x in row] for row in identity]
+    with pytest.raises(OverflowError, match="leaves the range of the double engine"):
+        e.solve(tiny, huge)
+    # each entry of X is the exact one rounded once, to nearest: here the
+    # correctly rounded reciprocals of a diagonal
+    diagonal = (3.0, 1 + 2.0 ** -52, 0.1, -7.0)
+    A = [[complex(diagonal[i]) if i == j else 0j for j in range(4)] for i in range(4)]
+    X = e.inverse(A)
+    assert [X[i][i] for i in range(4)] == [complex(1 / x) for x in diagonal]
 
 
 def _frame_and_verify_runs(tmp_path, label):
@@ -349,7 +385,7 @@ def test_double_constants_are_correctly_rounded():
     ctx.dps = 50
     e = get_engine("double")
     assert (e.pi, e.euler, e.zeta3) == (float(ctx.pi), float(ctx.euler), float(ctx.zeta(3)))
-    assert e.eps == 1e-16 and e.machine_eps == mpmath.fp.eps == 2.0 ** -52
+    assert e.eps == 1e-16
 
 
 def bits(x):
