@@ -5,9 +5,11 @@ fundamental-matrix assembly, the 4x4 solves, the contour oracle) is written
 against a small engine object instead of raw ``complex``, so the working
 precision is a swappable parameter:
 
-* ``double`` (``DoubleEngine``) -- Python floats and complex numbers, with
-  ``math`` and ``cmath`` for the elementary functions and the correctly
-  rounded doubles of pi, the Euler constant and zeta(3).
+* ``double`` (``DoubleEngine``) -- 53 bits: the kernels run in exact
+  integers cut to 53 + ``GUARD_BITS`` bits, and every number is a Python
+  float or complex, with ``math`` and ``cmath`` for the elementary
+  functions and the correctly rounded doubles of pi, the Euler constant
+  and zeta(3).
 * ``mp`` (``MPEngine``) -- arbitrary precision via a private mpmath
   ``MPContext``.  Needed where double precision cannot survive the
   cancellation, e.g. ratios against a recessive exponential at |z| ~ 10,
@@ -19,44 +21,44 @@ run never imports it.  The one exception is the contour oracle of
 context when the double engine calls them.
 
 What both engines share is written once on ``Engine``: the conversion of a
-complex number, the elementary functions by name, ``Engine.matmul``, and
-the 4x4 solves and inverses (``Engine.solve``, ``Engine.inverse``), one
-Gaussian elimination in exact integers (``_eliminate``) with mpmath's pivot
-rule and refusal but none of its LU code, which reads each entry exactly
-(an mp number's raw mantissas, a float's parts) and rounds each entry of X
-once.  Each engine has its own ``real`` (a Fraction rounded once, to
-nearest), ``operand`` and ``number`` (below), ``guarded`` (``GUARD_BITS``
-more bits, mp only), block pass of the log-series (``horner_columns``/
-``horner``), polynomial in log z of the block sums (``log_polynomial``)
-and dot product (``fdot``): hardware complex arithmetic under double, and
-under mp exact integers on mpmath's raw mantissas.  Beside them,
-``matrix_steps`` applies integer matrices to a cubic block (the recursion
-that builds the residue series, and their derivative map) in the
-coefficients' own arithmetic: their operators for Fractions and Python
-complex numbers, and exact integers for mp operands.
+complex number, the elementary functions by name, ``Engine.matmul``, the
+4x4 solves and inverses (``Engine.solve``, ``Engine.inverse``: one
+Gaussian elimination in exact integers, ``_eliminate``) and the four
+kernels that every column of Y_L, Y_R and Y_top passes through: the block
+pass of a log-series (``horner_columns``/``horner``), the polynomial in
+log z of its block sums (``log_polynomial``) and the dot product
+(``fdot``), all in exact integers with a stated bound.  The two engines
+differ only in the exact read of a number (``_parts``: an mp number's raw
+mantissas, a float's exact parts), the one rounding of an operand
+(``_from_parts``: to an mpc at the context's precision, or to a Python
+complex), their ``real`` (a Fraction rounded once, to nearest), their
+elementary functions and constants, and ``guarded`` (``GUARD_BITS`` more
+bits, mp only).  Beside them, ``matrix_steps`` applies integer matrices to
+a cubic block (the recursion that builds the residue series, and their
+derivative map): with their operators for Fractions, and in exact integers
+for operands.
 
 An operand is a number in the form the kernels read it
-(``Engine.operand``): under double the number itself, under mp exact
-integers (re, im, exp), the value (re + i im) 2^exp, of an mp number's raw
-mantissas (``_exact_parts``) or of a Fraction floored once.  An operand
-reads as itself, so the kernels take numbers and operands alike, and a
-cache that holds operands has each value read once.  The mp kernels share
-that read and one Horner loop that cuts each step to a number of bits
-(``_horner``: ``horner`` runs it in w, ``log_polynomial`` in log z, both
-``GUARD_BITS`` above the working precision).  ``matrix_steps`` returns the
-coefficients of the residue series and of their derivative series as
-operands, and ``horner``, ``log_polynomial`` and ``fdot`` return operands
-cut (floored) to ``GUARD_BITS`` above the working precision, so from the
-recursion to the solves every coefficient, block sum, series value,
-column derivative and entry of Y_R and Y_L passes from one kernel to the
-next as exact integers, neither rounded nor read again.
-``Engine.number`` turns an operand into a number, each part rounded once,
-to nearest (``_rounded``; the identity under double), only where a value
-leaves the numeric layer: the entries of a product (``Engine.matmul``) or
-of a residual, the block sums ``monodromy.eval_Ytop`` multiplies in
-mpmath, the report's Frobenius coordinates and a caller's own arithmetic.
-Only ``_eliminate`` rounds its own results.  Each kernel states its error
-bound.
+(``Engine.operand``): exact integers (re, im, exp), the value
+(re + i im) 2^exp, of a number's exact parts (``_parts``) or of a Fraction
+floored once.  An operand reads as itself, so the kernels take numbers and
+operands alike, and a cache that holds operands has each value read once.
+The kernels share that read and one Horner loop that cuts each step to a
+number of bits (``_horner``: ``horner`` runs it in w, ``log_polynomial`` in
+log z), ``GUARD_BITS`` above the precision in force at the call
+(``working_prec``: 53 bits under double, the context's under mp, which
+``guarded`` raises).  ``matrix_steps`` returns the coefficients of the
+residue series and of their derivative series as operands, and ``horner``,
+``log_polynomial`` and ``fdot`` return operands cut (floored) to
+``GUARD_BITS`` above the working precision, so from the recursion to the
+solves every coefficient, block sum, series value, column derivative and
+entry of Y_R and Y_L passes from one kernel to the next as exact integers,
+neither rounded nor read again.  ``Engine.number`` turns an operand into a
+number, each part rounded once, to nearest (``_from_parts``), only where a
+value leaves the numeric layer: the entries of a product
+(``Engine.matmul``) or of a solve, the block sums ``monodromy.eval_Ytop``
+multiplies in the engine's arithmetic, the report's Frobenius coordinates
+and a caller's own arithmetic.  Each kernel states its error bound.
 
 A matrix is a tuple of rows, the package's one format; ``Engine.matmul``
 multiplies two, each entry one ``fdot`` as a number, and
@@ -64,10 +66,10 @@ multiplies two, each entry one ``fdot`` as a number, and
 
 Bounds and comparisons whose values never reach a report are made on log2
 magnitudes (``log2_magnitude``): a float within ``LOG2_SLACK`` of log2 |x|,
-read from an mp number's or operand's exact parts without mp arithmetic,
+read from an operand's or a number's exact parts without mp arithmetic,
 and from ``math`` for any other number.  The tail certificate of
 ``solutions.eval_series`` and the choice of the entries whose mp ``abs``
-``max_deviation`` takes rest on it, as the cut of the mp block pass rests
+``max_deviation`` takes rest on it, as the cut of the block pass rests
 on the same reads (``_log2_abs``).
 
 Engines are interned, so series caches can key on them; every computation
@@ -83,9 +85,9 @@ import operator
 import sys
 from fractions import Fraction
 
-#: bits the mp engine's Horner loop (``_horner``), the operands that
-#: ``horner``, ``log_polynomial`` and ``fdot`` return and the coefficients
-#: of ``matrix_steps`` (and of a Fraction's ``operand``) carry above the
+#: bits the Horner loop (``_horner``), the operands that ``horner``,
+#: ``log_polynomial`` and ``fdot`` return and the coefficients of
+#: ``matrix_steps`` (and of a Fraction's ``operand``) carry above the
 #: working precision, as does mp arithmetic inside ``guarded``
 GUARD_BITS = 20
 
@@ -159,11 +161,13 @@ def max_deviation(A, B):
 class Engine:
     """A scalar backend: a name, its digits, its working precision in bits,
     its imaginary unit ``i`` (formed once) and what ``DoubleEngine`` and
-    ``MPEngine`` share.  Each engine supplies
-    ``real``, ``operand``, ``number``, ``guarded``, ``horner_columns``,
-    ``horner``, ``log_polynomial``, ``fdot``, the exact read and the one
-    rounding of ``_eliminate`` (``_parts``, ``_from_parts``), the constants ``pi``, ``euler`` and ``zeta3``, and the functions behind
-    ``complex``, ``exp``, ``log``, ``sqrt`` and ``gamma``/``quad``."""
+    ``MPEngine`` share: the conversions ``operand`` and ``number``, the
+    products and solves, and the kernels ``horner_columns``, ``horner``,
+    ``log_polynomial`` and ``fdot``.  Each engine supplies ``real``,
+    ``guarded``, the exact read of a number (``_parts``) and the one
+    rounding of an operand (``_from_parts``), the constants ``pi``,
+    ``euler`` and ``zeta3``, and the functions behind ``complex``, ``exp``,
+    ``log``, ``sqrt`` and ``gamma``/``quad``."""
 
     def __init__(self, name, dps, eps, prec):
         self.name = name
@@ -172,12 +176,40 @@ class Engine:
         self.prec = prec
         self.i = self._complex(0, 1)
 
+    @property
+    def working_prec(self):
+        """The precision in force at the call, in bits: ``prec``, and under
+        mp the context's, which ``guarded`` raises."""
+        return self.prec
+
     # -- conversions ---------------------------------------------------
 
     def complex(self, x, y=0):
         if isinstance(x, Fraction) or isinstance(y, Fraction):
             return self._complex(self.real(x), self.real(y))
         return self._complex(x, y)
+
+    def operand(self, x):
+        """x as exact integers (re, im, exp), the value (re + i im) 2^exp:
+        such a tuple as it is, an int as (x, 0, 0), a Fraction floored to
+        ``GUARD_BITS`` above the working precision by one integer division,
+        and any other number by the engine's exact read (``_parts``).  A
+        non-finite value raises OverflowError."""
+        if type(x) is tuple:
+            return x
+        if type(x) is int:
+            return x, 0, 0
+        if type(x) is Fraction:
+            p, q = x.numerator, x.denominator
+            e = p.bit_length() - q.bit_length() - self.working_prec - GUARD_BITS
+            return (p << -e) // q if e < 0 else p // (q << e), 0, e
+        return self._parts(x)
+
+    def number(self, x):
+        """An operand as a number of the engine, each part rounded once, to
+        nearest (``_from_parts``), under mp at the context's precision when
+        called; any other x as it is."""
+        return self._from_parts(x) if type(x) is tuple else x
 
     # -- constants and elementary functions -----------------------------
 
@@ -200,10 +232,8 @@ class Engine:
     # -- linear algebra (4x4 scale) -------------------------------------
 
     def matmul(self, A, B):
-        """A B, each entry the engine's ``fdot`` of a row of A and a column
-        of B as a number (``number``): summed in order under double, as
-        mpmath's ``fp`` matrix product forms it, and under mp cut, then
-        rounded once."""
+        """A B, each entry the ``fdot`` of a row of A and a column of B as a
+        number (``number``): exact, cut, then rounded once."""
         columns = tuple(zip(*B))
         fdot, number = self.fdot, self.number
         return tuple(tuple(number(fdot(row, col)) for col in columns) for row in A)
@@ -232,7 +262,7 @@ class Engine:
         """``Engine.solve`` in exact integers.
 
         Each entry is read once, exactly, as integers (re, im, exp)
-        (``_parts``: an mp number's raw mantissas, a float's exact parts).
+        (``operand``: an mp number's raw mantissas, a float's exact parts).
         Row k of A is held as Gaussian integers at its own exponent e_k, at
         which its largest part has prec + SOLVE_EXTRA_BITS bits, and row k
         of B at e_k + d, with d chosen alike for the rows B_k 2^-e_k
@@ -249,15 +279,15 @@ class Engine:
         substitution holds X at the exponent d - g, g one bit above the
         largest pivot, with one floor per quotient, so U X = C + R with each
         part of row i of R below 2^(e_i + d).  Each entry of X is then
-        rounded once, to nearest (``_from_parts``): X is
+        rounded once, to nearest (``number``): X is
         (A + dA)^(-1) (B + dB + P^T L R) rounded entry by entry.  A
         non-finite entry raises OverflowError, as does, under double, an
         entry of X outside the double range.
         """
         n, prec = len(A), self.prec
         bits = prec + SOLVE_EXTRA_BITS
-        A = [[self._parts(x) for x in row] for row in A]
-        B = [[self._parts(x) for x in row] for row in B]
+        A = [[self.operand(x) for x in row] for row in A]
+        B = [[self.operand(x) for x in row] for row in B]
         # a row of zeros in A is refused below, at any exponent
         exps = [max([_top_bit(*x) for x in row if x[0] or x[1]], default=bits) - bits for row in A]
         d = max((_top_bit(*x) - e for row, e in zip(B, exps) for x in row if x[0] or x[1]),
@@ -307,7 +337,85 @@ class Engine:
             ur, ui = row[i]
             q = ur * ur + ui * ui
             X[i] = [((tr * ur + ti * ui) // q, (ti * ur - tr * ui) // q) for tr, ti in t]
-        return tuple(tuple(self._from_parts((xr, xi, d - g)) for xr, xi in row) for row in X)
+        return tuple(tuple(self.number((xr, xi, d - g)) for xr, xi in row) for row in X)
+
+    # -- block sums of a power series in w ------------------------------
+
+    def horner_columns(self, blocks):
+        """The four coefficient columns of ``blocks`` (operands, or numbers
+        that ``operand`` reads once), highest block first, in the form
+        ``horner`` sums, each column with the bounds of its cut: (ns, tops)
+        over its nonzero blocks n, lowest first, with top_n the ``_top_bit``
+        of a[n], so that 2^(top_n - 1) <= |a[n]| < 2^(top_n + 1/2)."""
+        out = []
+        for col in zip(*reversed(blocks)):
+            parts = tuple(map(self.operand, col))
+            nonzero = [(n, _top_bit(*p)) for n, p in enumerate(reversed(parts)) if p[0] or p[1]]
+            out.append((parts, tuple(zip(*nonzero)) or ((), ())))
+        return tuple(out)
+
+    def horner(self, columns, w):
+        """T_k = sum_n w^n a_k[n] for each column of ``horner_columns``, as
+        operands.
+
+        The pass is the exact loop ``_horner``, over only the blocks that
+        can reach the working precision prec (``working_prec``): the
+        leading (highest) blocks whose summed magnitude bounds lie below
+        2^-(prec + GUARD_BITS) of the column's largest term are skipped
+        (``_summed_blocks``, from the bounds of ``horner_columns``), and
+        block 0 is always summed.  T_k is the loop's result, cut to
+        prec + GUARD_BITS bits and not rounded, so it is off by at most (4
+        per summed block, and 1 for the skipped ones) times
+        2^-(prec + GUARD_BITS) sum_n |w^n a_k[n]|.
+        """
+        bits = self.working_prec + GUARD_BITS
+        w = self.operand(w)
+        log2w = _log2_abs(*w)
+        return tuple(_horner(col[len(col) - _summed_blocks(bounds, log2w, bits):], w, bits)
+                     for col, bounds in columns)
+
+    # -- the polynomial in log z and the dot product --------------------
+
+    def log_polynomial(self, sums, l, scale):
+        """scale (T0 + l (T1 + l (T2 + l T3))) for the block sums
+        T = ``sums``, as an operand: the exact loop ``_horner`` over
+        (T3, T2, T1, T0) at l, and an exact product with ``scale`` cut to
+        prec + GUARD_BITS bits (``_cut``), not rounded.
+
+        Each of the four cuts adds less than sqrt(2) 2^(1 - prec -
+        GUARD_BITS) of its step's value, so the result is off from the
+        exact value at these inputs by at most
+        2^(4 - prec - GUARD_BITS) |scale| sum_k |l|^k |T_k|.  A non-finite
+        input raises OverflowError.
+        """
+        bits = self.working_prec + GUARD_BITS
+        tr, ti, te = _horner(map(self.operand, sums[::-1]), self.operand(l), bits)
+        sr, si, se = self.operand(scale)
+        return _cut(tr * sr - ti * si, tr * si + ti * sr, te + se, bits)
+
+    def fdot(self, xs, ys):
+        """sum_i xs[i] ys[i] as an operand: each entry read once
+        (``operand``), the products and their sum exact, each product added
+        at the smaller exponent of the two nonzero terms, and one cut to
+        prec + GUARD_BITS bits (``_cut``), not rounded, so each part is the
+        exact part floored, off by less than 2^(1 - prec - GUARD_BITS) of
+        the exact dot product's modulus.  A non-finite entry raises
+        OverflowError."""
+        operand = self.operand
+        re = im = exp = 0
+        for x, y in zip(xs, ys):
+            ar, ai, ae = operand(x)
+            br, bi, be = operand(y)
+            pr, pi, pe = ar * br - ai * bi, ar * bi + ai * br, ae + be
+            if not (pr or pi):
+                continue
+            if not (re or im):
+                re, im, exp = pr, pi, pe
+            elif exp >= pe:
+                re, im, exp = (re << exp - pe) + pr, (im << exp - pe) + pi, pe
+            else:
+                re, im = re + (pr << pe - exp), im + (pi << pe - exp)
+        return _cut(re, im, exp, self.working_prec + GUARD_BITS)
 
     def quad(self, f, points):
         """mpmath's quadrature of f over the points, for the contour oracle;
@@ -343,11 +451,9 @@ def _fp_sqrt(x):
 
 def _float_parts(x):
     """A Python number as exact integers (re, im, exp), the value
-    (re + i im) 2^exp: an int as (x, 0, 0), anything else by the exact
-    ratios (``float.as_integer_ratio``) of its complex's parts at the
-    smaller exponent.  A non-finite value raises OverflowError."""
-    if type(x) is int:
-        return x, 0, 0
+    (re + i im) 2^exp, by the exact ratios (``float.as_integer_ratio``) of
+    its complex's parts at the smaller exponent.  A non-finite value raises
+    OverflowError."""
     x = complex(x)
     try:
         (re, p), (im, q) = x.real.as_integer_ratio(), x.imag.as_integer_ratio()
@@ -374,9 +480,11 @@ def _double_from_parts(parts):
 
 
 class DoubleEngine(Engine):
-    """Hardware arithmetic: Python floats and complex numbers, with the
+    """Double precision: the shared kernels at a working precision of 53
+    bits, and Python floats and complex numbers for every number, each read exactly
+    (``_float_parts``) and rounded once (``_double_from_parts``), with the
     elementary functions of ``math`` and ``cmath`` as mpmath's ``fp``
-    context picks them, so that every value is the one ``fp`` gives."""
+    context picks them, so that every such value is the one ``fp`` gives."""
 
     _complex = complex
     _exp = staticmethod(_fp_exp)
@@ -396,47 +504,12 @@ class DoubleEngine(Engine):
         """A float; a Fraction is rounded once, to nearest."""
         return float(x)
 
-    def operand(self, x):
-        """x itself, a Fraction as its float (``real``)."""
-        return float(x) if type(x) is Fraction else x
-
-    def number(self, x):
-        """x itself: the hardware kernels return numbers."""
-        return x
-
     def guarded(self):
         """A no-op: double arithmetic has no guard bits."""
         return contextlib.nullcontext()
 
-    #: the exact read and the one rounding of ``Engine._eliminate``
+    #: the exact read of a Python number and the one rounding of an operand
     _parts, _from_parts = staticmethod(_float_parts), staticmethod(_double_from_parts)
-
-    def horner_columns(self, blocks):
-        """The four coefficient columns of ``blocks``, highest block first."""
-        return tuple(zip(*reversed(blocks)))
-
-    def fdot(self, xs, ys):
-        """sum_i xs[i] ys[i]: the hardware products summed in order from 0.0."""
-        return sum(map(operator.mul, xs, ys), 0.0)
-
-    def horner(self, columns, w):
-        """T_k = sum_n w^n a_k[n] for each column of ``horner_columns``: a
-        hardware-complex Horner loop over every block."""
-        out = []
-        for col in columns:
-            t = 0j
-            for a in col:
-                t = t * w + a
-            out.append(t)
-        return tuple(out)
-
-    def log_polynomial(self, sums, l, scale):
-        """scale (T0 + l (T1 + l (T2 + l T3))) for the block sums
-        T = ``sums``, in hardware complex arithmetic; a scale of 1 (z^rho
-        at rho = 0) is not multiplied."""
-        t0, t1, t2, t3 = sums
-        total = t0 + l * (t1 + l * (t2 + l * t3))
-        return total if scale == 1 else scale * total
 
     def _mpmath_context(self):
         """mpmath's ``fp`` context, for the contour oracle alone."""
@@ -467,34 +540,19 @@ class MPEngine(Engine):
             return self.ctx.make_mpf(mpf_div(p, q, self.ctx.prec, round_nearest))
         return self.ctx.mpf(x)
 
-    def operand(self, x):
-        """x as exact integers (re, im, exp), the value (re + i im) 2^exp:
-        such a tuple as it is, an int as (x, 0, 0), a Fraction floored to
-        prec + GUARD_BITS bits by one integer division, an mp number by
-        ``_exact_parts``, anything else through ``Engine.complex``.  A
-        non-finite value raises OverflowError."""
-        if type(x) is tuple:
-            return x
-        if type(x) is int:
-            return x, 0, 0
-        if isinstance(x, _MP_TYPES):
-            return _exact_parts(x)
-        if type(x) is Fraction:
-            p, q = x.numerator, x.denominator
-            e = p.bit_length() - q.bit_length() - self.ctx.prec - GUARD_BITS
-            return (p << -e) // q if e < 0 else p // (q << e), 0, e
-        return _exact_parts(self.complex(x))
+    @property
+    def working_prec(self):
+        return self.ctx.prec
 
-    def number(self, x):
-        """An operand as an mpc of the context, each part rounded once, to
-        nearest, at the context's precision when called (``_rounded``); any
-        other x as it is."""
-        if type(x) is tuple:
-            return _rounded(self.ctx, *x)
-        return x
+    def _parts(self, x):
+        """The exact read of ``Engine.operand``: an mp number's raw mantissas
+        (``_exact_parts``), any other number's as an mpc of the context."""
+        return _exact_parts(x if isinstance(x, _MP_TYPES) else self.complex(x))
 
-    #: the exact read and the one rounding of ``Engine._eliminate``
-    _parts, _from_parts = operand, number
+    def _from_parts(self, parts):
+        """The one rounding of ``Engine.number``: an mpc of the context at
+        its precision when called (``_rounded``)."""
+        return _rounded(self.ctx, *parts)
 
     @property
     def pi(self):
@@ -515,83 +573,6 @@ class MPEngine(Engine):
         raised: a guarded block inside another, like a cached value first
         formed inside one, runs at the same prec + GUARD_BITS bits."""
         return self.ctx.workprec(self.prec + GUARD_BITS)
-
-    # -- block sums of a power series in w ------------------------------
-
-    def horner_columns(self, blocks):
-        """The four coefficient columns of ``blocks`` (operands, or numbers
-        that ``operand`` reads once), highest block first, in the form
-        ``horner`` sums, each column with the bounds of its cut: (ns, tops)
-        over its nonzero blocks n, lowest first, with top_n the ``_top_bit``
-        of a[n], so that 2^(top_n - 1) <= |a[n]| < 2^(top_n + 1/2)."""
-        out = []
-        for col in zip(*reversed(blocks)):
-            parts = tuple(map(self.operand, col))
-            nonzero = [(n, _top_bit(*p)) for n, p in enumerate(reversed(parts)) if p[0] or p[1]]
-            out.append((parts, tuple(zip(*nonzero)) or ((), ())))
-        return tuple(out)
-
-    def horner(self, columns, w):
-        """T_k = sum_n w^n a_k[n] for each column of ``horner_columns``, as
-        operands.
-
-        The pass is the exact loop ``_horner``, over only the blocks that
-        can reach the working precision: the leading (highest) blocks whose
-        summed magnitude bounds lie below 2^-(prec + GUARD_BITS) of the
-        column's largest term are skipped (``_summed_blocks``, from the
-        bounds of ``horner_columns``), and block 0 is always summed.  T_k is
-        the loop's result, cut to prec + GUARD_BITS bits and not rounded, so
-        it is off by at most (4 per summed block, and 1 for the skipped
-        ones) times 2^-(prec + GUARD_BITS) sum_n |w^n a_k[n]|.
-        """
-        bits = self.ctx.prec + GUARD_BITS
-        w = self.operand(w)
-        log2w = _log2_abs(*w)
-        return tuple(_horner(col[len(col) - _summed_blocks(bounds, log2w, bits):], w, bits)
-                     for col, bounds in columns)
-
-    # -- the polynomial in log z and the dot product --------------------
-
-    def log_polynomial(self, sums, l, scale):
-        """scale (T0 + l (T1 + l (T2 + l T3))) for the block sums
-        T = ``sums``, as an operand: the exact loop ``_horner`` over
-        (T3, T2, T1, T0) at l, and an exact product with ``scale`` cut to
-        prec + GUARD_BITS bits (``_cut``), not rounded.
-
-        Each of the four cuts adds less than sqrt(2) 2^(1 - prec -
-        GUARD_BITS) of its step's value, so the result is off from the
-        exact value at these inputs by at most
-        2^(4 - prec - GUARD_BITS) |scale| sum_k |l|^k |T_k|.  A non-finite
-        input raises OverflowError.
-        """
-        bits = self.ctx.prec + GUARD_BITS
-        tr, ti, te = _horner(map(self.operand, sums[::-1]), self.operand(l), bits)
-        sr, si, se = self.operand(scale)
-        return _cut(tr * sr - ti * si, tr * si + ti * sr, te + se, bits)
-
-    def fdot(self, xs, ys):
-        """sum_i xs[i] ys[i] as an operand: each entry read once
-        (``operand``), the products and their sum exact, each product added
-        at the smaller exponent of the two nonzero terms, and one cut to
-        prec + GUARD_BITS bits (``_cut``), not rounded, so each part is the
-        exact part floored, off by less than 2^(1 - prec - GUARD_BITS) of
-        the exact dot product's modulus.  A non-finite entry raises
-        OverflowError."""
-        operand = self.operand
-        re = im = exp = 0
-        for x, y in zip(xs, ys):
-            ar, ai, ae = operand(x)
-            br, bi, be = operand(y)
-            pr, pi, pe = ar * br - ai * bi, ar * bi + ai * br, ae + be
-            if not (pr or pi):
-                continue
-            if not (re or im):
-                re, im, exp = pr, pi, pe
-            elif exp >= pe:
-                re, im, exp = (re << exp - pe) + pr, (im << exp - pe) + pi, pe
-            else:
-                re, im = re + (pr << pe - exp), im + (pi << pe - exp)
-        return _cut(re, im, exp, self.ctx.prec + GUARD_BITS)
 
     def _mpmath_context(self):
         return self.ctx
@@ -766,16 +747,16 @@ def matrix_steps(block, steps, prec=None):
     tuples of rows, and positive integers.  The arithmetic follows the
     coefficients' type, as ``log2_magnitude`` does, with no engine fork.
 
-    Fractions, Python complex numbers and floats use their own operators,
-    so Fractions stay exact.  mp operands (re, im, exp) run in exact
-    integers at one exponent e_j per block, and each coefficient of b_j is
-    returned as the operand (re, im, e_j), not rounded.  Each step's product
-    is exact, and a step with den_j > 1 divides (floor) to ``GUARD_BITS``
-    bits above ``prec`` of the block's largest part, which lowers each part
-    by less than 2^e_j.  The matrices are integer, so each part of b_j is
-    off from the exact image of b_0 by at most c_j, entry by entry, with
-    c_0 = 0 and c_j = |Q_j| c_(j-1) / den_j + 2^e_j (without the 2^e_j for
-    den_j = 1, so a single such step returns the exact image)."""
+    Fractions use their own operators, so they stay exact.  Operands
+    (re, im, exp) run in exact integers at one exponent e_j per block, and
+    each coefficient of b_j is returned as the operand (re, im, e_j), not
+    rounded.  Each step's product is exact, and a step with den_j > 1
+    divides (floor) to ``GUARD_BITS`` bits above ``prec`` of the block's
+    largest part, which lowers each part by less than 2^e_j.  The matrices
+    are integer, so each part of b_j is off from the exact image of b_0 by
+    at most c_j, entry by entry, with c_0 = 0 and
+    c_j = |Q_j| c_(j-1) / den_j + 2^e_j (without the 2^e_j for den_j = 1,
+    so a single such step returns the exact image)."""
     out = []
     if type(block[0]) is not tuple:
         for Q, den in steps:

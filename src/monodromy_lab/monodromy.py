@@ -128,7 +128,7 @@ def _phi_top_columns(order, engine):
     coefficient is checked), so the entry is z^c sum_n (Phi_(c+3n))_ab w^n
     with c = (a - b) mod 3 and w = z^3.  Returns (columns, offsets), both
     row-major in (a, b); converted once per order and engine by
-    ``Engine.operand``, under mp floored to ``GUARD_BITS`` above prec.
+    ``Engine.operand``, floored to ``GUARD_BITS`` above prec.
     """
     coeffs = phi_top(order)
     offsets = tuple((a - b) % 3 for a in range(4) for b in range(4))
@@ -162,8 +162,8 @@ def _exp_R_terms():
 def eval_Ytop(z, order, engine):
     """Y_top(z) = Phi_top(z) z^mu z^R on the universal cover.
 
-    Phi_top's entries are summed in one ``Engine.horner`` pass in w = z^3
-    (exact integers under mp).  Entry (a, b) of Phi_top z^mu is the sum
+    Phi_top's entries are summed in one ``Engine.horner`` pass in w = z^3,
+    in exact integers.  Entry (a, b) of Phi_top z^mu is the sum
     times z^(c + mu_b), a half-integer power of the point's z^(1/2) (its
     ``PointData``), formed once per entry; e^(lR) multiplies entry by
     entry.  Under mp the point's z^(1/2), z and l are formed ``GUARD_BITS``
@@ -276,8 +276,8 @@ def scalar_column_derivatives(spec, z, order, engine, tol=None):
     chain rule turns each z-derivative into eps^m times the rotated-argument
     derivative, so derivative d of a term is one factor (``_term_factors``)
     times the series' d-th derivative at z eps^m.  Derivative d is one
-    ``engine.fdot`` of the terms' factors and values: summed in order under
-    double, and under mp the operand it returns, for the lift to read.
+    ``engine.fdot`` of the terms' factors and values, the operand it
+    returns, for the lift to read.
     ``tol`` is the tail-certificate tolerance for the series evaluations
     (defaults to the engine's working accuracy).
     """
@@ -311,9 +311,8 @@ def vector_from_scalar(derivs, z, engine):
        = z^(3/2)/54 phi''' + phi'/(54 sqrt z) + sqrt z/18 phi'' - y4,
     with the factors read from the point's ``PointData.lift``, so the lift
     takes no division.  Each entry is one ``engine.fdot`` of its factors and
-    derivatives, y1 with -z^(3/2) as the factor of phi: summed in order
-    under double, and under mp the operand it returns, which the solves
-    read as it is."""
+    derivatives, y1 with -z^(3/2) as the factor of phi: the operand it
+    returns, which the solves read as it is."""
     p0, p1, p2, p3 = derivs
     z32, z32_3, z32_18, sz_18, z32_54, inv_54sz, neg_z32 = point_data(z, engine).lift
     fdot = engine.fdot

@@ -120,10 +120,10 @@ class LogSeries(Record):
     """Truncated series  sum_n z^(rho+3n) * sum_k a[n][k] (log z)^k,  k <= 3.
 
     ``blocks[n][k]`` are exact Fractions for the Frobenius-type solutions
-    and engine operands (``Engine.operand``) for the residue series: under
-    mp (re, im, exp) at the block's exponent, which ``Engine.number``
-    rounds.  ``rho`` is 0 for scalar ODE solutions and -m for the m-th
-    derivative series.
+    and engine operands (``Engine.operand``) for the residue series:
+    (re, im, exp) at the block's exponent, which ``Engine.number`` rounds.
+    ``rho`` is 0 for scalar ODE solutions and -m for the m-th derivative
+    series.
     It hashes by identity, so caches key on it without reading its blocks.
     A ``Record``, not a dataclass: see ``monodromy_lab.record``.  It keeps a
     ``__dict__`` for the cached derivative.
@@ -145,7 +145,7 @@ class LogSeries(Record):
         """Term-by-term d/dz (lowers every exponent by one): block n maps by
         rho + 3n + d/d(log z), the bidiagonal integer matrix with rho + 3n
         on the diagonal and k + 1 at (k, k+1), through
-        ``engine.matrix_steps``.  Exact for Fractions and for mp operands,
+        ``engine.matrix_steps``.  Exact for Fractions and for operands,
         whose derivative is an exact integer map with no rounding.
 
         Built once per series and kept on it, so the cached residue series
@@ -189,10 +189,10 @@ def _recursion_matrix(n):
 def _series_from_initial_block(block0, order, prec=None):
     """The scalar ODE's solution with block 0 ``block0``, to ``order``
     blocks: blocks 1..order-1 by ``engine.matrix_steps`` with the matrices
-    of ``_recursion_matrix``: exact for Fractions, in hardware complex
-    arithmetic under double, and for mp operands each coefficient an
-    operand within the bound ``matrix_steps`` states of the exact recursion
-    from block0, its divisions cut ``engine.GUARD_BITS`` above ``prec``."""
+    of ``_recursion_matrix``: exact for Fractions, and for operands each
+    coefficient an operand within the bound ``matrix_steps`` states of the
+    exact recursion from block0, its divisions cut ``engine.GUARD_BITS``
+    above ``prec``."""
     block0 = tuple(block0)
     steps = [_recursion_matrix(n) for n in range(1, order)]
     return LogSeries(rho=0, blocks=(block0, *matrix_steps(block0, steps, prec)))
@@ -248,7 +248,7 @@ def phi_series(kind, order, engine):
     pi^(-1/2) (phi1) or pi^(1/2) (phi2), as engine operands; every later
     block follows by the recursion of the scalar ODE written as integer
     matrices, as for the Frobenius basis (``_series_from_initial_block``):
-    under mp in exact integers with guard bits carried from block to block,
+    in exact integers with guard bits carried from block to block,
     each coefficient an operand, never rounded, within the bound of
     ``engine.matrix_steps`` of the exact recursion from block 0.  No Gamma
     function and no quadrature is evaluated.  The result is entire in
@@ -306,7 +306,8 @@ class PointData:
     modulus of its exact value at z: each of the few roundings is a
     relative 2^-(prec + GUARD_BITS), and e^(l/2) and e^(3l) carry the error
     of l into a relative error at most three times as large.  Under double
-    ``guarded`` is a no-op."""
+    ``guarded`` is a no-op, and each value is a double, which its operand
+    reads exactly."""
 
     def __init__(self, z, engine):
         self.engine = engine
@@ -376,25 +377,17 @@ BLOCK_SUMS_SIZE = 32
 def _prepare(series, engine):
     """What every block pass of one series in one engine reads, converted
     once per series and engine (the cache keys on the series' identity):
-    the coefficient columns in the form of ``Engine.horner``, without
-    trailing zero blocks (under double, those past n = 83) and, under mp,
-    with the mantissa bit-length bounds that cut each column's pass; and
-    the tail's log2 magnitudes (rho + 3n, (log2|a0|, ..., log2|a3|)), each
-    within ``LOG2_SLACK`` (``engine.log2_magnitude``, no mp arithmetic), for
-    the last three nonzero blocks (all, for a shorter series).  Each
-    coefficient is read once, by ``Engine.operand``: an operand as it is,
-    and an exact (Fraction) one, under mp, floored to ``engine.GUARD_BITS``
-    bits above the working precision, as Phi_top's coefficients are read.
-    A non-finite tail coefficient raises OverflowError."""
+    the coefficient columns in the form of ``Engine.horner``, with the
+    mantissa bit-length bounds that cut each column's pass, and the tail's
+    log2 magnitudes (rho + 3n, (log2|a0|, ..., log2|a3|)), each within
+    ``LOG2_SLACK`` (``engine.log2_magnitude``, no mp arithmetic), for the
+    last three blocks (all, for a shorter series).  Each coefficient is
+    read once, by ``Engine.operand``: an operand as it is, and an exact
+    (Fraction) one floored to ``engine.GUARD_BITS`` bits above the working
+    precision, as Phi_top's coefficients are read."""
     blocks = [tuple(map(engine.operand, blk)) for blk in series.blocks]
-    last = next((n for n in reversed(range(len(blocks)))  # a NaN is nonzero
-                 if any(log2_magnitude(a) != -math.inf for a in blocks[n])), 0)
-    blocks = blocks[:last + 1]
-    first = max(0, len(blocks) - 3)
     tail = tuple((series.rho + 3 * n, tuple(map(log2_magnitude, blocks[n])))
-                 for n in range(first, len(blocks)))
-    if not all(g < math.inf for _, logs in tail for g in logs):
-        raise OverflowError("a non-finite coefficient in the tail")
+                 for n in range(max(0, len(blocks) - 3), len(blocks)))
     return engine.horner_columns(blocks), tail
 
 
@@ -403,8 +396,8 @@ def _block_sums(series, modulus, arg_over_pi, engine):
     """One block pass of ``series`` at the point class (modulus,
     arg_over_pi), as the pair (sums, majorant).  ``sums[k]`` is
     T_k(w) = sum_n w^n a_k[n], w = z^3 at the class representative, summed
-    by Horner (``Engine.horner``, which under mp skips the leading blocks
-    below the working precision) as the operand it returns, so the series
+    by Horner (``Engine.horner``, which skips the leading blocks below the
+    working precision) as the operand it returns, so the series
     at any point z of the class is z^rho (T0 + l (T1 + l (T2 + l T3))),
     l = log z.  ``majorant`` is the certificate's one majorant block, four
     floats: for each k = 0..3 an upper bound M_k on the log2 of the largest
@@ -484,12 +477,11 @@ def eval_series(series, z, engine, m=0, tol=None):
     Horner pass in w at the class representative, kept in the LRU cache
     ``_block_sums``.  Each call returns z^rho (T0 + l (T1 + l (T2 + l T3)))
     with its own l, and so the same value whether its sums were cached or
-    not: ``Engine.log_polynomial`` forms it, in hardware complex arithmetic
-    under double and under mp in exact integers, cut to
+    not: ``Engine.log_polynomial`` forms it in exact integers, cut to
     ``engine.GUARD_BITS`` bits above the working precision after each step,
-    within the bound its docstring states.  Under mp the value is that
-    kernel's operand (re, im, exp), not rounded, for the next kernel to
-    read; a caller that computes with it in mpmath rounds it with
+    within the bound its docstring states.  The value is that kernel's
+    operand (re, im, exp), not rounded, for the next kernel to read; a
+    caller that computes with it in the engine's arithmetic rounds it with
     ``Engine.number``.  The point's l, |l|, z^-1 to z^-3 and class key, and
     the class's w, come from its ``PointData`` (the LRU cache
     ``point_data``), l, z^-1 to z^-3 and w formed under mp ``GUARD_BITS``
@@ -499,13 +491,12 @@ def eval_series(series, z, engine, m=0, tol=None):
 
     The pass reads coefficient columns converted once per series and
     engine, each coefficient read once by ``Engine.operand`` (``_prepare``),
-    exact (Fraction) ones too.  Under mp the pass runs in exact
-    integers over the blocks that can reach the working precision, cut to
-    ``engine.GUARD_BITS`` bits above the working precision after each
-    block, and keeps each T_k as that operand; under double it is a
-    hardware-complex Horner loop over every block (``Engine.horner``).
+    exact (Fraction) ones too.  It runs in exact integers over the blocks
+    that can reach the working precision, cut to ``engine.GUARD_BITS`` bits
+    above the working precision after each block, and keeps each T_k as
+    that operand (``Engine.horner``).
 
-    A tail certificate bounds the last three nonzero blocks (all, for a
+    A tail certificate bounds the last three blocks (all, for a
     shorter series) by one majorant block that the pass stores, the
     componentwise maximum M_k of |z|^(rho+3n) |a_k[n]| over those blocks:
     sum_k M_k |l|^k, at least every |z^(rho+3n) (a0 + l (a1 + l (a2 + l a3)))|,
@@ -514,9 +505,9 @@ def eval_series(series, z, engine, m=0, tol=None):
     The comparison is made in log2 floats, which cover any number of
     digits and take no mp arithmetic: an upper bound on the log2 of the
     tail bound (``_tail_bound``) against lower bounds on log2 tol and
-    log2 |sum|, read from the sum's exact parts under mp.  Otherwise
-    TailBoundError is raised, on a cache hit as on a miss; a non-finite sum
-    or z^rho is one too, named as the series leaving the engine's range.
+    log2 |sum|, read from the sum's exact parts.  Otherwise TailBoundError
+    is raised, on a cache hit as on a miss; a non-finite w, z^rho or block
+    sum is one too, named as the series leaving the engine's range.
     """
     if m not in (0, 1, 2, 3):
         raise ValueError("derivative order must be 0..3")
@@ -535,13 +526,9 @@ def eval_series(series, z, engine, m=0, tol=None):
         # takes no exponential at the point; under double, z^-3 may overflow
         scale = point.inverse_powers[-cur.rho] if cur.rho else 1
         total = engine.log_polynomial(block_pass[0], point.l_operand, scale)
-        # under double, |total| may overflow; it is inf or NaN for a
-        # non-finite total
-        log2_total = log2_magnitude(total)
     except OverflowError as exc:
         raise _range_error(z.modulus, engine) from exc
-    if not log2_total < math.inf:
-        raise _range_error(z.modulus, engine)
+    log2_total = log2_magnitude(total)
 
     # log2 of tol max(|total|, 1) from below, less the rounding of its sum
     floor = max(log2_total - LOG2_SLACK, 0)

@@ -3,12 +3,11 @@ sparse recursion, the ODE residual of a log-series, the ODE's recursion
 in its ``_dlog`` form and the solution it gives from Frobenius
 coordinates, the residue block of Laurent data, mpmath's matrices for
 oracle products, the tail certificate of ``eval_series`` formed in engine
-reals, the evaluation's expressions from before its engine kernels, the
-exact value of an mp operand, an ``mpmath.iv`` enclosure of each mp series
-value, the attribution of a residual to the classes of its inputs, the
-rotation on the cover and in the Frobenius basis, the sectorial and
-topological solutions' exact Frobenius coordinates, and the sympy forms of
-the published closed forms
+reals, the Horner loop as it was first written, the exact value of an
+operand, an ``mpmath.iv`` enclosure of each series value, the attribution
+of a residual to the classes of its inputs, the rotation on the cover and
+in the Frobenius basis, the sectorial and topological solutions' exact
+Frobenius coordinates, and the sympy forms of the published closed forms
 (``GAMMA_MINUS_REF``, ``C_REF`` and ``C_GAMMA_REF``, built on first access;
 only they import sympy).
 They live here, not in ``monodromy_lab``, because no command runs them.
@@ -151,16 +150,31 @@ def gaussian(x):
 
 
 def operand_value(ctx, x):
-    """An mp engine operand (re, im, exp) as an mpc of ``ctx``, exactly,
-    at any precision: its raw parts are made without a rounding."""
+    """An engine operand (re, im, exp) as an mpc of the mp context ``ctx``,
+    exactly, at any precision: its raw parts are made without a rounding."""
     re, im, exp = x
     return ctx.make_mpc((from_man_exp(re, exp), from_man_exp(im, exp)))
 
 
+def working_context(engine):
+    """An mpmath mp context at the engine's working precision: the mp
+    engine's own, and for the double engine a fresh one at 53 bits."""
+    if engine.name == "mp":
+        return engine.ctx
+    ctx = mpmath.mp.clone()
+    ctx.prec = engine.working_prec
+    return ctx
+
+
 def block_values(series, engine):
-    """The blocks of a series as numbers of the engine's arithmetic: mp
-    operands read exactly (``operand_value``), anything else as it is."""
-    return tuple(tuple(operand_value(engine.ctx, a) if type(a) is tuple else a for a in blk)
+    """The blocks of a series as numbers of the engine's arithmetic:
+    operands read exactly under mp (``operand_value``) and rounded once to
+    a double under double (``Engine.number``), anything else as it is."""
+    if engine.name == "mp":
+        read = functools.partial(operand_value, engine.ctx)
+    else:
+        read = engine.number
+    return tuple(tuple(read(a) if type(a) is tuple else a for a in blk)
                  for blk in series.blocks)
 
 
@@ -278,40 +292,7 @@ def engine_real_certificate(series, z, engine, tol, total):
     return bound, accepted
 
 
-# -- the evaluation's expressions before its engine kernels -------------------
-
-def log_polynomial_expression(sums, l, scale):
-    """scale (T0 + l (T1 + l (T2 + l T3))) in the numbers' own arithmetic,
-    as ``solutions.eval_series`` formed it before ``Engine.log_polynomial``;
-    a scale of 1 (rho = 0) is not multiplied."""
-    t0, t1, t2, t3 = sums
-    total = t0 + l * (t1 + l * (t2 + l * t3))
-    return total if scale == 1 else scale * total
-
-
-def scalar_column_derivatives_expression(spec, z, order, engine):
-    """``monodromy.scalar_column_derivatives`` before ``Engine.fdot``: each
-    term's factor times its value added in turn, from engine zero."""
-    derivs = [engine.complex(0) for _ in range(4)]
-    for coef, kind, m in spec:
-        series = solutions.phi_series(kind, order, engine)
-        w = z.rotated(m)
-        for d, factor in enumerate(monodromy._term_factors(coef, kind, m, engine)):
-            derivs[d] += factor * solutions.eval_series(series, w, m=d, engine=engine)
-    return derivs
-
-
-def vector_from_scalar_expression(derivs, z, engine):
-    """``monodromy.vector_from_scalar`` before ``Engine.fdot``: products
-    and sums in the numbers' own arithmetic, y1 less y4."""
-    p0, p1, p2, p3 = derivs
-    z32, z32_3, z32_18, sz_18, z32_54, inv_54sz, _ = solutions.point_data(z, engine).lift
-    y4 = z32 * p0
-    y3 = z32_3 * p1
-    y2 = z32_18 * p2 + sz_18 * p1
-    y1 = z32_54 * p3 + inv_54sz * p1 + sz_18 * p2 - y4
-    return (y1, y2, y3, y4)
-
+# -- the Horner loop as it was first written ----------------------------------
 
 def horner_reference(terms, w, bits):
     """``engine._horner`` as it was written with a test for a zero sum at
@@ -381,7 +362,7 @@ def _block_enclosures(series, w, prec):
 
 def series_value_enclosure(series, z, engine, m=0):
     """An ``mpmath.iv`` enclosure of ``eval_series(series, z, engine, m)``
-    under mp, and the radius its kernels state: ((re_lo, re_hi),
+    under either engine, and the radius its kernels state: ((re_lo, re_hi),
     (im_lo, im_hi), radius), Fractions.
 
     The enclosure is the exact truncated m-th derivative series at the
@@ -401,7 +382,7 @@ def series_value_enclosure(series, z, engine, m=0):
         cur = cur.derivative()
     point = solutions.point_data(z, engine)
     w = solutions.point_data(UCComplex(*point.key), engine).cube
-    prec = engine.ctx.prec
+    prec = engine.working_prec
     iv, T, S = _block_enclosures(cur, w, 2 * prec + 64)
     L = _enclose(iv, point.l)
     scale = _enclose(iv, point.inverse_powers[-cur.rho] if cur.rho else 1)

@@ -106,7 +106,7 @@ def test_criterion_04_series_vs_contour():
         series = phi_series(kind, 40, D)
         for mod, arg in pts:
             z = UCComplex.polar(mod, arg)
-            a = complex(eval_series(series, z, engine=D))
+            a = D.number(eval_series(series, z, engine=D))
             b = complex(contour_eval(kind, z, D))
             worst = max(worst, abs(a - b) / max(1.0, abs(a)))
     ok = worst <= 1e-9

@@ -381,14 +381,16 @@ def test_an_arithmetic_failure_names_its_stage(capsys):
     # range: each error keeps its type and exit code 1, and its message starts
     # with the stage's name and then the base point, the first of
     # connection_points, at half |z0|.  From |z0| = 1e-110 on, z^-3 passes
-    # the double range, which is named the same way
+    # the double range, which is named the same way; at 1e-102 the series
+    # stay in range and the double solve refuses Y_top
     z0 = UCComplex.polar(1e-300, 0.785)
     at = "connection stage: at z = 5e-301,0.785: "
     with pytest.raises(ZeroDivisionError, match=f"^{at}matrix is numerically"):
         run_verify(RunConfig(z0_connection=z0))
     with pytest.raises(solutions.TailBoundError, match=f"^{at}the series at"):
         run_verify(RunConfig(z0_connection=z0, engine_name="double"))
-    runs = [("mp", "1e-300", "matrix is numerically singular")]
+    runs = [("mp", "1e-300", "matrix is numerically singular"),
+            ("double", "1e-102", "matrix is numerically singular")]
     runs += [("double", modulus, f"the series at |z|={float(modulus) / 2:g} leaves the range "
                                  "of the double engine")
              for modulus in ("1e-300", "1e-110", "1e-120", "1e-150")]
@@ -492,9 +494,10 @@ def test_a_nan_residual_never_passes(monkeypatch, capsys):
 
 
 def test_double_engine_at_high_orders(capsys):
-    # every double residue block past n = 83 is 0: a high order reports the
-    # order-40 S' and residuals, and at |z| = 6, where double runs out of
-    # digits, the run stops at a named check, not at an overflow
+    # the double block pass sums only the blocks that reach 53 + GUARD_BITS
+    # bits: a high order reports the order-40 S' and residuals, and at
+    # |z| = 6, where double runs out of digits, the run stops at a named
+    # refusal of the solve, not at an overflow
     _, default = run_cli(capsys, "stokes", "--engine", "double")
     code, high = run_cli(capsys, "stokes", "--engine", "double", "--order", "345")
     assert code == 1 and high == default
@@ -502,8 +505,7 @@ def test_double_engine_at_high_orders(capsys):
     code = main(["stokes", "--engine", "double", "--z0-stokes", "6,0.785", "--order", "150"])
     err = capsys.readouterr().err
     assert code == 1
-    assert "not within" in err or "too small" in err or "overflows" in err
-    assert "complex exponentiation" not in err
+    assert err == "failed check: stokes stage: at z = 6,0.735: matrix is numerically singular\n"
 
 
 def test_run_config_is_frozen():

@@ -1,8 +1,8 @@
 """Engine conversions (exact data is rounded once, to nearest), solves, the
-mp polynomial in log z and dot product against exact values, the double
-engine's agreement with mpmath's fp context and with the expressions its
-kernels replace, without loading mpmath, and the rule that every
-computation takes its engine from its caller."""
+polynomial in log z and dot product of both engines against exact values,
+the double engine's agreement with mpmath's fp context, without loading
+mpmath, and the rule that every computation takes its engine from its
+caller."""
 
 import cmath
 import inspect
@@ -36,9 +36,6 @@ from oracles import (
     elimination_bound,
     gaussian,
     horner_reference,
-    log_polynomial_expression,
-    scalar_column_derivatives_expression,
-    vector_from_scalar_expression,
 )
 
 
@@ -423,14 +420,6 @@ def test_double_arithmetic_is_mpmath_fp_bit_for_bit():
             assert bits(e.complex(x, y)) == bits(fp.mpc(fp.mpf(x), fp.mpf(y))), (x, y)
     for x in complexes:
         assert bits(e.complex(x, 0)) == bits(fp.mpc(x, 0)), x
-    A = [[complexes[(i + j) % 7] * (i - j) for j in range(4)] for i in range(4)]
-    B = [[-0.0, 1, 2.5, -3j], [0j, -0.0, Fraction(1, 3), 1e-200],
-         [4 - 1j, -0.0, 0, 7], [1e200j, 0.5, -1, -0.0]]
-    for X, Y in ((A, B), (B, A)):
-        product = (fp.matrix(X) * fp.matrix(Y)).tolist()
-        got = e.matmul(X, Y)
-        assert [[bits(v) for v in row] for row in got] == \
-            [[bits(v) for v in row] for row in product]
 
 
 def test_double_commands_never_load_mpmath():
@@ -459,15 +448,16 @@ def test_double_solutions_runs_its_contour_oracle(tmp_path):
     assert main(["solutions", "--engine", "double", "--output", str(tmp_path / "s.json")]) == 0
 
 
-# -- the mp polynomial in log z and dot product, against exact values --------
+# -- the polynomial in log z and dot product, against exact values -----------
 
 def _exact(x, e):
-    """An engine input as exact (re, im) Fractions, read as the mp kernels
-    read it: ints, operands and mp numbers as they are, a Fraction floored
-    to prec + GUARD_BITS bits, anything else through ``Engine.complex``."""
+    """An engine input as exact (re, im) Fractions, read as the kernels read
+    it: ints, operands, floats and mp numbers as they are, a Fraction
+    floored to prec + GUARD_BITS bits, anything else through
+    ``Engine.complex``."""
     if isinstance(x, Fraction):
         unit = Fraction(2) ** (x.numerator.bit_length() - x.denominator.bit_length()
-                               - e.ctx.prec - GUARD_BITS)
+                               - e.working_prec - GUARD_BITS)
         return math.floor(x / unit) * unit, Fraction(0)
     return gaussian(x if isinstance(x, (int, tuple)) or hasattr(x, "_mpf_")
                     or hasattr(x, "_mpc_") else e.complex(x))
@@ -514,21 +504,36 @@ def _log_polynomial_cases(e, rng):
         rest = _gmul(_exact(l, e), _gadd(_exact(t1, e), _gmul(_exact(l, e), _gadd(
             _exact(t2, e), _gmul(_exact(l, e), _exact(t3, e))))))
         largest = max(_modulus_above(x) for x in (rest, _exact(t1, e)))
-        # T0 cancels the rest to within 2^-100 of the largest term
+        # T0 cancels the rest to within 2^-100 of the largest term; a double
+        # cannot hold T0 so closely, so under double it is an operand
         tiny = largest / 2 ** 100
-        t0 = e.complex(-rest[0] + tiny, -rest[1] - tiny / 3)
+        t0 = (-rest[0] + tiny, -rest[1] - tiny / 3)
+        t0 = e.complex(*t0) if e.name == "mp" else _floored_operand(*t0, 160)
         yield [t0, t1, t2, t3], l, rng.choice(scales)
 
 
-@pytest.mark.parametrize("dps", (40, 291))
-def test_mp_log_polynomial_stays_within_its_stated_bound(dps):
+def _floored_operand(re, im, bits):
+    """Exact parts (re, im) as an operand, both floored where the larger has
+    ``bits`` bits."""
+    top = max(abs(re), abs(im))
+    e = top.numerator.bit_length() - top.denominator.bit_length() - bits
+    return math.floor(re / Fraction(2) ** e), math.floor(im / Fraction(2) ** e), e
+
+
+#: the engines of the kernels' bound tests: the mp ones keep their ids
+KERNEL_ENGINES = pytest.mark.parametrize("name, dps", [("mp", 40), ("mp", 291), ("double", None)],
+                                         ids=["40", "291", "double"])
+
+
+@KERNEL_ENGINES
+def test_mp_log_polynomial_stays_within_its_stated_bound(name, dps):
     # the exact value of the inputs read as Fractions, against the bound of
-    # MPEngine.log_polynomial on the modulus of the returned operand's
-    # error: 2^(4 - prec - GUARD_BITS) |scale| sum_k |l|^k |T_k|, with no
-    # rounding after it
-    e = get_engine("mp", dps=dps)
-    prec = e.ctx.prec
-    rng = random.Random(30 + dps)
+    # Engine.log_polynomial on the modulus of the returned operand's error:
+    # 2^(4 - prec - GUARD_BITS) |scale| sum_k |l|^k |T_k|, with no rounding
+    # after it, under either engine
+    e = get_engine(name, dps=dps)
+    prec = e.working_prec
+    rng = random.Random(30 + (dps or 0))
     cancelled = 0
     for sums, l, scale in _log_polynomial_cases(e, rng):
         T, L, s = [_exact(t, e) for t in sums], _exact(l, e), _exact(scale, e)
@@ -545,17 +550,18 @@ def test_mp_log_polynomial_stays_within_its_stated_bound(dps):
     assert cancelled >= 20
 
 
-@pytest.mark.parametrize("dps", (40, 291))
-def test_mp_fdot_is_the_exact_sum_floored_once(dps):
-    # as MPEngine.fdot states, each part of the returned operand is the
-    # exact dot product's part floored at the operand's exponent, where the
-    # larger part keeps prec + GUARD_BITS bits, so off by less than
-    # 2^(1 - prec - GUARD_BITS) of the exact modulus, on random vectors with
-    # zero, int, Fraction, float and Python complex entries, and on sums
-    # that cancel to 2^-100 of the largest product
-    e = get_engine("mp", dps=dps)
-    bits = e.ctx.prec + GUARD_BITS
-    rng = random.Random(31 + dps)
+@KERNEL_ENGINES
+def test_mp_fdot_is_the_exact_sum_floored_once(name, dps):
+    # as Engine.fdot states, each part of the returned operand is the exact
+    # dot product's part floored at the operand's exponent, where the larger
+    # part keeps prec + GUARD_BITS bits, so off by less than
+    # 2^(1 - prec - GUARD_BITS) of the exact modulus, under either engine,
+    # on random vectors with zero, int, Fraction, float and Python complex
+    # entries, and on sums that cancel to 2^-100 of the largest product
+    # (under double, to the rounding of the last entry)
+    e = get_engine(name, dps=dps)
+    bits = e.working_prec + GUARD_BITS
+    rng = random.Random(31 + (dps or 0))
     others = [0, e.complex(0), 3, -1, Fraction(1, 3), 0.1, 2.5 - 1j]
     cases = []
     for n in range(1, 7):
@@ -627,23 +633,25 @@ def test_horner_loop_gives_the_reference_integers():
 
 
 def test_operand_passes_an_operand_through():
-    mp, double = get_engine("mp", dps=40), get_engine("double")
-    parts = (3, -5, -7)
-    assert mp.operand(parts) is parts
-    assert mp.operand(mp.complex(1.5, -2)) == (3, -4, -1)
-    assert mp.operand(4) == (4, 0, 0)
-    x = 1.5 - 2j
-    assert double.operand(x) is x
+    # under either engine an operand as it is, an int as itself and a
+    # number by its exact parts
+    for e in (get_engine("mp", dps=40), get_engine("double")):
+        parts = (3, -5, -7)
+        assert e.operand(parts) is parts
+        assert e.operand(e.complex(1.5, -2)) == (3, -4, -1)
+        assert e.operand(4) == (4, 0, 0)
+        assert e.number(e.operand(e.complex(1.5, -2))) == e.complex(1.5, -2)
 
 
-@pytest.mark.parametrize("dps", (8, 40, 291))
-def test_operand_floors_a_fraction_once(dps):
-    # a Fraction is floored to prec + GUARD_BITS bits: its larger part has
-    # that many bits or one more, and it lies less than 2^(1 - prec -
-    # GUARD_BITS) |x| below x; under double it is the float of ``real``
-    e, double = get_engine("mp", dps=dps), get_engine("double")
-    bits = e.ctx.prec + GUARD_BITS
-    rng = random.Random(7 + dps)
+@pytest.mark.parametrize("name, dps", [("mp", 8), ("mp", 40), ("mp", 291), ("double", None)],
+                         ids=["8", "40", "291", "double"])
+def test_operand_floors_a_fraction_once(name, dps):
+    # a Fraction is floored to prec + GUARD_BITS bits, under either engine:
+    # its larger part has that many bits or one more, and it lies less than
+    # 2^(1 - prec - GUARD_BITS) |x| below x
+    e = get_engine(name, dps=dps)
+    bits = e.working_prec + GUARD_BITS
+    rng = random.Random(7 + (dps or 0))
     cases = [Fraction(1, 3), Fraction(-1, 3), Fraction(2) ** 900, Fraction(-7, 2 ** 1000)]
     cases += [Fraction(rng.randrange(-10 ** 80, 10 ** 80),
                        rng.randrange(1, 10 ** rng.randrange(1, 90)))
@@ -653,7 +661,6 @@ def test_operand_floors_a_fraction_once(dps):
         value = Fraction(re) * Fraction(2) ** exp
         assert im == 0 and bits <= abs(re).bit_length() <= bits + 1, x
         assert x - Fraction(2) ** (1 - bits) * abs(x) < value <= x, x
-        assert double.operand(x) == double.real(x) == float(x)
     assert e.operand(Fraction(0))[:2] == (0, 0)
 
 
@@ -735,24 +742,7 @@ def test_mp_kernels_refuse_non_finite_inputs():
                          [(Q, 3)], e.prec)
 
 
-def test_double_kernels_are_the_expressions_they_replace():
-    # under double, eval_series' polynomial in l, the column derivatives and
-    # the lift give the doubles of the expressions they replace
+def test_double_fdot_sums_exactly_before_its_one_rounding():
+    # the hardware sum of these products is 0.0: 2^60 + 1 rounds to 2^60
     e = get_engine("double")
-    rng = random.Random(32)
-
-    def draw():
-        return complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) * 2.0 ** rng.randint(-20, 20)
-
-    for _ in range(200):
-        sums, l = [draw() for _ in range(4)], draw()
-        for scale in (1, draw()):
-            assert e.log_polynomial(sums, l, scale) == log_polynomial_expression(sums, l, scale)
-    points = ([RunConfig.z0_stokes.rotated(m) for m in (-2, -1, 0, 1, 2)]
-              + [RunConfig.z0_connection.rotated(m) for m in (0, 1, 2)])
-    for z in points:
-        for spec in (*monodromy._YL_SPECS, *monodromy._YR_SPECS, monodromy._YL_COL3_ALT):
-            derivs = monodromy.scalar_column_derivatives(spec, z, 40, e)
-            assert derivs == scalar_column_derivatives_expression(spec, z, 40, e), (z, spec)
-            assert (monodromy.vector_from_scalar(derivs, z, e)
-                    == vector_from_scalar_expression(derivs, z, e)), (z, spec)
+    assert e.number(e.fdot((2.0 ** 60, 1.0, -2.0 ** 60), (1, 1, 1))) == 1

@@ -304,7 +304,7 @@ def test_vector_from_scalar_satisfies_system():
     def column(m):
         z = UCComplex.polar(m, arg)
         derivs = scalar_column_derivatives(spec, z, 40, E)
-        return vector_from_scalar(derivs, z, E)
+        return tuple(map(E.number, vector_from_scalar(derivs, z, E)))
 
     z = UCComplex.polar(mod, arg)
     y = column(mod)
@@ -326,27 +326,26 @@ def test_vector_from_scalar_satisfies_system():
 
 def test_vector_from_scalar_linearity_and_y4():
     z = UCComplex.polar(0.4, 0.0)
-    da = scalar_column_derivatives(((1, PHI1, 0),), z, 40, E)
-    db = scalar_column_derivatives(((1, PHI2, 0),), z, 40, E)
-    ya = vector_from_scalar(da, z, E)
-    yb = vector_from_scalar(db, z, E)
-    combo = vector_from_scalar([2 * da[k] + 3j * db[k] for k in range(4)], z, E)
+    da = [E.number(x) for x in scalar_column_derivatives(((1, PHI1, 0),), z, 40, E)]
+    db = [E.number(x) for x in scalar_column_derivatives(((1, PHI2, 0),), z, 40, E)]
+    ya, yb, combo = (tuple(map(E.number, vector_from_scalar(d, z, E)))
+                     for d in (da, db, [2 * da[k] + 3j * db[k] for k in range(4)]))
     for i in range(4):
         assert abs(combo[i] - (2 * ya[i] + 3j * yb[i])) < 1e-12 * max(1.0, abs(combo[i]))
     # y4 = z^(3/2) phi for the quantum-period-normalized scalar
     from monodromy_lab.solutions import eval_series, quantum_period
 
     qp = quantum_period(20)
-    derivs = [eval_series(qp, z, m=k, engine=E) for k in range(4)]
-    y = vector_from_scalar(derivs, z, E)
+    derivs = [E.number(eval_series(qp, z, m=k, engine=E)) for k in range(4)]
+    y = tuple(map(E.number, vector_from_scalar(derivs, z, E)))
     assert abs(y[3] - 0.4 ** 1.5 * derivs[0]) < 1e-13
 
 
 def test_assembled_matrices_solve_system():
     # columns of Y_R and Y_L are genuinely fundamental: nonzero determinant
     z = UCComplex.polar(2.0, math.pi / 4)
-    YR = assemble_YR(z, 40, E)
-    YL = assemble_YL(z, 40, E)
+    YR, YL = ([list(map(E.number, row)) for row in Y]
+              for Y in (assemble_YR(z, 40, E), assemble_YL(z, 40, E)))
     assert abs(_det4(YR)) > 1e-6
     assert abs(_det4(YL)) > 1e-6
 
@@ -367,8 +366,8 @@ def test_left_column3_expressions_agree_on_overlap():
         z = UCComplex.polar(1.5, arg)
         A = assemble_YL(z, 40, E)
         B = vector_from_scalar(scalar_column_derivatives(_YL_COL3_ALT, z, 40, E), z, E)
-        dev = max(abs(complex(A[i][2]) - complex(B[i])) for i in range(4))
-        scale = max(abs(complex(A[i][2])) for i in range(4))
+        dev = max(abs(E.number(A[i][2]) - E.number(B[i])) for i in range(4))
+        scale = max(abs(E.number(A[i][2])) for i in range(4))
         assert dev <= 1e-9 * max(1.0, scale)
 
 
@@ -619,8 +618,13 @@ def test_verify_constraints_inverts_only_C(monkeypatch):
 def dense_constraint_residuals(S, C, engine):
     """The two constraint residuals by dense engine products, with
     e^(t mu) from the engine's exponentials and eta as a matrix: eight
-    products and eight exponentials, the oracle of ``verify_constraints``."""
+    products and eight exponentials, the oracle of ``verify_constraints``.
+    Under double they are formed at 60 digits from the same S and C, so
+    that no double rounding enters the oracle."""
     from monodromy_lab.ring import unipotent_inverse
+
+    if engine.name == "double":
+        engine = get_engine("mp", dps=60)
 
     exact = [[Fraction(x) for x in row] for row in S]
     Sm, S_inv = context_matrix(engine, exact), context_matrix(engine, unipotent_inverse(exact))

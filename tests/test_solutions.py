@@ -46,6 +46,7 @@ from oracles import (
     series_value_enclosure,
     shifted_by_turns,
     within_enclosure,
+    working_context,
 )
 
 E = get_engine("double")
@@ -108,15 +109,18 @@ def test_frobenius_basis_matches_the_dlog_oracle():
         assert series.blocks == series_from_coordinates(unit, 60).blocks, k
 
 
-@pytest.mark.parametrize("dps, order", [(40, 40), (60, 40), (40, 120), (60, 120)])
-def test_phi_series_blocks_lie_within_their_cut_bound(dps, order):
+@pytest.mark.parametrize("name, dps, order",
+                         [("mp", 40, 40), ("mp", 60, 40), ("mp", 40, 120), ("mp", 60, 120),
+                          ("double", None, 40), ("double", None, 120)],
+                         ids=["40-40", "60-40", "40-120", "60-120", "double-40", "double-120"])
+def test_phi_series_blocks_lie_within_their_cut_bound(name, dps, order):
     # each part of each coefficient operand against the recursion run in
     # the _dlog form in exact Fractions from the same block-0 operands:
     # within the bound engine.matrix_steps states, c_0 = 0 and
     # c_n = |Q_n| c_(n-1) / (3n)^7 + 2^e_n, e_n the block's one exponent,
     # with no half ulp; and each block of the derivative series 1-3 the
-    # exact derivative of its parent's operands
-    engine = get_engine("mp", dps=dps)
+    # exact derivative of its parent's operands, under either engine
+    engine = get_engine(name, dps=dps)
     for kind in (PHI1, PHI2):
         series = phi_series(kind, order, engine)
         exact = list(zip(*map(gaussian, series.blocks[0])))
@@ -173,7 +177,7 @@ def test_eval_matches_direct_summation():
     series = quantum_period(12)
     z = UCComplex.polar(0.5, 0.0)
     direct = sum(float(blk[0]) * 0.5 ** (3 * n) for n, blk in enumerate(series.blocks))
-    assert abs(eval_series(series, z, engine=E) - direct) < 1e-14
+    assert abs(E.number(eval_series(series, z, engine=E)) - direct) < 1e-14
 
 
 def test_eval_quantum_period_single_valued():
@@ -181,9 +185,9 @@ def test_eval_quantum_period_single_valued():
     # under z -> z eps
     series = quantum_period(12)
     z = UCComplex.polar(0.7, 0.3)
-    v0 = eval_series(series, z, engine=E)
-    v1 = eval_series(series, shifted_by_turns(z, 1), engine=E)
-    v2 = eval_series(series, z.rotated(1), engine=E)
+    v0 = E.number(eval_series(series, z, engine=E))
+    v1 = E.number(eval_series(series, shifted_by_turns(z, 1), engine=E))
+    v2 = E.number(eval_series(series, z.rotated(1), engine=E))
     assert abs(v0 - v1) < 1e-13
     assert abs(v0 - v2) < 1e-13
 
@@ -197,30 +201,32 @@ def test_eval_tail_bound_error():
 
 
 def test_double_range_overflow_is_a_tail_bound_error():
-    # far out, the double range ends: w = z^3 overflows at |z| = 1e110, its
-    # tail powers at |z| = 1e3, and at |z| = 1e40 the sum turns NaN; near 0,
-    # z^-2 and z^-3 are NaN at |z| = 5e-301 at any order.  Each is a named
-    # certificate failure, never an OverflowError or a NaN value, and a NaN
-    # is named as leaving the range, not as too low an order
+    # far out, the double range ends: w = z^3 overflows at |z| = 1e110,
+    # while at |z| = 1e3 and 1e40 the block pass, in exact integers, stays
+    # finite and the certificate names the order; near 0, z^-2 and z^-3
+    # overflow at |z| = 5e-301 at any order.  Each is a named certificate
+    # failure, never an OverflowError or a NaN value
     series = phi_series(PHI1, 40, E)
-    for modulus in (1e3, 1e40, 1e110):
-        with pytest.raises(TailBoundError):
-            eval_series(series, UCComplex.polar(modulus, 0.3), engine=E)
     out_of_range = "leaves the range of the double engine"
-    with pytest.raises(TailBoundError, match=out_of_range):
-        eval_series(series, UCComplex.polar(1e40, 0.3), engine=E)
+    for modulus in (1e3, 1e40):
+        with pytest.raises(TailBoundError, match="truncation order 40 too small at [|]z[|]="):
+            eval_series(series, UCComplex.polar(modulus, 0.3), engine=E)
+    with pytest.raises(TailBoundError, match=f"at [|]z[|]=1e[+]110 {out_of_range}"):
+        eval_series(series, UCComplex.polar(1e110, 0.3), engine=E)
     for order, m in itertools.product((40, 200), (2, 3)):
         with pytest.raises(TailBoundError, match=f"at [|]z[|]=5e-301 {out_of_range}"):
             eval_series(phi_series(PHI1, order, E), UCComplex.polar(5e-301, 0.785), E, m=m)
 
 
 def test_trailing_zero_blocks_add_nothing():
-    # under double every residue block past n = 83 underflows to 0; a longer
-    # series gives the same value, with no overflow in its tail powers
+    # no residue block underflows under double, as the recursion runs in
+    # exact integers; the block pass sums only the blocks that reach the
+    # working precision, so a longer series gives the same value, with no
+    # overflow in its tail powers
     z = UCComplex.polar(2.0, math.pi / 4)
     for kind in (PHI1, PHI2):
         long, short = phi_series(kind, 400, E), phi_series(kind, 90, E)
-        assert not any(long.blocks[84]) and any(long.blocks[83])
+        assert all(any(x[0] or x[1] for x in blk) for blk in long.blocks)
         for m in range(4):
             assert eval_series(long, z, E, m=m) == eval_series(short, z, E, m=m)
 
@@ -234,10 +240,9 @@ def test_eval_derivative_orders():
     h = 1e-6
     zp = UCComplex.polar(0.8 + h, math.pi / 5)
     zm = UCComplex.polar(0.8 - h, math.pi / 5)
-    fd = (eval_series(series, zp, engine=E) - eval_series(series, zm, engine=E)) / (
-        2 * h * cmath.exp(1j * math.pi / 5)
-    )
-    d1 = eval_series(series, z, m=1, engine=E)
+    fd = (E.number(eval_series(series, zp, engine=E))
+          - E.number(eval_series(series, zm, engine=E))) / (2 * h * cmath.exp(1j * math.pi / 5))
+    d1 = E.number(eval_series(series, z, m=1, engine=E))
     assert abs(fd - d1) / abs(d1) < 1e-8
 
 
@@ -245,11 +250,11 @@ def test_phi_series_block0_values():
     # leading Laurent data: the (log z)^3 coefficients of the two series
     s2 = phi_series(PHI2, 12, E)
     expected2 = 2j * math.pi * math.sqrt(math.pi) * (-3) ** 3 / 6
-    assert abs(complex(s2.blocks[0][3]) - expected2) < 1e-12 * abs(expected2)
+    assert abs(E.number(s2.blocks[0][3]) - expected2) < 1e-12 * abs(expected2)
     # phi1: -1/(2 sqrt2 pi^2) * a[0][3] = 9 i/(2 sqrt2 pi^(3/2)), the leading
     # log^3 coefficient of the z^(3/2)-normalized last row entry
     s1 = phi_series(PHI1, 12, E)
-    lhs = -complex(s1.blocks[0][3]) / (2 * math.sqrt(2) * math.pi ** 2)
+    lhs = -E.number(s1.blocks[0][3]) / (2 * math.sqrt(2) * math.pi ** 2)
     rhs = 9j / (2 * math.sqrt(2) * math.pi ** 1.5)
     assert abs(lhs - rhs) < 1e-13 * abs(rhs)
 
@@ -257,7 +262,7 @@ def test_phi_series_block0_values():
 def test_phi_series_solves_ode():
     # primary correctness gate for the residue assembly
     for kind in (PHI1, PHI2):
-        series = phi_series(kind, 25, E)
+        series = solutions.LogSeries(rho=0, blocks=block_values(phi_series(kind, 25, E), E))
         scale = max(abs(complex(x)) for blk in series.blocks for x in blk)
         for blk in ode_residual_blocks(series)[1:]:
             assert all(abs(complex(x)) < 1e-11 * scale for x in blk)
@@ -354,10 +359,10 @@ def test_phi_series_change_of_basis():
     # through the exact recursion, and compare evaluations
     e = E
     s1 = phi_series(PHI1, 30, e)
-    rebuilt = series_from_coordinates(s1.initial_block(), 30)
+    rebuilt = series_from_coordinates(tuple(map(e.number, s1.initial_block())), 30)
     z = UCComplex.polar(0.3, math.pi / 8)
-    a = eval_series(s1, z, engine=e)
-    b = eval_series(rebuilt, z, engine=e)
+    a = e.number(eval_series(s1, z, engine=e))
+    b = e.number(eval_series(rebuilt, z, engine=e))
     assert abs(a - b) < 1e-12 * max(1.0, abs(a))
 
 
@@ -371,7 +376,7 @@ def test_contour_matches_series_in_sectors():
         series = phi_series(kind, 40, E)
         for mod, arg in pts:
             z = UCComplex.polar(mod, arg)
-            a = complex(eval_series(series, z, engine=E))
+            a = E.number(eval_series(series, z, engine=E))
             b = complex(contour_eval(kind, z, E))
             assert abs(a - b) <= 1e-9 * max(1.0, abs(a)), (kind, mod, arg)
 
@@ -424,12 +429,12 @@ def test_rotation_operator_consistent_with_series():
     e = E
     s2 = phi_series(PHI2, 30, e)
     A = rotation_operator_matrix(e)
-    coords = [e.complex(x) for x in s2.initial_block()]
+    coords = [e.number(x) for x in s2.initial_block()]
     rotated_coords = [sum(A[k][j] * coords[j] for j in range(4)) for k in range(4)]
     rebuilt = series_from_coordinates(tuple(rotated_coords), 30)
     z = UCComplex.polar(0.4, math.pi / 7)
-    a = eval_series(rebuilt, z, engine=e)
-    b = eval_series(s2, z.rotated(1), engine=e)
+    a = e.number(eval_series(rebuilt, z, engine=e))
+    b = e.number(eval_series(s2, z.rotated(1), engine=e))
     assert abs(a - b) < 1e-11 * max(1.0, abs(b))
 
 
@@ -474,29 +479,24 @@ def test_a_cold_series_build_rounds_no_coefficient(monkeypatch):
 
 
 def exact_parts(series):
-    """The real and imaginary parts of an mp series' operands as two series
-    of exact Fractions (``gaussian``)."""
+    """The real and imaginary parts of a series' operands as two series of
+    exact Fractions (``gaussian``)."""
     re, im = zip(*(tuple(zip(*map(gaussian, blk))) for blk in series.blocks))
     return tuple(solutions.LogSeries(rho=series.rho, blocks=p) for p in (re, im))
 
 
 @pytest.mark.parametrize("engine", ENGINES, ids=["double", "mp"])
 def test_derivative_is_kept_and_term_by_term(engine):
-    # under mp each part against the exact derivative of each level's
-    # parent, the operands it is built from, with no rounding
+    # each part against the exact derivative of each level's parent, the
+    # operands it is built from, with no rounding
     for kind in (PHI1, PHI2):
         series = phi_series(kind, 40, engine)
         for m in range(1, 4):
             assert series.derivative() is series.derivative()
-            if engine.name == "double":
-                ref = reference_derivative(series)
-                series = series.derivative()
-                assert series.blocks == ref.blocks, (kind, m)
-            else:
-                refs = [reference_derivative(p) for p in exact_parts(series)]
-                series = series.derivative()
-                got = exact_parts(series)
-                assert [p.blocks for p in got] == [p.blocks for p in refs], (kind, m)
+            refs = [reference_derivative(p) for p in exact_parts(series)]
+            series = series.derivative()
+            got = exact_parts(series)
+            assert [p.blocks for p in got] == [p.blocks for p in refs], (kind, m)
             assert series.rho == -m
 
 
@@ -567,7 +567,7 @@ def test_fraction_blocks_are_read_once_by_engine_operand(engine):
     # an exact series and its derivatives evaluated as they are, and after
     # reading their coefficients with Engine.operand, give the same value:
     # the block pass reads an exact coefficient once, by Engine.operand, and
-    # under mp each column entry is the Fraction floored at prec + GUARD_BITS
+    # each column entry is the Fraction floored at prec + GUARD_BITS
     z = UCComplex.polar(1, 0.3)
     for exact in (quantum_period(40), *frobenius_basis(40)):
         for m in range(4):
@@ -575,14 +575,13 @@ def test_fraction_blocks_are_read_once_by_engine_operand(engine):
                 rho=exact.rho,
                 blocks=tuple(tuple(map(engine.operand, blk)) for blk in exact.blocks))
             assert eval_series(exact, z, engine=engine) == eval_series(read, z, engine=engine), m
-            if engine.name == "mp":
-                columns, _ = solutions._prepare(exact, engine)
-                for k, (column, _) in enumerate(columns):
-                    # block 0 first; the column has no trailing zero blocks
-                    for a, (re, im, e) in zip([blk[k] for blk in exact.blocks], column[::-1]):
-                        assert im == 0 and re == math.floor(a / Fraction(2) ** e), (m, k)
-                        bits = abs(re).bit_length() - engine.prec - GUARD_BITS
-                        assert not a or bits in (0, 1), (m, k)
+            columns, _ = solutions._prepare(exact, engine)
+            for k, (column, _) in enumerate(columns):
+                # block 0 first
+                for a, (re, im, e) in zip([blk[k] for blk in exact.blocks], column[::-1]):
+                    assert im == 0 and re == math.floor(a / Fraction(2) ** e), (m, k)
+                    bits = abs(re).bit_length() - engine.prec - GUARD_BITS
+                    assert not a or bits in (0, 1), (m, k)
             exact = exact.derivative()
 
 
@@ -714,13 +713,21 @@ def horner_oracle(column, w, ctx):
     return t, scale
 
 
-@pytest.mark.parametrize("kind", (PHI1, PHI2))
-def test_exact_block_pass_matches_a_double_precision_oracle(kind):
-    # the integer kernel against mpc Horner at 2 prec: each T_k, an operand
-    # read exactly, within 2^-prec of the sum of its terms' magnitudes, w
-    # taken at every rotation
-    e = get_engine("mp", dps=40)
-    bound = e.ctx.mpf(2) ** -e.ctx.prec
+#: the engines and kinds of the block-pass bound tests; the mp ids keep
+#: their names
+BLOCK_PASS_CASES = pytest.mark.parametrize(
+    "name, kind", [("mp", PHI1), ("mp", PHI2), ("double", PHI1), ("double", PHI2)],
+    ids=[str(PHI1), str(PHI2), f"double-{PHI1}", f"double-{PHI2}"])
+
+
+@BLOCK_PASS_CASES
+def test_exact_block_pass_matches_a_double_precision_oracle(name, kind):
+    # the integer kernel against mpc Horner at 2 prec, under either engine:
+    # each T_k, an operand read exactly, within 2^-prec of the sum of its
+    # terms' magnitudes, w taken at every rotation
+    e = get_engine(name, dps=40)
+    ctx = working_context(e)
+    bound = ctx.mpf(2) ** -ctx.prec
     series = phi_series(kind, 60, e)
     for m in range(4):
         columns = e.horner_columns(series.blocks)
@@ -730,22 +737,22 @@ def test_exact_block_pass_matches_a_double_precision_oracle(kind):
                 w = e.exp(3 * base.rotated(rotation).log(e))
                 sums = e.horner(columns, w)
                 for k, t in enumerate(sums):
-                    ref, scale = horner_oracle([blk[k] for blk in block_values(series, e)],
-                                               w, e.ctx)
-                    t = operand_value(e.ctx, t)
+                    column = [operand_value(ctx, blk[k]) for blk in series.blocks]
+                    ref, scale = horner_oracle(column, w, ctx)
+                    t = operand_value(ctx, t)
                     assert abs(t - ref) <= bound * scale, (kind, m, modulus, rotation, k)
         series = series.derivative()
 
 
 def cut_bound(blocks, prec):
-    """The error bound of ``Engine.horner`` under mp over sum_n |w^n a[n]|:
+    """The error bound of ``Engine.horner`` over sum_n |w^n a[n]|:
     4 * 2^-(prec + GUARD_BITS) per block and one more for the skipped
     blocks; the T_k it returns are operands, not rounded."""
     return (4 * blocks + 1) * 2.0 ** -(prec + GUARD_BITS)
 
 
 def recorded_cuts(monkeypatch):
-    """How many blocks of each column every mp pass sums."""
+    """How many blocks of each column every pass sums."""
     cuts = []
     summed_blocks = engine_module._summed_blocks
 
@@ -758,12 +765,14 @@ def recorded_cuts(monkeypatch):
     return cuts
 
 
-@pytest.mark.parametrize("kind", (PHI1, PHI2))
-def test_cut_block_pass_stays_within_its_bound(kind, monkeypatch):
-    # phi and its derivatives 1-3 at order 40: every T_k of the shortened
-    # pass within the docstring's bound of mpc Horner over all blocks at
-    # twice the precision; fewer than all 40 blocks summed at |z| <= 0.4
-    e = get_engine("mp", dps=40)
+@BLOCK_PASS_CASES
+def test_cut_block_pass_stays_within_its_bound(name, kind, monkeypatch):
+    # phi and its derivatives 1-3 at order 40, under either engine: every
+    # T_k of the shortened pass within the docstring's bound of mpc Horner
+    # over all blocks at twice the precision; fewer than all 40 blocks
+    # summed at |z| <= 0.4
+    e = get_engine(name, dps=40)
+    ctx = working_context(e)
     cuts = recorded_cuts(monkeypatch)
     series = phi_series(kind, 40, e)
     for m in range(4):
@@ -774,10 +783,10 @@ def test_cut_block_pass_stays_within_its_bound(kind, monkeypatch):
                 cuts.clear()
                 sums = e.horner(columns, w)
                 for k, t in enumerate(sums):
-                    ref, scale = horner_oracle([blk[k] for blk in block_values(series, e)],
-                                               w, e.ctx)
-                    t = operand_value(e.ctx, t)
-                    assert abs(t - ref) <= cut_bound(40, e.ctx.prec) * scale, (m, modulus, k)
+                    column = [operand_value(ctx, blk[k]) for blk in series.blocks]
+                    ref, scale = horner_oracle(column, w, ctx)
+                    t = operand_value(ctx, t)
+                    assert abs(t - ref) <= cut_bound(40, ctx.prec) * scale, (m, modulus, k)
                 assert all(1 <= kept <= 40 for kept in cuts)
                 if modulus <= 0.4:
                     assert all(kept < 40 for kept in cuts), (m, modulus, cuts)
@@ -848,8 +857,9 @@ def test_point_inputs_and_term_factors_lie_within_their_guarded_bound(dps):
             assert distance(x, y) <= unit * size(y), term
 
 
-@pytest.mark.parametrize("dps", (40, 60))
-def test_mp_series_values_lie_in_their_interval_enclosure(dps):
+@pytest.mark.parametrize("name, dps", [("mp", 40), ("mp", 60), ("double", None)],
+                         ids=["40", "60", "double"])
+def test_mp_series_values_lie_in_their_interval_enclosure(name, dps):
     # phi1, phi2 and their derivatives 1-3 at every point an extraction at
     # the defaults evaluates them: the Stokes base point's five rotations
     # and the connection base point's three, each value within the
@@ -859,8 +869,9 @@ def test_mp_series_values_lie_in_their_interval_enclosure(dps):
     # larger part), 54 of the 64 values, a part moved by 4 ulp falls
     # outside; elsewhere the radius is the guard bits' share of the
     # cancellation of the sum, up to 2^22 at phi1 on the Stokes base point,
-    # where the T_k cancel in the polynomial in l
-    e = get_engine("mp", dps=dps)
+    # where the T_k cancel in the polynomial in l.  Under double the same 54
+    # values are sharp, at 53 bits
+    e = get_engine(name, dps=dps)
     points = ([RunConfig.z0_stokes.rotated(m) for m in (-2, -1, 0, 1, 2)]
               + [RunConfig.z0_connection.rotated(m) for m in (0, 1, 2)])
     sharp = 0
@@ -873,7 +884,7 @@ def test_mp_series_values_lie_in_their_interval_enclosure(dps):
                 assert within_enclosure(gaussian(value), enclosure), (kind, z, m)
                 re, im, exp = value
                 top = max(re.bit_length(), im.bit_length()) + exp
-                ulp = Fraction(2) ** (top - e.ctx.prec)
+                ulp = Fraction(2) ** (top - e.working_prec)
                 if enclosure[2] >= Fraction(3, 2) * ulp:
                     continue
                 sharp += 1
